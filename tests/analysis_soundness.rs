@@ -8,7 +8,10 @@
 //!   analyzer derived for that stage at lowering time;
 //! - every pipeline certified saturation-free observes **zero** clamping
 //!   saturating operations in the replay;
-//! - the replay verdict equals [`CompiledPipeline::classify`];
+//! - the replay verdict equals [`CompiledPipeline::classify`] on the
+//!   packed per-row path, the block path (`classify_batch`) and the
+//!   scalar reference tier, and `scores()` is the dequantized final trace
+//!   stage on both tiers;
 //! - the `homunculus-analysis` certificates agree with the runtime's
 //!   [`KernelFact`]s they re-surface.
 //!
@@ -171,49 +174,94 @@ fn stage_intervals<'f>(label: &str, facts: &'f [KernelFact]) -> Option<&'f [Inte
         .map(|f| f.post.as_slice())
 }
 
-/// The core soundness oracle: replay the exact saturating scalar
-/// semantics and hold every recorded intermediate to the analyzer's
-/// predictions.
-fn check_soundness(pipeline: &CompiledPipeline, fmt: FixedPoint, features: &[f32]) {
-    let facts = pipeline.kernel_facts();
-    let trace = pipeline.trace(features);
-    let mut scratch = Scratch::new();
-    assert_eq!(
-        trace.verdict,
-        pipeline.classify(features, &mut scratch),
-        "trace and classify disagree"
-    );
-    if pipeline.saturation_certified() {
-        assert!(
-            !trace.saturated,
-            "certified pipeline observed a clamping saturating op"
-        );
-    }
-    for stage in &trace.stages {
-        if stage.label == "quantized features" {
-            let iv = Interval::quantized(fmt);
-            for &v in &stage.values {
-                assert!(iv.contains(v), "{}: {v} outside {iv:?}", stage.label);
-            }
-            continue;
+/// The `scores()` a trace implies: its final stage holds the raw
+/// per-class scores of the score-shaped families, dequantized the way
+/// `CompiledPipeline::scores` documents (`[-s, s]` around a binary SVM's
+/// single plane score, negated KMeans distances).
+fn trace_scores(pipeline: &CompiledPipeline, fmt: FixedPoint, raw: &[i32]) -> Option<Vec<f32>> {
+    match pipeline.family() {
+        "dnn" => Some(raw.iter().map(|&r| fmt.dequantize(r)).collect()),
+        "svm" if raw.len() == 1 => {
+            let s = fmt.dequantize(raw[0]);
+            Some(vec![-s, if raw[0] == 0 { f32::MIN_POSITIVE } else { s }])
         }
-        let Some(intervals) = stage_intervals(&stage.label, facts) else {
-            continue;
-        };
+        "svm" => Some(raw.iter().map(|&r| fmt.dequantize(r)).collect()),
+        "kmeans" => Some(raw.iter().map(|&r| -fmt.dequantize(r)).collect()),
+        _ => None,
+    }
+}
+
+/// The core soundness oracle: replay the exact saturating scalar
+/// semantics, hold every recorded intermediate to the analyzer's
+/// predictions, and hold every inference path — packed per-row, block,
+/// scalar tier — to the replay. Returns whether any row's replay clamped.
+fn check_soundness(ir: &ModelIr, fmt: FixedPoint, rows: &[Vec<f32>]) -> bool {
+    let pipeline = ir.compile(fmt).unwrap();
+    let scalar = CompiledPipeline::from_ir_scalar(ir, fmt).unwrap();
+    let facts = pipeline.kernel_facts();
+    let mut scratch = Scratch::new();
+    let mut saturated = false;
+    let mut verdicts = Vec::with_capacity(rows.len());
+    for features in rows {
+        let trace = pipeline.trace(features);
         assert_eq!(
-            intervals.len(),
-            stage.values.len(),
-            "fact width mismatch at '{}'",
-            stage.label
+            trace.verdict,
+            pipeline.classify(features, &mut scratch),
+            "trace and classify disagree"
         );
-        for (j, (&v, iv)) in stage.values.iter().zip(intervals).enumerate() {
+        assert_eq!(
+            trace.verdict,
+            scalar.classify(features, &mut scratch),
+            "trace and the scalar tier disagree"
+        );
+        let expected = trace_scores(&pipeline, fmt, &trace.stages.last().unwrap().values);
+        assert_eq!(
+            pipeline.scores(features, &mut scratch),
+            expected,
+            "scores drifted from the trace"
+        );
+        assert_eq!(
+            scalar.scores(features, &mut scratch),
+            expected,
+            "scalar-tier scores drifted from the trace"
+        );
+        if pipeline.saturation_certified() {
             assert!(
-                iv.contains(v),
-                "{}[{j}]: value {v} outside predicted {iv:?}",
-                stage.label
+                !trace.saturated,
+                "certified pipeline observed a clamping saturating op"
             );
         }
+        for stage in &trace.stages {
+            if stage.label == "quantized features" {
+                let iv = Interval::quantized(fmt);
+                for &v in &stage.values {
+                    assert!(iv.contains(v), "{}: {v} outside {iv:?}", stage.label);
+                }
+                continue;
+            }
+            let Some(intervals) = stage_intervals(&stage.label, facts) else {
+                continue;
+            };
+            assert_eq!(
+                intervals.len(),
+                stage.values.len(),
+                "fact width mismatch at '{}'",
+                stage.label
+            );
+            for (j, (&v, iv)) in stage.values.iter().zip(intervals).enumerate() {
+                assert!(
+                    iv.contains(v),
+                    "{}[{j}]: value {v} outside predicted {iv:?}",
+                    stage.label
+                );
+            }
+        }
+        saturated |= trace.saturated;
+        verdicts.push(trace.verdict);
     }
+    let block = pipeline.classify_batch(&Matrix::from_rows(rows).unwrap(), 1);
+    assert_eq!(block, verdicts, "trace and the block path disagree");
+    saturated
 }
 
 proptest! {
@@ -230,13 +278,12 @@ proptest! {
         rows in proptest::collection::vec(-100.0f32..100.0, 10..60),
     ) {
         let ir = build_model(family, a, b, c, &mut Pool::new(pool));
-        let fmt = format(fmt_idx);
-        let pipeline = ir.compile(fmt).unwrap();
-        let nf = pipeline.n_features();
-        for row in rows.chunks(nf.max(1)) {
-            let features: Vec<f32> = row.iter().copied().cycle().take(nf).collect();
-            check_soundness(&pipeline, fmt, &features);
-        }
+        let nf = ir.n_features();
+        let rows: Vec<Vec<f32>> = rows
+            .chunks(nf)
+            .map(|row| row.iter().copied().cycle().take(nf).collect())
+            .collect();
+        check_soundness(&ir, format(fmt_idx), &rows);
     }
 
     #[test]
@@ -282,11 +329,74 @@ proptest! {
         // into [min_raw, max_raw], so even these inputs are "admissible"
         // and the derived intervals must hold.
         let ir = build_model(family, a, b, c, &mut Pool::new(pool));
-        let fmt = format(fmt_idx);
+        let rows: Vec<Vec<f32>> =
+            [f32::MAX, f32::MIN, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0]
+                .iter()
+                .map(|&fill| vec![fill; ir.n_features()])
+                .collect();
+        check_soundness(&ir, format(fmt_idx), &rows);
+    }
+}
+
+/// Kernels too long for a no-saturation certificate, run for real: a
+/// 16 384-input Q3.12 dense layer, SVM plane and KMeans centroid of ±7.9
+/// weights. Their accumulators do clamp on extreme rows, so only the
+/// per-call guard's sequential replay can match the scalar semantics — a
+/// packed kernel that took the re-orderable fast loop here would diverge.
+#[test]
+fn uncertified_kernels_match_the_trace_when_accumulators_clamp() {
+    const N: usize = 16_384;
+    let fmt = FixedPoint::taurus_default();
+    // A long positive run, then a shorter negative one: against an
+    // all-positive row the partial sum clamps at `i32::MAX` and the tail
+    // pulls it back down, so the result depends on evaluation order.
+    let weight = |i: usize| if i < 3 * N / 4 { 7.9f32 } else { -7.9 };
+    let arch = MlpArchitecture::new(N, vec![2], 2);
+    let params = arch
+        .layer_dims()
+        .iter()
+        .map(|&(rows, cols)| LayerParams {
+            weights: Matrix::from_fn(
+                rows,
+                cols,
+                |r, c| if c == 0 { weight(r) } else { -weight(r) },
+            ),
+            bias: vec![0.5; cols],
+        })
+        .collect();
+    let models = [
+        ModelIr::Dnn(DnnIr {
+            arch,
+            params: Some(params),
+        }),
+        ModelIr::Svm(SvmIr {
+            n_features: N,
+            n_classes: 2,
+            planes: Some((vec![(0..N).map(weight).collect()], vec![0.25])),
+        }),
+        ModelIr::KMeans(KMeansIr {
+            k: 2,
+            n_features: N,
+            centroids: Some(vec![
+                (0..N).map(weight).collect(),
+                (0..N).map(|i| -weight(i)).collect(),
+            ]),
+        }),
+    ];
+    let rows: Vec<Vec<f32>> = vec![
+        vec![7.9; N],
+        vec![-7.9; N],
+        (0..N).map(weight).collect(),
+        (0..N).map(|i| (i % 7) as f32 * 0.01 - 0.03).collect(),
+    ];
+    for ir in &models {
         let pipeline = ir.compile(fmt).unwrap();
-        for fill in [f32::MAX, f32::MIN, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0] {
-            let features = vec![fill; pipeline.n_features()];
-            check_soundness(&pipeline, fmt, &features);
-        }
+        assert!(pipeline.packed_width().is_some(), "{}", ir.family());
+        assert!(!pipeline.saturation_certified(), "{}", ir.family());
+        assert!(
+            check_soundness(ir, fmt, &rows),
+            "{}: no probe row clamped an accumulator",
+            ir.family()
+        );
     }
 }
