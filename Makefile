@@ -8,7 +8,7 @@ CARGO ?= cargo
 # intrinsics swapped in (the `simd` feature on the facade crate forwards
 # to homunculus-ml and homunculus-runtime); verdicts must stay
 # bit-identical, so the same tests gate both kernel tiers.
-ci: fmt-check clippy clippy-simd build test test-simd doc stress lint-artifacts
+ci: fmt-check clippy clippy-simd build test test-simd doc stress lint-artifacts bench-smoke
 
 fmt:
 	$(CARGO) fmt
@@ -57,24 +57,13 @@ stress:
 bench:
 	$(CARGO) bench -p homunculus-bench
 
-# Tiny-budget runs of the compiled-runtime, multi-tenant-serving,
-# persistent-deployment, and staged-compile benchmarks; each binary
-# re-reads its JSON and fails unless it parses with all headline fields
-# (runtime_throughput asserts the packed and scalar kernel tiers return
-# bit-identical verdicts on every packet, per-row and batched;
-# (serving/deployment also assert verdicts match isolated classify_batch
-# runs, activation LUTs are shared, and weighted dispatch shares stay
-# inside their bound; compile_stages also asserts saved artifacts — JSON
-# and binary — reload and serve bit-identical verdicts, that parallel and
-# sequential compiles agree bit for bit, and, via --resume, that an
-# interrupted search resumed from its binary checkpoint finishes
-# bit-identically to the uninterrupted run).
+# The benchmark's own suite, one smoke run of every workload included.
+# hbench is a workspace of its own, so nothing in `cargo test --workspace`
+# notices when a product API it calls disappears: this target does. Full
+# runs and parent-vs-change comparisons are `hbench run --all` and
+# `hbench compare` (crates/bench/src/bin/hbench/README.md).
 bench-smoke:
-	$(CARGO) run --release -p homunculus-bench --bin runtime_throughput -- --smoke --out BENCH_runtime.json
-	$(CARGO) run --release -p homunculus-bench --bin serving_throughput -- --smoke --out BENCH_serving.json
-	$(CARGO) run --release -p homunculus-bench --bin deployment_throughput -- --smoke --out BENCH_deploy.json
-	$(CARGO) run --release -p homunculus-bench --bin compile_stages -- --smoke --resume --out BENCH_compile.json
-	$(CARGO) run --release -p homunculus-bench --bin fleet_throughput -- --smoke --out BENCH_fleet.json
+	$(CARGO) test --release --offline --manifest-path crates/bench/src/bin/hbench/Cargo.toml
 
 examples:
 	$(CARGO) build --release --examples

@@ -188,14 +188,14 @@ fn bench_packed_kernels(c: &mut Criterion) {
         let pb = p.pack(&b);
         assert_eq!(
             q.fixed_dot(&a, &b),
-            p.packed_dot(pa.as_slice(), pb.as_slice()),
+            p.packed_dot(pa.as_slice(), pb.as_slice(), false),
             "packed_dot must be bit-identical to fixed_dot"
         );
         c.bench_function(&format!("quantize/fixed_dot_{n}"), |bench| {
             bench.iter(|| q.fixed_dot(&a, &b))
         });
         c.bench_function(&format!("quantize/packed_dot_{n}"), |bench| {
-            bench.iter(|| p.packed_dot(pa.as_slice(), pb.as_slice()))
+            bench.iter(|| p.packed_dot(pa.as_slice(), pb.as_slice(), false))
         });
     }
 }

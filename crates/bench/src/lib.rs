@@ -242,61 +242,6 @@ pub fn compile_on_taurus(
     Compiler::new(*options).open(&platform)?.compile()
 }
 
-/// The shared header fields of every `BENCH_*.json` report. Each emitting
-/// binary builds one and folds it into its report with
-/// [`wrap`](EmitterMeta::wrap), so the `benchmark`/`mode`/`smoke` triple
-/// is spelled in exactly one place — `mode` here means budget tier
-/// (`"smoke"` vs `"full"`), distinct from `serving_throughput`'s
-/// execution-strategy `mode` field, which that binary keeps for itself.
-#[derive(Debug, Clone, Copy)]
-pub struct EmitterMeta {
-    /// The report's `benchmark` name (e.g. `"compile_stages"`).
-    pub benchmark: &'static str,
-    /// Whether the run used the tiny `--smoke` budget.
-    pub smoke: bool,
-}
-
-impl EmitterMeta {
-    /// Header for `benchmark`, full budget unless `smoke`.
-    pub fn new(benchmark: &'static str, smoke: bool) -> Self {
-        EmitterMeta { benchmark, smoke }
-    }
-
-    /// The budget tier: `"smoke"` or `"full"`.
-    pub fn mode(&self) -> &'static str {
-        if self.smoke {
-            "smoke"
-        } else {
-            "full"
-        }
-    }
-
-    /// Prepends the header fields to `body` (which must be a JSON
-    /// object) and returns the combined report.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `body` is not an object.
-    pub fn wrap(&self, body: serde_json::Value) -> serde_json::Value {
-        let mut map = serde_json::Map::new();
-        map.insert(
-            "benchmark".into(),
-            serde_json::Value::String(self.benchmark.into()),
-        );
-        map.insert("mode".into(), serde_json::Value::String(self.mode().into()));
-        map.insert("smoke".into(), serde_json::Value::Bool(self.smoke));
-        match body {
-            serde_json::Value::Object(fields) => {
-                for (key, value) in fields.iter() {
-                    map.insert(key.clone(), value.clone());
-                }
-            }
-            other => panic!("EmitterMeta::wrap needs a JSON object, got {other:?}"),
-        }
-        serde_json::Value::Object(map)
-    }
-}
-
 /// The experiment-scale compiler options (Figure 4's ~20 iterations).
 pub fn experiment_options(seed: u64) -> CompilerOptions {
     CompilerOptions {

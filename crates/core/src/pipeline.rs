@@ -18,9 +18,7 @@ use homunculus_datasets::dataset::Normalizer;
 use homunculus_ml::quantize::FixedPoint;
 use homunculus_optimizer::space::Configuration;
 use homunculus_optimizer::OptimizationHistory;
-use homunculus_runtime::{
-    Compile, CompiledPipeline, Deployment, DeploymentBuilder, PipelineServer, TenantId,
-};
+use homunculus_runtime::{Compile, CompiledPipeline, Deployment, DeploymentBuilder, TenantId};
 use serde::{Deserialize, Serialize};
 use serde_json::{json, ToJson, Value};
 
@@ -599,48 +597,14 @@ impl CompiledArtifact {
         Ok(artifact)
     }
 
-    /// Builds a multi-tenant [`PipelineServer`] from the schedule's
-    /// winning models: one tenant per [`ModelReport`], registered under
-    /// the model's name with its deployment normalizer, all compiled
-    /// through one shared LUT cache (so a many-model schedule
-    /// materializes at most one sigmoid/tanh table per fixed-point
-    /// format).
-    ///
-    /// Look tenants up by model name via
-    /// [`PipelineServer::tenant_id`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Subsystem`] if a winning IR fails to lower —
-    /// which a trained IR never should.
-    pub fn build_server(&self) -> Result<PipelineServer> {
-        let mut server = PipelineServer::new();
-        for report in &self.reports {
-            server
-                .register_model(
-                    &report.name,
-                    &report.ir,
-                    report.format,
-                    Some(report.normalizer.clone()),
-                )
-                .map_err(|e| {
-                    CoreError::Subsystem(format!(
-                        "registering winning model '{}' for serving failed: {e}",
-                        report.name
-                    ))
-                })?;
-        }
-        Ok(server)
-    }
-
     /// Launches a persistent [`Deployment`] serving the schedule's winning
     /// models: resident workers configured by `builder`, one tenant per
     /// [`ModelReport`] (registered in schedule order under the model's
     /// name with its deployment normalizer), all compiled through the
-    /// deployment's shared LUT cache. Unlike
-    /// [`build_server`](CompiledArtifact::build_server), the returned
-    /// session amortizes worker launch across every subsequent
-    /// [`submit`](Deployment::submit).
+    /// deployment's shared LUT cache (so a many-model schedule
+    /// materializes at most one sigmoid/tanh table per fixed-point
+    /// format). The returned session amortizes worker launch across every
+    /// subsequent [`submit`](Deployment::submit).
     ///
     /// Look tenants up by model name via [`Deployment::tenant_id`]; add
     /// QoS weights afterwards by registering extra tenants with
@@ -1005,20 +969,11 @@ mod tests {
 
         // The artifact serves: one tenant per winning model, and served
         // verdicts match the report's own compiled pipeline run in
-        // isolation on normalized features.
-        let server = artifact.build_server().unwrap();
-        assert_eq!(server.tenant_count(), 2);
-        let tenant = server.tenant_id("a").unwrap();
+        // isolation on normalized features — ring ingress and admission
+        // knobs included.
         let raw = homunculus_ml::tensor::Matrix::from_fn(16, 7, |r, c| (r * 7 + c) as f32 * 0.05);
-        #[allow(deprecated)]
-        let output = server
-            .serve(
-                &[homunculus_runtime::TenantBatch::new(tenant, raw.clone())],
-                &homunculus_runtime::ServeOptions::default().workers(2),
-            )
-            .unwrap();
         let report = artifact.report("a").unwrap();
-        let mut normalized = raw;
+        let mut normalized = raw.clone();
         for r in 0..normalized.rows() {
             report.normalizer.apply(normalized.row_mut(r));
         }
@@ -1027,11 +982,6 @@ mod tests {
             .as_ref()
             .unwrap()
             .classify_batch(&normalized, 1);
-        assert_eq!(output.verdicts()[0], isolated);
-
-        // The persistent path serves the same artifact: one submit to a
-        // resident-worker deployment yields the same verdicts — ring
-        // ingress and admission knobs included.
         let deployment = artifact
             .build_deployment(
                 homunculus_runtime::Deployment::builder()
@@ -1044,7 +994,6 @@ mod tests {
             .unwrap();
         assert_eq!(deployment.tenant_count(), 2);
         let tenant = deployment.tenant_id("a").unwrap();
-        let raw = homunculus_ml::tensor::Matrix::from_fn(16, 7, |r, c| (r * 7 + c) as f32 * 0.05);
         let deployed = deployment
             .submit(homunculus_runtime::TenantBatch::new(tenant, raw))
             .unwrap()

@@ -298,7 +298,7 @@ where
 }
 
 /// A [`CompileObserver`] that records every event — handy in tests and
-/// for post-hoc timing reports (the `compile_stages` bench uses one).
+/// for post-hoc timing reports.
 #[derive(Debug, Default)]
 pub struct CollectingObserver {
     events: std::sync::Mutex<Vec<CompileEvent>>,
@@ -1762,12 +1762,32 @@ mod tests {
     fn observer_sees_stage_brackets_and_iterations() {
         let platform = ad_platform(500);
         let observer = Arc::new(CollectingObserver::new());
+        let start = std::time::Instant::now();
         let artifact = Compiler::new(tiny_options())
             .observe(observer.clone())
             .open(&platform)
             .unwrap()
             .compile()
             .unwrap();
+        let wall_ns = start.elapsed().as_nanos() as u64;
+        // The session's own timing must bracket reality: the whole-stage
+        // timings can never add up to more than the wall-clock around them.
+        let staged_ns: u64 = observer
+            .events()
+            .iter()
+            .map(|e| match e {
+                CompileEvent::StageFinished {
+                    model: None,
+                    elapsed_ns,
+                    ..
+                } => *elapsed_ns,
+                _ => 0,
+            })
+            .sum();
+        assert!(
+            staged_ns > 0 && staged_ns <= wall_ns,
+            "{staged_ns} vs {wall_ns}"
+        );
         assert_eq!(
             observer.count(|e| matches!(
                 e,

@@ -32,7 +32,6 @@
 //! saturation-inducing inputs that force the replay path.
 
 use crate::quantize::FixedPoint;
-use crate::tensor::Matrix;
 
 /// Number of lanes the portable chunked loops process per step.
 const LANES: usize = 8;
@@ -155,6 +154,7 @@ impl PackedVec {
     /// # Panics
     ///
     /// Panics if the range is out of bounds.
+    #[inline]
     pub fn slice(&self, start: usize, len: usize) -> PackedSlice<'_> {
         match self {
             PackedVec::I8(v) => PackedSlice::I8(&v[start..start + len]),
@@ -209,6 +209,7 @@ impl PackedSlice<'_> {
     /// # Panics
     ///
     /// Panics if `index` is out of bounds.
+    #[inline]
     pub fn get(&self, index: usize) -> i32 {
         match self {
             PackedSlice::I8(v) => i32::from(v[index]),
@@ -268,7 +269,7 @@ impl Lane for i16 {
 /// let p = PackedFixed::new(q).unwrap();
 /// let a = p.pack(&q.quantize_slice(&[0.5, -1.25, 2.0, 0.125]));
 /// let b = p.pack(&q.quantize_slice(&[1.0, 0.75, -0.5, 3.0]));
-/// let packed = p.packed_dot(a.as_slice(), b.as_slice());
+/// let packed = p.packed_dot(a.as_slice(), b.as_slice(), false);
 /// let scalar = q.fixed_dot(
 ///     &q.quantize_slice(&[0.5, -1.25, 2.0, 0.125]),
 ///     &q.quantize_slice(&[1.0, 0.75, -0.5, 3.0]),
@@ -393,8 +394,9 @@ impl PackedFixed {
         }
     }
 
-    /// Quantizes floats straight into packed lanes (the per-packet feature
-    /// path — no intermediate `i32` buffer).
+    /// Quantizes floats straight into packed lanes (no intermediate `i32`
+    /// buffer) — one packet's features, or a contiguous row-major block
+    /// of them for [`PackedFixed::packed_matvec_block`].
     pub fn quantize_into_packed(&self, values: &[f32], out: &mut PackedVec) {
         out.ensure(self.width, values.len());
         match out {
@@ -411,42 +413,20 @@ impl PackedFixed {
         }
     }
 
-    /// Quantizes `rows` rows of `x` starting at `start` into one
-    /// contiguous row-major feature block (the structure-of-arrays layout
-    /// the batch path streams through).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row range is out of bounds.
-    pub fn quantize_block(&self, x: &Matrix, start: usize, rows: usize, out: &mut PackedVec) {
-        let cols = x.cols();
-        out.ensure(self.width, rows * cols);
-        for r in 0..rows {
-            let row = x.row(start + r);
-            match out {
-                PackedVec::I8(lanes) => {
-                    for (lane, &v) in lanes[r * cols..(r + 1) * cols].iter_mut().zip(row) {
-                        *lane = i8::narrow(self.format.quantize(v));
-                    }
-                }
-                PackedVec::I16(lanes) => {
-                    for (lane, &v) in lanes[r * cols..(r + 1) * cols].iter_mut().zip(row) {
-                        *lane = i16::narrow(self.format.quantize(v));
-                    }
-                }
-            }
-        }
-    }
-
     /// Packed fixed-point dot product, bit-identical to
     /// [`FixedPoint::fixed_dot`] on the widened raws.
+    ///
+    /// `certified` is the caller's [`crate::bounds`] proof that no partial
+    /// sum can leave `i32` for any admissible input: it selects the
+    /// re-orderable fast loop without the per-call worst-case guard. Pass
+    /// `false` without one; the guard then decides.
     ///
     /// # Panics
     ///
     /// Panics if lengths or widths disagree.
-    pub fn packed_dot(&self, a: PackedSlice<'_>, b: PackedSlice<'_>) -> i32 {
+    pub fn packed_dot(&self, a: PackedSlice<'_>, b: PackedSlice<'_>, certified: bool) -> i32 {
         assert_eq!(a.len(), b.len(), "packed_dot length mismatch");
-        let fast = (a.len() as i64) * self.dot_term <= i64::from(i32::MAX);
+        let fast = certified || (a.len() as i64) * self.dot_term <= i64::from(i32::MAX);
         match (a, b) {
             (PackedSlice::I8(a), PackedSlice::I8(b)) => {
                 if fast {
@@ -469,7 +449,8 @@ impl PackedFixed {
     /// Packed dense-layer kernel (`out = bias + x * W`, weights row-major
     /// `input x output`), bit-identical to [`FixedPoint::fixed_matvec`] on
     /// the widened raws. `x` may carry any lane-bounded values (hidden
-    /// activations), not just format-bounded ones.
+    /// activations), not just format-bounded ones. `certified` as for
+    /// [`PackedFixed::packed_dot`].
     ///
     /// # Panics
     ///
@@ -480,6 +461,7 @@ impl PackedFixed {
         bias: &[i32],
         x: PackedSlice<'_>,
         out: &mut [i32],
+        certified: bool,
     ) {
         assert_eq!(
             weights.len(),
@@ -487,8 +469,10 @@ impl PackedFixed {
             "packed_matvec weight shape mismatch"
         );
         assert_eq!(bias.len(), out.len(), "packed_matvec bias length mismatch");
-        let bias_bound = bias.iter().map(|&b| i64::from(b).abs()).max().unwrap_or(0);
-        let fast = bias_bound + (x.len() as i64) * self.mat_term <= i64::from(i32::MAX);
+        let fast = certified || {
+            let bias_bound = bias.iter().map(|&b| i64::from(b).abs()).max().unwrap_or(0);
+            bias_bound + (x.len() as i64) * self.mat_term <= i64::from(i32::MAX)
+        };
         match (weights, x) {
             (PackedSlice::I8(w), PackedSlice::I8(x)) => {
                 if fast {
@@ -544,6 +528,7 @@ impl PackedFixed {
     /// weight matrix, filling `out` row-major `rows x output`. Weights
     /// stay cache-hot across the whole block; each row's result is
     /// bit-identical to a [`PackedFixed::packed_matvec`] call.
+    /// `certified` as for [`PackedFixed::packed_dot`].
     ///
     /// # Panics
     ///
@@ -555,6 +540,7 @@ impl PackedFixed {
         xblock: &PackedVec,
         rows: usize,
         out: &mut [i32],
+        certified: bool,
     ) {
         let output = bias.len();
         assert!(output > 0, "packed_matvec_block needs outputs");
@@ -571,12 +557,16 @@ impl PackedFixed {
         // Hoist the saturation guard out of the row loop: the bound only
         // depends on the bias and the input length, both shared by every
         // row in the block.
-        let bias_bound = bias.iter().map(|&b| i64::from(b).abs()).max().unwrap_or(0);
-        let fast = bias_bound + (input as i64) * self.mat_term <= i64::from(i32::MAX);
+        let fast = certified || {
+            let bias_bound = bias.iter().map(|&b| i64::from(b).abs()).max().unwrap_or(0);
+            bias_bound + (input as i64) * self.mat_term <= i64::from(i32::MAX)
+        };
         let f = self.format.frac_bits();
         match (weights, xblock.as_slice()) {
             (PackedSlice::I8(w), PackedSlice::I8(x)) => {
-                for (xr, or) in x.chunks_exact(input).zip(out.chunks_exact_mut(output)) {
+                for r in 0..rows {
+                    let xr = &x[r * input..(r + 1) * input];
+                    let or = &mut out[r * output..(r + 1) * output];
                     if fast {
                         matvec_fast(f, w, bias, xr, or);
                     } else {
@@ -585,7 +575,9 @@ impl PackedFixed {
                 }
             }
             (PackedSlice::I16(w), PackedSlice::I16(x)) => {
-                for (xr, or) in x.chunks_exact(input).zip(out.chunks_exact_mut(output)) {
+                for r in 0..rows {
+                    let xr = &x[r * input..(r + 1) * input];
+                    let or = &mut out[r * output..(r + 1) * output];
                     if fast {
                         matvec_fast_i16(f, w, bias, xr, or);
                     } else {
@@ -597,128 +589,21 @@ impl PackedFixed {
         }
     }
 
-    /// [`PackedFixed::packed_dot`] minus the worst-case saturation
-    /// guard: the caller holds a [`crate::bounds`] certificate proving no
-    /// partial sum can leave `i32` for any admissible input, so this
-    /// dispatches straight to the re-orderable fast loop. Bit-identical
-    /// to the guarded/scalar paths *under that certificate*.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths or widths disagree.
-    pub fn packed_dot_certified(&self, a: PackedSlice<'_>, b: PackedSlice<'_>) -> i32 {
-        assert_eq!(a.len(), b.len(), "packed_dot length mismatch");
-        match (a, b) {
-            (PackedSlice::I8(a), PackedSlice::I8(b)) => dot_fast(self.format.frac_bits(), a, b),
-            (PackedSlice::I16(a), PackedSlice::I16(b)) => {
-                dot_fast_i16(self.format.frac_bits(), a, b)
-            }
-            _ => panic!("packed_dot width mismatch"),
-        }
-    }
-
-    /// [`PackedFixed::packed_matvec`] minus the per-call saturation
-    /// guard, for kernels carrying a [`crate::bounds`] no-saturation
-    /// certificate. Bit-identical to the guarded/scalar paths *under
-    /// that certificate*.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes or widths disagree.
-    pub fn packed_matvec_certified(
-        &self,
-        weights: PackedSlice<'_>,
-        bias: &[i32],
-        x: PackedSlice<'_>,
-        out: &mut [i32],
-    ) {
-        assert_eq!(
-            weights.len(),
-            x.len() * out.len(),
-            "packed_matvec weight shape mismatch"
-        );
-        assert_eq!(bias.len(), out.len(), "packed_matvec bias length mismatch");
-        match (weights, x) {
-            (PackedSlice::I8(w), PackedSlice::I8(x)) => {
-                matvec_fast(self.format.frac_bits(), w, bias, x, out);
-            }
-            (PackedSlice::I16(w), PackedSlice::I16(x)) => {
-                matvec_fast_i16(self.format.frac_bits(), w, bias, x, out);
-            }
-            _ => panic!("packed_matvec width mismatch"),
-        }
-    }
-
-    /// [`PackedFixed::packed_matvec_block`] minus the hoisted saturation
-    /// guard, for kernels carrying a [`crate::bounds`] no-saturation
-    /// certificate. Bit-identical to the guarded/scalar paths *under
-    /// that certificate*.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes or widths disagree.
-    pub fn packed_matvec_block_certified(
-        &self,
-        weights: PackedSlice<'_>,
-        bias: &[i32],
-        xblock: &PackedVec,
-        rows: usize,
-        out: &mut [i32],
-    ) {
-        let output = bias.len();
-        assert!(output > 0, "packed_matvec_block needs outputs");
-        let input = weights.len() / output;
-        assert_eq!(weights.len(), input * output, "ragged weight matrix");
-        assert_eq!(xblock.len(), rows * input, "packed_matvec_block x shape");
-        assert_eq!(out.len(), rows * output, "packed_matvec_block out shape");
-        if input == 0 {
-            for or in out.chunks_exact_mut(output) {
-                or.copy_from_slice(bias);
-            }
-            return;
-        }
-        let f = self.format.frac_bits();
-        match (weights, xblock.as_slice()) {
-            (PackedSlice::I8(w), PackedSlice::I8(x)) => {
-                for (xr, or) in x.chunks_exact(input).zip(out.chunks_exact_mut(output)) {
-                    matvec_fast(f, w, bias, xr, or);
-                }
-            }
-            (PackedSlice::I16(w), PackedSlice::I16(x)) => {
-                for (xr, or) in x.chunks_exact(input).zip(out.chunks_exact_mut(output)) {
-                    matvec_fast_i16(f, w, bias, xr, or);
-                }
-            }
-            _ => unreachable!("a PackedVec and its owner share one width"),
-        }
-    }
-
-    /// [`PackedFixed::packed_squared_distance`] minus the worst-case
-    /// saturation guard, for kernels carrying a [`crate::bounds`]
-    /// no-saturation certificate. Bit-identical to the guarded/scalar
-    /// paths *under that certificate*.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths or widths disagree.
-    pub fn packed_squared_distance_certified(&self, a: PackedSlice<'_>, b: PackedSlice<'_>) -> i32 {
-        assert_eq!(a.len(), b.len(), "packed_squared_distance length mismatch");
-        match (a, b) {
-            (PackedSlice::I8(a), PackedSlice::I8(b)) => sq_fast(self.format.frac_bits(), a, b),
-            (PackedSlice::I16(a), PackedSlice::I16(b)) => sq_fast(self.format.frac_bits(), a, b),
-            _ => panic!("packed_squared_distance width mismatch"),
-        }
-    }
-
     /// Packed squared Euclidean distance, bit-identical to
     /// [`FixedPoint::fixed_squared_distance`] on the widened raws.
+    /// `certified` as for [`PackedFixed::packed_dot`].
     ///
     /// # Panics
     ///
     /// Panics if lengths or widths disagree.
-    pub fn packed_squared_distance(&self, a: PackedSlice<'_>, b: PackedSlice<'_>) -> i32 {
+    pub fn packed_squared_distance(
+        &self,
+        a: PackedSlice<'_>,
+        b: PackedSlice<'_>,
+        certified: bool,
+    ) -> i32 {
         assert_eq!(a.len(), b.len(), "packed_squared_distance length mismatch");
-        let fast = (a.len() as i64) * self.sq_term <= i64::from(i32::MAX);
+        let fast = certified || (a.len() as i64) * self.sq_term <= i64::from(i32::MAX);
         match (a, b) {
             (PackedSlice::I8(a), PackedSlice::I8(b)) => {
                 if fast {
@@ -1034,7 +919,7 @@ mod tests {
             let a = raws(q, 7 + n as u64, n);
             let b = raws(q, 1000 + n as u64, n);
             assert_eq!(
-                p.packed_dot(p.pack(&a).as_slice(), p.pack(&b).as_slice()),
+                p.packed_dot(p.pack(&a).as_slice(), p.pack(&b).as_slice(), false),
                 q.fixed_dot(&a, &b),
                 "n = {n}"
             );
@@ -1057,6 +942,7 @@ mod tests {
                 &bias,
                 p.pack(&x).as_slice(),
                 &mut packed,
+                false,
             );
             assert_eq!(packed, scalar, "{input}x{output}");
         }
@@ -1087,7 +973,7 @@ mod tests {
             let a = raws(q, 21 + n as u64, n);
             let b = raws(q, 87 + n as u64, n);
             assert_eq!(
-                p.packed_squared_distance(p.pack(&a).as_slice(), p.pack(&b).as_slice()),
+                p.packed_squared_distance(p.pack(&a).as_slice(), p.pack(&b).as_slice(), false),
                 q.fixed_squared_distance(&a, &b),
                 "n = {n}"
             );
@@ -1105,18 +991,18 @@ mod tests {
         let a = vec![q.min_raw(); 20];
         let b = vec![q.min_raw(); 20];
         assert_eq!(
-            p.packed_dot(p.pack(&a).as_slice(), p.pack(&b).as_slice()),
+            p.packed_dot(p.pack(&a).as_slice(), p.pack(&b).as_slice(), false),
             q.fixed_dot(&a, &b)
         );
         let mixed: Vec<i32> = (0..20)
             .map(|i| if i % 3 == 0 { q.max_raw() } else { q.min_raw() })
             .collect();
         assert_eq!(
-            p.packed_dot(p.pack(&a).as_slice(), p.pack(&mixed).as_slice()),
+            p.packed_dot(p.pack(&a).as_slice(), p.pack(&mixed).as_slice(), false),
             q.fixed_dot(&a, &mixed)
         );
         assert_eq!(
-            p.packed_squared_distance(p.pack(&a).as_slice(), p.pack(&mixed).as_slice()),
+            p.packed_squared_distance(p.pack(&a).as_slice(), p.pack(&mixed).as_slice(), false),
             q.fixed_squared_distance(&a, &mixed)
         );
         let mut scalar = vec![0i32; 4];
@@ -1127,6 +1013,7 @@ mod tests {
             &[q.max_raw(); 4],
             p.pack(&mixed[..5]).as_slice(),
             &mut packed,
+            false,
         );
         assert_eq!(packed, scalar);
     }
@@ -1141,24 +1028,11 @@ mod tests {
         let flat = raws(q, 33, rows * input);
         let block = p.pack(&flat);
         let mut out = vec![0i32; rows * output];
-        p.packed_matvec_block(p.pack(&w).as_slice(), &bias, &block, rows, &mut out);
+        p.packed_matvec_block(p.pack(&w).as_slice(), &bias, &block, rows, &mut out, false);
         for r in 0..rows {
             let mut single = vec![0i32; output];
             q.fixed_matvec(&w, &bias, &flat[r * input..(r + 1) * input], &mut single);
             assert_eq!(&out[r * output..(r + 1) * output], &single[..], "row {r}");
-        }
-    }
-
-    #[test]
-    fn quantize_block_matches_per_row_quantization() {
-        let p = q312();
-        let x = Matrix::from_fn(9, 5, |r, c| (r as f32 - c as f32) * 1.371);
-        let mut block = PackedVec::default();
-        p.quantize_block(&x, 2, 4, &mut block);
-        for r in 0..4 {
-            for c in 0..5 {
-                assert_eq!(block.get(r * 5 + c), p.format().quantize(x[(2 + r, c)]));
-            }
         }
     }
 
@@ -1172,11 +1046,11 @@ mod tests {
         let pa = p.pack(&a);
         assert_eq!(pa.storage_bytes(), 33);
         assert_eq!(
-            p.packed_dot(pa.as_slice(), p.pack(&b).as_slice()),
+            p.packed_dot(pa.as_slice(), p.pack(&b).as_slice(), false),
             q.fixed_dot(&a, &b)
         );
         assert_eq!(
-            p.packed_squared_distance(pa.as_slice(), p.pack(&b).as_slice()),
+            p.packed_squared_distance(pa.as_slice(), p.pack(&b).as_slice(), false),
             q.fixed_squared_distance(&a, &b)
         );
     }
@@ -1213,7 +1087,7 @@ mod tests {
             let a = raws(q, seed, n);
             let b = raws(q, seed.wrapping_add(0xABCD), n);
             prop_assert_eq!(
-                p.packed_dot(p.pack(&a).as_slice(), p.pack(&b).as_slice()),
+                p.packed_dot(p.pack(&a).as_slice(), p.pack(&b).as_slice(), false),
                 q.fixed_dot(&a, &b)
             );
         }
@@ -1228,7 +1102,7 @@ mod tests {
             let a = raws(format, seed, n);
             let b = raws(format, seed.wrapping_add(0x1234), n);
             prop_assert_eq!(
-                p.packed_squared_distance(p.pack(&a).as_slice(), p.pack(&b).as_slice()),
+                p.packed_squared_distance(p.pack(&a).as_slice(), p.pack(&b).as_slice(), false),
                 format.fixed_squared_distance(&a, &b)
             );
         }
@@ -1247,7 +1121,7 @@ mod tests {
             let mut scalar = vec![0i32; output];
             format.fixed_matvec(&w, &bias, &x, &mut scalar);
             let mut packed = vec![0i32; output];
-            p.packed_matvec(p.pack(&w).as_slice(), &bias, p.pack(&x).as_slice(), &mut packed);
+            p.packed_matvec(p.pack(&w).as_slice(), &bias, p.pack(&x).as_slice(), &mut packed, false);
             prop_assert_eq!(packed, scalar);
         }
 
@@ -1273,11 +1147,11 @@ mod tests {
             let a = extremes(seed);
             let b = extremes(seed.wrapping_add(999));
             prop_assert_eq!(
-                p.packed_dot(p.pack(&a).as_slice(), p.pack(&b).as_slice()),
+                p.packed_dot(p.pack(&a).as_slice(), p.pack(&b).as_slice(), false),
                 q.fixed_dot(&a, &b)
             );
             prop_assert_eq!(
-                p.packed_squared_distance(p.pack(&a).as_slice(), p.pack(&b).as_slice()),
+                p.packed_squared_distance(p.pack(&a).as_slice(), p.pack(&b).as_slice(), false),
                 q.fixed_squared_distance(&a, &b)
             );
         }

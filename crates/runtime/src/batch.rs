@@ -1,18 +1,19 @@
 //! Batched classification sharded across scoped worker threads.
 //!
-//! Throughput runs (and the multi-core serving path) classify packets in
-//! bulk: the feature matrix is split into contiguous row shards, each
-//! worker owns a private [`BlockScratch`], and `std::thread::scope` joins
-//! the shards without any `'static` bounds or heap-allocated channels.
+//! Throughput runs classify packets in bulk (no serving path does yet:
+//! a `Deployment` worker classifies row by row): the feature matrix is
+//! split into contiguous row shards, each worker owns a private
+//! [`Scratch`], and `std::thread::scope` joins the shards without any
+//! `'static` bounds or heap-allocated channels.
 //!
 //! Within a shard, rows move in feature blocks (structure-of-arrays): a
-//! whole chunk of rows is quantized into one contiguous packed block and
-//! streamed through the packed kernels, instead of gathering, quantizing,
-//! and dispatching per packet. Verdicts are identical to per-row
-//! [`CompiledPipeline::classify`] — the block path is a layout change,
-//! not a semantic one.
+//! whole chunk of rows is quantized into one contiguous block and
+//! streamed through the kernels, instead of gathering, quantizing, and
+//! dispatching per packet. It is the walk per-row
+//! [`CompiledPipeline::classify`] runs, over more rows at once — a layout
+//! change, not a semantic one.
 
-use crate::pipeline::{BlockScratch, CompiledPipeline, BLOCK_ROWS};
+use crate::pipeline::{CompiledPipeline, Scratch, BLOCK_ROWS};
 use homunculus_ml::tensor::Matrix;
 
 impl CompiledPipeline {
@@ -34,7 +35,7 @@ impl CompiledPipeline {
         }
         let workers = workers.clamp(1, n);
         if workers == 1 {
-            let mut scratch = BlockScratch::new();
+            let mut scratch = Scratch::new();
             self.classify_shard(x, 0, &mut out, &mut scratch);
             return out;
         }
@@ -43,7 +44,7 @@ impl CompiledPipeline {
             for (shard, out_chunk) in out.chunks_mut(chunk).enumerate() {
                 let start = shard * chunk;
                 scope.spawn(move || {
-                    let mut scratch = BlockScratch::new();
+                    let mut scratch = Scratch::new();
                     self.classify_shard(x, start, out_chunk, &mut scratch);
                 });
             }
@@ -52,23 +53,11 @@ impl CompiledPipeline {
     }
 
     /// Classifies one contiguous shard block-by-block.
-    fn classify_shard(
-        &self,
-        x: &Matrix,
-        start: usize,
-        out: &mut [usize],
-        scratch: &mut BlockScratch,
-    ) {
+    fn classify_shard(&self, x: &Matrix, start: usize, out: &mut [usize], scratch: &mut Scratch) {
         let mut offset = 0;
         while offset < out.len() {
             let rows = (out.len() - offset).min(BLOCK_ROWS);
-            self.classify_block(
-                x,
-                start + offset,
-                rows,
-                &mut out[offset..offset + rows],
-                scratch,
-            );
+            self.classify_block(x, start + offset, &mut out[offset..offset + rows], scratch);
             offset += rows;
         }
     }

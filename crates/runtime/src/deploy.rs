@@ -1,12 +1,12 @@
 //! Persistent deployment serving: resident workers behind lock-free
 //! sharded ingress rings, with windowed tenant QoS.
 //!
-//! [`PipelineServer::serve`](crate::serve::PipelineServer::serve) is
-//! call-at-a-time: it spawns a scoped worker pool, joins it, and returns,
-//! paying pool setup on every batch. A switch data plane never stops — the
-//! paper's serving story (and Taurus, which it compiles for) is a resident
-//! pipeline with per-model throughput floors. This module is that model's
-//! software twin, with an ingress built the way real dataplanes build RX:
+//! A switch data plane never stops — the paper's serving story (and
+//! Taurus, which it compiles for) is a resident pipeline with per-model
+//! throughput floors, not a worker pool spawned and joined around every
+//! batch. This module is that model's software twin and the runtime's one
+//! serving frontend, with an ingress built the way real dataplanes build
+//! RX:
 //!
 //! - a [`Deployment`] owns **resident worker threads**, each consuming a
 //!   fixed-capacity lock-free descriptor [`Ring`] —
@@ -155,13 +155,11 @@ impl SchedulePolicy {
 }
 
 /// One registered tenant of a deployment, shared with in-flight work via
-/// `Arc` so removal never invalidates accepted tickets. The pipeline is
-/// `Arc`-shared too, so frontends that already hold one (the
-/// `PipelineServer` shim) register without copying model weights.
+/// `Arc` so removal never invalidates accepted tickets.
 #[derive(Debug)]
 struct TenantEntry {
     name: String,
-    pipeline: Arc<CompiledPipeline>,
+    pipeline: CompiledPipeline,
     normalizer: Option<Normalizer>,
     policy: SchedulePolicy,
     accum: Mutex<TenantAccum>,
@@ -1161,19 +1159,6 @@ impl Deployment {
         normalizer: Option<Normalizer>,
         policy: SchedulePolicy,
     ) -> Result<TenantId> {
-        self.add_tenant_shared(name, Arc::new(pipeline), normalizer, policy)
-    }
-
-    /// [`add_tenant_with`](Deployment::add_tenant_with) over an
-    /// already-shared pipeline — no weight copy (used by the
-    /// `PipelineServer` compatibility shim).
-    pub(crate) fn add_tenant_shared(
-        &self,
-        name: &str,
-        pipeline: Arc<CompiledPipeline>,
-        normalizer: Option<Normalizer>,
-        policy: SchedulePolicy,
-    ) -> Result<TenantId> {
         policy.validate()?;
         if name.is_empty() {
             return Err(RuntimeError::Serve("tenant name must be non-empty".into()));
@@ -1858,6 +1843,16 @@ mod tests {
         assert!(deployment
             .add_tenant("other", svm_pipeline(vec![1.0, 0.0], 0.0), Some(bad_norm))
             .is_err());
+        // A std vector that does not cover every feature is just as
+        // corrupting as a short mean — apply() would silently skip the
+        // tail features.
+        let short_std = Normalizer {
+            mean: vec![0.0; 2],
+            std: vec![1.0; 1],
+        };
+        assert!(deployment
+            .add_tenant("other", svm_pipeline(vec![1.0, 0.0], 0.0), Some(short_std))
+            .is_err());
         // Floors must fit in the aggregate.
         deployment
             .add_tenant_with(
@@ -1982,6 +1977,7 @@ mod tests {
         assert_eq!(stats.verdict_histogram, vec![3, 6]);
         assert_eq!(stats.oracle_packets, 9);
         assert_eq!(stats.oracle_agreements, 6);
+        assert!((stats.oracle_agreement().unwrap() - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(snapshot.submitted_tickets, 3);
         assert_eq!(snapshot.completed_tickets, 3);
         assert_eq!(snapshot.cancelled_tickets, 0);
@@ -1999,7 +1995,7 @@ mod tests {
         assert_eq!(reset.tenants[0].packets, 0);
         assert_eq!(reset.tenants[0].verdict_histogram, vec![0, 0]);
         assert_eq!(reset.tenants[0].p99_ns, 0);
-        assert_eq!(reset.tenants[0].oracle_packets, 0);
+        assert_eq!(reset.tenants[0].oracle_agreement(), None);
         assert_eq!(reset.served_rows, 9);
         assert_eq!(reset.completed_tickets, 3);
         deployment

@@ -22,21 +22,34 @@
 //!   giving `ModelIr::compile(format)`.
 //! - [`batch`] — a batched `classify_batch` API sharded across
 //!   `std::thread::scope` workers for throughput runs.
-//! - [`deploy`] — the persistent serving layer: a [`deploy::Deployment`]
-//!   keeps resident workers fed by a bounded ingress queue, with
-//!   ticket-based submission, runtime tenant add/remove, weighted QoS
-//!   scheduling (per-model throughput floors), live stats snapshots, and
-//!   graceful drain/shutdown.
-//! - [`serve`] — the call-at-a-time serving frontend: a
-//!   [`serve::PipelineServer`] registers many compiled pipelines (one per
-//!   scheduled app); its `serve` is a **deprecated** thin compatibility
-//!   wrapper over a one-shot [`deploy::Deployment`]. Chained execution
-//!   lives here too.
+//! - [`deploy`] — the serving frontend: a [`deploy::Deployment`] keeps
+//!   resident workers fed by a bounded ingress queue, with ticket-based
+//!   submission, runtime tenant add/remove, weighted QoS scheduling
+//!   (per-model throughput floors), live stats snapshots, and graceful
+//!   drain/shutdown.
+//! - [`serve`] — what callers exchange with a deployment: [`TenantId`],
+//!   [`TenantBatch`] (including the chained `a > b` form) and
+//!   [`TenantStats`].
 //! - [`histogram`] — fixed-size log-bucketed latency histograms: bounded
 //!   stats memory for always-on deployments, quantiles within one bucket
 //!   width of raw samples.
 //! - [`lut`] — the shared activation-LUT cache: one sigmoid/tanh table
 //!   per `(format, activation)` pair across a whole schedule.
+//!
+//! # Which code each kind of traffic reaches
+//!
+//! - Every *served* row — a [`Deployment`] ticket, hence every fleet hop —
+//!   is one per-row [`CompiledPipeline::classify`] call from
+//!   `deploy::process_chunk`, timed by two `Instant::now()` per packet.
+//! - `classify` is the block walk at `rows = 1`: quantize, one raw-scores
+//!   walk generic over the tier, one decision rule.
+//! - [`CompiledPipeline::classify_batch`] runs the same walk over 32-row
+//!   blocks; no serving path calls it yet — benchmarks' per-layer probes,
+//!   `StreamHarness::run_compiled_windowed` and tests do.
+//! - Formats wider than 16 bits, and [`CompiledPipeline::from_ir_scalar`]
+//!   (the oracle every workload compares against), run the scalar tier.
+//! - [`CompiledPipeline::trace`] is an independent element-order replay
+//!   that tests hold `classify` to; it shares no arithmetic with the walk.
 //!
 //! The float model stays available as the *reference oracle*: agreement
 //! between the two paths is bounded by
@@ -77,8 +90,8 @@ pub use deploy::{
 };
 pub use histogram::LatencyHistogram;
 pub use lut::LutCache;
-pub use pipeline::{classify_rows, BlockScratch, Compile, CompiledPipeline, Scratch};
-pub use serve::{PipelineServer, ServeOptions, ServeOutput, TenantBatch, TenantId, TenantStats};
+pub use pipeline::{classify_rows, Compile, CompiledPipeline, Scratch};
+pub use serve::{TenantBatch, TenantId, TenantStats};
 
 use std::error::Error;
 use std::fmt;
@@ -143,7 +156,6 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<RuntimeError>();
         assert_send_sync::<CompiledPipeline>();
-        assert_send_sync::<PipelineServer>();
         assert_send_sync::<LutCache>();
     }
 }

@@ -21,8 +21,12 @@
 //! including accumulator saturation; formats wider than 16 bits simply
 //! keep the scalar storage ([`CompiledPipeline::packed_width`] reports
 //! which tier a pipeline runs). [`CompiledPipeline::from_ir_scalar`]
-//! forces scalar storage for benchmarking the two tiers against each
-//! other.
+//! forces scalar storage: the reference every packed verdict is held to.
+//!
+//! Both tiers run the *same* family walk: raw per-class scores, then one
+//! decision rule. A pipeline is lowered onto its tier once, so
+//! the walk is monomorphised per tier and never re-discovers it per
+//! access.
 
 use crate::lut::{ActLut, LutCache};
 use crate::{Result, RuntimeError};
@@ -35,20 +39,17 @@ use homunculus_ml::quantize::{
 use homunculus_ml::tensor::Matrix;
 use std::sync::Arc;
 
-/// Reusable per-worker buffers so [`CompiledPipeline::classify`] performs
-/// no allocation per packet (buffers grow on first use, then stay).
+/// Reusable per-worker buffers so classification performs no allocation
+/// per packet (buffers grow on first use, then stay). One scratch serves a
+/// single row or a whole feature block alike: a block of `rows` rows just
+/// uses `rows` times the per-row width of each buffer.
 #[derive(Debug, Clone, Default)]
 pub struct Scratch {
-    /// Quantized input features (scalar tier).
+    /// Quantized row-major feature block, scalar tier.
     qx: Vec<i32>,
-    /// Ping buffer for layer outputs / decision scores / forest votes.
-    a: Vec<i32>,
-    /// Pong buffer for layer outputs.
-    b: Vec<i32>,
-    /// Quantized input features, packed to the narrow lane width.
+    /// Quantized row-major feature block, packed to the narrow lane width.
     px: PackedVec,
-    /// Packed copy of intermediate DNN activations.
-    pa: PackedVec,
+    walk: WalkBufs,
 }
 
 impl Scratch {
@@ -56,42 +57,33 @@ impl Scratch {
     pub fn new() -> Self {
         Scratch::default()
     }
-
-    fn ensure(&mut self, features: usize, width: usize) {
-        if self.qx.len() < features {
-            self.qx.resize(features, 0);
-        }
-        if self.a.len() < width {
-            self.a.resize(width, 0);
-        }
-        if self.b.len() < width {
-            self.b.resize(width, 0);
-        }
-    }
 }
 
-/// Per-worker buffers for the structure-of-arrays batch path: one packed
-/// feature block plus whole-block activation ping-pong buffers, so a chunk
-/// of rows streams through each layer as one packed matvec per row with no
-/// per-packet gather.
+/// The buffers the family walk writes, apart from the quantized features
+/// it reads (so the two borrow independently).
 #[derive(Debug, Clone, Default)]
-pub struct BlockScratch {
-    /// Per-row scratch for families that classify row-at-a-time.
-    row: Scratch,
-    /// Row-major packed feature block (`rows x n_features`).
-    px: PackedVec,
-    /// Ping block buffer (`rows x width`).
-    ha: Vec<i32>,
-    /// Pong block buffer (`rows x width`).
-    hb: Vec<i32>,
-    /// Packed copy of a whole block of intermediate activations.
+struct WalkBufs {
+    scores: ScoreBufs,
+    /// Forest vote counters.
+    votes: Vec<i32>,
+}
+
+/// Where raw scores are computed and returned from.
+#[derive(Debug, Clone, Default)]
+struct ScoreBufs {
+    /// Ping buffer for layer outputs / plane scores / distances.
+    a: Vec<i32>,
+    /// Pong buffer for layer outputs.
+    b: Vec<i32>,
+    /// Packed copy of a block of intermediate DNN activations.
     pa: PackedVec,
 }
 
-impl BlockScratch {
-    /// Creates an empty block scratch; buffers are sized on first use.
-    pub fn new() -> Self {
-        BlockScratch::default()
+/// Grows `buf` to at least `len` values (never shrinks: scratch is reused
+/// across pipelines of different shapes).
+fn grow(buf: &mut Vec<i32>, len: usize) {
+    if buf.len() < len {
+        buf.resize(len, 0);
     }
 }
 
@@ -99,51 +91,192 @@ impl BlockScratch {
 /// block quantize, small enough that a block of activations stays in L1.
 pub(crate) const BLOCK_ROWS: usize = 32;
 
-/// Quantized parameter storage: packed narrow lanes when the format fits
-/// one (the fast tier), plain `i32` otherwise (and for the scalar
-/// reference pipelines benchmarks compare against).
-#[derive(Debug, Clone, PartialEq)]
-enum Store {
-    Scalar(Vec<i32>),
-    Packed(PackedVec),
+/// What the family walk needs from a storage tier. Two impls: the scalar
+/// `i32` reference ([`FixedPoint`] over `Vec<i32>`) and the packed narrow
+/// lanes ([`PackedFixed`] over [`PackedVec`], the fast tier). Kernels are
+/// typed by their tier, so scalar access to packed storage (or the
+/// reverse) cannot be written, and nothing below re-checks the tier.
+trait Tier: Sized {
+    /// Owned quantized values: lowered parameters, or a feature block.
+    type Store;
+    /// A borrowed run of a [`Tier::Store`]: one feature row, plane or
+    /// centroid, or a tree's thresholds.
+    type Row<'a>: Copy;
+
+    /// Moves quantized parameters onto the tier's storage.
+    fn lower(&self, raw: Vec<i32>) -> Self::Store;
+    /// Borrows `len` values starting at `start`.
+    fn row(store: &Self::Store, start: usize, len: usize) -> Self::Row<'_>;
+    /// The value at `index`, widened to `i32`.
+    fn get(row: Self::Row<'_>, index: usize) -> i32;
+    /// Quantizes a contiguous row-major block of features into `out`.
+    fn quantize(&self, values: &[f32], out: &mut Self::Store);
+    /// Fixed-point dot product; `certified` is the lowering-time proof
+    /// that no accumulator can saturate.
+    fn dot(&self, w: Self::Row<'_>, x: Self::Row<'_>, certified: bool) -> i32;
+    /// Fixed-point squared Euclidean distance; `certified` as for `dot`.
+    fn squared_distance(&self, c: Self::Row<'_>, x: Self::Row<'_>, certified: bool) -> i32;
+    /// The first dense layer over a quantized block of `rows` feature
+    /// rows, one output row each.
+    fn input_layer(&self, layer: &DenseKernel<Self>, x: &Self::Store, rows: usize, out: &mut [i32]);
+    /// A later dense layer over `rows` rows of `i32` activations (`pa` is
+    /// repack scratch for the packed tier).
+    fn hidden_layer(
+        &self,
+        layer: &DenseKernel<Self>,
+        x: &[i32],
+        rows: usize,
+        out: &mut [i32],
+        pa: &mut PackedVec,
+    );
 }
 
-impl Store {
-    fn len(&self) -> usize {
-        match self {
-            Store::Scalar(v) => v.len(),
-            Store::Packed(v) => v.len(),
-        }
+/// The scalar `i32` tier — the bit-exact reference the packed tier is
+/// held to, and the only tier for formats too wide for a lane.
+impl Tier for FixedPoint {
+    type Store = Vec<i32>;
+    type Row<'a> = &'a [i32];
+
+    fn lower(&self, raw: Vec<i32>) -> Vec<i32> {
+        raw
     }
 
-    /// The value at `index`, widened to `i32` (works on either tier).
-    fn get(&self, index: usize) -> i32 {
-        match self {
-            Store::Scalar(v) => v[index],
-            Store::Packed(v) => v.get(index),
-        }
+    #[inline]
+    fn row(store: &Vec<i32>, start: usize, len: usize) -> &[i32] {
+        &store[start..start + len]
     }
 
-    fn scalar_range(&self, start: usize, len: usize) -> &[i32] {
-        match self {
-            Store::Scalar(v) => &v[start..start + len],
-            Store::Packed(_) => unreachable!("scalar access on packed storage"),
-        }
+    #[inline]
+    fn get(row: &[i32], index: usize) -> i32 {
+        row[index]
     }
 
-    fn packed_range(&self, start: usize, len: usize) -> PackedSlice<'_> {
-        match self {
-            Store::Packed(v) => v.slice(start, len),
-            Store::Scalar(_) => unreachable!("packed access on scalar storage"),
-        }
+    fn quantize(&self, values: &[f32], out: &mut Vec<i32>) {
+        out.resize(values.len(), 0);
+        self.quantize_into(values, out);
+    }
+
+    #[inline]
+    fn dot(&self, w: &[i32], x: &[i32], _certified: bool) -> i32 {
+        self.fixed_dot(w, x)
+    }
+
+    #[inline]
+    fn squared_distance(&self, c: &[i32], x: &[i32], _certified: bool) -> i32 {
+        self.fixed_squared_distance(c, x)
+    }
+
+    fn input_layer(&self, layer: &DenseKernel<Self>, x: &Vec<i32>, rows: usize, out: &mut [i32]) {
+        scalar_layer(self, layer, x, rows, out);
+    }
+
+    fn hidden_layer(
+        &self,
+        layer: &DenseKernel<Self>,
+        x: &[i32],
+        rows: usize,
+        out: &mut [i32],
+        _pa: &mut PackedVec,
+    ) {
+        scalar_layer(self, layer, x, rows, out);
     }
 }
 
-/// Quantizes a parameter vector onto the pipeline's storage tier.
-fn lower_store(packed: Option<&PackedFixed>, raw: Vec<i32>) -> Store {
-    match packed {
-        Some(p) => Store::Packed(p.pack(&raw)),
-        None => Store::Scalar(raw),
+/// One dense layer on the scalar tier, row by row: features and
+/// activations are both plain `i32` there, so every layer is the same.
+fn scalar_layer(
+    format: &FixedPoint,
+    layer: &DenseKernel<FixedPoint>,
+    x: &[i32],
+    rows: usize,
+    out: &mut [i32],
+) {
+    let (input, output) = (layer.input, layer.output);
+    for r in 0..rows {
+        format.fixed_matvec(
+            &layer.weights,
+            &layer.bias,
+            &x[r * input..(r + 1) * input],
+            &mut out[r * output..(r + 1) * output],
+        );
+    }
+}
+
+/// The packed narrow-lane tier: same verdicts as the scalar tier, bit for
+/// bit, from `i16`/`i8` storage.
+impl Tier for PackedFixed {
+    type Store = PackedVec;
+    type Row<'a> = PackedSlice<'a>;
+
+    fn lower(&self, raw: Vec<i32>) -> PackedVec {
+        self.pack(&raw)
+    }
+
+    #[inline]
+    fn row(store: &PackedVec, start: usize, len: usize) -> PackedSlice<'_> {
+        store.slice(start, len)
+    }
+
+    #[inline]
+    fn get(row: PackedSlice<'_>, index: usize) -> i32 {
+        row.get(index)
+    }
+
+    fn quantize(&self, values: &[f32], out: &mut PackedVec) {
+        self.quantize_into_packed(values, out);
+    }
+
+    #[inline]
+    fn dot(&self, w: PackedSlice<'_>, x: PackedSlice<'_>, certified: bool) -> i32 {
+        self.packed_dot(w, x, certified)
+    }
+
+    #[inline]
+    fn squared_distance(&self, c: PackedSlice<'_>, x: PackedSlice<'_>, certified: bool) -> i32 {
+        self.packed_squared_distance(c, x, certified)
+    }
+
+    fn input_layer(&self, layer: &DenseKernel<Self>, x: &PackedVec, rows: usize, out: &mut [i32]) {
+        self.packed_matvec_block(
+            layer.weights.as_slice(),
+            &layer.bias,
+            x,
+            rows,
+            out,
+            layer.certified,
+        );
+    }
+
+    /// Repacks the whole activation block, steered by the layer's derived
+    /// interval facts: a `lane_bounded_input` proof skips the per-value
+    /// range scan, a `certified` proof skips the worst-case saturation
+    /// guard, and anything unproven falls back to the dynamic check /
+    /// per-row wide replay — either way the outputs match the scalar path
+    /// bit for bit.
+    fn hidden_layer(
+        &self,
+        layer: &DenseKernel<Self>,
+        x: &[i32],
+        rows: usize,
+        out: &mut [i32],
+        pa: &mut PackedVec,
+    ) {
+        let w = layer.weights.as_slice();
+        if layer.lane_bounded_input {
+            self.pack_into(x, pa);
+        } else if !self.pack_checked(x, pa) {
+            let (input, output) = (layer.input, layer.output);
+            for r in 0..rows {
+                self.packed_matvec_wide(
+                    w,
+                    &layer.bias,
+                    &x[r * input..(r + 1) * input],
+                    &mut out[r * output..(r + 1) * output],
+                );
+            }
+            return;
+        }
+        self.packed_matvec_block(w, &layer.bias, pa, rows, out, layer.certified);
     }
 }
 
@@ -151,8 +284,8 @@ fn lower_store(packed: Option<&PackedFixed>, raw: Vec<i32>) -> Store {
 /// matching the float trainer's storage) and bias in the same Q format,
 /// plus the interval-analysis facts lowering derived for it.
 #[derive(Debug, Clone, PartialEq)]
-struct DenseKernel {
-    weights: Store,
+struct DenseKernel<T: Tier> {
+    weights: T::Store,
     bias: Vec<i32>,
     input: usize,
     output: usize,
@@ -197,18 +330,19 @@ pub struct KernelFact {
 /// once at compile time (packed to the lane width on the fast tier, so the
 /// per-packet walk compares entirely in packed space).
 #[derive(Debug, Clone, PartialEq)]
-struct TreeKernel {
+struct TreeKernel<T: Tier> {
     nodes: Vec<TreeNodeIr>,
     /// Thresholds indexed like `nodes` (leaves hold 0).
-    thresholds: Store,
+    thresholds: T::Store,
 }
 
-impl TreeKernel {
+impl<T: Tier> TreeKernel<T> {
     /// Walks the arena with `feature_at` supplying quantized features and
     /// returns the leaf class. Lowering guarantees forward-pointing
     /// children, so the walk terminates.
     #[inline]
     fn walk(&self, feature_at: impl Fn(usize) -> i32) -> usize {
+        let thresholds = T::row(&self.thresholds, 0, self.nodes.len());
         let mut index = 0usize;
         loop {
             match &self.nodes[index] {
@@ -219,7 +353,7 @@ impl TreeKernel {
                     right,
                     ..
                 } => {
-                    index = if feature_at(*feature) <= self.thresholds.get(index) {
+                    index = if feature_at(*feature) <= T::get(thresholds, index) {
                         *left
                     } else {
                         *right
@@ -289,14 +423,14 @@ impl ActKernel {
 
 /// The lowered per-family execution kernel.
 #[derive(Debug, Clone, PartialEq)]
-enum Kernel {
+enum Kernel<T: Tier> {
     Dnn {
-        layers: Vec<DenseKernel>,
+        layers: Vec<DenseKernel<T>>,
         activation: ActKernel,
     },
     Svm {
         /// Hyperplane weights, row-major `n_planes x n_features`.
-        planes: Store,
+        planes: T::Store,
         /// One bias per plane.
         biases: Vec<i32>,
         binary: bool,
@@ -307,16 +441,38 @@ enum Kernel {
     },
     KMeans {
         /// Centroids, row-major `k x n_features`.
-        centroids: Store,
+        centroids: T::Store,
         /// Every centroid distance is proven saturation-free
         /// ([`bounds::squared_distance_bound`]).
         certified: bool,
     },
-    Tree(TreeKernel),
+    Tree(TreeKernel<T>),
     Forest {
         /// Member trees; the verdict is their first-max-wins majority vote.
-        trees: Vec<TreeKernel>,
+        trees: Vec<TreeKernel<T>>,
     },
+}
+
+impl<T: Tier> Kernel<T> {
+    fn family(&self) -> &'static str {
+        match self {
+            Kernel::Dnn { .. } => "dnn",
+            Kernel::Svm { .. } => "svm",
+            Kernel::KMeans { .. } => "kmeans",
+            Kernel::Tree(_) => "decision_tree",
+            Kernel::Forest { .. } => "random_forest",
+        }
+    }
+}
+
+/// A lowered kernel together with the tier that runs it — the one place a
+/// pipeline's tier is recorded, matched once per classify/scores call.
+#[derive(Debug, Clone, PartialEq)]
+enum Lowered {
+    /// Scalar `i32` storage, run by the pipeline's [`FixedPoint`] format.
+    Scalar(Kernel<FixedPoint>),
+    /// Narrow-lane storage, run by the format's [`PackedFixed`].
+    Packed(PackedFixed, Kernel<PackedFixed>),
 }
 
 /// A trained model lowered to an integer fixed-point execution engine.
@@ -324,18 +480,17 @@ enum Kernel {
 /// Construct one with [`Compile::compile`] on a trained
 /// [`ModelIr`]; classify packets with [`CompiledPipeline::classify`]
 /// (zero-allocation given a reusable [`Scratch`]) or in bulk with
-/// [`CompiledPipeline::classify_batch`](crate::batch).
+/// [`CompiledPipeline::classify_batch`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledPipeline {
     format: FixedPoint,
-    /// The packed kernel tier, when the format fits a narrow lane; `None`
-    /// runs the scalar `i32` reference tier (same verdicts, bit for bit).
-    packed: Option<PackedFixed>,
     n_features: usize,
     n_classes: usize,
     /// Widest intermediate buffer any kernel stage needs.
     width: usize,
-    kernel: Kernel,
+    /// The packed tier when the format fits a narrow lane, the scalar
+    /// `i32` reference tier otherwise (same verdicts, bit for bit).
+    kernel: Lowered,
     /// Per-stage interval-analysis facts derived at lowering.
     facts: Vec<KernelFact>,
 }
@@ -357,7 +512,7 @@ pub trait Compile {
     /// Like [`Compile::compile`], but activation lookup tables are taken
     /// from (and installed into) `luts`, so many models compiled through
     /// one cache share one table per `(format, activation)` pair —
-    /// the many-model-schedule path a [`crate::serve::PipelineServer`]
+    /// the many-model-schedule path a [`crate::deploy::Deployment`]
     /// uses.
     ///
     /// # Errors
@@ -401,8 +556,8 @@ impl CompiledPipeline {
 
     /// Lowers like [`CompiledPipeline::from_ir`] but forces scalar `i32`
     /// weight storage even when the format would pack — the reference
-    /// tier that `speedup_packed_vs_scalar` benchmarks compare against.
-    /// Verdicts are bit-identical to the packed tier on every input.
+    /// tier every oracle compares the packed verdicts against, bit for
+    /// bit on every input.
     ///
     /// # Errors
     ///
@@ -419,11 +574,29 @@ impl CompiledPipeline {
     ) -> Result<Self> {
         ir.validate()
             .map_err(|e| RuntimeError::InvalidModel(e.to_string()))?;
+        match packed {
+            Some(p) => Self::lower_on(ir, format, luts, p, Some(p.width()), |kernel| {
+                Lowered::Packed(p, kernel)
+            }),
+            None => Self::lower_on(ir, format, luts, format, None, Lowered::Scalar),
+        }
+    }
+
+    /// Lowers a validated IR onto `tier`'s storage; `lane` is the packed
+    /// lane width (`None` on the scalar tier).
+    fn lower_on<T: Tier>(
+        ir: &ModelIr,
+        format: FixedPoint,
+        luts: &LutCache,
+        tier: T,
+        lane: Option<PackedWidth>,
+        wrap: impl FnOnce(Kernel<T>) -> Lowered,
+    ) -> Result<Self> {
         // Lane interval of the packed tier (None on the scalar tier,
         // where every lane fact is trivially true).
-        let lane_iv = packed.as_ref().map(|p| Interval {
-            lo: p.width().lane_min(),
-            hi: p.width().lane_max(),
+        let lane_iv = lane.map(|width| Interval {
+            lo: width.lane_min(),
+            hi: width.lane_max(),
         });
         let lane_fits = |ivs: &[Interval]| match lane_iv {
             Some(lane) => ivs.iter().all(|iv| iv.subset_of(lane)),
@@ -480,7 +653,7 @@ impl CompiledPipeline {
                         post: post.clone(),
                     });
                     layers.push(DenseKernel {
-                        weights: lower_store(packed.as_ref(), qw),
+                        weights: tier.lower(qw),
                         bias: qb,
                         input,
                         output,
@@ -493,11 +666,10 @@ impl CompiledPipeline {
                 let width = layers.iter().map(|l| l.output).max().unwrap_or(0);
                 Ok(CompiledPipeline {
                     format,
-                    packed,
                     n_features: dnn.arch.input_dim,
                     n_classes: dnn.arch.output_dim,
                     width,
-                    kernel: Kernel::Dnn { layers, activation },
+                    kernel: wrap(Kernel::Dnn { layers, activation }),
                     facts,
                 })
             }
@@ -557,16 +729,15 @@ impl CompiledPipeline {
                 let binary = svm.n_classes == 2 && qb.len() == 1;
                 Ok(CompiledPipeline {
                     format,
-                    packed,
                     n_features: svm.n_features,
                     n_classes: svm.n_classes,
                     width: qb.len().max(2),
-                    kernel: Kernel::Svm {
-                        planes: lower_store(packed.as_ref(), flat),
+                    kernel: wrap(Kernel::Svm {
+                        planes: tier.lower(flat),
                         biases: qb,
                         binary,
                         certified,
-                    },
+                    }),
                     facts,
                 })
             }
@@ -602,19 +773,18 @@ impl CompiledPipeline {
                 }];
                 Ok(CompiledPipeline {
                     format,
-                    packed,
                     n_features: km.n_features,
                     n_classes: km.k,
                     width: km.k,
-                    kernel: Kernel::KMeans {
-                        centroids: lower_store(packed.as_ref(), flat),
+                    kernel: wrap(Kernel::KMeans {
+                        centroids: tier.lower(flat),
                         certified,
-                    },
+                    }),
                     facts,
                 })
             }
             ModelIr::Tree(tree) => {
-                let (kernel, leaf_classes) = lower_tree(tree, format, packed.as_ref())?;
+                let (kernel, leaf_classes) = lower_tree(tree, format, &tier)?;
                 // The declared class count wins over the leaf-derived one:
                 // a depth-limited tree may never grow a leaf for some
                 // class, but consumers sizing per-class tables still need
@@ -632,11 +802,10 @@ impl CompiledPipeline {
                 }];
                 Ok(CompiledPipeline {
                     format,
-                    packed,
                     n_features: tree.n_features,
                     n_classes,
                     width: 0,
-                    kernel: Kernel::Tree(kernel),
+                    kernel: wrap(Kernel::Tree(kernel)),
                     facts,
                 })
             }
@@ -644,7 +813,7 @@ impl CompiledPipeline {
                 let mut n_classes = forest.n_classes.max(2);
                 let mut trees = Vec::with_capacity(forest.trees.len());
                 for tree in &forest.trees {
-                    let (kernel, leaf_classes) = lower_tree(tree, format, packed.as_ref())?;
+                    let (kernel, leaf_classes) = lower_tree(tree, format, &tier)?;
                     n_classes = n_classes.max(leaf_classes).max(tree.n_classes.unwrap_or(0));
                     trees.push(kernel);
                 }
@@ -663,12 +832,11 @@ impl CompiledPipeline {
                 }];
                 Ok(CompiledPipeline {
                     format,
-                    packed,
                     n_features: forest.n_features,
                     n_classes,
                     // The vote counters live in the scratch ping buffer.
                     width: n_classes,
-                    kernel: Kernel::Forest { trees },
+                    kernel: wrap(Kernel::Forest { trees }),
                     facts,
                 })
             }
@@ -685,7 +853,10 @@ impl CompiledPipeline {
     /// [`CompiledPipeline::from_ir_scalar`]) and the scalar `i32` tier
     /// runs instead.
     pub fn packed_width(&self) -> Option<PackedWidth> {
-        self.packed.map(|p| p.width())
+        match &self.kernel {
+            Lowered::Scalar(_) => None,
+            Lowered::Packed(p, _) => Some(p.width()),
+        }
     }
 
     /// Number of input features per packet.
@@ -714,12 +885,9 @@ impl CompiledPipeline {
 
     /// Short lowercase family name of the lowered model.
     pub fn family(&self) -> &'static str {
-        match self.kernel {
-            Kernel::Dnn { .. } => "dnn",
-            Kernel::Svm { .. } => "svm",
-            Kernel::KMeans { .. } => "kmeans",
-            Kernel::Tree(_) => "decision_tree",
-            Kernel::Forest { .. } => "random_forest",
+        match &self.kernel {
+            Lowered::Scalar(kernel) => kernel.family(),
+            Lowered::Packed(_, kernel) => kernel.family(),
         }
     }
 
@@ -738,163 +906,24 @@ impl CompiledPipeline {
             self.n_features,
             features.len()
         );
-        scratch.ensure(self.n_features, self.width);
-        match self.packed {
-            Some(p) => {
-                let Scratch { a, b, px, pa, .. } = scratch;
-                p.quantize_into_packed(features, px);
-                self.classify_packed(&p, px.slice(0, self.n_features), a, b, pa)
-            }
-            None => {
-                let Scratch { qx, a, b, .. } = scratch;
-                self.format
-                    .quantize_into(features, &mut qx[..self.n_features]);
-                self.classify_scalar(&qx[..self.n_features], a, b)
-            }
-        }
+        let mut verdict = 0;
+        self.classify_into(features, std::slice::from_mut(&mut verdict), scratch);
+        verdict
     }
 
-    /// The scalar `i32` per-packet path — the bit-exact reference the
-    /// packed tier is held to.
-    fn classify_scalar(&self, qx: &[i32], a: &mut [i32], b: &mut [i32]) -> usize {
-        match &self.kernel {
-            Kernel::Dnn { layers, activation } => {
-                let logits = dnn_forward(self.format, layers, activation, qx, a, b);
-                argmax_i32(logits)
-            }
-            Kernel::Svm {
-                planes,
-                biases,
-                binary,
-                ..
-            } => {
-                let nf = self.n_features;
-                if *binary {
-                    let w = planes.scalar_range(0, nf);
-                    usize::from(self.format.fixed_dot(w, qx).saturating_add(biases[0]) >= 0)
-                } else {
-                    for (pi, score) in a.iter_mut().take(biases.len()).enumerate() {
-                        let w = planes.scalar_range(pi * nf, nf);
-                        *score = self.format.fixed_dot(w, qx).saturating_add(biases[pi]);
-                    }
-                    argmax_i32(&a[..biases.len()])
-                }
-            }
-            Kernel::KMeans { centroids, .. } => {
-                let nf = self.n_features;
-                let mut best = 0usize;
-                let mut best_d = i32::MAX;
-                for i in 0..self.n_classes {
-                    let d = self
-                        .format
-                        .fixed_squared_distance(centroids.scalar_range(i * nf, nf), qx);
-                    if d < best_d {
-                        best = i;
-                        best_d = d;
-                    }
-                }
-                best
-            }
-            Kernel::Tree(tree) => tree.walk(|f| qx[f]),
-            Kernel::Forest { trees } => {
-                let votes = &mut a[..self.n_classes];
-                votes.fill(0);
-                for tree in trees {
-                    votes[tree.walk(|f| qx[f])] += 1;
-                }
-                argmax_i32(votes)
-            }
-        }
-    }
-
-    /// The packed per-packet path: same verdicts as
-    /// [`CompiledPipeline::classify_scalar`], bit for bit, from narrow-lane
-    /// storage.
-    fn classify_packed(
-        &self,
-        p: &PackedFixed,
-        row: PackedSlice<'_>,
-        a: &mut [i32],
-        b: &mut [i32],
-        pa: &mut PackedVec,
-    ) -> usize {
-        match &self.kernel {
-            Kernel::Dnn { layers, activation } => {
-                let logits = dnn_forward_packed(p, layers, activation, row, a, b, pa);
-                argmax_i32(logits)
-            }
-            Kernel::Svm {
-                planes,
-                biases,
-                binary,
-                certified,
-            } => {
-                let nf = self.n_features;
-                let dot = |w: PackedSlice<'_>| {
-                    if *certified {
-                        p.packed_dot_certified(w, row)
-                    } else {
-                        p.packed_dot(w, row)
-                    }
-                };
-                if *binary {
-                    let w = planes.packed_range(0, nf);
-                    usize::from(dot(w).saturating_add(biases[0]) >= 0)
-                } else {
-                    for (pi, score) in a.iter_mut().take(biases.len()).enumerate() {
-                        let w = planes.packed_range(pi * nf, nf);
-                        *score = dot(w).saturating_add(biases[pi]);
-                    }
-                    argmax_i32(&a[..biases.len()])
-                }
-            }
-            Kernel::KMeans {
-                centroids,
-                certified,
-            } => {
-                let nf = self.n_features;
-                let mut best = 0usize;
-                let mut best_d = i32::MAX;
-                for i in 0..self.n_classes {
-                    let c = centroids.packed_range(i * nf, nf);
-                    let d = if *certified {
-                        p.packed_squared_distance_certified(c, row)
-                    } else {
-                        p.packed_squared_distance(c, row)
-                    };
-                    if d < best_d {
-                        best = i;
-                        best_d = d;
-                    }
-                }
-                best
-            }
-            Kernel::Tree(tree) => tree.walk(|f| row.get(f)),
-            Kernel::Forest { trees } => {
-                let votes = &mut a[..self.n_classes];
-                votes.fill(0);
-                for tree in trees {
-                    votes[tree.walk(|f| row.get(f))] += 1;
-                }
-                argmax_i32(votes)
-            }
-        }
-    }
-
-    /// Classifies `rows` rows of `x` starting at row `start` into `out`,
-    /// streaming the whole block through the packed kernels at once (the
-    /// structure-of-arrays batch path). Scalar-tier pipelines fall back to
-    /// per-row [`CompiledPipeline::classify`]. Verdicts are identical to
-    /// the per-row path either way.
+    /// Classifies the `out.len()` rows of `x` from row `start` into `out`,
+    /// streaming the whole block through the kernels at once (the
+    /// structure-of-arrays batch path). This is [`classify`] over more
+    /// than one row — same walk, same verdicts.
+    ///
+    /// [`classify`]: CompiledPipeline::classify
     pub(crate) fn classify_block(
         &self,
         x: &Matrix,
         start: usize,
-        rows: usize,
         out: &mut [usize],
-        bs: &mut BlockScratch,
+        scratch: &mut Scratch,
     ) {
-        debug_assert_eq!(out.len(), rows);
         assert_eq!(
             x.cols(),
             self.n_features,
@@ -902,107 +931,140 @@ impl CompiledPipeline {
             self.n_features,
             x.cols()
         );
-        if rows == 0 {
-            return;
-        }
-        let Some(p) = self.packed else {
-            for (i, verdict) in out.iter_mut().enumerate() {
-                *verdict = self.classify(x.row(start + i), &mut bs.row);
-            }
-            return;
-        };
         let nf = self.n_features;
-        p.quantize_block(x, start, rows, &mut bs.px);
+        let block = &x.as_slice()[start * nf..(start + out.len()) * nf];
+        self.classify_into(block, out, scratch);
+    }
+
+    /// Classifies the row-major feature block `values`, one row per slot
+    /// of `out`. The tier is chosen here, once.
+    ///
+    /// The walk below is `inline(always)` down to `decide` so that the
+    /// per-row caller's `rows == 1` is a constant in it: without that the
+    /// row loops and offsets cost every family 6–9 ns per packet.
+    #[inline(always)]
+    fn classify_into(&self, values: &[f32], out: &mut [usize], scratch: &mut Scratch) {
+        let Scratch { qx, px, walk } = scratch;
         match &self.kernel {
-            Kernel::Dnn { layers, activation } => {
-                let need = rows * self.width;
-                if bs.ha.len() < need {
-                    bs.ha.resize(need, 0);
-                }
-                if bs.hb.len() < need {
-                    bs.hb.resize(need, 0);
-                }
-                let last = layers.len() - 1;
-                let mut in_a = false;
-                let mut prev_out = 0usize;
-                for (li, layer) in layers.iter().enumerate() {
-                    let w = layer.weights.packed_range(0, layer.weights.len());
-                    match (li, in_a) {
-                        (0, _) => {
-                            if layer.certified {
-                                p.packed_matvec_block_certified(
-                                    w,
-                                    &layer.bias,
-                                    &bs.px,
-                                    rows,
-                                    &mut bs.ha[..rows * layer.output],
-                                );
-                            } else {
-                                p.packed_matvec_block(
-                                    w,
-                                    &layer.bias,
-                                    &bs.px,
-                                    rows,
-                                    &mut bs.ha[..rows * layer.output],
-                                );
-                            }
-                            in_a = true;
-                        }
-                        (_, true) => {
-                            block_matvec_packed_input(
-                                &p,
-                                w,
-                                layer,
-                                &bs.ha[..rows * prev_out],
-                                rows,
-                                &mut bs.hb[..rows * layer.output],
-                                &mut bs.pa,
-                            );
-                            in_a = false;
-                        }
-                        (_, false) => {
-                            block_matvec_packed_input(
-                                &p,
-                                w,
-                                layer,
-                                &bs.hb[..rows * prev_out],
-                                rows,
-                                &mut bs.ha[..rows * layer.output],
-                                &mut bs.pa,
-                            );
-                            in_a = true;
-                        }
-                    }
-                    prev_out = layer.output;
-                    if li < last {
-                        let dst = if in_a {
-                            &mut bs.ha[..rows * prev_out]
-                        } else {
-                            &mut bs.hb[..rows * prev_out]
-                        };
-                        for v in dst {
-                            *v = activation.apply(*v);
-                        }
-                    }
-                }
-                let logits = if in_a {
-                    &bs.ha[..rows * prev_out]
-                } else {
-                    &bs.hb[..rows * prev_out]
-                };
-                for (i, verdict) in out.iter_mut().enumerate() {
-                    *verdict = argmax_i32(&logits[i * prev_out..(i + 1) * prev_out]);
-                }
+            Lowered::Scalar(kernel) => {
+                self.classify_on(&self.format, kernel, values, out, qx, walk)
             }
-            _ => {
-                // Non-DNN families classify row-at-a-time off the shared
-                // packed feature block.
-                bs.row.ensure(nf, self.width);
-                let BlockScratch { row, px, .. } = bs;
-                let Scratch { a, b, pa, .. } = row;
-                for (i, verdict) in out.iter_mut().enumerate() {
-                    *verdict = self.classify_packed(&p, px.slice(i * nf, nf), a, b, pa);
+            Lowered::Packed(p, kernel) => self.classify_on(p, kernel, values, out, px, walk),
+        }
+    }
+
+    #[inline(always)]
+    fn classify_on<T: Tier>(
+        &self,
+        tier: &T,
+        kernel: &Kernel<T>,
+        values: &[f32],
+        out: &mut [usize],
+        x: &mut T::Store,
+        walk: &mut WalkBufs,
+    ) {
+        let nf = self.n_features;
+        let rows = out.len();
+        tier.quantize(values, x);
+        let WalkBufs { scores, votes } = walk;
+        let (raw, k) = self
+            .raw_scores(tier, kernel, x, rows, scores)
+            .unwrap_or((&[], 0));
+        for (r, verdict) in out.iter_mut().enumerate() {
+            let scores = &raw[r * k..(r + 1) * k];
+            *verdict = self.decide(kernel, scores, x, r * nf, votes);
+        }
+    }
+
+    /// Raw integer per-class scores for `rows` quantized feature rows of
+    /// `x`, row-major, with their per-row count (DNN logits, SVM plane
+    /// scores, KMeans distances), or `None` for trees and forests, whose
+    /// verdicts are not score-shaped. Both tiers produce the same bits.
+    #[inline(always)]
+    fn raw_scores<'s, T: Tier>(
+        &self,
+        tier: &T,
+        kernel: &Kernel<T>,
+        x: &T::Store,
+        rows: usize,
+        bufs: &'s mut ScoreBufs,
+    ) -> Option<(&'s [i32], usize)> {
+        let nf = self.n_features;
+        match kernel {
+            Kernel::Dnn { layers, activation } => {
+                grow(&mut bufs.a, rows * self.width);
+                grow(&mut bufs.b, rows * self.width);
+                let logits = dense_forward(tier, layers, activation, x, rows, bufs);
+                Some((logits, self.n_classes))
+            }
+            Kernel::Svm {
+                planes,
+                biases,
+                certified,
+                ..
+            } => {
+                let k = biases.len();
+                grow(&mut bufs.a, rows * k);
+                let out = &mut bufs.a[..rows * k];
+                for r in 0..rows {
+                    let row = T::row(x, r * nf, nf);
+                    for (pi, &bias) in biases.iter().enumerate() {
+                        let w = T::row(planes, pi * nf, nf);
+                        out[r * k + pi] = tier.dot(w, row, *certified).saturating_add(bias);
+                    }
                 }
+                Some((out, k))
+            }
+            Kernel::KMeans {
+                centroids,
+                certified,
+            } => {
+                let k = self.n_classes;
+                grow(&mut bufs.a, rows * k);
+                let out = &mut bufs.a[..rows * k];
+                for r in 0..rows {
+                    let row = T::row(x, r * nf, nf);
+                    for i in 0..k {
+                        let c = T::row(centroids, i * nf, nf);
+                        out[r * k + i] = tier.squared_distance(c, row, *certified);
+                    }
+                }
+                Some((out, k))
+            }
+            Kernel::Tree(_) | Kernel::Forest { .. } => None,
+        }
+    }
+
+    /// The verdict for one row: from its raw scores for the score-shaped
+    /// families, from its quantized features (`x` from `start`) for trees
+    /// and forests.
+    #[inline(always)]
+    fn decide<T: Tier>(
+        &self,
+        kernel: &Kernel<T>,
+        raw: &[i32],
+        x: &T::Store,
+        start: usize,
+        votes: &mut Vec<i32>,
+    ) -> usize {
+        let features = || T::row(x, start, self.n_features);
+        match kernel {
+            // The float SVM's rule: a score of exactly zero is class 1.
+            Kernel::Svm { binary: true, .. } => usize::from(raw[0] >= 0),
+            Kernel::KMeans { .. } => argmin_i32(raw),
+            Kernel::Dnn { .. } | Kernel::Svm { .. } => argmax_i32(raw),
+            Kernel::Tree(tree) => {
+                let x = features();
+                tree.walk(|f| T::get(x, f))
+            }
+            Kernel::Forest { trees } => {
+                let x = features();
+                votes.clear();
+                votes.resize(self.n_classes, 0);
+                for tree in trees {
+                    votes[tree.walk(|f| T::get(x, f))] += 1;
+                }
+                argmax_i32(votes)
             }
         }
     }
@@ -1019,118 +1081,24 @@ impl CompiledPipeline {
     /// Panics if `features.len() != self.n_features()`.
     pub fn scores(&self, features: &[f32], scratch: &mut Scratch) -> Option<Vec<f32>> {
         assert_eq!(features.len(), self.n_features, "feature count mismatch");
-        scratch.ensure(self.n_features, self.width);
-        let raw = match self.packed {
-            Some(p) => {
-                let Scratch { a, b, px, pa, .. } = scratch;
-                p.quantize_into_packed(features, px);
-                self.raw_scores_packed(&p, px.slice(0, self.n_features), a, b, pa)?
-            }
-            None => {
-                let Scratch { qx, a, b, .. } = scratch;
-                self.format
-                    .quantize_into(features, &mut qx[..self.n_features]);
-                self.raw_scores_scalar(&qx[..self.n_features], a, b)?
-            }
-        };
-        Some(self.shape_scores(raw))
-    }
-
-    /// Raw integer per-class scores on the scalar tier (`None` for
-    /// families without score-shaped verdicts).
-    fn raw_scores_scalar(&self, qx: &[i32], a: &mut [i32], b: &mut [i32]) -> Option<Vec<i32>> {
+        let Scratch { qx, px, walk } = scratch;
         match &self.kernel {
-            Kernel::Dnn { layers, activation } => {
-                Some(dnn_forward(self.format, layers, activation, qx, a, b).to_vec())
-            }
-            Kernel::Svm { planes, biases, .. } => {
-                let nf = self.n_features;
-                Some(
-                    (0..biases.len())
-                        .map(|pi| {
-                            self.format
-                                .fixed_dot(planes.scalar_range(pi * nf, nf), qx)
-                                .saturating_add(biases[pi])
-                        })
-                        .collect(),
-                )
-            }
-            Kernel::KMeans { centroids, .. } => {
-                let nf = self.n_features;
-                Some(
-                    (0..self.n_classes)
-                        .map(|i| {
-                            self.format
-                                .fixed_squared_distance(centroids.scalar_range(i * nf, nf), qx)
-                        })
-                        .collect(),
-                )
-            }
-            Kernel::Tree(_) | Kernel::Forest { .. } => None,
+            Lowered::Scalar(kernel) => self.scores_on(&self.format, kernel, features, qx, walk),
+            Lowered::Packed(p, kernel) => self.scores_on(p, kernel, features, px, walk),
         }
     }
 
-    /// Raw integer per-class scores on the packed tier — bit-identical to
-    /// [`CompiledPipeline::raw_scores_scalar`].
-    fn raw_scores_packed(
+    fn scores_on<T: Tier>(
         &self,
-        p: &PackedFixed,
-        row: PackedSlice<'_>,
-        a: &mut [i32],
-        b: &mut [i32],
-        pa: &mut PackedVec,
-    ) -> Option<Vec<i32>> {
-        match &self.kernel {
-            Kernel::Dnn { layers, activation } => {
-                Some(dnn_forward_packed(p, layers, activation, row, a, b, pa).to_vec())
-            }
-            Kernel::Svm {
-                planes,
-                biases,
-                certified,
-                ..
-            } => {
-                let nf = self.n_features;
-                Some(
-                    (0..biases.len())
-                        .map(|pi| {
-                            let w = planes.packed_range(pi * nf, nf);
-                            let dot = if *certified {
-                                p.packed_dot_certified(w, row)
-                            } else {
-                                p.packed_dot(w, row)
-                            };
-                            dot.saturating_add(biases[pi])
-                        })
-                        .collect(),
-                )
-            }
-            Kernel::KMeans {
-                centroids,
-                certified,
-            } => {
-                let nf = self.n_features;
-                Some(
-                    (0..self.n_classes)
-                        .map(|i| {
-                            let c = centroids.packed_range(i * nf, nf);
-                            if *certified {
-                                p.packed_squared_distance_certified(c, row)
-                            } else {
-                                p.packed_squared_distance(c, row)
-                            }
-                        })
-                        .collect(),
-                )
-            }
-            Kernel::Tree(_) | Kernel::Forest { .. } => None,
-        }
-    }
-
-    /// Dequantizes raw per-family scores into the per-class float shape
-    /// `scores()` documents.
-    fn shape_scores(&self, raw: Vec<i32>) -> Vec<f32> {
-        match &self.kernel {
+        tier: &T,
+        kernel: &Kernel<T>,
+        features: &[f32],
+        x: &mut T::Store,
+        walk: &mut WalkBufs,
+    ) -> Option<Vec<f32>> {
+        tier.quantize(features, x);
+        let (raw, _) = self.raw_scores(tier, kernel, x, 1, &mut walk.scores)?;
+        Some(match kernel {
             Kernel::Svm { binary: true, .. } => {
                 let s = self.format.dequantize(raw[0]);
                 // A raw score of exactly zero classifies as class 1
@@ -1139,12 +1107,9 @@ impl CompiledPipeline {
                 // classify() on that tie.
                 vec![-s, if raw[0] == 0 { f32::MIN_POSITIVE } else { s }]
             }
-            Kernel::KMeans { .. } => raw
-                .into_iter()
-                .map(|r| -self.format.dequantize(r))
-                .collect(),
-            _ => raw.into_iter().map(|r| self.format.dequantize(r)).collect(),
-        }
+            Kernel::KMeans { .. } => raw.iter().map(|&r| -self.format.dequantize(r)).collect(),
+            _ => raw.iter().map(|&r| self.format.dequantize(r)).collect(),
+        })
     }
 
     /// Worst-case deviation between this pipeline's decision scores and
@@ -1157,9 +1122,16 @@ impl CompiledPipeline {
     /// bound assumes no accumulator saturation, which holds for
     /// normalized inputs and trained-scale weights.
     pub fn score_tolerance(&self, input_bound: f32) -> Option<f32> {
+        match &self.kernel {
+            Lowered::Scalar(kernel) => self.tolerance_on(kernel, input_bound),
+            Lowered::Packed(_, kernel) => self.tolerance_on(kernel, input_bound),
+        }
+    }
+
+    fn tolerance_on<T: Tier>(&self, kernel: &Kernel<T>, input_bound: f32) -> Option<f32> {
         let eq = self.format.max_error();
         let step = 1.0 / self.format.scale();
-        match &self.kernel {
+        match kernel {
             Kernel::Dnn { layers, activation } => {
                 let mut err = eq;
                 let mut bound = input_bound;
@@ -1180,11 +1152,12 @@ impl CompiledPipeline {
             }
             Kernel::Svm { planes, biases, .. } => {
                 let nf = self.n_features;
+                let planes = T::row(planes, 0, biases.len() * nf);
                 let err = (0..biases.len())
                     .map(|pi| {
                         let mut e = eq; // bias quantization
                         for f in 0..nf {
-                            let wa = self.format.dequantize(planes.get(pi * nf + f)).abs();
+                            let wa = self.format.dequantize(T::get(planes, pi * nf + f)).abs();
                             e += input_bound * eq + (wa + 2.0 * eq) * eq + step;
                         }
                         e
@@ -1194,9 +1167,11 @@ impl CompiledPipeline {
             }
             Kernel::KMeans { centroids, .. } => {
                 let d = self.n_features as f32;
+                let len = self.n_classes * self.n_features;
+                let centroids = T::row(centroids, 0, len);
                 let bound = input_bound.max(
-                    (0..centroids.len())
-                        .map(|i| self.format.dequantize(centroids.get(i)).abs())
+                    (0..len)
+                        .map(|i| self.format.dequantize(T::get(centroids, i)).abs())
                         .fold(0.0, f32::max),
                 );
                 // Per dimension: |(x̂-ĉ)² - (x-c)²| ≤ (|x̂-ĉ| + |x-c|)·|(x̂-x)-(ĉ-c)|
@@ -1219,13 +1194,20 @@ impl CompiledPipeline {
     /// Panics if `features.len() != self.n_features()`.
     pub fn trace(&self, features: &[f32]) -> PipelineTrace {
         assert_eq!(features.len(), self.n_features, "feature count mismatch");
+        match &self.kernel {
+            Lowered::Scalar(kernel) => self.trace_on(kernel, features),
+            Lowered::Packed(_, kernel) => self.trace_on(kernel, features),
+        }
+    }
+
+    fn trace_on<T: Tier>(&self, kernel: &Kernel<T>, features: &[f32]) -> PipelineTrace {
         let qx: Vec<i32> = features.iter().map(|&v| self.format.quantize(v)).collect();
         let mut stages = vec![TraceStage {
             label: "quantized features".into(),
             values: qx.clone(),
         }];
         let mut saturated = false;
-        let verdict = match &self.kernel {
+        let verdict = match kernel {
             Kernel::Dnn { layers, activation } => {
                 let last = layers.len().saturating_sub(1);
                 let mut x = qx;
@@ -1256,6 +1238,7 @@ impl CompiledPipeline {
                 ..
             } => {
                 let nf = self.n_features;
+                let planes = T::row(planes, 0, biases.len() * nf);
                 let scores: Vec<i32> = biases
                     .iter()
                     .enumerate()
@@ -1264,7 +1247,7 @@ impl CompiledPipeline {
                         for (k, &xv) in qx.iter().enumerate() {
                             let t = fixed_mul_detect(
                                 self.format,
-                                planes.get(pi * nf + k),
+                                T::get(planes, pi * nf + k),
                                 xv,
                                 &mut saturated,
                             );
@@ -1286,11 +1269,12 @@ impl CompiledPipeline {
             }
             Kernel::KMeans { centroids, .. } => {
                 let nf = self.n_features;
+                let centroids = T::row(centroids, 0, self.n_classes * nf);
                 let dists: Vec<i32> = (0..self.n_classes)
                     .map(|i| {
                         let mut acc = 0i32;
                         for (k, &xv) in qx.iter().enumerate() {
-                            let c = centroids.get(i * nf + k);
+                            let c = T::get(centroids, i * nf + k);
                             let d = xv.saturating_sub(c);
                             if i64::from(d) != i64::from(xv) - i64::from(c) {
                                 saturated = true;
@@ -1379,20 +1363,21 @@ fn sat_add_detect(acc: i32, term: i32, saturated: &mut bool) -> i32 {
 
 /// Element-order-exact replay of [`FixedPoint::fixed_matvec`] off either
 /// storage tier, with saturation detection.
-fn matvec_trace(
+fn matvec_trace<T: Tier>(
     format: FixedPoint,
-    layer: &DenseKernel,
+    layer: &DenseKernel<T>,
     x: &[i32],
     out: &mut [i32],
     saturated: &mut bool,
 ) {
+    let weights = T::row(&layer.weights, 0, layer.input * layer.output);
     out.copy_from_slice(&layer.bias);
     for (k, &xv) in x.iter().enumerate() {
         if xv == 0 {
             continue;
         }
         for (j, o) in out.iter_mut().enumerate() {
-            let w = layer.weights.get(k * layer.output + j);
+            let w = T::get(weights, k * layer.output + j);
             let t = fixed_mul_detect(format, xv, w, saturated);
             *o = sat_add_detect(*o, t, saturated);
         }
@@ -1401,11 +1386,11 @@ fn matvec_trace(
 
 /// Lowers one tree IR onto the pipeline's storage tier; returns the
 /// kernel and the leaf-derived class count.
-fn lower_tree(
+fn lower_tree<T: Tier>(
     tree: &TreeIr,
     format: FixedPoint,
-    packed: Option<&PackedFixed>,
-) -> Result<(TreeKernel, usize)> {
+    tier: &T,
+) -> Result<(TreeKernel<T>, usize)> {
     let nodes = tree
         .nodes
         .as_ref()
@@ -1449,7 +1434,7 @@ fn lower_tree(
     Ok((
         TreeKernel {
             nodes: nodes.clone(),
-            thresholds: lower_store(packed, thresholds),
+            thresholds: tier.lower(thresholds),
         },
         leaf_classes,
     ))
@@ -1458,7 +1443,13 @@ fn lower_tree(
 /// Error/bound propagation through one dense layer: returns the
 /// worst-case output-score error and output magnitude bound given the
 /// input error and magnitude bound.
-fn dense_bound(format: FixedPoint, layer: &DenseKernel, err_in: f32, bound_in: f32) -> (f32, f32) {
+fn dense_bound<T: Tier>(
+    format: FixedPoint,
+    layer: &DenseKernel<T>,
+    err_in: f32,
+    bound_in: f32,
+) -> (f32, f32) {
+    let weights = T::row(&layer.weights, 0, layer.input * layer.output);
     let eq = format.max_error();
     let step = 1.0 / format.scale();
     let mut worst_err = 0.0f32;
@@ -1468,7 +1459,7 @@ fn dense_bound(format: FixedPoint, layer: &DenseKernel, err_in: f32, bound_in: f
         let mut bound = format.dequantize(layer.bias[j]).abs() + eq;
         for k in 0..layer.input {
             let w = format
-                .dequantize(layer.weights.get(k * layer.output + j))
+                .dequantize(T::get(weights, k * layer.output + j))
                 .abs();
             err += bound_in * eq + (w + 2.0 * eq) * err_in + step;
             bound += w * bound_in;
@@ -1479,166 +1470,35 @@ fn dense_bound(format: FixedPoint, layer: &DenseKernel, err_in: f32, bound_in: f
     (worst_err, worst_bound)
 }
 
-/// Runs the quantized dense stack over scalar `i32` ping-pong buffers and
-/// returns the final logit slice.
-fn dnn_forward<'s>(
-    format: FixedPoint,
-    layers: &[DenseKernel],
+/// Runs `rows` quantized feature rows of `x` through the dense stack,
+/// ping-ponging whole activation blocks between the two `bufs` (each at
+/// least `rows` times the widest layer), and returns the final logits,
+/// row-major. One row is just a block of one.
+fn dense_forward<'s, T: Tier>(
+    tier: &T,
+    layers: &[DenseKernel<T>],
     activation: &ActKernel,
-    qx: &[i32],
-    a: &'s mut [i32],
-    b: &'s mut [i32],
-) -> &'s [i32] {
-    let last = layers.len() - 1;
-    let mut in_a = false; // which pong buffer currently holds the input
-    let mut prev_out = 0usize;
-    for (li, layer) in layers.iter().enumerate() {
-        let w = layer.weights.scalar_range(0, layer.weights.len());
-        match (li, in_a) {
-            (0, _) => {
-                format.fixed_matvec(w, &layer.bias, &qx[..layer.input], &mut a[..layer.output]);
-                in_a = true;
-            }
-            (_, true) => {
-                format.fixed_matvec(w, &layer.bias, &a[..prev_out], &mut b[..layer.output]);
-                in_a = false;
-            }
-            (_, false) => {
-                format.fixed_matvec(w, &layer.bias, &b[..prev_out], &mut a[..layer.output]);
-                in_a = true;
-            }
-        }
-        prev_out = layer.output;
-        if li < last {
-            let dst = if in_a {
-                &mut a[..prev_out]
-            } else {
-                &mut b[..prev_out]
-            };
-            for v in dst {
-                *v = activation.apply(*v);
-            }
-        }
-    }
-    if in_a {
-        &a[..prev_out]
-    } else {
-        &b[..prev_out]
-    }
-}
-
-/// One packed matvec whose input is an `i32` activation slice, steered by
-/// the layer's derived interval facts: a `lane_bounded_input` proof skips
-/// the per-value range scan, a `certified` proof skips the worst-case
-/// saturation guard, and anything unproven falls back to the dynamic
-/// check / wide replay — either way the outputs match the scalar path
-/// bit for bit.
-fn matvec_packed_input(
-    p: &PackedFixed,
-    w: PackedSlice<'_>,
-    layer: &DenseKernel,
-    x: &[i32],
-    out: &mut [i32],
-    pa: &mut PackedVec,
-) {
-    if layer.lane_bounded_input {
-        p.pack_into(x, pa);
-    } else if !p.pack_checked(x, pa) {
-        p.packed_matvec_wide(w, &layer.bias, x, out);
-        return;
-    }
-    if layer.certified {
-        p.packed_matvec_certified(w, &layer.bias, pa.as_slice(), out);
-    } else {
-        p.packed_matvec(w, &layer.bias, pa.as_slice(), out);
-    }
-}
-
-/// Block variant of [`matvec_packed_input`]: repacks a whole block of
-/// activations at once, falling back to per-row wide replay only when an
-/// activation overflows the lane range.
-fn block_matvec_packed_input(
-    p: &PackedFixed,
-    w: PackedSlice<'_>,
-    layer: &DenseKernel,
-    x: &[i32],
+    x: &T::Store,
     rows: usize,
-    out: &mut [i32],
-    pa: &mut PackedVec,
-) {
-    if layer.lane_bounded_input {
-        p.pack_into(x, pa);
-    } else if !p.pack_checked(x, pa) {
-        let input = x.len() / rows;
-        let output = layer.bias.len();
-        for r in 0..rows {
-            p.packed_matvec_wide(
-                w,
-                &layer.bias,
-                &x[r * input..(r + 1) * input],
-                &mut out[r * output..(r + 1) * output],
-            );
-        }
-        return;
-    }
-    if layer.certified {
-        p.packed_matvec_block_certified(w, &layer.bias, pa, rows, out);
-    } else {
-        p.packed_matvec_block(w, &layer.bias, pa, rows, out);
-    }
-}
-
-/// Runs the quantized dense stack on packed weights, bit-identical to
-/// [`dnn_forward`], and returns the final logit slice.
-fn dnn_forward_packed<'s>(
-    p: &PackedFixed,
-    layers: &[DenseKernel],
-    activation: &ActKernel,
-    row: PackedSlice<'_>,
-    a: &'s mut [i32],
-    b: &'s mut [i32],
-    pa: &mut PackedVec,
+    bufs: &'s mut ScoreBufs,
 ) -> &'s [i32] {
-    let last = layers.len() - 1;
-    let mut in_a = false;
-    let mut prev_out = 0usize;
-    for (li, layer) in layers.iter().enumerate() {
-        let w = layer.weights.packed_range(0, layer.weights.len());
-        match (li, in_a) {
-            (0, _) => {
-                if layer.certified {
-                    p.packed_matvec_certified(w, &layer.bias, row, &mut a[..layer.output]);
-                } else {
-                    p.packed_matvec(w, &layer.bias, row, &mut a[..layer.output]);
-                }
-                in_a = true;
-            }
-            (_, true) => {
-                matvec_packed_input(p, w, layer, &a[..prev_out], &mut b[..layer.output], pa);
-                in_a = false;
-            }
-            (_, false) => {
-                matvec_packed_input(p, w, layer, &b[..prev_out], &mut a[..layer.output], pa);
-                in_a = true;
-            }
+    let (first, rest) = layers
+        .split_first()
+        .expect("a lowered dnn has at least its output layer");
+    let ScoreBufs { a, b, pa } = bufs;
+    let (mut cur, mut next) = (a.as_mut_slice(), b.as_mut_slice());
+    let mut width = first.output;
+    tier.input_layer(first, x, rows, &mut cur[..rows * width]);
+    for layer in rest {
+        let hidden = &mut cur[..rows * width];
+        for v in hidden.iter_mut() {
+            *v = activation.apply(*v);
         }
-        prev_out = layer.output;
-        if li < last {
-            let dst = if in_a {
-                &mut a[..prev_out]
-            } else {
-                &mut b[..prev_out]
-            };
-            for v in dst {
-                *v = activation.apply(*v);
-            }
-        }
+        tier.hidden_layer(layer, hidden, rows, &mut next[..rows * layer.output], pa);
+        std::mem::swap(&mut cur, &mut next);
+        width = layer.output;
     }
-    if in_a {
-        &a[..prev_out]
-    } else {
-        &b[..prev_out]
-    }
+    &cur[..rows * width]
 }
 
 /// Index of the maximum raw value (first max wins, matching
@@ -1647,6 +1507,18 @@ fn argmax_i32(values: &[i32]) -> usize {
     let mut best = 0;
     for (i, &v) in values.iter().enumerate() {
         if v > values[best] {
+            best = i;
+        }
+    }
+    best
+}
+
+/// Index of the minimum raw value (first min wins, matching the float
+/// KMeans assignment).
+fn argmin_i32(values: &[i32]) -> usize {
+    let mut best = 0;
+    for (i, &v) in values.iter().enumerate() {
+        if v < values[best] {
             best = i;
         }
     }
@@ -1931,18 +1803,12 @@ mod tests {
                 CompiledPipeline::from_ir(ir, q()).unwrap(),
                 CompiledPipeline::from_ir_scalar(ir, q()).unwrap(),
             ] {
-                let mut bs = BlockScratch::new();
+                let mut bs = Scratch::new();
                 let mut out = vec![0usize; x.rows()];
                 let mut start = 0;
                 while start < x.rows() {
                     let rows = (x.rows() - start).min(BLOCK_ROWS);
-                    pipeline.classify_block(
-                        &x,
-                        start,
-                        rows,
-                        &mut out[start..start + rows],
-                        &mut bs,
-                    );
+                    pipeline.classify_block(&x, start, &mut out[start..start + rows], &mut bs);
                     start += rows;
                 }
                 assert_eq!(out, classify_rows(&pipeline, &x), "{}", ir.family());

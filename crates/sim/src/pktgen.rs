@@ -16,7 +16,7 @@ use crate::{Result, SimError};
 use homunculus_ml::metrics::{accuracy, f1_binary, f1_macro};
 use homunculus_ml::tensor::Matrix;
 use homunculus_runtime::deploy::Deployment;
-use homunculus_runtime::serve::{PipelineServer, ServeOptions, TenantBatch, TenantId};
+use homunculus_runtime::serve::{TenantBatch, TenantId};
 use homunculus_runtime::{CompiledPipeline, Scratch};
 use serde::{Deserialize, Serialize};
 
@@ -265,100 +265,23 @@ impl StreamHarness {
         self.report_for(&y_true, &y_pred, window)
     }
 
-    /// Windowed multi-tenant replay: every tenant's labeled stream is cut
-    /// into windows of `window` packets, each replay round submits one
-    /// window per still-active tenant to `server` (round-robin across
-    /// tenants, `workers` pool threads), and per-tenant [`StreamReport`]s
-    /// come back in input order.
-    ///
-    /// Streams carry **raw** features — the server applies each tenant's
-    /// deployment normalizer. Streams may have different lengths; a
-    /// drained stream simply drops out of later rounds.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] for `window == 0`, no streams,
-    /// an empty stream, unknown tenants, or feature-width mismatches.
-    pub fn run_served(
-        &self,
-        server: &PipelineServer,
-        streams: &[(TenantId, &[LabeledSample])],
-        window: usize,
-        workers: usize,
-    ) -> Result<Vec<StreamReport>> {
-        if window == 0 {
-            return Err(SimError::InvalidConfig("window must be positive".into()));
-        }
-        if streams.is_empty() {
-            return Err(SimError::InvalidConfig("no tenant streams".into()));
-        }
-        for (tenant, stream) in streams {
-            let pipeline = server.pipeline(*tenant).ok_or_else(|| {
-                SimError::InvalidConfig(format!("{tenant} is not registered on the server"))
-            })?;
-            if stream.is_empty() {
-                return Err(SimError::InvalidConfig(format!("{tenant}: empty stream")));
-            }
-            check_stream_width(stream, pipeline.n_features())?;
-        }
-
-        let options = ServeOptions::default().workers(workers);
-        let mut predictions: Vec<Vec<usize>> = streams.iter().map(|_| Vec::new()).collect();
-        let mut offset = 0usize;
-        loop {
-            // One window per tenant with packets left, in input order.
-            let mut batches = Vec::new();
-            let mut owners = Vec::new();
-            for (index, (tenant, stream)) in streams.iter().enumerate() {
-                if offset >= stream.len() {
-                    continue;
-                }
-                let chunk = &stream[offset..stream.len().min(offset + window)];
-                let cols = chunk[0].features.len();
-                let features = Matrix::from_fn(chunk.len(), cols, |r, c| chunk[r].features[c]);
-                batches.push(TenantBatch::new(*tenant, features));
-                owners.push(index);
-            }
-            if batches.is_empty() {
-                break;
-            }
-            // run_served IS the call-at-a-time replay — it drives the
-            // deprecated shim on purpose; run_deployed is the persistent
-            // twin new code should prefer.
-            #[allow(deprecated)]
-            let output = server
-                .serve(&batches, &options)
-                .map_err(|e| SimError::InvalidConfig(e.to_string()))?;
-            for (owner, verdicts) in owners.iter().zip(output.into_verdicts()) {
-                predictions[*owner].extend(verdicts);
-            }
-            offset += window;
-        }
-
-        streams
-            .iter()
-            .zip(&predictions)
-            .map(|((_, stream), y_pred)| {
-                let y_true: Vec<usize> = stream.iter().map(|s| s.label).collect();
-                self.report_for(&y_true, y_pred, window)
-            })
-            .collect()
-    }
-
-    /// Windowed multi-tenant replay through a **persistent**
-    /// [`Deployment`] — the resident-worker twin of
-    /// [`run_served`](StreamHarness::run_served). Every replay round
-    /// submits one window per still-active tenant as a ticket; submission
-    /// is **double-buffered** (round `N+1` is submitted before round `N`
-    /// is redeemed), so the resident workers stay fed across window
+    /// Windowed multi-tenant replay through a persistent [`Deployment`]:
+    /// every tenant's labeled stream is cut into windows of `window`
+    /// packets, each replay round submits one window per still-active
+    /// tenant as a ticket (round-robin across tenants), and per-tenant
+    /// [`StreamReport`]s come back in input order. Submission is
+    /// **double-buffered** (round `N+1` is submitted before round `N` is
+    /// redeemed), so the resident workers stay fed across window
     /// boundaries instead of idling while the driver blocks on `wait()`.
     /// Tickets still redeem in submission order, so verdicts (and the
-    /// returned [`StreamReport`]s) are bit-identical to the
-    /// call-at-a-time path under any worker count; only the pool-setup
-    /// and pipelining costs differ.
+    /// returned [`StreamReport`]s) equal each tenant's solo
+    /// [`run_compiled`](StreamHarness::run_compiled) under any worker
+    /// count.
     ///
     /// Streams carry **raw** features — each tenant's deployment
-    /// normalizer applies inside the deployment.
+    /// normalizer applies inside the deployment. Streams may have
+    /// different lengths; a drained stream simply drops out of later
+    /// rounds.
     ///
     /// # Errors
     ///
@@ -823,65 +746,35 @@ mod tests {
     }
 
     #[test]
-    fn served_replay_matches_per_tenant_isolated_runs() {
-        use homunculus_runtime::PipelineServer;
+    fn deployed_replay_matches_per_tenant_isolated_runs() {
+        use homunculus_runtime::Deployment;
 
         let (pipeline, stream) = trained_pipeline();
-        let mut server = PipelineServer::new();
-        let a = server
-            .register_pipeline("app_a", pipeline.clone(), None)
-            .unwrap();
-        let b = server
-            .register_pipeline("app_b", pipeline.clone(), None)
-            .unwrap();
         let harness = StreamHarness::new(TimingModel::fixed(10.0, 100.0));
         // Tenant B replays a shorter stream: it drains mid-run.
         let short = &stream[..33];
-        let reports = harness
-            .run_served(&server, &[(a, &stream), (b, short)], 8, 2)
-            .unwrap();
-        assert_eq!(reports.len(), 2);
         let solo_a = harness.run_compiled(&stream, &pipeline).unwrap();
         let solo_b = harness.run_compiled(short, &pipeline).unwrap();
-        assert_eq!(reports[0].f1, solo_a.f1);
-        assert_eq!(reports[0].accuracy, solo_a.accuracy);
-        assert_eq!(reports[1].f1, solo_b.f1);
-        assert_eq!(reports[0].packets, stream.len());
-        assert_eq!(reports[1].packets, short.len());
-        // Windowed timing: 7 fill gaps on top of the pipeline latency.
-        assert_eq!(reports[0].reaction_time_ns, 7.0 * 10.0 + 100.0);
-    }
-
-    #[test]
-    fn deployed_replay_matches_served_replay() {
-        use homunculus_runtime::{Deployment, PipelineServer};
-
-        let (pipeline, stream) = trained_pipeline();
-        let mut server = PipelineServer::new();
-        let a = server
-            .register_pipeline("app_a", pipeline.clone(), None)
-            .unwrap();
-        let b = server
-            .register_pipeline("app_b", pipeline.clone(), None)
-            .unwrap();
-        let harness = StreamHarness::new(TimingModel::fixed(10.0, 100.0));
-        let short = &stream[..33];
-        let served = harness
-            .run_served(&server, &[(a, &stream), (b, short)], 8, 2)
-            .unwrap();
 
         for workers in [1, 2, 4] {
             let deployment = Deployment::builder().workers(workers).build();
-            let da = deployment
+            let a = deployment
                 .add_tenant("app_a", pipeline.clone(), None)
                 .unwrap();
-            let db = deployment
+            let b = deployment
                 .add_tenant("app_b", pipeline.clone(), None)
                 .unwrap();
-            let deployed = harness
-                .run_deployed(&deployment, &[(da, &stream), (db, short)], 8)
+            let reports = harness
+                .run_deployed(&deployment, &[(a, &stream), (b, short)], 8)
                 .unwrap();
-            assert_eq!(deployed, served, "workers={workers}");
+            assert_eq!(reports.len(), 2);
+            assert_eq!(reports[0].f1, solo_a.f1, "workers={workers}");
+            assert_eq!(reports[0].accuracy, solo_a.accuracy);
+            assert_eq!(reports[1].f1, solo_b.f1, "workers={workers}");
+            assert_eq!(reports[0].packets, stream.len());
+            assert_eq!(reports[1].packets, short.len());
+            // Windowed timing: 7 fill gaps on top of the pipeline latency.
+            assert_eq!(reports[0].reaction_time_ns, 7.0 * 10.0 + 100.0);
             deployment.shutdown();
         }
     }
@@ -908,45 +801,18 @@ mod tests {
             harness.run_deployed(&deployment, &[(id, &stream[..0])], 4),
             Err(SimError::InvalidConfig(_))
         ));
+        // A tenant id minted by a *different* deployment is unknown here
+        // and must be rejected, not panic.
+        let other = Deployment::builder().build();
+        let ghost = other.add_tenant("x", pipeline, None).unwrap();
+        assert!(matches!(
+            harness.run_deployed(&deployment, &[(ghost, &stream)], 4),
+            Err(SimError::InvalidConfig(_))
+        ));
         // A removed tenant no longer replays.
         deployment.remove_tenant(id).unwrap();
         assert!(matches!(
             harness.run_deployed(&deployment, &[(id, &stream)], 4),
-            Err(SimError::InvalidConfig(_))
-        ));
-    }
-
-    #[test]
-    fn served_replay_validates_inputs() {
-        use homunculus_runtime::PipelineServer;
-
-        let (pipeline, stream) = trained_pipeline();
-        let mut server = PipelineServer::new();
-        let a = server
-            .register_pipeline("app", pipeline.clone(), None)
-            .unwrap();
-        let harness = StreamHarness::new(TimingModel::fixed(1.0, 1.0));
-        assert!(matches!(
-            harness.run_served(&server, &[], 4, 1),
-            Err(SimError::InvalidConfig(_))
-        ));
-        assert!(matches!(
-            harness.run_served(&server, &[(a, &stream)], 0, 1),
-            Err(SimError::InvalidConfig(_))
-        ));
-        assert!(matches!(
-            harness.run_served(&server, &[(a, &stream[..0])], 4, 1),
-            Err(SimError::InvalidConfig(_))
-        ));
-        // A tenant id minted by a *different* (larger) server is unknown
-        // here and must be rejected, not panic.
-        let mut other = PipelineServer::new();
-        other
-            .register_pipeline("x", pipeline.clone(), None)
-            .unwrap();
-        let ghost = other.register_pipeline("y", pipeline, None).unwrap();
-        assert!(matches!(
-            harness.run_served(&server, &[(ghost, &stream)], 4, 1),
             Err(SimError::InvalidConfig(_))
         ));
     }

@@ -125,8 +125,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .iter()
         .map(|report| deployment.tenant_id(&report.name).expect("deployed tenant"))
         .collect();
-    // Several serving rounds against the same resident pool — the
-    // call-at-a-time path would pay worker launch on each of these.
+    // Several serving rounds against the same resident pool: worker
+    // launch is paid once, not on each of these.
     const ROUNDS: usize = 4;
     let start = std::time::Instant::now();
     for _ in 0..ROUNDS {

@@ -27,9 +27,8 @@
 //! - [`runtime`] — the compiled fixed-point inference runtime (integer
 //!   execution engines lowered from trained model IRs) and the
 //!   multi-tenant serving layer: a persistent `Deployment` with resident
-//!   workers, ticket-based submission, and weighted tenant QoS, plus the
-//!   call-at-a-time `PipelineServer` shim (shared activation LUTs in
-//!   both).
+//!   workers, ticket-based submission, weighted tenant QoS, and shared
+//!   activation LUTs.
 //! - [`analysis`] — the static verification layer: interval analysis over
 //!   compiled pipelines (per-kernel no-saturation certificates) and an
 //!   artifact linter with stable `HA`-prefixed diagnostic codes, exposed

@@ -12,9 +12,7 @@ use homunculus::ml::mlp::MlpArchitecture;
 use homunculus::ml::quantize::FixedPoint;
 use homunculus::ml::tensor::Matrix;
 use homunculus::optimizer::space::{DesignSpace, Parameter};
-use homunculus::runtime::{
-    Compile, Deployment, PipelineServer, Scratch, ServeOptions, TenantBatch,
-};
+use homunculus::runtime::{Compile, Deployment, Scratch, TenantBatch};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -140,39 +138,40 @@ fn compiled_pipeline_classification_fingerprint() {
 
 #[test]
 fn served_multi_tenant_verdicts_fingerprint() {
-    // Two handcrafted tenants serve the frozen normalized stream over a
-    // 3-worker pool at 7-row dispatch granularity. Because the serving
-    // layer writes into pre-assigned slots, the interleaved per-tenant
-    // verdict sequence is bit-wise deterministic no matter how the
-    // workers get scheduled — this pins it so dispatch-order
-    // nondeterminism can never silently leak into results.
+    // Two handcrafted tenants serve the frozen normalized stream over
+    // several pool shapes (e.g. 3 workers at 7-row dispatch granularity).
+    // Because the serving layer writes into pre-assigned slots, the
+    // interleaved per-tenant verdict sequence is bit-wise deterministic no
+    // matter how the workers get scheduled — this pins it so
+    // dispatch-order nondeterminism can never silently leak into results.
     let ds = NslKddGenerator::new(42).generate(200);
     let norm = ds.fit_normalizer();
     let nds = ds.normalized(&norm).unwrap();
     let format = FixedPoint::taurus_default();
 
-    let mut server = PipelineServer::new();
-    let dnn = server
-        .register_model("dnn_app", &handcrafted_dnn_ir(), format, None)
-        .unwrap();
-    let svm = server
-        .register_model("svm_app", &handcrafted_svm_ir(), format, None)
-        .unwrap();
-
-    let batches = [
-        TenantBatch::new(dnn, nds.features().clone()),
-        TenantBatch::new(svm, nds.features().clone()),
-    ];
     for (workers, chunk) in [(1, 0), (3, 7), (8, 1)] {
-        // The deprecated shim stays golden-pinned: bit-identical to the
-        // persistent path for as long as it exists.
-        #[allow(deprecated)]
-        let output = server
-            .serve(
-                &batches,
-                &ServeOptions::default().workers(workers).chunk_rows(chunk),
-            )
+        let deployment = Deployment::builder()
+            .workers(workers)
+            .chunk_rows(chunk)
+            .build();
+        let dnn = deployment
+            .add_model("dnn_app", &handcrafted_dnn_ir(), format, None)
             .unwrap();
+        let svm = deployment
+            .add_model("svm_app", &handcrafted_svm_ir(), format, None)
+            .unwrap();
+        let tickets = [
+            deployment
+                .submit(TenantBatch::new(dnn, nds.features().clone()))
+                .unwrap(),
+            deployment
+                .submit(TenantBatch::new(svm, nds.features().clone()))
+                .unwrap(),
+        ];
+        let verdicts: Vec<Vec<usize>> = tickets
+            .into_iter()
+            .map(|ticket| ticket.wait().into_vec())
+            .collect();
         let expected_dnn = [
             0usize, 1, 1, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1, 1,
             0, 1, 1, 1, 1,
@@ -182,19 +181,18 @@ fn served_multi_tenant_verdicts_fingerprint() {
             0, 1, 1, 0, 0,
         ];
         assert_eq!(
-            &output.verdicts()[0][..32],
+            &verdicts[0][..32],
             &expected_dnn,
             "workers={workers} chunk={chunk}: dnn tenant verdicts drifted"
         );
         assert_eq!(
-            &output.verdicts()[1][..32],
+            &verdicts[1][..32],
             &expected_svm,
             "workers={workers} chunk={chunk}: svm tenant verdicts drifted"
         );
         // Position-weighted checksum over the full interleaved output
         // pins the tails of both tenants.
-        let checksum: usize = output
-            .verdicts()
+        let checksum: usize = verdicts
             .iter()
             .enumerate()
             .map(|(batch, verdicts)| {
@@ -207,42 +205,35 @@ fn served_multi_tenant_verdicts_fingerprint() {
             .sum();
         assert_eq!(checksum, 50_483, "served verdict checksum drifted");
         // Stats are deterministic too (timing aside).
-        assert_eq!(output.stats()[0].packets, 200);
-        assert_eq!(output.stats()[1].packets, 200);
-        assert_eq!(output.total_packets, 400);
+        let snapshot = deployment.stats_snapshot();
+        assert_eq!(snapshot.tenants[0].packets, 200);
+        assert_eq!(snapshot.tenants[1].packets, 200);
+        assert_eq!(snapshot.total_packets(), 400);
+        deployment.shutdown();
     }
 }
 
 #[test]
 fn deployed_verdicts_fingerprint_matches_call_at_a_time_path() {
-    // The persistent Deployment must be bit-identical to the
-    // call-at-a-time `PipelineServer::serve` path for the same tenant
-    // batches under any worker count: same handcrafted tenants, same
-    // frozen stream, same pinned checksum (50_483, the PR-3 golden
-    // value). A drift here means the resident-worker redesign leaked
-    // scheduling nondeterminism into results.
+    // The persistent Deployment must be bit-identical to classifying the
+    // same tenant batches one call at a time on a single thread, under
+    // any worker count: same handcrafted tenants, same frozen stream,
+    // same pinned checksum (50_483, the PR-3 golden value). A drift here
+    // means the resident workers leaked scheduling nondeterminism into
+    // results.
     let ds = NslKddGenerator::new(42).generate(200);
     let norm = ds.fit_normalizer();
     let nds = ds.normalized(&norm).unwrap();
     let format = FixedPoint::taurus_default();
 
-    let mut server = PipelineServer::new();
-    let dnn = server
-        .register_model("dnn_app", &handcrafted_dnn_ir(), format, None)
-        .unwrap();
-    let svm = server
-        .register_model("svm_app", &handcrafted_svm_ir(), format, None)
-        .unwrap();
-    #[allow(deprecated)]
-    let reference = server
-        .serve(
-            &[
-                TenantBatch::new(dnn, nds.features().clone()),
-                TenantBatch::new(svm, nds.features().clone()),
-            ],
-            &ServeOptions::default(),
-        )
-        .unwrap();
+    let reference: Vec<Vec<usize>> = [handcrafted_dnn_ir(), handcrafted_svm_ir()]
+        .iter()
+        .map(|ir| {
+            ir.compile(format)
+                .unwrap()
+                .classify_batch(nds.features(), 1)
+        })
+        .collect();
 
     // Sweep worker counts AND ring-ingress shapes: a 4-slot worker ring
     // with an 8-chunk slab forces constant descriptor recycling and
@@ -279,8 +270,7 @@ fn deployed_verdicts_fingerprint_matches_call_at_a_time_path() {
             .map(|ticket| ticket.wait().into_vec())
             .collect();
         assert_eq!(
-            deployed,
-            reference.verdicts(),
+            deployed, reference,
             "workers={workers} ring={ring_capacity} slots={chunk_slots}: deployed verdicts diverged"
         );
         let checksum: usize = deployed

@@ -14,7 +14,7 @@ use homunculus::ml::mlp::{Activation, Mlp, MlpArchitecture};
 use homunculus::ml::quantize::FixedPoint;
 use homunculus::ml::tensor::Matrix;
 use homunculus::ml::tree::{DecisionTreeClassifier, TreeConfig};
-use homunculus::runtime::{Compile, Deployment, PipelineServer, ServeOptions, TenantBatch};
+use homunculus::runtime::{Compile, Deployment, TenantBatch};
 
 /// Deterministic pseudo-random value in `[-bound, bound]`.
 fn value(seed: u64, row: usize, col: usize, bound: f32) -> f32 {
@@ -71,135 +71,110 @@ fn tenant_irs() -> Vec<ModelIr> {
     irs
 }
 
-#[test]
-fn eight_tenants_on_two_workers_match_isolated_runs() {
-    let format = FixedPoint::taurus_default();
-    let irs = tenant_irs();
-    assert_eq!(irs.len(), 8);
-
-    let mut server = PipelineServer::new();
-    let ids: Vec<_> = irs
-        .iter()
-        .enumerate()
-        .map(|(index, ir)| {
-            // A per-tenant normalizer with non-trivial shift/scale, so
-            // the serving path's normalize-then-classify is exercised
-            // and any buffer reuse across tenants would corrupt inputs.
-            let normalizer = Normalizer {
-                mean: (0..FEATURES).map(|c| (index + c) as f32 * 0.1).collect(),
-                std: (0..FEATURES).map(|c| 1.0 + c as f32 * 0.25).collect(),
-            };
-            server
-                .register_model(&format!("tenant{index}"), ir, format, Some(normalizer))
-                .unwrap()
-        })
-        .collect();
-    // LUT sharing across the schedule: 4 sigmoid tenants + 1 tanh tenant
-    // materialize exactly 2 tables, never one per model.
-    assert_eq!(server.luts().builds(), 2);
-    assert_eq!(server.luts().hits(), 3);
-
-    // Every tenant gets its own raw stream (different seeds, different
-    // sizes, so chunks interleave unevenly).
-    let batches: Vec<TenantBatch> = ids
-        .iter()
-        .enumerate()
-        .map(|(index, &id)| {
-            let rows = 50 + index * 13;
-            let features = Matrix::from_fn(rows, FEATURES, |r, c| value(index as u64, r, c, 2.0));
-            TenantBatch::new(id, features)
-        })
-        .collect();
-
-    // Isolated reference: one tenant at a time, single-threaded, with
-    // the normalizer applied by hand.
-    let isolated: Vec<Vec<usize>> = batches
-        .iter()
-        .enumerate()
-        .map(|(index, batch)| {
-            let mut normalized = batch.features.clone();
-            let normalizer = Normalizer {
-                mean: (0..FEATURES).map(|c| (index + c) as f32 * 0.1).collect(),
-                std: (0..FEATURES).map(|c| 1.0 + c as f32 * 0.25).collect(),
-            };
-            for r in 0..normalized.rows() {
-                normalizer.apply(normalized.row_mut(r));
-            }
-            server
-                .pipeline(batch.tenant)
-                .unwrap()
-                .classify_batch(&normalized, 1)
-        })
-        .collect();
-
-    // 2-worker pool, one-row chunks: maximal cross-tenant interleaving.
-    // (The deprecated serve shim is exercised deliberately: isolation must
-    // hold on both serving frontends.)
-    #[allow(deprecated)]
-    let output = server
-        .serve(&batches, &ServeOptions::default().workers(2).chunk_rows(1))
-        .unwrap();
-    for (index, (served, solo)) in output.verdicts().iter().zip(&isolated).enumerate() {
-        assert_eq!(
-            served, solo,
-            "tenant{index} verdicts diverged under contention"
-        );
-    }
-
-    // Repeat with other pool shapes: results must never depend on them.
-    for (workers, chunk) in [(2, 17), (8, 3), (3, 0)] {
-        #[allow(deprecated)]
-        let again = server
-            .serve(
-                &batches,
-                &ServeOptions::default().workers(workers).chunk_rows(chunk),
-            )
-            .unwrap();
-        assert_eq!(
-            again.verdicts(),
-            output.verdicts(),
-            "workers={workers} chunk={chunk} changed verdicts"
-        );
-    }
-
-    // Stats cover all 8 tenants with the right packet counts.
-    for (index, stats) in output.stats().iter().enumerate() {
-        assert_eq!(stats.packets, 50 + index * 13, "tenant{index} packet count");
-        assert_eq!(stats.verdict_histogram.iter().sum::<usize>(), stats.packets);
+/// A per-tenant normalizer with non-trivial shift/scale, so the serving
+/// path's normalize-then-classify is exercised and any buffer reuse
+/// across tenants would corrupt inputs.
+fn normalizer_for(index: usize) -> Normalizer {
+    Normalizer {
+        mean: (0..FEATURES).map(|c| (index + c) as f32 * 0.1).collect(),
+        std: (0..FEATURES).map(|c| 1.0 + c as f32 * 0.25).collect(),
     }
 }
 
-#[test]
-fn eight_tenants_through_the_ring_ingress_match_isolated_runs() {
-    // The same eight tenants, but through the persistent ring-ingress
-    // admission path instead of the one-shot serve shim: each tenant's
-    // stream is submitted from its own producer thread, over a
-    // deliberately tiny ring and descriptor slab at one-row dispatch
-    // granularity. Contended lock-free admission must leak exactly as
-    // little across tenants as the sequential path: nothing.
-    let format = FixedPoint::taurus_default();
-    let irs = tenant_irs();
+/// Tenant `index`'s raw stream (different seeds, different sizes, so
+/// chunks interleave unevenly).
+fn stream_for(index: usize) -> Matrix {
+    Matrix::from_fn(50 + index * 13, FEATURES, |r, c| {
+        value(index as u64, r, c, 2.0)
+    })
+}
 
-    let normalizer_for = |index: usize| Normalizer {
-        mean: (0..FEATURES).map(|c| (index + c) as f32 * 0.1).collect(),
-        std: (0..FEATURES).map(|c| 1.0 + c as f32 * 0.25).collect(),
-    };
-
-    // Isolated reference: one tenant at a time, single-threaded.
-    let isolated: Vec<Vec<usize>> = irs
-        .iter()
+/// Isolated reference: one tenant at a time, single-threaded, with the
+/// normalizer applied by hand.
+fn isolated_verdicts(irs: &[ModelIr], format: FixedPoint) -> Vec<Vec<usize>> {
+    irs.iter()
         .enumerate()
         .map(|(index, ir)| {
-            let rows = 50 + index * 13;
-            let mut features =
-                Matrix::from_fn(rows, FEATURES, |r, c| value(index as u64, r, c, 2.0));
+            let mut features = stream_for(index);
             let normalizer = normalizer_for(index);
             for r in 0..features.rows() {
                 normalizer.apply(features.row_mut(r));
             }
             ir.compile(format).unwrap().classify_batch(&features, 1)
         })
-        .collect();
+        .collect()
+}
+
+#[test]
+fn eight_tenants_on_two_workers_match_isolated_runs() {
+    let format = FixedPoint::taurus_default();
+    let irs = tenant_irs();
+    assert_eq!(irs.len(), 8);
+    let isolated = isolated_verdicts(&irs, format);
+
+    // 2-worker pool, one-row chunks: maximal cross-tenant interleaving.
+    // Then other pool shapes: results must never depend on them.
+    for (workers, chunk) in [(2, 1), (2, 17), (8, 3), (3, 0)] {
+        let deployment = Deployment::builder()
+            .workers(workers)
+            .chunk_rows(chunk)
+            .build();
+        let ids: Vec<_> = irs
+            .iter()
+            .enumerate()
+            .map(|(index, ir)| {
+                deployment
+                    .add_model(
+                        &format!("tenant{index}"),
+                        ir,
+                        format,
+                        Some(normalizer_for(index)),
+                    )
+                    .unwrap()
+            })
+            .collect();
+        // LUT sharing across the schedule: 4 sigmoid tenants + 1 tanh
+        // tenant materialize exactly 2 tables, never one per model.
+        assert_eq!(deployment.luts().builds(), 2);
+        assert_eq!(deployment.luts().hits(), 3);
+
+        let tickets: Vec<_> = ids
+            .iter()
+            .enumerate()
+            .map(|(index, &id)| {
+                deployment
+                    .submit(TenantBatch::new(id, stream_for(index)))
+                    .unwrap()
+            })
+            .collect();
+        for (index, (ticket, solo)) in tickets.into_iter().zip(&isolated).enumerate() {
+            assert_eq!(
+                &ticket.wait().into_vec(),
+                solo,
+                "tenant{index} verdicts diverged under contention \
+                 (workers={workers} chunk={chunk})"
+            );
+        }
+
+        // Stats cover all 8 tenants with the right packet counts.
+        for (index, stats) in deployment.stats_snapshot().tenants.iter().enumerate() {
+            assert_eq!(stats.packets, 50 + index * 13, "tenant{index} packet count");
+            assert_eq!(stats.verdict_histogram.iter().sum::<usize>(), stats.packets);
+        }
+        deployment.shutdown();
+    }
+}
+
+#[test]
+fn eight_tenants_through_the_ring_ingress_match_isolated_runs() {
+    // The same eight tenants, but admitted concurrently: each tenant's
+    // stream is submitted from its own producer thread, over a
+    // deliberately tiny ring and descriptor slab at one-row dispatch
+    // granularity. Contended lock-free admission must leak exactly as
+    // little across tenants as the sequential path: nothing.
+    let format = FixedPoint::taurus_default();
+    let irs = tenant_irs();
+    let isolated = isolated_verdicts(&irs, format);
 
     let deployment = Deployment::builder()
         .workers(2)
@@ -229,11 +204,8 @@ fn eight_tenants_through_the_ring_ingress_match_isolated_runs() {
             .map(|(index, &id)| {
                 let deployment = &deployment;
                 scope.spawn(move || {
-                    let rows = 50 + index * 13;
-                    let features =
-                        Matrix::from_fn(rows, FEATURES, |r, c| value(index as u64, r, c, 2.0));
                     deployment
-                        .submit(TenantBatch::new(id, features))
+                        .submit(TenantBatch::new(id, stream_for(index)))
                         .unwrap()
                         .wait()
                         .into_vec()
