@@ -43,14 +43,23 @@ doc:
 # deadlines, windowed-floor property). Interleaving bugs in the ring
 # ingress are probabilistic: one green run means little, so the gate is
 # STRESS_RUNS consecutive passes. Wall-clock stays bounded — the suite
-# itself runs in well under a second per iteration.
+# itself runs in well under a second per iteration, and every run is
+# under `timeout`: a lost wake-up hangs a run rather than failing it
+# (seen once in ~1 300 runs), and a hung run must fail the gate, not
+# hold it until the CI runner's own limit. The test binary is built
+# first, outside the limit; run 0 is the run the loop used to follow.
 STRESS_RUNS ?= 25
 
 stress:
-	$(CARGO) test -q --release --test ingress_stress >/dev/null
-	@for i in $$(seq 1 $(STRESS_RUNS)); do \
-		$(CARGO) test -q --release --test ingress_stress >/dev/null 2>&1 || \
-			{ echo "stress: failed on run $$i/$(STRESS_RUNS)"; exit 1; }; \
+	$(CARGO) test -q --release --test ingress_stress --no-run
+	@for i in $$(seq 0 $(STRESS_RUNS)); do \
+		timeout 120 $(CARGO) test -q --release --test ingress_stress >/dev/null 2>&1; \
+		status=$$?; \
+		if [ $$status -eq 124 ]; then \
+			echo "stress: run $$i hung (no result in 120 s)"; exit 1; \
+		elif [ $$status -ne 0 ]; then \
+			echo "stress: failed on run $$i/$(STRESS_RUNS)"; exit 1; \
+		fi; \
 	done
 	@echo "stress: $(STRESS_RUNS) consecutive runs passed"
 

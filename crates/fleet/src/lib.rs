@@ -8,23 +8,23 @@
 //! - [`topology`] — deterministic fat-tree and leaf–spine topology
 //!   generators producing typed switch/link graphs with stable ids and
 //!   ECMP-style flow routing.
-//! - [`fleet`] — a [`Fleet`] that instantiates one
-//!   persistent [`Deployment`](homunculus_runtime::Deployment) per
-//!   switch (role-based tenant placement: edge, aggregation, and core
-//!   switches can serve different model sets) and a flow router that
+//! - [`fleet`] — a [`Fleet`] that owns one persistent
+//!   [`Deployment`](homunculus_runtime::Deployment) for the whole
+//!   fabric, every placed `(switch, model)` pair a tenant of it
+//!   (role-based placement: edge, aggregation, and core switches can
+//!   serve different model sets), and a flow router that
 //!   drives packet batches hop by hop along topology paths. Each hop's
 //!   verdict can *gate* (drop) or *re-tag* the flow before the next hop
 //!   — the paper's `a > b` model chaining generalized from a linear
 //!   chain to a graph. Hop submission is pipelined: the next hop of one
 //!   flow is submitted while other flows are still in flight.
 //! - [`stats`] — per-switch, per-role, and fleet-wide aggregation
-//!   (packet counts, verdict histograms, latency summaries, gated-flow
-//!   accounting, Jain fairness) plus wall-clock-vs-cycle calibration
-//!   against the grid simulator.
+//!   (packet counts, verdict histograms, gated-flow accounting, Jain
+//!   fairness) grouped from that one deployment's snapshot.
 //!
 //! Verdicts are bit-deterministic: the same flows through the same
 //! fleet produce identical [`FleetReport::checksum`](fleet::FleetReport::checksum)
-//! values regardless of per-switch worker counts or submission
+//! values regardless of the worker-pool width or submission
 //! interleaving.
 //!
 //! # Example
@@ -63,7 +63,7 @@ pub mod topology;
 pub use fleet::{
     Fleet, FleetBuilder, FleetReport, FlowOutcome, FlowSpec, HopPolicy, RoutingPolicy,
 };
-pub use stats::{jain_fairness, Calibration, FleetStats, RoleStats, SwitchStats};
+pub use stats::{jain_fairness, FleetStats, RoleStats, SwitchStats};
 pub use topology::{Link, Switch, SwitchId, SwitchRole, Topology};
 
 use std::error::Error;
@@ -78,10 +78,9 @@ pub enum FleetError {
     /// Fleet assembly failed (unknown model names, empty placements,
     /// feature-width mismatches between chained hops).
     Placement(String),
-    /// A per-switch deployment rejected a request.
+    /// A run was handed unusable flows, or the fleet's deployment
+    /// rejected a request.
     Runtime(String),
-    /// Calibration against the grid simulator failed.
-    Simulation(String),
 }
 
 impl fmt::Display for FleetError {
@@ -90,7 +89,6 @@ impl fmt::Display for FleetError {
             FleetError::Topology(msg) => write!(f, "topology error: {msg}"),
             FleetError::Placement(msg) => write!(f, "placement error: {msg}"),
             FleetError::Runtime(msg) => write!(f, "fleet runtime error: {msg}"),
-            FleetError::Simulation(msg) => write!(f, "fleet simulation error: {msg}"),
         }
     }
 }
@@ -100,12 +98,6 @@ impl Error for FleetError {}
 impl From<homunculus_runtime::RuntimeError> for FleetError {
     fn from(e: homunculus_runtime::RuntimeError) -> Self {
         FleetError::Runtime(e.to_string())
-    }
-}
-
-impl From<homunculus_sim::SimError> for FleetError {
-    fn from(e: homunculus_sim::SimError) -> Self {
-        FleetError::Simulation(e.to_string())
     }
 }
 

@@ -1727,23 +1727,6 @@ impl Deployment {
         }
     }
 
-    /// Clears every tenant's accumulated serving stats (packets,
-    /// histogram, latency samples, oracle counters) without touching
-    /// dispatch shares, queue state, or in-flight work — call between a
-    /// warmup and a measured window so latency percentiles cover only the
-    /// window of interest.
-    pub fn reset_stats(&self) {
-        let registry = self.shared.registry.read().expect("registry poisoned");
-        for slot in registry.iter() {
-            let mut accum = slot.entry.accum.lock().expect("tenant stats poisoned");
-            let classes = slot.entry.pipeline.n_classes();
-            *accum = TenantAccum {
-                verdict_histogram: vec![0; classes],
-                ..TenantAccum::default()
-            };
-        }
-    }
-
     /// The recorded `(tenant index, rows)` dispatch sequence, when the
     /// deployment was built with
     /// [`record_dispatch`](DeploymentBuilder::record_dispatch). Under a
@@ -1987,22 +1970,6 @@ mod tests {
         assert!(snapshot.uptime_ns > 0);
         assert!((snapshot.shares[0].observed_share - 1.0).abs() < 1e-12);
         assert!((snapshot.shares[0].windowed_share - 1.0).abs() < 1e-12);
-
-        // reset_stats clears the serving accumulators (measurement
-        // windows) but never the dispatch shares or ticket counters.
-        deployment.reset_stats();
-        let reset = deployment.stats_snapshot();
-        assert_eq!(reset.tenants[0].packets, 0);
-        assert_eq!(reset.tenants[0].verdict_histogram, vec![0, 0]);
-        assert_eq!(reset.tenants[0].p99_ns, 0);
-        assert_eq!(reset.tenants[0].oracle_agreement(), None);
-        assert_eq!(reset.served_rows, 9);
-        assert_eq!(reset.completed_tickets, 3);
-        deployment
-            .submit(TenantBatch::new(id, features).with_oracle(oracle))
-            .unwrap()
-            .wait();
-        assert_eq!(deployment.stats_snapshot().tenants[0].packets, 3);
     }
 
     #[test]

@@ -41,11 +41,14 @@
 //! - Every *served* row — a [`Deployment`] ticket, hence every fleet hop —
 //!   is one per-row [`CompiledPipeline::classify`] call from
 //!   `deploy::process_chunk`, timed by two `Instant::now()` per packet.
+//! - A fleet is one [`Deployment`] whose tenants are the placed
+//!   `(switch, model)` pairs: a hop is a ticket on that switch's lane,
+//!   and every switch shares the one worker pool and [`LutCache`].
 //! - `classify` is the block walk at `rows = 1`: quantize, one raw-scores
 //!   walk generic over the tier, one decision rule.
 //! - [`CompiledPipeline::classify_batch`] runs the same walk over 32-row
-//!   blocks; no serving path calls it yet — benchmarks' per-layer probes,
-//!   `StreamHarness::run_compiled_windowed` and tests do.
+//!   blocks; no serving path calls it yet — benchmarks' per-layer probes
+//!   and tests do.
 //! - Formats wider than 16 bits, and [`CompiledPipeline::from_ir_scalar`]
 //!   (the oracle every workload compares against), run the scalar tier.
 //! - [`CompiledPipeline::trace`] is an independent element-order replay

@@ -14,9 +14,6 @@
 
 use crate::{Result, SimError};
 use homunculus_ml::metrics::{accuracy, f1_binary, f1_macro};
-use homunculus_ml::tensor::Matrix;
-use homunculus_runtime::deploy::Deployment;
-use homunculus_runtime::serve::{TenantBatch, TenantId};
 use homunculus_runtime::{CompiledPipeline, Scratch};
 use serde::{Deserialize, Serialize};
 
@@ -139,23 +136,13 @@ impl StreamHarness {
             y_true.push(sample.label);
             y_pred.push(classify(&sample.features));
         }
-        // Per-packet replay: every verdict is available one pipeline
-        // latency after its own admission.
-        self.report_for(&y_true, &y_pred, 1)
+        self.report_for(&y_true, &y_pred)
     }
 
     /// Builds a [`StreamReport`] from truth/prediction vectors under this
-    /// harness's timing model, with verdicts issued in windows of
-    /// `window` packets: the wall-clock is unchanged (the last packet
-    /// fills the last window), but a packet can wait up to `window - 1`
-    /// admission gaps for its window to fill before the pipeline latency
-    /// even starts, which is what the reaction time reports (worst case).
-    fn report_for(
-        &self,
-        y_true: &[usize],
-        y_pred: &[usize],
-        window: usize,
-    ) -> Result<StreamReport> {
+    /// harness's timing model. Replay is per packet: every verdict is
+    /// available one pipeline latency after its own admission.
+    fn report_for(&self, y_true: &[usize], y_pred: &[usize]) -> Result<StreamReport> {
         let n_classes = y_true.iter().chain(y_pred).copied().max().unwrap_or(0) + 1;
         let f1 = if n_classes <= 2 {
             f1_binary(y_true, y_pred).map_err(|e| SimError::InvalidConfig(e.to_string()))?
@@ -169,7 +156,6 @@ impl StreamHarness {
         let n = y_true.len() as f64;
         let elapsed_ns =
             (n - 1.0) * self.timing.inter_packet_gap_ns + self.timing.pipeline_latency_ns;
-        let fill_gaps = window.min(y_true.len()).saturating_sub(1) as f64;
         Ok(StreamReport {
             packets: y_true.len(),
             f1,
@@ -177,8 +163,7 @@ impl StreamHarness {
             accuracy: acc,
             elapsed_ns,
             achieved_gpps: n / elapsed_ns.max(f64::MIN_POSITIVE),
-            reaction_time_ns: fill_gaps * self.timing.inter_packet_gap_ns
-                + self.timing.pipeline_latency_ns,
+            reaction_time_ns: self.timing.pipeline_latency_ns,
         })
     }
 
@@ -224,132 +209,6 @@ impl StreamHarness {
         check_stream_width(stream, pipeline.n_features())?;
         let mut scratch = Scratch::new();
         self.run(stream, |features| pipeline.classify(features, &mut scratch))
-    }
-
-    /// Windowed variant of [`StreamHarness::run_compiled`]: packets are
-    /// accumulated into windows of `window` and classified in bulk via
-    /// [`classify_batch`](CompiledPipeline::classify_batch) across
-    /// `workers` threads — the switch-side vectorized-inference model.
-    ///
-    /// Verdicts are identical to the per-packet path for every window
-    /// size; only the timing changes — the report's `reaction_time_ns`
-    /// grows by up to `window - 1` admission gaps (a packet waiting for
-    /// its window to fill).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] for an empty stream,
-    /// `window == 0`, or a feature-width mismatch.
-    pub fn run_compiled_windowed(
-        &self,
-        stream: &[LabeledSample],
-        pipeline: &CompiledPipeline,
-        window: usize,
-        workers: usize,
-    ) -> Result<StreamReport> {
-        if window == 0 {
-            return Err(SimError::InvalidConfig("window must be positive".into()));
-        }
-        if stream.is_empty() {
-            return Err(SimError::InvalidConfig("empty packet stream".into()));
-        }
-        check_stream_width(stream, pipeline.n_features())?;
-        let y_true: Vec<usize> = stream.iter().map(|s| s.label).collect();
-        let mut y_pred = Vec::with_capacity(stream.len());
-        for chunk in stream.chunks(window) {
-            let features = Matrix::from_fn(chunk.len(), pipeline.n_features(), |r, c| {
-                chunk[r].features[c]
-            });
-            y_pred.extend(pipeline.classify_batch(&features, workers));
-        }
-        self.report_for(&y_true, &y_pred, window)
-    }
-
-    /// Windowed multi-tenant replay through a persistent [`Deployment`]:
-    /// every tenant's labeled stream is cut into windows of `window`
-    /// packets, each replay round submits one window per still-active
-    /// tenant as a ticket (round-robin across tenants), and per-tenant
-    /// [`StreamReport`]s come back in input order. Submission is
-    /// **double-buffered** (round `N+1` is submitted before round `N` is
-    /// redeemed), so the resident workers stay fed across window
-    /// boundaries instead of idling while the driver blocks on `wait()`.
-    /// Tickets still redeem in submission order, so verdicts (and the
-    /// returned [`StreamReport`]s) equal each tenant's solo
-    /// [`run_compiled`](StreamHarness::run_compiled) under any worker
-    /// count.
-    ///
-    /// Streams carry **raw** features — each tenant's deployment
-    /// normalizer applies inside the deployment. Streams may have
-    /// different lengths; a drained stream simply drops out of later
-    /// rounds.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] for `window == 0`, no streams,
-    /// an empty stream, unknown/removed tenants, or feature-width
-    /// mismatches.
-    pub fn run_deployed(
-        &self,
-        deployment: &Deployment,
-        streams: &[(TenantId, &[LabeledSample])],
-        window: usize,
-    ) -> Result<Vec<StreamReport>> {
-        if window == 0 {
-            return Err(SimError::InvalidConfig("window must be positive".into()));
-        }
-        if streams.is_empty() {
-            return Err(SimError::InvalidConfig("no tenant streams".into()));
-        }
-        for (tenant, stream) in streams {
-            let expected = deployment
-                .n_features(*tenant)
-                .ok_or_else(|| SimError::InvalidConfig(format!("{tenant} is not deployed here")))?;
-            if stream.is_empty() {
-                return Err(SimError::InvalidConfig(format!("{tenant}: empty stream")));
-            }
-            check_stream_width(stream, expected)?;
-        }
-
-        let mut predictions: Vec<Vec<usize>> = streams.iter().map(|_| Vec::new()).collect();
-        let mut pending: Vec<(usize, homunculus_runtime::Ticket)> = Vec::new();
-        let mut offset = 0usize;
-        loop {
-            // One window per tenant with packets left, in input order;
-            // tickets redeem in the same order, keeping output stable.
-            let mut submitted = Vec::new();
-            for (index, (tenant, stream)) in streams.iter().enumerate() {
-                if offset >= stream.len() {
-                    continue;
-                }
-                let chunk = &stream[offset..stream.len().min(offset + window)];
-                let cols = chunk[0].features.len();
-                let features = Matrix::from_fn(chunk.len(), cols, |r, c| chunk[r].features[c]);
-                let ticket = deployment
-                    .submit(TenantBatch::new(*tenant, features))
-                    .map_err(|e| SimError::InvalidConfig(e.to_string()))?;
-                submitted.push((index, ticket));
-            }
-            // Redeem the *previous* round only after this round is in the
-            // ingress: the workers always have a staged window to chew on
-            // while the driver blocks in wait().
-            for (owner, ticket) in pending.drain(..) {
-                predictions[owner].extend(ticket.wait().into_vec());
-            }
-            if submitted.is_empty() {
-                break;
-            }
-            pending = submitted;
-            offset += window;
-        }
-
-        streams
-            .iter()
-            .zip(&predictions)
-            .map(|((_, stream), y_pred)| {
-                let y_true: Vec<usize> = stream.iter().map(|s| s.label).collect();
-                self.report_for(&y_true, y_pred, window)
-            })
-            .collect()
     }
 }
 
@@ -678,141 +537,6 @@ mod tests {
         ];
         assert!(matches!(
             harness.run_compiled(&ragged, &pipeline),
-            Err(SimError::InvalidConfig(_))
-        ));
-    }
-
-    fn trained_pipeline() -> (CompiledPipeline, Vec<LabeledSample>) {
-        use homunculus_backends::model::{DnnIr, ModelIr};
-        use homunculus_ml::mlp::{Mlp, MlpArchitecture, TrainConfig};
-        use homunculus_ml::quantize::FixedPoint;
-        use homunculus_runtime::Compile;
-
-        let x = Matrix::from_fn(80, 2, |r, c| {
-            let sign = if r % 2 == 0 { 1.0 } else { -1.0 };
-            sign * (0.8 + 0.07 * ((r + c) % 4) as f32)
-        });
-        let y: Vec<usize> = (0..80).map(|r| r % 2).collect();
-        let mut net = Mlp::new(&MlpArchitecture::new(2, vec![6], 2), 4).unwrap();
-        net.train(&x, &y, &TrainConfig::default().epochs(40))
-            .unwrap();
-        let pipeline = ModelIr::Dnn(DnnIr::from_mlp(&net))
-            .compile(FixedPoint::taurus_default())
-            .unwrap();
-        let stream: Vec<LabeledSample> = (0..x.rows())
-            .map(|i| LabeledSample {
-                features: x.row(i).to_vec(),
-                label: y[i],
-            })
-            .collect();
-        (pipeline, stream)
-    }
-
-    #[test]
-    fn windowed_replay_changes_timing_but_never_verdicts() {
-        let (pipeline, stream) = trained_pipeline();
-        let harness = StreamHarness::new(TimingModel::fixed(10.0, 100.0));
-        let per_packet = harness.run_compiled(&stream, &pipeline).unwrap();
-        for window in [1, 2, 7, 32, 80, 500] {
-            for workers in [1, 3] {
-                let windowed = harness
-                    .run_compiled_windowed(&stream, &pipeline, window, workers)
-                    .unwrap();
-                // Quality identical: same verdicts in, same metrics out.
-                assert_eq!(windowed.f1, per_packet.f1, "window {window}");
-                assert_eq!(windowed.accuracy, per_packet.accuracy, "window {window}");
-                assert_eq!(windowed.packets, per_packet.packets);
-                // Wall-clock unchanged; only the reaction time grows with
-                // the window-fill wait.
-                assert_eq!(windowed.elapsed_ns, per_packet.elapsed_ns);
-                let fill = (window.min(stream.len()) - 1) as f64;
-                assert_eq!(windowed.reaction_time_ns, fill * 10.0 + 100.0);
-            }
-        }
-    }
-
-    #[test]
-    fn windowed_replay_rejects_zero_window_and_empty_stream() {
-        let (pipeline, stream) = trained_pipeline();
-        let harness = StreamHarness::new(TimingModel::fixed(1.0, 1.0));
-        assert!(matches!(
-            harness.run_compiled_windowed(&stream, &pipeline, 0, 1),
-            Err(SimError::InvalidConfig(_))
-        ));
-        assert!(matches!(
-            harness.run_compiled_windowed(&[], &pipeline, 4, 1),
-            Err(SimError::InvalidConfig(_))
-        ));
-    }
-
-    #[test]
-    fn deployed_replay_matches_per_tenant_isolated_runs() {
-        use homunculus_runtime::Deployment;
-
-        let (pipeline, stream) = trained_pipeline();
-        let harness = StreamHarness::new(TimingModel::fixed(10.0, 100.0));
-        // Tenant B replays a shorter stream: it drains mid-run.
-        let short = &stream[..33];
-        let solo_a = harness.run_compiled(&stream, &pipeline).unwrap();
-        let solo_b = harness.run_compiled(short, &pipeline).unwrap();
-
-        for workers in [1, 2, 4] {
-            let deployment = Deployment::builder().workers(workers).build();
-            let a = deployment
-                .add_tenant("app_a", pipeline.clone(), None)
-                .unwrap();
-            let b = deployment
-                .add_tenant("app_b", pipeline.clone(), None)
-                .unwrap();
-            let reports = harness
-                .run_deployed(&deployment, &[(a, &stream), (b, short)], 8)
-                .unwrap();
-            assert_eq!(reports.len(), 2);
-            assert_eq!(reports[0].f1, solo_a.f1, "workers={workers}");
-            assert_eq!(reports[0].accuracy, solo_a.accuracy);
-            assert_eq!(reports[1].f1, solo_b.f1, "workers={workers}");
-            assert_eq!(reports[0].packets, stream.len());
-            assert_eq!(reports[1].packets, short.len());
-            // Windowed timing: 7 fill gaps on top of the pipeline latency.
-            assert_eq!(reports[0].reaction_time_ns, 7.0 * 10.0 + 100.0);
-            deployment.shutdown();
-        }
-    }
-
-    #[test]
-    fn deployed_replay_validates_inputs() {
-        use homunculus_runtime::Deployment;
-
-        let (pipeline, stream) = trained_pipeline();
-        let deployment = Deployment::builder().build();
-        let id = deployment
-            .add_tenant("app", pipeline.clone(), None)
-            .unwrap();
-        let harness = StreamHarness::new(TimingModel::fixed(1.0, 1.0));
-        assert!(matches!(
-            harness.run_deployed(&deployment, &[], 4),
-            Err(SimError::InvalidConfig(_))
-        ));
-        assert!(matches!(
-            harness.run_deployed(&deployment, &[(id, &stream)], 0),
-            Err(SimError::InvalidConfig(_))
-        ));
-        assert!(matches!(
-            harness.run_deployed(&deployment, &[(id, &stream[..0])], 4),
-            Err(SimError::InvalidConfig(_))
-        ));
-        // A tenant id minted by a *different* deployment is unknown here
-        // and must be rejected, not panic.
-        let other = Deployment::builder().build();
-        let ghost = other.add_tenant("x", pipeline, None).unwrap();
-        assert!(matches!(
-            harness.run_deployed(&deployment, &[(ghost, &stream)], 4),
-            Err(SimError::InvalidConfig(_))
-        ));
-        // A removed tenant no longer replays.
-        deployment.remove_tenant(id).unwrap();
-        assert!(matches!(
-            harness.run_deployed(&deployment, &[(id, &stream)], 4),
             Err(SimError::InvalidConfig(_))
         ));
     }

@@ -1,5 +1,6 @@
 //! Fleet serving: one compiled pipeline replicated across a k=4
-//! fat-tree of 20 switch deployments, with flows routed hop by hop.
+//! fat-tree of 20 switches — tenants of one deployment — with flows
+//! routed hop by hop.
 //!
 //! The paper generates one data-plane program per switch; a datacenter
 //! runs many switches. This example builds the topology, places models
@@ -7,8 +8,8 @@
 //! escalation model that *consumes the edge verdict as an extra
 //! feature* runs at aggregation and core — then drives multi-hop flows
 //! through the fabric and aggregates per-role serving stats. The
-//! fleet-wide verdict checksum is asserted bit-identical across
-//! per-switch worker counts 1/2/4.
+//! fleet-wide verdict checksum is asserted bit-identical whether 1, 2
+//! or 4 workers are requested per switch.
 //!
 //! Run with: `cargo run --release --example fleet_serving`
 
@@ -128,7 +129,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "fleet verdicts must be bit-identical across worker shapes: {checksums:?}"
     );
     println!(
-        "verdict checksum {:#018x} — bit-identical across 1/2/4 workers per switch\n",
+        "verdict checksum {:#018x} — bit-identical with 1/2/4 workers requested per switch\n",
         checksums[0]
     );
 

@@ -36,10 +36,10 @@
 //!   a validation hook on artifact loads.
 //! - [`sim`] — cycle-level MapReduce-grid and MAT-pipeline simulators.
 //! - [`fleet`] — fleet-scale serving: deterministic fat-tree/leaf–spine
-//!   topology generation, one persistent deployment per switch with
-//!   role-based tenant placement, a pipelined hop-by-hop flow router
-//!   whose verdicts gate or re-tag flows between hops, and per-switch /
-//!   per-role / fleet-wide stats with wall-clock-vs-cycle calibration.
+//!   topology generation, one persistent deployment per fabric whose
+//!   tenants are the role-placed `(switch, model)` pairs, a pipelined
+//!   hop-by-hop flow router whose verdicts gate or re-tag flows between
+//!   hops, and per-switch / per-role / fleet-wide stats.
 //! - [`core`] — the Alchemy DSL and the compiler itself: a **staged
 //!   `Compiler` session** whose typed handles expose every phase of a
 //!   compile.

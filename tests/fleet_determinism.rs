@@ -1,7 +1,7 @@
 //! Fleet-wide bit determinism: a golden verdict checksum pinned across
-//! per-switch worker shapes and flow submission order, the chained
-//! gating semantics checked against the sequential `replay_path`
-//! reference, and multi-model placement via
+//! worker shapes and flow submission order, the chained gating semantics
+//! checked against the sequential `replay_path` reference on a 4-switch
+//! and a 320-switch fabric, and multi-model placement via
 //! `CompiledArtifact::deploy_models`.
 
 use homunculus::backends::model::{DnnIr, ModelIr};
@@ -13,8 +13,8 @@ use homunculus::fleet::{Fleet, FlowSpec, HopPolicy, RoutingPolicy, Topology};
 use homunculus::ml::mlp::{Activation, Mlp, MlpArchitecture};
 use homunculus::ml::quantize::FixedPoint;
 use homunculus::ml::tensor::Matrix;
-use homunculus::runtime::{classify_rows, Compile, Deployment, TenantBatch};
-use homunculus::sim::pktgen::{replay_path, LabeledSample};
+use homunculus::runtime::{classify_rows, Compile, CompiledPipeline, Deployment, TenantBatch};
+use homunculus::sim::pktgen::{replay_path, LabeledSample, PathReport};
 
 /// Fleet-wide verdict checksum of the reference workload below. The
 /// whole point of the deterministic fleet: this value must never move
@@ -93,6 +93,24 @@ fn submission_order_does_not_change_the_checksum() {
     assert_eq!(forward.checksum(), GOLDEN_CHECKSUM);
 }
 
+/// `flow` replayed one packet at a time through `hops` copies of
+/// `pipeline` under `reference_policy`'s gate: the sequential reference.
+fn replay_reference(pipeline: &CompiledPipeline, flow: &FlowSpec, hops: usize) -> PathReport {
+    let stream: Vec<LabeledSample> = (0..flow.packets.rows())
+        .map(|r| LabeledSample {
+            features: flow.packets.row(r).to_vec(),
+            label: 0,
+        })
+        .collect();
+    replay_path(&stream, hops, Some(1), true, |_, features, tag| {
+        let mut row = features.to_vec();
+        row.push(tag);
+        let x = Matrix::from_rows(&[row]).expect("one row");
+        classify_rows(pipeline, &x)[0]
+    })
+    .expect("reference replays")
+}
+
 /// A gated + re-tagged flow over a linear 3-hop path must agree packet
 /// for packet with `sim::pktgen::replay_path`, the hand-computable
 /// sequential reference.
@@ -116,19 +134,7 @@ fn gated_flow_matches_replay_path_reference() {
         .expect("fleet runs");
     fleet.shutdown();
 
-    let stream: Vec<LabeledSample> = (0..rows)
-        .map(|r| LabeledSample {
-            features: (0..7).map(|c| flow.packets[(r, c)]).collect(),
-            label: 0,
-        })
-        .collect();
-    let reference = replay_path(&stream, 3, Some(1), true, |_, features, tag| {
-        let mut row = features.to_vec();
-        row.push(tag);
-        let x = Matrix::from_rows(&[row]).expect("one row");
-        classify_rows(&pipeline, &x)[0]
-    })
-    .expect("reference replays");
+    let reference = replay_reference(&pipeline, &flow, 3);
 
     let outcome = &report.flows[0];
     assert_eq!(outcome.path.len(), 3, "leaf-spine paths have 3 hops");
@@ -149,6 +155,59 @@ fn gated_flow_matches_replay_path_reference() {
             reference.gated_per_hop[hop],
             "hop {hop} gating count diverged"
         );
+    }
+}
+
+/// A 320-switch fat-tree is one deployment like any other fleet: the
+/// worker request does not move a verdict, a cross-pod flow agrees with
+/// the sequential reference, and the stats group every switch.
+#[test]
+fn fattree16_runs_on_one_executor() {
+    // Seed 8 splits these packets between both classes at the edge, so
+    // the gate has something to drop.
+    let ir = model(8, 8);
+    let format = FixedPoint::taurus_default();
+    let policy = reference_policy();
+    let topology = Topology::fattree(16).expect("valid fabric");
+    // One flow per edge switch, each to the edge half the fabric away:
+    // another pod, so five hops.
+    let edges = topology.edge_switches();
+    let flows: Vec<FlowSpec> = (0..edges.len())
+        .map(|e| {
+            let dst = edges[(e + edges.len() / 2) % edges.len()];
+            FlowSpec::new(e as u64, edges[e], dst, packets(e, 16))
+        })
+        .collect();
+    let mut runs = Vec::new();
+    for workers in [1usize, 2] {
+        let fleet = Fleet::builder(topology.clone())
+            .model("gate8", &ir, format, None)
+            .place_everywhere("gate8")
+            .workers(workers)
+            .build()
+            .expect("fleet builds");
+        let report = fleet.run(&flows, &policy).expect("fleet runs");
+        let stats = fleet.stats(&report);
+        fleet.shutdown();
+        runs.push((report, stats));
+    }
+    assert_eq!(runs[0].0.checksum(), runs[1].0.checksum());
+
+    let (report, stats) = &runs[0];
+    assert_eq!(stats.switches.len(), 320);
+    let role_packets: usize = stats.roles.iter().map(|r| r.packets).sum();
+    assert_eq!(role_packets as u64, report.classified_rows());
+    assert_eq!(stats.total_packets, role_packets);
+
+    let outcome = &report.flows[3];
+    assert_eq!(outcome.path.len(), 5, "cross-pod paths have 5 hops");
+    let reference = replay_reference(&ir.compile(format).expect("ir lowers"), &flows[3], 5);
+    assert_eq!(outcome.delivered, reference.delivered);
+    assert_eq!(outcome.gated, reference.gated_per_hop.iter().sum::<usize>());
+    assert!(outcome.gated > 0 && outcome.delivered > 0);
+    for row in 0..flows[3].packets.rows() {
+        let fleet_final = (0..5).rev().find_map(|hop| outcome.hop_verdicts[hop][row]);
+        assert_eq!(fleet_final, reference.final_verdicts[row], "packet {row}");
     }
 }
 
