@@ -2141,6 +2141,68 @@ mod tests {
         deployment.shutdown(); // second call is a no-op
     }
 
+    #[test]
+    fn worker_panic_completes_the_ticket_and_spares_the_pool() {
+        let deployment = Deployment::builder().workers(1).chunk_rows(4).build();
+        let normalizer = Normalizer {
+            mean: vec![0.1, -0.2],
+            std: vec![0.5, 2.0],
+        };
+        let healthy = deployment
+            .add_tenant(
+                "healthy",
+                svm_pipeline(vec![1.0, -0.5], 0.1),
+                Some(normalizer.clone()),
+            )
+            .unwrap();
+        let poisoned = deployment
+            .add_tenant("poisoned", svm_pipeline(vec![1.0, -0.5], 0.1), None)
+            .unwrap();
+        // Behind the registration checks: a normalizer one column short
+        // makes `Normalizer::apply` panic inside the worker.
+        deployment.shared.registry.write().unwrap()[poisoned.index()].entry =
+            Arc::new(TenantEntry {
+                name: "poisoned".into(),
+                pipeline: svm_pipeline(vec![1.0, -0.5], 0.1),
+                normalizer: Some(Normalizer {
+                    mean: vec![0.0],
+                    std: vec![1.0],
+                }),
+                policy: SchedulePolicy::RoundRobin,
+                accum: Mutex::new(TenantAccum::default()),
+            });
+
+        let ticket = deployment
+            .submit(TenantBatch::new(poisoned, packets(9, 2, 1)))
+            .unwrap();
+        deployment.drain();
+        assert!(ticket.is_done(), "a panicking chunk still completes");
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ticket.wait()))
+            .expect_err("wait() re-raises the worker's panic");
+        let message = panic_message(payload.as_ref());
+        assert!(message.contains(&poisoned.to_string()), "{message}");
+        assert!(message.contains("dimensionality mismatch"), "{message}");
+
+        // The one worker survived, and serves the next tenant correctly.
+        let features = packets(70, 2, 5);
+        let mut normalized = features.clone();
+        for r in 0..normalized.rows() {
+            normalizer.apply(normalized.row_mut(r));
+        }
+        let expected =
+            crate::pipeline::classify_rows(&svm_pipeline(vec![1.0, -0.5], 0.1), &normalized);
+        let verdicts = deployment
+            .submit(TenantBatch::new(healthy, features))
+            .unwrap()
+            .wait();
+        assert_eq!(verdicts.as_slice(), &expected[..]);
+        let snapshot = deployment.stats_snapshot();
+        assert_eq!(snapshot.completed_tickets, 2);
+        assert_eq!(snapshot.tenants[poisoned.index()].packets, 0);
+        assert_eq!(snapshot.tenants[healthy.index()].packets, 70);
+        deployment.shutdown();
+    }
+
     /// Builds a scheduler + lanes fixture: each lane pre-staged with
     /// `items` single-row chunks (slot indices are just pointers into a
     /// shared all-ones rows table).
