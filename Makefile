@@ -25,11 +25,27 @@ clippy-simd:
 build:
 	$(CARGO) build --release --workspace --examples --benches
 
+# Both test lanes build first, outside any limit, then run under
+# `timeout`: the suites drive resident worker pools (and one tenant that
+# panics on purpose), where a chunk that never reaches a worker hangs its
+# ticket's waiter rather than failing a test, and a hung lane must fail
+# the gate, not hold it.
+define run_tests
+	$(CARGO) test -q --workspace $(1) --no-run
+	@timeout 1800 $(CARGO) test -q --workspace $(1); \
+	status=$$?; \
+	if [ $$status -eq 124 ]; then \
+		echo "$@: hung (no result in 1800 s)"; exit 1; \
+	elif [ $$status -ne 0 ]; then \
+		echo "$@: failed"; exit 1; \
+	fi
+endef
+
 test:
-	$(CARGO) test -q --workspace
+	$(call run_tests,)
 
 test-simd:
-	$(CARGO) test -q --workspace --features homunculus/simd
+	$(call run_tests,--features homunculus/simd)
 
 # API docs for the homunculus crates (vendor stand-ins excluded), with
 # rustdoc warnings denied so broken intra-doc links fail the gate.

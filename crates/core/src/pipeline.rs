@@ -616,25 +616,13 @@ impl CompiledArtifact {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Subsystem`] if a winning IR fails to lower —
+    /// As [`deploy_models`](CompiledArtifact::deploy_models) over every
+    /// report: [`CoreError::Subsystem`] if a winning IR fails to lower —
     /// which a trained IR never should.
     pub fn build_deployment(&self, builder: DeploymentBuilder) -> Result<Deployment> {
         let deployment = builder.build();
-        for report in &self.reports {
-            deployment
-                .add_model(
-                    &report.name,
-                    &report.ir,
-                    report.format,
-                    Some(report.normalizer.clone()),
-                )
-                .map_err(|e| {
-                    CoreError::Subsystem(format!(
-                        "deploying winning model '{}' failed: {e}",
-                        report.name
-                    ))
-                })?;
-        }
+        let names: Vec<&str> = self.reports.iter().map(|r| r.name.as_str()).collect();
+        self.deploy_models(&deployment, &names)?;
         Ok(deployment)
     }
 
@@ -977,11 +965,8 @@ mod tests {
         for r in 0..normalized.rows() {
             report.normalizer.apply(normalized.row_mut(r));
         }
-        let isolated = report
-            .compiled
-            .as_ref()
-            .unwrap()
-            .classify_batch(&normalized, 1);
+        let isolated =
+            homunculus_runtime::classify_rows(report.compiled.as_ref().unwrap(), &normalized);
         let deployment = artifact
             .build_deployment(
                 homunculus_runtime::Deployment::builder()

@@ -13,8 +13,10 @@
 //! [`Topology::path`]s. Every hop classifies the flow's surviving
 //! packets; its verdict can **gate** (drop packets of a configured
 //! class) and **re-tag** (expose the verdict to the next hop as a
-//! trailing tag feature via
-//! [`TenantBatch::chained`](homunculus_runtime::serve::TenantBatch::chained)).
+//! trailing tag feature). The next hop's batch is gathered straight from
+//! the flow's packet matrix — surviving row indices plus the tag column,
+//! one pass — by
+//! [`TenantBatch::chained`](homunculus_runtime::serve::TenantBatch::chained).
 //! Hop submission is *pipelined*: completed tickets immediately submit
 //! their flow's next hop while other flows' batches are still in
 //! flight, so stage N+1 of one flow overlaps stage N of another.
@@ -427,9 +429,7 @@ impl Fleet {
                 hop_policy.model
             )));
         };
-        let feature_rows: Vec<Vec<f32>> =
-            rows.iter().map(|&r| flow.packets.row(r).to_vec()).collect();
-        let batch = TenantBatch::chained(tenant, &feature_rows, tags, width)?;
+        let batch = TenantBatch::chained(tenant, &flow.packets, rows, tags, width)?;
         Ok(self.deployment.submit(batch)?)
     }
 

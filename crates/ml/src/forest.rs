@@ -166,7 +166,10 @@ impl RandomForestRegressor {
     }
 }
 
-/// A bagged classification forest with probability voting.
+/// A bagged classification forest: classes by majority vote
+/// ([`predict_row`](RandomForestClassifier::predict_row)), class
+/// probabilities by averaging the trees' leaf distributions
+/// ([`predict_proba_row`](RandomForestClassifier::predict_proba_row)).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RandomForestClassifier {
     trees: Vec<DecisionTreeClassifier>,
@@ -251,13 +254,22 @@ impl RandomForestClassifier {
         proba
     }
 
-    /// Majority-vote class for one sample.
+    /// Majority-vote class for one sample: each tree casts one vote for
+    /// the class of the leaf it reaches, and the lowest class wins a tie.
+    /// This is the rule the lowered pipeline runs on the switch, so the
+    /// model a search scores is the model that serves.
     ///
     /// # Panics
     ///
     /// Panics if `features` is shorter than the training dimensionality.
     pub fn predict_row(&self, features: &[f32]) -> usize {
-        crate::tensor::argmax(&self.predict_proba_row(features))
+        // Counted in `f32` (exact far beyond any tree count) so the
+        // shared first-maximum `argmax` decides ties.
+        let mut votes = vec![0.0f32; self.n_classes];
+        for tree in &self.trees {
+            votes[tree.predict_row(features)] += 1.0;
+        }
+        crate::tensor::argmax(&votes)
     }
 
     /// Majority-vote classes for every row of `x`.
@@ -327,6 +339,40 @@ mod tests {
         assert_eq!(forest.predict_row(&[38.0]), 1);
         let proba = forest.predict_proba_row(&[2.0]);
         assert!((proba.iter().sum::<f32>() - 1.0).abs() < 1e-5);
+    }
+
+    #[test]
+    fn classifier_counts_one_vote_per_tree_and_breaks_ties_low() {
+        // Noisy three-class labels, shallow trees with mixed leaves and an
+        // even tree count: leaf classes and mean leaf distributions
+        // disagree on some rows, and some votes tie.
+        let rows: Vec<Vec<f32>> = (0..90)
+            .map(|i| vec![(i % 30) as f32, (i * 7 % 11) as f32])
+            .collect();
+        let y: Vec<usize> = (0..90).map(|i| (i % 30 / 10 + i % 4 / 3) % 3).collect();
+        let x = Matrix::from_rows(&rows).unwrap();
+        let config = ForestConfig {
+            n_trees: 4,
+            tree: TreeConfig::default().max_depth(2),
+            sample_fraction: 0.5,
+            seed: 11,
+        };
+        let forest = RandomForestClassifier::fit(&x, &y, 3, &config).unwrap();
+        let (mut ties, mut soft_differs) = (0, 0);
+        for row in x.iter_rows() {
+            let mut votes = [0usize; 3];
+            for tree in forest.trees() {
+                votes[tree.predict_row(row)] += 1;
+            }
+            let top = *votes.iter().max().unwrap();
+            let lowest_top_class = votes.iter().position(|&v| v == top).unwrap();
+            assert_eq!(forest.predict_row(row), lowest_top_class, "{votes:?}");
+            ties += usize::from(votes.iter().filter(|&&v| v == top).count() > 1);
+            let soft = crate::tensor::argmax(&forest.predict_proba_row(row));
+            soft_differs += usize::from(soft != lowest_top_class);
+        }
+        assert!(ties > 0, "no vote tied: the tie rule went untested");
+        assert!(soft_differs > 0, "soft and hard votes never differed");
     }
 
     #[test]

@@ -1,19 +1,18 @@
-//! Batched classification sharded across scoped worker threads.
+//! The chunk walk: bulk classification in 32-row feature blocks, for
+//! resident deployment workers and scoped-thread batch runs alike.
 //!
-//! Throughput runs classify packets in bulk (no serving path does yet:
-//! a `Deployment` worker classifies row by row): the feature matrix is
-//! split into contiguous row shards, each worker owns a private
-//! [`Scratch`], and `std::thread::scope` joins the shards without any
-//! `'static` bounds or heap-allocated channels.
+//! Rows move in feature blocks (structure-of-arrays): up to `BLOCK_ROWS`
+//! rows are quantized into one contiguous block and streamed through the
+//! kernels, instead of gathering, quantizing, and dispatching per packet.
+//! It is the walk per-row [`CompiledPipeline::classify`] runs, over more
+//! rows at once — a layout change, not a semantic one.
 //!
-//! Within a shard, rows move in feature blocks (structure-of-arrays): a
-//! whole chunk of rows is quantized into one contiguous block and
-//! streamed through the kernels, instead of gathering, quantizing, and
-//! dispatching per packet. It is the walk per-row
-//! [`CompiledPipeline::classify`] runs, over more rows at once — a layout
-//! change, not a semantic one.
+//! A `Deployment` worker calls `classify_chunk` once per dispatched chunk
+//! with the tenant's normalizer; [`CompiledPipeline::classify_batch`] calls
+//! it once per `std::thread::scope` shard, each with a private [`Scratch`].
 
 use crate::pipeline::{CompiledPipeline, Scratch, BLOCK_ROWS};
+use homunculus_ml::preprocess::Normalizer;
 use homunculus_ml::tensor::Matrix;
 
 impl CompiledPipeline {
@@ -25,8 +24,7 @@ impl CompiledPipeline {
     ///
     /// # Panics
     ///
-    /// Panics if `x.cols() != self.n_features()` (from
-    /// [`CompiledPipeline::classify`]).
+    /// Panics if `x.cols() != self.n_features()`.
     pub fn classify_batch(&self, x: &Matrix, workers: usize) -> Vec<usize> {
         let n = x.rows();
         let mut out = vec![0usize; n];
@@ -36,7 +34,7 @@ impl CompiledPipeline {
         let workers = workers.clamp(1, n);
         if workers == 1 {
             let mut scratch = Scratch::new();
-            self.classify_shard(x, 0, &mut out, &mut scratch);
+            self.classify_chunk(x, 0, None, &mut out, &mut scratch);
             return out;
         }
         let chunk = n.div_ceil(workers);
@@ -45,19 +43,48 @@ impl CompiledPipeline {
                 let start = shard * chunk;
                 scope.spawn(move || {
                     let mut scratch = Scratch::new();
-                    self.classify_shard(x, start, out_chunk, &mut scratch);
+                    self.classify_chunk(x, start, None, out_chunk, &mut scratch);
                 });
             }
         });
         out
     }
 
-    /// Classifies one contiguous shard block-by-block.
-    fn classify_shard(&self, x: &Matrix, start: usize, out: &mut [usize], scratch: &mut Scratch) {
+    /// Classifies rows `start..start + out.len()` of `x` into `out`, at
+    /// most `BLOCK_ROWS` at a time. With a `normalizer`, each block is
+    /// normalized in the scratch's staging block; with none, the matrix's
+    /// own rows go straight to the kernels. Panics if `x` or the
+    /// normalizer is not `self.n_features()` wide.
+    pub(crate) fn classify_chunk(
+        &self,
+        x: &Matrix,
+        start: usize,
+        normalizer: Option<&Normalizer>,
+        out: &mut [usize],
+        scratch: &mut Scratch,
+    ) {
+        let nf = x.cols();
         let mut offset = 0;
         while offset < out.len() {
             let rows = (out.len() - offset).min(BLOCK_ROWS);
-            self.classify_block(x, start + offset, &mut out[offset..offset + rows], scratch);
+            let from = (start + offset) * nf;
+            let block = &x.as_slice()[from..from + rows * nf];
+            let out = &mut out[offset..offset + rows];
+            match normalizer {
+                None => self.classify_block(block, out, scratch),
+                Some(normalizer) => {
+                    // Taken out so the block can be read while the rest
+                    // of the scratch is written.
+                    let mut staged = std::mem::take(&mut scratch.staged);
+                    staged.clear();
+                    staged.extend_from_slice(block);
+                    for r in 0..rows {
+                        normalizer.apply(&mut staged[r * nf..(r + 1) * nf]);
+                    }
+                    self.classify_block(&staged, out, scratch);
+                    scratch.staged = staged;
+                }
+            }
             offset += rows;
         }
     }

@@ -13,6 +13,10 @@
 //!   there is no mutex or condvar anywhere on the submit → classify hot
 //!   path, and batch chunks ride reusable [`SlotSlab`]
 //!   slots instead of per-submit boxes;
+//! - the chunk is the unit of everything a worker does — dispatch,
+//!   fairness, cancellation, panic isolation, classification (one call
+//!   into the 32-row block walk of [`crate::batch`]), timing (one clock
+//!   pair) and stats (one latency sample: service time per row);
 //! - [`Deployment::submit`] is non-blocking with respect to completion: it
 //!   enqueues a [`TenantBatch`] into the tenant's lane ring and hands back
 //!   a [`Ticket`] whose [`wait`](Ticket::wait) yields the batch's
@@ -165,27 +169,11 @@ struct TenantEntry {
     accum: Mutex<TenantAccum>,
 }
 
-impl TenantEntry {
-    /// Normalizes (if a normalizer is installed) and classifies one
-    /// packet; `row` is a reusable buffer for the normalized copy.
-    fn classify(&self, features: &[f32], row: &mut Vec<f32>, scratch: &mut Scratch) -> usize {
-        match &self.normalizer {
-            Some(normalizer) => {
-                row.clear();
-                row.extend_from_slice(features);
-                normalizer.apply(row);
-                self.pipeline.classify(row, scratch)
-            }
-            None => self.pipeline.classify(features, scratch),
-        }
-    }
-}
-
-/// Running per-tenant counters, merged across every completed work item.
-/// Latencies fold into a fixed-size log-bucketed [`LatencyHistogram`]
-/// rather than accumulating raw samples, so an always-on deployment's
-/// stats memory is bounded no matter how long it serves (p50/p99 stay
-/// within one bucket width of the raw-sample percentiles).
+/// Running per-tenant counters, merged across every completed chunk.
+/// Each chunk folds one latency sample (its service time per row) into a
+/// fixed-size log-bucketed [`LatencyHistogram`] rather than a list of raw
+/// samples, so an always-on deployment's stats memory is bounded (p50/p99
+/// stay within one bucket width of the raw-sample percentiles).
 #[derive(Debug, Default)]
 struct TenantAccum {
     packets: usize,
@@ -643,9 +631,16 @@ fn refill(shared: &Shared) -> bool {
             break;
         };
         shared.queued_rows.fetch_sub(rows as u64, Ordering::Relaxed);
-        shared.worker_rings[target]
-            .push(slot)
-            .expect("sole producer observed space in the target ring");
+        // The vacancy seen above can be a few instructions early:
+        // `Ring::pop` advances `head` (what `len` reads) before it
+        // recycles the cell (what `push` needs). That consumer finishes
+        // without any lock; wait for it rather than lose the chunk.
+        let mut payload = slot;
+        let mut backoff = Backoff::new();
+        while let Err(back) = shared.worker_rings[target].push(payload) {
+            payload = back;
+            backoff.snooze();
+        }
         sched.next_ring = (target + 1) % shared.worker_rings.len();
         moved = true;
     }
@@ -656,25 +651,15 @@ fn refill(shared: &Shared) -> bool {
 /// scheduler) when empty, and back off exponentially when idle.
 fn worker_loop(shared: &Shared, worker: usize) {
     let mut scratch = Scratch::new();
-    let mut row: Vec<f32> = Vec::new();
     let mut verdicts: Vec<usize> = Vec::new();
-    let mut latencies: Vec<u64> = Vec::new();
     let mut backoff = Backoff::new();
     loop {
         if let Some(slot) = shared.worker_rings[worker].pop() {
-            if !process_chunk(
-                shared,
-                slot,
-                &mut row,
-                &mut scratch,
-                &mut verdicts,
-                &mut latencies,
-            ) {
+            if !process_chunk(shared, slot, &mut scratch, &mut verdicts) {
                 // A classify panic may have left the reusable buffers in
                 // an arbitrary (but memory-safe) state; start the next
                 // chunk clean.
                 scratch = Scratch::new();
-                row = Vec::new();
             }
             backoff.reset();
             continue;
@@ -707,17 +692,16 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     }
 }
 
-/// Classifies one chunk (recycling its slab slot) and publishes its
-/// verdicts + stats. Returns `false` when the classify loop panicked —
-/// the ticket still completes (carrying the panic for [`Ticket::wait`] to
-/// re-raise), so a model bug can never wedge `drain()`/`shutdown()`/`Drop`.
+/// Classifies one chunk (recycling its slab slot) with one call into the
+/// chunk walk and publishes its verdicts + stats. Returns `false` when that
+/// call panicked — the ticket still completes (carrying the panic for
+/// [`Ticket::wait`] to re-raise), so a model bug can never wedge
+/// `drain()`/`shutdown()`/`Drop`.
 fn process_chunk(
     shared: &Shared,
     slot: u32,
-    row: &mut Vec<f32>,
     scratch: &mut Scratch,
     verdicts: &mut Vec<usize>,
-    latencies: &mut Vec<u64>,
 ) -> bool {
     let chunk = shared.slab.take(slot);
     let entry = chunk.entry.expect("chunk carries its tenant entry");
@@ -728,7 +712,8 @@ fn process_chunk(
     let cancelled = ticket.cancelled.load(Ordering::SeqCst);
 
     verdicts.clear();
-    latencies.clear();
+    verdicts.resize(rows, 0);
+    let mut service_ns = 0;
     let panicked = if cancelled {
         None
     } else {
@@ -737,12 +722,15 @@ fn process_chunk(
         // instead of killing the resident worker with bookkeeping
         // half-done.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            for offset in 0..rows {
-                let packet = features.row(start + offset);
-                let t0 = Instant::now();
-                verdicts.push(entry.classify(packet, row, scratch));
-                latencies.push(t0.elapsed().as_nanos() as u64);
-            }
+            let t0 = Instant::now();
+            entry.pipeline.classify_chunk(
+                &features,
+                start,
+                entry.normalizer.as_ref(),
+                verdicts,
+                scratch,
+            );
+            service_ns = t0.elapsed().as_nanos() as u64;
         }));
         outcome
             .err()
@@ -758,9 +746,7 @@ fn process_chunk(
             }
             accum.verdict_histogram[verdict] += 1;
         }
-        for &latency in latencies.iter() {
-            accum.latency.record(latency);
-        }
+        accum.latency.record(service_ns / rows as u64);
         if let Some(oracle) = &chunk.oracle {
             accum.oracle_packets += rows;
             accum.oracle_agreements += oracle[start..start + rows]
@@ -780,7 +766,6 @@ fn process_chunk(
         inner.cancelled_rows += rows;
         // Verdict slots keep their deterministic 0 fill.
     } else {
-        verdicts.resize(rows, 0);
         inner.verdicts[start..start + rows].copy_from_slice(verdicts);
     }
     inner.remaining_items -= 1;
@@ -1913,28 +1898,60 @@ mod tests {
     #[test]
     fn verdicts_match_isolated_classification_under_any_pool_shape() {
         let reference_pipeline = svm_pipeline(vec![1.0, -0.5], 0.1);
-        let features = packets(53, 2, 3);
-        let isolated = reference_pipeline.classify_batch(&features, 1);
-        for (workers, chunk) in [(1, 0), (2, 5), (4, 1), (3, 7)] {
+        let normalizer = Normalizer {
+            mean: vec![0.1, -0.2],
+            std: vec![0.5, 2.0],
+        };
+        // The reference is the per-row entry, never the chunk walk the
+        // workers run. 1100 rows leave a partial last chunk for every
+        // size, and a partial last block inside the 512-row chunks.
+        let features = packets(1100, 2, 3);
+        let isolated = crate::pipeline::classify_rows(&reference_pipeline, &features);
+        let mut normalized = features.clone();
+        for r in 0..normalized.rows() {
+            normalizer.apply(normalized.row_mut(r));
+        }
+        let isolated_normalized = crate::pipeline::classify_rows(&reference_pipeline, &normalized);
+        assert_ne!(isolated, isolated_normalized, "the normalizer must matter");
+        // Chunk sizes straddle the walk's 32-row block (0 = whole batch).
+        for (workers, chunk) in [
+            (1, 0),
+            (2, 5),
+            (4, 1),
+            (3, 7),
+            (2, 31),
+            (1, 32),
+            (2, 33),
+            (3, 512),
+        ] {
             let deployment = Deployment::builder()
                 .workers(workers)
                 .chunk_rows(chunk)
                 .ring_capacity(4)
                 .build();
-            let id = deployment
+            let plain = deployment
                 .add_tenant("app", svm_pipeline(vec![1.0, -0.5], 0.1), None)
                 .unwrap();
-            let verdicts = deployment
-                .submit(TenantBatch::new(id, features.clone()))
-                .unwrap()
-                .wait();
-            assert_eq!(
-                verdicts.as_slice(),
-                &isolated[..],
-                "workers={workers} chunk={chunk}"
-            );
-            assert_eq!(verdicts.tenant, id);
-            assert_eq!(verdicts.cancelled_rows(), 0);
+            let scaled = deployment
+                .add_tenant(
+                    "scaled",
+                    svm_pipeline(vec![1.0, -0.5], 0.1),
+                    Some(normalizer.clone()),
+                )
+                .unwrap();
+            for (id, expected) in [(plain, &isolated), (scaled, &isolated_normalized)] {
+                let verdicts = deployment
+                    .submit(TenantBatch::new(id, features.clone()))
+                    .unwrap()
+                    .wait();
+                assert_eq!(
+                    verdicts.as_slice(),
+                    &expected[..],
+                    "workers={workers} chunk={chunk} tenant={id}"
+                );
+                assert_eq!(verdicts.tenant, id);
+                assert_eq!(verdicts.cancelled_rows(), 0);
+            }
             deployment.shutdown();
         }
     }

@@ -20,8 +20,9 @@
 //!   allocation-free given a reusable [`pipeline::Scratch`].
 //! - [`pipeline::Compile`] — the lowering entry point, an extension trait
 //!   giving `ModelIr::compile(format)`.
-//! - [`batch`] — a batched `classify_batch` API sharded across
-//!   `std::thread::scope` workers for throughput runs.
+//! - [`batch`] — the chunk walk every served row takes, and the
+//!   `classify_batch` API that shards it across `std::thread::scope`
+//!   workers.
 //! - [`deploy`] — the serving frontend: a [`deploy::Deployment`] keeps
 //!   resident workers fed by a bounded ingress queue, with ticket-based
 //!   submission, runtime tenant add/remove, weighted QoS scheduling
@@ -39,18 +40,16 @@
 //! # Which code each kind of traffic reaches
 //!
 //! - Every *served* row — a [`Deployment`] ticket, hence every fleet hop —
-//!   is one per-row [`CompiledPipeline::classify`] call from
-//!   `deploy::process_chunk`, timed by two `Instant::now()` per packet.
+//!   reaches the block walk: a worker makes one `classify_chunk` call per
+//!   dispatched chunk (32-row blocks, the tenant's normalizer applied to
+//!   a staged copy) and times the chunk as a whole.
+//!   [`CompiledPipeline::classify_batch`] is the same call per shard.
 //! - A fleet is one [`Deployment`] whose tenants are the placed
-//!   `(switch, model)` pairs: a hop is a ticket on that switch's lane,
-//!   and every switch shares the one worker pool and [`LutCache`].
-//! - `classify` is the block walk at `rows = 1`: quantize, one raw-scores
-//!   walk generic over the tier, one decision rule.
-//! - [`CompiledPipeline::classify_batch`] runs the same walk over 32-row
-//!   blocks; no serving path calls it yet — benchmarks' per-layer probes
-//!   and tests do.
-//! - Formats wider than 16 bits, and [`CompiledPipeline::from_ir_scalar`]
-//!   (the oracle every workload compares against), run the scalar tier.
+//!   `(switch, model)` pairs: a hop is a ticket on that switch's lane.
+//! - Per-row [`CompiledPipeline::classify`] is that walk at `rows = 1` and
+//!   the reference entry: tests and benchmark oracles hold served
+//!   verdicts to it, on [`CompiledPipeline::from_ir_scalar`]'s scalar tier
+//!   (which formats wider than 16 bits also run) where they start from an IR.
 //! - [`CompiledPipeline::trace`] is an independent element-order replay
 //!   that tests hold `classify` to; it shares no arithmetic with the walk.
 //!

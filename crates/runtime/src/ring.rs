@@ -305,9 +305,14 @@ impl<T: Default> SlotSlab<T> {
         // claimer's Release publish of the written value.
         let value = unsafe { std::mem::take(&mut *slot.value.get()) };
         slot.state.store(SLOT_FREE, Ordering::Release);
-        self.free
-            .push(index)
-            .expect("free ring has capacity for every slot");
+        // The free ring has a cell for every slot, but the one this push
+        // needs can still belong to a claimer that has advanced `head`
+        // and not yet recycled it (`Ring::pop` does the two in that
+        // order). It finishes without taking any lock, so wait for it.
+        let mut backoff = Backoff::new();
+        while self.free.push(index).is_err() {
+            backoff.snooze();
+        }
         value
     }
 }
@@ -466,6 +471,30 @@ mod tests {
         let c = slab.try_claim("c".to_string()).unwrap();
         assert_eq!(slab.take(c), "c");
         assert_eq!(slab.free_slots(), 2);
+    }
+
+    #[test]
+    fn slab_take_waits_for_a_claimer_stopped_between_claim_and_recycle() {
+        // `Ring::pop` advances `head`, then recycles the cell. Stage a
+        // claimer stopped between the two on cell 0 of the free ring.
+        let slab: SlotSlab<u8> = SlotSlab::new(2);
+        slab.free.head.store(1, Ordering::Relaxed);
+        let held = slab.try_claim(7).unwrap();
+        assert_eq!(held, 1, "the free ring's second position");
+        std::thread::scope(|scope| {
+            // Returning index 1 is the ring's third push: it needs cell 0.
+            let taker = scope.spawn(|| slab.take(held));
+            while slab.slots[1].state.load(Ordering::Acquire) != SLOT_FREE {
+                std::thread::yield_now();
+            }
+            for _ in 0..64 {
+                std::thread::yield_now();
+            }
+            // Only now does the stopped claimer recycle its cell.
+            slab.free.cells[0].store(2 << 32, Ordering::Release);
+            assert_eq!(taker.join().unwrap(), 7);
+        });
+        assert_eq!(slab.free.pop(), Some(1), "the index went back");
     }
 
     #[test]

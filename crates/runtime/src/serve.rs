@@ -90,35 +90,27 @@ impl TenantBatch {
         self
     }
 
-    /// Builds a batch from owned feature rows.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::Serve`] for empty or ragged rows.
-    pub fn from_rows(tenant: TenantId, rows: &[Vec<f32>]) -> Result<Self> {
-        let features =
-            Matrix::from_rows(rows).map_err(|e| RuntimeError::Serve(format!("batch rows: {e}")))?;
-        Ok(TenantBatch::new(tenant, features))
-    }
-
-    /// Builds the next-hop batch of a *chained* submission: the rows that
-    /// survived an upstream model plus that model's per-row verdicts as a
-    /// trailing tag feature — the serving-side form of the paper's
-    /// `a > b` model chaining.
+    /// Builds the next-hop batch of a *chained* submission: the rows of
+    /// `packets` that survived an upstream model (`rows`, as indices into
+    /// it) plus that model's per-row verdicts as a trailing tag feature —
+    /// the serving-side form of the paper's `a > b` model chaining. Rows
+    /// and tags are gathered into the batch's matrix in one pass.
     ///
     /// The downstream model declares its expectation through
-    /// `expected_cols` (its input width): when it equals the row width the
-    /// tags are dropped (the model was trained without a tag column);
-    /// when it equals row width + 1 each row is extended with its tag.
+    /// `expected_cols` (its input width): when it equals the packet width
+    /// the tags are dropped (the model was trained without a tag column);
+    /// when it equals packet width + 1 each row is extended with its tag.
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::Serve`] when rows are empty or ragged,
-    /// when `tags` is not parallel to `rows`, or when `expected_cols`
-    /// matches neither the raw nor the tag-extended width.
+    /// Returns [`RuntimeError::Serve`] when `rows` is empty or names a row
+    /// `packets` does not have, when `tags` is not parallel to `rows`, or
+    /// when `expected_cols` matches neither the raw nor the tag-extended
+    /// width.
     pub fn chained(
         tenant: TenantId,
-        rows: &[Vec<f32>],
+        packets: &Matrix,
+        rows: &[usize],
         tags: &[f32],
         expected_cols: usize,
     ) -> Result<Self> {
@@ -132,28 +124,30 @@ impl TenantBatch {
                 tags.len()
             )));
         }
-        let cols = rows[0].len();
-        if expected_cols == cols {
-            return TenantBatch::from_rows(tenant, rows);
+        let cols = packets.cols();
+        if expected_cols != cols && expected_cols != cols + 1 {
+            return Err(RuntimeError::Serve(format!(
+                "chained batch width {cols} (or {} tagged) does not match the \
+                 downstream model's {expected_cols} features",
+                cols + 1
+            )));
         }
-        if expected_cols == cols + 1 {
-            let tagged: Vec<Vec<f32>> = rows
-                .iter()
-                .zip(tags)
-                .map(|(row, &tag)| {
-                    let mut extended = Vec::with_capacity(cols + 1);
-                    extended.extend_from_slice(row);
-                    extended.push(tag);
-                    extended
-                })
-                .collect();
-            return TenantBatch::from_rows(tenant, &tagged);
+        let mut data = Vec::with_capacity(rows.len() * expected_cols);
+        for (&row, &tag) in rows.iter().zip(tags) {
+            if row >= packets.rows() {
+                return Err(RuntimeError::Serve(format!(
+                    "chained batch names row {row} of a {}-row packet matrix",
+                    packets.rows()
+                )));
+            }
+            data.extend_from_slice(packets.row(row));
+            if expected_cols > cols {
+                data.push(tag);
+            }
         }
-        Err(RuntimeError::Serve(format!(
-            "chained batch width {cols} (or {} tagged) does not match the \
-             downstream model's {expected_cols} features",
-            cols + 1
-        )))
+        let features = Matrix::from_vec(rows.len(), expected_cols, data)
+            .expect("one expected_cols-wide row gathered per index");
+        Ok(TenantBatch::new(tenant, features))
     }
 }
 
@@ -168,11 +162,13 @@ pub struct TenantStats {
     pub packets: usize,
     /// Verdict counts indexed by class.
     pub verdict_histogram: Vec<usize>,
-    /// Median per-packet classify latency in nanoseconds.
+    /// Median service time per row in nanoseconds. A worker times each
+    /// dispatched chunk as a whole (normalize, quantize and classify) and
+    /// records one sample per chunk: that time divided by the chunk's rows.
     pub p50_ns: u64,
-    /// 99th-percentile per-packet classify latency in nanoseconds.
+    /// 99th percentile of the same per-chunk samples, in nanoseconds.
     pub p99_ns: u64,
-    /// Mean per-packet classify latency in nanoseconds.
+    /// Mean of the same per-chunk samples, in nanoseconds.
     pub mean_ns: f64,
     /// Packets that carried an oracle verdict.
     pub oracle_packets: usize,
@@ -199,36 +195,38 @@ mod tests {
     #[test]
     fn chained_batches_adapt_to_downstream_width() {
         let (raw, tagged) = (TenantId::mint(0, 1), TenantId::mint(1, 1));
-        let rows = vec![vec![0.1, 0.2, 0.3], vec![0.4, 0.5, 0.6]];
-        let tags = vec![1.0, 0.0];
+        let packets = Matrix::from_fn(4, 3, |r, c| (r * 3 + c) as f32 * 0.1);
+        // Rows 3 and 1 survived, in that order.
+        let (rows, tags) = ([3, 1], [1.0, 0.0]);
 
-        // Same width: tags dropped, features forwarded untouched.
-        let batch = TenantBatch::chained(raw, &rows, &tags, 3).unwrap();
+        // Same width: tags dropped, the named rows forwarded untouched.
+        let batch = TenantBatch::chained(raw, &packets, &rows, &tags, 3).unwrap();
         assert_eq!(batch.features.shape(), (2, 3));
-        assert_eq!(batch.features.row(0), &[0.1, 0.2, 0.3]);
+        assert_eq!(batch.features.row(0), packets.row(3));
+        assert_eq!(batch.features.row(1), packets.row(1));
+        assert!(batch.oracle.is_none());
 
         // Width + 1: each row gains its tag as the trailing feature.
-        let batch = TenantBatch::chained(tagged, &rows, &tags, 4).unwrap();
+        let batch = TenantBatch::chained(tagged, &packets, &rows, &tags, 4).unwrap();
         assert_eq!(batch.features.shape(), (2, 4));
-        assert_eq!(batch.features.row(0), &[0.1, 0.2, 0.3, 1.0]);
-        assert_eq!(batch.features.row(1), &[0.4, 0.5, 0.6, 0.0]);
+        assert_eq!(&batch.features.row(0)[..3], packets.row(3));
+        assert_eq!(batch.features.row(0)[3], 1.0);
+        assert_eq!(&batch.features.row(1)[..3], packets.row(1));
+        assert_eq!(batch.features.row(1)[3], 0.0);
 
-        // Anything else is a serve error, as are ragged/empty inputs.
-        assert!(matches!(
-            TenantBatch::chained(raw, &rows, &tags, 7),
-            Err(RuntimeError::Serve(_))
-        ));
-        assert!(matches!(
-            TenantBatch::chained(raw, &rows, &[1.0], 3),
-            Err(RuntimeError::Serve(_))
-        ));
-        assert!(matches!(
-            TenantBatch::chained(raw, &[], &[], 3),
-            Err(RuntimeError::Serve(_))
-        ));
-        assert!(matches!(
-            TenantBatch::from_rows(raw, &[vec![1.0], vec![1.0, 2.0]]),
-            Err(RuntimeError::Serve(_))
-        ));
+        // Any other width, tags not parallel to rows, no rows, and a row
+        // the packet matrix does not have are serve errors.
+        for (rows, tags, expected_cols) in [
+            (&rows[..], &tags[..], 7),
+            (&rows[..], &tags[..1], 3),
+            (&[][..], &[][..], 3),
+            (&[1, 4][..], &tags[..], 3),
+            (&[1, 4][..], &tags[..], 4),
+        ] {
+            assert!(matches!(
+                TenantBatch::chained(raw, &packets, rows, tags, expected_cols),
+                Err(RuntimeError::Serve(_))
+            ));
+        }
     }
 }

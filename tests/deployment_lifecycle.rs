@@ -18,7 +18,7 @@ use homunculus::backends::model::{ModelIr, SvmIr};
 use homunculus::ml::quantize::FixedPoint;
 use homunculus::ml::tensor::Matrix;
 use homunculus::runtime::{
-    Compile, CompiledPipeline, Deployment, RuntimeError, SchedulePolicy, TenantBatch,
+    classify_rows, Compile, CompiledPipeline, Deployment, RuntimeError, SchedulePolicy, TenantBatch,
 };
 use proptest::prelude::*;
 
@@ -59,7 +59,7 @@ fn drain_completes_every_in_flight_ticket() {
     let mut expected = Vec::new();
     for round in 0..12 {
         let features = packets(17 + round, 2, round as u64);
-        expected.push(reference.classify_batch(&features, 1));
+        expected.push(classify_rows(&reference, &features));
         tickets.push(deployment.submit(TenantBatch::new(id, features)).unwrap());
     }
     deployment.drain();
@@ -171,7 +171,7 @@ fn removed_tenant_with_queued_ingress_rows_completes_accepted_tickets() {
     let mut expected = Vec::new();
     for round in 0..16 {
         let features = packets(23, 2, round);
-        expected.push(doomed_reference.classify_batch(&features, 1));
+        expected.push(classify_rows(&doomed_reference, &features));
         doomed_tickets.push(
             deployment
                 .submit(TenantBatch::new(doomed, features))

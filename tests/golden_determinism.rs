@@ -12,7 +12,9 @@ use homunculus::ml::mlp::MlpArchitecture;
 use homunculus::ml::quantize::FixedPoint;
 use homunculus::ml::tensor::Matrix;
 use homunculus::optimizer::space::{DesignSpace, Parameter};
-use homunculus::runtime::{Compile, Deployment, Scratch, TenantBatch};
+use homunculus::runtime::{
+    classify_rows, Compile, CompiledPipeline, Deployment, Scratch, TenantBatch,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -229,9 +231,10 @@ fn deployed_verdicts_fingerprint_matches_call_at_a_time_path() {
     let reference: Vec<Vec<usize>> = [handcrafted_dnn_ir(), handcrafted_svm_ir()]
         .iter()
         .map(|ir| {
-            ir.compile(format)
-                .unwrap()
-                .classify_batch(nds.features(), 1)
+            classify_rows(
+                &CompiledPipeline::from_ir_scalar(ir, format).unwrap(),
+                nds.features(),
+            )
         })
         .collect();
 
@@ -301,7 +304,6 @@ fn packed_and_scalar_tiers_pin_the_same_golden_checksums() {
     // 50_483 through the serving layer above) — the packed hot path is a
     // storage/instruction change, never a semantic one.
     use homunculus::ml::quantize::PackedWidth;
-    use homunculus::runtime::CompiledPipeline;
 
     let ds = NslKddGenerator::new(42).generate(200);
     let norm = ds.fit_normalizer();

@@ -23,7 +23,7 @@ use homunculus::backends::model::{ModelIr, SvmIr};
 use homunculus::ml::quantize::FixedPoint;
 use homunculus::ml::tensor::Matrix;
 use homunculus::runtime::{
-    Compile, CompiledPipeline, Deployment, RuntimeError, SchedulePolicy, TenantBatch,
+    classify_rows, Compile, CompiledPipeline, Deployment, RuntimeError, SchedulePolicy, TenantBatch,
 };
 use proptest::prelude::*;
 
@@ -121,7 +121,7 @@ fn multi_producer_hammer_preserves_every_ticket_bitwise() {
         let cancelled = ticket.is_cancelled();
         let verdicts = ticket.wait();
         assert_eq!(verdicts.len(), rows, "ticket verdict count drifted");
-        let replay = references[tenant].classify_batch(&packets(rows, 2, seed), 1);
+        let replay = classify_rows(&references[tenant], &packets(rows, 2, seed));
         if verdicts.cancelled_rows() == 0 {
             assert_eq!(
                 verdicts.as_slice(),
@@ -219,7 +219,7 @@ fn saturated_admission_deadlines_instead_of_deadlocking() {
     deployment.resume();
     deployment.drain();
     for (seed, ticket) in admitted {
-        let expected = reference.classify_batch(&packets(16, 2, seed), 1);
+        let expected = classify_rows(&reference, &packets(16, 2, seed));
         assert_eq!(
             ticket.wait().into_vec(),
             expected,

@@ -14,7 +14,7 @@ use homunculus::ml::mlp::{Activation, Mlp, MlpArchitecture};
 use homunculus::ml::quantize::FixedPoint;
 use homunculus::ml::tensor::Matrix;
 use homunculus::ml::tree::{DecisionTreeClassifier, TreeConfig};
-use homunculus::runtime::{Compile, Deployment, TenantBatch};
+use homunculus::runtime::{classify_rows, Compile, CompiledPipeline, Deployment, TenantBatch};
 
 /// Deterministic pseudo-random value in `[-bound, bound]`.
 fn value(seed: u64, row: usize, col: usize, bound: f32) -> f32 {
@@ -89,8 +89,8 @@ fn stream_for(index: usize) -> Matrix {
     })
 }
 
-/// Isolated reference: one tenant at a time, single-threaded, with the
-/// normalizer applied by hand.
+/// Isolated reference: one tenant at a time, row by row on the scalar
+/// tier, with the normalizer applied by hand.
 fn isolated_verdicts(irs: &[ModelIr], format: FixedPoint) -> Vec<Vec<usize>> {
     irs.iter()
         .enumerate()
@@ -100,7 +100,10 @@ fn isolated_verdicts(irs: &[ModelIr], format: FixedPoint) -> Vec<Vec<usize>> {
             for r in 0..features.rows() {
                 normalizer.apply(features.row_mut(r));
             }
-            ir.compile(format).unwrap().classify_batch(&features, 1)
+            classify_rows(
+                &CompiledPipeline::from_ir_scalar(ir, format).unwrap(),
+                &features,
+            )
         })
         .collect()
 }
