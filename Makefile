@@ -2,7 +2,7 @@
 
 CARGO ?= cargo
 
-.PHONY: ci fmt fmt-check clippy clippy-simd build test test-simd doc stress bench bench-smoke examples lint-artifacts
+.PHONY: ci fmt fmt-check clippy clippy-simd build test test-simd doc stress bench bench-smoke bench-pairs examples lint-artifacts
 
 # The simd lanes re-run clippy and the test suite with the SSE2
 # intrinsics swapped in (the `simd` feature on the facade crate forwards
@@ -89,6 +89,14 @@ bench:
 # `hbench compare` (crates/bench/src/bin/hbench/README.md).
 bench-smoke:
 	$(CARGO) test --release --offline --manifest-path crates/bench/src/bin/hbench/Cargo.toml
+
+# Parent against change: `make bench-pairs A=<parent tree> B=<change tree>
+# W=<workload> SEEDS="1 2 ..."`, one alternating pair of full-length runs
+# per seed. Both trees must already hold a built hbench (nothing compiles
+# while a run is timed); verdicts use BENCHMARK.json's bounds. Minutes per
+# pair, so not part of `ci`.
+bench-pairs:
+	scripts/hbench-pairs.sh $(A) $(B) $(W) $(SEEDS)
 
 examples:
 	$(CARGO) build --release --examples

@@ -1,4 +1,4 @@
-// The only unsafe in this crate is the `core::arch` SSE2 inner loops in
+// The only unsafe in this crate is the `core::arch` SSE2 dot product in
 // `packed`, compiled solely under the `simd` feature — every portable
 // build proves itself unsafe-free.
 #![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
@@ -32,7 +32,7 @@
 //!   tier ([`quantize::PackedFixed`]): weights narrowed once to
 //!   contiguous `i16`/`i8` words with vectorizable dot/matvec/distance
 //!   kernels that are bit-identical to the scalar `i32` path (enable the
-//!   `simd` cargo feature for the `core::arch` SSE2 inner loops).
+//!   `simd` cargo feature for a `core::arch` SSE2 dot product).
 //! - [`bounds`] — interval-domain bound derivation over the quantized
 //!   kernels: per-output value ranges and no-saturation certificates
 //!   derived from the concrete weights, which let certified kernels skip

@@ -6,7 +6,7 @@
 //! `i16` (or `i8` when the format fits 8 bits) and runs the hot loops over
 //! fixed-width lanes — `[i16; 8]` chunks with widening `i32` multiplies —
 //! which the compiler auto-vectorizes. With the `simd` cargo feature the
-//! `i16` inner loops swap in explicit `core::arch` SSE2 intrinsics.
+//! `i16` dot product swaps in explicit `core::arch` SSE2 intrinsics.
 //!
 //! # The bit-equality contract
 //!
@@ -483,7 +483,7 @@ impl PackedFixed {
             }
             (PackedSlice::I16(w), PackedSlice::I16(x)) => {
                 if fast {
-                    matvec_fast_i16(self.format.frac_bits(), w, bias, x, out);
+                    matvec_fast(self.format.frac_bits(), w, bias, x, out);
                 } else {
                     matvec_exact(self.format, w, bias, x, out);
                 }
@@ -579,7 +579,7 @@ impl PackedFixed {
                     let xr = &x[r * input..(r + 1) * input];
                     let or = &mut out[r * output..(r + 1) * output];
                     if fast {
-                        matvec_fast_i16(f, w, bias, xr, or);
+                        matvec_fast(f, w, bias, xr, or);
                     } else {
                         matvec_exact(self.format, w, bias, xr, or);
                     }
@@ -630,6 +630,19 @@ impl PackedFixed {
 // products fit i32 and plain lane sums are re-orderable, so rustc's
 // auto-vectorizer is free to turn them into SIMD. The `_exact` variants
 // replay the scalar kernels element-for-element.
+//
+// The dense layer is output-stationary: `matvec_fast` takes `LANES`
+// outputs at a time and keeps their accumulators in a local array across
+// the whole input loop — one bias load and one store per output, where
+// accumulating into `out[]` cost a load and a store per output per input
+// element (measured on the 7-16-8-2 serving DNN, Q3.12, 2 vCPUs: 202 ->
+// 140 ns per row on the block walk). Each output still sums its products
+// in input order with the per-product `>> f`, so the bits are those of
+// `FixedPoint::fixed_matvec`; a zero input is multiplied like any other
+// (its products are 0) rather than branched around. A row-in-lane form
+// over a transposed block was sized at a further 17 ns per row by a
+// prototype (ROADMAP item 4b) but needs the block column-major through
+// quantize, activation and argmax.
 // ---------------------------------------------------------------------
 
 fn dot_fast<L: Lane>(f: u32, a: &[L], b: &[L]) -> i32 {
@@ -658,15 +671,39 @@ fn dot_exact<L: Lane>(format: FixedPoint, a: &[L], b: &[L]) -> i32 {
 
 fn matvec_fast<L: Lane>(f: u32, weights: &[L], bias: &[i32], x: &[L], out: &mut [i32]) {
     let output = out.len();
-    out.copy_from_slice(bias);
+    let full = output - output % LANES;
+    for start in (0..full).step_by(LANES) {
+        let mut acc = [0i32; LANES];
+        acc.copy_from_slice(&bias[start..start + LANES]);
+        matvec_tile(f, weights, output, start, x, &mut acc);
+        out[start..start + LANES].copy_from_slice(&acc);
+    }
+    if full < output {
+        let mut acc = [0i32; LANES];
+        let acc = &mut acc[..output - full];
+        acc.copy_from_slice(&bias[full..]);
+        matvec_tile(f, weights, output, full, x, acc);
+        out[full..].copy_from_slice(acc);
+    }
+}
+
+/// Adds every input's products into `acc`, the accumulators of the
+/// `acc.len()` outputs from column `start`. Inlined so that a full tile's
+/// length is a constant and its accumulators are registers.
+#[inline(always)]
+fn matvec_tile<L: Lane>(
+    f: u32,
+    weights: &[L],
+    output: usize,
+    start: usize,
+    x: &[L],
+    acc: &mut [i32],
+) {
     for (k, &xv) in x.iter().enumerate() {
         let xv = xv.widen();
-        if xv == 0 {
-            continue;
-        }
-        let row = &weights[k * output..(k + 1) * output];
-        for (o, &w) in out.iter_mut().zip(row) {
-            *o += (xv * w.widen()) >> f;
+        let tile = &weights[k * output + start..][..acc.len()];
+        for (a, &w) in acc.iter_mut().zip(tile) {
+            *a += (xv * w.widen()) >> f;
         }
     }
 }
@@ -742,7 +779,7 @@ fn sq_exact<L: Lane>(format: FixedPoint, a: &[L], b: &[L]) -> i32 {
 }
 
 // ---------------------------------------------------------------------
-// SIMD tier: explicit SSE2 intrinsics for the i16 hot kernels, swapped
+// SIMD tier: explicit SSE2 intrinsics for the i16 dot product, swapped
 // in by the `simd` feature on x86_64 (SSE2 is baseline there, so no
 // runtime detection is needed). `_mm_madd_epi16` is deliberately NOT
 // used: it sums adjacent products *before* the per-element `>> f` shift,
@@ -750,6 +787,10 @@ fn sq_exact<L: Lane>(format: FixedPoint, a: &[L], b: &[L]) -> i32 {
 // a full i32 from mullo/mulhi halves, shifted per lane, then accumulated.
 // Everything here stays on the proven-no-saturation fast path, so the
 // lane sums are re-orderable and bit-identical to the portable loops.
+// The dense layer has no intrinsic body: rustc compiles `matvec_fast`'s
+// tile to the same mullo/mulhi sequence, and a hand-written twin with the
+// same register accumulators measured no faster (151 against 136 ns per
+// row, same host and minute).
 // ---------------------------------------------------------------------
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
@@ -783,40 +824,6 @@ mod sse2 {
         }
         acc
     }
-
-    #[inline]
-    pub fn matvec_i16(f: u32, weights: &[i16], bias: &[i32], x: &[i16], out: &mut [i32]) {
-        let output = out.len();
-        out.copy_from_slice(bias);
-        let chunks = output / 8;
-        for (k, &xv) in x.iter().enumerate() {
-            if xv == 0 {
-                continue;
-            }
-            let row = &weights[k * output..(k + 1) * output];
-            // SAFETY: every load/store is unaligned and in-bounds: `row`
-            // and `out` both hold `output >= chunks * 8` elements.
-            unsafe {
-                let shift = _mm_cvtsi32_si128(f as i32);
-                let vx = _mm_set1_epi16(xv);
-                for c in 0..chunks {
-                    let vw = _mm_loadu_si128(row.as_ptr().add(c * 8).cast());
-                    let lo = _mm_mullo_epi16(vx, vw);
-                    let hi = _mm_mulhi_epi16(vx, vw);
-                    let p0 = _mm_sra_epi32(_mm_unpacklo_epi16(lo, hi), shift);
-                    let p1 = _mm_sra_epi32(_mm_unpackhi_epi16(lo, hi), shift);
-                    let o0 = out.as_mut_ptr().add(c * 8);
-                    let o1 = out.as_mut_ptr().add(c * 8 + 4);
-                    _mm_storeu_si128(o0.cast(), _mm_add_epi32(_mm_loadu_si128(o0.cast()), p0));
-                    _mm_storeu_si128(o1.cast(), _mm_add_epi32(_mm_loadu_si128(o1.cast()), p1));
-                }
-            }
-            let xv = i32::from(xv);
-            for j in chunks * 8..output {
-                out[j] += (xv * i32::from(row[j])) >> f;
-            }
-        }
-    }
 }
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
@@ -827,16 +834,6 @@ fn dot_fast_i16(f: u32, a: &[i16], b: &[i16]) -> i32 {
 #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
 fn dot_fast_i16(f: u32, a: &[i16], b: &[i16]) -> i32 {
     dot_fast(f, a, b)
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-fn matvec_fast_i16(f: u32, weights: &[i16], bias: &[i32], x: &[i16], out: &mut [i32]) {
-    sse2::matvec_i16(f, weights, bias, x, out);
-}
-
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-fn matvec_fast_i16(f: u32, weights: &[i16], bias: &[i32], x: &[i16], out: &mut [i32]) {
-    matvec_fast(f, weights, bias, x, out);
 }
 
 #[cfg(test)]
@@ -1020,19 +1017,42 @@ mod tests {
 
     #[test]
     fn block_matvec_rows_match_single_row_calls() {
-        let p = q312();
-        let q = p.format();
-        let (rows, input, output) = (5usize, 7usize, 4usize);
-        let w = raws(q, 31, input * output);
-        let bias = raws(q, 32, output);
-        let flat = raws(q, 33, rows * input);
-        let block = p.pack(&flat);
-        let mut out = vec![0i32; rows * output];
-        p.packed_matvec_block(p.pack(&w).as_slice(), &bias, &block, rows, &mut out, false);
-        for r in 0..rows {
-            let mut single = vec![0i32; output];
-            q.fixed_matvec(&w, &bias, &flat[r * input..(r + 1) * input], &mut single);
-            assert_eq!(&out[r * output..(r + 1) * output], &single[..], "row {r}");
+        // Both lane widths; output widths on every side of a LANES-wide
+        // tile; an empty input; rows that are all or partly zero.
+        for q in [FixedPoint::taurus_default(), FixedPoint::new(2, 5).unwrap()] {
+            let p = PackedFixed::new(q).unwrap();
+            for output in [1usize, 2, 7, 8, 9, 16, 17] {
+                for input in [0usize, 1, 7, 16] {
+                    let rows = 5usize;
+                    let w = raws(q, 31, input * output);
+                    let bias = raws(q, 32, output);
+                    let mut flat = raws(q, 33, rows * input);
+                    flat[..input].fill(0);
+                    for v in flat.iter_mut().step_by(3) {
+                        *v = 0;
+                    }
+                    let block = p.pack(&flat);
+                    let mut out = vec![0i32; rows * output];
+                    p.packed_matvec_block(
+                        p.pack(&w).as_slice(),
+                        &bias,
+                        &block,
+                        rows,
+                        &mut out,
+                        false,
+                    );
+                    for r in 0..rows {
+                        let mut single = vec![0i32; output];
+                        q.fixed_matvec(&w, &bias, &flat[r * input..(r + 1) * input], &mut single);
+                        assert_eq!(
+                            &out[r * output..(r + 1) * output],
+                            &single[..],
+                            "{:?} {input}x{output} row {r}",
+                            p.width()
+                        );
+                    }
+                }
+            }
         }
     }
 
@@ -1111,13 +1131,17 @@ mod tests {
         fn prop_packed_matvec_bit_equal(
             format in any_packable_format(),
             seed in 0u64..1_000_000,
-            input in 1usize..24,
-            output in 1usize..12,
+            input in 0usize..24,
+            output in 1usize..20,
+            zero_every in 1usize..5,
         ) {
             let p = PackedFixed::new(format).unwrap();
             let w = raws(format, seed, input * output);
             let bias = raws(format, seed.wrapping_add(1), output);
-            let x = raws(format, seed.wrapping_add(2), input);
+            let mut x = raws(format, seed.wrapping_add(2), input);
+            for v in x.iter_mut().step_by(zero_every) {
+                *v = 0;
+            }
             let mut scalar = vec![0i32; output];
             format.fixed_matvec(&w, &bias, &x, &mut scalar);
             let mut packed = vec![0i32; output];

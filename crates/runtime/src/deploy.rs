@@ -934,7 +934,12 @@ impl DeploymentBuilder {
     /// Maximum simultaneously-queued chunks across all tenants (the slab
     /// of reusable chunk descriptors), rounded up to a power of two. A
     /// submitter whose batch needs more chunks than are free backs off
-    /// until workers recycle some.
+    /// until workers recycle some. With [`chunk_rows`] at `0` a ticket is
+    /// one chunk, so the slab (and every tenant lane, sized from it) holds
+    /// no more than [`queue_depth`] slots: this is an upper bound.
+    ///
+    /// [`chunk_rows`]: DeploymentBuilder::chunk_rows
+    /// [`queue_depth`]: DeploymentBuilder::queue_depth
     #[must_use]
     pub fn chunk_slots(mut self, slots: usize) -> Self {
         self.chunk_slots = slots;
@@ -1004,7 +1009,15 @@ impl DeploymentBuilder {
     /// Launches the resident workers and returns the live deployment.
     pub fn build(self) -> Deployment {
         let workers = self.workers.max(1);
-        let slab: SlotSlab<ChunkDesc> = SlotSlab::new(self.chunk_slots);
+        let queue_depth = self.queue_depth.max(1);
+        // An unchunked ticket is one chunk and admission holds tickets to
+        // `queue_depth`, so slots beyond it could never be claimed.
+        let slots = if self.chunk_rows == 0 {
+            self.chunk_slots.min(queue_depth)
+        } else {
+            self.chunk_slots
+        };
+        let slab: SlotSlab<ChunkDesc> = SlotSlab::new(slots);
         let chunk_rows_meta = (0..slab.capacity()).map(|_| AtomicU32::new(0)).collect();
         let worker_rings = (0..workers)
             .map(|_| Ring::new(self.ring_capacity))
@@ -1012,7 +1025,7 @@ impl DeploymentBuilder {
         let shared = Arc::new(Shared {
             tag: next_server_tag(),
             workers,
-            queue_depth: self.queue_depth.max(1),
+            queue_depth,
             chunk_rows: self.chunk_rows,
             max_queued_rows: self.max_queued_rows,
             submit_deadline: self.submit_deadline,
@@ -1790,6 +1803,33 @@ mod tests {
         assert_eq!(deployment.max_queued_rows(), 0);
         assert_eq!(deployment.fairness_window_rows(), 8192);
         deployment.shutdown();
+    }
+
+    #[test]
+    fn slab_and_lanes_are_sized_from_what_admission_can_queue() {
+        // (queue_depth, chunk_rows, chunk_slots) -> slots: unchunked
+        // tickets cap the slab at queue_depth (the slab's own floor is 2),
+        // chunked ones and a smaller explicit chunk_slots keep chunk_slots.
+        for ((depth, chunk_rows, chunk_slots), slots) in [
+            ((8, 0, 4096), 8),
+            ((8, 64, 4096), 4096),
+            ((8192, 0, 4096), 4096),
+            ((1, 0, 4096), 2),
+            ((8, 0, 4), 4),
+        ] {
+            let deployment = Deployment::builder()
+                .queue_depth(depth)
+                .chunk_rows(chunk_rows)
+                .chunk_slots(chunk_slots)
+                .build();
+            let case = format!("depth {depth}, chunk_rows {chunk_rows}, slots {chunk_slots}");
+            assert_eq!(deployment.shared.slab.capacity(), slots, "{case}");
+            deployment
+                .add_tenant("t", svm_pipeline(vec![1.0], 0.0), None)
+                .unwrap();
+            let lanes = deployment.shared.lanes.read().unwrap();
+            assert_eq!(lanes[0].ring.capacity(), slots, "{case}");
+        }
     }
 
     #[test]

@@ -12,11 +12,12 @@
 //! # Packed storage
 //!
 //! When the format fits a narrow lane (≤16 total bits, which covers the
-//! Q3.12 Taurus word), lowering stores every weight, plane, centroid, and
-//! threshold **packed** — contiguous `i16` (or `i8`) words — and classify
-//! runs on the [`PackedFixed`] kernel tier: half (or a quarter) the memory
+//! Q3.12 Taurus word), lowering stores every weight, plane, and centroid
+//! **packed** — contiguous `i16` (or `i8`) words — and classify runs on
+//! the [`PackedFixed`] kernel tier: half (or a quarter) the memory
 //! traffic of `i32`, chunked inner loops the compiler auto-vectorizes, and
-//! optional `core::arch` SSE2 bodies behind the `simd` cargo feature.
+//! an optional `core::arch` SSE2 dot product behind the `simd` cargo
+//! feature.
 //! Verdicts are **bit-identical** to the scalar `i32` path in every case,
 //! including accumulator saturation; formats wider than 16 bits simply
 //! keep the scalar storage ([`CompiledPipeline::packed_width`] reports
@@ -27,6 +28,21 @@
 //! decision rule. A pipeline is lowered onto its tier once, so
 //! the walk is monomorphised per tier and never re-discovers it per
 //! access.
+//!
+//! # Lane kernels
+//!
+//! The two families that cost the most per row run as lanes with no
+//! data-dependent control flow, the shape of a Taurus map/reduce block.
+//! A dense layer keeps the accumulators of eight outputs in registers
+//! across the whole input loop (`PackedFixed::packed_matvec_block`). A
+//! tree or forest is lowered to an arena of fixed-size nodes whose leaves
+//! point at themselves, and classify advances eight cursors together for
+//! a fixed number of steps, picking each child by indexing with the
+//! comparison's result instead of branching on it: see `TreeKernel`. A
+//! forest's votes land in the score buffer, so its verdict is an argmax
+//! like a DNN's. [`CompiledPipeline::trace`] replays trees with a
+//! separate one-cursor walk that stops at the first leaf, so that the
+//! soundness tests compare two walks and not one walk with itself.
 
 use crate::lut::{ActLut, LutCache};
 use crate::{Result, RuntimeError};
@@ -49,7 +65,7 @@ pub struct Scratch {
     qx: Vec<i32>,
     /// Quantized row-major feature block, packed to the narrow lane width.
     px: PackedVec,
-    walk: WalkBufs,
+    scores: ScoreBufs,
     /// A block of features with a tenant's normalizer applied, staged by
     /// the chunk walk before it is quantized.
     pub(crate) staged: Vec<f32>,
@@ -62,21 +78,16 @@ impl Scratch {
     }
 }
 
-/// The buffers the family walk writes, apart from the quantized features
-/// it reads (so the two borrow independently).
-#[derive(Debug, Clone, Default)]
-struct WalkBufs {
-    scores: ScoreBufs,
-    /// Forest vote counters.
-    votes: Vec<i32>,
-}
-
-/// Where raw scores are computed and returned from.
+/// Where raw scores are computed and returned from — everything the
+/// family walk writes, apart from the quantized features it reads (so the
+/// two borrow independently).
 #[derive(Debug, Clone, Default)]
 struct ScoreBufs {
-    /// Ping buffer for layer outputs / plane scores / distances.
+    /// Ping buffer for layer outputs / plane scores / distances / forest
+    /// votes / tree leaves.
     a: Vec<i32>,
-    /// Pong buffer for layer outputs.
+    /// Pong buffer for layer outputs; the packed tier's features widened
+    /// for a tree walk.
     b: Vec<i32>,
     /// Packed copy of a block of intermediate DNN activations.
     pa: PackedVec,
@@ -103,7 +114,7 @@ trait Tier: Sized {
     /// Owned quantized values: lowered parameters, or a feature block.
     type Store;
     /// A borrowed run of a [`Tier::Store`]: one feature row, plane or
-    /// centroid, or a tree's thresholds.
+    /// centroid.
     type Row<'a>: Copy;
 
     /// Moves quantized parameters onto the tier's storage.
@@ -114,6 +125,10 @@ trait Tier: Sized {
     fn get(row: Self::Row<'_>, index: usize) -> i32;
     /// Quantizes a contiguous row-major block of features into `out`.
     fn quantize(&self, values: &[f32], out: &mut Self::Store);
+    /// A quantized feature block as the `i32` words a tree walk compares:
+    /// the store itself on the scalar tier, a widened copy in `buf` on the
+    /// packed one.
+    fn widened<'a>(x: &'a Self::Store, buf: &'a mut Vec<i32>) -> &'a [i32];
     /// Fixed-point dot product; `certified` is the lowering-time proof
     /// that no accumulator can saturate.
     fn dot(&self, w: Self::Row<'_>, x: Self::Row<'_>, certified: bool) -> i32;
@@ -157,6 +172,11 @@ impl Tier for FixedPoint {
     fn quantize(&self, values: &[f32], out: &mut Vec<i32>) {
         out.resize(values.len(), 0);
         self.quantize_into(values, out);
+    }
+
+    #[inline]
+    fn widened<'a>(x: &'a Vec<i32>, _buf: &'a mut Vec<i32>) -> &'a [i32] {
+        x
     }
 
     #[inline]
@@ -227,6 +247,16 @@ impl Tier for PackedFixed {
 
     fn quantize(&self, values: &[f32], out: &mut PackedVec) {
         self.quantize_into_packed(values, out);
+    }
+
+    #[inline]
+    fn widened<'a>(x: &'a PackedVec, buf: &'a mut Vec<i32>) -> &'a [i32] {
+        buf.clear();
+        match x.as_slice() {
+            PackedSlice::I8(lanes) => buf.extend(lanes.iter().map(|&v| i32::from(v))),
+            PackedSlice::I16(lanes) => buf.extend(lanes.iter().map(|&v| i32::from(v))),
+        }
+        buf
     }
 
     #[inline]
@@ -329,40 +359,203 @@ pub struct KernelFact {
     pub post: Vec<Interval>,
 }
 
-/// One lowered decision tree: the node arena plus thresholds quantized
-/// once at compile time (packed to the lane width on the fast tier, so the
-/// per-packet walk compares entirely in packed space).
-#[derive(Debug, Clone, PartialEq)]
-struct TreeKernel<T: Tier> {
-    nodes: Vec<TreeNodeIr>,
-    /// Thresholds indexed like `nodes` (leaves hold 0).
-    thresholds: T::Store,
+/// Cursors a tree walk advances together: eight independent load chains
+/// are what keeps a branch-free walk busy while each waits on its node.
+const LANES: usize = 8;
+
+/// One node of a lowered tree, 16 bytes. A split and a leaf have the same
+/// shape so that the lane walk never asks which it is on.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct FlatNode {
+    /// Quantized split threshold (0 on a leaf).
+    threshold: i32,
+    /// The feature a split compares (0 on a leaf, where the comparison
+    /// decides nothing).
+    feature: u16,
+    /// The class a leaf stands for (0 on a split).
+    class: u16,
+    /// Arena index of the node to visit next, indexed by
+    /// `feature > threshold`: `[left, right]`. A leaf names itself twice —
+    /// a cursor that has arrived stays put for the remaining steps, which
+    /// is what lets trees of different heights, and leaves above a tree's
+    /// height, share one fixed-length walk.
+    next: [u32; 2],
 }
 
-impl<T: Tier> TreeKernel<T> {
-    /// Walks the arena with `feature_at` supplying quantized features and
-    /// returns the leaf class. Lowering guarantees forward-pointing
-    /// children, so the walk terminates.
-    #[inline]
-    fn walk(&self, feature_at: impl Fn(usize) -> i32) -> usize {
-        let thresholds = T::row(&self.thresholds, 0, self.nodes.len());
-        let mut index = 0usize;
-        loop {
-            match &self.nodes[index] {
-                TreeNodeIr::Leaf { class } => return *class,
+/// One lowered decision tree, or every member tree of a forest, in one
+/// node arena with thresholds quantized once at compile time.
+///
+/// Two walks read it. The classify path runs [`TreeKernel::descend`]: up to
+/// [`LANES`] cursors advanced together for a fixed number of steps with no
+/// data-dependent branch — the cursors are the trees of one row for a
+/// forest and the rows of a block for a single tree.
+/// [`CompiledPipeline::trace`] runs [`TreeKernel::leaf_class`] instead, one
+/// cursor that stops at the first leaf, so the soundness tests hold every
+/// classify entry to a walk that shares no control flow with it.
+#[derive(Debug, Clone, PartialEq, Default)]
+struct TreeKernel {
+    nodes: Vec<FlatNode>,
+    /// Arena index of each member tree's root.
+    roots: Vec<u32>,
+    /// Steps per group of [`LANES`] consecutive trees: the height of the
+    /// group's tallest member (0 for a lone leaf).
+    steps: Vec<u32>,
+}
+
+impl TreeKernel {
+    /// Lowers `trees` into one arena; returns the kernel and the
+    /// leaf-derived class count.
+    fn lower<'a>(
+        trees: impl IntoIterator<Item = &'a TreeIr>,
+        format: FixedPoint,
+    ) -> Result<(Self, usize)> {
+        let mut kernel = TreeKernel::default();
+        let mut leaf_classes = 0usize;
+        let mut heights = Vec::new();
+        for tree in trees {
+            let (height, classes) = kernel.push_tree(tree, format)?;
+            heights.push(height);
+            leaf_classes = leaf_classes.max(classes);
+        }
+        kernel.steps = heights
+            .chunks(LANES)
+            .map(|group| group.iter().copied().max().unwrap_or(0))
+            .collect();
+        Ok((kernel, leaf_classes))
+    }
+
+    /// Appends one tree's nodes; returns its height and its leaf-derived
+    /// class count.
+    fn push_tree(&mut self, tree: &TreeIr, format: FixedPoint) -> Result<(u32, usize)> {
+        let nodes = tree
+            .nodes
+            .as_ref()
+            .ok_or_else(|| RuntimeError::MissingParams("tree ir has no trained nodes".into()))?;
+        if nodes.is_empty() {
+            return Err(RuntimeError::InvalidModel("tree ir has no nodes".into()));
+        }
+        // Flat nodes hold narrow indices: whatever does not fit is refused
+        // here, never truncated.
+        let narrow = |what: &str| RuntimeError::InvalidModel(format!("tree {what} is too large"));
+        let base = self.nodes.len();
+        u32::try_from(base + nodes.len()).map_err(|_| narrow("arena"))?;
+        // In range by the line above.
+        let at = |index: usize| (base + index) as u32;
+        let mut leaf_classes = 0usize;
+        // Depth of the deepest path into each node; children come after
+        // their parents, so one forward pass settles it.
+        let mut depth = vec![0u32; nodes.len()];
+        for (index, node) in nodes.iter().enumerate() {
+            self.nodes.push(match node {
+                TreeNodeIr::Leaf { class } => {
+                    leaf_classes = leaf_classes.max(class + 1);
+                    FlatNode {
+                        threshold: 0,
+                        feature: 0,
+                        class: u16::try_from(*class).map_err(|_| narrow("leaf class"))?,
+                        next: [at(index); 2],
+                    }
+                }
                 TreeNodeIr::Split {
                     feature,
+                    threshold,
                     left,
                     right,
-                    ..
                 } => {
-                    index = if feature_at(*feature) <= T::get(thresholds, index) {
-                        *left
-                    } else {
-                        *right
-                    };
+                    // Children must point strictly forward in the arena
+                    // (true for every fitted tree, which pushes parents
+                    // before children): a walk of `height` steps then ends
+                    // on a leaf for any IR that passes lowering.
+                    if *feature >= tree.n_features
+                        || *left >= nodes.len()
+                        || *right >= nodes.len()
+                        || *left <= index
+                        || *right <= index
+                    {
+                        return Err(RuntimeError::InvalidModel(
+                            "tree node references out-of-range feature or child".into(),
+                        ));
+                    }
+                    for child in [*left, *right] {
+                        depth[child] = depth[child].max(depth[index] + 1);
+                    }
+                    FlatNode {
+                        threshold: format.quantize(*threshold),
+                        feature: u16::try_from(*feature).map_err(|_| narrow("feature index"))?,
+                        class: 0,
+                        next: [at(*left), at(*right)],
+                    }
                 }
+            });
+        }
+        self.roots.push(at(0));
+        let height = depth.into_iter().max().unwrap_or(0);
+        Ok((height, leaf_classes))
+    }
+
+    /// Advances every cursor `steps` levels with no data-dependent branch.
+    /// Cursor `l` reads its row at `x[l * stride..]`: stride 0 walks many
+    /// trees over one row, stride `n_features` one tree over many rows.
+    #[inline(always)]
+    fn descend(&self, cursors: &mut [u32], steps: u32, x: &[i32], stride: usize) {
+        for _ in 0..steps {
+            for (lane, cursor) in cursors.iter_mut().enumerate() {
+                let node = &self.nodes[*cursor as usize];
+                let value = x[lane * stride + usize::from(node.feature)];
+                *cursor = node.next[usize::from(value > node.threshold)];
             }
+        }
+    }
+
+    /// The class of the leaf a cursor stopped on.
+    #[inline(always)]
+    fn class_at(&self, cursor: u32) -> usize {
+        usize::from(self.nodes[cursor as usize].class)
+    }
+
+    /// Adds one vote per member tree for the row `x` into `votes`.
+    #[inline(always)]
+    fn vote(&self, x: &[i32], votes: &mut [i32]) {
+        for (roots, &steps) in self.roots.chunks(LANES).zip(&self.steps) {
+            let mut cursors = [0u32; LANES];
+            let cursors = &mut cursors[..roots.len()];
+            cursors.copy_from_slice(roots);
+            self.descend(cursors, steps, x, 0);
+            for &cursor in cursors.iter() {
+                votes[self.class_at(cursor)] += 1;
+            }
+        }
+    }
+
+    /// Writes the first tree's leaf class for each `n_features`-wide row of
+    /// `x` into `out`, a group of rows at a time.
+    #[inline(always)]
+    fn leaves(&self, x: &[i32], n_features: usize, out: &mut [i32]) {
+        for (group, out) in out.chunks_mut(LANES).enumerate() {
+            let mut cursors = [self.roots[0]; LANES];
+            let cursors = &mut cursors[..out.len()];
+            let x = &x[group * LANES * n_features..];
+            self.descend(cursors, self.steps[0], x, n_features);
+            for (leaf, &cursor) in out.iter_mut().zip(cursors.iter()) {
+                *leaf = self.class_at(cursor) as i32;
+            }
+        }
+    }
+
+    /// The class the tree rooted at `root` gives the row `x`, by a plain
+    /// one-cursor walk that stops at the first leaf (see the type's doc).
+    fn leaf_class(&self, root: u32, x: &[i32]) -> usize {
+        let mut index = root;
+        loop {
+            let node = &self.nodes[index as usize];
+            if node.next[0] == index {
+                return usize::from(node.class);
+            }
+            index = if x[usize::from(node.feature)] <= node.threshold {
+                node.next[0]
+            } else {
+                node.next[1]
+            };
         }
     }
 }
@@ -449,11 +642,11 @@ enum Kernel<T: Tier> {
         /// ([`bounds::squared_distance_bound`]).
         certified: bool,
     },
-    Tree(TreeKernel<T>),
-    Forest {
-        /// Member trees; the verdict is their first-max-wins majority vote.
-        trees: Vec<TreeKernel<T>>,
-    },
+    /// One tree; its raw "score" is the leaf class itself.
+    Tree(TreeKernel),
+    /// Member trees in one arena; the raw scores are their vote counts and
+    /// the verdict the first-max-wins majority, like any other argmax.
+    Forest(TreeKernel),
 }
 
 impl<T: Tier> Kernel<T> {
@@ -463,7 +656,7 @@ impl<T: Tier> Kernel<T> {
             Kernel::Svm { .. } => "svm",
             Kernel::KMeans { .. } => "kmeans",
             Kernel::Tree(_) => "decision_tree",
-            Kernel::Forest { .. } => "random_forest",
+            Kernel::Forest(_) => "random_forest",
         }
     }
 }
@@ -787,7 +980,7 @@ impl CompiledPipeline {
                 })
             }
             ModelIr::Tree(tree) => {
-                let (kernel, leaf_classes) = lower_tree(tree, format, &tier)?;
+                let (kernel, leaf_classes) = TreeKernel::lower([tree], format)?;
                 // The declared class count wins over the leaf-derived one:
                 // a depth-limited tree may never grow a leaf for some
                 // class, but consumers sizing per-class tables still need
@@ -807,29 +1000,30 @@ impl CompiledPipeline {
                     format,
                     n_features: tree.n_features,
                     n_classes,
-                    width: 0,
+                    // One leaf class per row lives in the scratch ping buffer.
+                    width: 1,
                     kernel: wrap(Kernel::Tree(kernel)),
                     facts,
                 })
             }
             ModelIr::Forest(forest) => {
-                let mut n_classes = forest.n_classes.max(2);
-                let mut trees = Vec::with_capacity(forest.trees.len());
-                for tree in &forest.trees {
-                    let (kernel, leaf_classes) = lower_tree(tree, format, &tier)?;
-                    n_classes = n_classes.max(leaf_classes).max(tree.n_classes.unwrap_or(0));
-                    trees.push(kernel);
-                }
+                let (kernel, leaf_classes) = TreeKernel::lower(&forest.trees, format)?;
+                let n_classes = forest
+                    .trees
+                    .iter()
+                    .filter_map(|tree| tree.n_classes)
+                    .fold(forest.n_classes.max(2).max(leaf_classes), usize::max);
                 // Vote counters are bounded by the number of trees.
+                let n_trees = forest.trees.len();
                 let votes = Interval {
                     lo: 0,
-                    hi: trees.len() as i32,
+                    hi: n_trees as i32,
                 };
                 let facts = vec![KernelFact {
                     label: "forest votes".into(),
                     certified: true,
                     lane_bounded_input: true,
-                    abs_bound: trees.len() as i64,
+                    abs_bound: n_trees as i64,
                     pre: vec![votes; n_classes],
                     post: vec![votes; n_classes],
                 }];
@@ -839,7 +1033,7 @@ impl CompiledPipeline {
                     n_classes,
                     // The vote counters live in the scratch ping buffer.
                     width: n_classes,
-                    kernel: wrap(Kernel::Forest { trees }),
+                    kernel: wrap(Kernel::Forest(kernel)),
                     facts,
                 })
             }
@@ -938,12 +1132,12 @@ impl CompiledPipeline {
     /// row loops and offsets cost every family 6–9 ns per packet.
     #[inline(always)]
     fn classify_into(&self, values: &[f32], out: &mut [usize], scratch: &mut Scratch) {
-        let Scratch { qx, px, walk, .. } = scratch;
+        let Scratch { qx, px, scores, .. } = scratch;
         match &self.kernel {
             Lowered::Scalar(kernel) => {
-                self.classify_on(&self.format, kernel, values, out, qx, walk)
+                self.classify_on(&self.format, kernel, values, out, qx, scores)
             }
-            Lowered::Packed(p, kernel) => self.classify_on(p, kernel, values, out, px, walk),
+            Lowered::Packed(p, kernel) => self.classify_on(p, kernel, values, out, px, scores),
         }
     }
 
@@ -955,25 +1149,19 @@ impl CompiledPipeline {
         values: &[f32],
         out: &mut [usize],
         x: &mut T::Store,
-        walk: &mut WalkBufs,
+        bufs: &mut ScoreBufs,
     ) {
-        let nf = self.n_features;
-        let rows = out.len();
         tier.quantize(values, x);
-        let WalkBufs { scores, votes } = walk;
-        let (raw, k) = self
-            .raw_scores(tier, kernel, x, rows, scores)
-            .unwrap_or((&[], 0));
-        for (r, verdict) in out.iter_mut().enumerate() {
-            let scores = &raw[r * k..(r + 1) * k];
-            *verdict = self.decide(kernel, scores, x, r * nf, votes);
+        let (raw, k) = self.raw_scores(tier, kernel, x, out.len(), bufs);
+        for (verdict, scores) in out.iter_mut().zip(raw.chunks_exact(k)) {
+            *verdict = decide(kernel, scores);
         }
     }
 
-    /// Raw integer per-class scores for `rows` quantized feature rows of
-    /// `x`, row-major, with their per-row count (DNN logits, SVM plane
-    /// scores, KMeans distances), or `None` for trees and forests, whose
-    /// verdicts are not score-shaped. Both tiers produce the same bits.
+    /// Raw integer scores for `rows` quantized feature rows of `x`,
+    /// row-major, with their per-row count: DNN logits, SVM plane scores,
+    /// KMeans distances, a forest's per-class votes, a tree's leaf class.
+    /// Both tiers produce the same bits.
     #[inline(always)]
     fn raw_scores<'s, T: Tier>(
         &self,
@@ -982,14 +1170,14 @@ impl CompiledPipeline {
         x: &T::Store,
         rows: usize,
         bufs: &'s mut ScoreBufs,
-    ) -> Option<(&'s [i32], usize)> {
+    ) -> (&'s [i32], usize) {
         let nf = self.n_features;
         match kernel {
             Kernel::Dnn { layers, activation } => {
                 grow(&mut bufs.a, rows * self.width);
                 grow(&mut bufs.b, rows * self.width);
                 let logits = dense_forward(tier, layers, activation, x, rows, bufs);
-                Some((logits, self.n_classes))
+                (logits, self.n_classes)
             }
             Kernel::Svm {
                 planes,
@@ -1007,7 +1195,7 @@ impl CompiledPipeline {
                         out[r * k + pi] = tier.dot(w, row, *certified).saturating_add(bias);
                     }
                 }
-                Some((out, k))
+                (out, k)
             }
             Kernel::KMeans {
                 centroids,
@@ -1023,42 +1211,24 @@ impl CompiledPipeline {
                         out[r * k + i] = tier.squared_distance(c, row, *certified);
                     }
                 }
-                Some((out, k))
+                (out, k)
             }
-            Kernel::Tree(_) | Kernel::Forest { .. } => None,
-        }
-    }
-
-    /// The verdict for one row: from its raw scores for the score-shaped
-    /// families, from its quantized features (`x` from `start`) for trees
-    /// and forests.
-    #[inline(always)]
-    fn decide<T: Tier>(
-        &self,
-        kernel: &Kernel<T>,
-        raw: &[i32],
-        x: &T::Store,
-        start: usize,
-        votes: &mut Vec<i32>,
-    ) -> usize {
-        let features = || T::row(x, start, self.n_features);
-        match kernel {
-            // The float SVM's rule: a score of exactly zero is class 1.
-            Kernel::Svm { binary: true, .. } => usize::from(raw[0] >= 0),
-            Kernel::KMeans { .. } => argmin_i32(raw),
-            Kernel::Dnn { .. } | Kernel::Svm { .. } => argmax_i32(raw),
             Kernel::Tree(tree) => {
-                let x = features();
-                tree.walk(|f| T::get(x, f))
+                grow(&mut bufs.a, rows);
+                let out = &mut bufs.a[..rows];
+                tree.leaves(T::widened(x, &mut bufs.b), nf, out);
+                (out, 1)
             }
-            Kernel::Forest { trees } => {
-                let x = features();
-                votes.clear();
-                votes.resize(self.n_classes, 0);
-                for tree in trees {
-                    votes[tree.walk(|f| T::get(x, f))] += 1;
+            Kernel::Forest(trees) => {
+                let k = self.n_classes;
+                grow(&mut bufs.a, rows * k);
+                let out = &mut bufs.a[..rows * k];
+                out.fill(0);
+                let x = T::widened(x, &mut bufs.b);
+                for (row, votes) in x.chunks_exact(nf).zip(out.chunks_exact_mut(k)) {
+                    trees.vote(row, votes);
                 }
-                argmax_i32(votes)
+                (out, k)
             }
         }
     }
@@ -1075,10 +1245,10 @@ impl CompiledPipeline {
     /// Panics if `features.len() != self.n_features()`.
     pub fn scores(&self, features: &[f32], scratch: &mut Scratch) -> Option<Vec<f32>> {
         assert_eq!(features.len(), self.n_features, "feature count mismatch");
-        let Scratch { qx, px, walk, .. } = scratch;
+        let Scratch { qx, px, scores, .. } = scratch;
         match &self.kernel {
-            Lowered::Scalar(kernel) => self.scores_on(&self.format, kernel, features, qx, walk),
-            Lowered::Packed(p, kernel) => self.scores_on(p, kernel, features, px, walk),
+            Lowered::Scalar(kernel) => self.scores_on(&self.format, kernel, features, qx, scores),
+            Lowered::Packed(p, kernel) => self.scores_on(p, kernel, features, px, scores),
         }
     }
 
@@ -1088,10 +1258,14 @@ impl CompiledPipeline {
         kernel: &Kernel<T>,
         features: &[f32],
         x: &mut T::Store,
-        walk: &mut WalkBufs,
+        bufs: &mut ScoreBufs,
     ) -> Option<Vec<f32>> {
+        // Votes and leaf classes are raw scores to `decide`, not to callers.
+        if matches!(kernel, Kernel::Tree(_) | Kernel::Forest(_)) {
+            return None;
+        }
         tier.quantize(features, x);
-        let (raw, _) = self.raw_scores(tier, kernel, x, 1, &mut walk.scores)?;
+        let (raw, _) = self.raw_scores(tier, kernel, x, 1, bufs);
         Some(match kernel {
             Kernel::Svm { binary: true, .. } => {
                 let s = self.format.dequantize(raw[0]);
@@ -1172,7 +1346,7 @@ impl CompiledPipeline {
                 // with |x-c| ≤ 2·bound and each rounding error ≤ eq.
                 Some(d * ((4.0 * bound + 2.0 * eq) * 2.0 * eq + step))
             }
-            Kernel::Tree(_) | Kernel::Forest { .. } => None,
+            Kernel::Tree(_) | Kernel::Forest(_) => None,
         }
     }
 
@@ -1291,11 +1465,11 @@ impl CompiledPipeline {
                 });
                 best
             }
-            Kernel::Tree(tree) => tree.walk(|f| qx[f]),
-            Kernel::Forest { trees } => {
+            Kernel::Tree(tree) => tree.leaf_class(tree.roots[0], &qx),
+            Kernel::Forest(trees) => {
                 let mut votes = vec![0i32; self.n_classes];
-                for tree in trees {
-                    votes[tree.walk(|f| qx[f])] += 1;
+                for &root in &trees.roots {
+                    votes[trees.leaf_class(root, &qx)] += 1;
                 }
                 let verdict = argmax_i32(&votes);
                 stages.push(TraceStage {
@@ -1376,62 +1550,6 @@ fn matvec_trace<T: Tier>(
             *o = sat_add_detect(*o, t, saturated);
         }
     }
-}
-
-/// Lowers one tree IR onto the pipeline's storage tier; returns the
-/// kernel and the leaf-derived class count.
-fn lower_tree<T: Tier>(
-    tree: &TreeIr,
-    format: FixedPoint,
-    tier: &T,
-) -> Result<(TreeKernel<T>, usize)> {
-    let nodes = tree
-        .nodes
-        .as_ref()
-        .ok_or_else(|| RuntimeError::MissingParams("tree ir has no trained nodes".into()))?;
-    if nodes.is_empty() {
-        return Err(RuntimeError::InvalidModel("tree ir has no nodes".into()));
-    }
-    let mut leaf_classes = 0usize;
-    let mut thresholds = Vec::with_capacity(nodes.len());
-    for (index, node) in nodes.iter().enumerate() {
-        match node {
-            TreeNodeIr::Leaf { class } => {
-                leaf_classes = leaf_classes.max(class + 1);
-                thresholds.push(0);
-            }
-            TreeNodeIr::Split {
-                feature,
-                threshold,
-                left,
-                right,
-            } => {
-                // Children must point strictly forward in the
-                // arena (true for every fitted tree, which
-                // pushes parents before children) — this is
-                // what guarantees classify() terminates on
-                // any IR that passes lowering.
-                if *feature >= tree.n_features
-                    || *left >= nodes.len()
-                    || *right >= nodes.len()
-                    || *left <= index
-                    || *right <= index
-                {
-                    return Err(RuntimeError::InvalidModel(
-                        "tree node references out-of-range feature or child".into(),
-                    ));
-                }
-                thresholds.push(format.quantize(*threshold));
-            }
-        }
-    }
-    Ok((
-        TreeKernel {
-            nodes: nodes.clone(),
-            thresholds: tier.lower(thresholds),
-        },
-        leaf_classes,
-    ))
 }
 
 /// Error/bound propagation through one dense layer: returns the
@@ -1517,6 +1635,18 @@ fn argmin_i32(values: &[i32]) -> usize {
         }
     }
     best
+}
+
+/// The verdict for one row from its raw scores.
+#[inline(always)]
+fn decide<T: Tier>(kernel: &Kernel<T>, raw: &[i32]) -> usize {
+    match kernel {
+        // The float SVM's rule: a score of exactly zero is class 1.
+        Kernel::Svm { binary: true, .. } => usize::from(raw[0] >= 0),
+        Kernel::KMeans { .. } => argmin_i32(raw),
+        Kernel::Tree(_) => raw[0] as usize,
+        Kernel::Dnn { .. } | Kernel::Svm { .. } | Kernel::Forest(_) => argmax_i32(raw),
+    }
 }
 
 /// Convenience: classify every row of a feature matrix on one thread.
@@ -1783,27 +1913,35 @@ mod tests {
         net.train(&x, &y, &TrainConfig::default().epochs(30))
             .unwrap();
         let km = KMeans::fit(&x, &KMeansConfig::new(3)).unwrap();
+        let tree = DecisionTreeClassifier::fit(&x, &y, 2, &TreeConfig::default()).unwrap();
         let forest = RandomForestClassifier::fit(&x, &y, 2, &ForestConfig::default()).unwrap();
         let irs = [
             ModelIr::Dnn(DnnIr::from_mlp(&net)),
             ModelIr::KMeans(KMeansIr::from_kmeans(&km, 4)),
+            ModelIr::Tree(TreeIr::from_tree(&tree)),
             ModelIr::Forest(ForestIr::from_forest(&forest)),
+            uneven_forest(),
         ];
         for ir in &irs {
             for pipeline in [
                 CompiledPipeline::from_ir(ir, q()).unwrap(),
                 CompiledPipeline::from_ir_scalar(ir, q()).unwrap(),
             ] {
-                let mut bs = Scratch::new();
-                let mut out = vec![0usize; x.rows()];
-                let mut start = 0;
-                while start < x.rows() {
-                    let rows = (x.rows() - start).min(BLOCK_ROWS);
-                    let block = &x.as_slice()[start * x.cols()..(start + rows) * x.cols()];
-                    pipeline.classify_block(block, &mut out[start..start + rows], &mut bs);
-                    start += rows;
+                let per_row = classify_rows(&pipeline, &x);
+                // Blocks of every size around the lane width and the block
+                // size: partial lane groups, a ninth row, a 33rd.
+                for block_rows in [1, 7, 8, 9, 31, 32, 33] {
+                    let mut bs = Scratch::new();
+                    let mut out = vec![0usize; x.rows()];
+                    for (block, out) in x
+                        .as_slice()
+                        .chunks(block_rows * x.cols())
+                        .zip(out.chunks_mut(block_rows))
+                    {
+                        pipeline.classify_block(block, out, &mut bs);
+                    }
+                    assert_eq!(out, per_row, "{} x {block_rows}", ir.family());
                 }
-                assert_eq!(out, classify_rows(&pipeline, &x), "{}", ir.family());
             }
         }
     }
@@ -1890,6 +2028,113 @@ mod tests {
             cyclic.compile(q()),
             Err(RuntimeError::InvalidModel(_))
         ));
+    }
+
+    fn leaf(class: usize) -> TreeNodeIr {
+        TreeNodeIr::Leaf { class }
+    }
+
+    fn split(feature: usize, threshold: f32, left: usize, right: usize) -> TreeNodeIr {
+        TreeNodeIr::Split {
+            feature,
+            threshold,
+            left,
+            right,
+        }
+    }
+
+    fn tree_ir(n_features: usize, nodes: Vec<TreeNodeIr>) -> TreeIr {
+        TreeIr {
+            depth: 1,
+            n_features,
+            leaves: 1,
+            n_classes: None,
+            nodes: Some(nodes),
+        }
+    }
+
+    /// Nine 4-feature trees (a partial second lane group) of heights 0 to
+    /// 3: a lone leaf, a stump, and a spine with a leaf at depth 1.
+    fn uneven_forest() -> ModelIr {
+        let spine = |feature| {
+            vec![
+                split(feature, 0.0, 1, 2),
+                leaf(0),
+                split((feature + 1) % 4, 0.85, 3, 4),
+                leaf(1),
+                split((feature + 2) % 4, 0.95, 5, 6),
+                leaf(0),
+                leaf(1),
+            ]
+        };
+        let mut trees = vec![
+            tree_ir(4, vec![leaf(1)]),
+            tree_ir(4, vec![split(2, 0.0, 1, 2), leaf(0), leaf(1)]),
+        ];
+        trees.extend((0..7).map(|f| tree_ir(4, spine(f % 4))));
+        ModelIr::Forest(ForestIr {
+            n_features: 4,
+            n_classes: 2,
+            trees,
+        })
+    }
+
+    #[test]
+    fn tree_indices_that_do_not_fit_a_flat_node_are_rejected() {
+        // Feature 70 000 is in range for the tree but not for the node's
+        // 16-bit feature index: refused, not truncated to 4 464.
+        let wide = 1 << 17;
+        let nodes = vec![split(70_000, 0.5, 1, 2), leaf(0), leaf(1)];
+        let too_wide = ModelIr::Tree(tree_ir(wide, nodes.clone()));
+        assert!(matches!(
+            too_wide.compile(q()),
+            Err(RuntimeError::InvalidModel(_))
+        ));
+        let too_many_classes = ModelIr::Tree(tree_ir(2, vec![leaf(1 << 16)]));
+        assert!(matches!(
+            too_many_classes.compile(q()),
+            Err(RuntimeError::InvalidModel(_))
+        ));
+        // The largest feature index that does fit is served.
+        let mut nodes = nodes;
+        nodes[0] = split(65_535, 0.5, 1, 2);
+        let pipeline = ModelIr::Tree(tree_ir(wide, nodes)).compile(q()).unwrap();
+        let mut row = vec![0.0f32; wide];
+        assert_eq!(pipeline.classify(&row, &mut Scratch::new()), 0);
+        row[65_535] = 1.0;
+        assert_eq!(pipeline.classify(&row, &mut Scratch::new()), 1);
+    }
+
+    #[test]
+    fn single_leaf_tree_classifies_in_zero_steps() {
+        let ir = ModelIr::Tree(tree_ir(3, vec![leaf(1)]));
+        for pipeline in [
+            CompiledPipeline::from_ir(&ir, q()).unwrap(),
+            CompiledPipeline::from_ir_scalar(&ir, q()).unwrap(),
+        ] {
+            let x = Matrix::from_fn(9, 3, |r, c| (r + c) as f32 * 0.1);
+            assert_eq!(classify_rows(&pipeline, &x), vec![1; 9]);
+            assert_eq!(pipeline.classify_batch(&x, 1), vec![1; 9]);
+            assert_eq!(pipeline.trace(x.row(0)).verdict, 1);
+        }
+    }
+
+    #[test]
+    fn forest_of_uneven_heights_walks_each_group_to_its_tallest_tree() {
+        // In `uneven_forest` the lone leaf and the stump share a lane group
+        // with height-3 spines and must sit on their leaves while the
+        // spines finish; the ninth tree is a group of its own.
+        let ir = uneven_forest();
+        let x = Matrix::from_fn(64, 4, |r, c| ((r * 7 + c * 5) % 23) as f32 / 11.0 - 1.0);
+        for pipeline in [
+            CompiledPipeline::from_ir(&ir, q()).unwrap(),
+            CompiledPipeline::from_ir_scalar(&ir, q()).unwrap(),
+        ] {
+            let traced: Vec<usize> = x.iter_rows().map(|r| pipeline.trace(r).verdict).collect();
+            assert!(traced.contains(&0) && traced.contains(&1), "{traced:?}");
+            assert_eq!(classify_rows(&pipeline, &x), traced);
+            assert_eq!(pipeline.classify_batch(&x, 1), traced);
+        }
     }
 
     #[test]

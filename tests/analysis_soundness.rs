@@ -90,6 +90,45 @@ fn full_tree(depth: usize, n_features: usize, n_classes: usize, pool: &mut Pool)
     }
 }
 
+/// An unbalanced tree of `depth`: every split's left child is a leaf (the
+/// first at depth 1) and its right child the next split — so some rows
+/// reach a leaf levels above the tree's height.
+fn spine_tree(depth: usize, n_features: usize, n_classes: usize, pool: &mut Pool) -> TreeIr {
+    let nodes: Vec<TreeNodeIr> = (0..=2 * depth)
+        .map(|i| {
+            if i % 2 == 0 && i < 2 * depth {
+                TreeNodeIr::Split {
+                    feature: (i / 2) % n_features,
+                    threshold: pool.draw(),
+                    left: i + 1,
+                    right: i + 2,
+                }
+            } else {
+                TreeNodeIr::Leaf {
+                    class: i % n_classes,
+                }
+            }
+        })
+        .collect();
+    TreeIr {
+        depth,
+        n_features,
+        leaves: depth + 1,
+        n_classes: Some(n_classes),
+        nodes: Some(nodes),
+    }
+}
+
+/// One tree of a shape picked by `shape`: a full tree of depth 1–3 (twice
+/// as likely), a depth-6 spine (depth 0 is a lone leaf, height 0).
+fn any_tree(shape: usize, n_features: usize, n_classes: usize, pool: &mut Pool) -> TreeIr {
+    match shape % 4 {
+        2 => spine_tree(6, n_features, n_classes, pool),
+        3 => spine_tree(0, n_features, n_classes, pool),
+        _ => full_tree(1 + shape % 3, n_features, n_classes, pool),
+    }
+}
+
 /// Builds one trained model of the chosen family, all parameters drawn
 /// from the pool. `a`/`b`/`c` are small dimension seeds.
 fn build_model(family: usize, a: usize, b: usize, c: usize, pool: &mut Pool) -> ModelIr {
@@ -133,11 +172,13 @@ fn build_model(family: usize, a: usize, b: usize, c: usize, pool: &mut Pool) -> 
                 centroids: Some(centroids),
             })
         }
-        3 => ModelIr::Tree(full_tree(1 + b % 3, a, 2 + c % 3, pool)),
+        3 => ModelIr::Tree(any_tree(b, a, 2 + c % 3, pool)),
         _ => {
+            // Tree counts on every side of an 8-cursor lane group, members
+            // of mixed shapes and heights.
             let n_classes = 2 + c % 3;
-            let trees: Vec<TreeIr> = (0..1 + c % 3)
-                .map(|_| full_tree(1 + b % 3, a, n_classes, pool))
+            let trees: Vec<TreeIr> = (0..[1, 7, 8, 9, 24, 25][c % 6])
+                .map(|i| any_tree(b + i, a, n_classes, pool))
                 .collect();
             ModelIr::Forest(ForestIr {
                 n_features: a,
