@@ -54,22 +54,24 @@ doc:
 		--exclude serde --exclude serde_derive --exclude serde_json \
 		--exclude rand --exclude proptest --exclude criterion
 
-# Repeated release-mode runs of the lock-free-ingress stress suite
-# (multi-producer hammer, cancellation/drain races, saturated-admission
-# deadlines, windowed-floor property). Interleaving bugs in the ring
-# ingress are probabilistic: one green run means little, so the gate is
-# STRESS_RUNS consecutive passes. Wall-clock stays bounded — the suite
-# itself runs in well under a second per iteration, and every run is
-# under `timeout`: a lost wake-up hangs a run rather than failing it
-# (seen once in ~1 300 runs), and a hung run must fail the gate, not
-# hold it until the CI runner's own limit. The test binary is built
-# first, outside the limit; run 0 is the run the loop used to follow.
+# Repeated release-mode runs of the two suites that saturate the
+# deployment ingress (`ingress_stress`: multi-producer hammer,
+# cancellation/drain races, saturated-admission deadlines, windowed-floor
+# property; `serving_isolation`: eight producers behind a two-ticket
+# depth). The ingress is a mutex and two condition variables, so its
+# failure mode is a wake-up that is never sent: a run that *hangs*, not
+# one that fails, and only under an interleaving one run may not meet.
+# Hence STRESS_RUNS consecutive passes, each under `timeout` so that a
+# hung run fails the gate instead of holding it until the CI runner's
+# own limit. The suites take well under a second per iteration; the test
+# binaries are built first, outside the limit.
 STRESS_RUNS ?= 25
+STRESS_SUITES = --test ingress_stress --test serving_isolation
 
 stress:
-	$(CARGO) test -q --release --test ingress_stress --no-run
+	$(CARGO) test -q --release $(STRESS_SUITES) --no-run
 	@for i in $$(seq 0 $(STRESS_RUNS)); do \
-		timeout 120 $(CARGO) test -q --release --test ingress_stress >/dev/null 2>&1; \
+		timeout 120 $(CARGO) test -q --release $(STRESS_SUITES) >/dev/null 2>&1; \
 		status=$$?; \
 		if [ $$status -eq 124 ]; then \
 			echo "stress: run $$i hung (no result in 120 s)"; exit 1; \

@@ -609,7 +609,7 @@ impl CompiledArtifact {
     /// Look tenants up by model name via [`Deployment::tenant_id`]; add
     /// QoS weights afterwards by registering extra tenants with
     /// [`Deployment::add_model_with`]. The ingress knobs on `builder` —
-    /// per-worker ring capacity, row-budget admission, submit deadlines,
+    /// queue depth, row-budget admission, submit deadlines,
     /// and the windowed-fairness horizon
     /// (`DeploymentBuilder::fairness_window_rows`) — all apply to the
     /// returned session exactly as for a hand-built deployment.
@@ -957,8 +957,7 @@ mod tests {
 
         // The artifact serves: one tenant per winning model, and served
         // verdicts match the report's own compiled pipeline run in
-        // isolation on normalized features — ring ingress and admission
-        // knobs included.
+        // isolation on normalized features — admission knobs included.
         let raw = homunculus_ml::tensor::Matrix::from_fn(16, 7, |r, c| (r * 7 + c) as f32 * 0.05);
         let report = artifact.report("a").unwrap();
         let mut normalized = raw.clone();
@@ -971,7 +970,7 @@ mod tests {
             .build_deployment(
                 homunculus_runtime::Deployment::builder()
                     .workers(2)
-                    .ring_capacity(8)
+                    .queue_depth(8)
                     .chunk_rows(4)
                     .max_queued_rows(1024)
                     .fairness_window_rows(512),

@@ -36,6 +36,7 @@ use homunculus_ml::preprocess::Normalizer;
 use homunculus_ml::quantize::FixedPoint;
 use homunculus_ml::tensor::Matrix;
 use homunculus_runtime::deploy::{Deployment, Ticket};
+use homunculus_runtime::pipeline::{Compile, CompiledPipeline};
 use homunculus_runtime::serve::{TenantBatch, TenantId};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::time::Instant;
@@ -186,19 +187,28 @@ impl FleetBuilder {
             .workers(width)
             .queue_depth(QUEUE_DEPTH_PER_SWITCH * self.topology.len())
             .build();
+        // Each model is lowered once, where its first placement meets it
+        // (so a lowering error surfaces where it always did), and every
+        // switch registers a clone.
+        let mut lowered: Vec<Option<CompiledPipeline>> = vec![None; self.entries.len()];
         let mut nodes = Vec::with_capacity(self.topology.len());
         for switch in self.topology.switches() {
             let mut tenants = BTreeMap::new();
             for name in &self.placement[switch.role.index()] {
-                let entry = self
+                let index = self
                     .entries
                     .iter()
-                    .find(|e| &e.name == name)
+                    .position(|e| &e.name == name)
                     .expect("placement names validated above");
-                let tenant = deployment.add_model(
+                let entry = &self.entries[index];
+                let pipeline = match &lowered[index] {
+                    Some(pipeline) => pipeline,
+                    None => lowered[index]
+                        .insert(entry.ir.compile_shared(entry.format, deployment.luts())?),
+                };
+                let tenant = deployment.add_tenant(
                     &format!("{}/{}", switch.name, entry.name),
-                    &entry.ir,
-                    entry.format,
+                    pipeline.clone(),
                     entry.normalizer.clone(),
                 )?;
                 tenants.insert(entry.name.clone(), (tenant, entry.ir.n_features()));

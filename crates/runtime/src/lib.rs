@@ -1,7 +1,4 @@
-// The only unsafe in this crate is the pair of `UnsafeCell` accesses in
-// `ring::SlotSlab` (each carries a `// SAFETY:` comment proving
-// exclusivity); the `simd` feature only forwards to homunculus-ml.
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 //! # homunculus-runtime
 //!
 //! The compiled fixed-point inference runtime.
@@ -24,7 +21,9 @@
 //!   `classify_batch` API that shards it across `std::thread::scope`
 //!   workers.
 //! - [`deploy`] — the serving frontend: a [`deploy::Deployment`] keeps
-//!   resident workers fed by a bounded ingress queue, with ticket-based
+//!   resident workers fed by a bounded ingress — one mutex-guarded
+//!   scheduler with two condition variables, so idle workers and blocked
+//!   submitters sleep until the event they wait for — with ticket-based
 //!   submission, runtime tenant add/remove, weighted QoS scheduling
 //!   (per-model throughput floors), live stats snapshots, and graceful
 //!   drain/shutdown.
@@ -84,7 +83,6 @@ pub mod deploy;
 pub mod histogram;
 pub mod lut;
 pub mod pipeline;
-pub mod ring;
 pub mod serve;
 
 pub use deploy::{

@@ -149,7 +149,7 @@ fn tenants_added_and_removed_at_runtime() {
 fn removed_tenant_with_queued_ingress_rows_completes_accepted_tickets() {
     // Regression for the PR 4 follow-on bug class: removal must only
     // refuse *new* submissions. Accepted tickets whose rows are still
-    // sitting in the ingress (lanes/rings) when the tenant goes away must
+    // sitting in the tenant's lane when the tenant goes away must
     // complete with bit-correct verdicts — under live workers and a deep
     // backlog, not just a paused staging area.
     let deployment = Deployment::builder()

@@ -238,21 +238,14 @@ fn deployed_verdicts_fingerprint_matches_call_at_a_time_path() {
         })
         .collect();
 
-    // Sweep worker counts AND ring-ingress shapes: a 4-slot worker ring
-    // with an 8-chunk slab forces constant descriptor recycling and
-    // submit-side backoff, which must never leak into verdict bytes.
-    for (workers, ring_capacity, chunk_slots) in [
-        (1, 64, 4096),
-        (2, 64, 4096),
-        (4, 64, 4096),
-        (2, 4, 8),
-        (4, 4, 8),
-    ] {
+    // Sweep worker counts AND queue depths: at depth 1 the second submit
+    // blocks until the first ticket completes, at depth 2 the workers
+    // share both tickets' chunks — neither may leak into verdict bytes.
+    for (workers, queue_depth) in [(1, 64), (2, 64), (4, 64), (2, 1), (4, 2)] {
         let deployment = Deployment::builder()
             .workers(workers)
             .chunk_rows(7)
-            .ring_capacity(ring_capacity)
-            .chunk_slots(chunk_slots)
+            .queue_depth(queue_depth)
             .build();
         let dnn = deployment
             .add_model("dnn_app", &handcrafted_dnn_ir(), format, None)
@@ -274,7 +267,7 @@ fn deployed_verdicts_fingerprint_matches_call_at_a_time_path() {
             .collect();
         assert_eq!(
             deployed, reference,
-            "workers={workers} ring={ring_capacity} slots={chunk_slots}: deployed verdicts diverged"
+            "workers={workers} depth={queue_depth}: deployed verdicts diverged"
         );
         let checksum: usize = deployed
             .iter()

@@ -1,16 +1,20 @@
-//! Concurrency stress tests for the lock-free ring ingress.
+//! Concurrency stress tests for the deployment ingress.
 //!
-//! The sharded ingress replaced a mutex+condvar queue; these tests hammer
-//! the paths a single-threaded suite never exercises:
+//! The ingress is one monitor — the scheduler mutex and two condition
+//! variables (`runtime::deploy` module docs) — so what can go wrong is a
+//! wake-up that is never sent: a run that hangs, not one that fails.
+//! These tests hammer the paths a single-threaded suite never exercises,
+//! and `make stress` repeats them under a time limit:
 //!
 //! 1. **Multi-producer races** — many submit threads × many tenants, with
-//!    cancellation and `drain()` racing the producers, over deliberately
-//!    tiny rings and descriptor slabs so every submission contends. No
-//!    ticket may be lost or duplicated, and every uncancelled ticket's
-//!    verdicts must be bit-identical to a sequential replay.
-//! 2. **Full rings never deadlock** — blocked admission is bounded by the
-//!    submit deadline even when the deployment is paused and every gate
-//!    is saturated; accepted work still completes after `resume()`.
+//!    cancellation and `drain()` racing the producers, behind a queue
+//!    depth as small as the producer count so submitters block and are
+//!    woken all the way through. No ticket may be lost or duplicated, and
+//!    every uncancelled ticket's verdicts must be bit-identical to a
+//!    sequential replay.
+//! 2. **A full ingress never deadlocks** — blocked admission is bounded
+//!    by the submit deadline even when the deployment is paused and every
+//!    gate is saturated; accepted work still completes after `resume()`.
 //! 3. **Windowed fairness floors** (property test) — over arbitrary
 //!    backlogged submission prefixes, a floored tenant's share of
 //!    dispatched rows holds its guarantee under the decaying window
@@ -55,15 +59,14 @@ fn multi_producer_hammer_preserves_every_ticket_bitwise() {
     const PRODUCERS: usize = 4;
     const BATCHES_PER_PRODUCER: usize = 24;
 
-    // A 4-entry ring with an 8-slot descriptor slab forces constant
-    // descriptor recycling and submit-side backoff under 4 producers: the
-    // hot path runs saturated for the whole test.
+    // Four tickets of depth under 4 producers (and `drain()` on the same
+    // condvar): every producer blocks for room and is woken by a
+    // completion over and over, so admission runs saturated for the whole
+    // test.
     let deployment = Deployment::builder()
         .workers(2)
         .chunk_rows(5)
-        .queue_depth(64)
-        .ring_capacity(4)
-        .chunk_slots(8)
+        .queue_depth(4)
         .build();
     let ids: Vec<_> = (0..TENANTS)
         .map(|t| {
@@ -165,8 +168,6 @@ fn saturated_admission_deadlines_instead_of_deadlocking() {
         .workers(1)
         .chunk_rows(16)
         .queue_depth(2)
-        .ring_capacity(4)
-        .chunk_slots(4)
         .submit_deadline(Duration::from_millis(50))
         .paused(true)
         .build();
