@@ -2,13 +2,12 @@
 
 CARGO ?= cargo
 
-.PHONY: ci fmt fmt-check clippy clippy-simd build test test-simd doc stress bench bench-smoke bench-pairs examples lint-artifacts
+.PHONY: ci fmt fmt-check clippy build test doc stress bench-smoke bench-pairs paper-smoke paper examples lint-artifacts
 
-# The simd lanes re-run clippy and the test suite with the SSE2
-# intrinsics swapped in (the `simd` feature on the facade crate forwards
-# to homunculus-ml and homunculus-runtime); verdicts must stay
-# bit-identical, so the same tests gate both kernel tiers.
-ci: fmt-check clippy clippy-simd build test test-simd doc stress lint-artifacts bench-smoke
+# One lane per check: there is one build of the kernels (portable, no
+# cargo feature selects another), so the binary linted and tested here is
+# the binary hbench measures and a deployment serves.
+ci: fmt-check clippy build test doc stress lint-artifacts bench-smoke paper-smoke
 
 fmt:
 	$(CARGO) fmt
@@ -19,40 +18,30 @@ fmt-check:
 clippy:
 	$(CARGO) clippy -q --workspace --all-targets -- -D warnings
 
-clippy-simd:
-	$(CARGO) clippy -q --workspace --all-targets --features homunculus/simd -- -D warnings
-
 build:
-	$(CARGO) build --release --workspace --examples --benches
+	$(CARGO) build --release --workspace --examples
 
-# Both test lanes build first, outside any limit, then run under
+# The test lane builds first, outside any limit, then runs under
 # `timeout`: the suites drive resident worker pools (and one tenant that
 # panics on purpose), where a chunk that never reaches a worker hangs its
 # ticket's waiter rather than failing a test, and a hung lane must fail
 # the gate, not hold it.
-define run_tests
-	$(CARGO) test -q --workspace $(1) --no-run
-	@timeout 1800 $(CARGO) test -q --workspace $(1); \
+test:
+	$(CARGO) test -q --workspace --no-run
+	@timeout 1800 $(CARGO) test -q --workspace; \
 	status=$$?; \
 	if [ $$status -eq 124 ]; then \
-		echo "$@: hung (no result in 1800 s)"; exit 1; \
+		echo "test: hung (no result in 1800 s)"; exit 1; \
 	elif [ $$status -ne 0 ]; then \
-		echo "$@: failed"; exit 1; \
+		echo "test: failed"; exit 1; \
 	fi
-endef
-
-test:
-	$(call run_tests,)
-
-test-simd:
-	$(call run_tests,--features homunculus/simd)
 
 # API docs for the homunculus crates (vendor stand-ins excluded), with
 # rustdoc warnings denied so broken intra-doc links fail the gate.
 doc:
 	RUSTDOCFLAGS="-D warnings" $(CARGO) doc -q --no-deps --workspace \
 		--exclude serde --exclude serde_derive --exclude serde_json \
-		--exclude rand --exclude proptest --exclude criterion
+		--exclude rand --exclude proptest
 
 # Repeated release-mode runs of the two suites that saturate the
 # deployment ingress (`ingress_stress`: multi-producer hammer,
@@ -81,9 +70,6 @@ stress:
 	done
 	@echo "stress: $(STRESS_RUNS) consecutive runs passed"
 
-bench:
-	$(CARGO) bench -p homunculus-bench
-
 # The benchmark's own suite, one smoke run of every workload included.
 # hbench is a workspace of its own, so nothing in `cargo test --workspace`
 # notices when a product API it calls disappears: this target does. Full
@@ -99,6 +85,33 @@ bench-smoke:
 # pair, so not part of `ci`.
 bench-pairs:
 	scripts/hbench-pairs.sh $(A) $(B) $(W) $(SEEDS)
+
+# The paper's tables and figures (crates/bench/src/bin/*.rs). `paper-smoke`
+# is the part of `ci`: the five bins that finish in under two seconds each
+# in release, one by one under `timeout`, failing on a non-zero exit.
+# `paper` runs all eleven (~2 min on 2 vCPUs): `all_experiments` runs the eight
+# table/figure bins as child processes, then the BO ablation and the
+# dataset calibration probe.
+PAPER_SMOKE_BINS = fig6 fig7 table3 table4 reaction_time
+
+paper-smoke:
+	$(CARGO) build -q --release -p homunculus-bench --bins
+	@for bin in $(PAPER_SMOKE_BINS); do \
+		timeout 60 $(CARGO) run -q --release -p homunculus-bench --bin $$bin >/dev/null; \
+		status=$$?; \
+		if [ $$status -eq 124 ]; then \
+			echo "paper-smoke: $$bin hung (no result in 60 s)"; exit 1; \
+		elif [ $$status -ne 0 ]; then \
+			echo "paper-smoke: $$bin failed"; exit 1; \
+		fi; \
+	done
+	@echo "paper-smoke: $(PAPER_SMOKE_BINS) ran clean"
+
+paper:
+	$(CARGO) build -q --release -p homunculus-bench --bins
+	$(CARGO) run -q --release -p homunculus-bench --bin all_experiments
+	$(CARGO) run -q --release -p homunculus-bench --bin ablation_bo
+	$(CARGO) run -q --release -p homunculus-bench --bin calibrate
 
 examples:
 	$(CARGO) build --release --examples

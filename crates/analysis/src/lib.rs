@@ -36,7 +36,7 @@
 use homunculus_backends::model::{ModelIr, TreeIr, TreeNodeIr};
 use homunculus_ml::bounds::{term_interval, Interval};
 use homunculus_ml::preprocess::Normalizer;
-use homunculus_ml::quantize::{FixedPoint, PackedWidth};
+use homunculus_ml::quantize::{FixedPoint, PackedFixed};
 use homunculus_ml::MlError;
 use homunculus_runtime::pipeline::KernelFact;
 use homunculus_runtime::{Compile, RuntimeError};
@@ -660,7 +660,7 @@ fn lint_format(input: &ModelInput<'_>, out: &mut Vec<Diagnostic>) {
             return;
         }
     }
-    if PackedWidth::for_format(format).is_none() {
+    if PackedFixed::new(format).is_none() {
         out.push(Diagnostic::new(
             DiagCode::FormatOverflow,
             Some(input.name),

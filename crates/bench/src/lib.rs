@@ -2,8 +2,7 @@
 //! # homunculus-bench
 //!
 //! The benchmark harness: one binary per table/figure of the paper's
-//! evaluation (§5), plus criterion microbenches. This library holds the
-//! shared experiment plumbing:
+//! evaluation (§5). This library holds the shared experiment plumbing:
 //!
 //! - the **hand-tuned baseline** model definitions (the paper's Base-AD,
 //!   Base-TC, Base-BD architectures),

@@ -252,8 +252,8 @@ impl ToJson for ModelReport {
 impl ModelReport {
     /// Decodes the [`ToJson`] document form, re-lowering the IR to the
     /// integer runtime (so `compiled` is ready to classify). Re-lowering
-    /// rebuilds the full execution state, including the packed
-    /// narrow-lane weight storage when the format fits `i16`/`i8` — a
+    /// rebuilds the full execution state, including the packed `i16`
+    /// weight storage when the format fits 16 bits — a
     /// reloaded artifact serves from the same kernel tier, bit for bit,
     /// as the process that compiled it.
     ///
@@ -685,7 +685,27 @@ impl ToJson for CompiledArtifact {
 }
 
 /// Compiles a platform with default options — the paper's
-/// `homunculus.generate(platform)` entry point.
+/// `homunculus.generate(platform)` spelling, an alias of
+/// `Compiler::new(CompilerOptions::default()).open(platform)?.compile()`.
+///
+/// ```no_run
+/// use homunculus_core::alchemy::{Metric, ModelSpec, Platform};
+/// use homunculus_core::pipeline::generate;
+/// use homunculus_datasets::nslkdd::NslKddGenerator;
+///
+/// # fn main() -> Result<(), homunculus_core::CoreError> {
+/// let model = ModelSpec::builder("anomaly_detection")
+///     .optimization_metric(Metric::F1)
+///     .data(NslKddGenerator::new(42).generate(4_000))
+///     .build()?;
+/// let mut platform = Platform::taurus();
+/// platform.constraints_mut().grid(16, 16);
+/// platform.schedule(model)?;
+/// let artifact = generate(&platform)?;
+/// println!("{} model(s) compiled", artifact.reports().len());
+/// # Ok(())
+/// # }
+/// ```
 ///
 /// # Errors
 ///
@@ -695,12 +715,34 @@ pub fn generate(platform: &Platform) -> Result<CompiledArtifact> {
 }
 
 /// Compiles a platform: search + train + feasibility-check + codegen for
-/// every scheduled model. This is a thin shim over a default
-/// [`Compiler`] session running all four stages
-/// back to back — staged compiles with the same options produce
-/// bit-identical artifacts (stage boundaries never touch an RNG stream);
-/// use a session directly for observability, cancellation, or
-/// between-stage inspection.
+/// every scheduled model. An alias of
+/// `Compiler::new(*options).open(platform)?.compile()` — a staged compile
+/// with the same options produces a bit-identical artifact (stage
+/// boundaries never touch an RNG stream); use a [`Compiler`] session
+/// directly for observability, cancellation, or between-stage inspection.
+///
+/// ```no_run
+/// use homunculus_core::alchemy::{Metric, ModelSpec, Platform};
+/// use homunculus_core::pipeline::{generate_with, CompilerOptions};
+/// use homunculus_core::session::Compiler;
+/// use homunculus_datasets::nslkdd::NslKddGenerator;
+///
+/// # fn main() -> Result<(), homunculus_core::CoreError> {
+/// let model = ModelSpec::builder("anomaly_detection")
+///     .optimization_metric(Metric::F1)
+///     .data(NslKddGenerator::new(42).generate(4_000))
+///     .build()?;
+/// let mut platform = Platform::taurus();
+/// platform.constraints_mut().grid(16, 16);
+/// platform.schedule(model)?;
+/// let options = CompilerOptions::fast();
+/// let artifact = generate_with(&platform, &options)?;
+/// // The same compile, spelled as the session it is:
+/// let staged = Compiler::new(options).open(&platform)?.compile()?;
+/// assert_eq!(artifact.to_json_string()?, staged.to_json_string()?);
+/// # Ok(())
+/// # }
+/// ```
 ///
 /// # Errors
 ///
@@ -861,13 +903,9 @@ mod tests {
                 .unwrap()
                 .classify(&features, &mut scratch),
         );
-        // Re-lowering rebuilds the packed narrow-lane storage too: a
-        // reloaded Q3.12 artifact serves from the i16 kernel tier, not a
-        // scalar fallback.
-        assert_eq!(
-            b.compiled.as_ref().unwrap().packed_width(),
-            Some(homunculus_ml::quantize::PackedWidth::I16),
-        );
+        // Re-lowering rebuilds the packed storage too: a reloaded Q3.12
+        // artifact serves from the i16 kernel tier, not a scalar fallback.
+        assert!(b.compiled.as_ref().unwrap().is_packed());
     }
 
     #[test]

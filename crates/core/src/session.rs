@@ -1,11 +1,15 @@
 //! Staged compilation sessions: observable stages, cooperative
 //! cancellation, and typed stage handles.
 //!
-//! [`generate_with`](crate::pipeline::generate_with) hides the whole
-//! compile — search, train, feasibility check, code generation — behind
-//! one blocking call. A [`Compiler`] session exposes the same pipeline as
-//! **typed stage handles** instead, so callers can inspect, log, persist,
-//! or stop between stages:
+//! A [`Compiler`] session is the compile entry point. It runs the
+//! pipeline — search, train, feasibility check, code generation — as
+//! **typed stage handles**, so callers can inspect, log, persist, or stop
+//! between stages; [`Session::compile`] runs the four back to back when
+//! none of that is wanted. The paper's one-call spelling,
+//! [`generate`](crate::pipeline::generate) /
+//! [`generate_with`](crate::pipeline::generate_with), is a one-line alias
+//! of `Compiler::new(options).open(platform)?.compile()`, not a second
+//! implementation.
 //!
 //! | Stage call | Hands back | What ran |
 //! |---|---|---|
@@ -66,9 +70,8 @@
 //! under a lock), so observers like [`LogObserver`] need no locking of
 //! their own beyond their sink.
 //!
-//! The one-shot entry points are thin shims over a default session, so a
-//! staged compile is bit-identical to `generate_with` under the same
-//! options: stage boundaries never touch an RNG stream.
+//! A staged compile is bit-identical to [`Session::compile`] under the
+//! same options: stage boundaries never touch an RNG stream.
 //!
 //! ```no_run
 //! use homunculus_core::alchemy::{Metric, ModelSpec, Platform};
@@ -750,8 +753,9 @@ pub struct Session<'p> {
 }
 
 impl<'p> Session<'p> {
-    /// Runs all four stages back to back — what
-    /// [`generate_with`](crate::pipeline::generate_with) does.
+    /// Runs all four stages back to back
+    /// ([`generate_with`](crate::pipeline::generate_with) is an alias of
+    /// this on a fresh session).
     ///
     /// # Errors
     ///

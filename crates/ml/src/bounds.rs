@@ -133,7 +133,7 @@ pub fn term_interval(format: FixedPoint, w: i32, x: Interval) -> Interval {
 }
 
 /// Bounds `out = bias + x * W` ([`FixedPoint::fixed_matvec`] /
-/// `packed_matvec`), weights row-major `input x output`, for inputs
+/// `packed_matvec_block`), weights row-major `input x output`, for inputs
 /// ranging over `x` per coordinate.
 ///
 /// # Panics

@@ -1,8 +1,4 @@
-// The only unsafe in this crate is the `core::arch` SSE2 dot product in
-// `packed`, compiled solely under the `simd` feature — every portable
-// build proves itself unsafe-free.
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 //! # homunculus-ml
 //!
 //! The machine-learning substrate of the Homunculus reproduction.
@@ -30,9 +26,9 @@
 //! - [`quantize`] — fixed-point quantization used when mapping trained
 //!   weights onto data-plane hardware, plus the packed-integer kernel
 //!   tier ([`quantize::PackedFixed`]): weights narrowed once to
-//!   contiguous `i16`/`i8` words with vectorizable dot/matvec/distance
-//!   kernels that are bit-identical to the scalar `i32` path (enable the
-//!   `simd` cargo feature for a `core::arch` SSE2 dot product).
+//!   contiguous `i16` words with vectorizable dot/matvec/distance
+//!   kernels — portable, safe Rust — that are bit-identical to the scalar
+//!   `i32` path.
 //! - [`bounds`] — interval-domain bound derivation over the quantized
 //!   kernels: per-output value ranges and no-saturation certificates
 //!   derived from the concrete weights, which let certified kernels skip

@@ -10,7 +10,7 @@ use crate::tensor::Matrix;
 use crate::{MlError, Result};
 use serde::{Deserialize, Serialize};
 
-pub use crate::packed::{PackedFixed, PackedSlice, PackedVec, PackedWidth};
+pub use crate::packed::PackedFixed;
 
 /// A signed fixed-point format with `int_bits` integer bits (excluding
 /// sign) and `frac_bits` fractional bits.

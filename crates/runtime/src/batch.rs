@@ -131,7 +131,7 @@ mod tests {
         let km = KMeans::fit(&x, &KMeansConfig::new(3)).unwrap();
         let ir = ModelIr::KMeans(KMeansIr::from_kmeans(&km, 2));
         let scalar = CompiledPipeline::from_ir_scalar(&ir, FixedPoint::taurus_default()).unwrap();
-        assert!(scalar.packed_width().is_none());
+        assert!(!scalar.is_packed());
         assert_eq!(scalar.classify_batch(&x, 4), classify_rows(&scalar, &x));
     }
 

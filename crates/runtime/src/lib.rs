@@ -14,7 +14,10 @@
 //!
 //! - [`pipeline::CompiledPipeline`] — the lowered model: per-packet
 //!   [`classify`](pipeline::CompiledPipeline::classify) is
-//!   allocation-free given a reusable [`pipeline::Scratch`].
+//!   allocation-free given a reusable [`pipeline::Scratch`]. Parameters
+//!   sit in packed `i16` lanes whenever the format fits 16 bits (one lane
+//!   type and one portable build: no cargo feature selects other kernels)
+//!   and in `i32` otherwise; verdicts are the same bits on both tiers.
 //! - [`pipeline::Compile`] — the lowering entry point, an extension trait
 //!   giving `ModelIr::compile(format)`.
 //! - [`batch`] — the chunk walk every served row takes, and the

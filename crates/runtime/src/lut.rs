@@ -98,7 +98,7 @@ impl ActLut {
     ///
     /// Table entries are quantized activations, so they are format raws by
     /// construction; the packed inference tier uses this bound to prove
-    /// statically that LUT outputs always fit the narrow lane width and
+    /// statically that LUT outputs always fit the `i16` lane and
     /// skip the per-layer range scan.
     pub fn output_bound(&self) -> i32 {
         self.table

@@ -11,16 +11,15 @@
 //!
 //! # Packed storage
 //!
-//! When the format fits a narrow lane (≤16 total bits, which covers the
-//! Q3.12 Taurus word), lowering stores every weight, plane, and centroid
-//! **packed** — contiguous `i16` (or `i8`) words — and classify runs on
-//! the [`PackedFixed`] kernel tier: half (or a quarter) the memory
-//! traffic of `i32`, chunked inner loops the compiler auto-vectorizes, and
-//! an optional `core::arch` SSE2 dot product behind the `simd` cargo
-//! feature.
+//! When the format fits the `i16` lane (≤16 total bits, which covers the
+//! Q3.12 Taurus word; an 8-bit format shares the same lane), lowering
+//! stores every weight, plane, and centroid **packed** — contiguous `i16`
+//! words — and classify runs on the [`PackedFixed`] kernel tier: half the
+//! memory traffic of `i32` and chunked inner loops the compiler
+//! auto-vectorizes. There is one build of it, portable and safe.
 //! Verdicts are **bit-identical** to the scalar `i32` path in every case,
 //! including accumulator saturation; formats wider than 16 bits simply
-//! keep the scalar storage ([`CompiledPipeline::packed_width`] reports
+//! keep the scalar storage ([`CompiledPipeline::is_packed`] reports
 //! which tier a pipeline runs). [`CompiledPipeline::from_ir_scalar`]
 //! forces scalar storage: the reference every packed verdict is held to.
 //!
@@ -49,9 +48,7 @@ use crate::{Result, RuntimeError};
 use homunculus_backends::model::{ModelIr, TreeIr, TreeNodeIr};
 use homunculus_ml::bounds::{self, Interval};
 use homunculus_ml::mlp::Activation;
-use homunculus_ml::quantize::{
-    fixed_relu, FixedPoint, PackedFixed, PackedSlice, PackedVec, PackedWidth,
-};
+use homunculus_ml::quantize::{fixed_relu, FixedPoint, PackedFixed};
 use homunculus_ml::tensor::Matrix;
 use std::sync::Arc;
 
@@ -63,8 +60,8 @@ use std::sync::Arc;
 pub struct Scratch {
     /// Quantized row-major feature block, scalar tier.
     qx: Vec<i32>,
-    /// Quantized row-major feature block, packed to the narrow lane width.
-    px: PackedVec,
+    /// Quantized row-major feature block, packed tier.
+    px: Vec<i16>,
     scores: ScoreBufs,
     /// A block of features with a tenant's normalizer applied, staged by
     /// the chunk walk before it is quantized.
@@ -90,7 +87,7 @@ struct ScoreBufs {
     /// for a tree walk.
     b: Vec<i32>,
     /// Packed copy of a block of intermediate DNN activations.
-    pa: PackedVec,
+    pa: Vec<i16>,
 }
 
 /// Grows `buf` to at least `len` values (never shrinks: scratch is reused
@@ -106,8 +103,8 @@ fn grow(buf: &mut Vec<i32>, len: usize) {
 pub(crate) const BLOCK_ROWS: usize = 32;
 
 /// What the family walk needs from a storage tier. Two impls: the scalar
-/// `i32` reference ([`FixedPoint`] over `Vec<i32>`) and the packed narrow
-/// lanes ([`PackedFixed`] over [`PackedVec`], the fast tier). Kernels are
+/// `i32` reference ([`FixedPoint`] over `Vec<i32>`) and the packed `i16`
+/// lanes ([`PackedFixed`] over `Vec<i16>`, the fast tier). Kernels are
 /// typed by their tier, so scalar access to packed storage (or the
 /// reverse) cannot be written, and nothing below re-checks the tier.
 trait Tier: Sized {
@@ -116,6 +113,10 @@ trait Tier: Sized {
     /// A borrowed run of a [`Tier::Store`]: one feature row, plane or
     /// centroid.
     type Row<'a>: Copy;
+    /// The range a stored value must fit, where the store is narrower than
+    /// `i32`: the packed lane. `None` on the scalar tier, where every lane
+    /// fact is trivially true.
+    const LANE: Option<Interval>;
 
     /// Moves quantized parameters onto the tier's storage.
     fn lower(&self, raw: Vec<i32>) -> Self::Store;
@@ -145,7 +146,7 @@ trait Tier: Sized {
         x: &[i32],
         rows: usize,
         out: &mut [i32],
-        pa: &mut PackedVec,
+        pa: &mut Vec<i16>,
     );
 }
 
@@ -154,6 +155,7 @@ trait Tier: Sized {
 impl Tier for FixedPoint {
     type Store = Vec<i32>;
     type Row<'a> = &'a [i32];
+    const LANE: Option<Interval> = None;
 
     fn lower(&self, raw: Vec<i32>) -> Vec<i32> {
         raw
@@ -199,7 +201,7 @@ impl Tier for FixedPoint {
         x: &[i32],
         rows: usize,
         out: &mut [i32],
-        _pa: &mut PackedVec,
+        _pa: &mut Vec<i16>,
     ) {
         scalar_layer(self, layer, x, rows, out);
     }
@@ -225,59 +227,53 @@ fn scalar_layer(
     }
 }
 
-/// The packed narrow-lane tier: same verdicts as the scalar tier, bit for
-/// bit, from `i16`/`i8` storage.
+/// The packed `i16`-lane tier: same verdicts as the scalar tier, bit for
+/// bit, from half the storage.
 impl Tier for PackedFixed {
-    type Store = PackedVec;
-    type Row<'a> = PackedSlice<'a>;
+    type Store = Vec<i16>;
+    type Row<'a> = &'a [i16];
+    const LANE: Option<Interval> = Some(Interval {
+        lo: PackedFixed::LANE_MIN,
+        hi: PackedFixed::LANE_MAX,
+    });
 
-    fn lower(&self, raw: Vec<i32>) -> PackedVec {
+    fn lower(&self, raw: Vec<i32>) -> Vec<i16> {
         self.pack(&raw)
     }
 
     #[inline]
-    fn row(store: &PackedVec, start: usize, len: usize) -> PackedSlice<'_> {
-        store.slice(start, len)
+    fn row(store: &Vec<i16>, start: usize, len: usize) -> &[i16] {
+        &store[start..start + len]
     }
 
     #[inline]
-    fn get(row: PackedSlice<'_>, index: usize) -> i32 {
-        row.get(index)
+    fn get(row: &[i16], index: usize) -> i32 {
+        i32::from(row[index])
     }
 
-    fn quantize(&self, values: &[f32], out: &mut PackedVec) {
+    fn quantize(&self, values: &[f32], out: &mut Vec<i16>) {
         self.quantize_into_packed(values, out);
     }
 
     #[inline]
-    fn widened<'a>(x: &'a PackedVec, buf: &'a mut Vec<i32>) -> &'a [i32] {
+    fn widened<'a>(x: &'a Vec<i16>, buf: &'a mut Vec<i32>) -> &'a [i32] {
         buf.clear();
-        match x.as_slice() {
-            PackedSlice::I8(lanes) => buf.extend(lanes.iter().map(|&v| i32::from(v))),
-            PackedSlice::I16(lanes) => buf.extend(lanes.iter().map(|&v| i32::from(v))),
-        }
+        buf.extend(x.iter().map(|&v| i32::from(v)));
         buf
     }
 
     #[inline]
-    fn dot(&self, w: PackedSlice<'_>, x: PackedSlice<'_>, certified: bool) -> i32 {
+    fn dot(&self, w: &[i16], x: &[i16], certified: bool) -> i32 {
         self.packed_dot(w, x, certified)
     }
 
     #[inline]
-    fn squared_distance(&self, c: PackedSlice<'_>, x: PackedSlice<'_>, certified: bool) -> i32 {
+    fn squared_distance(&self, c: &[i16], x: &[i16], certified: bool) -> i32 {
         self.packed_squared_distance(c, x, certified)
     }
 
-    fn input_layer(&self, layer: &DenseKernel<Self>, x: &PackedVec, rows: usize, out: &mut [i32]) {
-        self.packed_matvec_block(
-            layer.weights.as_slice(),
-            &layer.bias,
-            x,
-            rows,
-            out,
-            layer.certified,
-        );
+    fn input_layer(&self, layer: &DenseKernel<Self>, x: &Vec<i16>, rows: usize, out: &mut [i32]) {
+        self.packed_matvec_block(&layer.weights, &layer.bias, x, rows, out, layer.certified);
     }
 
     /// Repacks the whole activation block, steered by the layer's derived
@@ -292,9 +288,9 @@ impl Tier for PackedFixed {
         x: &[i32],
         rows: usize,
         out: &mut [i32],
-        pa: &mut PackedVec,
+        pa: &mut Vec<i16>,
     ) {
-        let w = layer.weights.as_slice();
+        let w = &layer.weights;
         if layer.lane_bounded_input {
             self.pack_into(x, pa);
         } else if !self.pack_checked(x, pa) {
@@ -684,7 +680,7 @@ pub struct CompiledPipeline {
     n_classes: usize,
     /// Widest intermediate buffer any kernel stage needs.
     width: usize,
-    /// The packed tier when the format fits a narrow lane, the scalar
+    /// The packed tier when the format fits the `i16` lane, the scalar
     /// `i32` reference tier otherwise (same verdicts, bit for bit).
     kernel: Lowered,
     /// Per-stage interval-analysis facts derived at lowering.
@@ -771,30 +767,20 @@ impl CompiledPipeline {
         ir.validate()
             .map_err(|e| RuntimeError::InvalidModel(e.to_string()))?;
         match packed {
-            Some(p) => Self::lower_on(ir, format, luts, p, Some(p.width()), |kernel| {
-                Lowered::Packed(p, kernel)
-            }),
-            None => Self::lower_on(ir, format, luts, format, None, Lowered::Scalar),
+            Some(p) => Self::lower_on(ir, format, luts, p, |kernel| Lowered::Packed(p, kernel)),
+            None => Self::lower_on(ir, format, luts, format, Lowered::Scalar),
         }
     }
 
-    /// Lowers a validated IR onto `tier`'s storage; `lane` is the packed
-    /// lane width (`None` on the scalar tier).
+    /// Lowers a validated IR onto `tier`'s storage.
     fn lower_on<T: Tier>(
         ir: &ModelIr,
         format: FixedPoint,
         luts: &LutCache,
         tier: T,
-        lane: Option<PackedWidth>,
         wrap: impl FnOnce(Kernel<T>) -> Lowered,
     ) -> Result<Self> {
-        // Lane interval of the packed tier (None on the scalar tier,
-        // where every lane fact is trivially true).
-        let lane_iv = lane.map(|width| Interval {
-            lo: width.lane_min(),
-            hi: width.lane_max(),
-        });
-        let lane_fits = |ivs: &[Interval]| match lane_iv {
+        let lane_fits = |ivs: &[Interval]| match T::LANE {
             Some(lane) => ivs.iter().all(|iv| iv.subset_of(lane)),
             None => true,
         };
@@ -1045,15 +1031,12 @@ impl CompiledPipeline {
         self.format
     }
 
-    /// The packed lane width parameters are stored at, or `None` when the
-    /// format is wider than 16 bits (or the pipeline was built with
+    /// Whether parameters are stored in packed `i16` lanes; `false` when
+    /// the format is wider than 16 bits (or the pipeline was built with
     /// [`CompiledPipeline::from_ir_scalar`]) and the scalar `i32` tier
     /// runs instead.
-    pub fn packed_width(&self) -> Option<PackedWidth> {
-        match &self.kernel {
-            Lowered::Scalar(_) => None,
-            Lowered::Packed(p, _) => Some(p.width()),
-        }
+    pub fn is_packed(&self) -> bool {
+        matches!(self.kernel, Lowered::Packed(..))
     }
 
     /// Number of input features per packet.
@@ -1662,7 +1645,7 @@ pub fn classify_rows(pipeline: &CompiledPipeline, x: &Matrix) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use homunculus_backends::model::{DnnIr, ForestIr, KMeansIr, SvmIr, TreeIr};
+    use homunculus_backends::model::{DnnIr, ForestIr, KMeansIr, LayerParams, SvmIr, TreeIr};
     use homunculus_ml::forest::{ForestConfig, RandomForestClassifier};
     use homunculus_ml::kmeans::{KMeans, KMeansConfig};
     use homunculus_ml::mlp::{Mlp, MlpArchitecture, TrainConfig};
@@ -1854,8 +1837,8 @@ mod tests {
         for ir in &irs {
             let packed = CompiledPipeline::from_ir(ir, q()).unwrap();
             let scalar = CompiledPipeline::from_ir_scalar(ir, q()).unwrap();
-            assert!(packed.packed_width().is_some(), "{}", ir.family());
-            assert!(scalar.packed_width().is_none(), "{}", ir.family());
+            assert!(packed.is_packed(), "{}", ir.family());
+            assert!(!scalar.is_packed(), "{}", ir.family());
             assert_eq!(
                 classify_rows(&packed, &x),
                 classify_rows(&scalar, &x),
@@ -1891,18 +1874,79 @@ mod tests {
 
     #[test]
     fn wide_formats_fall_back_to_the_scalar_tier() {
-        // 14 + 16 + sign = 31 total bits: no narrow lane fits, so
+        // 14 + 16 + sign = 31 total bits: wider than the i16 lane, so
         // lowering keeps i32 storage and classify still works.
         let wide = FixedPoint::new(14, 16).unwrap();
         let (x, y) = separable(30);
         let svm = LinearSvm::fit(&x, &y, 2, &SvmConfig::default()).unwrap();
         let ir = ModelIr::Svm(SvmIr::from_svm(&svm));
         let pipeline = ir.compile(wide).unwrap();
-        assert_eq!(pipeline.packed_width(), None);
+        assert!(!pipeline.is_packed());
         let narrow = ir.compile(q()).unwrap();
-        assert_eq!(narrow.packed_width(), Some(PackedWidth::I16));
+        assert!(narrow.is_packed());
         // Verdicts come from different formats so only check they run.
         assert_eq!(classify_rows(&pipeline, &x).len(), x.rows());
+    }
+
+    #[test]
+    fn eight_bit_format_hidden_activations_ride_the_i16_lane() {
+        // Q2.5 raws are 8-bit, but a ReLU layer's outputs are sums of
+        // products, not format raws: here they pass 127 (what a one-byte
+        // lane held) and stay far below 32 767, so the second layer runs
+        // `packed_matvec_block` on repacked activations, not the wide
+        // replay. Both tiers and the independent trace must still agree.
+        let fmt = FixedPoint::new(2, 5).unwrap();
+        let arch = MlpArchitecture::new(4, vec![6], 3);
+        let grid = [3.5f32, -3.25, 2.75, 3.0, -2.5, 3.75, -1.5];
+        let params = vec![
+            LayerParams {
+                weights: Matrix::from_fn(4, 6, |r, c| grid[(r * 3 + c) % 7]),
+                bias: vec![0.5, -0.25, 1.0, 0.0, -1.0, 0.75],
+            },
+            LayerParams {
+                weights: Matrix::from_fn(6, 3, |r, c| grid[(r + c * 2) % 7] * 0.5),
+                bias: vec![0.25, -0.5, 0.0],
+            },
+        ];
+        let ir = ModelIr::Dnn(DnnIr {
+            arch,
+            params: Some(params),
+        });
+        let packed = ir.compile(fmt).unwrap();
+        let scalar = CompiledPipeline::from_ir_scalar(&ir, fmt).unwrap();
+        assert!(packed.is_packed() && !scalar.is_packed());
+        // Lowering proved it: every input of the second layer fits a lane.
+        assert!(packed.kernel_facts()[1].lane_bounded_input);
+
+        let x = Matrix::from_fn(300, 4, |r, c| ((r * 11 + c * 7) % 41) as f32 * 0.2 - 4.1);
+        let (mut sp, mut ss) = (Scratch::new(), Scratch::new());
+        let mut beyond_a_byte = 0usize;
+        let mut traced = Vec::with_capacity(x.rows());
+        for row in x.iter_rows() {
+            let trace = packed.trace(row);
+            let hidden = &trace.stages[2];
+            assert_eq!(hidden.label, "dense layer 0 activation");
+            assert!(hidden.values.iter().all(|&v| v <= PackedFixed::LANE_MAX));
+            beyond_a_byte += usize::from(hidden.values.iter().any(|&v| v > 127));
+            let logits: Vec<f32> = trace.stages[3]
+                .values
+                .iter()
+                .map(|&raw| fmt.dequantize(raw))
+                .collect();
+            assert_eq!(packed.scores(row, &mut sp).unwrap(), logits);
+            assert_eq!(scalar.scores(row, &mut ss).unwrap(), logits);
+            assert_eq!(packed.classify(row, &mut sp), trace.verdict);
+            assert_eq!(scalar.classify(row, &mut ss), trace.verdict);
+            traced.push(trace.verdict);
+        }
+        assert!(
+            beyond_a_byte > 200,
+            "{beyond_a_byte} rows left the byte range"
+        );
+        assert_eq!(packed.classify_batch(&x, 1), traced);
+        for class in 0..3 {
+            assert!(traced.contains(&class), "class {class} never wins");
+        }
     }
 
     #[test]

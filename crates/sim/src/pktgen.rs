@@ -173,7 +173,9 @@ impl StreamHarness {
     /// all packets (zero allocation per packet).
     ///
     /// The float-closure [`StreamHarness::run`] stays available as the
-    /// reference oracle for agreement tests.
+    /// reference oracle for agreement tests; this entry is that replay
+    /// behind a per-packet width check (a stream is input from outside the
+    /// program, and `classify` panics on a ragged row).
     ///
     /// # Errors
     ///

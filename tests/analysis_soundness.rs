@@ -432,7 +432,7 @@ fn uncertified_kernels_match_the_trace_when_accumulators_clamp() {
     ];
     for ir in &models {
         let pipeline = ir.compile(fmt).unwrap();
-        assert!(pipeline.packed_width().is_some(), "{}", ir.family());
+        assert!(pipeline.is_packed(), "{}", ir.family());
         assert!(!pipeline.saturation_certified(), "{}", ir.family());
         assert!(
             check_soundness(ir, fmt, &rows),

@@ -296,21 +296,18 @@ fn packed_and_scalar_tiers_pin_the_same_golden_checksums() {
     // reproduce the pinned verdict checksum (17_777 per-pipeline, and
     // 50_483 through the serving layer above) — the packed hot path is a
     // storage/instruction change, never a semantic one.
-    use homunculus::ml::quantize::PackedWidth;
-
     let ds = NslKddGenerator::new(42).generate(200);
     let norm = ds.fit_normalizer();
     let nds = ds.normalized(&norm).unwrap();
     let format = FixedPoint::taurus_default();
 
     let packed = handcrafted_dnn_ir().compile(format).unwrap();
-    assert_eq!(
-        packed.packed_width(),
-        Some(PackedWidth::I16),
+    assert!(
+        packed.is_packed(),
         "Q3.12 must lower onto the packed i16 tier by default"
     );
     let scalar = CompiledPipeline::from_ir_scalar(&handcrafted_dnn_ir(), format).unwrap();
-    assert_eq!(scalar.packed_width(), None);
+    assert!(!scalar.is_packed());
 
     let mut scratch = Scratch::new();
     for pipeline in [&packed, &scalar] {
