@@ -88,7 +88,14 @@ bench-pairs:
 
 # The paper's tables and figures (crates/bench/src/bin/*.rs). `paper-smoke`
 # is the part of `ci`: the five bins that finish in under two seconds each
-# in release, one by one under `timeout`, failing on a non-zero exit.
+# in release, one by one under `timeout`, failing on a non-zero exit or on
+# any byte of stdout that differs from crates/bench/golden/<bin>.txt (every
+# printed number is seeded, so the output is byte-stable).
+# To re-pin, run each bin with its stdout redirected to its file
+# (`cargo run -q --release -p homunculus-bench --bin fig6 >
+# crates/bench/golden/fig6.txt`) and review the diff. A re-pin belongs to
+# the change that moves training (or a cost model) and says why; any other
+# change leaves the files alone.
 # `paper` runs all eleven (~2 min on 2 vCPUs): `all_experiments` runs the eight
 # table/figure bins as child processes, then the BO ablation and the
 # dataset calibration probe.
@@ -97,15 +104,21 @@ PAPER_SMOKE_BINS = fig6 fig7 table3 table4 reaction_time
 paper-smoke:
 	$(CARGO) build -q --release -p homunculus-bench --bins
 	@for bin in $(PAPER_SMOKE_BINS); do \
-		timeout 60 $(CARGO) run -q --release -p homunculus-bench --bin $$bin >/dev/null; \
+		out=$$(mktemp); \
+		timeout 60 $(CARGO) run -q --release -p homunculus-bench --bin $$bin >$$out; \
 		status=$$?; \
 		if [ $$status -eq 124 ]; then \
-			echo "paper-smoke: $$bin hung (no result in 60 s)"; exit 1; \
+			echo "paper-smoke: $$bin hung (no result in 60 s)"; rm -f $$out; exit 1; \
 		elif [ $$status -ne 0 ]; then \
-			echo "paper-smoke: $$bin failed"; exit 1; \
+			echo "paper-smoke: $$bin failed"; rm -f $$out; exit 1; \
 		fi; \
+		if ! diff -u crates/bench/golden/$$bin.txt $$out; then \
+			echo "paper-smoke: $$bin printed something other than crates/bench/golden/$$bin.txt"; \
+			rm -f $$out; exit 1; \
+		fi; \
+		rm -f $$out; \
 	done
-	@echo "paper-smoke: $(PAPER_SMOKE_BINS) ran clean"
+	@echo "paper-smoke: $(PAPER_SMOKE_BINS) ran clean and match crates/bench/golden"
 
 paper:
 	$(CARGO) build -q --release -p homunculus-bench --bins

@@ -24,6 +24,11 @@
 //! wide-shallow Base-BD is CU-heavy while the narrow-deep Hom-BD is
 //! MU-heavy (the compute/memory inversion of §5.1.2), and magnitudes land
 //! in the published 24-167 CU / 45-151 MU range.
+//!
+//! [`TaurusTarget::stages`] is the one lowering: the fixed
+//! parse/extract/argmax/deparse stage, then one [`GridStage`] per layer
+//! (SVM, KMeans, trees and forests lower to equivalent layers). The
+//! estimator sums it, and `homunculus_sim::grid` places and times it.
 
 use crate::model::ModelIr;
 use crate::resources::{Performance, ResourceEstimate, ResourceVector};
@@ -37,6 +42,17 @@ pub const VEC_WIDTH: usize = 8;
 
 /// Words per MU weight bank.
 pub const MU_BANK_WORDS: usize = 32;
+
+/// One pipeline stage of a model lowered onto the grid.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct GridStage {
+    /// CU instances the stage occupies.
+    pub cus: usize,
+    /// MU instances the stage occupies.
+    pub mus: usize,
+    /// Cycles a packet spends in the stage.
+    pub latency_cycles: usize,
+}
 
 /// A Taurus switch configuration.
 ///
@@ -90,35 +106,66 @@ impl TaurusTarget {
         self.rows * self.cols
     }
 
-    /// CU cost of a DNN architecture (see module docs).
-    pub fn dnn_cus(dims: &[(usize, usize)]) -> usize {
-        2 + dims
-            .iter()
-            .map(|(i, o)| o * i.div_ceil(VEC_WIDTH))
-            .sum::<usize>()
-    }
-
-    /// MU cost of a DNN architecture (see module docs).
-    pub fn dnn_mus(dims: &[(usize, usize)]) -> usize {
-        1 + dims
-            .iter()
-            .map(|(i, o)| 2 * o.div_ceil(2) + (i * o + o).div_ceil(MU_BANK_WORDS))
-            .sum::<usize>()
-    }
-
-    /// Pipeline latency in cycles: per layer, a log-depth reduction tree
-    /// over the dot product plus activation and buffering, plus fixed
-    /// parse/deparse/feature-extraction overhead.
-    pub fn dnn_latency_cycles(dims: &[(usize, usize)]) -> usize {
-        let fixed = 24; // parser + feature extraction + deparser
-        fixed
-            + dims
+    /// Lowers a model to its pipeline stages (see module docs): the fixed
+    /// stage (2 CUs for feature extraction and argmax, 1 MU for the input
+    /// FIFO, 24 cycles of parse/extract/deparse) first, then one stage per
+    /// layer. A layer's latency is a log-depth reduction tree over its dot
+    /// product plus MAC issue, activation and buffering.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for invalid models and for trees deeper than the
+    /// grid has rows.
+    pub fn stages(&self, model: &ModelIr) -> Result<Vec<GridStage>> {
+        model.validate()?;
+        if !self.supports(model) {
+            return Err(BackendError::Unsupported {
+                target: self.name.clone(),
+                model: model.family().into(),
+            });
+        }
+        // Non-DNN families lower to equivalent layer dims: an SVM is one
+        // dense layer; KMeans is one distance layer (k dot products) plus
+        // an argmin; a tree is a comparison cascade.
+        let dims: Vec<(usize, usize)> = match model {
+            ModelIr::Dnn(d) => d.arch.layer_dims(),
+            ModelIr::Svm(s) => vec![(s.n_features, s.n_classes.max(2) - 1)],
+            ModelIr::KMeans(k) => vec![(k.n_features, k.k)],
+            ModelIr::Tree(t) => vec![(t.n_features, t.depth.max(1))],
+            // Each member tree is its own comparison cascade; the vote is
+            // one extra reduce over the per-tree verdicts.
+            ModelIr::Forest(f) => f
+                .trees
                 .iter()
-                .map(|(i, _)| {
-                    let reduce_depth = (usize::BITS - (i.max(&1) - 1).leading_zeros()) as usize;
-                    reduce_depth + 3 // MAC issue + activation + buffer
-                })
-                .sum::<usize>()
+                .map(|t| (t.n_features, t.depth.max(1)))
+                .chain([(f.n_trees(), f.n_classes)])
+                .collect(),
+        };
+        let fixed = GridStage {
+            cus: 2,
+            mus: 1,
+            latency_cycles: 24,
+        };
+        Ok(std::iter::once(fixed)
+            .chain(dims.into_iter().map(|(i, o)| GridStage {
+                cus: o * i.div_ceil(VEC_WIDTH),
+                mus: 2 * o.div_ceil(2) + (i * o + o).div_ceil(MU_BANK_WORDS),
+                latency_cycles: (usize::BITS - (i.max(1) - 1).leading_zeros()) as usize + 3,
+            }))
+            .collect())
+    }
+
+    /// Initiation interval of the stages on this grid: 1 when they fit
+    /// fully unrolled. Overflowing the grid forces time-multiplexing: the
+    /// interval grows with the overflow ratio — this is the mechanism by
+    /// which "too many iterations in the vector-matrix multiplication loop
+    /// brings down the device throughput" (§3).
+    pub fn initiation_interval(&self, stages: &[GridStage]) -> u64 {
+        let cus: usize = stages.iter().map(|s| s.cus).sum();
+        let mus: usize = stages.iter().map(|s| s.mus).sum();
+        let overflow =
+            (cus as f64 / self.cu_capacity() as f64).max(mus as f64 / self.mu_capacity() as f64);
+        overflow.ceil().max(1.0) as u64
     }
 }
 
@@ -152,58 +199,19 @@ impl Target for TaurusTarget {
     }
 
     fn estimate(&self, model: &ModelIr) -> Result<ResourceEstimate> {
-        model.validate()?;
-        if !self.supports(model) {
-            return Err(BackendError::Unsupported {
-                target: self.name.clone(),
-                model: model.family().into(),
-            });
-        }
-        // Lower non-DNN families to equivalent layer dims: an SVM is one
-        // dense layer; KMeans is one distance layer (k dot products) plus
-        // an argmin; a tree is a comparison cascade.
-        let dims: Vec<(usize, usize)> = match model {
-            ModelIr::Dnn(d) => d.arch.layer_dims(),
-            ModelIr::Svm(s) => vec![(s.n_features, s.n_classes.max(2) - 1)],
-            ModelIr::KMeans(k) => vec![(k.n_features, k.k)],
-            ModelIr::Tree(t) => vec![(t.n_features, t.depth.max(1))],
-            // Each member tree is its own comparison cascade; the vote is
-            // one extra reduce over the per-tree verdicts.
-            ModelIr::Forest(f) => {
-                let mut dims: Vec<(usize, usize)> = f
-                    .trees
-                    .iter()
-                    .map(|t| (t.n_features, t.depth.max(1)))
-                    .collect();
-                dims.push((f.n_trees(), f.n_classes));
-                dims
-            }
-        };
-
-        let cus = Self::dnn_cus(&dims);
-        let mus = Self::dnn_mus(&dims);
-        let latency_cycles = Self::dnn_latency_cycles(&dims);
-
-        // Throughput: if the computation fits the grid fully unrolled the
-        // pipeline achieves II = 1 (one packet per cycle at `clock_ghz`
-        // GPkt/s). Overflowing the grid forces time-multiplexing: II grows
-        // with the overflow ratio and throughput drops proportionally —
-        // this is the mechanism by which "too many iterations in the
-        // vector-matrix multiplication loop brings down the device
-        // throughput" (§3).
-        let overflow =
-            (cus as f64 / self.cu_capacity() as f64).max(mus as f64 / self.mu_capacity() as f64);
-        let ii = overflow.ceil().max(1.0);
-        let throughput_gpps = self.clock_ghz / ii;
-        let latency_ns = latency_cycles as f64 / self.clock_ghz;
-
+        let stages = self.stages(model)?;
+        let cus: usize = stages.iter().map(|s| s.cus).sum();
+        let mus: usize = stages.iter().map(|s| s.mus).sum();
+        let latency_cycles: usize = stages.iter().map(|s| s.latency_cycles).sum();
+        // One packet per `ii` cycles at `clock_ghz` GPkt/s.
+        let ii = self.initiation_interval(&stages);
         Ok(ResourceEstimate {
             resources: ResourceVector::new()
                 .with("cus", cus as f64)
                 .with("mus", mus as f64),
             performance: Performance {
-                throughput_gpps,
-                latency_ns,
+                throughput_gpps: self.clock_ghz / ii as f64,
+                latency_ns: latency_cycles as f64 / self.clock_ghz,
             },
         })
     }

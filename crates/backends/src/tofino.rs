@@ -15,6 +15,12 @@
 //! - **DNN**: only via N2Net-style binarized layers; expensive ("a single
 //!   layer of a manually designed anomaly-detection DNN in N2Net takes up
 //!   to 12 MATs", §2) — this is what rules DNNs out on small MAT budgets.
+//!
+//! [`TofinoTarget::tables`] is the one lowering: the table list in
+//! dependency order, whose length is the MAT bill.
+//! [`TofinoTarget::stage_walk`] packs it into stages and times the walk.
+//! The estimator calls both, and `homunculus_sim::mat` allocates the same
+//! tables onto the same stages.
 
 use crate::model::ModelIr;
 use crate::p4;
@@ -25,6 +31,9 @@ use serde::{Deserialize, Serialize};
 
 /// MATs consumed per binarized DNN layer (N2Net's reported worst case).
 pub const MATS_PER_BNN_LAYER: usize = 12;
+
+/// Logical tables that fit in one pipeline stage.
+pub const TABLES_PER_STAGE: usize = 4;
 
 /// A Tofino-class PISA switch.
 ///
@@ -70,21 +79,49 @@ impl TofinoTarget {
         }
     }
 
-    /// MAT cost of a model under the IIsy mapping rules.
-    pub fn mat_cost(model: &ModelIr) -> usize {
+    /// The tables a model expands to under the IIsy mapping rules, in
+    /// dependency order (named as the P4 generator names them).
+    pub fn tables(model: &ModelIr) -> Vec<String> {
+        let per_feature = |prefix: &str, n: usize, last: &str| -> Vec<String> {
+            (0..n)
+                .map(|f| format!("{prefix}feature_{f}"))
+                .chain(std::iter::once(format!("{prefix}{last}")))
+                .collect()
+        };
         match model {
             // One table per feature (range match on the feature value
             // yielding a partial score) + one decision table.
-            ModelIr::Svm(s) => s.n_features + 1,
+            ModelIr::Svm(s) => per_feature("", s.n_features, "decision"),
             // One table per cluster.
-            ModelIr::KMeans(k) => k.k,
+            ModelIr::KMeans(k) => (0..k.k).map(|c| format!("cluster_{c}")).collect(),
             // One table per feature + one leaf-action table.
-            ModelIr::Tree(t) => t.n_features + 1,
+            ModelIr::Tree(t) => per_feature("", t.n_features, "leaves"),
             // N2Net-style binarized layers.
-            ModelIr::Dnn(d) => d.arch.depth() * MATS_PER_BNN_LAYER,
+            ModelIr::Dnn(d) => (0..d.arch.depth())
+                .flat_map(|l| {
+                    (0..MATS_PER_BNN_LAYER).map(move |m| format!("bnn_layer_{l}_mat_{m}"))
+                })
+                .collect(),
             // One tree-table set per member plus the vote table.
-            ModelIr::Forest(f) => f.n_trees() * (f.n_features + 1) + 1,
+            ModelIr::Forest(f) => (0..f.n_trees())
+                .flat_map(|t| per_feature(&format!("t{t}_"), f.n_features, "leaves"))
+                .chain(std::iter::once("vote".into()))
+                .collect(),
         }
+    }
+
+    /// MAT cost of a model: the length of [`TofinoTarget::tables`].
+    pub fn mat_cost(model: &ModelIr) -> usize {
+        Self::tables(model).len()
+    }
+
+    /// The stage walk of a `tables`-table program: its tables pack
+    /// [`TABLES_PER_STAGE`] to a stage, dependent tables serialize across
+    /// stages (at least two), and a packet crosses every stage plus the
+    /// parser and deparser. Returns `(stages, latency_ns)`.
+    pub fn stage_walk(&self, tables: usize) -> (usize, f64) {
+        let stages = tables.div_ceil(TABLES_PER_STAGE).max(2);
+        (stages, stages as f64 * self.stage_latency_ns + 50.0)
     }
 }
 
@@ -122,11 +159,7 @@ impl Target for TofinoTarget {
             });
         }
         let mats = Self::mat_cost(model);
-        // Tables pack into stages; a stage fits a handful of logical
-        // tables, and dependent tables serialize across stages.
-        let stages_used = mats.div_ceil(4).max(2);
-        let latency_ns = stages_used as f64 * self.stage_latency_ns + 50.0; // + parser/deparser
-
+        let (stages_used, latency_ns) = self.stage_walk(mats);
         Ok(ResourceEstimate {
             resources: ResourceVector::new()
                 .with("mats", mats as f64)

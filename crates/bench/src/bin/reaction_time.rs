@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .train
         .fit_normalizer();
 
-    // Timing from the cycle-level grid simulator.
+    // Timing from the grid simulator.
     let sim = GridSimulator::new(16, 16, 1.0);
     let timing = sim.simulate(&best.ir, 10_000)?;
     println!(

@@ -1103,7 +1103,7 @@ impl<'p> Trained<'p> {
                 let name = model.name.clone();
                 let checked = ctx.staged(CompileStage::Check, Some(&name), || {
                     let estimate = target.as_target().estimate(&model.ir)?;
-                    let report = target.as_target().check(&model.ir, &ctx.constraints)?;
+                    let report = ctx.constraints.check(&estimate);
                     let violations: Vec<String> =
                         report.violations.iter().map(|v| v.to_string()).collect();
                     if !report.is_feasible() {
@@ -1590,8 +1590,9 @@ fn search_algorithm(
 
     let objective = |config: &Configuration| {
         match train_candidate(algorithm, config, split, spec.optimization_metric, budget) {
-            Ok(candidate) => match target.as_target().check(&candidate.ir, &ctx.constraints) {
-                Ok(report) => {
+            Ok(candidate) => match target.as_target().estimate(&candidate.ir) {
+                Ok(estimate) => {
+                    let report = ctx.constraints.check(&estimate);
                     if !report.is_feasible() && ctx.observer.is_some() {
                         let constraint = report
                             .violations
@@ -1609,17 +1610,14 @@ fn search_algorithm(
                         .feasible(report.is_feasible())
                         .with_violation(report.violation_score())
                         .with_metric("params", candidate.ir.param_count() as f64);
-                    if let Ok(estimate) = target.as_target().estimate(&candidate.ir) {
-                        for (name, value) in estimate.resources.iter() {
-                            evaluation = evaluation.with_metric(name.clone(), *value);
-                        }
-                        evaluation = evaluation
-                            .with_metric("latency_ns", estimate.performance.latency_ns)
-                            .with_metric("throughput_gpps", estimate.performance.throughput_gpps);
+                    for (name, value) in estimate.resources.iter() {
+                        evaluation = evaluation.with_metric(name.clone(), *value);
                     }
                     evaluation
+                        .with_metric("latency_ns", estimate.performance.latency_ns)
+                        .with_metric("throughput_gpps", estimate.performance.throughput_gpps)
                 }
-                // An uncheckable configuration must not look attractive
+                // An unestimable configuration must not look attractive
                 // to the phase-1 violation descent (violation would
                 // default to 0.0 — the global minimum). The sentinel is
                 // large against real violation scores (O(1..100)) but

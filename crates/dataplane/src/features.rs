@@ -1,15 +1,13 @@
-//! Feature extraction from packets and flow state.
+//! Feature extraction from packets.
 //!
 //! The paper's motivating observation (§2) is that ML in the data plane
 //! works on *fine-grain features* — "connection duration, bytes
 //! transferred, protocol type, service type, packet size, and arrival
-//! time" — rather than static IP matches. This module turns a packet plus
-//! its flow state into exactly such a feature vector, with a stable layout
-//! shared by the dataset generators and the generated data-plane code
-//! (the P4 backend emits one metadata field per feature).
+//! time" — rather than static IP matches. This module names the stable
+//! 7-feature layout the anomaly-detection generator synthesises, and turns
+//! a packet's headers into the traffic-classification feature vector.
 
-use crate::flow::FlowStats;
-use crate::packet::{Packet, Protocol};
+use crate::packet::Packet;
 use serde::{Deserialize, Serialize};
 
 /// The service class implied by a packet's destination port.
@@ -61,7 +59,17 @@ impl Service {
 /// Names of the 7 packet-level features, in vector order.
 ///
 /// This is the 7-feature layout of the paper's AD and TC applications
-/// (Table 2 lists `Features = 7` for both).
+/// (Table 2 lists `Features = 7` for both). Scales put every feature in
+/// roughly `[0, 10]`, which keeps fixed-point quantization honest on the
+/// data plane:
+///
+/// 1. packet size in units of 256 B,
+/// 2. protocol number / 32,
+/// 3. service class code ([`Service::encode`]),
+/// 4. destination port / 8192,
+/// 5. flow duration in seconds (log1p-compressed),
+/// 6. flow bytes in units of 64 KiB (log1p-compressed),
+/// 7. flow mean inter-arrival time in milliseconds (log1p-compressed).
 pub const PACKET_FEATURE_NAMES: [&str; 7] = [
     "packet_size",
     "protocol",
@@ -71,33 +79,6 @@ pub const PACKET_FEATURE_NAMES: [&str; 7] = [
     "flow_bytes",
     "flow_mean_ipt",
 ];
-
-/// Number of packet-level features produced by [`packet_features`].
-pub const PACKET_FEATURE_COUNT: usize = PACKET_FEATURE_NAMES.len();
-
-/// Extracts the 7-dimensional packet+flow feature vector.
-///
-/// Scales are chosen so every feature lands in roughly `[0, 10]`, which
-/// keeps fixed-point quantization honest on the data plane:
-///
-/// 1. packet size in units of 256 B,
-/// 2. protocol number / 32,
-/// 3. service class code,
-/// 4. destination port / 8192,
-/// 5. flow duration in seconds (log1p-compressed),
-/// 6. flow bytes in units of 64 KiB (log1p-compressed),
-/// 7. flow mean inter-arrival time in milliseconds (log1p-compressed).
-pub fn packet_features(packet: &Packet, flow: &FlowStats) -> [f32; PACKET_FEATURE_COUNT] {
-    [
-        packet.size_bytes as f32 / 256.0,
-        f32::from(packet.protocol.number()) / 32.0,
-        Service::from_port(packet.dst_port).encode(),
-        f32::from(packet.dst_port) / 8192.0,
-        (flow.duration_ns() as f32 / 1e9).ln_1p(),
-        (flow.bytes as f32 / 65_536.0).ln_1p(),
-        (flow.mean_inter_arrival_ns() as f32 / 1e6).ln_1p(),
-    ]
-}
 
 /// Names of the header-only features used by the IoT traffic-classification
 /// application (IIsy uses "packet size, Ethernet and IPv4 headers").
@@ -129,15 +110,9 @@ pub fn header_features(packet: &Packet) -> [f32; 7] {
     ]
 }
 
-/// Is the protocol one the feature extractors understand natively?
-pub fn is_supported_protocol(protocol: Protocol) -> bool {
-    matches!(protocol, Protocol::Tcp | Protocol::Udp | Protocol::Icmp)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::FlowTable;
 
     #[test]
     fn service_classification() {
@@ -169,46 +144,16 @@ mod tests {
     }
 
     #[test]
-    fn packet_features_have_documented_length() {
-        let mut table = FlowTable::new();
-        let pkt = Packet::default();
-        let stats = table.observe(&pkt);
-        let f = packet_features(&pkt, &stats);
-        assert_eq!(f.len(), PACKET_FEATURE_COUNT);
-        assert_eq!(PACKET_FEATURE_NAMES.len(), PACKET_FEATURE_COUNT);
-    }
-
-    #[test]
     fn features_are_finite_and_bounded() {
-        let mut table = FlowTable::new();
         let mut b = Packet::builder();
         b.size_bytes(u32::MAX)
             .dst_port(u16::MAX)
             .timestamp_ns(u64::MAX / 2);
         let pkt = b.build();
-        let stats = table.observe(&pkt);
-        for f in packet_features(&pkt, &stats) {
-            assert!(f.is_finite());
-        }
         for f in header_features(&pkt) {
             assert!(f.is_finite());
             assert!(f >= 0.0);
         }
-    }
-
-    #[test]
-    fn duration_feature_grows_with_flow_age() {
-        let mut table = FlowTable::new();
-        let mut b = Packet::builder();
-        b.timestamp_ns(0);
-        let p0 = b.build();
-        let s0 = table.observe(&p0);
-        let young = packet_features(&p0, &s0)[4];
-        b.timestamp_ns(10_000_000_000); // 10s later
-        let p1 = b.build();
-        let s1 = table.observe(&p1);
-        let old = packet_features(&p1, &s1)[4];
-        assert!(old > young);
     }
 
     #[test]
@@ -221,13 +166,5 @@ mod tests {
             header_features(&a.build())[4],
             header_features(&b.build())[4]
         );
-    }
-
-    #[test]
-    fn supported_protocols() {
-        assert!(is_supported_protocol(Protocol::Tcp));
-        assert!(is_supported_protocol(Protocol::Udp));
-        assert!(is_supported_protocol(Protocol::Icmp));
-        assert!(!is_supported_protocol(Protocol::Other(99)));
     }
 }

@@ -1,15 +1,15 @@
 #![forbid(unsafe_code)]
 //! # homunculus-dataplane
 //!
-//! Data-plane substrate for the Homunculus reproduction: packets, flows,
-//! conversations, and FlowLens-style *flowmarker* histograms.
+//! Data-plane substrate for the Homunculus reproduction: packets, feature
+//! layouts, and FlowLens-style *flowmarker* histograms.
 //!
-//! The paper's applications consume three granularities of network data:
+//! The paper's applications consume two granularities of network data:
 //!
 //! - **per-packet features** (anomaly detection, traffic classification) —
-//!   header fields and sizes extracted from a single [`packet::Packet`];
-//! - **per-flow state** (connection duration, byte counts) tracked by a
-//!   [`flow::FlowTable`];
+//!   the [`features::PACKET_FEATURE_NAMES`] layout the anomaly-detection
+//!   generator synthesises, and header fields extracted from a single
+//!   [`packet::Packet`] by [`features::header_features`];
 //! - **per-conversation flowmarkers** (botnet detection) — coarse-grained
 //!   histograms of packet lengths and inter-arrival times accumulated by
 //!   [`histogram::Flowmarker`], following FlowLens (NDSS 2021), including
@@ -41,7 +41,6 @@
 //! ```
 
 pub mod features;
-pub mod flow;
 pub mod histogram;
 pub mod packet;
 

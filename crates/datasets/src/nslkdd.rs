@@ -56,8 +56,8 @@ struct Archetype {
     class: TrafficClass,
     /// Mixture weight within its class.
     weight: f64,
-    /// Cluster center in feature space (see feature scales in
-    /// `homunculus_dataplane::features::packet_features`).
+    /// Cluster center in feature space (see the feature scales on
+    /// `homunculus_dataplane::features::PACKET_FEATURE_NAMES`).
     center: [f64; 7],
     /// Per-dimension standard deviation.
     spread: [f64; 7],

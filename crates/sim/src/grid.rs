@@ -1,35 +1,23 @@
-//! Cycle-level simulation of the Taurus MapReduce CGRA grid.
+//! Placement and stream timing on the Taurus MapReduce CGRA grid.
 //!
-//! This is the stand-in for the paper's Tungsten/SARA cycle-accurate
-//! simulator: it takes a lowered model, **places** its compute/memory
-//! units onto a `rows x cols` grid, and **pipelines packets** through the
-//! placed stages cycle by cycle. The optimization core queries it for
-//! feasibility verdicts (latency/throughput/fit), which is all the
-//! compiler needs from the real simulator.
+//! This stands in for the paper's Tungsten/SARA simulator without
+//! re-deriving its cost model: a model lowers through
+//! [`TaurusTarget::stages`], the same stage list the estimator sums.
+//! The simulator **places** each stage's compute/memory units onto the
+//! `rows x cols` grid and times a packet stream in closed form: packet
+//! `i` is admitted at cycle `i * II` and leaves after the stages'
+//! latency. Its latency and throughput therefore equal the estimator's;
+//! a concrete placement is what it adds.
 
 use crate::{Result, SimError};
 use homunculus_backends::model::ModelIr;
-use homunculus_backends::taurus::{TaurusTarget, VEC_WIDTH};
+use homunculus_backends::taurus::{GridStage, TaurusTarget};
 use serde::{Deserialize, Serialize};
-
-/// One pipeline stage of the lowered dataflow (one DNN layer or the
-/// equivalent for SVM/KMeans).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Stage {
-    /// Stage index (input to output).
-    pub index: usize,
-    /// CU instances this stage occupies.
-    pub cus: usize,
-    /// MU instances this stage occupies.
-    pub mus: usize,
-    /// Cycles a single packet spends in this stage (reduction depth).
-    pub latency_cycles: usize,
-}
 
 /// A placed unit on the grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PlacedUnit {
-    /// Stage the unit belongs to.
+    /// Stage the unit belongs to (0 is the fixed parse/deparse stage).
     pub stage: usize,
     /// Grid row.
     pub row: usize,
@@ -64,7 +52,7 @@ impl Placement {
     }
 }
 
-/// Results of simulating a packet stream through the placed pipeline.
+/// Timing of a packet stream through the lowered pipeline.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimReport {
     /// Packets simulated.
@@ -75,12 +63,9 @@ pub struct SimReport {
     pub initiation_interval: u64,
     /// Per-packet pipeline latency in cycles.
     pub pipeline_latency_cycles: u64,
-    /// Sustained throughput in packets per cycle (1.0 = line rate at the
-    /// grid clock).
-    pub throughput_packets_per_cycle: f64,
-    /// Latency in nanoseconds at the configured clock.
+    /// Latency in nanoseconds at the target's clock.
     pub latency_ns: f64,
-    /// Throughput in GPkt/s at the configured clock.
+    /// Throughput in GPkt/s at the target's clock.
     pub throughput_gpps: f64,
 }
 
@@ -104,187 +89,106 @@ pub struct SimReport {
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GridSimulator {
-    /// Grid rows.
-    pub rows: usize,
-    /// Grid columns.
-    pub cols: usize,
-    /// Clock in GHz.
-    pub clock_ghz: f64,
+    /// The Taurus switch whose grid is simulated.
+    pub target: TaurusTarget,
 }
 
 impl GridSimulator {
     /// Creates a simulator for a `rows x cols` grid at `clock_ghz`.
     pub fn new(rows: usize, cols: usize, clock_ghz: f64) -> Self {
+        let mut target = TaurusTarget::new(rows, cols);
+        target.clock_ghz = clock_ghz;
+        GridSimulator { target }
+    }
+
+    /// Simulator of a [`TaurusTarget`]'s grid.
+    pub fn for_target(target: &TaurusTarget) -> Self {
         GridSimulator {
-            rows,
-            cols,
-            clock_ghz,
+            target: target.clone(),
         }
     }
 
-    /// Lowers a model into pipeline stages (one per layer).
+    /// Lowers a model into its pipeline stages ([`TaurusTarget::stages`]).
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Unsupported`] for models the grid cannot run.
-    pub fn lower(&self, model: &ModelIr) -> Result<Vec<Stage>> {
-        model
-            .validate()
-            .map_err(|e| SimError::Unsupported(e.to_string()))?;
-        let dims: Vec<(usize, usize)> = match model {
-            ModelIr::Dnn(d) => d.arch.layer_dims(),
-            ModelIr::Svm(s) => vec![(s.n_features, s.n_classes.max(2) - 1)],
-            ModelIr::KMeans(k) => vec![(k.n_features, k.k)],
-            ModelIr::Tree(_) => {
-                return Err(SimError::Unsupported(
-                    "decision trees run on the MAT pipeline".into(),
-                ))
-            }
-            ModelIr::Forest(_) => {
-                return Err(SimError::Unsupported(
-                    "random forests run on the MAT pipeline".into(),
-                ))
-            }
-        };
-        Ok(dims
-            .iter()
-            .enumerate()
-            .map(|(index, &(input, output))| {
-                let cus = output * input.div_ceil(VEC_WIDTH);
-                let mus = 2 * output.div_ceil(2) + (input * output + output).div_ceil(32);
-                let reduce_depth = (usize::BITS - (input.max(1) - 1).leading_zeros()) as usize;
-                Stage {
-                    index,
-                    cus,
-                    mus,
-                    latency_cycles: reduce_depth + 3,
-                }
-            })
-            .collect())
+    pub fn lower(&self, model: &ModelIr) -> Result<Vec<GridStage>> {
+        self.target
+            .stages(model)
+            .map_err(|e| SimError::Unsupported(e.to_string()))
     }
 
-    /// Places the lowered stages onto the grid (row-major, CUs and MUs in
-    /// separate planes, as in Plasticine's checkerboard).
+    /// Places the stages onto the grid (row-major, CUs and MUs in separate
+    /// planes, as in Plasticine's checkerboard). Placement succeeds exactly
+    /// when the stages run at an initiation interval of 1.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::DoesNotFit`] when either plane overflows.
-    pub fn place(&self, stages: &[Stage]) -> Result<Placement> {
-        let capacity = self.rows * self.cols;
-        let total_cus: usize = stages.iter().map(|s| s.cus).sum();
-        let total_mus: usize = stages.iter().map(|s| s.mus).sum();
-        if total_cus > capacity {
+    pub fn place(&self, stages: &[GridStage]) -> Result<Placement> {
+        let (rows, cols) = (self.target.rows, self.target.cols);
+        let ii = self.target.initiation_interval(stages);
+        if ii > 1 {
             return Err(SimError::DoesNotFit(format!(
-                "{total_cus} CUs > {capacity} grid slots"
+                "{} CUs / {} MUs overflow {rows}x{cols} grid slots (II {ii})",
+                stages.iter().map(|s| s.cus).sum::<usize>(),
+                stages.iter().map(|s| s.mus).sum::<usize>(),
             )));
         }
-        if total_mus > capacity {
-            return Err(SimError::DoesNotFit(format!(
-                "{total_mus} MUs > {capacity} grid slots"
-            )));
-        }
-        let mut units = Vec::with_capacity(total_cus + total_mus);
-        let mut cu_cursor = 0usize;
-        let mut mu_cursor = 0usize;
-        for stage in stages {
-            for _ in 0..stage.cus {
-                units.push(PlacedUnit {
-                    stage: stage.index,
-                    row: cu_cursor / self.cols,
-                    col: cu_cursor % self.cols,
-                    is_cu: true,
-                });
-                cu_cursor += 1;
-            }
-            for _ in 0..stage.mus {
-                units.push(PlacedUnit {
-                    stage: stage.index,
-                    row: mu_cursor / self.cols,
-                    col: mu_cursor % self.cols,
-                    is_cu: false,
-                });
-                mu_cursor += 1;
+        let mut units = Vec::new();
+        let (mut cu_cursor, mut mu_cursor) = (0usize, 0usize);
+        for (stage, s) in stages.iter().enumerate() {
+            for (count, cursor, is_cu) in [
+                (s.cus, &mut cu_cursor, true),
+                (s.mus, &mut mu_cursor, false),
+            ] {
+                for _ in 0..count {
+                    units.push(PlacedUnit {
+                        stage,
+                        row: *cursor / cols,
+                        col: *cursor % cols,
+                        is_cu,
+                    });
+                    *cursor += 1;
+                }
             }
         }
-        Ok(Placement {
-            units,
-            rows: self.rows,
-            cols: self.cols,
-        })
+        Ok(Placement { units, rows, cols })
     }
 
-    /// Initiation interval for the lowered stages: 1 when everything fits
-    /// fully unrolled; otherwise the time-multiplexing factor.
-    pub fn initiation_interval(&self, stages: &[Stage]) -> u64 {
-        let capacity = (self.rows * self.cols) as f64;
-        let total_cus: f64 = stages.iter().map(|s| s.cus as f64).sum();
-        let total_mus: f64 = stages.iter().map(|s| s.mus as f64).sum();
-        (total_cus / capacity)
-            .max(total_mus / capacity)
-            .ceil()
-            .max(1.0) as u64
-    }
-
-    /// Pipelines `packets` packets through the placed design, cycle by
-    /// cycle, and reports timing.
-    ///
-    /// The simulation is a faithful pipeline model: packet `i` is admitted
-    /// at cycle `i * II`; each stage holds a packet for its
-    /// `latency_cycles` (plus the fixed parse/extract/deparse overhead at
-    /// the ends); the run ends when the last packet drains.
+    /// Times `packets` packets through the lowered pipeline: packet `i` is
+    /// admitted at cycle `i * II` and drains `latency` cycles later.
     ///
     /// # Errors
     ///
     /// - [`SimError::InvalidConfig`] when `packets == 0`.
-    /// - Propagates lowering and placement errors (even when oversized,
-    ///   the model is simulated at a degraded II rather than rejected,
-    ///   matching how the optimization core probes infeasible points —
-    ///   only *placement* is skipped).
+    /// - Propagates lowering errors. An oversized model is timed at its
+    ///   degraded II, as the estimator prices it; only
+    ///   [`GridSimulator::place`] refuses it.
     pub fn simulate(&self, model: &ModelIr, packets: usize) -> Result<SimReport> {
         if packets == 0 {
             return Err(SimError::InvalidConfig("need at least one packet".into()));
         }
         let stages = self.lower(model)?;
-        let ii = self.initiation_interval(&stages);
-        const FIXED_OVERHEAD_CYCLES: u64 = 24; // parser + feature extraction + deparser
-
-        let per_packet_latency: u64 =
-            FIXED_OVERHEAD_CYCLES + stages.iter().map(|s| s.latency_cycles as u64).sum::<u64>();
-
-        // Cycle-accurate pipeline walk. With a constant II and per-stage
-        // occupancy of `ii` cycles, admission of packet i happens at
-        // i * ii; it leaves the pipe at i * ii + latency.
-        let mut last_drain = 0u64;
-        for i in 0..packets as u64 {
-            let admitted = i * ii;
-            let drained = admitted + per_packet_latency;
-            debug_assert!(drained >= last_drain, "pipeline preserves order");
-            last_drain = drained;
-        }
-
-        let total_cycles = last_drain + 1;
-        let throughput_ppc = packets as f64 / (packets as f64 * ii as f64);
+        let ii = self.target.initiation_interval(&stages);
+        let latency: u64 = stages.iter().map(|s| s.latency_cycles as u64).sum();
+        let clock = self.target.clock_ghz;
         Ok(SimReport {
             packets,
-            total_cycles,
+            total_cycles: (packets as u64 - 1) * ii + latency + 1,
             initiation_interval: ii,
-            pipeline_latency_cycles: per_packet_latency,
-            throughput_packets_per_cycle: throughput_ppc,
-            latency_ns: per_packet_latency as f64 / self.clock_ghz,
-            throughput_gpps: throughput_ppc * self.clock_ghz,
+            pipeline_latency_cycles: latency,
+            latency_ns: latency as f64 / clock,
+            throughput_gpps: clock / ii as f64,
         })
-    }
-
-    /// Convenience: simulator matching a [`TaurusTarget`]'s configuration.
-    pub fn for_target(target: &TaurusTarget) -> Self {
-        GridSimulator::new(target.rows, target.cols, target.clock_ghz)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use homunculus_backends::model::{DnnIr, KMeansIr, SvmIr, TreeIr};
+    use homunculus_backends::model::{DnnIr, ForestIr, KMeansIr, SvmIr, TreeIr};
     use homunculus_backends::resources::Constraints;
     use homunculus_backends::target::Target;
     use homunculus_ml::mlp::MlpArchitecture;
@@ -346,8 +250,8 @@ mod tests {
 
     #[test]
     fn simulator_agrees_with_taurus_estimator() {
-        // The analytic estimator in homunculus-backends and the
-        // cycle-level simulator must agree on feasibility verdicts.
+        // The simulator times the stages the estimator prices, so the two
+        // agree on feasibility verdicts.
         let target = TaurusTarget::default();
         let sim = GridSimulator::for_target(&target);
         let constraints = Constraints::new().throughput_gpps(1.0).latency_ns(500.0);
@@ -368,19 +272,34 @@ mod tests {
     }
 
     #[test]
-    fn svm_and_kmeans_lower_to_single_stage() {
+    fn svm_and_kmeans_lower_to_one_layer_stage() {
         let sim = GridSimulator::new(16, 16, 1.0);
         let svm = ModelIr::Svm(SvmIr::from_shape(7, 2));
-        assert_eq!(sim.lower(&svm).unwrap().len(), 1);
         let km = ModelIr::KMeans(KMeansIr::from_shape(5, 7));
-        assert_eq!(sim.lower(&km).unwrap().len(), 1);
+        for model in [svm, km] {
+            // The fixed parse/extract/argmax/deparse stage, then one layer.
+            let stages = sim.lower(&model).unwrap();
+            assert_eq!(stages.len(), 2);
+            assert_eq!(
+                (stages[0].cus, stages[0].mus, stages[0].latency_cycles),
+                (2, 1, 24)
+            );
+        }
     }
 
     #[test]
-    fn tree_unsupported() {
+    fn trees_and_forests_are_placed() {
         let sim = GridSimulator::new(16, 16, 1.0);
-        let tree = ModelIr::Tree(TreeIr::from_shape(3, 7, 8));
-        assert!(matches!(sim.lower(&tree), Err(SimError::Unsupported(_))));
+        let tree = ModelIr::Tree(TreeIr::from_shape(4, 7, 16));
+        let forest = ModelIr::Forest(ForestIr::from_shape(3, 4, 7, 16));
+        for model in [&tree, &forest] {
+            let stages = sim.lower(model).unwrap();
+            assert!(sim.place(&stages).is_ok(), "{model:?}");
+        }
+        assert_eq!(sim.simulate(&tree, 10).unwrap().latency_ns, 30.0);
+        // Deeper than the grid has rows: the target refuses it.
+        let deep = ModelIr::Tree(TreeIr::from_shape(40, 7, 100));
+        assert!(matches!(sim.lower(&deep), Err(SimError::Unsupported(_))));
     }
 
     #[test]

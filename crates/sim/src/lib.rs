@@ -4,14 +4,17 @@
 //! Simulators standing in for the paper's feasibility-testing
 //! infrastructure (§3.3: "testing is done using hardware testbed platforms
 //! or cycle-accurate simulators, e.g. Tungsten for Taurus or Xilinx Vivado
-//! for FPGAs"):
+//! for FPGAs"). Neither re-derives a cost model: each holds the backend
+//! target it models and places the stages that target's estimator prices,
+//! so its timing equals the estimate and its placement is what it adds.
 //!
-//! - [`grid`] — a cycle-level simulator of the Taurus MapReduce CGRA:
-//!   places a lowered model onto a CU/MU grid and pipelines packets
-//!   through it, reporting initiation interval, latency, throughput, and
-//!   utilization (the SARA/Tungsten substitute).
-//! - [`mat`] — a MAT pipeline simulator: allocates a model's tables onto
-//!   PISA stages and walks packets through them.
+//! - [`grid`] — the Taurus MapReduce CGRA: places
+//!   [`TaurusTarget::stages`](homunculus_backends::taurus::TaurusTarget::stages)
+//!   onto a CU/MU grid and times a packet stream in closed form
+//!   (initiation interval, latency, throughput, utilization).
+//! - [`mat`] — the Tofino MAT pipeline: allocates
+//!   [`TofinoTarget::tables`](homunculus_backends::tofino::TofinoTarget::tables)
+//!   onto PISA stages and times the stage walk.
 //! - [`pktgen`] — a MoonGen-like traffic source plus an end-to-end
 //!   streaming evaluation harness (inference on every packet while the
 //!   timing model advances), used for the per-packet reaction-time

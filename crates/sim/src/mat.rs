@@ -1,14 +1,16 @@
-//! MAT pipeline simulation (Tofino-style PISA switch).
+//! MAT pipeline allocation (Tofino-style PISA switch).
 //!
-//! Allocates a model's match-action tables onto pipeline stages and walks
-//! packets through them. PISA pipelines are rigid: a packet visits every
-//! stage exactly once at line rate, so the interesting questions are
-//! *does the program fit* (tables x stages) and *what latency does the
-//! stage walk incur* — exactly the verdicts the feasibility checker needs.
+//! Allocates the tables [`TofinoTarget::tables`] lists onto pipeline
+//! stages, packed as [`TofinoTarget::stage_walk`] packs them, and times the
+//! walk with the same function. PISA pipelines are rigid: a packet visits
+//! every stage exactly once at line rate, so the questions are *does the
+//! program fit* (tables x stages) and *what latency does the stage walk
+//! incur*. The answers equal the Tofino estimator's by construction; the
+//! table-to-stage allocation is what the simulator adds.
 
 use crate::{Result, SimError};
 use homunculus_backends::model::ModelIr;
-use homunculus_backends::tofino::TofinoTarget;
+use homunculus_backends::tofino::{TofinoTarget, TABLES_PER_STAGE};
 use serde::{Deserialize, Serialize};
 
 /// A table allocated to a stage.
@@ -25,7 +27,7 @@ pub struct AllocatedTable {
 pub struct MatAllocation {
     /// All allocated tables.
     pub tables: Vec<AllocatedTable>,
-    /// Number of stages actually used.
+    /// Number of stages the program occupies.
     pub stages_used: usize,
 }
 
@@ -51,9 +53,10 @@ pub struct MatReport {
 /// ```
 /// use homunculus_sim::mat::MatSimulator;
 /// use homunculus_backends::model::{KMeansIr, ModelIr};
+/// use homunculus_backends::tofino::TofinoTarget;
 ///
 /// # fn main() -> Result<(), homunculus_sim::SimError> {
-/// let sim = MatSimulator::new(12, 4, 1.0);
+/// let sim = MatSimulator::for_target(&TofinoTarget::default());
 /// let model = ModelIr::KMeans(KMeansIr::from_shape(5, 7));
 /// let report = sim.simulate(&model, 1_000)?;
 /// assert_eq!(report.tables_used, 5);
@@ -63,105 +66,47 @@ pub struct MatReport {
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MatSimulator {
-    /// Pipeline stages.
-    pub stages: usize,
-    /// Logical tables that fit per stage.
-    pub tables_per_stage: usize,
-    /// Line rate in GPkt/s.
-    pub line_rate_gpps: f64,
-    /// Per-stage traversal latency in ns.
-    pub stage_latency_ns: f64,
+    /// The Tofino switch whose pipeline is simulated.
+    pub target: TofinoTarget,
 }
 
 impl MatSimulator {
-    /// Creates a simulator with the given pipeline shape.
-    pub fn new(stages: usize, tables_per_stage: usize, line_rate_gpps: f64) -> Self {
+    /// Simulator of a [`TofinoTarget`]'s pipeline.
+    pub fn for_target(target: &TofinoTarget) -> Self {
         MatSimulator {
-            stages,
-            tables_per_stage,
-            line_rate_gpps,
-            stage_latency_ns: 33.0,
+            target: target.clone(),
         }
     }
 
-    /// Total MAT capacity.
-    pub fn capacity(&self) -> usize {
-        self.stages * self.tables_per_stage
-    }
-
-    /// Table names a model expands to (mirrors the P4 generator layout).
-    pub fn table_names(model: &ModelIr) -> Vec<String> {
-        match model {
-            ModelIr::KMeans(k) => (0..k.k).map(|c| format!("cluster_{c}")).collect(),
-            ModelIr::Svm(s) => {
-                let mut names: Vec<String> =
-                    (0..s.n_features).map(|f| format!("feature_{f}")).collect();
-                names.push("decision".into());
-                names
-            }
-            ModelIr::Tree(t) => {
-                let mut names: Vec<String> =
-                    (0..t.n_features).map(|f| format!("feature_{f}")).collect();
-                names.push("leaves".into());
-                names
-            }
-            ModelIr::Dnn(d) => (0..d.arch.depth())
-                .flat_map(|l| {
-                    (0..homunculus_backends::tofino::MATS_PER_BNN_LAYER)
-                        .map(move |m| format!("bnn_layer_{l}_mat_{m}"))
-                })
-                .collect(),
-            ModelIr::Forest(forest) => {
-                let mut names: Vec<String> = forest
-                    .trees
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(t, tree)| {
-                        (0..tree.n_features)
-                            .map(move |f| format!("t{t}_feature_{f}"))
-                            .chain(std::iter::once(format!("t{t}_leaves")))
-                    })
-                    .collect();
-                names.push("vote".into());
-                names
-            }
-        }
-    }
-
-    /// Allocates the model's tables onto stages (dependent tables — those
-    /// produced in IR order — go to consecutive stages when a stage
-    /// fills).
+    /// Allocates the model's tables onto stages in dependency order,
+    /// [`TABLES_PER_STAGE`] to a stage.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::DoesNotFit`] when the pipeline overflows.
+    /// Returns [`SimError::DoesNotFit`] when the tables exceed the MAT
+    /// budget or the stages exceed the pipeline.
     pub fn allocate(&self, model: &ModelIr) -> Result<MatAllocation> {
         model
             .validate()
             .map_err(|e| SimError::Unsupported(e.to_string()))?;
-        let names = Self::table_names(model);
-        if names.len() > self.capacity() {
+        let names = TofinoTarget::tables(model);
+        let (stages_used, _) = self.target.stage_walk(names.len());
+        if names.len() > self.target.mats || stages_used > self.target.stages {
             return Err(SimError::DoesNotFit(format!(
-                "{} tables > {} pipeline capacity",
+                "{} tables in {stages_used} stages > {} MATs in {} stages",
                 names.len(),
-                self.capacity()
+                self.target.mats,
+                self.target.stages
             )));
         }
-        let tables: Vec<AllocatedTable> = names
+        let tables = names
             .into_iter()
             .enumerate()
             .map(|(i, name)| AllocatedTable {
                 name,
-                stage: i / self.tables_per_stage,
+                stage: i / TABLES_PER_STAGE,
             })
             .collect();
-        let stages_used = tables.last().map_or(0, |t| t.stage + 1);
-        if stages_used > self.stages {
-            return Err(SimError::DoesNotFit(format!(
-                "{stages_used} stages > {} available",
-                self.stages
-            )));
-        }
         Ok(MatAllocation {
             tables,
             stages_used,
@@ -178,26 +123,15 @@ impl MatSimulator {
         if packets == 0 {
             return Err(SimError::InvalidConfig("need at least one packet".into()));
         }
-        let allocation = self.allocate(model)?;
-        // Every packet traverses all used stages plus parse/deparse.
-        let latency_ns = allocation.stages_used as f64 * self.stage_latency_ns + 50.0;
+        let tables_used = self.allocate(model)?.tables.len();
+        let (stages_used, latency_ns) = self.target.stage_walk(tables_used);
         Ok(MatReport {
             packets,
-            tables_used: allocation.tables.len(),
-            stages_used: allocation.stages_used,
+            tables_used,
+            stages_used,
             latency_ns,
-            throughput_gpps: self.line_rate_gpps,
+            throughput_gpps: self.target.line_rate_gpps,
         })
-    }
-
-    /// Convenience: simulator matching a [`TofinoTarget`].
-    pub fn for_target(target: &TofinoTarget) -> Self {
-        MatSimulator {
-            stages: target.stages,
-            tables_per_stage: target.mats.div_ceil(target.stages.max(1)).max(1),
-            line_rate_gpps: target.line_rate_gpps,
-            stage_latency_ns: target.stage_latency_ns,
-        }
     }
 }
 
@@ -207,33 +141,34 @@ mod tests {
     use homunculus_backends::model::{DnnIr, KMeansIr, SvmIr, TreeIr};
     use homunculus_ml::mlp::MlpArchitecture;
 
+    fn sim() -> MatSimulator {
+        MatSimulator::for_target(&TofinoTarget::default())
+    }
+
     #[test]
     fn kmeans_tables_match_clusters() {
-        let sim = MatSimulator::new(12, 4, 1.0);
         for k in 1..=5 {
             let model = ModelIr::KMeans(KMeansIr::from_shape(k, 7));
-            let report = sim.simulate(&model, 10).unwrap();
+            let report = sim().simulate(&model, 10).unwrap();
             assert_eq!(report.tables_used, k);
         }
     }
 
     #[test]
     fn svm_feature_tables_plus_decision() {
-        let sim = MatSimulator::new(12, 4, 1.0);
         let model = ModelIr::Svm(SvmIr::from_shape(7, 2));
-        let alloc = sim.allocate(&model).unwrap();
+        let alloc = sim().allocate(&model).unwrap();
         assert_eq!(alloc.tables.len(), 8);
         assert_eq!(alloc.tables.last().unwrap().name, "decision");
     }
 
     #[test]
     fn allocation_packs_stages_in_order() {
-        let sim = MatSimulator::new(12, 2, 1.0);
-        let model = ModelIr::KMeans(KMeansIr::from_shape(5, 7));
-        let alloc = sim.allocate(&model).unwrap();
-        assert_eq!(alloc.stages_used, 3); // ceil(5/2)
+        let model = ModelIr::KMeans(KMeansIr::from_shape(9, 7));
+        let alloc = sim().allocate(&model).unwrap();
+        assert_eq!(alloc.stages_used, 3); // ceil(9/4)
         assert_eq!(alloc.tables[0].stage, 0);
-        assert_eq!(alloc.tables[4].stage, 2);
+        assert_eq!(alloc.tables[8].stage, 2);
         // Stages are monotone in table order (dependency preservation).
         for w in alloc.tables.windows(2) {
             assert!(w[0].stage <= w[1].stage);
@@ -242,33 +177,31 @@ mod tests {
 
     #[test]
     fn overflow_rejected() {
-        let sim = MatSimulator::new(2, 2, 1.0);
+        let sim = MatSimulator::for_target(&TofinoTarget::with_mats(4));
         let model = ModelIr::KMeans(KMeansIr::from_shape(5, 7));
         assert!(matches!(sim.allocate(&model), Err(SimError::DoesNotFit(_))));
     }
 
     #[test]
     fn bnn_dnn_explodes_table_count() {
-        let sim = MatSimulator::new(12, 4, 1.0);
         let dnn = ModelIr::Dnn(DnnIr::from_architecture(&MlpArchitecture::new(
             7,
             vec![8, 8],
             2,
         )));
-        // 3 layers x 12 MATs = 36 tables: fits 12x4=48, not 8x4=32.
-        assert_eq!(sim.allocate(&dnn).unwrap().tables.len(), 36);
-        let small = MatSimulator::new(8, 4, 1.0);
-        assert!(matches!(small.allocate(&dnn), Err(SimError::DoesNotFit(_))));
+        // 3 layers x 12 MATs = 36 tables: fits 48 MATs, not 32.
+        let big = MatSimulator::for_target(&TofinoTarget::with_mats(48));
+        assert_eq!(big.allocate(&dnn).unwrap().tables.len(), 36);
+        assert!(matches!(sim().allocate(&dnn), Err(SimError::DoesNotFit(_))));
     }
 
     #[test]
     fn latency_scales_with_stages() {
-        let sim = MatSimulator::new(12, 1, 1.0);
-        let small = sim
+        let small = sim()
             .simulate(&ModelIr::KMeans(KMeansIr::from_shape(2, 7)), 10)
             .unwrap();
-        let large = sim
-            .simulate(&ModelIr::KMeans(KMeansIr::from_shape(5, 7)), 10)
+        let large = sim()
+            .simulate(&ModelIr::KMeans(KMeansIr::from_shape(9, 7)), 10)
             .unwrap();
         assert!(large.latency_ns > small.latency_ns);
         assert_eq!(
@@ -279,27 +212,17 @@ mod tests {
 
     #[test]
     fn tree_allocates_feature_tables() {
-        let sim = MatSimulator::new(12, 4, 1.0);
         let tree = ModelIr::Tree(TreeIr::from_shape(3, 4, 8));
-        let alloc = sim.allocate(&tree).unwrap();
+        let alloc = sim().allocate(&tree).unwrap();
         assert_eq!(alloc.tables.len(), 5);
         assert_eq!(alloc.tables.last().unwrap().name, "leaves");
     }
 
     #[test]
-    fn for_target_matches_budget() {
-        let target = TofinoTarget::with_mats(32);
-        let sim = MatSimulator::for_target(&target);
-        assert!(sim.capacity() >= 32);
-        assert_eq!(sim.stages, 12);
-    }
-
-    #[test]
     fn zero_packets_rejected() {
-        let sim = MatSimulator::new(12, 4, 1.0);
         let model = ModelIr::KMeans(KMeansIr::from_shape(2, 7));
         assert!(matches!(
-            sim.simulate(&model, 0),
+            sim().simulate(&model, 0),
             Err(SimError::InvalidConfig(_))
         ));
     }

@@ -95,7 +95,7 @@ pub struct StreamReport {
 ///     })
 ///     .collect();
 /// let harness = StreamHarness::new(TimingModel::fixed(1.0, 100.0));
-/// let report = harness.run(&stream, |f| usize::from(f[0] >= 50.0))?;
+/// let report = harness.run(&stream, |f| usize::from(f[0] > 49.5))?;
 /// assert_eq!(report.packets, 100);
 /// assert!((report.f1 - 1.0).abs() < 1e-9);
 /// assert_eq!(report.reaction_time_ns, 100.0);
@@ -550,7 +550,6 @@ mod tests {
             total_cycles: 100,
             initiation_interval: 2,
             pipeline_latency_cycles: 40,
-            throughput_packets_per_cycle: 0.5,
             latency_ns: 40.0,
             throughput_gpps: 0.5,
         };

@@ -88,7 +88,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // End-to-end deployment replay: stream fresh traffic through the
     // COMPILED integer pipeline (the fixed-point twin of the generated
-    // Spatial code), timed by the cycle-level grid simulator.
+    // Spatial code), timed by the grid simulator.
     let pipeline = best
         .compiled
         .as_ref()

@@ -20,7 +20,8 @@
 //! This facade crate re-exports the whole workspace under one roof:
 //!
 //! - [`ml`] — the ML substrate (MLP training, SVM, KMeans, trees, metrics).
-//! - [`dataplane`] — packets, flows, and FlowLens-style flowmarker histograms.
+//! - [`dataplane`] — packets, feature layouts, and FlowLens-style flowmarker
+//!   histograms.
 //! - [`datasets`] — synthetic NSL-KDD-like, IoT, and P2P/botnet generators.
 //! - [`optimizer`] — HyperMapper-style constrained Bayesian optimization.
 //! - [`backends`] — Taurus/Tofino/FPGA resource models and Spatial/P4 codegen.
@@ -34,7 +35,8 @@
 //!   artifact linter with stable `HA`-prefixed diagnostic codes, exposed
 //!   as the `homunculus-analyze` CLI, an opt-in compile-session gate, and
 //!   a validation hook on artifact loads.
-//! - [`sim`] — cycle-level MapReduce-grid and MAT-pipeline simulators.
+//! - [`sim`] — placement and stream timing on the MapReduce grid and the
+//!   MAT pipeline, over the stages the `backends` estimators price.
 //! - [`fleet`] — fleet-scale serving: deterministic fat-tree/leaf–spine
 //!   topology generation, one persistent deployment per fabric whose
 //!   tenants are the role-placed `(switch, model)` pairs, a pipelined

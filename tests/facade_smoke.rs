@@ -59,7 +59,7 @@ fn facade_paths_resolve_and_behave() {
 
     // sim
     let _ = GridSimulator::new(4, 4, 1.0);
-    let _ = MatSimulator::new(4, 2, 1.0);
+    let _ = MatSimulator::for_target(&TofinoTarget::default());
     let curve = reaction_time_curve(&[4, 8], 100.0, 50.0, |n| {
         (vec![0, 1, 0, 1], vec![0, 1, 0, usize::from(n >= 8)])
     })

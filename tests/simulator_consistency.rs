@@ -1,7 +1,9 @@
-//! The analytic estimators and the cycle-level simulators must tell the
-//! compiler the same story — and both must honor the scheduling algebra.
+//! The simulators place and time the stages the analytic estimators price:
+//! one cost model per target, so their numbers agree by construction and
+//! what is left to pin is that placement succeeds exactly when the
+//! estimate fits.
 
-use homunculus::backends::model::{DnnIr, KMeansIr, ModelIr};
+use homunculus::backends::model::{DnnIr, ForestIr, KMeansIr, ModelIr, SvmIr, TreeIr};
 use homunculus::backends::resources::Constraints;
 use homunculus::backends::target::Target;
 use homunculus::backends::taurus::TaurusTarget;
@@ -33,8 +35,8 @@ fn grid_simulator_matches_taurus_estimator_resources() {
     ] {
         let est = target.estimate(&model).unwrap();
         let stages = sim.lower(&model).unwrap();
-        let sim_cus: usize = stages.iter().map(|s| s.cus).sum::<usize>() + 2;
-        let sim_mus: usize = stages.iter().map(|s| s.mus).sum::<usize>() + 1;
+        let sim_cus: usize = stages.iter().map(|s| s.cus).sum();
+        let sim_mus: usize = stages.iter().map(|s| s.mus).sum();
         assert_eq!(est.resources.get("cus") as usize, sim_cus);
         assert_eq!(est.resources.get("mus") as usize, sim_mus);
     }
@@ -47,12 +49,7 @@ fn grid_simulator_latency_matches_estimator() {
     for model in [dnn(7, vec![16, 4]), dnn(30, vec![10, 10, 10, 10])] {
         let est = target.estimate(&model).unwrap();
         let report = sim.simulate(&model, 100).unwrap();
-        assert!(
-            (est.performance.latency_ns - report.latency_ns).abs() < 1.0,
-            "estimator {} vs simulator {}",
-            est.performance.latency_ns,
-            report.latency_ns
-        );
+        assert_eq!(est.performance.latency_ns, report.latency_ns);
         assert_eq!(est.performance.throughput_gpps, report.throughput_gpps);
     }
 }
@@ -66,6 +63,7 @@ fn mat_simulator_matches_tofino_mat_costs() {
         let est = target.estimate(&model).unwrap();
         let report = sim.simulate(&model, 10).unwrap();
         assert_eq!(est.resources.get("mats") as usize, report.tables_used);
+        assert_eq!(est.performance.latency_ns, report.latency_ns);
     }
 }
 
@@ -173,4 +171,110 @@ fn oversized_models_flagged_by_both_paths() {
     assert!(report.throughput_gpps < 1.0);
     let stages = sim.lower(&big).unwrap();
     assert!(sim.place(&stages).is_err(), "placement must also reject");
+}
+
+/// Shapes of all five families, small to oversized.
+fn every_family() -> Vec<ModelIr> {
+    vec![
+        dnn(7, vec![16, 4]),
+        dnn(7, vec![10, 10, 5]),
+        dnn(30, vec![5, 5, 5, 5, 5, 5, 5, 5, 5, 5]),
+        dnn(64, vec![31]),
+        dnn(30, vec![64, 64]),
+        ModelIr::Svm(SvmIr::from_shape(7, 2)),
+        ModelIr::Svm(SvmIr::from_shape(30, 5)),
+        ModelIr::KMeans(KMeansIr::from_shape(1, 7)),
+        ModelIr::KMeans(KMeansIr::from_shape(5, 7)),
+        ModelIr::KMeans(KMeansIr::from_shape(40, 30)),
+        ModelIr::Tree(TreeIr::from_shape(4, 7, 16)),
+        ModelIr::Tree(TreeIr::from_shape(12, 30, 200)),
+        ModelIr::Tree(TreeIr::from_shape(20, 7, 100)),
+        ModelIr::Forest(ForestIr::from_shape(3, 4, 7, 16)),
+        ModelIr::Forest(ForestIr::from_shape(8, 6, 30, 64)),
+    ]
+}
+
+#[test]
+fn simulators_place_and_time_what_the_estimators_price() {
+    for rows in (4..=32).step_by(4) {
+        for cols in (4..=32).step_by(4) {
+            let target = TaurusTarget::new(rows, cols);
+            let sim = GridSimulator::for_target(&target);
+            for model in every_family() {
+                let Ok(est) = target.estimate(&model) else {
+                    assert!(sim.simulate(&model, 10).is_err(), "{rows}x{cols} {model:?}");
+                    continue;
+                };
+                let report = sim.simulate(&model, 100).unwrap();
+                assert_eq!(report.latency_ns, est.performance.latency_ns);
+                assert_eq!(report.throughput_gpps, est.performance.throughput_gpps);
+                let fits = est.performance.throughput_gpps == target.clock_ghz;
+                assert_eq!(fits, report.initiation_interval == 1);
+                match sim.place(&sim.lower(&model).unwrap()) {
+                    Ok(placement) => {
+                        assert!(fits, "{rows}x{cols}: placed an unfit {model:?}");
+                        let cus = placement.units.iter().filter(|u| u.is_cu).count();
+                        let mus = placement.units.len() - cus;
+                        assert_eq!(cus as f64, est.resources.get("cus"));
+                        assert_eq!(mus as f64, est.resources.get("mus"));
+                    }
+                    Err(_) => assert!(!fits, "{rows}x{cols}: refused a fitting {model:?}"),
+                }
+            }
+        }
+    }
+    for mats in 1..=48 {
+        let target = TofinoTarget::with_mats(mats);
+        let sim = MatSimulator::for_target(&target);
+        for model in every_family() {
+            let est = target.estimate(&model).ok();
+            let fits = est
+                .as_ref()
+                .is_some_and(|e| e.performance.throughput_gpps == target.line_rate_gpps);
+            assert_eq!(sim.allocate(&model).is_ok(), fits, "{mats} MATs {model:?}");
+            if let (Some(est), true) = (est, fits) {
+                let report = sim.simulate(&model, 10).unwrap();
+                assert_eq!(report.latency_ns, est.performance.latency_ns);
+                assert_eq!(report.throughput_gpps, est.performance.throughput_gpps);
+                assert_eq!(report.tables_used as f64, est.resources.get("mats"));
+                assert_eq!(report.stages_used as f64, est.resources.get("stages"));
+            }
+        }
+    }
+
+    // The three places where the simulators' copies of the cost model
+    // used to disagree with the estimators.
+    let taurus = TaurusTarget::default();
+    let grid = GridSimulator::for_target(&taurus);
+    // 1. The fixed stage's 2 CUs and 1 MU count: dnn(64, [31], 2) is 258
+    //    CUs on a 256-slot grid, so II 2, 0.5 GPkt/s and no placement.
+    let wide = dnn(64, vec![31]);
+    assert_eq!(taurus.estimate(&wide).unwrap().resources.get("cus"), 258.0);
+    let report = grid.simulate(&wide, 100).unwrap();
+    assert_eq!(
+        (report.initiation_interval, report.throughput_gpps),
+        (2, 0.5)
+    );
+    assert!(grid.place(&grid.lower(&wide).unwrap()).is_err());
+    // 2. Trees are placed on the grid: a depth-4 tree is timed at the
+    //    30 ns Taurus estimates for it.
+    let tree = ModelIr::Tree(TreeIr::from_shape(4, 7, 16));
+    assert_eq!(taurus.estimate(&tree).unwrap().performance.latency_ns, 30.0);
+    assert_eq!(grid.simulate(&tree, 10).unwrap().latency_ns, 30.0);
+    assert!(grid.place(&grid.lower(&tree).unwrap()).is_ok());
+    // 3. The default Tofino packs 4 tables per stage with a two-stage
+    //    floor: KMeans k = 1-3, SVM-7 and tree-7 all walk 2 stages.
+    let mat = MatSimulator::for_target(&TofinoTarget::default());
+    for model in [
+        ModelIr::KMeans(KMeansIr::from_shape(1, 7)),
+        ModelIr::KMeans(KMeansIr::from_shape(3, 7)),
+        ModelIr::Svm(SvmIr::from_shape(7, 2)),
+        ModelIr::Tree(TreeIr::from_shape(4, 7, 16)),
+    ] {
+        assert_eq!(
+            mat.simulate(&model, 10).unwrap().latency_ns,
+            116.0,
+            "{model:?}"
+        );
+    }
 }
