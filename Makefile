@@ -86,45 +86,47 @@ bench-smoke:
 bench-pairs:
 	scripts/hbench-pairs.sh $(A) $(B) $(W) $(SEEDS)
 
-# The paper's tables and figures (crates/bench/src/bin/*.rs). `paper-smoke`
-# is the part of `ci`: the five bins that finish in under two seconds each
-# in release, one by one under `timeout`, failing on a non-zero exit or on
-# any byte of stdout that differs from crates/bench/golden/<bin>.txt (every
-# printed number is seeded, so the output is byte-stable).
-# To re-pin, run each bin with its stdout redirected to its file
-# (`cargo run -q --release -p homunculus-bench --bin fig6 >
+# The paper's tables and figures: one `paper` binary
+# (crates/bench/src/bin/paper.rs), one library function per experiment,
+# each printing its table and its shape checks. `paper` exits non-zero
+# when a check is false that `EXPECTED_FAILURES` (crates/bench/src/lib.rs)
+# does not list, or holds when it does. `paper-smoke` is the part of
+# `ci`: the five experiments that finish in under two seconds each in
+# release, one by one under `timeout`, failing on a non-zero exit or on
+# any byte of stdout that differs from crates/bench/golden/<exp>.txt
+# (every printed number is seeded, so the output is byte-stable).
+# To re-pin, run the experiment with its stdout redirected to its file
+# (`cargo run -q --release -p homunculus-bench --bin paper -- fig6 >
 # crates/bench/golden/fig6.txt`) and review the diff. A re-pin belongs to
-# the change that moves training (or a cost model) and says why; any other
-# change leaves the files alone.
-# `paper` runs all eleven (~2 min on 2 vCPUs): `all_experiments` runs the eight
-# table/figure bins as child processes, then the BO ablation and the
-# dataset calibration probe.
-PAPER_SMOKE_BINS = fig6 fig7 table3 table4 reaction_time
+# the change that moves training (or a cost model) or a shape check, and
+# says why; any other change leaves the files alone.
+# `paper` runs `paper all` (~2 min on 2 vCPUs): every experiment in one
+# process, Table 2's six models built once for `table2` and `table5`,
+# then the BO ablation and the dataset calibration probe (which checks
+# nothing).
+PAPER_SMOKE = fig6 fig7 table3 table4 reaction_time
 
 paper-smoke:
-	$(CARGO) build -q --release -p homunculus-bench --bins
-	@for bin in $(PAPER_SMOKE_BINS); do \
+	$(CARGO) build -q --release -p homunculus-bench --bin paper
+	@for exp in $(PAPER_SMOKE); do \
 		out=$$(mktemp); \
-		timeout 60 $(CARGO) run -q --release -p homunculus-bench --bin $$bin >$$out; \
+		timeout 60 $(CARGO) run -q --release -p homunculus-bench --bin paper -- $$exp >$$out; \
 		status=$$?; \
 		if [ $$status -eq 124 ]; then \
-			echo "paper-smoke: $$bin hung (no result in 60 s)"; rm -f $$out; exit 1; \
+			echo "paper-smoke: $$exp hung (no result in 60 s)"; rm -f $$out; exit 1; \
 		elif [ $$status -ne 0 ]; then \
-			echo "paper-smoke: $$bin failed"; rm -f $$out; exit 1; \
+			echo "paper-smoke: $$exp failed"; rm -f $$out; exit 1; \
 		fi; \
-		if ! diff -u crates/bench/golden/$$bin.txt $$out; then \
-			echo "paper-smoke: $$bin printed something other than crates/bench/golden/$$bin.txt"; \
+		if ! diff -u crates/bench/golden/$$exp.txt $$out; then \
+			echo "paper-smoke: $$exp printed something other than crates/bench/golden/$$exp.txt"; \
 			rm -f $$out; exit 1; \
 		fi; \
 		rm -f $$out; \
 	done
-	@echo "paper-smoke: $(PAPER_SMOKE_BINS) ran clean and match crates/bench/golden"
+	@echo "paper-smoke: $(PAPER_SMOKE) ran clean and match crates/bench/golden"
 
 paper:
-	$(CARGO) build -q --release -p homunculus-bench --bins
-	$(CARGO) run -q --release -p homunculus-bench --bin all_experiments
-	$(CARGO) run -q --release -p homunculus-bench --bin ablation_bo
-	$(CARGO) run -q --release -p homunculus-bench --bin calibrate
+	$(CARGO) run -q --release -p homunculus-bench --bin paper -- all
 
 examples:
 	$(CARGO) build --release --examples

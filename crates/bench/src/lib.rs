@@ -1,8 +1,12 @@
 #![forbid(unsafe_code)]
 //! # homunculus-bench
 //!
-//! The benchmark harness: one binary per table/figure of the paper's
-//! evaluation (§5). This library holds the shared experiment plumbing:
+//! The paper's evaluation (§5) as one program, `paper <experiment>…` or
+//! `paper all`: each table/figure is a function in [`experiments`] that
+//! prints its table and returns the claims it measured as
+//! [`ShapeCheck`]s, and the run exits non-zero when a check is false
+//! that [`EXPECTED_FAILURES`] does not list, or holds when it does.
+//! This library also holds the shared experiment plumbing:
 //!
 //! - the **hand-tuned baseline** model definitions (the paper's Base-AD,
 //!   Base-TC, Base-BD architectures),
@@ -10,17 +14,23 @@
 //! - partial-histogram (per-packet) evaluation for botnet detection,
 //! - the paper's reported numbers ([`paper`]) for side-by-side printing.
 //!
-//! | Binary | Reproduces |
+//! | Experiment | Reproduces |
 //! |---|---|
 //! | `table2` | Table 2 — baselines vs Homunculus (F1, params, CUs, MUs) |
 //! | `table3` | Table 3 — app-chaining resource scaling |
 //! | `table4` | Table 4 — model fusion resource usage |
-//! | `table5` | Table 5 — FPGA utilization & power |
+//! | `table5` | Table 5 — FPGA utilization & power of Table 2's models |
 //! | `fig4` | Figure 4 — BO regret plot (AD) |
 //! | `fig6` | Figure 6 — botnet vs benign PL/IPT histograms |
 //! | `fig7` | Figure 7 — KMeans V-measure under MAT budgets |
 //! | `reaction_time` | §5.1.1/§5.1.2 — per-packet reaction-time study |
-//! | `all_experiments` | everything above, in sequence |
+//! | `ablation_bo` | BO-guided search vs random search, same budget |
+//! | `calibrate` | dataset-difficulty sweep (no checks) |
+//!
+//! `table2` and `table5` read the same six models, built once per run by
+//! [`experiments::table2_models`].
+
+pub mod experiments;
 
 use homunculus_backends::model::{DnnIr, ModelIr};
 use homunculus_core::alchemy::{Algorithm, Metric, ModelSpec, Platform};
@@ -31,7 +41,7 @@ use homunculus_dataplane::histogram::FlowmarkerConfig;
 use homunculus_datasets::dataset::{Dataset, Normalizer};
 use homunculus_datasets::iot::IotTrafficGenerator;
 use homunculus_datasets::nslkdd::NslKddGenerator;
-use homunculus_datasets::p2p::{flowmarker_dataset, FlowTrace, P2pTrafficGenerator};
+use homunculus_datasets::p2p::{FlowTrace, P2pTrafficGenerator};
 use homunculus_ml::metrics::{f1_binary, f1_macro};
 use homunculus_ml::mlp::{Dense, Mlp, MlpArchitecture, TrainConfig};
 
@@ -92,15 +102,6 @@ pub enum Application {
 }
 
 impl Application {
-    /// Short lowercase name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Application::Ad => "ad",
-            Application::Tc => "tc",
-            Application::Bd => "bd",
-        }
-    }
-
     /// The hand-tuned baseline architecture from the paper:
     /// - Base-AD: the Taurus-paper AD model (~203 params),
     /// - Base-TC: IIsy DNN baseline, 3 hidden layers (10, 10, 5),
@@ -199,21 +200,12 @@ pub fn train_baseline(
 }
 
 /// Builds the paper's standard Taurus platform (1 GPkt/s, 500 ns, 16x16)
-/// with one scheduled DNN application.
+/// with `model` scheduled on it.
 ///
 /// # Errors
 ///
-/// Propagates spec/schedule validation errors.
-pub fn taurus_platform(
-    name: &str,
-    metric: Metric,
-    dataset: Dataset,
-) -> Result<Platform, CoreError> {
-    let model = ModelSpec::builder(name)
-        .optimization_metric(metric)
-        .algorithm(Algorithm::Dnn)
-        .data(dataset)
-        .build()?;
+/// Propagates schedule validation errors.
+pub fn taurus_platform(model: ModelSpec) -> Result<Platform, CoreError> {
     let mut platform = Platform::taurus();
     platform
         .constraints_mut()
@@ -224,7 +216,7 @@ pub fn taurus_platform(
     Ok(platform)
 }
 
-/// Runs the Homunculus compiler on an application dataset targeting a
+/// Runs the Homunculus compiler on one DNN application targeting a
 /// Taurus switch with the paper's constraints (1 GPkt/s, 500 ns, 16x16),
 /// through a staged [`Compiler`] session.
 ///
@@ -237,8 +229,14 @@ pub fn compile_on_taurus(
     dataset: Dataset,
     options: &CompilerOptions,
 ) -> Result<CompiledArtifact, CoreError> {
-    let platform = taurus_platform(name, metric, dataset)?;
-    Compiler::new(*options).open(&platform)?.compile()
+    let model = ModelSpec::builder(name)
+        .optimization_metric(metric)
+        .algorithm(Algorithm::Dnn)
+        .data(dataset)
+        .build()?;
+    Compiler::new(*options)
+        .open(&taurus_platform(model)?)?
+        .compile()
 }
 
 /// The experiment-scale compiler options (Figure 4's ~20 iterations).
@@ -311,24 +309,131 @@ pub fn partial_histogram_f1(
 /// The standard per-packet evaluation horizons.
 pub const BD_HORIZONS: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
 
-/// Trains the BD baseline on **full** flowmarkers and returns it with the
-/// flowmarker dataset used (the paper's §5.1.2 protocol).
+/// One of the paper's claims, measured.
+#[derive(Debug, Clone)]
+pub struct ShapeCheck {
+    /// Stable name, `<experiment>.<claim>`, as [`EXPECTED_FAILURES`]
+    /// lists it.
+    pub id: &'static str,
+    /// The claim, in words.
+    pub claim: &'static str,
+    /// What this run measured.
+    pub measured: String,
+    /// The paper's side of the same comparison (from [`paper`] where the
+    /// paper prints a number).
+    pub reference: String,
+    /// Whether the measurement has the claimed shape.
+    pub holds: bool,
+}
+
+impl std::fmt::Display for ShapeCheck {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{:<5} {:<24} {}: {} (paper: {})",
+            self.holds, self.id, self.claim, self.measured, self.reference
+        )
+    }
+}
+
+/// The shape checks that are false today, each with why. `paper` fails
+/// when a listed check holds, so this list can only shrink: a change
+/// that fixes a shape deletes its entry.
+pub const EXPECTED_FAILURES: &[(&str, &str)] = &[
+    (
+        "table2.ad_f1",
+        "ROADMAP item 1(b)/(c): retraining the winner discards the weights the \
+         search scored (0.707 at search, 0.527 written on compile seed 1), \
+         and one baseline draw is compared against one Hom draw",
+    ),
+    (
+        "table5.ad_lut",
+        "ROADMAP item 1(b): the written Hom-AD is the 105-parameter model of \
+         table2.ad_f1, smaller than Base-AD's 206, so it costs less LUT",
+    ),
+    (
+        "table5.ad_power",
+        "ROADMAP item 1(b): the written Hom-AD is the 105-parameter model of \
+         table2.ad_f1, smaller than Base-AD's 206, so it draws less power",
+    ),
+    (
+        "fig4.plateau",
+        "ROADMAP item 1: the synthetic NSL-KDD generator plateaus near 70 F1 \
+         (the paper reaches 83); iterations 14-15 score 69.21 / 67.78 but \
+         are infeasible, so best-so-far stays at 66.78",
+    ),
+];
+
+/// An experiment: prints its table and returns its shape checks. Only
+/// `table2` and `table5` read Table 2's six models.
+pub type Experiment = fn(&[experiments::Table2Model]) -> experiments::Result<Vec<ShapeCheck>>;
+
+/// Every experiment [`run`] knows, in the order `paper all` runs them.
+pub const EXPERIMENTS: [(&str, Experiment); 10] = [
+    ("table2", experiments::table2),
+    ("table3", |_| experiments::table3()),
+    ("table4", |_| experiments::table4()),
+    ("table5", experiments::table5),
+    ("fig4", |_| experiments::fig4()),
+    ("fig6", |_| experiments::fig6()),
+    ("fig7", |_| experiments::fig7()),
+    ("reaction_time", |_| experiments::reaction_time()),
+    ("ablation_bo", |_| experiments::ablation_bo()),
+    ("calibrate", |_| experiments::calibrate()),
+];
+
+/// Runs one experiment and prints its shape checks. `table2_models`
+/// holds Table 2's six models once the first of `table2`/`table5` in a
+/// run has built them.
 ///
 /// # Errors
 ///
-/// Propagates training failures.
-pub fn train_bd_baseline(
-    train_flows: &[FlowTrace],
-    config: FlowmarkerConfig,
-    seed: u64,
-) -> Result<TrainedBaseline, CoreError> {
-    let dataset = flowmarker_dataset(train_flows, config);
-    train_baseline(Application::Bd, &dataset, seed)
+/// An unknown experiment name, or the experiment's own failure.
+pub fn run(
+    name: &str,
+    table2_models: &mut Option<Vec<experiments::Table2Model>>,
+) -> experiments::Result<Vec<ShapeCheck>> {
+    let (_, experiment) = EXPERIMENTS
+        .iter()
+        .find(|(known, _)| *known == name)
+        .ok_or_else(|| format!("unknown experiment '{name}'"))?;
+    if matches!(name, "table2" | "table5") && table2_models.is_none() {
+        *table2_models = Some(experiments::table2_models()?);
+    }
+    let checks = experiment(table2_models.as_deref().unwrap_or_default())?;
+    for check in &checks {
+        println!("{check}");
+    }
+    Ok(checks)
 }
 
-/// Pretty-prints a labeled measured-vs-paper row.
-pub fn print_row(label: &str, measured: &str, reported: &str) {
-    println!("{label:<28} {measured:<40} paper: {reported}");
+/// Judges a run's checks against `expected` (id, reason) pairs and
+/// returns one line per problem; an empty list passes. A problem is a
+/// false check that is not listed, or a listed check that holds. When
+/// `complete` (every experiment ran), a listed id no check produced is
+/// one too: the entry is stale.
+pub fn gate(checks: &[ShapeCheck], expected: &[(&str, &str)], complete: bool) -> Vec<String> {
+    let listed = |id: &str| expected.iter().any(|(e, _)| *e == id);
+    let mut problems: Vec<String> = checks
+        .iter()
+        .filter_map(|c| match (c.holds, listed(c.id)) {
+            (false, false) => Some(format!("{}: false and not an expected failure", c.id)),
+            (true, true) => Some(format!(
+                "{}: holds, so delete its EXPECTED_FAILURES entry",
+                c.id
+            )),
+            _ => None,
+        })
+        .collect();
+    if complete {
+        problems.extend(
+            expected
+                .iter()
+                .filter(|(id, _)| !checks.iter().any(|c| c.id == *id))
+                .map(|(id, _)| format!("{id}: an expected failure no experiment checks")),
+        );
+    }
+    problems
 }
 
 /// Section banner for experiment output.
@@ -350,12 +455,12 @@ pub fn bar(value: f64, max: f64, width: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use homunculus_datasets::p2p::flowmarker_dataset;
 
     #[test]
     fn baseline_architectures_match_paper_param_counts() {
         // Table 2's "# NN Param" column: 203 / 275 / 662. Our Base-AD is
-        // 206 (203 is not attainable with integer widths and bias terms;
-        // noted in EXPERIMENTS.md).
+        // 206 (203 is not attainable with integer widths and bias terms).
         assert_eq!(Application::Ad.baseline_architecture().param_count(), 206);
         assert_eq!(Application::Tc.baseline_architecture().param_count(), 275);
         assert_eq!(Application::Bd.baseline_architecture().param_count(), 662);
@@ -379,7 +484,8 @@ mod tests {
             P2pTrafficGenerator::new(2).generate_flows(60),
         );
         let config = FlowmarkerConfig::paper_reduced();
-        let baseline = train_bd_baseline(&train, config, 0).unwrap();
+        let markers = flowmarker_dataset(&train, config);
+        let baseline = train_baseline(Application::Bd, &markers, 0).unwrap();
         let f1 = partial_histogram_f1(
             &baseline.net,
             &baseline.normalizer,
@@ -388,6 +494,43 @@ mod tests {
             &[1, 4, 16],
         );
         assert!((0.0..=1.0).contains(&f1), "f1 {f1}");
+    }
+
+    fn check(id: &'static str, holds: bool) -> ShapeCheck {
+        ShapeCheck {
+            id,
+            claim: "claim",
+            measured: String::new(),
+            reference: String::new(),
+            holds,
+        }
+    }
+
+    #[test]
+    fn gate_fails_on_unlisted_false_and_listed_holding_checks() {
+        let expected = [("x.listed", "why")];
+        // A listed false check passes, as does an unlisted true one.
+        let ok = [check("x.listed", false), check("x.other", true)];
+        assert!(gate(&ok, &expected, true).is_empty());
+        // An unlisted false check fails.
+        let unlisted = [check("x.listed", false), check("x.other", false)];
+        assert_eq!(gate(&unlisted, &expected, false).len(), 1);
+        // A listed check that holds fails: the list may only shrink.
+        let fixed = [check("x.listed", true)];
+        assert_eq!(gate(&fixed, &expected, false).len(), 1);
+        // A listed id no experiment produced fails only when all ran.
+        let missing = [check("x.other", true)];
+        assert!(gate(&missing, &expected, false).is_empty());
+        assert_eq!(gate(&missing, &expected, true).len(), 1);
+    }
+
+    #[test]
+    fn expected_failures_name_known_experiments() {
+        for (id, reason) in EXPECTED_FAILURES {
+            let experiment = id.split('.').next().unwrap();
+            assert!(EXPERIMENTS.iter().any(|(e, _)| *e == experiment), "{id}");
+            assert!(reason.contains("ROADMAP item 1"), "{id}");
+        }
     }
 
     #[test]
