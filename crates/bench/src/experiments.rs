@@ -7,16 +7,16 @@
 //! and read by both [`table2`] and [`table5`].
 
 use crate::{
-    ad_dataset, banner, bar, bd_flows, compile_on_taurus, experiment_options, mlp_from_ir, paper,
-    partial_histogram_f1, taurus_platform, tc_dataset, train_baseline, Application, ShapeCheck,
-    BD_HORIZONS,
+    ad_dataset, banner, bar, bd_flows, compile_on_taurus, dnn_spec, experiment_options,
+    mlp_from_ir, paper, partial_histogram_f1, taurus_platform, tc_dataset, train_baseline,
+    Application, ShapeCheck, BD_HORIZONS,
 };
 use homunculus_backends::fpga::FpgaTarget;
 use homunculus_backends::model::{DnnIr, ModelIr};
 use homunculus_backends::resources::ResourceEstimate;
 use homunculus_backends::target::Target;
 use homunculus_backends::taurus::TaurusTarget;
-use homunculus_core::alchemy::{Algorithm, Metric, ModelSpec, Platform};
+use homunculus_core::alchemy::{Metric, ModelSpec, Platform};
 use homunculus_core::fusion::{try_fuse, DEFAULT_OVERLAP_THRESHOLD};
 use homunculus_core::pipeline::{generate_with, CompilerOptions, ModelReport};
 use homunculus_core::schedule::ScheduleExpr;
@@ -305,15 +305,8 @@ pub fn table4() -> Result<Vec<ShapeCheck>> {
         half_b.len()
     );
 
-    let ad_spec = |name: &str, data: Dataset| {
-        ModelSpec::builder(name)
-            .optimization_metric(Application::Ad.metric())
-            .algorithm(Algorithm::Dnn)
-            .data(data)
-            .build()
-    };
-    let spec_a = ad_spec("ad_part1", half_a)?;
-    let spec_b = ad_spec("ad_part2", half_b)?;
+    let spec_a = dnn_spec("ad_part1", Application::Ad.metric(), half_a)?;
+    let spec_b = dnn_spec("ad_part2", Application::Ad.metric(), half_b)?;
     let (fused, decision) = try_fuse(&spec_a, &spec_b, DEFAULT_OVERLAP_THRESHOLD)?;
     println!("fusion decision: {decision:?}\n");
     let fused = fused.expect("halves share one schema");

@@ -34,8 +34,7 @@ pub mod experiments;
 
 use homunculus_backends::model::{DnnIr, ModelIr};
 use homunculus_core::alchemy::{Algorithm, Metric, ModelSpec, Platform};
-use homunculus_core::pipeline::{CompiledArtifact, CompilerOptions};
-use homunculus_core::session::Compiler;
+use homunculus_core::pipeline::{generate_with, CompiledArtifact, CompilerOptions};
 use homunculus_core::CoreError;
 use homunculus_dataplane::histogram::FlowmarkerConfig;
 use homunculus_datasets::dataset::{Dataset, Normalizer};
@@ -216,9 +215,21 @@ pub fn taurus_platform(model: ModelSpec) -> Result<Platform, CoreError> {
     Ok(platform)
 }
 
+/// A DNN model optimizing `metric` on `dataset`.
+///
+/// # Errors
+///
+/// Propagates spec validation errors.
+pub fn dnn_spec(name: &str, metric: Metric, dataset: Dataset) -> Result<ModelSpec, CoreError> {
+    ModelSpec::builder(name)
+        .optimization_metric(metric)
+        .algorithm(Algorithm::Dnn)
+        .data(dataset)
+        .build()
+}
+
 /// Runs the Homunculus compiler on one DNN application targeting a
-/// Taurus switch with the paper's constraints (1 GPkt/s, 500 ns, 16x16),
-/// through a staged [`Compiler`] session.
+/// Taurus switch with the paper's constraints (1 GPkt/s, 500 ns, 16x16).
 ///
 /// # Errors
 ///
@@ -229,14 +240,7 @@ pub fn compile_on_taurus(
     dataset: Dataset,
     options: &CompilerOptions,
 ) -> Result<CompiledArtifact, CoreError> {
-    let model = ModelSpec::builder(name)
-        .optimization_metric(metric)
-        .algorithm(Algorithm::Dnn)
-        .data(dataset)
-        .build()?;
-    Compiler::new(*options)
-        .open(&taurus_platform(model)?)?
-        .compile()
+    generate_with(&taurus_platform(dnn_spec(name, metric, dataset)?)?, options)
 }
 
 /// The experiment-scale compiler options (Figure 4's ~20 iterations).
