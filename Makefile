@@ -95,15 +95,16 @@ bench-pairs:
 # release, one by one under `timeout`, failing on a non-zero exit or on
 # any byte of stdout that differs from crates/bench/golden/<exp>.txt
 # (every printed number is seeded, so the output is byte-stable).
-# To re-pin, run the experiment with its stdout redirected to its file
-# (`cargo run -q --release -p homunculus-bench --bin paper -- fig6 >
-# crates/bench/golden/fig6.txt`) and review the diff. A re-pin belongs to
-# the change that moves training (or a cost model) or a shape check, and
-# says why; any other change leaves the files alone.
 # `paper` runs `paper all` (~2 min on 2 vCPUs): every experiment in one
 # process, Table 2's six models built once for `table2` and `table5`,
-# then the BO ablation and the dataset calibration probe (which checks
-# nothing).
+# failing on a non-zero exit or on any byte of stdout that differs from
+# crates/bench/golden/all.txt.
+# To re-pin, run the experiment with its stdout redirected to its file
+# (`cargo run -q --release -p homunculus-bench --bin paper -- fig6 >
+# crates/bench/golden/fig6.txt`, or `-- all > crates/bench/golden/all.txt`)
+# and review the diff. A re-pin belongs to the change that moves training
+# (or a cost model) or a shape check, and says why, and re-pins all.txt
+# with the per-experiment file; any other change leaves the files alone.
 PAPER_SMOKE = fig6 fig7 table3 table4 reaction_time
 
 paper-smoke:
@@ -126,7 +127,19 @@ paper-smoke:
 	@echo "paper-smoke: $(PAPER_SMOKE) ran clean and match crates/bench/golden"
 
 paper:
-	$(CARGO) run -q --release -p homunculus-bench --bin paper -- all
+	$(CARGO) build -q --release -p homunculus-bench --bin paper
+	@out=$$(mktemp); \
+	$(CARGO) run -q --release -p homunculus-bench --bin paper -- all >$$out; \
+	status=$$?; \
+	if [ $$status -ne 0 ]; then \
+		echo "paper: failed"; rm -f $$out; exit 1; \
+	fi; \
+	if ! diff -u crates/bench/golden/all.txt $$out; then \
+		echo "paper: printed something other than crates/bench/golden/all.txt"; \
+		rm -f $$out; exit 1; \
+	fi; \
+	rm -f $$out; \
+	echo "paper: all experiments ran clean and match crates/bench/golden/all.txt"
 
 examples:
 	$(CARGO) build --release --examples

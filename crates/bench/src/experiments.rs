@@ -8,29 +8,24 @@
 
 use crate::{
     ad_dataset, banner, bar, bd_flows, compile_on_taurus, dnn_spec, experiment_options,
-    mlp_from_ir, paper, partial_histogram_f1, taurus_platform, tc_dataset, train_baseline,
-    Application, ShapeCheck, BD_HORIZONS,
+    mlp_from_ir, paper, partial_histogram_f1, taurus_platform, tc_dataset, Application, ShapeCheck,
+    BD_HORIZONS,
 };
 use homunculus_backends::fpga::FpgaTarget;
-use homunculus_backends::model::{DnnIr, ModelIr};
+use homunculus_backends::model::ModelIr;
 use homunculus_backends::resources::ResourceEstimate;
 use homunculus_backends::target::Target;
-use homunculus_backends::taurus::TaurusTarget;
 use homunculus_core::alchemy::{Metric, ModelSpec, Platform};
 use homunculus_core::fusion::{try_fuse, DEFAULT_OVERLAP_THRESHOLD};
 use homunculus_core::pipeline::{generate_with, CompilerOptions, ModelReport};
 use homunculus_core::schedule::ScheduleExpr;
 use homunculus_dataplane::histogram::FlowmarkerConfig;
-use homunculus_datasets::dataset::Dataset;
-use homunculus_datasets::iot::{IotConfig, IotTrafficGenerator};
-use homunculus_datasets::nslkdd::{NslKddConfig, NslKddGenerator};
+use homunculus_datasets::dataset::Normalizer;
+use homunculus_datasets::nslkdd::NslKddGenerator;
 use homunculus_datasets::p2p::{
     averaged_class_histograms, flowmarker_dataset, mixed_partial_histogram_dataset,
     partial_histogram_dataset,
 };
-use homunculus_ml::kmeans::{KMeans, KMeansConfig};
-use homunculus_ml::metrics::{f1_binary, f1_macro, v_measure};
-use homunculus_ml::mlp::{Mlp, MlpArchitecture, TrainConfig};
 use homunculus_sim::grid::GridSimulator;
 use homunculus_sim::pktgen::reaction_time_curve;
 
@@ -53,25 +48,24 @@ pub struct Table2Model {
 }
 
 /// Builds Table 2's six models in the paper's row order: each
-/// application's hand-tuned baseline (trained with fixed
-/// hyper-parameters), then its Homunculus compile under the Taurus
-/// constraints.
+/// application's hand-tuned baseline ([`Application::baseline`]), then
+/// its Homunculus compile under the Taurus constraints.
 ///
 /// # Errors
 ///
 /// Propagates training, compile and estimate failures.
 pub fn table2_models() -> Result<Vec<Table2Model>> {
-    let taurus = TaurusTarget::default();
-    let baseline = |name, features, net: &Mlp, f1| -> Result<Table2Model> {
-        let ir = ModelIr::Dnn(DnnIr::from_mlp(net));
-        let estimate = taurus.estimate(&ir)?;
-        Ok(Table2Model {
+    let baseline = |name, features, app: Application, data| -> Result<(Table2Model, Normalizer)> {
+        let (scored, normalizer) = app.baseline(data, 0)?;
+        let (estimate, _) = scored.feasibility?;
+        let row = Table2Model {
             name,
             features,
-            ir,
-            f1,
+            ir: scored.ir,
+            f1: scored.objective,
             estimate,
-        })
+        };
+        Ok((row, normalizer))
     };
     let hom = |name, features, best: &ModelReport, f1| Table2Model {
         name,
@@ -85,13 +79,11 @@ pub fn table2_models() -> Result<Vec<Table2Model>> {
     };
     let mut rows = Vec::with_capacity(6);
 
-    let base_ad = train_baseline(Application::Ad, &ad_dataset(42), 0)?;
-    rows.push(baseline("Base-AD", 7, &base_ad.net, base_ad.objective)?);
+    rows.push(baseline("Base-AD", 7, Application::Ad, ad_dataset(42))?.0);
     let hom_ad = compile("hom_ad", Application::Ad, ad_dataset(42), 1)?;
     rows.push(hom("Hom-AD", 7, hom_ad.best(), hom_ad.best().objective));
 
-    let base_tc = train_baseline(Application::Tc, &tc_dataset(11), 0)?;
-    rows.push(baseline("Base-TC", 7, &base_tc.net, base_tc.objective)?);
+    rows.push(baseline("Base-TC", 7, Application::Tc, tc_dataset(11))?.0);
     let hom_tc = compile("hom_tc", Application::Tc, tc_dataset(11), 2)?;
     rows.push(hom("Hom-TC", 7, hom_tc.best(), hom_tc.best().objective));
 
@@ -99,13 +91,19 @@ pub fn table2_models() -> Result<Vec<Table2Model>> {
     // flowmarkers), and both sides are scored per packet.
     let config = FlowmarkerConfig::paper_reduced();
     let (train_flows, test_flows) = bd_flows(7);
-    let per_packet_f1 = |net: &Mlp, normalizer| {
-        partial_histogram_f1(net, normalizer, &test_flows, config, &BD_HORIZONS)
+    let per_packet_f1 = |ir: &ModelIr, normalizer: &Normalizer| {
+        partial_histogram_f1(
+            &mlp_from_ir(ir),
+            normalizer,
+            &test_flows,
+            config,
+            &BD_HORIZONS,
+        )
     };
     let bd_markers = flowmarker_dataset(&train_flows, config);
-    let base_bd = train_baseline(Application::Bd, &bd_markers, 0)?;
-    let f1 = per_packet_f1(&base_bd.net, &base_bd.normalizer);
-    rows.push(baseline("Base-BD", 30, &base_bd.net, f1)?);
+    let (mut base_bd, normalizer) = baseline("Base-BD", 30, Application::Bd, bd_markers)?;
+    base_bd.f1 = per_packet_f1(&base_bd.ir, &normalizer);
+    rows.push(base_bd);
 
     // The searched BD model is a *per-packet* model: it trains directly
     // on partial histograms at every horizon (the intro's headline — a
@@ -114,7 +112,7 @@ pub fn table2_models() -> Result<Vec<Table2Model>> {
     let bd_partials = mixed_partial_histogram_dataset(&train_flows, config, &BD_HORIZONS);
     let hom_bd = compile("hom_bd", Application::Bd, bd_partials, 3)?;
     let best = hom_bd.best();
-    let f1 = per_packet_f1(&mlp_from_ir(&best.ir), &best.normalizer);
+    let f1 = per_packet_f1(&best.ir, &best.normalizer);
     rows.push(hom("Hom-BD", 30, best, f1));
     Ok(rows)
 }
@@ -353,8 +351,9 @@ pub fn table4() -> Result<Vec<ShapeCheck>> {
 ///
 /// The paper's end-to-end testbed emulates the MapReduce core on an Alveo
 /// U250 and reports LUT/FF/BRAM utilization and board power per model.
-/// This reproduces the table with the calibrated FPGA estimator: Table
-/// 2's six models plus the loopback floor.
+/// This reproduces the table with the FPGA estimator, whose coefficients
+/// are hand-set (its module docs compare them with a least-squares fit):
+/// Table 2's six models plus the loopback floor.
 pub fn table5(models: &[Table2Model]) -> Result<Vec<ShapeCheck>> {
     banner("Table 5: FPGA testbed resource consumption and power (Alveo U250)");
     let fpga = FpgaTarget::default();
@@ -767,90 +766,4 @@ pub fn ablation_bo() -> Result<Vec<ShapeCheck>> {
         reference: "BO beats random search".into(),
         holds: 2 * bo_wins > n,
     }])
-}
-
-/// Held-out F1 (macro-F1 when `macro_f1`) of `arch` trained on a 70/30
-/// split of `dataset`.
-fn calibration_f1(
-    dataset: &Dataset,
-    arch: &MlpArchitecture,
-    epochs: usize,
-    macro_f1: bool,
-) -> Result<f64> {
-    let split = dataset.stratified_split(0.3, 0)?;
-    let norm = split.train.fit_normalizer();
-    let train = split.train.normalized(&norm)?;
-    let test = split.test.normalized(&norm)?;
-    let mut net = Mlp::new(arch, 0)?;
-    let config = TrainConfig::default()
-        .epochs(epochs)
-        .learning_rate(0.01)
-        .batch_size(32);
-    net.train(train.features(), train.labels(), &config)?;
-    let pred = net.predict(test.features())?;
-    Ok(if macro_f1 {
-        f1_macro(dataset.n_classes(), test.labels(), &pred)?
-    } else {
-        f1_binary(test.labels(), &pred)?
-    })
-}
-
-/// Calibration probe (not part of the paper's evaluation, so it checks
-/// nothing): sweeps the synthetic-dataset difficulty knobs and reports
-/// where the hand-tuned baselines and capacity-rich models land, so the
-/// generator defaults can be pinned to reproduce Table 2's gaps.
-pub fn calibrate() -> Result<Vec<ShapeCheck>> {
-    println!("== AD sweep (baseline 7-16-4-2 vs large 7-40-20-2) ==");
-    println!("  hard strps  base-f1 large-f1  gap");
-    for hard in [0.4, 0.5, 0.6] {
-        for stripes in [14usize, 18, 24] {
-            let config = NslKddConfig {
-                hard_fraction: hard,
-                hard_stripes: stripes,
-                ..NslKddConfig::default()
-            };
-            let ds = NslKddGenerator::with_config(42, config).generate(6_000);
-            let base = calibration_f1(&ds, &MlpArchitecture::new(7, vec![16, 4], 2), 60, false)?;
-            let large = calibration_f1(&ds, &MlpArchitecture::new(7, vec![40, 20], 2), 120, false)?;
-            println!(
-                "{hard:>6} {stripes:>5}  {:>7.2} {:>8.2}  {:+.2}",
-                base * 100.0,
-                large * 100.0,
-                (large - base) * 100.0
-            );
-        }
-    }
-
-    println!("\n== TC sweep (baseline 7-10-10-5-5 vs large 7-40-20-10-5) ==");
-    println!("spread noise  base-f1 large-f1  gap   v@k5");
-    for hard in [0.3, 0.45, 0.6] {
-        for stripes in [15usize, 25, 35] {
-            let config = IotConfig {
-                spread_scale: 1.0,
-                label_noise: 0.04,
-                hard_fraction: hard,
-                hard_stripes: stripes,
-            };
-            let ds = IotTrafficGenerator::with_config(11, config).generate(6_000);
-            let base = calibration_f1(&ds, &MlpArchitecture::new(7, vec![10, 10, 5], 5), 60, true)?;
-            let large = calibration_f1(
-                &ds,
-                &MlpArchitecture::new(7, vec![40, 20, 10], 5),
-                120,
-                true,
-            )?;
-            let norm = ds.fit_normalizer();
-            let nds = ds.normalized(&norm)?;
-            let km = KMeans::fit(nds.features(), &KMeansConfig::new(5).seed(0))?;
-            let v = v_measure(nds.labels(), &km.predict(nds.features()))?;
-            println!(
-                "{hard:>6} {stripes:>5}  {:>7.2} {:>8.2}  {:+.2}  {:.3}",
-                base * 100.0,
-                large * 100.0,
-                (large - base) * 100.0,
-                v.v_measure
-            );
-        }
-    }
-    Ok(Vec::new())
 }

@@ -9,7 +9,8 @@
 //! This library also holds the shared experiment plumbing:
 //!
 //! - the **hand-tuned baseline** model definitions (the paper's Base-AD,
-//!   Base-TC, Base-BD architectures),
+//!   Base-TC, Base-BD architectures), trained and scored by the
+//!   compiler's own [`Evaluator`],
 //! - dataset construction for the three applications,
 //! - partial-histogram (per-packet) evaluation for botnet detection,
 //! - the paper's reported numbers ([`paper`]) for side-by-side printing.
@@ -25,7 +26,6 @@
 //! | `fig7` | Figure 7 — KMeans V-measure under MAT budgets |
 //! | `reaction_time` | §5.1.1/§5.1.2 — per-packet reaction-time study |
 //! | `ablation_bo` | BO-guided search vs random search, same budget |
-//! | `calibrate` | dataset-difficulty sweep (no checks) |
 //!
 //! `table2` and `table5` read the same six models, built once per run by
 //! [`experiments::table2_models`].
@@ -35,14 +35,15 @@ pub mod experiments;
 use homunculus_backends::model::{DnnIr, ModelIr};
 use homunculus_core::alchemy::{Algorithm, Metric, ModelSpec, Platform};
 use homunculus_core::pipeline::{generate_with, CompiledArtifact, CompilerOptions};
+use homunculus_core::trainer::{Candidate, Evaluator, Scored, TrainBudget};
 use homunculus_core::CoreError;
 use homunculus_dataplane::histogram::FlowmarkerConfig;
 use homunculus_datasets::dataset::{Dataset, Normalizer};
 use homunculus_datasets::iot::IotTrafficGenerator;
 use homunculus_datasets::nslkdd::NslKddGenerator;
 use homunculus_datasets::p2p::{FlowTrace, P2pTrafficGenerator};
-use homunculus_ml::metrics::{f1_binary, f1_macro};
-use homunculus_ml::mlp::{Dense, Mlp, MlpArchitecture, TrainConfig};
+use homunculus_ml::metrics::f1_binary;
+use homunculus_ml::mlp::{Dense, Mlp, MlpArchitecture};
 
 /// The paper's reported numbers, for side-by-side printing.
 pub mod paper {
@@ -120,6 +121,34 @@ impl Application {
             Application::Tc => Metric::MacroF1,
         }
     }
+
+    /// Trains the hand-tuned baseline on `dataset` with fixed
+    /// hyper-parameters — no search, as a human would deploy it — and
+    /// scores it with the compiler's own [`Evaluator`] under
+    /// [`taurus_platform`]'s target and constraints, on the split a
+    /// compile would use (`seed` seeds the split and the training).
+    /// Returns the normalizer the model was trained under beside it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates split and training failures.
+    pub fn baseline(self, dataset: Dataset, seed: u64) -> Result<(Scored, Normalizer), CoreError> {
+        let platform = taurus_platform(dnn_spec("baseline", self.metric(), dataset)?)?;
+        let spec = platform.schedule_expr().expect("scheduled").models()[0];
+        let evaluator = Evaluator::new(
+            &spec.dataset,
+            spec.test_fraction,
+            seed,
+            spec.optimization_metric,
+            platform.effective_target(),
+            platform.effective_constraints(),
+        )?;
+        // 60 epochs at `TrainConfig`'s default learning rate and batch
+        // size: the sensible fixed defaults a practitioner would pick.
+        let budget = TrainBudget { epochs: 60, seed };
+        let scored = evaluator.evaluate(&Candidate::Fixed(self.baseline_architecture()), budget)?;
+        Ok((scored, evaluator.normalizer().clone()))
+    }
 }
 
 /// Standard dataset sizes for the experiments (kept modest so every
@@ -148,54 +177,6 @@ pub fn bd_flows(seed: u64) -> (Vec<FlowTrace>, Vec<FlowTrace>) {
         P2pTrafficGenerator::new(seed).generate_flows(BD_TRAIN_FLOWS),
         P2pTrafficGenerator::new(seed ^ 0xBEEF).generate_flows(BD_TEST_FLOWS),
     )
-}
-
-/// A trained model + its held-out objective + normalizer.
-pub struct TrainedBaseline {
-    /// The trained network.
-    pub net: Mlp,
-    /// Objective on the held-out split (F1 or macro-F1).
-    pub objective: f64,
-    /// Normalizer fitted on the training split.
-    pub normalizer: Normalizer,
-}
-
-/// Trains the paper's hand-tuned baseline for an application on a dataset
-/// with fixed (hand-chosen) hyper-parameters — no search, as a human
-/// would deploy it.
-///
-/// # Errors
-///
-/// Propagates training failures.
-pub fn train_baseline(
-    application: Application,
-    dataset: &Dataset,
-    seed: u64,
-) -> Result<TrainedBaseline, CoreError> {
-    let arch = application.baseline_architecture();
-    let split = dataset.stratified_split(0.3, seed)?;
-    let normalizer = split.train.fit_normalizer();
-    let train = split.train.normalized(&normalizer)?;
-    let test = split.test.normalized(&normalizer)?;
-
-    let mut net = Mlp::new(&arch, seed)?;
-    // "Hand-tuned": sensible fixed defaults a practitioner would pick.
-    let config = TrainConfig::default()
-        .epochs(60)
-        .learning_rate(0.01)
-        .batch_size(32)
-        .seed(seed);
-    net.train(train.features(), train.labels(), &config)?;
-    let pred = net.predict(test.features())?;
-    let objective = match application.metric() {
-        Metric::MacroF1 => f1_macro(dataset.n_classes(), test.labels(), &pred)?,
-        _ => f1_binary(test.labels(), &pred)?,
-    };
-    Ok(TrainedBaseline {
-        net,
-        objective,
-        normalizer,
-    })
 }
 
 /// Builds the paper's standard Taurus platform (1 GPkt/s, 500 ns, 16x16)
@@ -373,7 +354,7 @@ pub const EXPECTED_FAILURES: &[(&str, &str)] = &[
 pub type Experiment = fn(&[experiments::Table2Model]) -> experiments::Result<Vec<ShapeCheck>>;
 
 /// Every experiment [`run`] knows, in the order `paper all` runs them.
-pub const EXPERIMENTS: [(&str, Experiment); 10] = [
+pub const EXPERIMENTS: [(&str, Experiment); 9] = [
     ("table2", experiments::table2),
     ("table3", |_| experiments::table3()),
     ("table4", |_| experiments::table4()),
@@ -383,7 +364,6 @@ pub const EXPERIMENTS: [(&str, Experiment); 10] = [
     ("fig7", |_| experiments::fig7()),
     ("reaction_time", |_| experiments::reaction_time()),
     ("ablation_bo", |_| experiments::ablation_bo()),
-    ("calibrate", |_| experiments::calibrate()),
 ];
 
 /// Runs one experiment and prints its shape checks. `table2_models`
@@ -441,12 +421,12 @@ pub fn gate(checks: &[ShapeCheck], expected: &[(&str, &str)], complete: bool) ->
 }
 
 /// Section banner for experiment output.
-pub fn banner(title: &str) {
+pub(crate) fn banner(title: &str) {
     println!("\n=== {title} ===");
 }
 
 /// Renders a tiny ASCII bar for figure output.
-pub fn bar(value: f64, max: f64, width: usize) -> String {
+pub(crate) fn bar(value: f64, max: f64, width: usize) -> String {
     if max <= 0.0 {
         return String::new();
     }
@@ -473,7 +453,7 @@ mod tests {
     #[test]
     fn baseline_training_is_reasonable() {
         let ds = NslKddGenerator::new(0).generate(1_500);
-        let b = train_baseline(Application::Ad, &ds, 0).unwrap();
+        let (b, _) = Application::Ad.baseline(ds, 0).unwrap();
         assert!(
             b.objective > 0.5 && b.objective < 0.98,
             "baseline f1 {}",
@@ -489,14 +469,9 @@ mod tests {
         );
         let config = FlowmarkerConfig::paper_reduced();
         let markers = flowmarker_dataset(&train, config);
-        let baseline = train_baseline(Application::Bd, &markers, 0).unwrap();
-        let f1 = partial_histogram_f1(
-            &baseline.net,
-            &baseline.normalizer,
-            &test,
-            config,
-            &[1, 4, 16],
-        );
+        let (baseline, normalizer) = Application::Bd.baseline(markers, 0).unwrap();
+        let net = mlp_from_ir(&baseline.ir);
+        let f1 = partial_histogram_f1(&net, &normalizer, &test, config, &[1, 4, 16]);
         assert!((0.0..=1.0).contains(&f1), "f1 {f1}");
     }
 

@@ -113,14 +113,11 @@ use crate::alchemy::{Algorithm, ModelSpec, Platform};
 use crate::candidates::candidate_algorithms;
 use crate::pipeline::{CompiledArtifact, CompilerOptions, ModelReport};
 use crate::spaces::design_space_for;
-use crate::trainer::{
-    normalized_split, normalized_split_with, retrain_winner, train_candidate, TrainBudget,
-    EFFICIENCY_SLACK,
-};
+use crate::trainer::{retrain_winner, Candidate, Evaluator, Scored, TrainBudget, EFFICIENCY_SLACK};
 use crate::{CoreError, Result};
 use homunculus_backends::model::ModelIr;
 use homunculus_backends::resources::{Constraints, Performance, ResourceEstimate, ResourceVector};
-use homunculus_datasets::dataset::{Normalizer, Split};
+use homunculus_datasets::dataset::{Dataset, Normalizer};
 use homunculus_ml::quantize::FixedPoint;
 use homunculus_optimizer::space::Configuration;
 use homunculus_optimizer::{
@@ -499,6 +496,19 @@ impl Ctx<'_> {
                 self.cancel.cancel();
             }
         }
+    }
+
+    /// The evaluator for `spec` on `dataset`, under the session seed, the
+    /// platform's target and the per-model constraint share.
+    fn evaluator(&self, spec: &ModelSpec, dataset: &Dataset) -> Result<Evaluator> {
+        Evaluator::new(
+            dataset,
+            spec.test_fraction,
+            self.options.seed,
+            spec.optimization_metric,
+            self.platform.effective_target(),
+            self.constraints.clone(),
+        )
     }
 
     /// The scheduled model specs, in schedule order.
@@ -1025,7 +1035,9 @@ pub struct TrainedModel {
     configuration: Configuration,
     objective: f64,
     ir: ModelIr,
-    normalizer: Normalizer,
+    /// What the final model was trained and scored by; the check stage
+    /// re-checks the model through it.
+    evaluator: Evaluator,
     history: OptimizationHistory,
     algorithm_histories: Vec<(Algorithm, OptimizationHistory)>,
 }
@@ -1048,7 +1060,7 @@ impl TrainedModel {
 
     /// The feature normalizer the final model was trained under.
     pub fn normalizer(&self) -> &Normalizer {
-        &self.normalizer
+        self.evaluator.normalizer()
     }
 
     /// The winning configuration.
@@ -1081,12 +1093,14 @@ impl<'p> Trained<'p> {
 
     /// Stage 3 — **check**: estimates each final model's resources and
     /// performance on the target and re-checks them against the per-model
-    /// constraint share. The verdict is *advisory* for the final models —
-    /// every candidate already passed this exact check inside the search
-    /// loop, so a final violation (possible only for data-dependent shapes
-    /// like tree depth shifting on the full dataset) is reported through
-    /// [`Feasible::violations`] and [`CompileEvent::FeasibilityRejected`]
-    /// rather than discarding a trained winner.
+    /// constraint share, through the final model's evaluator — the same
+    /// estimate-and-check that [`Evaluator::evaluate`] ran on every
+    /// candidate inside the search loop. The verdict is therefore
+    /// *advisory* for the final models: a final violation (possible only
+    /// for data-dependent shapes like tree depth shifting on the full
+    /// dataset) is reported through [`Feasible::violations`] and
+    /// [`CompileEvent::FeasibilityRejected`] rather than discarding a
+    /// trained winner.
     ///
     /// # Errors
     ///
@@ -1102,8 +1116,7 @@ impl<'p> Trained<'p> {
             for model in trained {
                 let name = model.name.clone();
                 let checked = ctx.staged(CompileStage::Check, Some(&name), || {
-                    let estimate = target.as_target().estimate(&model.ir)?;
-                    let report = ctx.constraints.check(&estimate);
+                    let (estimate, report) = model.evaluator.check(&model.ir)?;
                     let violations: Vec<String> =
                         report.violations.iter().map(|v| v.to_string()).collect();
                     if !report.is_feasible() {
@@ -1144,7 +1157,7 @@ fn verify_models(ctx: &Ctx<'_>, models: &[CheckedModel], word_bits: u32) -> Resu
             name: &checked.model.name,
             ir: &checked.model.ir,
             format,
-            normalizer: Some(&checked.model.normalizer),
+            normalizer: Some(checked.model.normalizer()),
             word_bits: Some(word_bits),
         })
         .collect();
@@ -1284,7 +1297,7 @@ impl Feasible<'_> {
                             name: &name,
                             ir: &model.ir,
                             format,
-                            normalizer: Some(&model.normalizer),
+                            normalizer: Some(model.evaluator.normalizer()),
                             word_bits: Some(target.as_target().word_bits()),
                         });
                     code = append_certificate_comments(code, &analysis.certificates);
@@ -1299,7 +1312,7 @@ impl Feasible<'_> {
                         ir: model.ir,
                         format,
                         compiled,
-                        normalizer: model.normalizer,
+                        normalizer: model.evaluator.normalizer().clone(),
                         code,
                         history: model.history,
                         algorithm_histories: model.algorithm_histories,
@@ -1391,15 +1404,15 @@ fn search_model(
         }
         _ => spec.dataset.clone(),
     };
-    let split = normalized_split(&search_dataset, spec.test_fraction, options.seed)?;
+    let evaluator = ctx.evaluator(spec, &search_dataset)?;
 
     let run_one = |algorithm: Algorithm, index: usize| -> Result<OptimizationHistory> {
         match warm.map(|w| &w.runs[index].outcome) {
             Some(Err(message)) => Err(CoreError::Subsystem(message.clone())),
             Some(Ok(history)) => {
-                search_algorithm(ctx, spec, algorithm, &split, model_index, Some(history))
+                search_algorithm(ctx, spec, algorithm, &evaluator, model_index, Some(history))
             }
-            None => search_algorithm(ctx, spec, algorithm, &split, model_index, None),
+            None => search_algorithm(ctx, spec, algorithm, &evaluator, model_index, None),
         }
     };
 
@@ -1500,13 +1513,10 @@ fn train_model(ctx: &Ctx<'_>, spec: &ModelSpec, search: SearchedModel) -> Result
         }
     };
 
-    let (final_split, normalizer) =
-        normalized_split_with(&spec.dataset, spec.test_fraction, ctx.options.seed)?;
+    let evaluator = ctx.evaluator(spec, &spec.dataset)?;
     let trained = retrain_winner(
-        algorithm,
-        &configuration,
-        &final_split,
-        spec.optimization_metric,
+        &evaluator,
+        &Candidate::Configured(algorithm, &configuration),
         &ctx.options,
         winner_objective,
         |restart, objective| {
@@ -1532,7 +1542,7 @@ fn train_model(ctx: &Ctx<'_>, spec: &ModelSpec, search: SearchedModel) -> Result
         configuration,
         objective: trained.objective,
         ir: trained.ir,
-        normalizer,
+        evaluator,
         history,
         algorithm_histories,
     })
@@ -1555,8 +1565,16 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 /// to survive the surrogate's f32 cast.
 const BROKEN_CANDIDATE_VIOLATION: f64 = 1e6;
 
+/// The seed of one `(model, algorithm)` search: its BO stream and every
+/// candidate's training budget derive from the root seed, the model's
+/// schedule index and the algorithm — never from thread identity.
+pub(crate) fn search_seed(root: u64, model_index: u64, algorithm: Algorithm) -> u64 {
+    root.wrapping_add(model_index.wrapping_mul(0x9E37))
+        .wrapping_add(algorithm as u64 * 0x79B9)
+}
+
 /// One algorithm's BO search: the black-box objective is
-/// train-estimate-feasibility-check. Emits
+/// [`Evaluator::evaluate`] under the search's epoch budget. Emits
 /// [`CompileEvent::CandidateEvaluated`] per iteration through the
 /// optimizer's monitor hook, and honors the session's [`CancelToken`] at
 /// iteration boundaries (a stopped search returns its truncated
@@ -1568,17 +1586,13 @@ fn search_algorithm(
     ctx: &Ctx<'_>,
     spec: &ModelSpec,
     algorithm: Algorithm,
-    split: &Split,
+    evaluator: &Evaluator,
     model_index: u64,
     warm: Option<&OptimizationHistory>,
 ) -> Result<OptimizationHistory> {
     let options = &ctx.options;
     let space = design_space_for(algorithm, spec, ctx.platform)?;
-    let target = ctx.platform.effective_target();
-    let seed = options
-        .seed
-        .wrapping_add(model_index.wrapping_mul(0x9E37))
-        .wrapping_add(algorithm as u64 * 0x79B9);
+    let seed = search_seed(options.seed, model_index, algorithm);
     let optimizer_options = OptimizerOptions::default()
         .budget(options.bo_budget)
         .doe_samples(options.doe_samples.min(options.bo_budget))
@@ -1589,45 +1603,48 @@ fn search_algorithm(
     };
 
     let objective = |config: &Configuration| {
-        match train_candidate(algorithm, config, split, spec.optimization_metric, budget) {
-            Ok(candidate) => match target.as_target().estimate(&candidate.ir) {
-                Ok(estimate) => {
-                    let report = ctx.constraints.check(&estimate);
-                    if !report.is_feasible() && ctx.observer.is_some() {
-                        let constraint = report
-                            .violations
-                            .iter()
-                            .map(|v| v.to_string())
-                            .collect::<Vec<_>>()
-                            .join("; ");
-                        ctx.emit(CompileEvent::FeasibilityRejected {
-                            model: spec.name.clone(),
-                            algorithm,
-                            constraint,
-                        });
-                    }
-                    let mut evaluation = Evaluation::new(candidate.objective)
-                        .feasible(report.is_feasible())
-                        .with_violation(report.violation_score())
-                        .with_metric("params", candidate.ir.param_count() as f64);
-                    for (name, value) in estimate.resources.iter() {
-                        evaluation = evaluation.with_metric(name.clone(), *value);
-                    }
-                    evaluation
-                        .with_metric("latency_ns", estimate.performance.latency_ns)
-                        .with_metric("throughput_gpps", estimate.performance.throughput_gpps)
+        let candidate = Candidate::Configured(algorithm, config);
+        match evaluator.evaluate(&candidate, budget) {
+            Ok(Scored {
+                ir,
+                objective,
+                feasibility: Ok((estimate, report)),
+            }) => {
+                if !report.is_feasible() && ctx.observer.is_some() {
+                    let constraint = report
+                        .violations
+                        .iter()
+                        .map(|v| v.to_string())
+                        .collect::<Vec<_>>()
+                        .join("; ");
+                    ctx.emit(CompileEvent::FeasibilityRejected {
+                        model: spec.name.clone(),
+                        algorithm,
+                        constraint,
+                    });
                 }
-                // An unestimable configuration must not look attractive
-                // to the phase-1 violation descent (violation would
-                // default to 0.0 — the global minimum). The sentinel is
-                // large against real violation scores (O(1..100)) but
-                // stays finite through the surrogate's f32 cast.
-                Err(_) => Evaluation::new(candidate.objective)
-                    .feasible(false)
-                    .with_violation(BROKEN_CANDIDATE_VIOLATION),
-            },
-            // A configuration that fails to train at all is infeasible —
-            // same poisoning guard as above.
+                let mut evaluation = Evaluation::new(objective)
+                    .feasible(report.is_feasible())
+                    .with_violation(report.violation_score())
+                    .with_metric("params", ir.param_count() as f64);
+                for (name, value) in estimate.resources.iter() {
+                    evaluation = evaluation.with_metric(name.clone(), *value);
+                }
+                evaluation
+                    .with_metric("latency_ns", estimate.performance.latency_ns)
+                    .with_metric("throughput_gpps", estimate.performance.throughput_gpps)
+            }
+            // An unestimable configuration keeps its trained objective
+            // but must not look attractive to the phase-1 violation
+            // descent (violation would default to 0.0 — the global
+            // minimum). The sentinel is large against real violation
+            // scores (O(1..100)) but stays finite through the
+            // surrogate's f32 cast.
+            Ok(Scored { objective, .. }) => Evaluation::new(objective)
+                .feasible(false)
+                .with_violation(BROKEN_CANDIDATE_VIOLATION),
+            // A configuration that fails to train at all is infeasible
+            // and scores 0 — same poisoning guard as above.
             Err(_) => Evaluation::new(0.0)
                 .feasible(false)
                 .with_violation(BROKEN_CANDIDATE_VIOLATION),

@@ -1,33 +1,37 @@
-//! Training and scoring one candidate configuration (§3.2.4).
+//! The one candidate evaluator (§3.2.4).
 //!
-//! Inside the BO loop, "the Keras ML framework is first delegated the
-//! responsibility of the training process" — here that role is played by
-//! `homunculus-ml`. A candidate configuration is decoded into a concrete
-//! model, trained on the train split, scored on the test split with the
-//! user's objective metric, and lowered to a [`ModelIr`] for feasibility
-//! estimation.
+//! The paper's optimization loop treats *configuration → trained model →
+//! objective under the target's constraints* as one black box. Here that
+//! box is [`Evaluator::evaluate`]: a [`Candidate`] is decoded into a
+//! concrete model (the role the paper delegates to Keras is played by
+//! `homunculus-ml`), trained on the train split, scored on the held-out
+//! split with the user's objective metric, lowered to a [`ModelIr`],
+//! priced on the target and checked against the constraints. Every path
+//! that turns a configuration into a scored model goes through it:
+//!
+//! - the search objective of each BO run (`session`'s search stage) maps
+//!   a [`Scored`] to the optimizer's evaluation;
+//! - [`retrain_winner`], the train stage, evaluates the winner's
+//!   configuration under the final epoch budget;
+//! - the check stage re-checks each final model through its evaluator's
+//!   `check`, the feasibility half of `evaluate`;
+//! - `homunculus-bench` evaluates Table 2's hand-tuned baselines as
+//!   [`Candidate::Fixed`] architectures.
 
-use crate::alchemy::{Algorithm, Metric};
+use crate::alchemy::{Algorithm, Metric, PlatformTarget};
+use crate::pipeline::CompilerOptions;
 use crate::spaces::{decode_dnn_architecture, decode_dnn_training};
 use crate::{CoreError, Result};
 use homunculus_backends::model::{DnnIr, ForestIr, KMeansIr, ModelIr, SvmIr, TreeIr};
+use homunculus_backends::resources::{Constraints, FeasibilityReport, ResourceEstimate};
 use homunculus_datasets::dataset::{Dataset, Normalizer, Split};
 use homunculus_ml::forest::{ForestConfig, RandomForestClassifier};
 use homunculus_ml::kmeans::{KMeans, KMeansConfig};
 use homunculus_ml::metrics::{accuracy, f1_binary, f1_macro, v_measure};
-use homunculus_ml::mlp::Mlp;
+use homunculus_ml::mlp::{Mlp, MlpArchitecture, TrainConfig};
 use homunculus_ml::svm::{LinearSvm, SvmConfig};
 use homunculus_ml::tree::{DecisionTreeClassifier, TreeConfig};
 use homunculus_optimizer::space::Configuration;
-
-/// A trained, scored candidate.
-#[derive(Debug, Clone)]
-pub struct TrainedCandidate {
-    /// The lowered model (with trained parameters).
-    pub ir: ModelIr,
-    /// Objective value on the held-out split (higher is better).
-    pub objective: f64,
-}
 
 /// Objective slack treated as measurement noise throughout the compiler:
 /// winner selection prefers the cheapest model within this margin of the
@@ -40,6 +44,149 @@ pub const EFFICIENCY_SLACK: f64 = 0.025;
 
 /// Deterministic restarts attempted by [`retrain_winner`].
 pub const FINAL_RESTARTS: u64 = 3;
+
+/// Knobs the compiler passes down to training.
+#[derive(Debug, Clone, Copy)]
+pub struct TrainBudget {
+    /// Epochs for DNN/SVM training.
+    pub epochs: usize,
+    /// Seed for weight init and shuffling.
+    pub seed: u64,
+}
+
+/// What [`Evaluator::evaluate`] trains.
+#[derive(Debug)]
+pub enum Candidate<'a> {
+    /// A point of the algorithm's design space
+    /// ([`design_space_for`](crate::spaces::design_space_for)).
+    Configured(Algorithm, &'a Configuration),
+    /// A fixed DNN architecture: what a hand-tuned baseline *is*. It
+    /// trains with [`TrainConfig::default`]'s learning rate and batch
+    /// size; epochs and seed come from the [`TrainBudget`].
+    Fixed(MlpArchitecture),
+}
+
+/// A trained, scored and checked candidate.
+#[derive(Debug)]
+pub struct Scored {
+    /// The lowered model, with its trained parameters.
+    pub ir: ModelIr,
+    /// Objective value on the held-out split (higher is better).
+    pub objective: f64,
+    /// The target's estimate for `ir` and its verdict under the
+    /// constraints, or why the target could not estimate `ir` at all.
+    pub feasibility: Result<(ResourceEstimate, FeasibilityReport)>,
+}
+
+/// Trains, scores and checks candidates on one normalized train/test
+/// split of one dataset, under one metric, target and constraint set.
+#[derive(Debug)]
+pub struct Evaluator {
+    split: Split,
+    normalizer: Normalizer,
+    metric: Metric,
+    target: PlatformTarget,
+    constraints: Constraints,
+}
+
+impl Evaluator {
+    /// Splits `dataset` (stratified, `test_fraction` held out, shuffled
+    /// by `seed`), fits a z-score normalizer on the train part and
+    /// normalizes both parts with it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates dataset errors.
+    pub fn new(
+        dataset: &Dataset,
+        test_fraction: f64,
+        seed: u64,
+        metric: Metric,
+        target: PlatformTarget,
+        constraints: Constraints,
+    ) -> Result<Evaluator> {
+        let split = dataset.stratified_split(test_fraction, seed)?;
+        let normalizer = split.train.fit_normalizer();
+        let split = Split {
+            train: split.train.normalized(&normalizer)?,
+            test: split.test.normalized(&normalizer)?,
+        };
+        Ok(Evaluator {
+            split,
+            normalizer,
+            metric,
+            target,
+            constraints,
+        })
+    }
+
+    /// The normalizer every candidate is trained under, so deployment
+    /// paths can preprocess fresh traffic identically.
+    pub fn normalizer(&self) -> &Normalizer {
+        &self.normalizer
+    }
+
+    /// Trains `candidate` on the train split with `budget`, scores it on
+    /// the held-out split, lowers it, and estimates and checks it on the
+    /// target. A pure function of its arguments: the same candidate and
+    /// budget give a bit-identical [`Scored`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates training and metric errors as [`CoreError::Subsystem`].
+    /// A model the target cannot estimate is not an error here; it is
+    /// [`Scored::feasibility`]'s `Err`.
+    pub fn evaluate(&self, candidate: &Candidate<'_>, budget: TrainBudget) -> Result<Scored> {
+        let split = &self.split;
+        let (ir, predictions) = match *candidate {
+            Candidate::Fixed(ref arch) => {
+                let train = TrainConfig::default()
+                    .epochs(budget.epochs)
+                    .seed(budget.seed);
+                fit_dnn(arch, &train, split)
+            }
+            Candidate::Configured(Algorithm::Dnn, config) => {
+                let (inputs, classes) = (split.train.n_features(), split.train.n_classes());
+                let arch = decode_dnn_architecture(config, inputs, classes);
+                let train = decode_dnn_training(config, budget.epochs, budget.seed);
+                fit_dnn(&arch, &train, split)
+            }
+            Candidate::Configured(Algorithm::Svm, config) => fit_svm(config, split, budget),
+            Candidate::Configured(Algorithm::KMeans, config) => fit_kmeans(config, split, budget),
+            Candidate::Configured(Algorithm::DecisionTree, config) => {
+                fit_tree(config, split, budget)
+            }
+            Candidate::Configured(Algorithm::RandomForest, config) => {
+                fit_forest(config, split, budget)
+            }
+        }?;
+        let objective = score(
+            self.metric,
+            split.train.n_classes(),
+            split.test.labels(),
+            &predictions,
+        )?;
+        let feasibility = self.check(&ir);
+        Ok(Scored {
+            ir,
+            objective,
+            feasibility,
+        })
+    }
+
+    /// Estimates `ir`'s resources and performance on the target and
+    /// checks the estimate against the constraints.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Subsystem`] when the target cannot estimate
+    /// `ir`.
+    pub(crate) fn check(&self, ir: &ModelIr) -> Result<(ResourceEstimate, FeasibilityReport)> {
+        let estimate = self.target.as_target().estimate(ir)?;
+        let report = self.constraints.check(&estimate);
+        Ok((estimate, report))
+    }
+}
 
 /// Retrains a search winner with the final epoch budget — the compile
 /// pipeline's *train* stage for one model.
@@ -57,21 +204,19 @@ pub const FINAL_RESTARTS: u64 = 3;
 ///
 /// Propagates training and metric errors as [`CoreError::Subsystem`].
 pub fn retrain_winner(
-    algorithm: Algorithm,
-    configuration: &Configuration,
-    split: &Split,
-    metric: Metric,
-    options: &crate::pipeline::CompilerOptions,
+    evaluator: &Evaluator,
+    candidate: &Candidate<'_>,
+    options: &CompilerOptions,
     search_objective: f64,
     mut on_attempt: impl FnMut(u64, f64),
-) -> Result<TrainedCandidate> {
-    let mut trained: Option<TrainedCandidate> = None;
+) -> Result<Scored> {
+    let mut trained: Option<Scored> = None;
     for restart in 0..FINAL_RESTARTS {
         let final_budget = TrainBudget {
             epochs: options.final_epochs,
             seed: (options.seed ^ 0xF1A4).wrapping_add(restart.wrapping_mul(0x9E37_79B9)),
         };
-        let attempt = train_candidate(algorithm, configuration, split, metric, final_budget)?;
+        let attempt = evaluator.evaluate(candidate, final_budget)?;
         on_attempt(restart, attempt.objective);
         let good_enough = attempt.objective >= search_objective - EFFICIENCY_SLACK;
         let better = trained
@@ -88,11 +233,7 @@ pub fn retrain_winner(
 }
 
 /// Scores predictions with the requested metric.
-///
-/// # Errors
-///
-/// Propagates metric computation errors.
-pub fn score(metric: Metric, n_classes: usize, y_true: &[usize], y_pred: &[usize]) -> Result<f64> {
+fn score(metric: Metric, n_classes: usize, y_true: &[usize], y_pred: &[usize]) -> Result<f64> {
     let value = match metric {
         Metric::F1 => f1_binary(y_true, y_pred)?,
         Metric::MacroF1 => f1_macro(n_classes.max(2), y_true, y_pred)?,
@@ -102,73 +243,34 @@ pub fn score(metric: Metric, n_classes: usize, y_true: &[usize], y_pred: &[usize
     Ok(value)
 }
 
-/// Knobs the compiler passes down to training.
-#[derive(Debug, Clone, Copy)]
-pub struct TrainBudget {
-    /// Epochs for DNN/SVM training.
-    pub epochs: usize,
-    /// Seed for weight init and shuffling.
-    pub seed: u64,
+/// A family trainer's output: the lowered model and its predictions on
+/// the held-out split.
+type Fitted = Result<(ModelIr, Vec<usize>)>;
+
+/// An integer hyper-parameter of `config`.
+fn integer(config: &Configuration, name: &str) -> Result<usize> {
+    config
+        .integer(name)
+        .map(|value| value as usize)
+        .ok_or_else(|| CoreError::Subsystem(format!("configuration is missing {name}")))
 }
 
-/// Trains the model described by `(algorithm, config)` on `split` and
-/// scores it with `metric`.
-///
-/// # Errors
-///
-/// Propagates training and metric errors as [`CoreError::Subsystem`].
-pub fn train_candidate(
-    algorithm: Algorithm,
-    config: &Configuration,
-    split: &Split,
-    metric: Metric,
-    budget: TrainBudget,
-) -> Result<TrainedCandidate> {
-    match algorithm {
-        Algorithm::Dnn => train_dnn(config, split, metric, budget),
-        Algorithm::Svm => train_svm(config, split, metric, budget),
-        Algorithm::KMeans => train_kmeans(config, split, metric, budget),
-        Algorithm::DecisionTree => train_tree(config, split, metric, budget),
-        Algorithm::RandomForest => train_forest(config, split, metric, budget),
-    }
+/// Trains a DNN; `train.seed` also seeds the weight initialization.
+fn fit_dnn(arch: &MlpArchitecture, train: &TrainConfig, split: &Split) -> Fitted {
+    let mut net = Mlp::new(arch, train.seed)?;
+    net.train(split.train.features(), split.train.labels(), train)?;
+    let predictions = net.predict(split.test.features())?;
+    Ok((ModelIr::Dnn(DnnIr::from_mlp(&net)), predictions))
 }
 
-fn train_dnn(
-    config: &Configuration,
-    split: &Split,
-    metric: Metric,
-    budget: TrainBudget,
-) -> Result<TrainedCandidate> {
-    let n_classes = split.train.n_classes();
-    let arch = decode_dnn_architecture(config, split.train.n_features(), n_classes);
-    let train_config = decode_dnn_training(config, budget.epochs, budget.seed);
-    let mut net = Mlp::new(&arch, budget.seed)?;
-    net.train(split.train.features(), split.train.labels(), &train_config)?;
-    let pred = net.predict(split.test.features())?;
-    let objective = score(metric, n_classes, split.test.labels(), &pred)?;
-    Ok(TrainedCandidate {
-        ir: ModelIr::Dnn(DnnIr::from_mlp(&net)),
-        objective,
-    })
-}
-
-fn train_svm(
-    config: &Configuration,
-    split: &Split,
-    metric: Metric,
-    budget: TrainBudget,
-) -> Result<TrainedCandidate> {
+fn fit_svm(config: &Configuration, split: &Split, budget: TrainBudget) -> Fitted {
     let n_classes = split.train.n_classes();
     let lambda = 10f64.powf(
         config
             .real("log10_lambda")
-            .ok_or_else(|| CoreError::Subsystem("svm config missing log10_lambda".into()))?,
+            .ok_or_else(|| CoreError::Subsystem("configuration is missing log10_lambda".into()))?,
     ) as f32;
-    let keep = config
-        .integer("features")
-        .ok_or_else(|| CoreError::Subsystem("svm config missing features".into()))?
-        as usize;
-
+    let keep = integer(config, "features")?;
     let svm_config = SvmConfig::default()
         .lambda(lambda)
         .epochs(budget.epochs.max(10))
@@ -195,25 +297,12 @@ fn train_svm(
     let train_x = split.train.features().select_cols(&kept);
     let test_x = split.test.features().select_cols(&kept);
     let model = LinearSvm::fit(&train_x, split.train.labels(), n_classes, &svm_config)?;
-    let pred = model.predict(&test_x)?;
-    let objective = score(metric, n_classes, split.test.labels(), &pred)?;
-    Ok(TrainedCandidate {
-        ir: ModelIr::Svm(SvmIr::from_svm(&model)),
-        objective,
-    })
+    let predictions = model.predict(&test_x)?;
+    Ok((ModelIr::Svm(SvmIr::from_svm(&model)), predictions))
 }
 
-fn train_kmeans(
-    config: &Configuration,
-    split: &Split,
-    metric: Metric,
-    budget: TrainBudget,
-) -> Result<TrainedCandidate> {
-    let k = config
-        .integer("k")
-        .ok_or_else(|| CoreError::Subsystem("kmeans config missing k".into()))?
-        as usize;
-    let k = k.clamp(1, split.train.len());
+fn fit_kmeans(config: &Configuration, split: &Split, budget: TrainBudget) -> Fitted {
+    let k = integer(config, "k")?.clamp(1, split.train.len());
     // KMeans with k = 1 cannot be fit meaningfully against V-measure but
     // is a legal (degenerate) configuration: every packet lands in one
     // cluster (the Figure 7 K1 case).
@@ -221,138 +310,72 @@ fn train_kmeans(
         split.train.features(),
         &KMeansConfig::new(k).seed(budget.seed),
     )?;
-    let pred = model.predict(split.test.features());
-    let objective = score(metric, split.train.n_classes(), split.test.labels(), &pred)?;
-    Ok(TrainedCandidate {
-        ir: ModelIr::KMeans(KMeansIr::from_kmeans(&model, split.train.n_features())),
-        objective,
+    let predictions = model.predict(split.test.features());
+    let ir = KMeansIr::from_kmeans(&model, split.train.n_features());
+    Ok((ModelIr::KMeans(ir), predictions))
+}
+
+fn tree_config(config: &Configuration, budget: TrainBudget) -> Result<TreeConfig> {
+    Ok(TreeConfig {
+        max_depth: integer(config, "depth")?,
+        min_samples_leaf: integer(config, "min_leaf")?,
+        seed: budget.seed,
+        ..TreeConfig::default()
     })
 }
 
-fn train_tree(
-    config: &Configuration,
-    split: &Split,
-    metric: Metric,
-    budget: TrainBudget,
-) -> Result<TrainedCandidate> {
-    let n_classes = split.train.n_classes();
-    let depth = config
-        .integer("depth")
-        .ok_or_else(|| CoreError::Subsystem("tree config missing depth".into()))?
-        as usize;
-    let min_leaf = config
-        .integer("min_leaf")
-        .ok_or_else(|| CoreError::Subsystem("tree config missing min_leaf".into()))?
-        as usize;
-    let tree_config = TreeConfig {
-        max_depth: depth,
-        min_samples_leaf: min_leaf,
-        seed: budget.seed,
-        ..TreeConfig::default()
-    };
+fn fit_tree(config: &Configuration, split: &Split, budget: TrainBudget) -> Fitted {
     let model = DecisionTreeClassifier::fit(
         split.train.features(),
         split.train.labels(),
-        n_classes,
-        &tree_config,
+        split.train.n_classes(),
+        &tree_config(config, budget)?,
     )?;
-    let pred = model.predict(split.test.features());
-    let objective = score(metric, n_classes, split.test.labels(), &pred)?;
-    Ok(TrainedCandidate {
-        ir: ModelIr::Tree(TreeIr::from_tree(&model)),
-        objective,
-    })
+    let predictions = model.predict(split.test.features());
+    Ok((ModelIr::Tree(TreeIr::from_tree(&model)), predictions))
 }
 
-fn train_forest(
-    config: &Configuration,
-    split: &Split,
-    metric: Metric,
-    budget: TrainBudget,
-) -> Result<TrainedCandidate> {
-    let n_classes = split.train.n_classes();
-    let n_trees = config
-        .integer("n_trees")
-        .ok_or_else(|| CoreError::Subsystem("forest config missing n_trees".into()))?
-        as usize;
-    let depth = config
-        .integer("depth")
-        .ok_or_else(|| CoreError::Subsystem("forest config missing depth".into()))?
-        as usize;
-    let min_leaf = config
-        .integer("min_leaf")
-        .ok_or_else(|| CoreError::Subsystem("forest config missing min_leaf".into()))?
-        as usize;
+fn fit_forest(config: &Configuration, split: &Split, budget: TrainBudget) -> Fitted {
     let forest_config = ForestConfig {
-        n_trees,
-        tree: TreeConfig {
-            max_depth: depth,
-            min_samples_leaf: min_leaf,
-            seed: budget.seed,
-            ..TreeConfig::default()
-        },
+        n_trees: integer(config, "n_trees")?,
+        tree: tree_config(config, budget)?,
         sample_fraction: 1.0,
         seed: budget.seed,
     };
     let model = RandomForestClassifier::fit(
         split.train.features(),
         split.train.labels(),
-        n_classes,
+        split.train.n_classes(),
         &forest_config,
     )?;
-    let pred = model.predict(split.test.features());
-    let objective = score(metric, n_classes, split.test.labels(), &pred)?;
-    Ok(TrainedCandidate {
-        ir: ModelIr::Forest(ForestIr::from_forest(&model)),
-        objective,
-    })
-}
-
-/// Normalizes a dataset split (fit on train, apply to both) — the shared
-/// preprocessing every candidate sees.
-///
-/// # Errors
-///
-/// Propagates dataset errors.
-pub fn normalized_split(dataset: &Dataset, test_fraction: f64, seed: u64) -> Result<Split> {
-    Ok(normalized_split_with(dataset, test_fraction, seed)?.0)
-}
-
-/// Like [`normalized_split`], but also returns the fitted normalizer so
-/// deployment paths can preprocess fresh traffic identically.
-///
-/// # Errors
-///
-/// Propagates dataset errors.
-pub fn normalized_split_with(
-    dataset: &Dataset,
-    test_fraction: f64,
-    seed: u64,
-) -> Result<(Split, Normalizer)> {
-    let split = dataset.stratified_split(test_fraction, seed)?;
-    let norm = split.train.fit_normalizer();
-    Ok((
-        Split {
-            train: split.train.normalized(&norm)?,
-            test: split.test.normalized(&norm)?,
-        },
-        norm,
-    ))
+    let predictions = model.predict(split.test.features());
+    Ok((ModelIr::Forest(ForestIr::from_forest(&model)), predictions))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::alchemy::{ModelSpec, Platform};
+    use crate::session::{search_seed, Compiler};
     use crate::spaces::design_space_for;
     use homunculus_datasets::iot::IotTrafficGenerator;
     use homunculus_datasets::nslkdd::NslKddGenerator;
+    use homunculus_ml::tensor::Matrix;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn ad_split() -> Split {
-        let ds = NslKddGenerator::new(1).generate(800);
-        normalized_split(&ds, 0.3, 0).unwrap()
+    /// An evaluator on a 70/30 split (seed 0) under Taurus' device budget.
+    fn evaluator(dataset: &Dataset, metric: Metric) -> Evaluator {
+        let platform = Platform::taurus();
+        let (target, constraints) = (
+            platform.effective_target(),
+            platform.effective_constraints(),
+        );
+        Evaluator::new(dataset, 0.3, 0, metric, target, constraints).unwrap()
+    }
+
+    fn ad_evaluator() -> Evaluator {
+        evaluator(&NslKddGenerator::new(1).generate(800), Metric::F1)
     }
 
     fn ad_spec() -> ModelSpec {
@@ -369,24 +392,27 @@ mod tests {
 
     #[test]
     fn dnn_candidate_trains_and_scores() {
-        let split = ad_split();
         let space = design_space_for(Algorithm::Dnn, &ad_spec(), &Platform::taurus()).unwrap();
         let mut rng = StdRng::seed_from_u64(4);
         let config = space.sample(&mut rng);
-        let c = train_candidate(Algorithm::Dnn, &config, &split, Metric::F1, BUDGET).unwrap();
+        let c = ad_evaluator()
+            .evaluate(&Candidate::Configured(Algorithm::Dnn, &config), BUDGET)
+            .unwrap();
         assert!((0.0..=1.0).contains(&c.objective));
         assert!(matches!(c.ir, ModelIr::Dnn(ref d) if d.params.is_some()));
     }
 
     #[test]
     fn svm_candidate_respects_feature_budget() {
-        let split = ad_split();
+        let evaluator = ad_evaluator();
         let space = design_space_for(Algorithm::Svm, &ad_spec(), &Platform::tofino()).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..5 {
             let config = space.sample(&mut rng);
             let keep = config.integer("features").unwrap() as usize;
-            let c = train_candidate(Algorithm::Svm, &config, &split, Metric::F1, BUDGET).unwrap();
+            let c = evaluator
+                .evaluate(&Candidate::Configured(Algorithm::Svm, &config), BUDGET)
+                .unwrap();
             match &c.ir {
                 ModelIr::Svm(svm) => assert_eq!(svm.n_features, keep),
                 other => panic!("expected svm ir, got {other:?}"),
@@ -397,7 +423,6 @@ mod tests {
     #[test]
     fn kmeans_candidate_scores_vmeasure() {
         let ds = IotTrafficGenerator::new(2).generate(600);
-        let split = normalized_split(&ds, 0.3, 0).unwrap();
         let spec = ModelSpec::builder("tc")
             .optimization_metric(Metric::VMeasure)
             .data(IotTrafficGenerator::new(2).generate(100))
@@ -406,21 +431,25 @@ mod tests {
         let space = design_space_for(Algorithm::KMeans, &spec, &Platform::tofino()).unwrap();
         let mut rng = StdRng::seed_from_u64(6);
         let config = space.sample(&mut rng);
-        let c =
-            train_candidate(Algorithm::KMeans, &config, &split, Metric::VMeasure, BUDGET).unwrap();
+        let c = evaluator(&ds, Metric::VMeasure)
+            .evaluate(&Candidate::Configured(Algorithm::KMeans, &config), BUDGET)
+            .unwrap();
         assert!((0.0..=1.0).contains(&c.objective));
     }
 
     #[test]
     fn tree_candidate_bounded_depth() {
-        let split = ad_split();
         let space =
             design_space_for(Algorithm::DecisionTree, &ad_spec(), &Platform::taurus()).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
         let config = space.sample(&mut rng);
         let depth_cap = config.integer("depth").unwrap() as usize;
-        let c =
-            train_candidate(Algorithm::DecisionTree, &config, &split, Metric::F1, BUDGET).unwrap();
+        let c = ad_evaluator()
+            .evaluate(
+                &Candidate::Configured(Algorithm::DecisionTree, &config),
+                BUDGET,
+            )
+            .unwrap();
         match &c.ir {
             ModelIr::Tree(t) => assert!(t.depth <= depth_cap.max(1)),
             other => panic!("expected tree ir, got {other:?}"),
@@ -429,15 +458,18 @@ mod tests {
 
     #[test]
     fn forest_candidate_bounded_shape() {
-        let split = ad_split();
         let space =
             design_space_for(Algorithm::RandomForest, &ad_spec(), &Platform::taurus()).unwrap();
         let mut rng = StdRng::seed_from_u64(9);
         let config = space.sample(&mut rng);
         let n_trees = config.integer("n_trees").unwrap() as usize;
         let depth_cap = config.integer("depth").unwrap() as usize;
-        let c =
-            train_candidate(Algorithm::RandomForest, &config, &split, Metric::F1, BUDGET).unwrap();
+        let c = ad_evaluator()
+            .evaluate(
+                &Candidate::Configured(Algorithm::RandomForest, &config),
+                BUDGET,
+            )
+            .unwrap();
         assert!((0.0..=1.0).contains(&c.objective));
         match &c.ir {
             ModelIr::Forest(f) => {
@@ -456,13 +488,35 @@ mod tests {
         assert!(score(Metric::MacroF1, 2, &t, &p).unwrap() > 0.0);
         assert_eq!(score(Metric::Accuracy, 2, &t, &t).unwrap(), 1.0);
         assert_eq!(score(Metric::VMeasure, 2, &t, &t).unwrap(), 1.0);
+        // `evaluate` scores with its evaluator's metric: feature 0 alone
+        // separates the two classes, so any tree the design space allows
+        // predicts the held-out rows exactly and every metric reads 1.
+        let rows: Vec<Vec<f32>> = (0..40)
+            .map(|i| vec![(i % 2) as f32 * 10.0, i as f32])
+            .collect();
+        let labels: Vec<usize> = (0..40).map(|i| i % 2).collect();
+        let names = vec!["class".to_string(), "index".to_string()];
+        let ds = Dataset::new(Matrix::from_rows(&rows).unwrap(), labels, 2, names).unwrap();
+        let space =
+            design_space_for(Algorithm::DecisionTree, &ad_spec(), &Platform::taurus()).unwrap();
+        let config = space.sample(&mut StdRng::seed_from_u64(1));
+        let tree = Candidate::Configured(Algorithm::DecisionTree, &config);
+        for metric in [
+            Metric::F1,
+            Metric::MacroF1,
+            Metric::Accuracy,
+            Metric::VMeasure,
+        ] {
+            let scored = evaluator(&ds, metric).evaluate(&tree, BUDGET).unwrap();
+            assert_eq!(scored.objective, 1.0, "{metric:?}");
+        }
     }
 
     #[test]
     fn better_architectures_score_better_on_average() {
         // Sanity for the whole Table 2 premise: a wider/deeper candidate
         // should beat a minimal one on the AD task more often than not.
-        let split = ad_split();
+        let evaluator = ad_evaluator();
         let space = design_space_for(Algorithm::Dnn, &ad_spec(), &Platform::taurus()).unwrap();
         let mut rng = StdRng::seed_from_u64(8);
         // Collect a few tiny and large configurations by rejection
@@ -495,7 +549,8 @@ mod tests {
             configs
                 .iter()
                 .map(|c| {
-                    train_candidate(Algorithm::Dnn, c, &split, Metric::F1, budget)
+                    evaluator
+                        .evaluate(&Candidate::Configured(Algorithm::Dnn, c), budget)
                         .unwrap()
                         .objective
                 })
@@ -508,5 +563,79 @@ mod tests {
             l > t - 0.05,
             "large mean {l} should not lose badly to tiny mean {t}"
         );
+    }
+
+    #[test]
+    fn evaluation_is_a_pure_function_of_the_candidate() {
+        let evaluator = ad_evaluator();
+        let space = design_space_for(Algorithm::Dnn, &ad_spec(), &Platform::taurus()).unwrap();
+        let config = space.sample(&mut StdRng::seed_from_u64(4));
+        let fixed = Candidate::Fixed(MlpArchitecture::new(7, vec![16, 4], 2));
+        for candidate in [Candidate::Configured(Algorithm::Dnn, &config), fixed] {
+            let first = evaluator.evaluate(&candidate, BUDGET).unwrap();
+            let again = evaluator.evaluate(&candidate, BUDGET).unwrap();
+            assert_eq!(first.objective.to_bits(), again.objective.to_bits());
+            assert_eq!(first.ir, again.ir);
+        }
+    }
+
+    #[test]
+    fn the_search_objective_is_the_evaluator() {
+        // Re-evaluating each search's best configuration, on the search's
+        // split with the search's budget, reproduces the objective its
+        // history recorded bit for bit: an evaluation is a pure function
+        // of its configuration.
+        let spec = ModelSpec::builder("ad")
+            .data(NslKddGenerator::new(3).generate(400))
+            .build()
+            .unwrap();
+        let mut platform = Platform::taurus();
+        platform.schedule(spec.clone()).unwrap();
+        let options = CompilerOptions {
+            bo_budget: 5,
+            doe_samples: 3,
+            train_epochs: 5,
+            final_epochs: 5,
+            sample_cap: None,
+            parallel: false,
+            seed: 11,
+            time_budget: None,
+        };
+        let searched = Compiler::new(options)
+            .open(&platform)
+            .unwrap()
+            .search()
+            .unwrap();
+        let evaluator = Evaluator::new(
+            &spec.dataset,
+            spec.test_fraction,
+            options.seed,
+            spec.optimization_metric,
+            platform.effective_target(),
+            platform.effective_constraints(),
+        )
+        .unwrap();
+        let runs = searched.searches()[0].runs();
+        assert!(runs.len() > 1, "several algorithms searched");
+        for (algorithm, run) in runs {
+            let best = run
+                .as_ref()
+                .unwrap()
+                .points()
+                .iter()
+                .max_by(|a, b| a.evaluation.objective.total_cmp(&b.evaluation.objective));
+            let best = best.expect("the search evaluated candidates");
+            let budget = TrainBudget {
+                epochs: options.train_epochs,
+                seed: search_seed(options.seed, 0, *algorithm),
+            };
+            let candidate = Candidate::Configured(*algorithm, &best.configuration);
+            let scored = evaluator.evaluate(&candidate, budget).unwrap();
+            assert_eq!(
+                scored.objective.to_bits(),
+                best.evaluation.objective.to_bits(),
+                "{algorithm:?}"
+            );
+        }
     }
 }
