@@ -80,9 +80,10 @@ bench-smoke:
 
 # Parent against change: `make bench-pairs A=<parent tree> B=<change tree>
 # W=<workload> SEEDS="1 2 ..."`, one alternating pair of full-length runs
-# per seed. Both trees must already hold a built hbench (nothing compiles
-# while a run is timed); verdicts use BENCHMARK.json's bounds. Minutes per
-# pair, so not part of `ci`.
+# per seed; `W=all` runs every workload BENCHMARK.json lists. Both trees
+# must already hold a built hbench (nothing compiles while a run is
+# timed); verdicts use BENCHMARK.json's bounds. Minutes per pair, so not
+# part of `ci`.
 bench-pairs:
 	scripts/hbench-pairs.sh $(A) $(B) $(W) $(SEEDS)
 

@@ -7,6 +7,12 @@
 //! 2. As the building block of [`crate::forest`], whose regressor is the
 //!    Bayesian-optimization surrogate model (the paper configures
 //!    HyperMapper with a random-forest surrogate, §5).
+//!
+//! A classification tree searches its splits by a sorted sweep: at a node
+//! of `n` rows it sorts each of the `d` examined features once and walks
+//! the candidate thresholds in ascending order, so the split search costs
+//! O(d · n log n) per node. The regression tree keeps a pass over the node
+//! per threshold, O(d · n²) per node (see `build_regressor`).
 
 use crate::tensor::Matrix;
 use crate::{MlError, Result};
@@ -126,9 +132,9 @@ fn descend<'a>(nodes: &'a [Node], features: &[f32]) -> &'a Node {
 }
 
 /// Candidate split thresholds for a feature: midpoints between the sorted
-/// unique values present in the node.
+/// unique values present in the node (`-0.0` and `0.0` count as one).
 fn thresholds(values: &mut Vec<f32>) -> Vec<f32> {
-    values.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    values.sort_by(f32::total_cmp);
     values.dedup();
     values.windows(2).map(|w| 0.5 * (w[0] + w[1])).collect()
 }
@@ -156,6 +162,12 @@ fn validate_inputs(x: &Matrix, targets: usize) -> Result<()> {
             left: x.shape(),
             right: (targets, 1),
         });
+    }
+    // Split search sorts feature columns; NaN has no place in that order.
+    if x.has_non_finite() {
+        return Err(MlError::InvalidArgument(
+            "tree training features must be finite".into(),
+        ));
     }
     Ok(())
 }
@@ -195,9 +207,28 @@ impl DecisionTreeClassifier {
     /// # Errors
     ///
     /// - [`MlError::EmptyInput`] / [`MlError::ShapeMismatch`] for bad data.
-    /// - [`MlError::InvalidArgument`] for out-of-range labels or
-    ///   `n_classes < 2`.
+    /// - [`MlError::InvalidArgument`] for non-finite features, out-of-range
+    ///   labels or `n_classes < 2`.
     pub fn fit(x: &Matrix, y: &[usize], n_classes: usize, config: &TreeConfig) -> Result<Self> {
+        // One column buffer for every feature at every node of the fit.
+        let mut column = Vec::with_capacity(x.rows());
+        Self::fit_with(x, y, n_classes, config, |feature, indices, counts| {
+            column.clear();
+            column.extend(indices.iter().map(|&i| (x.row(i)[feature], y[i])));
+            sweep_split(&mut column, counts, config.min_samples_leaf)
+        })
+    }
+
+    /// Fits a tree whose best split of `feature` at a node of `indices` with
+    /// class `counts` is `split(feature, indices, counts)`, as
+    /// `(threshold, weighted Gini)`.
+    fn fit_with(
+        x: &Matrix,
+        y: &[usize],
+        n_classes: usize,
+        config: &TreeConfig,
+        mut split: impl FnMut(usize, &[usize], &[f32]) -> Option<(f32, f32)>,
+    ) -> Result<Self> {
         validate_inputs(x, y.len())?;
         if n_classes < 2 {
             return Err(MlError::InvalidArgument("need at least two classes".into()));
@@ -221,6 +252,7 @@ impl DecisionTreeClassifier {
             &mut nodes,
             &mut rng,
             &mut max_depth_seen,
+            &mut split,
         );
         Ok(DecisionTreeClassifier {
             nodes,
@@ -327,6 +359,57 @@ fn gini(counts: &[f32], total: f32) -> f32 {
         .sum::<f32>()
 }
 
+/// Best split of one feature at a node by a sorted sweep, as `(threshold,
+/// weighted Gini)`: `column` holds the node's `(value, class)` pairs and
+/// `counts` its class histogram. The column is sorted once; the candidate
+/// thresholds (midpoints of consecutive unique values) are walked in
+/// ascending order while a cursor moves every row with `value <= threshold`
+/// from `right` (starting as `counts`) into `left`. Class counts are
+/// integer-valued `f32`, exact in any order, so every threshold is scored
+/// on the counts a full pass over the node gives, and the split chosen is
+/// the one such a pass would choose, to the bit. The cursor tests `<=`
+/// rather than stopping at the lower value: `0.5 * (a + b)` can round up
+/// to `b` for adjacent floats, and then `b` belongs on the left.
+fn sweep_split(
+    column: &mut [(f32, usize)],
+    counts: &[f32],
+    min_samples_leaf: usize,
+) -> Option<(f32, f32)> {
+    column.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+    let n = column.len();
+    let total = n as f32;
+    let mut left = vec![0.0f32; counts.len()];
+    let mut right = counts.to_vec();
+    let mut best: Option<(f32, f32)> = None;
+    let mut cursor = 0;
+    let mut next = 0;
+    while next < n {
+        let lo = column[next].0;
+        while next < n && column[next].0 == lo {
+            next += 1;
+        }
+        let Some(&(hi, _)) = column.get(next) else {
+            break;
+        };
+        let threshold = 0.5 * (lo + hi);
+        while cursor < n && column[cursor].0 <= threshold {
+            let class = column[cursor].1;
+            left[class] += 1.0;
+            right[class] -= 1.0;
+            cursor += 1;
+        }
+        if cursor < min_samples_leaf || n - cursor < min_samples_leaf {
+            continue;
+        }
+        let (nl, nr) = (cursor as f32, (n - cursor) as f32);
+        let impurity = (nl * gini(&left, nl) + nr * gini(&right, nr)) / total;
+        if best.map_or(true, |(_, b)| impurity < b) {
+            best = Some((threshold, impurity));
+        }
+    }
+    best
+}
+
 #[allow(clippy::too_many_arguments)]
 fn build_classifier(
     x: &Matrix,
@@ -338,6 +421,7 @@ fn build_classifier(
     nodes: &mut Vec<Node>,
     rng: &mut StdRng,
     max_depth_seen: &mut usize,
+    split: &mut impl FnMut(usize, &[usize], &[f32]) -> Option<(f32, f32)>,
 ) -> usize {
     *max_depth_seen = (*max_depth_seen).max(depth);
     let mut counts = vec![0.0f32; n_classes];
@@ -367,26 +451,11 @@ fn build_classifier(
         return make_leaf(nodes, &counts);
     }
 
-    // Best split search over the (sub)set of features.
+    // Best split search over the (sub)set of features; the first of equal
+    // impurities wins, across features and thresholds alike.
     let mut best: Option<(usize, f32, f32)> = None; // (feature, threshold, impurity)
     for feature in feature_subset(x.cols(), config.mtry, rng) {
-        let mut values: Vec<f32> = indices.iter().map(|&i| x.row(i)[feature]).collect();
-        for threshold in thresholds(&mut values) {
-            let mut left = vec![0.0f32; n_classes];
-            let mut right = vec![0.0f32; n_classes];
-            for &i in indices {
-                if x.row(i)[feature] <= threshold {
-                    left[y[i]] += 1.0;
-                } else {
-                    right[y[i]] += 1.0;
-                }
-            }
-            let nl: f32 = left.iter().sum();
-            let nr: f32 = right.iter().sum();
-            if (nl as usize) < config.min_samples_leaf || (nr as usize) < config.min_samples_leaf {
-                continue;
-            }
-            let impurity = (nl * gini(&left, nl) + nr * gini(&right, nr)) / total;
+        if let Some((threshold, impurity)) = split(feature, indices, &counts) {
             if best.map_or(true, |(_, _, b)| impurity < b) {
                 best = Some((feature, threshold, impurity));
             }
@@ -419,6 +488,7 @@ fn build_classifier(
         nodes,
         rng,
         max_depth_seen,
+        split,
     );
     let right = build_classifier(
         x,
@@ -430,6 +500,7 @@ fn build_classifier(
         nodes,
         rng,
         max_depth_seen,
+        split,
     );
     nodes[slot] = Node::Split {
         feature,
@@ -525,6 +596,10 @@ fn sum_and_sq(indices: &[usize], y: &[f32]) -> (f32, f32) {
     (s, ss)
 }
 
+/// Regression keeps a pass over the node per threshold. Its `f32` sums of
+/// `y` and `y²` depend on the order rows are added in, so a sorted sweep
+/// would move the fitted values of the Bayesian-optimization surrogate
+/// (`RandomForestRegressor`), and with them every search's suggestions.
 #[allow(clippy::too_many_arguments)]
 fn build_regressor(
     x: &Matrix,
@@ -632,6 +707,75 @@ fn build_regressor(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use rand::Rng;
+
+    /// The reference split search: one pass over the node per threshold.
+    fn scan_split(
+        x: &Matrix,
+        y: &[usize],
+        feature: usize,
+        indices: &[usize],
+        counts: &[f32],
+        min_samples_leaf: usize,
+    ) -> Option<(f32, f32)> {
+        let total = indices.len() as f32;
+        let mut values: Vec<f32> = indices.iter().map(|&i| x.row(i)[feature]).collect();
+        let mut best: Option<(f32, f32)> = None;
+        for threshold in thresholds(&mut values) {
+            let mut left = vec![0.0f32; counts.len()];
+            let mut right = vec![0.0f32; counts.len()];
+            for &i in indices {
+                if x.row(i)[feature] <= threshold {
+                    left[y[i]] += 1.0;
+                } else {
+                    right[y[i]] += 1.0;
+                }
+            }
+            let nl: f32 = left.iter().sum();
+            let nr: f32 = right.iter().sum();
+            if (nl as usize) < min_samples_leaf || (nr as usize) < min_samples_leaf {
+                continue;
+            }
+            let impurity = (nl * gini(&left, nl) + nr * gini(&right, nr)) / total;
+            if best.map_or(true, |(_, b)| impurity < b) {
+                best = Some((threshold, impurity));
+            }
+        }
+        best
+    }
+
+    fn fit_by_scan(
+        x: &Matrix,
+        y: &[usize],
+        n_classes: usize,
+        config: &TreeConfig,
+    ) -> DecisionTreeClassifier {
+        DecisionTreeClassifier::fit_with(x, y, n_classes, config, |feature, indices, counts| {
+            scan_split(x, y, feature, indices, counts, config.min_samples_leaf)
+        })
+        .unwrap()
+    }
+
+    /// `1 + 2⁻²³` and `1 + 2⁻²²`: adjacent floats whose midpoint rounds up
+    /// to the upper one.
+    const ONE_UP: f32 = 1.000_000_1;
+    const ONE_UP2: f32 = 1.000_000_2;
+
+    #[test]
+    fn adjacent_float_midpoint_rounds_to_the_upper_value() {
+        assert_eq!(ONE_UP.to_bits(), 1.0f32.to_bits() + 1);
+        assert_eq!(ONE_UP2.to_bits(), 1.0f32.to_bits() + 2);
+        assert_eq!(0.5 * (ONE_UP + ONE_UP2), ONE_UP2);
+        // Both midpoints of the column (1.0, ONE_UP, ONE_UP2) land on one
+        // of its values: 1.0 (rounded down) and ONE_UP2 (rounded up). Only
+        // a cursor that takes `value <= threshold` to the left scores them
+        // as the scan does; one that stops short splits ONE_UP2 off alone.
+        let x = Matrix::from_rows(&[vec![ONE_UP2], vec![1.0], vec![ONE_UP]]).unwrap();
+        let y = vec![1, 0, 0];
+        let config = TreeConfig::default();
+        let tree = DecisionTreeClassifier::fit(&x, &y, 2, &config).unwrap();
+        assert_eq!(tree, fit_by_scan(&x, &y, 2, &config));
+    }
 
     #[test]
     fn classifier_fits_threshold_rule() {
@@ -690,6 +834,31 @@ mod tests {
         assert!(DecisionTreeClassifier::fit(&x, &[0, 1], 1, &TreeConfig::default()).is_err());
         let empty = Matrix::zeros(0, 1);
         assert!(DecisionTreeClassifier::fit(&empty, &[], 2, &TreeConfig::default()).is_err());
+    }
+
+    #[test]
+    fn trees_and_forests_reject_non_finite_features() {
+        use crate::forest::{ForestConfig, RandomForestClassifier, RandomForestRegressor};
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            // Every row holds `bad`, so every bootstrap bag does too.
+            let x = Matrix::from_rows(&[vec![0.0, bad], vec![1.0, bad], vec![2.0, bad]]).unwrap();
+            let (labels, targets) = ([0, 1, 1], [0.0, 1.0, 2.0]);
+            let invalid = |r: Result<()>| matches!(r, Err(MlError::InvalidArgument(_)));
+            let config = TreeConfig::default();
+            assert!(invalid(
+                DecisionTreeClassifier::fit(&x, &labels, 2, &config).map(drop)
+            ));
+            assert!(invalid(
+                DecisionTreeRegressor::fit(&x, &targets, &config).map(drop)
+            ));
+            let forest = ForestConfig::default().n_trees(2);
+            assert!(invalid(
+                RandomForestClassifier::fit(&x, &labels, 2, &forest).map(drop)
+            ));
+            assert!(invalid(
+                RandomForestRegressor::fit(&x, &targets, &forest).map(drop)
+            ));
+        }
     }
 
     #[test]
@@ -792,6 +961,68 @@ mod tests {
                 let p = tree.predict_row(row);
                 prop_assert!(p >= lo - 1e-5 && p <= hi + 1e-5);
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn prop_sweep_fits_the_tree_the_scan_fits(
+            seed in 0u64..1 << 32,
+            n_classes in 2usize..6,
+            min_samples_leaf in 1usize..5,
+            max_depth in 1usize..13,
+            mtry in 0usize..4,
+        ) {
+            // Columns drawn mostly from a small pool (heavy duplicates,
+            // -0.0 beside 0.0, adjacent floats, midpoints that overflow to
+            // infinity), the rest uniform; labels mostly follow the first
+            // column so the trees grow deep.
+            const POOL: [f32; 12] = [
+                -0.0, 0.0, 1.0, ONE_UP, ONE_UP2, -1.5, 2.0, 3.25,
+                f32::MIN_POSITIVE, 1e-45, f32::MAX, 3.0e38,
+            ];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n_rows = rng.gen_range(1..120);
+            let n_features = rng.gen_range(1..5);
+            let rows: Vec<Vec<f32>> = (0..n_rows)
+                .map(|_| {
+                    (0..n_features)
+                        .map(|_| {
+                            if rng.gen_range(0.0..1.0) < 0.7 {
+                                POOL[rng.gen_range(0..POOL.len())]
+                            } else {
+                                rng.gen_range(-3.0f32..3.0)
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let y: Vec<usize> = rows
+                .iter()
+                .map(|row| {
+                    if rng.gen_range(0.0..1.0) < 0.6 {
+                        (row[0].abs().min(1e6) as usize) % n_classes
+                    } else {
+                        rng.gen_range(0..n_classes)
+                    }
+                })
+                .collect();
+            let x = Matrix::from_rows(&rows).unwrap();
+            let config = TreeConfig {
+                max_depth,
+                min_samples_split: 2,
+                min_samples_leaf,
+                mtry: (mtry > 0).then_some(mtry),
+                seed,
+            };
+            let sweep = DecisionTreeClassifier::fit(&x, &y, n_classes, &config).unwrap();
+            let scan = fit_by_scan(&x, &y, n_classes, &config);
+            // `Debug` spells every float to its bit pattern (`-0.0` too),
+            // so the trees agree bit for bit, not just under `==`.
+            prop_assert_eq!(format!("{sweep:?}"), format!("{scan:?}"));
+            prop_assert_eq!(sweep, scan);
         }
     }
 }

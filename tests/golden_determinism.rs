@@ -8,9 +8,11 @@
 
 use homunculus::backends::model::{DnnIr, LayerParams, ModelIr, SvmIr};
 use homunculus::datasets::nslkdd::NslKddGenerator;
+use homunculus::ml::forest::{ForestConfig, RandomForestClassifier};
 use homunculus::ml::mlp::MlpArchitecture;
 use homunculus::ml::quantize::FixedPoint;
 use homunculus::ml::tensor::Matrix;
+use homunculus::ml::tree::{DecisionTreeClassifier, ExportedNode, TreeConfig};
 use homunculus::optimizer::space::{DesignSpace, Parameter};
 use homunculus::runtime::{
     classify_rows, Compile, CompiledPipeline, Deployment, Scratch, TenantBatch,
@@ -334,4 +336,58 @@ fn design_space_sampling_fingerprint() {
     let config = space.sample(&mut rng);
     assert_eq!(config.real("x"), Some(-0.8892791270433338));
     assert_eq!(config.integer("n"), Some(17));
+}
+
+/// FNV-1a over a fitted tree's exported arena: every node's kind, feature,
+/// threshold bits, children and class, folded into `hash`.
+fn tree_checksum(hash: u64, tree: &DecisionTreeClassifier) -> u64 {
+    let words = tree.export_nodes().into_iter().flat_map(|node| match node {
+        ExportedNode::Leaf { class } => [0, class as u64, 0, 0, 0],
+        ExportedNode::Split {
+            feature,
+            threshold,
+            left,
+            right,
+        } => [
+            1,
+            feature as u64,
+            u64::from(threshold.to_bits()),
+            left as u64,
+            right as u64,
+        ],
+    });
+    words.fold(hash, |h, word| {
+        (h ^ word).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn fitted_tree_and_forest_fingerprints() {
+    // Classification trees fitted on the frozen normalized NSL-KDD draw.
+    // A change to the split search that moves one threshold bit, one
+    // child index or one leaf class moves these.
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    let ds = NslKddGenerator::new(42).generate(2_000);
+    let nds = ds.normalized(&ds.fit_normalizer()).unwrap();
+    let (x, y) = (nds.features(), nds.labels());
+
+    let tree = DecisionTreeClassifier::fit(x, y, 2, &TreeConfig::default().max_depth(6)).unwrap();
+    assert_eq!(
+        tree_checksum(FNV_OFFSET, &tree),
+        0x4c62_38fa_6516_203c,
+        "fitted depth-6 tree drifted"
+    );
+
+    let config = ForestConfig {
+        n_trees: 6,
+        tree: TreeConfig::default().max_depth(8).mtry(3),
+        sample_fraction: 0.5,
+        seed: 7,
+    };
+    let forest = RandomForestClassifier::fit(x, y, 2, &config).unwrap();
+    let checksum = forest.trees().iter().fold(FNV_OFFSET, tree_checksum);
+    assert_eq!(
+        checksum, 0x5341_30aa_537a_0c50,
+        "fitted half-sample forest drifted"
+    );
 }
