@@ -40,8 +40,7 @@ test:
 # rustdoc warnings denied so broken intra-doc links fail the gate.
 doc:
 	RUSTDOCFLAGS="-D warnings" $(CARGO) doc -q --no-deps --workspace \
-		--exclude serde --exclude serde_derive --exclude serde_json \
-		--exclude rand --exclude proptest
+		--exclude serde_json --exclude rand --exclude proptest
 
 # Repeated release-mode runs of the two suites that saturate the
 # deployment ingress (`ingress_stress`: multi-producer hammer,

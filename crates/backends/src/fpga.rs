@@ -43,7 +43,6 @@ use crate::resources::{Performance, ResourceEstimate, ResourceVector};
 use crate::spatial;
 use crate::target::{Target, TargetKind};
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 /// Loopback (bump-in-the-wire shell) floor from Table 5.
 pub const LOOPBACK_LUT_PCT: f64 = 5.36;
@@ -78,7 +77,7 @@ const LUT_BASE: f64 = 0.80;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FpgaTarget {
     name: String,
     /// NIC line rate in GPkt/s (100 Gbps of minimum-size packets ≈ 0.148

@@ -13,7 +13,6 @@ use homunculus_ml::mlp::{Activation, Mlp, MlpArchitecture};
 use homunculus_ml::svm::LinearSvm;
 use homunculus_ml::tensor::Matrix;
 use homunculus_ml::tree::{DecisionTreeClassifier, ExportedNode};
-use serde::{Deserialize, Serialize};
 use serde_json::{json, ToJson, Value};
 
 /// Shorthand for the recurring "field missing or mistyped" decode error.
@@ -45,7 +44,7 @@ fn decode_f32s(value: &Value) -> Result<Vec<f32>> {
 }
 
 /// One dense layer's trained parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerParams {
     /// Weight matrix, `input_dim x output_dim`.
     pub weights: Matrix,
@@ -76,7 +75,7 @@ impl LayerParams {
 }
 
 /// A DNN candidate (shape + optional trained layers).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DnnIr {
     /// The architecture.
     pub arch: MlpArchitecture,
@@ -145,7 +144,7 @@ impl ToJson for DnnIr {
 }
 
 /// A linear SVM candidate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SvmIr {
     /// Number of input features (IIsy: roughly one MAT per feature).
     pub n_features: usize,
@@ -217,7 +216,7 @@ impl ToJson for SvmIr {
 }
 
 /// A KMeans candidate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KMeansIr {
     /// Number of clusters (IIsy: one MAT per cluster).
     pub k: usize,
@@ -277,7 +276,7 @@ impl ToJson for KMeansIr {
 }
 
 /// One node of a trained decision tree, arena-indexed with the root at 0.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TreeNodeIr {
     /// Terminal node predicting `class`.
     Leaf {
@@ -350,7 +349,7 @@ impl TreeNodeIr {
 
 /// A decision-tree candidate (depth drives MAT cost; trained nodes, when
 /// present, let the runtime compile the tree to integer comparisons).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TreeIr {
     /// Tree depth.
     pub depth: usize,
@@ -460,7 +459,7 @@ impl ToJson for TreeIr {
 /// A random-forest candidate: bagged decision trees combined by majority
 /// vote. Each member tree lowers exactly like a standalone [`TreeIr`]
 /// (one match-action program per tree); the vote is a final reduce stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ForestIr {
     /// Number of input features every member tree consumes.
     pub n_features: usize,
@@ -546,7 +545,7 @@ impl ToJson for ForestIr {
 /// by the `Compile` extension trait in `homunculus-runtime`, which owns
 /// the fixed-point execution engine (the trait lives there because the
 /// runtime depends on this crate, not the other way around).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ModelIr {
     /// Deep neural network.
     Dnn(DnnIr),

@@ -5,7 +5,6 @@
 //! `platform.constrain(...)` clause of Figure 3 (throughput in GPkt/s,
 //! latency in ns, plus platform resources).
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -14,7 +13,7 @@ use std::fmt;
 /// Using a named map keeps the compiler generic across targets whose
 /// "fundamental resources" differ (MATs for PISA, CUs/MUs for Taurus,
 /// LUT/FF/BRAM for FPGAs — §3 of the paper).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ResourceVector {
     entries: BTreeMap<String, f64>,
 }
@@ -113,7 +112,7 @@ impl ResourceVector {
 }
 
 /// Performance envelope of a mapped model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Performance {
     /// Sustained throughput in giga-packets per second.
     pub throughput_gpps: f64,
@@ -152,7 +151,7 @@ impl Performance {
 }
 
 /// A backend's full estimate for one model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResourceEstimate {
     /// Resource usage.
     pub resources: ResourceVector,
@@ -197,7 +196,7 @@ impl ResourceEstimate {
 ///     .resource("cus", 256.0);
 /// assert_eq!(c.min_throughput_gpps, Some(1.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Constraints {
     /// Minimum sustained throughput (GPkt/s), if constrained.
     pub min_throughput_gpps: Option<f64>,
@@ -267,7 +266,7 @@ impl Constraints {
 }
 
 /// One constraint violation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Violation {
     /// Throughput below the line-rate requirement.
     Throughput {
@@ -316,7 +315,7 @@ impl fmt::Display for Violation {
 }
 
 /// Outcome of a feasibility check.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeasibilityReport {
     /// Violations, empty when feasible.
     pub violations: Vec<Violation>,

@@ -3,10 +3,9 @@
 use crate::model::ModelIr;
 use crate::resources::{Constraints, FeasibilityReport, ResourceEstimate};
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 /// Which hardware family a target belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TargetKind {
     /// Taurus-style MapReduce CGRA inside a PISA switch.
     Taurus,

@@ -35,7 +35,6 @@ use crate::resources::{Performance, ResourceEstimate, ResourceVector};
 use crate::spatial;
 use crate::target::{Target, TargetKind};
 use crate::{BackendError, Result};
-use serde::{Deserialize, Serialize};
 
 /// Vector MAC lanes per CU (dot-product unroll width).
 pub const VEC_WIDTH: usize = 8;
@@ -44,7 +43,7 @@ pub const VEC_WIDTH: usize = 8;
 pub const MU_BANK_WORDS: usize = 32;
 
 /// One pipeline stage of a model lowered onto the grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GridStage {
     /// CU instances the stage occupies.
     pub cus: usize,
@@ -73,7 +72,7 @@ pub struct GridStage {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaurusTarget {
     name: String,
     /// Grid rows (CU/MU columns alternate within a row in Plasticine;

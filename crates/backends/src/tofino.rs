@@ -27,7 +27,6 @@ use crate::p4;
 use crate::resources::{Performance, ResourceEstimate, ResourceVector};
 use crate::target::{Target, TargetKind};
 use crate::{BackendError, Result};
-use serde::{Deserialize, Serialize};
 
 /// MATs consumed per binarized DNN layer (N2Net's reported worst case).
 pub const MATS_PER_BNN_LAYER: usize = 12;
@@ -52,7 +51,7 @@ pub const TABLES_PER_STAGE: usize = 4;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TofinoTarget {
     name: String,
     /// Pipeline stages (Tofino has 12 per pipe).

@@ -19,8 +19,8 @@ use homunculus_core::alchemy::{Metric, ModelSpec, Platform};
 use homunculus_core::fusion::{try_fuse, DEFAULT_OVERLAP_THRESHOLD};
 use homunculus_core::pipeline::{generate_with, CompilerOptions, ModelReport};
 use homunculus_core::schedule::ScheduleExpr;
-use homunculus_dataplane::histogram::FlowmarkerConfig;
 use homunculus_datasets::dataset::Normalizer;
+use homunculus_datasets::histogram::FlowmarkerConfig;
 use homunculus_datasets::nslkdd::NslKddGenerator;
 use homunculus_datasets::p2p::{
     averaged_class_histograms, flowmarker_dataset, mixed_partial_histogram_dataset,

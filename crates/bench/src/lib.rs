@@ -37,8 +37,8 @@ use homunculus_core::alchemy::{Algorithm, Metric, ModelSpec, Platform};
 use homunculus_core::pipeline::{generate_with, CompiledArtifact, CompilerOptions};
 use homunculus_core::trainer::{Candidate, Evaluator, Scored, TrainBudget};
 use homunculus_core::CoreError;
-use homunculus_dataplane::histogram::FlowmarkerConfig;
 use homunculus_datasets::dataset::{Dataset, Normalizer};
+use homunculus_datasets::histogram::FlowmarkerConfig;
 use homunculus_datasets::iot::IotTrafficGenerator;
 use homunculus_datasets::nslkdd::NslKddGenerator;
 use homunculus_datasets::p2p::{FlowTrace, P2pTrafficGenerator};

@@ -22,10 +22,9 @@ use homunculus_backends::target::Target;
 use homunculus_backends::taurus::TaurusTarget;
 use homunculus_backends::tofino::TofinoTarget;
 use homunculus_datasets::dataset::Dataset;
-use serde::{Deserialize, Serialize};
 
 /// The objective metric a model is optimized for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Metric {
     /// Binary F1 with class 1 positive (AD/BD applications).
     #[default]
@@ -62,7 +61,7 @@ impl Metric {
 }
 
 /// ML algorithm families the search may draw from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// Deep neural network (MLP).
     Dnn,
@@ -143,7 +142,7 @@ where
 }
 
 /// A user's intent for one data-plane model: objectives + data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelSpec {
     /// Application name (becomes the generated pipeline name).
     pub name: String,
@@ -252,7 +251,7 @@ impl ModelSpecBuilder {
 
 /// Connects model outputs to model inputs (and the outside world) in a
 /// multi-model schedule — the paper's `IOMap`/`@IOMapper` constructs.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct IoMap {
     connections: Vec<(String, String)>,
 }
@@ -295,7 +294,7 @@ impl IoMap {
 }
 
 /// The backend device a platform wraps.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PlatformTarget {
     /// Taurus MapReduce switch.
     Taurus(TaurusTarget),
@@ -318,7 +317,7 @@ impl PlatformTarget {
 
 /// Constraint clause under construction (the `platform.constrain(...)`
 /// form of Figure 3).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ConstraintSpec {
     /// Minimum throughput in GPkt/s.
     pub throughput_gpps: Option<f64>,

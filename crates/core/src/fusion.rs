@@ -8,13 +8,12 @@
 
 use crate::alchemy::ModelSpec;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 /// Default feature-overlap (Jaccard) threshold for attempting fusion.
 pub const DEFAULT_OVERLAP_THRESHOLD: f64 = 0.8;
 
 /// The outcome of a fusion attempt.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FusionDecision {
     /// The specs were fused into one.
     Fused {

@@ -19,11 +19,10 @@ use homunculus_ml::quantize::FixedPoint;
 use homunculus_optimizer::space::Configuration;
 use homunculus_optimizer::OptimizationHistory;
 use homunculus_runtime::{Compile, CompiledPipeline, Deployment, DeploymentBuilder, TenantId};
-use serde::{Deserialize, Serialize};
 use serde_json::{json, ToJson, Value};
 
 /// Compiler knobs: search/training budgets and reproducibility.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompilerOptions {
     /// BO evaluation budget per (model, algorithm) pair.
     pub bo_budget: usize,

@@ -16,11 +16,10 @@
 use crate::alchemy::ModelSpec;
 use crate::{CoreError, Result};
 use homunculus_backends::resources::{Performance, ResourceVector};
-use serde::{Deserialize, Serialize};
 use std::ops::{BitOr, Shr};
 
 /// A composition tree of model specs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ScheduleExpr {
     /// A single model.
     Leaf(Box<ModelSpec>),

@@ -12,7 +12,6 @@ use homunculus_ml::tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
@@ -35,7 +34,7 @@ use std::path::Path;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     features: Matrix,
     labels: Vec<usize>,
@@ -44,7 +43,7 @@ pub struct Dataset {
 }
 
 /// A train/test partition of a [`Dataset`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Split {
     /// Training portion.
     pub train: Dataset,

@@ -8,13 +8,12 @@
 //! a packet's headers into the traffic-classification feature vector.
 
 use crate::packet::Packet;
-use serde::{Deserialize, Serialize};
 
 /// The service class implied by a packet's destination port.
 ///
 /// A tiny stand-in for NSL-KDD's `service` attribute; granularity is
 /// deliberately coarse since the generated P4 uses a range-match table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Service {
     /// HTTP/HTTPS (ports 80, 443, 8080).
     Web,

@@ -13,10 +13,33 @@
 //!
 //! This module implements the generic [`Histogram`], the combined
 //! [`Flowmarker`], and bin fusion.
+//!
+//! # Example
+//!
+//! ```
+//! use homunculus_datasets::histogram::{Flowmarker, FlowmarkerConfig};
+//! use homunculus_datasets::packet::{Packet, Protocol};
+//!
+//! # fn main() -> Result<(), homunculus_datasets::DatasetError> {
+//! let config = FlowmarkerConfig::paper_reduced(); // 23 PL + 7 IPT bins
+//! let mut marker = Flowmarker::new(config)?;
+//! let base = 1_000_000u64;
+//! for i in 0..10u64 {
+//!     let pkt = Packet::builder()
+//!         .timestamp_ns(base + i * 1_000_000_000)
+//!         .size_bytes(120 + (i as u32) * 40)
+//!         .protocol(Protocol::Udp)
+//!         .build();
+//!     marker.observe(&pkt);
+//! }
+//! assert_eq!(marker.packet_count(), 10);
+//! assert_eq!(marker.feature_vector().len(), 30);
+//! # Ok(())
+//! # }
+//! ```
 
 use crate::packet::Packet;
-use crate::{DataplaneError, Result};
-use serde::{Deserialize, Serialize};
+use crate::{DatasetError, Result};
 
 /// A fixed-width histogram with a clamping final bin.
 ///
@@ -26,9 +49,9 @@ use serde::{Deserialize, Serialize};
 /// # Example
 ///
 /// ```
-/// use homunculus_dataplane::histogram::Histogram;
+/// use homunculus_datasets::histogram::Histogram;
 ///
-/// # fn main() -> Result<(), homunculus_dataplane::DataplaneError> {
+/// # fn main() -> Result<(), homunculus_datasets::DatasetError> {
 /// let mut h = Histogram::new(64.0, 4)?; // bins: [0,64), [64,128), [128,192), [192,inf)
 /// h.observe(10.0);
 /// h.observe(70.0);
@@ -38,7 +61,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     bin_width: f64,
     counts: Vec<u64>,
@@ -49,18 +72,16 @@ impl Histogram {
     ///
     /// # Errors
     ///
-    /// Returns [`DataplaneError::InvalidConfig`] for non-positive widths or
-    /// zero bins.
+    /// Returns [`DatasetError::Invalid`] for a width that is not finite
+    /// and positive, or for zero bins.
     pub fn new(bin_width: f64, bins: usize) -> Result<Self> {
-        if bin_width <= 0.0 || bin_width.is_nan() {
-            return Err(DataplaneError::InvalidConfig(format!(
-                "bin width must be positive, got {bin_width}"
+        if !(bin_width.is_finite() && bin_width > 0.0) {
+            return Err(DatasetError::Invalid(format!(
+                "bin width must be finite and positive, got {bin_width}"
             )));
         }
         if bins == 0 {
-            return Err(DataplaneError::InvalidConfig(
-                "need at least one bin".into(),
-            ));
+            return Err(DatasetError::Invalid("need at least one bin".into()));
         }
         Ok(Histogram {
             bin_width,
@@ -115,10 +136,10 @@ impl Histogram {
     ///
     /// # Errors
     ///
-    /// Returns [`DataplaneError::InvalidConfig`] when `factor == 0`.
+    /// Returns [`DatasetError::Invalid`] when `factor == 0`.
     pub fn fuse(&self, factor: usize) -> Result<Histogram> {
         if factor == 0 {
-            return Err(DataplaneError::InvalidConfig(
+            return Err(DatasetError::Invalid(
                 "fusion factor must be positive".into(),
             ));
         }
@@ -138,12 +159,10 @@ impl Histogram {
     ///
     /// # Errors
     ///
-    /// Returns [`DataplaneError::InvalidConfig`] when `bins == 0`.
+    /// Returns [`DatasetError::Invalid`] when `bins == 0`.
     pub fn truncate(&self, bins: usize) -> Result<Histogram> {
         if bins == 0 {
-            return Err(DataplaneError::InvalidConfig(
-                "need at least one bin".into(),
-            ));
+            return Err(DatasetError::Invalid("need at least one bin".into()));
         }
         if bins >= self.counts.len() {
             return Ok(self.clone());
@@ -171,7 +190,7 @@ impl Histogram {
 }
 
 /// Configuration of a [`Flowmarker`]: PL and IPT histogram shapes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowmarkerConfig {
     /// Packet-length bin width in bytes.
     pub pl_bin_bytes: f64,
@@ -224,7 +243,7 @@ impl FlowmarkerConfig {
 }
 
 /// A FlowLens flowmarker: paired PL/IPT histograms for one conversation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Flowmarker {
     config: FlowmarkerConfig,
     pl: Histogram,
@@ -238,7 +257,7 @@ impl Flowmarker {
     ///
     /// # Errors
     ///
-    /// Returns [`DataplaneError::InvalidConfig`] for degenerate shapes.
+    /// Returns [`DatasetError::Invalid`] for degenerate shapes.
     pub fn new(config: FlowmarkerConfig) -> Result<Self> {
         Ok(Flowmarker {
             pl: Histogram::new(config.pl_bin_bytes, config.pl_bins)?,
@@ -333,6 +352,8 @@ mod tests {
     fn histogram_invalid_config_rejected() {
         assert!(Histogram::new(0.0, 4).is_err());
         assert!(Histogram::new(-1.0, 4).is_err());
+        assert!(Histogram::new(f64::INFINITY, 4).is_err());
+        assert!(Histogram::new(f64::NAN, 4).is_err());
         assert!(Histogram::new(1.0, 0).is_err());
     }
 

@@ -12,18 +12,17 @@
 //! the same code path a switch pipeline would.
 
 use crate::dataset::Dataset;
+use crate::features::{header_features, HEADER_FEATURE_NAMES};
+use crate::packet::{Packet, Protocol};
 use crate::sampling::{categorical, normal};
-use homunculus_dataplane::features::{header_features, HEADER_FEATURE_NAMES};
-use homunculus_dataplane::packet::{Packet, Protocol};
 use homunculus_ml::tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// The five IoT device classes to identify (one per traffic cluster;
 /// Figure 7 builds KMeans models with up to 5 clusters for them).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceClass {
     /// IP camera: large steady UDP video packets.
     Camera,
@@ -68,7 +67,7 @@ impl DeviceClass {
 }
 
 /// Difficulty knobs for the IoT generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IotConfig {
     /// Global multiplier on per-class spreads (>1 = more class overlap).
     pub spread_scale: f64,

@@ -20,11 +20,19 @@
 //! [`dataset::Dataset`] is the labeled container the Alchemy frontend's
 //! data loaders return, with stratified splits, normalization, CSV I/O,
 //! and the merge/overlap operations used by model fusion.
+//!
+//! The generators build their rows from the records in [`packet`], the
+//! per-packet layouts in [`features`], and the FlowLens-style flowmarkers
+//! in [`histogram`], whose bin fusion shrinks a marker from 151 to 30
+//! bins (§5.1.2).
 
 pub mod dataset;
+pub mod features;
+pub mod histogram;
 pub mod iot;
 pub mod nslkdd;
 pub mod p2p;
+pub mod packet;
 pub(crate) mod sampling;
 
 use std::error::Error;

@@ -5,7 +5,7 @@
 //! `train_ad.csv` and maps attacks to *benign*/*malicious*). This generator
 //! reproduces the *structure* that matters for the evaluation:
 //!
-//! - 7 features with the [`homunculus_dataplane::features::PACKET_FEATURE_NAMES`]
+//! - 7 features with the [`crate::features::PACKET_FEATURE_NAMES`]
 //!   layout (Table 2: `Features = 7`);
 //! - benign traffic drawn from several service archetypes (web, DNS, SSH,
 //!   mail, streaming, ephemeral P2P);
@@ -21,15 +21,14 @@
 //! 71.1 → 83.1 shape).
 
 use crate::dataset::Dataset;
+use crate::features::PACKET_FEATURE_NAMES;
 use crate::sampling::{categorical, normal};
-use homunculus_dataplane::features::PACKET_FEATURE_NAMES;
 use homunculus_ml::tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// NSL-KDD attack families (plus benign) used as generation archetypes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrafficClass {
     /// Normal traffic.
     Benign,
@@ -57,7 +56,7 @@ struct Archetype {
     /// Mixture weight within its class.
     weight: f64,
     /// Cluster center in feature space (see the feature scales on
-    /// `homunculus_dataplane::features::PACKET_FEATURE_NAMES`).
+    /// `crate::features::PACKET_FEATURE_NAMES`).
     center: [f64; 7],
     /// Per-dimension standard deviation.
     spread: [f64; 7],
@@ -182,7 +181,7 @@ fn archetypes() -> Vec<Archetype> {
 }
 
 /// Tunable difficulty knobs for the generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NslKddConfig {
     /// Fraction of malicious samples.
     pub malicious_fraction: f64,

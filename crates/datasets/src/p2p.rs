@@ -18,17 +18,16 @@
 //! - streaming reaction-time experiments.
 
 use crate::dataset::Dataset;
+use crate::histogram::{Flowmarker, FlowmarkerConfig};
+use crate::packet::{Packet, Protocol};
 use crate::sampling::{categorical, log_normal, normal};
-use homunculus_dataplane::histogram::{Flowmarker, FlowmarkerConfig};
-use homunculus_dataplane::packet::{Packet, Protocol};
 use homunculus_ml::tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// The six P2P applications in the corpus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum P2pApp {
     /// Storm botnet.
     Storm,
@@ -79,7 +78,7 @@ impl P2pApp {
 }
 
 /// One conversation: the application, its label, and its packet train.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowTrace {
     /// Which P2P application produced the flow.
     pub app: P2pApp,
@@ -118,7 +117,7 @@ impl FlowTrace {
 }
 
 /// Knobs for the P2P generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct P2pConfig {
     /// Fraction of botnet conversations.
     pub botnet_fraction: f64,

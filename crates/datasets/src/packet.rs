@@ -6,12 +6,11 @@
 //! bytes — in-network inference works on headers and statistics, which is
 //! why this struct is all the substrate needs.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
 
 /// L4 protocol carried by a packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Protocol {
     /// Transmission Control Protocol.
     #[default]
@@ -58,7 +57,7 @@ impl fmt::Display for Protocol {
 }
 
 /// TCP flag bits (subset relevant to the feature extractors).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct TcpFlags {
     /// SYN bit.
     pub syn: bool,
@@ -88,7 +87,7 @@ impl TcpFlags {
 }
 
 /// A parsed packet as seen by the data plane.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Packet {
     /// Arrival timestamp in nanoseconds.
     pub timestamp_ns: u64,

@@ -7,10 +7,9 @@
 //! index over edge-switch load.
 
 use crate::topology::SwitchRole;
-use serde::{Deserialize, Serialize};
 
 /// One switch's aggregated serving stats.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SwitchStats {
     /// Switch name (see [`crate::topology::Switch::name`]).
     pub name: String,
@@ -27,7 +26,7 @@ pub struct SwitchStats {
 }
 
 /// One role's rollup across its switches.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoleStats {
     /// The tier.
     pub role: SwitchRole,
@@ -44,7 +43,7 @@ pub struct RoleStats {
 }
 
 /// Fleet-wide aggregation over one [`FleetReport`](crate::fleet::FleetReport).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetStats {
     /// Per-switch stats, indexed by switch id.
     pub switches: Vec<SwitchStats>,

@@ -14,10 +14,9 @@
 //! so the same flow always takes the same path.
 
 use crate::{FleetError, Result};
-use serde::{Deserialize, Serialize};
 
 /// The tier a switch occupies in the fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SwitchRole {
     /// Top-of-rack tier: flows enter and leave the fabric here.
     Edge,
@@ -52,7 +51,7 @@ impl SwitchRole {
 
 /// A switch's position in its topology's switch list — stable across
 /// runs because topology layout is deterministic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SwitchId(pub usize);
 
 impl SwitchId {
@@ -63,7 +62,7 @@ impl SwitchId {
 }
 
 /// One switch of the fabric.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Switch {
     /// Stable id (index into the topology's switch list).
     pub id: SwitchId,
@@ -76,7 +75,7 @@ pub struct Switch {
 }
 
 /// An undirected link between two switches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Link {
     /// Lower-tier endpoint.
     pub down: SwitchId,
@@ -87,14 +86,14 @@ pub struct Link {
 /// The generator parameters a topology was built from — kept so routing
 /// can exploit the fabric's regular structure instead of searching the
 /// graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TopologyKind {
     FatTree { k: usize },
     LeafSpine { leaves: usize, spines: usize },
 }
 
 /// A generated switch/link graph with deterministic ECMP routing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     kind: TopologyKind,
     switches: Vec<Switch>,

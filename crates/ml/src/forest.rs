@@ -14,10 +14,9 @@ use crate::tree::{DecisionTreeClassifier, DecisionTreeRegressor, TreeConfig};
 use crate::{MlError, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters shared by both forest flavors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ForestConfig {
     /// Number of trees.
     pub n_trees: usize,
@@ -83,7 +82,7 @@ fn bootstrap_indices(n: usize, fraction: f64, rng: &mut StdRng) -> Vec<usize> {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RandomForestRegressor {
     trees: Vec<DecisionTreeRegressor>,
 }
@@ -170,7 +169,7 @@ impl RandomForestRegressor {
 /// ([`predict_row`](RandomForestClassifier::predict_row)), class
 /// probabilities by averaging the trees' leaf distributions
 /// ([`predict_proba_row`](RandomForestClassifier::predict_proba_row)).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RandomForestClassifier {
     trees: Vec<DecisionTreeClassifier>,
     n_classes: usize,

@@ -10,10 +10,9 @@ use crate::tensor::{squared_distance, Matrix};
 use crate::{MlError, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration for [`KMeans::fit`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KMeansConfig {
     /// Number of clusters (`k`).
     pub k: usize,
@@ -72,7 +71,7 @@ impl KMeansConfig {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KMeans {
     centroids: Vec<Vec<f32>>,
     inertia: f32,

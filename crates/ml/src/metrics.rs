@@ -7,7 +7,6 @@
 //! the confusion-matrix plumbing they need.
 
 use crate::{MlError, Result};
-use serde::{Deserialize, Serialize};
 
 /// A dense confusion matrix over `n_classes`.
 ///
@@ -26,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfusionMatrix {
     n_classes: usize,
     counts: Vec<u64>,
@@ -188,7 +187,7 @@ pub fn accuracy(y_true: &[usize], y_pred: &[usize]) -> Result<f64> {
 }
 
 /// Homogeneity, completeness, and V-measure of a clustering.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VMeasure {
     /// Each cluster contains only members of a single class (1 = perfect).
     pub homogeneity: f64,

@@ -15,14 +15,13 @@ use crate::{MlError, Result};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Hidden-layer activation functions supported by the data-plane templates.
 ///
 /// The backend code generators have a template per variant (Figure 5 of the
 /// paper lists "Activation func." as a library template), so this enum is
 /// shared vocabulary between the trainer and the code generators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Activation {
     /// Rectified linear unit, `max(0, x)`. Cheap on CGRA and FPGA fabrics.
     #[default]
@@ -98,7 +97,7 @@ impl Activation {
 /// assert_eq!(arch.param_count(), 7 * 16 + 16 + 16 * 4 + 4 + 4 * 2 + 2);
 /// assert_eq!(arch.layer_dims(), vec![(7, 16), (16, 4), (4, 2)]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MlpArchitecture {
     /// Number of input features.
     pub input_dim: usize,
@@ -238,7 +237,7 @@ impl MlpArchitecture {
 }
 
 /// Gradient-descent flavor used by [`Mlp::train`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Optim {
     /// Plain SGD with optional momentum.
     Sgd {
@@ -268,7 +267,7 @@ impl Default for Optim {
 /// These are exactly the *training parameters* the paper's design space
 /// exposes to Bayesian optimization (learning rate, batch size — §3.2.2),
 /// plus an epoch budget and seed for reproducibility.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainConfig {
     /// Number of passes over the training set.
     pub epochs: usize,
@@ -330,7 +329,7 @@ impl TrainConfig {
 }
 
 /// One dense layer: weights `(in x out)`, bias `(out)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dense {
     /// Weight matrix, `input_dim x output_dim`.
     pub weights: Matrix,
@@ -363,7 +362,7 @@ impl Dense {
 }
 
 /// A trained (or trainable) multi-layer perceptron.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mlp {
     arch: MlpArchitecture,
     layers: Vec<Dense>,
@@ -666,7 +665,7 @@ impl Mlp {
 }
 
 /// Loss trajectory returned by [`Mlp::train`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainReport {
     /// Mean cross-entropy per epoch.
     pub epoch_losses: Vec<f32>,

@@ -8,7 +8,6 @@
 //! in dataset generation.
 
 use crate::{MlError, Result};
-use serde::{Deserialize, Serialize};
 
 /// Smallest usable per-feature standard deviation. Anything closer to
 /// zero is treated as a degenerate (constant) column that should have
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 pub const MIN_STD: f32 = 1e-12;
 
 /// A fitted z-score feature normalizer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Normalizer {
     /// Per-feature mean.
     pub mean: Vec<f32>,

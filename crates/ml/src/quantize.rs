@@ -8,7 +8,6 @@
 
 use crate::tensor::Matrix;
 use crate::{MlError, Result};
-use serde::{Deserialize, Serialize};
 
 pub use crate::packed::PackedFixed;
 
@@ -31,7 +30,7 @@ pub use crate::packed::PackedFixed;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FixedPoint {
     int_bits: u32,
     frac_bits: u32,
@@ -287,7 +286,7 @@ pub fn fixed_relu(raw: i32) -> i32 {
 }
 
 /// Statistics of quantizing a trained model's weights.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantizationReport {
     /// Number of values quantized.
     pub count: usize,

@@ -11,10 +11,9 @@ use crate::{MlError, Result};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters for [`LinearSvm::fit`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SvmConfig {
     /// Number of epochs of sub-gradient descent.
     pub epochs: usize,
@@ -84,7 +83,7 @@ impl SvmConfig {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinearSvm {
     /// One weight vector per class (a single one for binary).
     weights: Vec<Vec<f32>>,

@@ -19,10 +19,9 @@ use crate::{MlError, Result};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Stopping and split-search options shared by both tree flavors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TreeConfig {
     /// Maximum tree depth (root = depth 0).
     pub max_depth: usize,
@@ -69,7 +68,7 @@ impl TreeConfig {
 }
 
 /// Arena node shared by both tree flavors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum Node {
     /// Terminal node carrying the prediction payload.
     Leaf {
@@ -89,7 +88,7 @@ enum Node {
 
 /// A read-only view of one fitted tree node, for lowering a trained tree
 /// into backend IRs (and from there into the compiled integer runtime).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ExportedNode {
     /// Terminal node predicting `class`.
     Leaf {
@@ -193,7 +192,7 @@ fn validate_inputs(x: &Matrix, targets: usize) -> Result<()> {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecisionTreeClassifier {
     nodes: Vec<Node>,
     n_classes: usize,
@@ -516,7 +515,7 @@ fn build_classifier(
 // ---------------------------------------------------------------------------
 
 /// A CART regression tree using variance reduction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecisionTreeRegressor {
     nodes: Vec<Node>,
     n_features: usize,

@@ -7,8 +7,6 @@
 //! latency budget — "subsequent iterations of the Bayesian optimization
 //! will recommend model configurations that use less resources" (§3.2.2).
 
-use serde::{Deserialize, Serialize};
-
 /// Expected improvement of a Gaussian belief `(mean, std)` over the
 /// incumbent `best`, for maximization, with exploration jitter `xi`.
 ///
@@ -51,7 +49,7 @@ pub fn erf(x: f64) -> f64 {
 }
 
 /// Which acquisition criterion the optimizer uses.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Acquisition {
     /// Expected Improvement with the given exploration jitter.
     #[default]

@@ -15,7 +15,6 @@ use crate::surrogate::{FeasibilitySurrogate, ObjectiveSurrogate};
 use crate::{OptimizerError, Result};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use serde_json::{json, ToJson, Value};
 use std::collections::BTreeMap;
 
@@ -34,7 +33,7 @@ pub enum SearchControl {
 }
 
 /// The outcome of evaluating one configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Evaluation {
     /// Objective value (maximized). Use NaN-free finite values.
     pub objective: f64,
@@ -80,8 +79,8 @@ impl Evaluation {
 
 /// JSON document form: `{"objective", "is_feasible", "violation",
 /// "metrics": {name: value}}` — the wire format behind portable compile
-/// artifacts (the vendored `serde` derives are markers only; everything
-/// the workspace persists goes through `serde_json::Value` explicitly).
+/// artifacts (everything the workspace persists goes through
+/// `serde_json::Value` explicitly).
 impl ToJson for Evaluation {
     fn to_json(&self) -> Value {
         let mut metrics = serde_json::Map::new();
@@ -133,7 +132,7 @@ impl Evaluation {
 }
 
 /// One record in the optimization history.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvaluatedPoint {
     /// Iteration index (0-based; the DOE phase occupies the first indices).
     pub iteration: usize,
@@ -174,7 +173,7 @@ impl EvaluatedPoint {
 }
 
 /// The full optimization trace plus derived series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OptimizationHistory {
     points: Vec<EvaluatedPoint>,
     doe_samples: usize,
@@ -335,7 +334,7 @@ impl OptimizationHistory {
 }
 
 /// Options controlling the optimization loop.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OptimizerOptions {
     /// Total evaluation budget (DOE + BO iterations).
     pub budget: usize,

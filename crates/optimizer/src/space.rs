@@ -10,11 +10,10 @@
 use crate::{OptimizerError, Result};
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use serde_json::json;
 
 /// One tunable parameter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Parameter {
     /// A real variable in `[low, high]`.
     Real {
@@ -169,7 +168,7 @@ impl Parameter {
 }
 
 /// A concrete value of one parameter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ParamValue {
     /// Value of a real parameter.
     Real(f64),
@@ -232,7 +231,7 @@ impl ParamValue {
 }
 
 /// A point in a design space: one value per parameter, in space order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Configuration {
     names: Vec<String>,
     values: Vec<ParamValue>,
@@ -341,7 +340,7 @@ impl Configuration {
 }
 
 /// A named collection of parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DesignSpace {
     name: String,
     params: Vec<(String, Parameter)>,

@@ -12,10 +12,9 @@
 use crate::{Result, SimError};
 use homunculus_backends::model::ModelIr;
 use homunculus_backends::taurus::{GridStage, TaurusTarget};
-use serde::{Deserialize, Serialize};
 
 /// A placed unit on the grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlacedUnit {
     /// Stage the unit belongs to (0 is the fixed parse/deparse stage).
     pub stage: usize,
@@ -28,7 +27,7 @@ pub struct PlacedUnit {
 }
 
 /// A complete placement of a model on the grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Placement {
     /// All placed units.
     pub units: Vec<PlacedUnit>,
@@ -53,7 +52,7 @@ impl Placement {
 }
 
 /// Timing of a packet stream through the lowered pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// Packets simulated.
     pub packets: usize,
@@ -87,7 +86,7 @@ pub struct SimReport {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridSimulator {
     /// The Taurus switch whose grid is simulated.
     pub target: TaurusTarget,

@@ -11,10 +11,9 @@
 use crate::{Result, SimError};
 use homunculus_backends::model::ModelIr;
 use homunculus_backends::tofino::{TofinoTarget, TABLES_PER_STAGE};
-use serde::{Deserialize, Serialize};
 
 /// A table allocated to a stage.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllocatedTable {
     /// Table name (e.g. `cluster_3`).
     pub name: String,
@@ -23,7 +22,7 @@ pub struct AllocatedTable {
 }
 
 /// A full program allocation onto the pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MatAllocation {
     /// All allocated tables.
     pub tables: Vec<AllocatedTable>,
@@ -32,7 +31,7 @@ pub struct MatAllocation {
 }
 
 /// Timing/throughput report for the MAT pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MatReport {
     /// Packets simulated.
     pub packets: usize,
@@ -64,7 +63,7 @@ pub struct MatReport {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MatSimulator {
     /// The Tofino switch whose pipeline is simulated.
     pub target: TofinoTarget,

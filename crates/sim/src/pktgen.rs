@@ -15,10 +15,9 @@
 use crate::{Result, SimError};
 use homunculus_ml::metrics::{accuracy, f1_binary, f1_macro};
 use homunculus_runtime::{CompiledPipeline, Scratch};
-use serde::{Deserialize, Serialize};
 
 /// One labeled packet-equivalent in a replayed stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LabeledSample {
     /// Feature vector the data plane extracted for this packet.
     pub features: Vec<f32>,
@@ -27,7 +26,7 @@ pub struct LabeledSample {
 }
 
 /// Timing parameters of the pipeline under test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingModel {
     /// Nanoseconds between packet admissions (1 / throughput).
     pub inter_packet_gap_ns: f64,
@@ -62,7 +61,7 @@ impl TimingModel {
 }
 
 /// Results of an end-to-end streaming run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamReport {
     /// Packets classified.
     pub packets: usize,
@@ -102,7 +101,7 @@ pub struct StreamReport {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamHarness {
     timing: TimingModel,
 }
@@ -229,7 +228,7 @@ fn check_stream_width(stream: &[LabeledSample], expected: usize) -> Result<()> {
 }
 
 /// The sequential reference result of a multi-hop path replay.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PathReport {
     /// Packets replayed.
     pub packets: usize,
@@ -309,7 +308,7 @@ where
 }
 
 /// A point on a reaction-time curve: quality after observing a prefix.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReactionPoint {
     /// Packets of each flow observed before predicting.
     pub packets_seen: usize,

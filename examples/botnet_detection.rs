@@ -11,7 +11,7 @@
 use homunculus::core::alchemy::{Algorithm, Metric, ModelSpec, Platform};
 use homunculus::core::pipeline::CompilerOptions;
 use homunculus::core::session::Compiler;
-use homunculus::dataplane::histogram::FlowmarkerConfig;
+use homunculus::datasets::histogram::FlowmarkerConfig;
 use homunculus::datasets::p2p::{
     flowmarker_dataset, partial_histogram_dataset, P2pTrafficGenerator,
 };

@@ -20,9 +20,9 @@
 //! This facade crate re-exports the whole workspace under one roof:
 //!
 //! - [`ml`] — the ML substrate (MLP training, SVM, KMeans, trees, metrics).
-//! - [`dataplane`] — packets, feature layouts, and FlowLens-style flowmarker
-//!   histograms.
-//! - [`datasets`] — synthetic NSL-KDD-like, IoT, and P2P/botnet generators.
+//! - [`datasets`] — synthetic NSL-KDD-like, IoT, and P2P/botnet generators,
+//!   with the packets, feature layouts and FlowLens-style flowmarker
+//!   histograms they are built from.
 //! - [`optimizer`] — HyperMapper-style constrained Bayesian optimization.
 //! - [`backends`] — Taurus/Tofino/FPGA resource models and Spatial/P4 codegen.
 //! - [`runtime`] — the compiled fixed-point inference runtime (integer
@@ -120,7 +120,6 @@
 pub use homunculus_analysis as analysis;
 pub use homunculus_backends as backends;
 pub use homunculus_core as core;
-pub use homunculus_dataplane as dataplane;
 pub use homunculus_datasets as datasets;
 pub use homunculus_fleet as fleet;
 pub use homunculus_ml as ml;

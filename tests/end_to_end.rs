@@ -3,7 +3,7 @@
 
 use homunculus::core::alchemy::{Algorithm, Metric, ModelSpec, Platform};
 use homunculus::core::pipeline::{generate_with, CompilerOptions};
-use homunculus::dataplane::histogram::FlowmarkerConfig;
+use homunculus::datasets::histogram::FlowmarkerConfig;
 use homunculus::datasets::iot::IotTrafficGenerator;
 use homunculus::datasets::nslkdd::NslKddGenerator;
 use homunculus::datasets::p2p::{flowmarker_dataset, P2pTrafficGenerator};

@@ -13,11 +13,11 @@ use homunculus::core::alchemy::{Metric, ModelSpec, Platform};
 use homunculus::core::fusion::DEFAULT_OVERLAP_THRESHOLD;
 use homunculus::core::pipeline::CompilerOptions;
 use homunculus::core::schedule::ScheduleExpr;
-use homunculus::dataplane::histogram::{Flowmarker, FlowmarkerConfig};
-use homunculus::dataplane::packet::Packet;
+use homunculus::datasets::histogram::{Flowmarker, FlowmarkerConfig};
 use homunculus::datasets::iot::IotTrafficGenerator;
 use homunculus::datasets::nslkdd::NslKddGenerator;
 use homunculus::datasets::p2p::P2pTrafficGenerator;
+use homunculus::datasets::packet::Packet;
 use homunculus::ml::metrics::f1_binary;
 use homunculus::ml::mlp::MlpArchitecture;
 use homunculus::ml::tensor::Matrix;
