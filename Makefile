@@ -2,12 +2,12 @@
 
 CARGO ?= cargo
 
-.PHONY: ci fmt fmt-check clippy build test doc stress bench-smoke bench-pairs paper-smoke paper examples lint-artifacts
+.PHONY: ci fmt fmt-check clippy build test doc stress bench-smoke bench-pairs paper-smoke paper examples examples-smoke lint-artifacts
 
 # One lane per check: there is one build of the kernels (portable, no
 # cargo feature selects another), so the binary linted and tested here is
 # the binary hbench measures and a deployment serves.
-ci: fmt-check clippy build test doc stress lint-artifacts bench-smoke paper-smoke
+ci: fmt-check clippy build test doc stress lint-artifacts bench-smoke paper-smoke examples-smoke
 
 fmt:
 	$(CARGO) fmt
@@ -143,6 +143,23 @@ paper:
 
 examples:
 	$(CARGO) build --release --examples
+
+# The examples no other lane runs (lint-artifacts runs quickstart,
+# multi_app_chaining and fleet_serving), one by one under `timeout`: an
+# example that still compiles but errors at run time fails the gate.
+# Each takes a few seconds at most in release.
+examples-smoke:
+	$(CARGO) build -q --release --examples
+	@for ex in anomaly_detection botnet_detection model_fusion traffic_classification; do \
+		timeout 60 $(CARGO) run -q --release --example $$ex >/dev/null; \
+		status=$$?; \
+		if [ $$status -eq 124 ]; then \
+			echo "examples-smoke: $$ex hung (no result in 60 s)"; exit 1; \
+		elif [ $$status -ne 0 ]; then \
+			echo "examples-smoke: $$ex failed"; exit 1; \
+		fi; \
+	done
+	@echo "examples-smoke: anomaly_detection botnet_detection model_fusion traffic_classification ran clean"
 
 # The static verification gate over real artifacts: run the examples
 # that save compile artifacts (quickstart emits JSON, the chaining

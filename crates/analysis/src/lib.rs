@@ -938,8 +938,7 @@ pub fn analyze_artifact(document: &Value) -> ArtifactAnalysis {
         let bits = |field: &str| {
             fixed_point[field]
                 .as_i64()
-                .filter(|&b| b >= 0)
-                .map(|b| b as u32)
+                .and_then(|b| u32::try_from(b).ok())
         };
         let format = match (bits("int_bits"), bits("frac_bits")) {
             (Some(int_bits), Some(frac_bits)) => match FixedPoint::new(int_bits, frac_bits) {
@@ -957,7 +956,7 @@ pub fn analyze_artifact(document: &Value) -> ArtifactAnalysis {
                 analysis.artifact_diagnostics.push(Diagnostic::new(
                     DiagCode::Undecodable,
                     Some(&name),
-                    "report carries no fixed_point block".to_string(),
+                    "report carries no fixed_point block in range".to_string(),
                 ));
                 continue;
             }

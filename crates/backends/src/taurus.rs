@@ -28,7 +28,8 @@
 //! [`TaurusTarget::stages`] is the one lowering: the fixed
 //! parse/extract/argmax/deparse stage, then one [`GridStage`] per layer
 //! (SVM, KMeans, trees and forests lower to equivalent layers). The
-//! estimator sums it, and `homunculus_sim::grid` places and times it.
+//! estimator sums it into the resource bill and the timing, and the code
+//! generator emits the layers it lists.
 
 use crate::model::ModelIr;
 use crate::resources::{Performance, ResourceEstimate, ResourceVector};
@@ -235,7 +236,7 @@ impl Target for TaurusTarget {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{DnnIr, KMeansIr, SvmIr, TreeIr};
+    use crate::model::{DnnIr, ForestIr, KMeansIr, SvmIr, TreeIr};
     use crate::resources::Constraints;
     use homunculus_ml::mlp::MlpArchitecture;
     use proptest::prelude::*;
@@ -345,6 +346,91 @@ mod tests {
         let deep_tree = ModelIr::Tree(TreeIr::from_shape(40, 7, 100));
         assert!(!taurus.supports(&deep_tree));
         assert!(taurus.estimate(&deep_tree).is_err());
+    }
+
+    /// Shapes of all five families, small to oversized.
+    fn every_family() -> Vec<ModelIr> {
+        vec![
+            dnn(7, vec![16, 4], 2),
+            dnn(7, vec![10, 10, 5], 2),
+            dnn(30, vec![5, 5, 5, 5, 5, 5, 5, 5, 5, 5], 2),
+            dnn(64, vec![31], 2),
+            dnn(30, vec![64, 64], 2),
+            ModelIr::Svm(SvmIr::from_shape(7, 2)),
+            ModelIr::Svm(SvmIr::from_shape(30, 5)),
+            ModelIr::KMeans(KMeansIr::from_shape(1, 7)),
+            ModelIr::KMeans(KMeansIr::from_shape(5, 7)),
+            ModelIr::KMeans(KMeansIr::from_shape(40, 30)),
+            ModelIr::Tree(TreeIr::from_shape(4, 7, 16)),
+            ModelIr::Tree(TreeIr::from_shape(12, 30, 200)),
+            ModelIr::Tree(TreeIr::from_shape(20, 7, 100)),
+            ModelIr::Forest(ForestIr::from_shape(3, 4, 7, 16)),
+            ModelIr::Forest(ForestIr::from_shape(8, 6, 30, 64)),
+        ]
+    }
+
+    /// The grid runs at line rate exactly when the stages' units fit it.
+    #[test]
+    fn line_rate_exactly_when_the_units_fit_the_grid() {
+        let (mut fits, mut overflows) = (0, 0);
+        for rows in (4..=32).step_by(4) {
+            for cols in (4..=32).step_by(4) {
+                let taurus = TaurusTarget::new(rows, cols);
+                for model in every_family() {
+                    let Ok(stages) = taurus.stages(&model) else {
+                        continue;
+                    };
+                    let cus: usize = stages.iter().map(|s| s.cus).sum();
+                    let mus: usize = stages.iter().map(|s| s.mus).sum();
+                    let fit = cus <= taurus.cu_capacity() && mus <= taurus.mu_capacity();
+                    let ii = taurus.initiation_interval(&stages);
+                    assert_eq!(ii == 1, fit, "{rows}x{cols} {model:?}");
+                    let est = taurus.estimate(&model).unwrap();
+                    assert_eq!(est.performance.throughput_gpps, 1.0 / ii as f64);
+                    if fit {
+                        fits += 1;
+                    } else {
+                        overflows += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            fits > 0 && overflows > 0,
+            "{fits} fit, {overflows} overflow"
+        );
+        // The fixed stage's 2 CUs count: dnn(64, [31], 2) is 258 CUs on a
+        // 256-slot grid, so II 2.
+        let taurus = TaurusTarget::default();
+        let wide = taurus.stages(&dnn(64, vec![31], 2)).unwrap();
+        assert_eq!(wide.iter().map(|s| s.cus).sum::<usize>(), 258);
+        assert_eq!(taurus.initiation_interval(&wide), 2);
+    }
+
+    #[test]
+    fn stage_lists_by_family() {
+        let taurus = TaurusTarget::default();
+        let fixed = GridStage {
+            cus: 2,
+            mus: 1,
+            latency_cycles: 24,
+        };
+        // (model, stages after the fixed one)
+        for (model, layers) in [
+            (ModelIr::Svm(SvmIr::from_shape(7, 2)), 1),
+            (ModelIr::KMeans(KMeansIr::from_shape(5, 7)), 1),
+            (ModelIr::Tree(TreeIr::from_shape(4, 7, 16)), 1),
+            (ModelIr::Forest(ForestIr::from_shape(3, 4, 7, 16)), 4),
+        ] {
+            let stages = taurus.stages(&model).unwrap();
+            assert_eq!(stages[0], fixed, "{model:?}");
+            assert_eq!(stages.len(), 1 + layers, "{model:?}");
+            // Trees and forests fit the 16x16 grid.
+            assert_eq!(taurus.initiation_interval(&stages), 1, "{model:?}");
+        }
+        // The fixed 24 cycles plus a 6-cycle compare over 7 features.
+        let tree = ModelIr::Tree(TreeIr::from_shape(4, 7, 16));
+        assert_eq!(taurus.estimate(&tree).unwrap().performance.latency_ns, 30.0);
     }
 
     #[test]

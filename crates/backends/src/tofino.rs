@@ -19,8 +19,8 @@
 //! [`TofinoTarget::tables`] is the one lowering: the table list in
 //! dependency order, whose length is the MAT bill.
 //! [`TofinoTarget::stage_walk`] packs it into stages and times the walk.
-//! The estimator calls both, and `homunculus_sim::mat` allocates the same
-//! tables onto the same stages.
+//! The estimator calls both, and the P4 generator emits the tables in the
+//! same order under the same names.
 
 use crate::model::ModelIr;
 use crate::p4;
@@ -196,23 +196,27 @@ mod tests {
 
     #[test]
     fn iisy_mat_costs() {
-        // SVM: one MAT per feature + decision — the paper cites an SVM
-        // using 8 MATs; 7 features + 1 matches.
-        let svm = ModelIr::Svm(SvmIr::from_shape(7, 2));
-        assert_eq!(TofinoTarget::mat_cost(&svm), 8);
-        // KMeans: one MAT per cluster (paper: 2 tables for 2 clusters).
-        let km = ModelIr::KMeans(KMeansIr::from_shape(2, 7));
-        assert_eq!(TofinoTarget::mat_cost(&km), 2);
-        // Tree: feature tables + leaf table.
-        let tree = ModelIr::Tree(TreeIr::from_shape(3, 4, 8));
-        assert_eq!(TofinoTarget::mat_cost(&tree), 5);
-        // DNN via N2Net: 12 MATs per layer.
         let dnn = ModelIr::Dnn(DnnIr::from_architecture(&MlpArchitecture::new(
             7,
             vec![8],
             2,
         )));
-        assert_eq!(TofinoTarget::mat_cost(&dnn), 24);
+        // (model, MATs, last table in dependency order)
+        for (model, mats, last) in [
+            // SVM: one MAT per feature + decision — the paper cites an SVM
+            // using 8 MATs; 7 features + 1 matches.
+            (ModelIr::Svm(SvmIr::from_shape(7, 2)), 8, "decision"),
+            // KMeans: one MAT per cluster (paper: 2 tables for 2 clusters).
+            (ModelIr::KMeans(KMeansIr::from_shape(2, 7)), 2, "cluster_1"),
+            (ModelIr::KMeans(KMeansIr::from_shape(5, 7)), 5, "cluster_4"),
+            // Tree: feature tables + leaf table.
+            (ModelIr::Tree(TreeIr::from_shape(3, 4, 8)), 5, "leaves"),
+            // DNN via N2Net: 12 MATs per layer.
+            (dnn, 24, "bnn_layer_1_mat_11"),
+        ] {
+            assert_eq!(TofinoTarget::mat_cost(&model), mats, "{model:?}");
+            assert_eq!(TofinoTarget::tables(&model).last().unwrap(), last);
+        }
     }
 
     #[test]
@@ -231,6 +235,10 @@ mod tests {
         // A fat budget admits it.
         let big = TofinoTarget::with_mats(64);
         assert!(big.supports(&dnn));
+        // 3 layers x 12 MATs = 36: fits 48 MATs, not the default 32.
+        assert!(TofinoTarget::default().estimate(&dnn).is_err());
+        let fits = TofinoTarget::with_mats(48).estimate(&dnn).unwrap();
+        assert_eq!(fits.resources.get("mats"), 36.0);
     }
 
     #[test]
@@ -254,6 +262,43 @@ mod tests {
             .unwrap();
         assert_eq!(est.performance.throughput_gpps, 1.0);
         assert!(est.performance.latency_ns < 1_000.0);
+    }
+
+    #[test]
+    fn stage_walk_packs_four_tables_a_stage() {
+        let tofino = TofinoTarget::default();
+        // (tables, stages, latency in ns): a two-stage floor, then
+        // ceil(tables / 4).
+        for (tables, stages, latency_ns) in [
+            (1, 2, 116.0),
+            (3, 2, 116.0),
+            (8, 2, 116.0),
+            (9, 3, 149.0),
+            (36, 9, 347.0),
+        ] {
+            assert_eq!(tofino.stage_walk(tables), (stages, latency_ns), "{tables}");
+        }
+        // Stages and latency never shrink as tables are added.
+        for tables in 1..48 {
+            let (a, b) = (tofino.stage_walk(tables), tofino.stage_walk(tables + 1));
+            assert!(a.0 <= b.0 && a.1 <= b.1, "{tables}");
+        }
+        // Latency grows with stages while throughput stays at line rate.
+        let small = tofino
+            .estimate(&ModelIr::KMeans(KMeansIr::from_shape(2, 7)))
+            .unwrap();
+        let large = tofino
+            .estimate(&ModelIr::KMeans(KMeansIr::from_shape(9, 7)))
+            .unwrap();
+        assert_eq!(large.resources.get("stages"), 3.0);
+        assert!(large.performance.latency_ns > small.performance.latency_ns);
+        assert_eq!(
+            (
+                small.performance.throughput_gpps,
+                large.performance.throughput_gpps
+            ),
+            (1.0, 1.0)
+        );
     }
 
     #[test]

@@ -15,6 +15,7 @@ use homunculus_backends::fpga::FpgaTarget;
 use homunculus_backends::model::ModelIr;
 use homunculus_backends::resources::ResourceEstimate;
 use homunculus_backends::target::Target;
+use homunculus_backends::taurus::TaurusTarget;
 use homunculus_core::alchemy::{Metric, ModelSpec, Platform};
 use homunculus_core::fusion::{try_fuse, DEFAULT_OVERLAP_THRESHOLD};
 use homunculus_core::pipeline::{generate_with, CompilerOptions, ModelReport};
@@ -26,8 +27,7 @@ use homunculus_datasets::p2p::{
     averaged_class_histograms, flowmarker_dataset, mixed_partial_histogram_dataset,
     partial_histogram_dataset,
 };
-use homunculus_sim::grid::GridSimulator;
-use homunculus_sim::pktgen::reaction_time_curve;
+use homunculus_ml::metrics::f1_binary;
 
 /// What an experiment can fail with.
 pub type Result<T> = std::result::Result<T, Box<dyn std::error::Error>>;
@@ -618,6 +618,57 @@ fn humanize_ns(ns: f64) -> String {
     }
 }
 
+/// A point on a reaction-time curve: quality after observing a prefix.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct ReactionPoint {
+    /// Packets of each flow observed before predicting.
+    packets_seen: usize,
+    /// F1 at that horizon.
+    f1: f64,
+    /// Reaction time in nanoseconds: time until the verdict for the
+    /// `packets_seen`-th packet is available.
+    reaction_time_ns: f64,
+}
+
+/// Builds the reaction-time curve of the paper's §5.1.1 argument: how
+/// classification quality grows as more packets (and thus fuller partial
+/// histograms) are observed, and what that costs in reaction time.
+///
+/// `evaluate` maps a packets-seen horizon to `(y_true, y_pred)` vectors;
+/// `mean_inter_packet_gap_ns` converts horizons to waiting time.
+///
+/// # Errors
+///
+/// Fails on empty horizons or evaluation outputs.
+fn reaction_time_curve<F>(
+    horizons: &[usize],
+    mean_inter_packet_gap_ns: f64,
+    pipeline_latency_ns: f64,
+    mut evaluate: F,
+) -> Result<Vec<ReactionPoint>>
+where
+    F: FnMut(usize) -> (Vec<usize>, Vec<usize>),
+{
+    if horizons.is_empty() {
+        return Err("no horizons".into());
+    }
+    horizons
+        .iter()
+        .map(|&packets_seen| {
+            let (y_true, y_pred) = evaluate(packets_seen);
+            if y_true.is_empty() {
+                return Err("empty evaluation".into());
+            }
+            Ok(ReactionPoint {
+                packets_seen,
+                f1: f1_binary(&y_true, &y_pred)?,
+                reaction_time_ns: packets_seen.saturating_sub(1) as f64 * mean_inter_packet_gap_ns
+                    + pipeline_latency_ns,
+            })
+        })
+        .collect()
+}
+
 /// §5.1.1/§5.1.2: Homunculus and reaction time.
 ///
 /// FlowLens aggregates flowmarkers "for up to 3,600 seconds before making
@@ -640,9 +691,8 @@ pub fn reaction_time() -> Result<Vec<ShapeCheck>> {
     let best = artifact.best();
     let net = mlp_from_ir(&best.ir);
 
-    // Timing from the grid simulator.
-    let sim = GridSimulator::new(16, 16, 1.0);
-    let timing = sim.simulate(&best.ir, 10_000)?;
+    // Timing from the 16x16 grid's estimate at 1 GHz.
+    let timing = TaurusTarget::new(16, 16).estimate(&best.ir)?.performance;
     println!(
         "pipeline: {} params, latency {:.0} ns, {} GPkt/s",
         best.ir.param_count(),
@@ -766,4 +816,41 @@ pub fn ablation_bo() -> Result<Vec<ShapeCheck>> {
         reference: "BO beats random search".into(),
         holds: 2 * bo_wins > n,
     }])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn reaction_curve_improves_with_horizon() {
+        // Simulated: more packets seen => better predictions.
+        let points = reaction_time_curve(&[1, 5, 25], 1000.0, 100.0, |seen| {
+            let quality = (seen as f64 / 25.0).min(1.0);
+            let n = 100;
+            let y_true: Vec<usize> = (0..n).map(|i| i % 2).collect();
+            let y_pred: Vec<usize> = (0..n)
+                .map(|i| {
+                    if (i as f64 / n as f64) < quality {
+                        i % 2
+                    } else {
+                        1 - (i % 2)
+                    }
+                })
+                .collect();
+            (y_true, y_pred)
+        })
+        .unwrap();
+        assert_eq!(points.len(), 3);
+        assert!(points[2].f1 > points[0].f1);
+        // Reaction time grows linearly with packets waited.
+        assert_eq!(points[0].reaction_time_ns, 100.0);
+        assert_eq!(points[1].reaction_time_ns, 4.0 * 1000.0 + 100.0);
+    }
+
+    #[test]
+    fn reaction_curve_rejects_empty() {
+        assert!(reaction_time_curve(&[], 1.0, 1.0, |_| (vec![], vec![])).is_err());
+        assert!(reaction_time_curve(&[1], 1.0, 1.0, |_| (vec![], vec![])).is_err());
+    }
 }

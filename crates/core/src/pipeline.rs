@@ -299,9 +299,10 @@ impl ModelReport {
         let bits = |field: &str| {
             fixed_point[field]
                 .as_i64()
-                .filter(|&b| b >= 0)
-                .map(|b| b as u32)
-                .ok_or_else(|| CoreError::Subsystem(format!("report needs fixed_point.{field}")))
+                .and_then(|b| u32::try_from(b).ok())
+                .ok_or_else(|| {
+                    CoreError::Subsystem(format!("report needs fixed_point.{field} in range"))
+                })
         };
         let format = FixedPoint::new(bits("int_bits")?, bits("frac_bits")?)
             .map_err(|e| CoreError::Subsystem(format!("invalid fixed_point format: {e}")))?;

@@ -44,7 +44,10 @@ impl FixedPoint {
     /// Returns [`MlError::InvalidArgument`] when the total width (including
     /// the sign bit) exceeds 31 bits or `frac_bits == 0`.
     pub fn new(int_bits: u32, frac_bits: u32) -> Result<Self> {
-        if int_bits + frac_bits >= 31 {
+        if int_bits
+            .checked_add(frac_bits)
+            .map_or(true, |bits| bits >= 31)
+        {
             return Err(MlError::InvalidArgument(format!(
                 "fixed-point width {}+{}+sign exceeds 31 bits",
                 int_bits, frac_bits
@@ -388,6 +391,7 @@ mod tests {
     fn invalid_formats_rejected() {
         assert!(FixedPoint::new(16, 16).is_err());
         assert!(FixedPoint::new(3, 0).is_err());
+        assert!(FixedPoint::new(u32::MAX, 1).is_err());
         assert!(FixedPoint::new(3, 12).is_ok());
     }
 

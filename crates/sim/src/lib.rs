@@ -1,27 +1,24 @@
 #![forbid(unsafe_code)]
 //! # homunculus-sim
 //!
-//! Simulators standing in for the paper's feasibility-testing
-//! infrastructure (§3.3: "testing is done using hardware testbed platforms
-//! or cycle-accurate simulators, e.g. Tungsten for Taurus or Xilinx Vivado
-//! for FPGAs"). Neither re-derives a cost model: each holds the backend
-//! target it models and places the stages that target's estimator prices,
-//! so its timing equals the estimate and its placement is what it adds.
+//! What is left of the simulator layer, kept for two callers only: the
+//! hbench benchmark (`crates/bench/src/bin/hbench`) reads
+//! [`grid::GridSimulator::simulate`] for its `sim.grid_ns_per_pkt` reading
+//! and checks its fleet against [`pktgen::replay_path`], and
+//! `tests/fleet_determinism.rs` uses the same reference. Every other
+//! caller reads the backend target directly:
+//! [`TaurusTarget::estimate`](homunculus_backends::taurus::TaurusTarget)
+//! already prices exactly the stages a grid simulation would time.
 //!
-//! - [`grid`] — the Taurus MapReduce CGRA: places
-//!   [`TaurusTarget::stages`](homunculus_backends::taurus::TaurusTarget::stages)
-//!   onto a CU/MU grid and times a packet stream in closed form
-//!   (initiation interval, latency, throughput, utilization).
-//! - [`mat`] — the Tofino MAT pipeline: allocates
-//!   [`TofinoTarget::tables`](homunculus_backends::tofino::TofinoTarget::tables)
-//!   onto PISA stages and times the stage walk.
-//! - [`pktgen`] — a MoonGen-like traffic source plus an end-to-end
-//!   streaming evaluation harness (inference on every packet while the
-//!   timing model advances), used for the per-packet reaction-time
-//!   experiments.
+//! Both items leave, together with this crate and the facade's `sim`
+//! module, when the benchmark's own sources next change (ROADMAP item 3).
+//!
+//! - [`grid`] — closed-form timing of a packet stream through
+//!   [`TaurusTarget::stages`](homunculus_backends::taurus::TaurusTarget::stages).
+//! - [`pktgen`] — [`pktgen::replay_path`], the sequential multi-hop
+//!   reference the fleet is checked against.
 
 pub mod grid;
-pub mod mat;
 pub mod pktgen;
 
 use std::error::Error;
@@ -30,8 +27,6 @@ use std::fmt;
 /// Errors produced by the simulators.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
-    /// The model does not fit the simulated fabric.
-    DoesNotFit(String),
     /// The model/IR was invalid or unsupported by this simulator.
     Unsupported(String),
     /// Simulation parameters were degenerate.
@@ -41,7 +36,6 @@ pub enum SimError {
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SimError::DoesNotFit(msg) => write!(f, "model does not fit fabric: {msg}"),
             SimError::Unsupported(msg) => write!(f, "unsupported by simulator: {msg}"),
             SimError::InvalidConfig(msg) => write!(f, "invalid simulation config: {msg}"),
         }
@@ -60,8 +54,8 @@ mod tests {
     #[test]
     fn error_display() {
         assert_eq!(
-            SimError::DoesNotFit("x".into()).to_string(),
-            "model does not fit fabric: x"
+            SimError::InvalidConfig("x".into()).to_string(),
+            "invalid simulation config: x"
         );
     }
 

@@ -2,6 +2,8 @@
 //! Taurus switch, with the optimization trace printed as a regret plot —
 //! both live (a [`LogObserver`] streams every BO iteration and stage
 //! timing to stdout as timestamped log lines) and from the final history.
+//! It ends by classifying fresh traffic with the compiled integer
+//! pipeline, timed by the Taurus estimate of the winner.
 //!
 //! Run with: `cargo run --release --example anomaly_detection`
 
@@ -9,8 +11,8 @@ use homunculus::core::alchemy::{Algorithm, Metric, ModelSpec, Platform};
 use homunculus::core::pipeline::CompilerOptions;
 use homunculus::core::session::{Compiler, LogObserver};
 use homunculus::datasets::nslkdd::NslKddGenerator;
-use homunculus::sim::grid::GridSimulator;
-use homunculus::sim::pktgen::{LabeledSample, StreamHarness, TimingModel};
+use homunculus::ml::metrics::f1_binary;
+use homunculus::runtime::classify_rows;
 use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -86,9 +88,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("{line}");
     }
 
-    // End-to-end deployment replay: stream fresh traffic through the
+    // End-to-end deployment replay: classify fresh traffic with the
     // COMPILED integer pipeline (the fixed-point twin of the generated
-    // Spatial code), timed by the grid simulator.
+    // Spatial code); its timing is the target's estimate.
     let pipeline = best
         .compiled
         .as_ref()
@@ -98,19 +100,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fresh = NslKddGenerator::new(101)
         .generate(2_000)
         .normalized(&best.normalizer)?;
-    let stream: Vec<LabeledSample> = (0..fresh.len())
-        .map(|i| LabeledSample {
-            features: fresh.features().row(i).to_vec(),
-            label: fresh.labels()[i],
-        })
-        .collect();
-    let sim = GridSimulator::new(16, 16, 1.0);
-    let timing = sim.simulate(&best.ir, stream.len())?;
-    let harness = StreamHarness::new(TimingModel::from_grid(&timing));
-    let replay = harness.run_compiled(&stream, pipeline)?;
+    let f1 = f1_binary(fresh.labels(), &classify_rows(pipeline, fresh.features()))?;
+    let timing = &best.estimate.performance;
     println!(
-        "\ncompiled integer replay: {} pkts | F1 = {:.3} | {:.2} GPkt/s | verdict in {:.0} ns",
-        replay.packets, replay.f1, replay.achieved_gpps, replay.reaction_time_ns
+        "\ncompiled integer replay: {} pkts | F1 = {f1:.3} | {:.2} GPkt/s | verdict in {:.0} ns",
+        fresh.len(),
+        timing.throughput_gpps,
+        timing.latency_ns
     );
     Ok(())
 }

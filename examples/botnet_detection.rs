@@ -4,7 +4,10 @@
 //! Homunculus searches a model that classifies *partial* histograms after
 //! every packet, cutting reaction time to nanoseconds. This example
 //! trains on full flowmarkers, evaluates on partial ones, and prints the
-//! reaction-time curve.
+//! reaction-time curve: F1 after `seen` packets, against the time to that
+//! verdict, `(seen - 1)` mean inter-packet gaps plus the pipeline latency
+//! the Taurus estimate gives. It ends by classifying partial histograms
+//! with the compiled integer pipeline, against the float model.
 //!
 //! Run with: `cargo run --release --example botnet_detection`
 
@@ -16,8 +19,7 @@ use homunculus::datasets::p2p::{
     flowmarker_dataset, partial_histogram_dataset, P2pTrafficGenerator,
 };
 use homunculus::ml::metrics::f1_binary;
-use homunculus::sim::grid::GridSimulator;
-use homunculus::sim::pktgen::{reaction_time_curve, LabeledSample, StreamHarness, TimingModel};
+use homunculus::runtime::classify_rows;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 30-bin reduced flowmarkers (23 PL + 7 IPT), as in the paper.
@@ -66,38 +68,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // training pass; partial histograms go through the same preprocessing.
     let norm = best.normalizer.clone();
 
-    let sim = GridSimulator::new(16, 16, 1.0);
-    let timing = sim.simulate(&best.ir, 1_000)?;
+    let timing = &best.estimate.performance;
     let mean_gap_ns = mean_inter_packet_gap_ns(&test_flows);
 
     println!("\npackets-seen  F1(partial)  reaction-time");
-    let horizons = [1usize, 2, 5, 10, 20, 40];
-    let points = reaction_time_curve(&horizons, mean_gap_ns, timing.latency_ns, |seen| {
-        let partial = partial_histogram_dataset(&test_flows, config, seen);
-        let normalized = partial.normalized(&norm).expect("same schema");
-        let pred: Vec<usize> = (0..normalized.len())
-            .map(|i| {
-                net.predict_row(normalized.features().row(i))
-                    .expect("dimensions match")
-            })
-            .collect();
-        (normalized.labels().to_vec(), pred)
-    })?;
-    for p in &points {
-        println!(
-            "{:11}  {:.4}      {}",
-            p.packets_seen,
-            p.f1,
-            humanize_ns(p.reaction_time_ns)
-        );
+    for seen in [1usize, 2, 5, 10, 20, 40] {
+        let partial = partial_histogram_dataset(&test_flows, config, seen).normalized(&norm)?;
+        let f1 = f1_binary(partial.labels(), &predict(&net, partial.features()))?;
+        let reaction_ns = (seen - 1) as f64 * mean_gap_ns + timing.latency_ns;
+        println!("{seen:11}  {f1:.4}      {}", humanize_ns(reaction_ns));
     }
 
     // The per-flow (full histogram) alternative waits for the whole flow.
     let full_test = flowmarker_dataset(&test_flows, config).normalized(&norm)?;
-    let pred: Vec<usize> = (0..full_test.len())
-        .map(|i| net.predict_row(full_test.features().row(i)).unwrap())
-        .collect();
-    let full_f1 = f1_binary(full_test.labels(), &pred)?;
+    let full_f1 = f1_binary(full_test.labels(), &predict(&net, full_test.features()))?;
     let mean_duration_s: f64 =
         test_flows.iter().map(|f| f.duration_seconds()).sum::<f64>() / test_flows.len() as f64;
     println!(
@@ -110,28 +94,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         151 / config.total_bins()
     );
 
-    // Deployment replay: per-packet partial histograms streamed through
+    // Deployment replay: per-packet partial histograms classified by
     // the COMPILED integer pipeline (the fixed-point arithmetic the
-    // switch actually executes), against the float oracle.
+    // switch actually executes), against the float model.
     let pipeline = best
         .compiled
         .as_ref()
         .expect("trained winner lowers to the integer runtime");
     let partial = partial_histogram_dataset(&test_flows, config, 4).normalized(&norm)?;
-    let stream: Vec<LabeledSample> = (0..partial.len())
-        .map(|i| LabeledSample {
-            features: partial.features().row(i).to_vec(),
-            label: partial.labels()[i],
-        })
-        .collect();
-    let harness = StreamHarness::new(TimingModel::from_grid(&timing));
-    let replay = harness.run_compiled(&stream, pipeline)?;
-    let float_replay = harness.run(&stream, |f| net.predict_row(f).expect("dims match"))?;
+    let compiled_f1 = f1_binary(
+        partial.labels(),
+        &classify_rows(pipeline, partial.features()),
+    )?;
+    let float_f1 = f1_binary(partial.labels(), &predict(&net, partial.features()))?;
     println!(
-        "\ncompiled integer replay @4 pkts seen: F1 = {:.4} (float oracle {:.4}), {:.2} GPkt/s",
-        replay.f1, float_replay.f1, replay.achieved_gpps
+        "\ncompiled integer replay @4 pkts seen: F1 = {compiled_f1:.4} (float oracle {float_f1:.4}), {:.2} GPkt/s",
+        timing.throughput_gpps
     );
     Ok(())
+}
+
+/// The float model's verdict on every row.
+fn predict(net: &homunculus::ml::mlp::Mlp, x: &homunculus::ml::tensor::Matrix) -> Vec<usize> {
+    x.iter_rows()
+        .map(|row| net.predict_row(row).expect("dimensions match"))
+        .collect()
 }
 
 /// Rebuilds an executable MLP from the compiled IR.

@@ -35,8 +35,9 @@
 //!   artifact linter with stable `HA`-prefixed diagnostic codes, exposed
 //!   as the `homunculus-analyze` CLI, an opt-in compile-session gate, and
 //!   a validation hook on artifact loads.
-//! - [`sim`] — placement and stream timing on the MapReduce grid and the
-//!   MAT pipeline, over the stages the `backends` estimators price.
+//! - [`sim`] — kept for the benchmark and the fleet test only: closed-form
+//!   grid timing equal to the Taurus estimate, and the sequential
+//!   multi-hop replay the fleet is checked against.
 //! - [`fleet`] — fleet-scale serving: deterministic fat-tree/leaf–spine
 //!   topology generation, one persistent deployment per fabric whose
 //!   tenants are the role-placed `(switch, model)` pairs, a pipelined

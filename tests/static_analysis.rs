@@ -364,6 +364,21 @@ fn corrupt_and_mutated_artifacts_fail_the_cli_with_exact_codes() {
     assert_eq!(code, 1);
     assert!(out.contains("HA0000"), "missing HA0000 in:\n{out}");
 
+    // HA0000 + refused load: a fixed-point width past u32, which a
+    // narrowing cast would read as frac_bits = 12.
+    let mut doc = artifact().to_json();
+    {
+        let report = elem_mut(field_mut(&mut doc, "reports"), 0);
+        *field_mut(field_mut(report, "fixed_point"), "frac_bits") = json!((1u64 << 32) + 12);
+    }
+    let text = serde_json::to_string_pretty(&doc).unwrap();
+    let wide = tmp_path("wide_format.artifact.json");
+    std::fs::write(&wide, &text).unwrap();
+    let (code, out) = run_cli(&[wide.to_str().unwrap()]);
+    assert_eq!(code, 1);
+    assert!(out.contains("HA0000"), "missing HA0000 in:\n{out}");
+    CompiledArtifact::from_json_str(&text).unwrap_err();
+
     // HA0003 + refused load: a bias value surgically removed from the
     // trained IR. The load hook must refuse what the CLI flags.
     let mut doc = artifact().to_json();
