@@ -42,24 +42,30 @@ doc:
 	RUSTDOCFLAGS="-D warnings" $(CARGO) doc -q --no-deps --workspace \
 		--exclude serde_json --exclude rand --exclude proptest
 
-# Repeated release-mode runs of the two suites that saturate the
-# deployment ingress (`ingress_stress`: multi-producer hammer,
-# cancellation/drain races, saturated-admission deadlines, windowed-floor
-# property; `serving_isolation`: eight producers behind a two-ticket
-# depth). The ingress is a mutex and two condition variables, so its
-# failure mode is a wake-up that is never sent: a run that *hangs*, not
-# one that fails, and only under an interleaving one run may not meet.
-# Hence STRESS_RUNS consecutive passes, each under `timeout` so that a
-# hung run fails the gate instead of holding it until the CI runner's
-# own limit. The suites take well under a second per iteration; the test
-# binaries are built first, outside the limit.
+# Repeated release-mode runs of the suites that saturate the deployment
+# ingress (`ingress_stress`: multi-producer hammer, cancellation/drain
+# races, saturated-admission deadlines, windowed-floor property;
+# `serving_isolation`: eight producers behind a two-ticket depth), of
+# `deployment_lifecycle`, and of the `homunculus-runtime` `deploy::` unit
+# tests, which pin the individual wake edges (a blocked submit admitted
+# when the budget frees, shutdown releasing a blocked submit, parked
+# workers woken by resume). The ingress is a mutex and two condition
+# variables, so its failure mode is a wake-up that is never sent: a run
+# that *hangs*, not one that fails, and only under an interleaving one
+# run may not meet. Hence STRESS_RUNS consecutive passes, each under
+# `timeout` so that a hung run fails the gate instead of holding it until
+# the CI runner's own limit. The suites take well under a second per
+# iteration; the test binaries are built first, outside the limit.
 STRESS_RUNS ?= 25
-STRESS_SUITES = --test ingress_stress --test serving_isolation
+STRESS_SUITES = --test ingress_stress --test serving_isolation --test deployment_lifecycle
 
 stress:
 	$(CARGO) test -q --release $(STRESS_SUITES) --no-run
+	$(CARGO) test -q --release -p homunculus-runtime --lib --no-run
 	@for i in $$(seq 0 $(STRESS_RUNS)); do \
-		timeout 120 $(CARGO) test -q --release $(STRESS_SUITES) >/dev/null 2>&1; \
+		timeout 120 $(CARGO) test -q --release $(STRESS_SUITES) >/dev/null 2>&1 && \
+		timeout 120 $(CARGO) test -q --release -p homunculus-runtime --lib deploy:: \
+			>/dev/null 2>&1; \
 		status=$$?; \
 		if [ $$status -eq 124 ]; then \
 			echo "stress: run $$i hung (no result in 120 s)"; exit 1; \

@@ -7,72 +7,57 @@
 //! batch. This module is that model's software twin and the runtime's one
 //! serving frontend:
 //!
-//! - a [`Deployment`] owns **resident worker threads** and one
-//!   `Mutex<Scheduler>`: the per-tenant lanes of admitted tickets, the
-//!   admission gauges and the open/paused flags all live behind it, and
-//!   two condition variables on it are the only way a thread waits (see
-//!   *The ingress monitor* below);
+//! - a [`Deployment`] owns **resident worker threads** fed by one
+//!   monitor (*The ingress monitor* below);
 //! - the chunk is the unit of everything a worker does — dispatch,
 //!   fairness, cancellation, panic isolation, classification (one call
-//!   into the 32-row block walk of [`crate::batch`]), timing (one clock
-//!   pair) and stats (one latency sample: service time per row). A lane
-//!   holds whole tickets; the scheduler carves the next
-//!   [`chunk_rows`](DeploymentBuilder::chunk_rows) range off the front
-//!   ticket at dispatch, so a lane is never longer than admission let in;
-//! - [`Deployment::submit`] is non-blocking with respect to completion: it
-//!   queues a [`TenantBatch`] on the tenant's lane and hands back a
-//!   [`Ticket`] whose [`wait`](Ticket::wait) yields the batch's
-//!   [`Verdicts`]. Admission is row-aware
-//!   ([`max_queued_rows`](DeploymentBuilder::max_queued_rows)) on top of
-//!   the ticket-depth bound, a blocked submitter sleeps until room frees
-//!   or its optional
-//!   [`submit_deadline`](DeploymentBuilder::submit_deadline) passes, and
-//!   an accepted ticket can be [cancelled](Ticket::cancel) to skip its
-//!   not-yet-classified chunks;
-//! - tenants can be added and removed **at runtime**
+//!   into the 32-row block walk of [`crate::batch`]), timing and stats. A
+//!   lane holds whole tickets, and dispatch carves the next
+//!   [`chunk_rows`](DeploymentBuilder::chunk_rows) off the front one;
+//! - [`Deployment::submit`] queues a [`TenantBatch`] and hands back a
+//!   [`Ticket`] whose [`wait`](Ticket::wait) yields its [`Verdicts`];
+//!   admission bounds tickets and rows in flight, and an accepted ticket
+//!   can be [cancelled](Ticket::cancel);
+//! - tenants are added and removed **at runtime**
 //!   ([`add_tenant`](Deployment::add_tenant) /
-//!   [`remove_tenant`](Deployment::remove_tenant)) without stopping the
-//!   workers;
-//! - each tenant carries a [`SchedulePolicy`]: plain round-robin, or a
-//!   weighted share with an optional **minimum-share floor** — the paper's
-//!   per-model throughput guarantees — enforced by deficit-weighted
-//!   (stride) dispatch at chunk granularity. Floors are accounted over a
-//!   **decaying window**
-//!   ([`fairness_window_rows`](DeploymentBuilder::fairness_window_rows)),
-//!   not cumulatively since launch, so a tenant that joins late (or idles
-//!   through an epoch) is owed at most one window of catch-up instead of
-//!   the deployment's entire history;
-//! - [`stats_snapshot`](Deployment::stats_snapshot) exposes live
-//!   per-tenant counters, cumulative and windowed shares while the
-//!   deployment runs;
+//!   [`remove_tenant`](Deployment::remove_tenant)), and
+//!   [`stats_snapshot`](Deployment::stats_snapshot) reads live counters;
+//! - each tenant carries a [`SchedulePolicy`]: round-robin, or a weighted
+//!   share with an optional **minimum-share floor** — the paper's
+//!   per-model throughput guarantees — accounted over a **decaying
+//!   window** ([`fairness_window_rows`](DeploymentBuilder::fairness_window_rows)),
+//!   so a late joiner is owed at most one window of catch-up;
 //! - [`drain`](Deployment::drain) and [`shutdown`](Deployment::shutdown)
-//!   are graceful: every already-accepted ticket completes, and only new
-//!   submissions are refused.
+//!   complete every accepted ticket; shutdown refuses new ones.
 //!
 //! # The ingress monitor
 //!
-//! Every chunk crossed the scheduler mutex already (to be picked), so that
-//! mutex is the whole ingress: a submitter takes it once to pass both
-//! admission gates and queue its ticket, a worker takes it once per chunk
-//! to pop, and once more when a chunk completes its ticket. Two condition
-//! variables hang off it, and each names one reason to wait:
+//! One `Mutex<Scheduler>` is the whole ingress, and `Scheduler` is the
+//! only code that changes it: each transition is one method that returns
+//! the `Wake` it owes, and `Shared::wake`, the one place either condvar is
+//! signalled, sends it once the lock is released. An idle worker sleeps on
+//! `work` until `dispatch` yields a chunk or the exit; a blocked
+//! [`submit`](Deployment::submit) sleeps on `room` until `admit` takes its
+//! ticket or refuses it `Closed`, and [`drain`](Deployment::drain) until no
+//! ticket is in flight.
 //!
-//! | condvar | who waits, and for what | who signals |
+//! | transition (caller) | `work` | `room` |
 //! |---|---|---|
-//! | `work` | an idle worker, until `!paused` and a lane is backlogged, or the deployment is closed and empty (exit) | a `submit` that finds `idle_workers > 0` on a running deployment (`notify_one` for a one-chunk ticket, `notify_all` otherwise); [`resume`](Deployment::resume); [`shutdown`](Deployment::shutdown); the completion that empties a closed deployment |
-//! | `room` | a blocked [`submit`](Deployment::submit), until both gates admit it or the deployment closes; [`drain`](Deployment::drain), until no ticket is in flight | a completing ticket (ticket depth frees); a dispatch, when a row budget is configured (the budget frees at *dispatch*, not completion); [`shutdown`](Deployment::shutdown) — the first two only when `room_waiters > 0` |
+//! | `admit` ([`submit`](Deployment::submit), [`try_submit`](Deployment::try_submit)) | `One` for a one-chunk ticket, `All` otherwise — only when running with `idle_workers > 0` | — |
+//! | `dispatch` (a worker) | — | when a row budget is set and `room_waiters > 0`: the budget frees at *dispatch*, not completion |
+//! | `complete` (a ticket's last chunk) | `All` when it empties a closed deployment with `idle_workers > 0` | when `room_waiters > 0` |
+//! | `resume` ([`resume`](Deployment::resume), [`drain`](Deployment::drain)) | `All` | — |
+//! | `close` ([`shutdown`](Deployment::shutdown)) | `All` | always |
 //!
-//! **No wake-up can be lost, by construction:** every field a waiter's
-//! predicate reads (`open`, `paused`, the lane queues, `in_flight_tickets`,
-//! `queued_rows`) is written only under the mutex; a waiter re-checks its
-//! predicate under the mutex and `Condvar::wait` releases it atomically
-//! with going to sleep; and every critical section that can turn a
-//! predicate true decides its notification before unlocking. So a waiter
-//! either sees the new state and does not sleep, or was already asleep
-//! when the writer took the lock and is notified. The `idle_workers` /
-//! `room_waiters` counts (kept under the same mutex) only suppress
-//! notifications nobody would receive. Spurious wake-ups are harmless:
-//! each wait is a `while` loop over its predicate.
+//! **No wake-up can be lost:** every field a waiter's predicate reads is
+//! written only by a transition, under the mutex; a waiter re-checks its
+//! predicate under the mutex, and `Condvar::wait` releases it atomically
+//! with going to sleep; a transition that can turn a predicate true
+//! returns the wake `Shared::wake` then sends. So a waiter either sees the
+//! new state, or was asleep when the transition ran and is woken. The
+//! `idle_workers` / `room_waiters` gauges, kept around each wait, only
+//! suppress wakes nobody would receive, and each wait loops over its
+//! predicate, so spurious wake-ups are harmless.
 //!
 //! Lock order: `registry` → `sched`, and a ticket's own lock → `sched`
 //! (a completing chunk settles the deployment's counters before the ticket
@@ -82,34 +67,20 @@
 //! entries, so state a panicking holder leaves behind is still a valid
 //! scheduler, and a panic can cost a ticket but never wedge the pool.
 //!
-//! **Nothing polls, and there is no spin phase.** The ingress this
-//! replaced (lock-free rings, a descriptor slab, a spin → yield → sleep
-//! ladder) polled; its shortest sleep measured 70 µs on the 2-vCPU
-//! reference host, which *was* the trickle latency. Waking on the event
-//! instead, hbench `deploy_trickle` p50 reads 47 → 24 µs and
-//! `fleet_fabric` +17 % pkt/s, with `deploy_bulk` unchanged within its
-//! spread (a 512-row chunk is ~50 µs of kernel between lock crossings).
-//! The price is named: a submit that finds the worker parked pays the
-//! futex wake the timer used to hide (`submit_us_p50` 1 → 10 µs in that
-//! VM), which at 40 000 tickets/s thins the submitter's headroom when the
-//! host is contended. A prototype that watched an epoch counter for 50 µs
-//! before parking cut trickle p50 to 3.8 µs but cost +29 % `setup_s` on
-//! the same host (the spinner holds the second vCPU), so it is not done
-//! here.
+//! **Nothing polls, and there is no spin phase.** Waking on the event
+//! instead of a timer took hbench `deploy_trickle` p50 from 47 to 24 µs
+//! (2 vCPUs), for a futex wake per submit that finds a worker parked. A
+//! 50 µs spin before parking cut p50 to 3.8 µs but cost +29 % `setup_s`.
 //!
 //! # Determinism contract
 //!
 //! Verdicts stay **bit-wise deterministic**: every chunk writes into
-//! pre-assigned slots of its ticket, so worker scheduling can change
-//! timing but never result bytes — for a fixed submission sequence the
+//! pre-assigned slots of its ticket, so for a fixed submission sequence the
 //! verdict vectors are identical under any worker count or queue depth
-//! (`tests/golden_determinism.rs` pins this). The dispatch *order* is
-//! produced by the one scheduler, and its pick sequence is a pure function
-//! of lane state: under a staged backlog (paused, then resumed) the
-//! recorded dispatch log is identical for any worker count. Under live
-//! concurrent submission the interleaving of *admissions* is racy as in
-//! any multi-producer system — determinism is per submission sequence, not
-//! per wall clock.
+//! (`tests/golden_determinism.rs` pins this). The scheduler's pick
+//! sequence is a pure function of lane state, so under a staged backlog
+//! (paused, then resumed) the dispatch log is identical for any worker
+//! count; under live submission the order of *admissions* is racy.
 
 use crate::histogram::LatencyHistogram;
 use crate::lut::LutCache;
@@ -215,11 +186,9 @@ struct TenantEntry {
     accum: Mutex<TenantAccum>,
 }
 
-/// Running per-tenant counters, merged across every completed chunk.
-/// Each chunk folds one latency sample (its service time per row) into a
-/// fixed-size log-bucketed [`LatencyHistogram`] rather than a list of raw
-/// samples, so an always-on deployment's stats memory is bounded (p50/p99
-/// stay within one bucket width of the raw-sample percentiles).
+/// Running per-tenant counters, merged across every completed chunk. Each
+/// chunk folds its service time per row into a fixed-size
+/// [`LatencyHistogram`], so an always-on deployment's stats are bounded.
 #[derive(Debug, Default)]
 struct TenantAccum {
     packets: usize,
@@ -290,11 +259,10 @@ impl Lane {
     }
 }
 
-/// The state of the ingress monitor (see the module docs): the lanes, the
+/// The state of the ingress monitor (module docs): the lanes, the
 /// dispatcher's accounting, and every flag, gauge and counter a waiter's
-/// predicate or an admission decision reads. Because every pick is a pure
-/// function of lane state (never of which worker runs it), the dispatch
-/// sequence over a staged backlog is identical under any worker count.
+/// predicate or an admission decision reads. Every pick is a pure function
+/// of lane state, never of which worker runs it.
 #[derive(Default)]
 struct Scheduler {
     /// Per-tenant lanes, index-aligned with the registry.
@@ -318,6 +286,10 @@ struct Scheduler {
     in_flight_tickets: usize,
     /// Rows admitted but not yet dispatched — the row-budget gauge.
     queued_rows: u64,
+    /// The two admission bounds: tickets in flight, and queued rows
+    /// (`0` = no row budget).
+    queue_depth: usize,
+    max_queued_rows: u64,
     /// Workers asleep on `work`, and submitters plus drainers asleep on
     /// `room`: a signal is skipped when nobody would receive it.
     idle_workers: usize,
@@ -327,15 +299,129 @@ struct Scheduler {
     cancelled_tickets: u64,
 }
 
+/// Which sleepers a [`Scheduler`] transition must wake (`Shared::wake`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Wake {
+    work: Notify,
+    room: bool,
+}
+
+impl Wake {
+    fn new(work: Notify, room: bool) -> Self {
+        Wake { work, room }
+    }
+}
+
+/// How many of the workers asleep on `work` a transition wakes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Notify {
+    None,
+    One,
+    All,
+}
+
+/// The reason [`Scheduler::admit`] refused a ticket.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Refusal {
+    Closed,
+    Depth,
+    Budget,
+}
+
+/// [`Scheduler::admit`]'s verdict: the wake, or the refused ticket back.
+type Admission = std::result::Result<Wake, (Refusal, Queued)>;
+
+/// A worker's next step, from [`Scheduler::dispatch`].
+#[derive(Debug)]
+enum Dispatch {
+    Chunk(Chunk, Wake),
+    Idle,
+    Exit,
+}
+
 impl Scheduler {
-    fn new(window_rows: u64, record_dispatch: bool, paused: bool) -> Self {
+    fn new(config: &DeploymentBuilder) -> Self {
         Scheduler {
-            window_rows,
-            dispatch_log: record_dispatch.then(Vec::new),
+            window_rows: config.fairness_window_rows,
+            dispatch_log: config.record_dispatch.then(Vec::new),
             open: true,
-            paused,
+            paused: config.paused,
+            queue_depth: config.queue_depth.max(1),
+            max_queued_rows: config.max_queued_rows,
             ..Scheduler::default()
         }
+    }
+
+    /// Queues `queued` on `lane` if both gates — ticket depth and the row
+    /// budget — admit it, or hands it back refused, with nothing to roll
+    /// back. An empty ticket meets only the `Closed` check: it is complete
+    /// already and takes no queue depth.
+    fn admit(&mut self, lane: usize, queued: Queued) -> Admission {
+        let rows = queued.job.features.rows() as u64;
+        if !self.open {
+            return Err((Refusal::Closed, queued));
+        }
+        if rows == 0 {
+            return Ok(Wake::new(Notify::None, false));
+        }
+        if self.in_flight_tickets >= self.queue_depth {
+            return Err((Refusal::Depth, queued));
+        }
+        // An oversize batch is admitted whenever the lanes are empty so it
+        // cannot starve forever.
+        if self.max_queued_rows > 0
+            && self.queued_rows > 0
+            && self.queued_rows + rows > self.max_queued_rows
+        {
+            return Err((Refusal::Budget, queued));
+        }
+        let one_chunk = rows <= queued.chunk as u64;
+        self.in_flight_tickets += 1;
+        self.queued_rows += rows;
+        self.submitted_tickets += 1;
+        let lane = &mut self.lanes[lane];
+        lane.queued_rows += rows;
+        lane.queue.push_back(queued);
+        // One chunk occupies one worker; a ticket of several is worth
+        // every idle one.
+        let work = match (!self.paused && self.idle_workers > 0, one_chunk) {
+            (false, _) => Notify::None,
+            (true, true) => Notify::One,
+            (true, false) => Notify::All,
+        };
+        Ok(Wake::new(work, false))
+    }
+
+    /// A ticket's last chunk finished: its depth frees for `room`, and the
+    /// last ticket of a closed deployment releases sleeping workers to exit.
+    fn complete(&mut self, cancelled: bool) -> Wake {
+        self.completed_tickets += 1;
+        self.cancelled_tickets += u64::from(cancelled);
+        self.in_flight_tickets -= 1;
+        let exit = !self.open && self.in_flight_tickets == 0 && self.idle_workers > 0;
+        let work = if exit { Notify::All } else { Notify::None };
+        Wake::new(work, self.room_waiters > 0)
+    }
+
+    fn resume(&mut self) -> Wake {
+        self.paused = false;
+        Wake::new(Notify::All, false)
+    }
+
+    /// Blocked submitters leave refused; idle workers re-check their exit.
+    fn close(&mut self) -> Wake {
+        self.open = false;
+        Wake::new(Notify::All, true)
+    }
+
+    /// A new tenant's lane joins at the frontier; being empty, it wakes nobody.
+    fn add_lane(&mut self, policy: SchedulePolicy) {
+        let join_vt = if self.current_vt.is_finite() {
+            self.current_vt
+        } else {
+            0.0
+        };
+        self.lanes.push(Lane::new(policy, join_vt));
     }
 
     /// Windowed (or cumulative, when decay is off) totals the floor pass
@@ -356,10 +442,6 @@ impl Scheduler {
     ///    (lowest `share / min_share`) wins.
     /// 2. **Stride pass** — otherwise the backlogged lane with the lowest
     ///    virtual time wins; ties go to the lowest index.
-    ///
-    /// Both passes are deterministic functions of dispatch history, so
-    /// under a backlogged queue the dispatch *sequence* is identical no
-    /// matter how many workers pull from it.
     fn pick_lane(&self) -> Option<usize> {
         let mut floor_pick: Option<(usize, f64)> = None;
         for (index, lane) in self.lanes.iter().enumerate() {
@@ -393,21 +475,30 @@ impl Scheduler {
         pick.map(|(index, _)| index)
     }
 
-    /// Carves the next chunk off the lane the scheduling policy picks,
-    /// updating dispatch accounting; `None` when every lane is empty.
-    fn pop_next(&mut self) -> Option<Chunk> {
+    /// Unless paused, carves the next chunk off the lane the policy picks;
+    /// else the worker idles, or exits once closed with nothing in flight
+    /// (admission shares the lock: no chunk appears after the last exit).
+    fn dispatch(&mut self) -> Dispatch {
         // Idle/rejoin scan: a lane the scheduler last saw empty rejoins
         // the virtual-time frontier when it becomes backlogged again.
-        for lane in &mut self.lanes {
-            let backlogged = !lane.queue.is_empty();
-            if lane.idle && backlogged {
-                lane.vt = lane.vt.max(self.current_vt);
-                lane.idle = false;
-            } else if !lane.idle && !backlogged {
-                lane.idle = true;
+        if !self.paused {
+            for lane in &mut self.lanes {
+                let backlogged = !lane.queue.is_empty();
+                if lane.idle && backlogged {
+                    lane.vt = lane.vt.max(self.current_vt);
+                    lane.idle = false;
+                } else if !lane.idle && !backlogged {
+                    lane.idle = true;
+                }
             }
         }
-        let index = self.pick_lane()?;
+        let Some(index) = self.pick_lane().filter(|_| !self.paused) else {
+            return if !self.open && self.in_flight_tickets == 0 {
+                Dispatch::Exit
+            } else {
+                Dispatch::Idle
+            };
+        };
         // The fair frontier newly-(re)joining lanes jump to is the
         // *minimum* backlogged virtual time, not the picked lane's: a
         // floor-pass pick can come from a tiny-weight lane whose vt is
@@ -426,6 +517,7 @@ impl Scheduler {
         let start = front.next_row;
         let rows = front.chunk.min(front.job.features.rows() - start);
         front.next_row += rows;
+        let taken = rows as u64;
         let job = if front.next_row == front.job.features.rows() {
             // The last chunk takes the ticket's handles with it.
             lane.queue.pop_front().expect("front exists").job
@@ -433,14 +525,13 @@ impl Scheduler {
             front.job.clone()
         };
 
-        let rows = rows as u64;
-        lane.queued_rows -= rows;
-        lane.served_rows += rows;
-        lane.win_served += rows;
-        lane.vt += rows.max(1) as f64 / lane.weight;
-        self.queued_rows -= rows;
-        self.total_served_rows += rows;
-        self.win_total += rows;
+        lane.queued_rows -= taken;
+        lane.served_rows += taken;
+        lane.win_served += taken;
+        lane.vt += taken.max(1) as f64 / lane.weight;
+        self.queued_rows -= taken;
+        self.total_served_rows += taken;
+        self.win_total += taken;
         if self.window_rows > 0 && self.win_total >= self.window_rows {
             // Decay: halve every windowed counter. Shares are
             // preserved across the boundary while old history loses
@@ -452,13 +543,12 @@ impl Scheduler {
             }
         }
         if let Some(log) = &mut self.dispatch_log {
-            log.push((index, rows as usize));
+            log.push((index, rows));
         }
-        Some(Chunk {
-            job,
-            start,
-            rows: rows as usize,
-        })
+        // The row budget frees at dispatch, so a submitter it holds is
+        // told now, not at ticket completion.
+        let room = self.max_queued_rows > 0 && self.room_waiters > 0;
+        Dispatch::Chunk(Chunk { job, start, rows }, Wake::new(Notify::None, room))
     }
 }
 
@@ -476,8 +566,8 @@ struct TicketState {
 #[derive(Debug)]
 struct TicketInner {
     verdicts: Vec<usize>,
+    /// Chunks not yet completed; the ticket is done at 0.
     remaining_items: usize,
-    done: bool,
     /// Rows whose classification was skipped by [`Ticket::cancel`]; their
     /// verdict slots hold 0.
     cancelled_rows: usize,
@@ -509,7 +599,12 @@ impl Ticket {
 
     /// Whether every verdict slot has been filled (never blocks).
     pub fn is_done(&self) -> bool {
-        self.state.inner.lock().expect("ticket poisoned").done
+        self.state
+            .inner
+            .lock()
+            .expect("ticket poisoned")
+            .remaining_items
+            == 0
     }
 
     /// Requests best-effort cancellation: chunks not yet classified when a
@@ -544,7 +639,7 @@ impl Ticket {
     /// scoped-thread join would have propagated.
     pub fn wait(self) -> Verdicts {
         let mut inner = self.state.inner.lock().expect("ticket poisoned");
-        while !inner.done {
+        while inner.remaining_items > 0 {
             inner = self.state.done.wait(inner).expect("ticket poisoned");
         }
         if let Some(message) = &inner.panicked {
@@ -626,11 +721,8 @@ struct Slot {
 struct Shared {
     tag: u32,
     workers: usize,
-    queue_depth: usize,
     chunk_rows: usize,
-    max_queued_rows: u64,
     submit_deadline: Option<Duration>,
-    default_policy: SchedulePolicy,
     registry: RwLock<Vec<Slot>>,
     luts: LutCache,
     sched: Mutex<Scheduler>,
@@ -647,6 +739,25 @@ impl Shared {
     /// serve from, and refusing the lock would strand every waiter.
     fn sched(&self) -> MutexGuard<'_, Scheduler> {
         self.sched.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Sends a transition's wake; called with the scheduler lock released.
+    /// The only place either condvar is signalled.
+    fn wake(&self, wake: Wake) {
+        if wake.room {
+            self.room.notify_all();
+        }
+        match wake.work {
+            Notify::None => {}
+            Notify::One => self.work.notify_one(),
+            Notify::All => self.work.notify_all(),
+        }
+    }
+
+    /// Runs one transition under the lock, then sends its wake.
+    fn apply(&self, transition: impl FnOnce(&mut Scheduler) -> Wake) {
+        let wake = transition(&mut self.sched());
+        self.wake(wake);
     }
 
     /// Sleeps on `room`, for at most `limit` when one is given, counted in
@@ -678,37 +789,26 @@ fn worker_loop(shared: &Shared) {
     let mut scratch = Scratch::new();
     let mut verdicts: Vec<usize> = Vec::new();
     loop {
-        let (chunk, tell_room) = {
-            let mut sched = shared.sched();
-            loop {
-                if !sched.paused {
-                    if let Some(chunk) = sched.pop_next() {
-                        // The row budget frees at dispatch, so a submitter
-                        // it holds is told now, not at ticket completion.
-                        break (chunk, shared.max_queued_rows > 0 && sched.room_waiters > 0);
-                    }
+        let mut sched = shared.sched();
+        let (chunk, wake) = loop {
+            match sched.dispatch() {
+                Dispatch::Chunk(chunk, wake) => break (chunk, wake),
+                Dispatch::Exit => return,
+                Dispatch::Idle => {
+                    sched.idle_workers += 1;
+                    sched = shared
+                        .work
+                        .wait(sched)
+                        .unwrap_or_else(PoisonError::into_inner);
+                    sched.idle_workers -= 1;
                 }
-                // Exit only when the ingress is closed AND no ticket is
-                // in flight: admission and this check share the lock, so
-                // no chunk can appear after the last worker leaves.
-                if !sched.open && sched.in_flight_tickets == 0 {
-                    return;
-                }
-                sched.idle_workers += 1;
-                sched = shared
-                    .work
-                    .wait(sched)
-                    .unwrap_or_else(PoisonError::into_inner);
-                sched.idle_workers -= 1;
             }
         };
-        if tell_room {
-            shared.room.notify_all();
-        }
+        drop(sched);
+        shared.wake(wake);
         if !process_chunk(shared, chunk, &mut scratch, &mut verdicts) {
-            // A classify panic may have left the reusable buffers in
-            // an arbitrary (but memory-safe) state; start the next
-            // chunk clean.
+            // A classify panic may have left the reusable buffers in an
+            // arbitrary (but memory-safe) state; start the next chunk clean.
             scratch = Scratch::new();
         }
     }
@@ -728,8 +828,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 /// Classifies one chunk with one call into the chunk walk and publishes
 /// its verdicts + stats. Returns `false` when that call panicked — the
 /// ticket still completes (carrying the panic for [`Ticket::wait`] to
-/// re-raise), so a model bug can never wedge
-/// `drain()`/`shutdown()`/`Drop`.
+/// re-raise), so a model bug can never wedge `drain`/`shutdown`/`Drop`.
 fn process_chunk(
     shared: &Shared,
     chunk: Chunk,
@@ -806,32 +905,13 @@ fn process_chunk(
     if inner.remaining_items > 0 {
         return ok;
     }
-    inner.done = true;
     // The deployment's counters settle *before* the ticket lock
     // releases: anyone returning from `Ticket::wait` observes counters
     // and an in-flight gauge that already account for this ticket.
-    let (tell_room, tell_work) = {
-        let mut sched = shared.sched();
-        sched.completed_tickets += 1;
-        if inner.cancelled_rows > 0 {
-            sched.cancelled_tickets += 1;
-        }
-        sched.in_flight_tickets -= 1;
-        (
-            sched.room_waiters > 0,
-            // The last ticket of a closed deployment releases the
-            // workers still asleep to their exit.
-            !sched.open && sched.in_flight_tickets == 0 && sched.idle_workers > 0,
-        )
-    };
+    let wake = shared.sched().complete(inner.cancelled_rows > 0);
     drop(inner);
     ticket.done.notify_all();
-    if tell_room {
-        shared.room.notify_all();
-    }
-    if tell_work {
-        shared.work.notify_all();
-    }
+    shared.wake(wake);
     ok
 }
 
@@ -893,7 +973,7 @@ impl DeploymentStats {
 /// Configures and launches a [`Deployment`].
 ///
 /// ```
-/// use homunculus_runtime::deploy::{Deployment, SchedulePolicy};
+/// use homunculus_runtime::deploy::Deployment;
 /// use std::time::Duration;
 ///
 /// let deployment = Deployment::builder()
@@ -903,7 +983,6 @@ impl DeploymentStats {
 ///     .max_queued_rows(1 << 20)
 ///     .submit_deadline(Duration::from_millis(50))
 ///     .fairness_window_rows(8192)
-///     .policy(SchedulePolicy::RoundRobin)
 ///     .build();
 /// assert_eq!(deployment.workers(), 4);
 /// deployment.shutdown();
@@ -916,7 +995,6 @@ pub struct DeploymentBuilder {
     max_queued_rows: u64,
     submit_deadline: Option<Duration>,
     fairness_window_rows: u64,
-    policy: SchedulePolicy,
     paused: bool,
     record_dispatch: bool,
 }
@@ -930,7 +1008,6 @@ impl Default for DeploymentBuilder {
             max_queued_rows: 0,
             submit_deadline: None,
             fairness_window_rows: 8192,
-            policy: SchedulePolicy::RoundRobin,
             paused: false,
             record_dispatch: false,
         }
@@ -998,14 +1075,6 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Default [`SchedulePolicy`] for tenants added via
-    /// [`Deployment::add_tenant`] / [`Deployment::add_model`].
-    #[must_use]
-    pub fn policy(mut self, policy: SchedulePolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Starts the deployment paused: workers accept no items until
     /// [`Deployment::resume`]. Useful to stage a backlog and observe the
     /// scheduler's dispatch order deterministically.
@@ -1030,18 +1099,11 @@ impl DeploymentBuilder {
         let shared = Arc::new(Shared {
             tag: next_server_tag(),
             workers,
-            queue_depth: self.queue_depth.max(1),
             chunk_rows: self.chunk_rows,
-            max_queued_rows: self.max_queued_rows,
             submit_deadline: self.submit_deadline,
-            default_policy: self.policy,
             registry: RwLock::new(Vec::new()),
             luts: LutCache::new(),
-            sched: Mutex::new(Scheduler::new(
-                self.fairness_window_rows,
-                self.record_dispatch,
-                self.paused,
-            )),
+            sched: Mutex::new(Scheduler::new(&self)),
             work: Condvar::new(),
             room: Condvar::new(),
             started: Instant::now(),
@@ -1104,7 +1166,7 @@ impl std::fmt::Debug for Deployment {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Deployment")
             .field("workers", &self.shared.workers)
-            .field("queue_depth", &self.shared.queue_depth)
+            .field("queue_depth", &self.queue_depth())
             .field("chunk_rows", &self.shared.chunk_rows)
             .finish_non_exhaustive()
     }
@@ -1122,8 +1184,9 @@ impl Deployment {
         DeploymentBuilder::default()
     }
 
-    /// Registers an already-compiled pipeline under the builder's default
-    /// policy. Callable while the deployment serves traffic.
+    /// Registers an already-compiled pipeline under
+    /// [`SchedulePolicy::RoundRobin`]. Callable while the deployment serves
+    /// traffic.
     ///
     /// # Errors
     ///
@@ -1135,7 +1198,7 @@ impl Deployment {
         pipeline: CompiledPipeline,
         normalizer: Option<Normalizer>,
     ) -> Result<TenantId> {
-        self.add_tenant_with(name, pipeline, normalizer, self.shared.default_policy)
+        self.add_tenant_with(name, pipeline, normalizer, SchedulePolicy::RoundRobin)
     }
 
     /// [`add_tenant`](Deployment::add_tenant) with an explicit per-tenant
@@ -1207,18 +1270,12 @@ impl Deployment {
         // (registry → sched is the lock order), so registry and lane
         // indices can never desynchronize — a tenant visible to
         // `tenant_id`/`submit` always has its lane in place.
-        let mut sched = self.shared.sched();
-        let join_vt = if sched.current_vt.is_finite() {
-            sched.current_vt
-        } else {
-            0.0
-        };
-        sched.lanes.push(Lane::new(policy, join_vt));
+        self.shared.sched().add_lane(policy);
         Ok(TenantId::mint(index, self.shared.tag))
     }
 
     /// Compiles a trained IR through the deployment's shared [`LutCache`]
-    /// and registers it under the default policy.
+    /// and registers it under [`SchedulePolicy::RoundRobin`].
     ///
     /// # Errors
     ///
@@ -1231,8 +1288,7 @@ impl Deployment {
         format: FixedPoint,
         normalizer: Option<Normalizer>,
     ) -> Result<TenantId> {
-        let pipeline = ir.compile_shared(format, &self.shared.luts)?;
-        self.add_tenant(name, pipeline, normalizer)
+        self.add_model_with(name, ir, format, normalizer, SchedulePolicy::RoundRobin)
     }
 
     /// [`add_model`](Deployment::add_model) with an explicit policy.
@@ -1280,21 +1336,12 @@ impl Deployment {
 
     /// Number of active tenants.
     pub fn tenant_count(&self) -> usize {
-        self.shared
-            .registry
-            .read()
-            .expect("registry poisoned")
-            .iter()
-            .filter(|s| s.active)
-            .count()
+        self.registry().iter().filter(|s| s.active).count()
     }
 
     /// Looks up an active tenant's id by name.
     pub fn tenant_id(&self, name: &str) -> Option<TenantId> {
-        self.shared
-            .registry
-            .read()
-            .expect("registry poisoned")
+        self.registry()
             .iter()
             .position(|s| s.active && s.entry.name == name)
             .map(|index| TenantId::mint(index, self.shared.tag))
@@ -1323,17 +1370,21 @@ impl Deployment {
 
     /// Maximum tickets in flight before submission backpressure.
     pub fn queue_depth(&self) -> usize {
-        self.shared.queue_depth
+        self.shared.sched().queue_depth
     }
 
     /// The row-based admission bound (0 = unbounded).
     pub fn max_queued_rows(&self) -> u64 {
-        self.shared.max_queued_rows
+        self.shared.sched().max_queued_rows
     }
 
     /// The fairness-window size in rows (0 = cumulative floors).
     pub fn fairness_window_rows(&self) -> u64 {
         self.shared.sched().window_rows
+    }
+
+    fn registry(&self) -> std::sync::RwLockReadGuard<'_, Vec<Slot>> {
+        self.shared.registry.read().expect("registry poisoned")
     }
 
     fn entry(&self, id: TenantId) -> Result<Arc<TenantEntry>> {
@@ -1342,7 +1393,7 @@ impl Deployment {
                 "{id} was minted by a different deployment"
             )));
         }
-        let registry = self.shared.registry.read().expect("registry poisoned");
+        let registry = self.registry();
         let slot = registry
             .get(id.index())
             .ok_or_else(|| RuntimeError::Serve(format!("{id} is not registered here")))?;
@@ -1406,121 +1457,91 @@ impl Deployment {
             }
         }
 
-        let chunk = if shared.chunk_rows == 0 {
-            rows.max(1)
-        } else {
-            shared.chunk_rows
+        let chunk = match shared.chunk_rows {
+            0 => rows.max(1),
+            chunk => chunk,
         };
-        let n_items = rows.div_ceil(chunk);
-        let state = Arc::new(TicketState {
-            inner: Mutex::new(TicketInner {
-                verdicts: vec![0; rows],
-                remaining_items: n_items,
-                done: n_items == 0,
-                cancelled_rows: 0,
-                panicked: None,
-            }),
-            done: Condvar::new(),
-            cancelled: AtomicBool::new(false),
-        });
-        let ticket = Ticket {
-            state: Arc::clone(&state),
-            tenant: batch.tenant,
-            rows,
-            submitted: Instant::now(),
-        };
-        if n_items == 0 {
-            // An empty batch completes instantly and never occupies queue
-            // depth (still validated above like any other submission).
-            return Ok(ticket);
-        }
-        let queued = Queued {
+        // An empty batch has no chunk to wait for, so its ticket is done
+        // already; `admit` only checks that the deployment is open.
+        let mut queued = Queued {
             job: Job {
                 entry,
-                ticket: state,
+                ticket: Arc::new(TicketState {
+                    inner: Mutex::new(TicketInner {
+                        verdicts: vec![0; rows],
+                        remaining_items: rows.div_ceil(chunk),
+                        cancelled_rows: 0,
+                        panicked: None,
+                    }),
+                    done: Condvar::new(),
+                    cancelled: AtomicBool::new(false),
+                }),
                 features: Arc::new(batch.features),
                 oracle: batch.oracle.map(Arc::new),
             },
             next_row: 0,
             chunk,
         };
-        let rows = rows as u64;
+        let ticket = Ticket {
+            state: Arc::clone(&queued.job.ticket),
+            tenant: batch.tenant,
+            rows,
+            submitted: Instant::now(),
+        };
         let deadline = shared
             .submit_deadline
             .filter(|_| block)
             .map(|d| Instant::now() + d);
 
-        // Admission is one critical section: both gates are read together
-        // and the ticket is queued before the lock releases, so there is
-        // nothing to roll back and no shutdown can slip in between.
         let mut sched = shared.sched();
-        loop {
-            if !sched.open {
-                return Err(RuntimeError::Serve(
-                    "deployment is shut down; submissions are rejected".into(),
-                ));
-            }
-            let depth_full = sched.in_flight_tickets >= shared.queue_depth;
-            // An oversize batch is admitted whenever the lanes are empty
-            // so it cannot starve forever.
-            let budget_full = shared.max_queued_rows > 0
-                && sched.queued_rows > 0
-                && sched.queued_rows + rows > shared.max_queued_rows;
-            if !depth_full && !budget_full {
-                break;
-            }
+        let wake = loop {
+            let refusal = match sched.admit(batch.tenant.index(), queued) {
+                Ok(wake) => break wake,
+                Err((refusal, back)) => {
+                    queued = back;
+                    refusal
+                }
+            };
+            let gate = match refusal {
+                Refusal::Closed => {
+                    return Err(RuntimeError::Serve(
+                        "deployment is shut down; submissions are rejected".into(),
+                    ))
+                }
+                Refusal::Depth => "ticket-depth",
+                Refusal::Budget => "row-budget",
+            };
             if !block {
-                return Err(RuntimeError::Serve(if depth_full {
+                return Err(RuntimeError::Serve(if refusal == Refusal::Depth {
                     format!(
                         "ingress queue is full ({} tickets in flight, depth {})",
-                        sched.in_flight_tickets, shared.queue_depth
+                        sched.in_flight_tickets, sched.queue_depth
                     )
                 } else {
                     format!(
                         "row budget is full ({} rows queued, budget {})",
-                        sched.queued_rows, shared.max_queued_rows
+                        sched.queued_rows, sched.max_queued_rows
                     )
                 }));
             }
             let left = deadline.map(|at| at.saturating_duration_since(Instant::now()));
             if left.is_some_and(|left| left.is_zero()) {
-                let gate = if depth_full {
-                    "ticket-depth"
-                } else {
-                    "row-budget"
-                };
                 return Err(RuntimeError::Deadline(format!(
                     "{gate} admission for '{}' ({rows} rows)",
                     queued.job.entry.name
                 )));
             }
             sched = shared.wait_for_room(sched, left);
-        }
-        sched.in_flight_tickets += 1;
-        sched.queued_rows += rows;
-        sched.submitted_tickets += 1;
-        let lane = &mut sched.lanes[batch.tenant.index()];
-        lane.queued_rows += rows;
-        lane.queue.push_back(queued);
-        let wake = !sched.paused && sched.idle_workers > 0;
+        };
         drop(sched);
-        if wake {
-            // One chunk occupies one worker; a ticket of several is worth
-            // every idle one.
-            if n_items == 1 {
-                shared.work.notify_one();
-            } else {
-                shared.work.notify_all();
-            }
-        }
+        shared.wake(wake);
         Ok(ticket)
     }
 
     /// Wakes the workers of a deployment built with
     /// [`paused`](DeploymentBuilder::paused).
     pub fn resume(&self) {
-        self.shared.sched().paused = false;
-        self.shared.work.notify_all();
+        self.shared.apply(Scheduler::resume);
     }
 
     /// Blocks until every accepted ticket has completed (resuming a paused
@@ -1540,11 +1561,7 @@ impl Deployment {
     /// completes every already-accepted ticket, and joins the workers.
     /// Idempotent; also invoked on drop.
     pub fn shutdown(&self) {
-        self.shared.sched().open = false;
-        // Blocked submitters leave with an error; idle workers re-check
-        // their exit condition.
-        self.shared.room.notify_all();
-        self.shared.work.notify_all();
+        self.shared.apply(Scheduler::close);
         self.drain();
         let handles = std::mem::take(&mut *self.handles.lock().expect("worker handles poisoned"));
         for handle in handles {
@@ -1555,31 +1572,43 @@ impl Deployment {
     /// A point-in-time snapshot of per-tenant stats, scheduling shares,
     /// and queue counters. Safe to call while traffic flows.
     pub fn stats_snapshot(&self) -> DeploymentStats {
-        let registry = self.shared.registry.read().expect("registry poisoned");
+        let registry = self.registry();
+        let id = |index| TenantId::mint(index, self.shared.tag);
+        let share = |part, total| match total {
+            0 => 0.0,
+            total => part as f64 / total as f64,
+        };
         // One pass under the scheduler lock, so shares, gauges and ticket
         // counters are internally consistent.
         let sched = self.shared.sched();
-        let lane_rows: Vec<(u64, u64, u64)> = sched
-            .lanes
-            .iter()
-            .map(|lane| (lane.served_rows, lane.win_served, lane.queued_rows))
+        let shares = (registry.iter().zip(&sched.lanes).enumerate())
+            .map(|(index, (slot, lane))| TenantShare {
+                tenant: id(index),
+                weight: slot.entry.policy.weight(),
+                min_share: slot.entry.policy.min_share(),
+                served_rows: lane.served_rows,
+                queued_rows: lane.queued_rows,
+                observed_share: share(lane.served_rows, sched.total_served_rows),
+                windowed_share: share(lane.win_served, sched.win_total),
+                active: slot.active,
+            })
             .collect();
-        let (win_total, total_served) = (sched.win_total, sched.total_served_rows);
-        let (submitted_tickets, completed_tickets, cancelled_tickets, queued_rows) = (
-            sched.submitted_tickets,
-            sched.completed_tickets,
-            sched.cancelled_tickets,
-            sched.queued_rows,
-        );
+        let mut stats = DeploymentStats {
+            tenants: Vec::with_capacity(registry.len()),
+            shares,
+            submitted_tickets: sched.submitted_tickets,
+            completed_tickets: sched.completed_tickets,
+            cancelled_tickets: sched.cancelled_tickets,
+            queued_rows: sched.queued_rows,
+            served_rows: sched.total_served_rows,
+            workers: self.shared.workers,
+            uptime_ns: self.shared.started.elapsed().as_nanos() as u64,
+        };
         drop(sched);
-
-        let mut tenants = Vec::with_capacity(registry.len());
-        let mut shares = Vec::with_capacity(registry.len());
         for (index, slot) in registry.iter().enumerate() {
-            let id = TenantId::mint(index, self.shared.tag);
             let accum = slot.entry.accum.lock().expect("tenant stats poisoned");
-            tenants.push(TenantStats {
-                tenant: id,
+            stats.tenants.push(TenantStats {
+                tenant: id(index),
                 name: slot.entry.name.clone(),
                 packets: accum.packets,
                 verdict_histogram: accum.verdict_histogram.clone(),
@@ -1589,37 +1618,8 @@ impl Deployment {
                 oracle_packets: accum.oracle_packets,
                 oracle_agreements: accum.oracle_agreements,
             });
-            let (served_rows, win_served, queued_rows) = lane_rows[index];
-            shares.push(TenantShare {
-                tenant: id,
-                weight: slot.entry.policy.weight(),
-                min_share: slot.entry.policy.min_share(),
-                served_rows,
-                queued_rows,
-                observed_share: if total_served == 0 {
-                    0.0
-                } else {
-                    served_rows as f64 / total_served as f64
-                },
-                windowed_share: if win_total == 0 {
-                    0.0
-                } else {
-                    win_served as f64 / win_total as f64
-                },
-                active: slot.active,
-            });
         }
-        DeploymentStats {
-            tenants,
-            shares,
-            submitted_tickets,
-            completed_tickets,
-            cancelled_tickets,
-            queued_rows,
-            served_rows: total_served,
-            workers: self.shared.workers,
-            uptime_ns: self.shared.started.elapsed().as_nanos() as u64,
-        }
+        stats
     }
 
     /// The recorded `(tenant index, rows)` dispatch sequence, when the
@@ -2054,10 +2054,15 @@ mod tests {
             .unwrap();
         deployment.shutdown();
         assert!(ticket.is_done(), "in-flight ticket completes on shutdown");
-        assert!(matches!(
-            deployment.submit(TenantBatch::new(id, packets(4, 1, 0))),
-            Err(RuntimeError::Serve(_))
-        ));
+        // An empty batch is refused like any other once the ingress closed.
+        for rows in [4, 0] {
+            for submit in [Deployment::submit, Deployment::try_submit] {
+                assert!(matches!(
+                    submit(&deployment, TenantBatch::new(id, packets(rows, 1, 0))),
+                    Err(RuntimeError::Serve(_))
+                ));
+            }
+        }
         deployment.shutdown(); // second call is a no-op
     }
 
@@ -2264,6 +2269,37 @@ mod tests {
         assert_eq!(within("second ticket", move || second.wait()).len(), 6);
     }
 
+    /// Holds `id`'s stats lock until the returned handle drops, so a worker
+    /// that classified one of the tenant's chunks waits short of completing
+    /// its ticket. The lock is held on a thread of its own: a failing
+    /// assertion drops the handle and releases it unpoisoned, so the test
+    /// fails instead of wedging the pool.
+    fn hold_stats(deployment: &Deployment, id: TenantId) -> std::sync::mpsc::Sender<()> {
+        let entry = deployment.entry(id).unwrap();
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        let (held, holding) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _stats = entry.accum.lock().unwrap();
+            held.send(()).unwrap();
+            let _ = released.recv();
+        });
+        holding.recv().unwrap();
+        release
+    }
+
+    /// Waits (bounded) until every worker thread has returned.
+    fn workers_exit(deployment: &Deployment, what: &str) {
+        let deadline = Instant::now() + SETTLE;
+        let finished = || {
+            let handles = deployment.handles.lock().unwrap();
+            handles.iter().all(JoinHandle::is_finished)
+        };
+        while !finished() {
+            assert!(Instant::now() < deadline, "{what}: not within {SETTLE:?}");
+            std::thread::park_timeout(Duration::from_millis(1));
+        }
+    }
+
     #[test]
     fn shutdown_releases_a_submit_blocked_on_a_paused_full_deployment() {
         let deployment = Arc::new(
@@ -2286,22 +2322,71 @@ mod tests {
         settle(&deployment, SETTLE, "submit blocks", |sched| {
             sched.room_waiters == 1
         });
-        within("shutdown with a blocked submitter", {
+        // Holding the tenant's stats lock keeps the first ticket from
+        // completing once shutdown resumes the worker, so only the close
+        // itself can release the blocked submitter.
+        let stats = hold_stats(&deployment, id);
+        let shutdown = spawn({
             let deployment = Arc::clone(&deployment);
             move || deployment.shutdown()
         });
-        match blocked.get("submit blocked across shutdown") {
-            Err(RuntimeError::Serve(_)) => {}
-            Ok(ticket) => assert_eq!(within("late ticket", move || ticket.wait()).len(), 4),
-            Err(other) => panic!("blocked submit failed with {other}"),
-        }
+        assert!(matches!(
+            blocked.get("submit blocked across shutdown"),
+            Err(RuntimeError::Serve(_))
+        ));
+        assert!(!first.is_done(), "the close released it, not a completion");
+        drop(stats);
+        shutdown.get("shutdown with a blocked submitter");
         assert!(first.is_done(), "shutdown serves what was accepted");
+    }
+
+    #[test]
+    fn close_sends_parked_workers_to_their_exit() {
+        let deployment = Deployment::builder().workers(2).build();
+        settle(&deployment, SETTLE, "both workers park", |sched| {
+            sched.idle_workers == 2
+        });
+        // `close` alone: `shutdown` goes on to resume, whose wake would
+        // hide a missing one here.
+        deployment.shared.apply(Scheduler::close);
+        workers_exit(&deployment, "parked workers leave on close");
+    }
+
+    #[test]
+    fn the_last_completion_of_a_closed_deployment_releases_parked_workers() {
+        let deployment = Deployment::builder().workers(2).build();
+        let id = deployment
+            .add_tenant("app", svm_pipeline(vec![1.0], 0.0), None)
+            .unwrap();
+        settle(&deployment, SETTLE, "both workers park", |sched| {
+            sched.idle_workers == 2
+        });
+        // One worker takes the chunk and stops short of completing it (the
+        // stats lock is held); the other stays parked, never notified.
+        let stats = hold_stats(&deployment, id);
+        let ticket = deployment
+            .submit(TenantBatch::new(id, packets(4, 1, 0)))
+            .unwrap();
+        settle(
+            &deployment,
+            SETTLE,
+            "one worker busy, one parked",
+            |sched| sched.idle_workers == 1 && sched.queued_rows == 0,
+        );
+        // Closed without `close`'s own wake, so only the completion can
+        // send the parked worker to its exit.
+        deployment.shared.sched().open = false;
+        drop(stats);
+        workers_exit(&deployment, "the parked worker leaves");
+        assert!(ticket.is_done());
     }
 
     #[test]
     fn blocked_submit_is_admitted_when_the_row_budget_frees() {
         // Depth is ample; only the row budget holds the second submit,
-        // and rows leave the budget at dispatch.
+        // and rows leave the budget at dispatch. Holding the tenant's
+        // stats lock keeps the first ticket from completing, so only the
+        // dispatch can release the second submit.
         let deployment = Arc::new(
             Deployment::builder()
                 .workers(1)
@@ -2313,6 +2398,7 @@ mod tests {
         let id = deployment
             .add_tenant("app", svm_pipeline(vec![1.0], 0.0), None)
             .unwrap();
+        let stats = hold_stats(&deployment, id);
         let first = deployment
             .submit(TenantBatch::new(id, packets(8, 1, 0)))
             .unwrap();
@@ -2326,6 +2412,8 @@ mod tests {
         assert!(second.is_pending(), "8 + 8 rows exceed the budget of 10");
         deployment.resume();
         let second = second.get("submit blocked on the row budget").unwrap();
+        assert!(!first.is_done(), "room came from the dispatch");
+        drop(stats);
         assert_eq!(within("second ticket", move || second.wait()).len(), 8);
         assert!(first.is_done());
     }
@@ -2370,8 +2458,9 @@ mod tests {
         assert_eq!(rows, 20);
     }
 
-    /// `count` one-row tickets for a staged scheduler fixture.
-    fn one_row_tickets(count: usize) -> VecDeque<Queued> {
+    /// `count` tickets of `rows` one-feature rows, carved `chunk` rows at
+    /// a time, for a bare scheduler.
+    fn tickets(count: usize, rows: usize, chunk: usize) -> VecDeque<Queued> {
         let entry = Arc::new(TenantEntry {
             name: "staged".into(),
             pipeline: svm_pipeline(vec![1.0], 0.0),
@@ -2379,16 +2468,15 @@ mod tests {
             policy: SchedulePolicy::RoundRobin,
             accum: Mutex::new(TenantAccum::default()),
         });
-        let features = Arc::new(packets(1, 1, 0));
+        let features = Arc::new(packets(rows, 1, 0));
         (0..count)
             .map(|_| Queued {
                 job: Job {
                     entry: Arc::clone(&entry),
                     ticket: Arc::new(TicketState {
                         inner: Mutex::new(TicketInner {
-                            verdicts: vec![0],
-                            remaining_items: 1,
-                            done: false,
+                            verdicts: vec![0; rows],
+                            remaining_items: rows.div_ceil(chunk),
                             cancelled_rows: 0,
                             panicked: None,
                         }),
@@ -2399,9 +2487,18 @@ mod tests {
                     oracle: None,
                 },
                 next_row: 0,
-                chunk: 1,
+                chunk,
             })
             .collect()
+    }
+
+    /// A bare scheduler that records its dispatches.
+    fn staged(window_rows: u64) -> Scheduler {
+        Scheduler::new(
+            &Deployment::builder()
+                .fairness_window_rows(window_rows)
+                .record_dispatch(true),
+        )
     }
 
     /// Appends a backlogged `(weight, min_share)` lane holding `items`
@@ -2409,7 +2506,7 @@ mod tests {
     fn stage_lane(sched: &mut Scheduler, weight: f64, min_share: f64, items: usize, vt: f64) {
         let mut lane = Lane::new(SchedulePolicy::Weighted { weight, min_share }, vt);
         lane.idle = false;
-        lane.queue = one_row_tickets(items);
+        lane.queue = tickets(items, 1, 1);
         lane.queued_rows = items as u64;
         sched.queued_rows += items as u64;
         sched.lanes.push(lane);
@@ -2417,8 +2514,149 @@ mod tests {
 
     /// Dispatches one chunk and returns the lane it came from.
     fn pop_lane(sched: &mut Scheduler) -> usize {
-        sched.pop_next().expect("backlogged");
+        assert!(
+            matches!(sched.dispatch(), Dispatch::Chunk(..)),
+            "backlogged"
+        );
         sched.dispatch_log.as_ref().unwrap().last().unwrap().0
+    }
+
+    /// One transition's outcome, as the wake table records it.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Edge {
+        Woke(Wake),
+        Refused(Refusal),
+        Idle,
+        Exit,
+    }
+
+    fn woke(work: Notify, room: bool) -> Edge {
+        Edge::Woke(Wake::new(work, room))
+    }
+
+    /// `admit` of a `rows`-row ticket carved `chunk` rows at a time.
+    fn admit(sched: &mut Scheduler, rows: usize, chunk: usize) -> Edge {
+        let ticket = tickets(1, rows, chunk).pop_front().unwrap();
+        match sched.admit(0, ticket) {
+            Ok(wake) => Edge::Woke(wake),
+            Err((refusal, _)) => Edge::Refused(refusal),
+        }
+    }
+
+    fn dispatch(sched: &mut Scheduler) -> Edge {
+        match sched.dispatch() {
+            Dispatch::Chunk(_, wake) => Edge::Woke(wake),
+            Dispatch::Idle => Edge::Idle,
+            Dispatch::Exit => Edge::Exit,
+        }
+    }
+
+    /// A bare running scheduler with one lane, ticket depth 2 and a row
+    /// budget of `budget`.
+    fn fresh(budget: u64) -> Scheduler {
+        let mut sched =
+            Scheduler::new(&Deployment::builder().queue_depth(2).max_queued_rows(budget));
+        sched.add_lane(SchedulePolicy::RoundRobin);
+        sched
+    }
+
+    #[test]
+    fn every_transition_returns_the_wake_it_owes() {
+        use Notify::{All, One};
+        let quiet = woke(Notify::None, false);
+
+        // admit: a worker per chunk, only when running with workers idle.
+        // (paused, idle workers, rows, chunk rows) → edge
+        for case @ (paused, idle, rows, chunk, edge) in [
+            (false, 1, 4, 4, woke(One, false)),
+            (false, 2, 8, 4, woke(All, false)),
+            (false, 0, 8, 4, quiet),
+            (true, 2, 8, 4, quiet),
+            (false, 2, 32, 8, woke(All, false)), // oversize, lanes empty
+            (false, 2, 0, 1, quiet),             // empty: complete already
+        ] {
+            let mut s = fresh(10);
+            (s.paused, s.idle_workers) = (paused, idle);
+            assert_eq!(admit(&mut s, rows, chunk), edge, "{case:?}");
+            assert_eq!(s.in_flight_tickets, usize::from(rows > 0), "{case:?}");
+        }
+
+        // admit refused: (closed, tickets admitted first, their rows, rows)
+        for (closed, before, before_rows, rows, refusal) in [
+            (true, 0, 0, 4, Refusal::Closed),
+            (true, 0, 0, 0, Refusal::Closed),
+            (false, 2, 1, 1, Refusal::Depth),
+            (false, 1, 8, 4, Refusal::Budget),
+        ] {
+            let mut s = fresh(10);
+            for _ in 0..before {
+                admit(&mut s, before_rows, before_rows);
+            }
+            if closed {
+                s.close();
+            }
+            s.idle_workers = 1;
+            let gauges = |s: &Scheduler| (s.in_flight_tickets, s.queued_rows, s.submitted_tickets);
+            let held = gauges(&s);
+            assert_eq!(
+                admit(&mut s, rows, 4),
+                Edge::Refused(refusal),
+                "{refusal:?}"
+            );
+            assert_eq!(gauges(&s), held, "a refusal changes nothing");
+        }
+
+        // dispatch: rows leave the budget, so a waiting submitter is told.
+        // (paused, closed, budget, room waiters, tickets queued, in flight)
+        for case @ (paused, closed, budget, waiters, queued, flying, edge) in [
+            (false, false, 10, 1, 1, 0, woke(Notify::None, true)),
+            (false, false, 10, 0, 1, 0, quiet),
+            (false, false, 0, 1, 1, 0, quiet),
+            (true, false, 10, 1, 1, 0, Edge::Idle),
+            (false, false, 10, 0, 0, 0, Edge::Idle),
+            (false, true, 10, 0, 0, 1, Edge::Idle),
+            (false, true, 10, 0, 0, 0, Edge::Exit),
+        ] {
+            let mut s = fresh(budget);
+            for _ in 0..queued + flying {
+                admit(&mut s, 4, 4);
+            }
+            for _ in 0..flying {
+                dispatch(&mut s);
+            }
+            if closed {
+                s.close();
+            }
+            (s.paused, s.room_waiters) = (paused, waiters);
+            assert_eq!(dispatch(&mut s), edge, "{case:?}");
+        }
+
+        // complete: depth frees for `room`; the last ticket of a closed
+        // deployment sends its idle workers to their exit.
+        // (closed, room waiters, idle workers, tickets still in flight)
+        for case @ (closed, waiters, idle, others, work, room) in [
+            (false, 1, 0, 0, Notify::None, true),
+            (false, 0, 1, 0, Notify::None, false),
+            (true, 0, 1, 0, All, false),
+            (true, 1, 2, 0, All, true),
+            (true, 0, 0, 0, Notify::None, false),
+            (true, 0, 1, 1, Notify::None, false),
+        ] {
+            let mut s = fresh(10);
+            for _ in 0..=others {
+                admit(&mut s, 4, 4);
+                dispatch(&mut s);
+            }
+            if closed {
+                s.close();
+            }
+            (s.room_waiters, s.idle_workers) = (waiters, idle);
+            assert_eq!(s.complete(false), Wake::new(work, room), "{case:?}");
+        }
+
+        // resume and close wake everyone, listening or not.
+        assert_eq!(fresh(10).resume(), Wake::new(All, false));
+        assert_eq!(fresh(10).close(), Wake::new(All, true));
     }
 
     #[test]
@@ -2432,11 +2670,11 @@ mod tests {
         //
         // Lane 0: tiny weight, 50% floor — the floor pass serves it
         // constantly and its vt rockets. Lane 1: a normal tenant.
-        let mut sched = Scheduler::new(0, true, false);
+        let mut sched = staged(0);
         stage_lane(&mut sched, 0.05, 0.5, 50, 0.0);
         stage_lane(&mut sched, 1.0, 0.0, 50, 0.0);
         for _ in 0..40 {
-            sched.pop_next().expect("backlogged");
+            pop_lane(&mut sched);
         }
         let floored = &sched.lanes[0];
         assert!(
@@ -2470,7 +2708,7 @@ mod tests {
         // window its deficit is bounded by O(window) and the incumbent
         // resumes service almost immediately.
         let catchup = |window_rows: u64| -> usize {
-            let mut sched = Scheduler::new(window_rows, true, false);
+            let mut sched = staged(window_rows);
             stage_lane(&mut sched, 1.0, 0.4, 400, 0.0);
             stage_lane(&mut sched, 1.0, 0.0, 1000, 0.0);
             // Stage 1: only lane 1 is backlogged (lane 0's tickets are

@@ -105,12 +105,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // queue, launched once and reused for every serving round below (raw
     // traffic in; each tenant's own normalizer applies).
     // ------------------------------------------------------------------
-    let deployment = reloaded.build_deployment(
-        Deployment::builder()
-            .workers(4)
-            .queue_depth(16)
-            .policy(SchedulePolicy::RoundRobin),
-    )?;
+    let deployment = reloaded.build_deployment(Deployment::builder().workers(4).queue_depth(16))?;
     println!(
         "\ndeployed {} tenants on {} resident workers (activation LUTs built: {}, shared hits: {})\n",
         deployment.tenant_count(),
