@@ -7,7 +7,7 @@ CARGO ?= cargo
 # One lane per check: there is one build of the kernels (portable, no
 # cargo feature selects another), so the binary linted and tested here is
 # the binary hbench measures and a deployment serves.
-ci: fmt-check clippy build test doc stress lint-artifacts bench-smoke paper-smoke examples-smoke
+ci: fmt-check clippy build test doc stress lint-artifacts bench-smoke paper-smoke paper examples-smoke
 
 fmt:
 	$(CARGO) fmt
@@ -96,12 +96,13 @@ bench-pairs:
 # (crates/bench/src/bin/paper.rs), one library function per experiment,
 # each printing its table and its shape checks. `paper` exits non-zero
 # when a check is false that `EXPECTED_FAILURES` (crates/bench/src/lib.rs)
-# does not list, or holds when it does. `paper-smoke` is the part of
-# `ci`: the five experiments that finish in under two seconds each in
-# release, one by one under `timeout`, failing on a non-zero exit or on
-# any byte of stdout that differs from crates/bench/golden/<exp>.txt
-# (every printed number is seeded, so the output is byte-stable).
-# `paper` runs `paper all` (~2 min on 2 vCPUs): every experiment in one
+# does not list, or holds when it does. Both targets below are part of
+# `ci`. `paper-smoke` runs the five experiments that finish in under two
+# seconds each in release, one by one under `timeout`, failing on a
+# non-zero exit or on any byte of stdout that differs from
+# crates/bench/golden/<exp>.txt (every printed number is seeded, so the
+# output is byte-stable); it names the failing experiment in seconds.
+# `paper` runs `paper all` (~65 s on 2 vCPUs): every experiment in one
 # process, Table 2's six models built once for `table2` and `table5`,
 # failing on a non-zero exit or on any byte of stdout that differs from
 # crates/bench/golden/all.txt.

@@ -62,7 +62,9 @@ pub fn table2_models() -> Result<Vec<Table2Model>> {
             name,
             features,
             ir: scored.ir,
-            f1: scored.objective,
+            f1: scored
+                .objective
+                .expect("a fixed baseline is trained, never refused"),
             estimate,
         };
         Ok((row, normalizer))
@@ -446,22 +448,24 @@ pub fn fig4() -> Result<Vec<ShapeCheck>> {
     let series = best.history.objective_series();
     let best_so_far = best.history.best_so_far_series();
 
+    // A configuration the target refused untrained has no F1 and no bar.
     println!("iteration  F1(%)   best-so-far   plot (0..100)");
     for (i, (&obj, &bsf)) in series.iter().zip(&best_so_far).enumerate() {
-        let pct = obj * 100.0;
+        let (f1, plot) = match obj {
+            Some(obj) => (format!("{:.2}", obj * 100.0), bar(obj * 100.0, 100.0, 40)),
+            None => ("—".to_string(), String::new()),
+        };
         let bsf_pct = if bsf.is_nan() { 0.0 } else { bsf * 100.0 };
-        println!(
-            "{:>9}  {:>6.2}  {:>11.2}   |{}",
-            i + 1,
-            pct,
-            bsf_pct,
-            bar(pct, 100.0, 40)
-        );
+        println!("{:>9}  {f1:>6}  {bsf_pct:>11.2}   |{plot}", i + 1);
     }
 
     banner("shape checks");
     let doe = best.history.doe_samples();
-    let early_best = series[..doe].iter().cloned().fold(f64::MIN, f64::max);
+    let early_best = series[..doe]
+        .iter()
+        .flatten()
+        .copied()
+        .fold(f64::MIN, f64::max);
     let final_best = best_so_far.last().copied().unwrap_or(0.0);
     Ok(vec![
         ShapeCheck {
@@ -576,7 +580,10 @@ pub fn fig7() -> Result<Vec<ShapeCheck>> {
         let series = best.history.objective_series();
         print!("KMeans{mats} (budget {mats} MATs): ");
         for v in &series {
-            print!("{:.3} ", v);
+            match v {
+                Some(v) => print!("{v:.3} "),
+                None => print!("— "),
+            }
         }
         println!(
             " -> best {:.3} with k={} |{}",

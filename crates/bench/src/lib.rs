@@ -344,8 +344,9 @@ pub const EXPECTED_FAILURES: &[(&str, &str)] = &[
     (
         "fig4.plateau",
         "ROADMAP item 1: the synthetic NSL-KDD generator plateaus near 70 F1 \
-         (the paper reaches 83); iterations 14-15 score 69.21 / 67.78 but \
-         are infeasible, so best-so-far stays at 66.78",
+         (the paper reaches 83); best-so-far stays at 66.78, and the draws \
+         that trained above it (iterations 14-15, 69.21 / 67.78) are \
+         infeasible, so they are now refused untrained",
     ),
 ];
 
@@ -454,11 +455,8 @@ mod tests {
     fn baseline_training_is_reasonable() {
         let ds = NslKddGenerator::new(0).generate(1_500);
         let (b, _) = Application::Ad.baseline(ds, 0).unwrap();
-        assert!(
-            b.objective > 0.5 && b.objective < 0.98,
-            "baseline f1 {}",
-            b.objective
-        );
+        let f1 = b.objective.unwrap();
+        assert!(f1 > 0.5 && f1 < 0.98, "baseline f1 {f1}");
     }
 
     #[test]

@@ -887,6 +887,9 @@ mod tests {
         assert_eq!(a.estimate, b.estimate);
         assert_eq!(a.ir, b.ir, "weights must round-trip bit-exactly");
         assert_eq!(a.normalizer, b.normalizer);
+        // The search refused two DNNs untrained: their absent objectives
+        // round-trip as `null`.
+        assert!(a.history.objective_series().contains(&None));
         assert_eq!(a.history, b.history);
         assert_eq!(a.algorithm_histories, b.algorithm_histories);
         // The reloaded report re-lowered its pipeline and classifies

@@ -95,7 +95,13 @@
 //!
 //! let compiler = Compiler::new(CompilerOptions::fast()).observe(Arc::new(
 //!     |event: &CompileEvent| {
-//!         if let CompileEvent::CandidateEvaluated { iteration, objective, .. } = event {
+//!         // A candidate the target refused untrained has no objective.
+//!         if let CompileEvent::CandidateEvaluated {
+//!             iteration,
+//!             objective: Some(objective),
+//!             ..
+//!         } = event
+//!         {
 //!             println!("iteration {iteration}: objective {objective:.3}");
 //!         }
 //!     },
@@ -213,8 +219,9 @@ pub enum CompileEvent {
         /// Wall-clock duration of the stage in nanoseconds.
         elapsed_ns: u64,
     },
-    /// One BO iteration finished: a candidate was trained and checked
-    /// (emitted from the optimizer loop, per evaluation, in order within
+    /// One BO iteration finished: a candidate was checked, and trained
+    /// unless the target refused its shape (emitted from the optimizer
+    /// loop, per evaluation, in order within
     /// each algorithm's search — searches of different algorithms run in
     /// parallel, so events of different algorithms interleave).
     CandidateEvaluated {
@@ -224,8 +231,9 @@ pub enum CompileEvent {
         algorithm: Algorithm,
         /// 0-based evaluation index within this algorithm's search.
         iteration: usize,
-        /// The candidate's objective on the held-out split.
-        objective: f64,
+        /// The candidate's objective on the held-out split; `None` when it
+        /// was refused before training or failed to train.
+        objective: Option<f64>,
         /// Whether the candidate fit the platform budget.
         feasible: bool,
         /// Relative constraint-violation magnitude (0.0 when feasible).
@@ -412,10 +420,11 @@ impl<W: Write + Send> CompileObserver for LogObserver<W> {
                 } else {
                     format!("infeasible, violation {violation:.3}")
                 };
+                let objective = objective.map_or("—".to_string(), |o| format!("{o:.4}"));
                 writeln!(
                     sink,
                     "[{t:9.3}s]  search {model}/{}: iteration {iteration} objective \
-                     {objective:.4} ({verdict})",
+                     {objective} ({verdict})",
                     algorithm.name()
                 )
             }
@@ -907,7 +916,7 @@ impl SearchedModel {
             .filter_map(|(algorithm, run)| {
                 let history = run.as_ref().ok()?;
                 let best = history.best_efficient(EFFICIENCY_SLACK, "params")?;
-                Some((*algorithm, best.evaluation.objective))
+                Some((*algorithm, best.evaluation.feasible_objective()?))
             })
             .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
     }
@@ -1481,16 +1490,13 @@ fn train_model(ctx: &Ctx<'_>, spec: &ModelSpec, search: SearchedModel) -> Result
                 continue;
             }
         };
-        if let Some(best) = history.best_efficient(EFFICIENCY_SLACK, "params") {
-            let better = winner
-                .as_ref()
-                .map_or(true, |(_, _, obj)| best.evaluation.objective > *obj);
+        let best = history.best_efficient(EFFICIENCY_SLACK, "params");
+        if let Some((best, objective)) =
+            best.and_then(|p| Some((p, p.evaluation.feasible_objective()?)))
+        {
+            let better = winner.as_ref().map_or(true, |(_, _, obj)| objective > *obj);
             if better {
-                winner = Some((
-                    algorithm,
-                    best.configuration.clone(),
-                    best.evaluation.objective,
-                ));
+                winner = Some((algorithm, best.configuration.clone(), objective));
             }
         }
         algorithm_histories.push((algorithm, history));
@@ -1514,7 +1520,7 @@ fn train_model(ctx: &Ctx<'_>, spec: &ModelSpec, search: SearchedModel) -> Result
     };
 
     let evaluator = ctx.evaluator(spec, &spec.dataset)?;
-    let trained = retrain_winner(
+    let (ir, objective) = retrain_winner(
         &evaluator,
         &Candidate::Configured(algorithm, &configuration),
         &ctx.options,
@@ -1540,8 +1546,8 @@ fn train_model(ctx: &Ctx<'_>, spec: &ModelSpec, search: SearchedModel) -> Result
         algorithm,
         metric: spec.optimization_metric,
         configuration,
-        objective: trained.objective,
-        ir: trained.ir,
+        objective,
+        ir,
         evaluator,
         history,
         algorithm_histories,
@@ -1644,8 +1650,8 @@ fn search_algorithm(
                 .feasible(false)
                 .with_violation(BROKEN_CANDIDATE_VIOLATION),
             // A configuration that fails to train at all is infeasible
-            // and scores 0 — same poisoning guard as above.
-            Err(_) => Evaluation::new(0.0)
+            // and has no objective — same poisoning guard as above.
+            Err(_) => Evaluation::new(None)
                 .feasible(false)
                 .with_violation(BROKEN_CANDIDATE_VIOLATION),
         }

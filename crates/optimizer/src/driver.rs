@@ -35,8 +35,11 @@ pub enum SearchControl {
 /// The outcome of evaluating one configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Evaluation {
-    /// Objective value (maximized). Use NaN-free finite values.
-    pub objective: f64,
+    /// Objective value (maximized; finite), or `None` when the
+    /// configuration was never scored: refused before it was trained, or
+    /// failed to train. The search reads the objective of feasible points
+    /// only.
+    pub objective: Option<f64>,
     /// Whether every feasibility constraint was satisfied.
     pub is_feasible: bool,
     /// How badly constraints were violated (0.0 when feasible). Optional
@@ -48,10 +51,11 @@ pub struct Evaluation {
 }
 
 impl Evaluation {
-    /// A feasible evaluation with the given objective.
-    pub fn new(objective: f64) -> Self {
+    /// A feasible evaluation with the given objective (an `f64`, or
+    /// `None` for a configuration that was never scored).
+    pub fn new(objective: impl Into<Option<f64>>) -> Self {
         Evaluation {
-            objective,
+            objective: objective.into(),
             is_feasible: true,
             violation: 0.0,
             metrics: BTreeMap::new(),
@@ -75,12 +79,18 @@ impl Evaluation {
         self.metrics.insert(name.into(), value);
         self
     }
+
+    /// The objective of a feasible, scored evaluation: the only objective
+    /// the search ever reads.
+    pub fn feasible_objective(&self) -> Option<f64> {
+        self.objective.filter(|_| self.is_feasible)
+    }
 }
 
 /// JSON document form: `{"objective", "is_feasible", "violation",
-/// "metrics": {name: value}}` — the wire format behind portable compile
-/// artifacts (everything the workspace persists goes through
-/// `serde_json::Value` explicitly).
+/// "metrics": {name: value}}`, with `"objective": null` when it is
+/// absent — the wire format behind portable compile artifacts (everything
+/// the workspace persists goes through `serde_json::Value` explicitly).
 impl ToJson for Evaluation {
     fn to_json(&self) -> Value {
         let mut metrics = serde_json::Map::new();
@@ -103,9 +113,12 @@ impl Evaluation {
     ///
     /// Returns [`OptimizerError::Decode`] on missing or mistyped fields.
     pub fn from_json(value: &Value) -> Result<Self> {
-        let objective = value["objective"]
-            .as_f64()
-            .ok_or_else(|| OptimizerError::Decode("evaluation needs numeric objective".into()))?;
+        let objective = match value.get("objective") {
+            Some(Value::Null) => None,
+            objective => Some(objective.and_then(Value::as_f64).ok_or_else(|| {
+                OptimizerError::Decode("evaluation needs a numeric or null objective".into())
+            })?),
+        };
         let is_feasible = value["is_feasible"]
             .as_bool()
             .ok_or_else(|| OptimizerError::Decode("evaluation needs boolean is_feasible".into()))?;
@@ -232,15 +245,7 @@ impl OptimizationHistory {
 
     /// The best *feasible* point, if any.
     pub fn best(&self) -> Option<&EvaluatedPoint> {
-        self.points
-            .iter()
-            .filter(|p| p.evaluation.is_feasible)
-            .max_by(|a, b| {
-                a.evaluation
-                    .objective
-                    .partial_cmp(&b.evaluation.objective)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
+        best_feasible(&self.points)
     }
 
     /// The best feasible point under an *efficiency* tie-break: among
@@ -253,11 +258,15 @@ impl OptimizationHistory {
     /// objective with fewer parameters/resources wins. Points without the
     /// metric recorded fall back to `f64::INFINITY` cost.
     pub fn best_efficient(&self, tolerance: f64, cost_metric: &str) -> Option<&EvaluatedPoint> {
-        let best = self.best()?;
-        let threshold = best.evaluation.objective - tolerance.abs();
+        let best = self.best()?.evaluation.feasible_objective()?;
+        let threshold = best - tolerance.abs();
         self.points
             .iter()
-            .filter(|p| p.evaluation.is_feasible && p.evaluation.objective >= threshold)
+            .filter(|p| {
+                p.evaluation
+                    .feasible_objective()
+                    .is_some_and(|objective| objective >= threshold)
+            })
             .min_by(|a, b| {
                 let ca = a
                     .evaluation
@@ -275,9 +284,10 @@ impl OptimizationHistory {
             })
     }
 
-    /// Objective of each iteration (the paper's Figure 4/7 "regret plot"
-    /// series plots these raw per-iteration values).
-    pub fn objective_series(&self) -> Vec<f64> {
+    /// Objective of each iteration, `None` where the configuration was
+    /// never scored (the paper's Figure 4/7 "regret plot" series plots
+    /// these raw per-iteration values).
+    pub fn objective_series(&self) -> Vec<Option<f64>> {
         self.points.iter().map(|p| p.evaluation.objective).collect()
     }
 
@@ -288,8 +298,10 @@ impl OptimizationHistory {
         self.points
             .iter()
             .map(|p| {
-                if p.evaluation.is_feasible && (best.is_nan() || p.evaluation.objective > best) {
-                    best = p.evaluation.objective;
+                if let Some(objective) = p.evaluation.feasible_objective() {
+                    if best.is_nan() || objective > best {
+                        best = objective;
+                    }
                 }
                 best
             })
@@ -307,30 +319,15 @@ impl OptimizationHistory {
             .count() as f64
             / self.points.len() as f64
     }
+}
 
-    /// The set of feasible points not dominated in `(objective, metric)`
-    /// space (both maximized after `metric_sign` is applied). Supports the
-    /// paper's multi-objective framing where a second output (e.g.
-    /// negative resource use) matters.
-    pub fn pareto_front(&self, metric: &str, metric_sign: f64) -> Vec<&EvaluatedPoint> {
-        let candidates: Vec<&EvaluatedPoint> = self
-            .points
-            .iter()
-            .filter(|p| p.evaluation.is_feasible && p.evaluation.metrics.contains_key(metric))
-            .collect();
-        candidates
-            .iter()
-            .filter(|a| {
-                let am = a.evaluation.metrics[metric] * metric_sign;
-                !candidates.iter().any(|b| {
-                    let bm = b.evaluation.metrics[metric] * metric_sign;
-                    (b.evaluation.objective >= a.evaluation.objective && bm >= am)
-                        && (b.evaluation.objective > a.evaluation.objective || bm > am)
-                })
-            })
-            .copied()
-            .collect()
-    }
+/// The feasible point with the highest objective (the last of equals).
+fn best_feasible(points: &[EvaluatedPoint]) -> Option<&EvaluatedPoint> {
+    points
+        .iter()
+        .filter_map(|p| Some((p, p.evaluation.feasible_objective()?)))
+        .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+        .map(|(p, _)| p)
 }
 
 /// Options controlling the optimization loop.
@@ -610,8 +607,10 @@ impl BayesianOptimizer {
         // useless there: a single-class history degenerates to a constant.)
         let feasible_history: Vec<(Configuration, f64)> = points
             .iter()
-            .filter(|p| p.evaluation.is_feasible)
-            .map(|p| (p.configuration.clone(), p.evaluation.objective))
+            .filter_map(|p| {
+                let objective = p.evaluation.feasible_objective()?;
+                Some((p.configuration.clone(), objective))
+            })
             .collect();
         let phase1 = feasible_history.is_empty();
         let objective_history: Vec<(Configuration, f64)> = if phase1 {
@@ -662,15 +661,7 @@ impl BayesianOptimizer {
                     .unwrap_or(std::cmp::Ordering::Equal)
             })
         } else {
-            points
-                .iter()
-                .filter(|p| p.evaluation.is_feasible)
-                .max_by(|a, b| {
-                    a.evaluation
-                        .objective
-                        .partial_cmp(&b.evaluation.objective)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
+            best_feasible(points)
         };
         if let Some(best) = local_base {
             // Multi-scale exploitation: coarse moves escape the incumbent's
@@ -809,7 +800,7 @@ mod tests {
         let best = history.best().unwrap();
         assert!(best.configuration.real("x").unwrap() <= 2.0);
         assert!(
-            best.evaluation.objective > 0.0,
+            best.evaluation.objective > Some(0.0),
             "should approach the boundary"
         );
     }
@@ -919,11 +910,23 @@ mod tests {
                 .doe_samples(4)
                 .seed(11),
         );
+        // Infeasible points go unscored, as a refused candidate does:
+        // the checkpoint carries their absent objective.
         let objective = |c: &Configuration| {
             let x = c.real("x").unwrap();
-            Evaluation::new(-(x - 3.0) * (x - 3.0)).feasible(x > -8.0)
+            let scored = (x < 6.0).then(|| -(x - 3.0) * (x - 3.0));
+            Evaluation::new(scored).feasible(x < 6.0)
         };
         let uninterrupted = optimizer.run(objective).unwrap();
+        let absent = uninterrupted
+            .objective_series()
+            .iter()
+            .position(Option::is_none);
+        assert_eq!(
+            absent,
+            Some(0),
+            "every checkpoint below carries an unscored point"
+        );
 
         for stop_after in [2usize, 4, 7, 13] {
             let truncated = optimizer
@@ -1044,12 +1047,13 @@ mod tests {
         )
         .run(|c| {
             let x = c.real("x").unwrap();
-            Evaluation::new(-(x * x))
+            Evaluation::new((x < 5.0).then(|| -(x * x)))
                 .feasible(x < 5.0)
                 .with_violation(if x < 5.0 { 0.0 } else { x - 5.0 })
                 .with_metric("params", x.abs() * 1e-7)
         })
         .unwrap();
+        assert!(history.objective_series().contains(&None));
         let text = serde_json::to_string(&history.to_json()).unwrap();
         let decoded =
             OptimizationHistory::from_json(&serde_json::from_str(&text).unwrap()).unwrap();
@@ -1067,6 +1071,13 @@ mod tests {
         assert!(OptimizationHistory::from_json(&bad).is_err());
         let bad = serde_json::from_str("[1, 2]").unwrap();
         assert!(Evaluation::from_json(&bad).is_err());
+        // An absent objective is written as `null`, never left out.
+        let unscored = "{\"is_feasible\": false, \"violation\": 1, \"metrics\": {}}";
+        let bad = serde_json::from_str(unscored).unwrap();
+        assert!(Evaluation::from_json(&bad).is_err());
+        let unscored = unscored.replacen('{', "{\"objective\": null, ", 1);
+        let decoded = Evaluation::from_json(&serde_json::from_str(&unscored).unwrap()).unwrap();
+        assert_eq!(decoded.objective, None);
     }
 
     #[test]
@@ -1097,7 +1108,9 @@ mod tests {
         let plain = history.best().unwrap();
         let efficient = history.best_efficient(0.01, "cost").unwrap();
         assert!(efficient.evaluation.metrics["cost"] <= plain.evaluation.metrics["cost"]);
-        assert!(efficient.evaluation.objective >= plain.evaluation.objective - 0.01);
+        assert!(
+            efficient.evaluation.objective.unwrap() >= plain.evaluation.objective.unwrap() - 0.01
+        );
     }
 
     #[test]
@@ -1109,35 +1122,6 @@ mod tests {
         .run(|c| Evaluation::new(c.real("x").unwrap()).feasible(false))
         .unwrap();
         assert!(history.best_efficient(0.1, "cost").is_none());
-    }
-
-    #[test]
-    fn pareto_front_filters_dominated() {
-        let history = BayesianOptimizer::new(
-            quadratic_space(),
-            OptimizerOptions::default().budget(25).seed(2),
-        )
-        .run(|c| {
-            let x = c.real("x").unwrap();
-            // objective = x, resource = x^2 (want high x, low resource).
-            Evaluation::new(x).with_metric("resource", x * x)
-        })
-        .unwrap();
-        let front = history.pareto_front("resource", -1.0);
-        assert!(!front.is_empty());
-        // No front member may dominate another.
-        for a in &front {
-            for b in &front {
-                if a.iteration == b.iteration {
-                    continue;
-                }
-                let dominates = a.evaluation.objective >= b.evaluation.objective
-                    && -a.evaluation.metrics["resource"] >= -b.evaluation.metrics["resource"]
-                    && (a.evaluation.objective > b.evaluation.objective
-                        || -a.evaluation.metrics["resource"] > -b.evaluation.metrics["resource"]);
-                assert!(!dominates, "front member dominated another");
-            }
-        }
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //!         Evaluation::new(-(x * x) + n).feasible(n <= 6.0)
 //!     })?;
 //! let best = history.best().expect("feasible point found");
-//! assert!(best.evaluation.objective > 2.0);
+//! assert!(best.evaluation.objective > Some(2.0));
 //! assert!(best.configuration.integer("n").unwrap() <= 6);
 //! # Ok(())
 //! # }

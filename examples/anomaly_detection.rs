@@ -63,13 +63,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // The Figure 4 "regret plot": per-iteration objective + best-so-far.
+    // A configuration the target refused untrained has no F1 (`—`).
     println!("\niteration  F1       best-so-far  feasible");
     let best_series = best.history.best_so_far_series();
     for (point, best_so_far) in best.history.points().iter().zip(best_series) {
+        let f1 = point
+            .evaluation
+            .objective
+            .map_or("—".to_string(), |f1| format!("{f1:.4}"));
         println!(
-            "{:9}  {:.4}   {:.4}       {}",
+            "{:9}  {f1:<6}   {:.4}       {}",
             point.iteration + 1,
-            point.evaluation.objective,
             if best_so_far.is_nan() {
                 0.0
             } else {

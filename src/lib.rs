@@ -91,7 +91,13 @@
 //! //    the session then yields the best-so-far as a partial artifact.)
 //! let compiler = Compiler::new(CompilerOptions::fast()).observe(Arc::new(
 //!     |event: &CompileEvent| {
-//!         if let CompileEvent::CandidateEvaluated { iteration, objective, .. } = event {
+//!         // A candidate the target refused untrained has no F1.
+//!         if let CompileEvent::CandidateEvaluated {
+//!             iteration,
+//!             objective: Some(objective),
+//!             ..
+//!         } = event
+//!         {
 //!             println!("iter {iteration}: F1 {objective:.3}");
 //!         }
 //!     },

@@ -141,6 +141,10 @@ fn resumed_compile_is_bit_identical_to_uninterrupted() {
     // different options, which resume must ignore in favour of the
     // checkpoint's own.
     let path = interrupted_checkpoint(&platform, false, "portability_json");
+    // Each model's first draw is over the 16x16 grid: the checkpoint holds
+    // a refused point, with no objective.
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert!(text.contains("\"objective\":null"), "no refused point");
     let resumed = Compiler::new(CompilerOptions::default())
         .resume(&platform, &path)
         .unwrap();
@@ -178,6 +182,9 @@ fn binary_checkpoint_resumes_identically_to_json_one() {
         "binary checkpoint ({bin_bytes} B) must undercut JSON ({json_bytes} B)"
     );
 
+    let bin_document = serde_json::from_slice_binary(&std::fs::read(&bin_path).unwrap()).unwrap();
+    let bin_text = serde_json::to_string(&bin_document).unwrap();
+    assert!(bin_text.contains("\"objective\":null"), "no refused point");
     let from_json = Compiler::new(tiny_options())
         .resume(&platform, &json_path)
         .unwrap();
@@ -272,6 +279,12 @@ fn binary_artifact_roundtrips_through_build_deployment() {
 
     assert_eq!(reloaded.best().ir, artifact.best().ir);
     assert_eq!(reloaded.code(), artifact.code());
+    let history = &artifact.best().history;
+    assert!(
+        history.objective_series().contains(&None),
+        "no refused point"
+    );
+    assert_eq!(reloaded.best().history, *history);
     for workers in [1, 4] {
         assert_eq!(
             serve_frozen_stream(&reloaded, workers),
