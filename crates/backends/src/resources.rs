@@ -53,18 +53,6 @@ impl ResourceVector {
         }
         out
     }
-
-    /// `true` if every quantity in `self` is `<=` the matching budget
-    /// entry (budget entries missing from `self` are fine; quantities
-    /// missing from the budget are unconstrained).
-    pub fn fits_within(&self, budget: &ResourceVector) -> bool {
-        self.entries
-            .iter()
-            .all(|(k, v)| match budget.entries.get(k) {
-                Some(b) => v <= b,
-                None => true,
-            })
-    }
 }
 
 impl fmt::Display for ResourceVector {
@@ -367,23 +355,13 @@ mod tests {
     }
 
     #[test]
-    fn vector_get_add_fits() {
+    fn vector_get_and_add() {
         let a = ResourceVector::new().with("cus", 10.0).with("mus", 5.0);
         let b = ResourceVector::new().with("cus", 3.0);
         let sum = a.add(&b);
         assert_eq!(sum.get("cus"), 13.0);
         assert_eq!(sum.get("mus"), 5.0);
         assert_eq!(sum.get("absent"), 0.0);
-        let budget = ResourceVector::new().with("cus", 15.0);
-        assert!(sum.fits_within(&budget));
-        let tight = ResourceVector::new().with("cus", 12.0);
-        assert!(!sum.fits_within(&tight));
-    }
-
-    #[test]
-    fn unconstrained_resources_always_fit() {
-        let usage = ResourceVector::new().with("exotic", 1e9);
-        assert!(usage.fits_within(&ResourceVector::new()));
     }
 
     #[test]

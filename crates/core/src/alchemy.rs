@@ -404,11 +404,6 @@ impl Platform {
         &mut self.constraints
     }
 
-    /// The constraint clause.
-    pub fn constraint_spec(&self) -> &ConstraintSpec {
-        &self.constraints
-    }
-
     /// Schedules a single model (`platform.schedule(model_spec)`).
     ///
     /// # Errors

@@ -104,16 +104,6 @@ pub fn fuse_all(mut specs: Vec<ModelSpec>, threshold: f64) -> Result<Vec<ModelSp
     }
 }
 
-/// Validation helper for fused names.
-pub fn is_fused_name(name: &str) -> bool {
-    name.contains('+')
-}
-
-/// Splits a fused name back into its parts.
-pub fn fused_parts(name: &str) -> Vec<&str> {
-    name.split('+').collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,8 +170,7 @@ mod tests {
         let (fused, _) = try_fuse(&a, &b, DEFAULT_OVERLAP_THRESHOLD).unwrap();
         let fused = fused.expect("halves share the schema");
         assert_eq!(fused.dataset.len(), 1_000);
-        assert!(is_fused_name(&fused.name));
-        assert_eq!(fused_parts(&fused.name), vec!["ad_part1", "ad_part2"]);
+        assert_eq!(fused.name, "ad_part1+ad_part2");
     }
 
     #[test]

@@ -128,7 +128,6 @@ use homunculus_ml::quantize::FixedPoint;
 use homunculus_optimizer::space::Configuration;
 use homunculus_optimizer::{
     BayesianOptimizer, Evaluation, OptimizationHistory, OptimizerError, OptimizerOptions,
-    SearchControl,
 };
 use homunculus_runtime::Compile;
 use serde_json::{json, Value};
@@ -1579,14 +1578,14 @@ pub(crate) fn search_seed(root: u64, model_index: u64, algorithm: Algorithm) -> 
         .wrapping_add(algorithm as u64 * 0x79B9)
 }
 
-/// One algorithm's BO search: the black-box objective is
-/// [`Evaluator::evaluate`] under the search's epoch budget. Emits
-/// [`CompileEvent::CandidateEvaluated`] per iteration through the
-/// optimizer's monitor hook, and honors the session's [`CancelToken`] at
-/// iteration boundaries (a stopped search returns its truncated
+/// One algorithm's BO search: the loop asks the optimizer for a
+/// configuration, scores it with [`Evaluator::evaluate`] under the
+/// search's epoch budget, tells the optimizer the outcome, emits
+/// [`CompileEvent::CandidateEvaluated`], and then checks the deadline and
+/// the session's [`CancelToken`] (a stopped search returns its truncated
 /// best-so-far history as `Ok`). With a `warm` history the optimizer
-/// replays the recorded points (no objective calls, no
-/// `CandidateEvaluated` events) and continues live from where they stop;
+/// replays the recorded points (no evaluations, no `CandidateEvaluated`
+/// events) and the loop continues live from where they stop;
 /// replay-verification failures surface as [`CoreError::Checkpoint`].
 fn search_algorithm(
     ctx: &Ctx<'_>,
@@ -1608,7 +1607,7 @@ fn search_algorithm(
         seed,
     };
 
-    let objective = |config: &Configuration| {
+    let evaluate = |config: &Configuration| {
         let candidate = Candidate::Configured(algorithm, config);
         match evaluator.evaluate(&candidate, budget) {
             Ok(Scored {
@@ -1656,7 +1655,24 @@ fn search_algorithm(
                 .with_violation(BROKEN_CANDIDATE_VIOLATION),
         }
     };
-    let monitor = |point: &homunculus_optimizer::EvaluatedPoint| {
+    let mut optimizer = match warm {
+        Some(from) => BayesianOptimizer::resume(space, optimizer_options, from).map_err(|e| {
+            match e {
+                // The replay disagreed with the record: the checkpoint
+                // does not belong to this (platform, options) pair.
+                OptimizerError::Resume(msg) => CoreError::Checkpoint(format!(
+                    "model '{}' ({}): {msg}",
+                    spec.name,
+                    algorithm.name()
+                )),
+                other => other.into(),
+            }
+        })?,
+        None => BayesianOptimizer::new(space, optimizer_options),
+    };
+    while let Some(configuration) = optimizer.ask()? {
+        let evaluation = evaluate(&configuration);
+        let point = optimizer.tell(configuration, evaluation)?;
         ctx.emit(CompileEvent::CandidateEvaluated {
             model: spec.name.clone(),
             algorithm,
@@ -1667,30 +1683,10 @@ fn search_algorithm(
         });
         ctx.check_deadline();
         if ctx.cancel.is_cancelled() {
-            SearchControl::Stop
-        } else {
-            SearchControl::Continue
+            break;
         }
-    };
-    let optimizer = BayesianOptimizer::new(space, optimizer_options);
-    let history = match warm {
-        Some(from) => optimizer
-            .resume_with(from, objective, monitor)
-            .map_err(|e| {
-                match e {
-                    // The replay disagreed with the record: the checkpoint
-                    // does not belong to this (platform, options) pair.
-                    OptimizerError::Resume(msg) => CoreError::Checkpoint(format!(
-                        "model '{}' ({}): {msg}",
-                        spec.name,
-                        algorithm.name()
-                    )),
-                    other => other.into(),
-                }
-            })?,
-        None => optimizer.run_with(objective, monitor)?,
-    };
-    Ok(history)
+    }
+    Ok(optimizer.into_history())
 }
 
 #[cfg(test)]

@@ -671,13 +671,6 @@ pub struct TrainReport {
     pub epoch_losses: Vec<f32>,
 }
 
-impl TrainReport {
-    /// Loss after the final epoch.
-    pub fn final_loss(&self) -> f32 {
-        self.epoch_losses.last().copied().unwrap_or(f32::NAN)
-    }
-}
-
 /// Optimizer state (momentum / Adam moments) for one layer.
 #[derive(Debug, Clone)]
 struct OptimState {
@@ -854,11 +847,8 @@ mod tests {
             .unwrap();
         let after = net.loss(&x, &y).unwrap();
         assert!(after < before, "loss should drop: {before} -> {after}");
-        assert!(
-            report.final_loss() < 0.1,
-            "final loss {}",
-            report.final_loss()
-        );
+        let final_loss = report.epoch_losses.last().copied().unwrap();
+        assert!(final_loss < 0.1, "final loss {final_loss}");
         assert_eq!(net.predict(&x).unwrap(), y);
     }
 

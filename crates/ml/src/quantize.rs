@@ -173,14 +173,6 @@ impl FixedPoint {
         m.map(|v| self.dequantize(self.quantize(v)))
     }
 
-    /// Largest absolute round-trip error over the slice.
-    pub fn roundtrip_error(&self, values: &[f32]) -> f32 {
-        values
-            .iter()
-            .map(|&v| (v - self.dequantize(self.quantize(v))).abs())
-            .fold(0.0, f32::max)
-    }
-
     // -----------------------------------------------------------------
     // Integer layer kernels
     //

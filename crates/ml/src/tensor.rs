@@ -454,11 +454,6 @@ impl Matrix {
         self.iter_rows().map(argmax).collect()
     }
 
-    /// The Frobenius norm (`sqrt(sum of squares)`).
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
-    }
-
     /// Returns `true` if any element is NaN or infinite.
     pub fn has_non_finite(&self) -> bool {
         self.data.iter().any(|v| !v.is_finite())

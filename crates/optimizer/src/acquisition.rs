@@ -1,4 +1,4 @@
-//! Acquisition functions for Bayesian optimization.
+//! The acquisition function for Bayesian optimization.
 //!
 //! The paper selects candidates with the **Expected Improvement**
 //! criterion (§5, citing Mockus et al.). For constrained problems the EI
@@ -18,11 +18,6 @@ pub fn expected_improvement(mean: f64, std: f64, best: f64, xi: f64) -> f64 {
     }
     let z = improvement / std;
     improvement * normal_cdf(z) + std * normal_pdf(z)
-}
-
-/// Upper confidence bound `mean + beta * std` (exploration alternative).
-pub fn upper_confidence_bound(mean: f64, std: f64, beta: f64) -> f64 {
-    mean + beta * std
 }
 
 /// Standard normal probability density.
@@ -46,26 +41,6 @@ pub fn erf(x: f64) -> f64 {
             * t
             * (-x * x).exp();
     sign * y
-}
-
-/// Which acquisition criterion the optimizer uses.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum Acquisition {
-    /// Expected Improvement with the given exploration jitter.
-    #[default]
-    ExpectedImprovement,
-    /// Upper confidence bound with `beta = 2`.
-    Ucb,
-}
-
-impl Acquisition {
-    /// Scores a candidate belief against the incumbent.
-    pub fn score(self, mean: f64, std: f64, best: f64) -> f64 {
-        match self {
-            Acquisition::ExpectedImprovement => expected_improvement(mean, std, best, 0.01),
-            Acquisition::Ucb => upper_confidence_bound(mean, std, 2.0),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -111,9 +86,8 @@ mod tests {
     }
 
     #[test]
-    fn acquisition_variants_score() {
-        assert!(Acquisition::ExpectedImprovement.score(5.0, 1.0, 3.0) > 0.0);
-        assert_eq!(Acquisition::Ucb.score(1.0, 2.0, 0.0), 5.0);
+    fn ei_with_the_search_jitter_scores_an_improvement() {
+        assert!(expected_improvement(5.0, 1.0, 3.0, 0.01) > 0.0);
     }
 
     proptest! {

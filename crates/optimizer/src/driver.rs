@@ -1,15 +1,16 @@
-//! The Bayesian-optimization driver loop.
+//! The Bayesian-optimization loop, as an ask/tell state machine.
 //!
 //! Mirrors the paper's HyperMapper setup (§5): a uniform random sampling
 //! initialization phase (design of experiments), then iterations that
 //! (1) fit the random-forest objective surrogate on feasible observations
 //! and the feasibility classifier on all observations, (2) score a pool of
 //! random + locally-perturbed candidates with `EI x P(feasible)`, and
-//! (3) evaluate the winner against the true (expensive) objective — in
-//! Homunculus, "evaluate" means *train the model and check it against the
-//! platform's resource/performance budget*.
+//! (3) hand the winner to the caller, who evaluates it against the true
+//! (expensive) objective and tells the outcome back — in Homunculus,
+//! "evaluate" means *train the model and check it against the platform's
+//! resource/performance budget*.
 
-use crate::acquisition::Acquisition;
+use crate::acquisition::expected_improvement;
 use crate::space::{Configuration, DesignSpace};
 use crate::surrogate::{FeasibilitySurrogate, ObjectiveSurrogate};
 use crate::{OptimizerError, Result};
@@ -17,20 +18,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde_json::{json, ToJson, Value};
 use std::collections::BTreeMap;
-
-/// Control signal a [`BayesianOptimizer::run_with`] monitor returns after
-/// every evaluation. The monitor is how callers *observe* the loop (each
-/// [`EvaluatedPoint`] is handed over as soon as it exists) and how they
-/// *cancel* it: returning [`SearchControl::Stop`] ends the search at the
-/// current iteration boundary, and the truncated history — every point
-/// evaluated so far, best-so-far included — is returned as `Ok`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SearchControl {
-    /// Keep iterating.
-    Continue,
-    /// Stop at this iteration boundary and return the history so far.
-    Stop,
-}
 
 /// The outcome of evaluating one configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -330,6 +317,13 @@ fn best_feasible(points: &[EvaluatedPoint]) -> Option<&EvaluatedPoint> {
         .map(|(p, _)| p)
 }
 
+/// Random candidates scored per BO iteration.
+const CANDIDATE_POOL: usize = 200;
+/// Locally-perturbed candidates (around the incumbent) per iteration.
+const LOCAL_CANDIDATES: usize = 40;
+/// Expected Improvement's exploration jitter.
+const EI_XI: f64 = 0.01;
+
 /// Options controlling the optimization loop.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OptimizerOptions {
@@ -337,12 +331,6 @@ pub struct OptimizerOptions {
     pub budget: usize,
     /// Random-initialization samples before BO starts.
     pub doe_samples: usize,
-    /// Random candidates scored per BO iteration.
-    pub candidate_pool: usize,
-    /// Locally-perturbed candidates (around the incumbent) per iteration.
-    pub local_candidates: usize,
-    /// Acquisition criterion.
-    pub acquisition: Acquisition,
     /// RNG seed.
     pub seed: u64,
 }
@@ -352,9 +340,6 @@ impl Default for OptimizerOptions {
         OptimizerOptions {
             budget: 20,
             doe_samples: 5,
-            candidate_pool: 200,
-            local_candidates: 40,
-            acquisition: Acquisition::default(),
             seed: 0,
         }
     }
@@ -379,12 +364,6 @@ impl OptimizerOptions {
         self
     }
 
-    /// Sets the acquisition criterion.
-    pub fn acquisition(mut self, acquisition: Acquisition) -> Self {
-        self.acquisition = acquisition;
-        self
-    }
-
     fn validate(&self) -> Result<()> {
         if self.budget == 0 {
             return Err(OptimizerError::InvalidOptions(
@@ -396,129 +375,79 @@ impl OptimizerOptions {
                 "doe_samples must be positive".into(),
             ));
         }
-        if self.candidate_pool == 0 {
-            return Err(OptimizerError::InvalidOptions(
-                "candidate_pool must be positive".into(),
-            ));
-        }
         Ok(())
     }
 }
 
-/// The constrained Bayesian optimizer.
+/// The constrained Bayesian optimizer, as an ask/tell state machine: the
+/// caller [`ask`](BayesianOptimizer::ask)s for a configuration, evaluates
+/// it, and [`tell`](BayesianOptimizer::tell)s the outcome, until `ask`
+/// returns `None` at the budget. The optimizer owns the RNG and the points
+/// told so far; the caller owns the evaluation, and stopping early is the
+/// caller no longer asking.
 ///
-/// See the crate-level example for usage.
+/// See the crate-level example for the [`run`](BayesianOptimizer::run)
+/// convenience loop.
 #[derive(Debug, Clone)]
 pub struct BayesianOptimizer {
     space: DesignSpace,
     options: OptimizerOptions,
+    rng: StdRng,
+    points: Vec<EvaluatedPoint>,
+    /// The configuration asked for and not yet told.
+    asked: Option<Configuration>,
 }
 
 impl BayesianOptimizer {
     /// Creates an optimizer over `space` with `options`.
     pub fn new(space: DesignSpace, options: OptimizerOptions) -> Self {
-        BayesianOptimizer { space, options }
-    }
-
-    /// The design space being searched.
-    pub fn space(&self) -> &DesignSpace {
-        &self.space
-    }
-
-    /// Runs the loop, calling `objective` once per evaluated configuration.
-    ///
-    /// # Errors
-    ///
-    /// - [`OptimizerError::InvalidSpace`] for an empty space.
-    /// - [`OptimizerError::InvalidOptions`] for degenerate options.
-    ///
-    /// Note: a history with *no feasible point* is returned as `Ok` — the
-    /// caller decides whether that is an error ([`OptimizationHistory::best`]
-    /// returns `None`); this mirrors the paper's "no feasible solution
-    /// exists" terminal state (§1).
-    pub fn run<F>(&self, objective: F) -> Result<OptimizationHistory>
-    where
-        F: FnMut(&Configuration) -> Evaluation,
-    {
-        self.run_with(objective, |_| SearchControl::Continue)
-    }
-
-    /// [`run`](BayesianOptimizer::run) with a per-iteration monitor: after
-    /// every evaluation the freshly-recorded [`EvaluatedPoint`] is handed
-    /// to `monitor`, which returns [`SearchControl::Continue`] to keep
-    /// going or [`SearchControl::Stop`] to end the search at this
-    /// iteration boundary. A stopped search is **not** an error — the
-    /// truncated history (best-so-far included) is returned as `Ok`, so
-    /// cooperative cancellation always yields whatever was already paid
-    /// for. The monitor never influences the RNG stream: a run whose
-    /// monitor always continues is bit-identical to
-    /// [`run`](BayesianOptimizer::run).
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](BayesianOptimizer::run).
-    pub fn run_with<F, M>(&self, mut objective: F, mut monitor: M) -> Result<OptimizationHistory>
-    where
-        F: FnMut(&Configuration) -> Evaluation,
-        M: FnMut(&EvaluatedPoint) -> SearchControl,
-    {
-        self.validate_setup()?;
-        let mut rng = StdRng::seed_from_u64(self.options.seed);
-        self.drive(Vec::new(), &mut rng, &mut objective, &mut monitor)
+        BayesianOptimizer {
+            rng: StdRng::seed_from_u64(options.seed),
+            points: Vec::new(),
+            asked: None,
+            space,
+            options,
+        }
     }
 
     /// Resumes a search from a (possibly truncated) recorded history —
     /// the checkpoint/resume half of the compile service: the prefix is
-    /// **replayed, not re-evaluated**. The RNG is walked through exactly
-    /// the draws the original run made (one [`DesignSpace::sample`] per
-    /// DOE point, one suggestion per BO point — which also re-fits the
-    /// surrogates, warm-starting them on the reloaded points), each
-    /// regenerated configuration is verified against the recorded one,
-    /// and the loop then continues from the next iteration. The combined
-    /// history is **bit-identical** to an uninterrupted
-    /// [`run_with`](BayesianOptimizer::run_with) under the same options,
-    /// provided `objective` is deterministic.
-    ///
-    /// Resuming from an empty history is exactly
-    /// [`run_with`](BayesianOptimizer::run_with); resuming from a
-    /// complete one replays it and returns without calling `objective`.
+    /// **replayed, not re-evaluated**. Each recorded point is asked for
+    /// and told back, which walks the RNG through exactly the draws the
+    /// original run made (and re-fits the surrogates on the reloaded
+    /// points); `tell` refuses a recorded configuration the replay did not
+    /// ask for. Asking on from the returned optimizer is
+    /// **bit-identical** to an uninterrupted search under the same
+    /// options, provided the evaluation is deterministic.
     ///
     /// # Errors
     ///
-    /// As [`run`](BayesianOptimizer::run), plus [`OptimizerError::Resume`]
+    /// As [`ask`](BayesianOptimizer::ask), plus [`OptimizerError::Resume`]
     /// when the history does not belong to this optimizer: more points
     /// than the budget, inconsistent `doe_samples` or iteration indices,
     /// or a recorded configuration that disagrees with the replayed RNG
     /// stream (a seed, space, or options drift between save and resume).
-    pub fn resume_with<F, M>(
-        &self,
+    pub fn resume(
+        space: DesignSpace,
+        options: OptimizerOptions,
         from: &OptimizationHistory,
-        mut objective: F,
-        mut monitor: M,
-    ) -> Result<OptimizationHistory>
-    where
-        F: FnMut(&Configuration) -> Evaluation,
-        M: FnMut(&EvaluatedPoint) -> SearchControl,
-    {
-        self.validate_setup()?;
-        let doe = self.options.doe_samples.min(self.options.budget);
-        if from.points.len() > self.options.budget {
+    ) -> Result<Self> {
+        let mut optimizer = BayesianOptimizer::new(space, options);
+        let options = &optimizer.options;
+        if from.points.len() > options.budget {
             return Err(OptimizerError::Resume(format!(
                 "history has {} points but the budget is {}",
                 from.points.len(),
-                self.options.budget
+                options.budget
             )));
         }
-        if from.doe_samples != doe.min(from.points.len()) {
+        let doe = options.doe_samples.min(from.points.len());
+        if from.doe_samples != doe {
             return Err(OptimizerError::Resume(format!(
-                "history records {} DOE samples where the options imply {}",
-                from.doe_samples,
-                doe.min(from.points.len())
+                "history records {} DOE samples where the options imply {doe}",
+                from.doe_samples
             )));
         }
-
-        let mut rng = StdRng::seed_from_u64(self.options.seed);
-        let mut points: Vec<EvaluatedPoint> = Vec::with_capacity(self.options.budget);
         for (index, recorded) in from.points.iter().enumerate() {
             if recorded.iteration != index {
                 return Err(OptimizerError::Resume(format!(
@@ -526,78 +455,102 @@ impl BayesianOptimizer {
                     recorded.iteration
                 )));
             }
-            let replayed = if index < doe {
-                self.space.sample(&mut rng)
-            } else {
-                self.suggest(&points, &mut rng)?
-            };
-            if replayed != recorded.configuration {
-                return Err(OptimizerError::Resume(format!(
-                    "replayed configuration for iteration {index} disagrees with the record \
-                     (seed, design space, or options changed since the checkpoint)"
-                )));
-            }
-            points.push(recorded.clone());
+            optimizer.ask()?;
+            optimizer.tell(recorded.configuration.clone(), recorded.evaluation.clone())?;
         }
-        self.drive(points, &mut rng, &mut objective, &mut monitor)
+        Ok(optimizer)
     }
 
-    fn validate_setup(&self) -> Result<()> {
+    /// The next configuration to evaluate: a uniform DOE sample while
+    /// fewer than `doe_samples` points exist, a surrogate suggestion after
+    /// that, and `None` once the budget is spent. Asking again before
+    /// telling returns the same configuration and draws nothing.
+    ///
+    /// # Errors
+    ///
+    /// - [`OptimizerError::InvalidSpace`] for an empty space.
+    /// - [`OptimizerError::InvalidOptions`] for degenerate options.
+    pub fn ask(&mut self) -> Result<Option<Configuration>> {
         if self.space.is_empty() {
             return Err(OptimizerError::InvalidSpace(
                 "design space has no parameters".into(),
             ));
         }
-        self.options.validate()
+        self.options.validate()?;
+        if self.asked.is_none() && self.points.len() < self.options.budget {
+            self.asked = Some(if self.points.len() < self.options.doe_samples {
+                self.space.sample(&mut self.rng)
+            } else {
+                self.suggest()?
+            });
+        }
+        Ok(self.asked.clone())
     }
 
-    /// The shared evaluation loop: continues from however many `points`
-    /// exist (zero for a fresh run, a replayed prefix for a resume) to
-    /// the budget, drawing DOE samples below `doe_samples` and surrogate
-    /// suggestions above it. `rng` must already be positioned after the
-    /// draws that produced `points`.
-    fn drive<F, M>(
-        &self,
-        mut points: Vec<EvaluatedPoint>,
-        rng: &mut StdRng,
-        objective: &mut F,
-        monitor: &mut M,
-    ) -> Result<OptimizationHistory>
+    /// Records the outcome of the configuration last asked for, and
+    /// returns the point it became.
+    ///
+    /// # Errors
+    ///
+    /// [`OptimizerError::Resume`] for any configuration other than the one
+    /// asked for (nothing is recorded): a replayed record from another
+    /// seed, design space or options.
+    pub fn tell(
+        &mut self,
+        configuration: Configuration,
+        evaluation: Evaluation,
+    ) -> Result<&EvaluatedPoint> {
+        let iteration = self.points.len();
+        if self.asked.as_ref() != Some(&configuration) {
+            return Err(OptimizerError::Resume(format!(
+                "the configuration told for iteration {iteration} is not the one asked for \
+                 (seed, design space, or options changed since the checkpoint)"
+            )));
+        }
+        self.asked = None;
+        self.points.push(EvaluatedPoint {
+            iteration,
+            configuration,
+            evaluation,
+        });
+        Ok(self.points.last().expect("just pushed"))
+    }
+
+    /// The history of every point told so far. A search stopped during
+    /// DOE records the initialization points that actually ran.
+    pub fn into_history(self) -> OptimizationHistory {
+        OptimizationHistory {
+            doe_samples: self.options.doe_samples.min(self.points.len()),
+            points: self.points,
+        }
+    }
+
+    /// Asks, evaluates with `objective` and tells until the budget is
+    /// spent.
+    ///
+    /// # Errors
+    ///
+    /// As [`ask`](BayesianOptimizer::ask).
+    ///
+    /// Note: a history with *no feasible point* is returned as `Ok` — the
+    /// caller decides whether that is an error ([`OptimizationHistory::best`]
+    /// returns `None`); this mirrors the paper's "no feasible solution
+    /// exists" terminal state (§1).
+    pub fn run<F>(mut self, mut objective: F) -> Result<OptimizationHistory>
     where
         F: FnMut(&Configuration) -> Evaluation,
-        M: FnMut(&EvaluatedPoint) -> SearchControl,
     {
-        let doe = self.options.doe_samples.min(self.options.budget);
-        for iteration in points.len()..self.options.budget {
-            // Phase 1 below doe_samples: uniform random initialization
-            // (DOE). Phase 2 above it: BO iterations.
-            let configuration = if iteration < doe {
-                self.space.sample(rng)
-            } else {
-                self.suggest(&points, rng)?
-            };
+        while let Some(configuration) = self.ask()? {
             let evaluation = objective(&configuration);
-            points.push(EvaluatedPoint {
-                iteration,
-                configuration,
-                evaluation,
-            });
-            if monitor(points.last().expect("just pushed")) == SearchControl::Stop {
-                break;
-            }
+            self.tell(configuration, evaluation)?;
         }
-
-        // A stop during DOE leaves fewer initialization points than
-        // requested; the recorded count reflects what actually ran.
-        let doe_samples = doe.min(points.len());
-        Ok(OptimizationHistory {
-            points,
-            doe_samples,
-        })
+        Ok(self.into_history())
     }
 
     /// Proposes the next configuration given the history so far.
-    fn suggest(&self, points: &[EvaluatedPoint], rng: &mut StdRng) -> Result<Configuration> {
+    fn suggest(&mut self) -> Result<Configuration> {
+        let points = &self.points;
+        let rng = &mut self.rng;
         // Surrogate over *feasible* observations only. With no feasible
         // point yet the search is in a "phase 1" feasibility hunt: the
         // surrogate is fit on *negative violation magnitude* instead, so
@@ -650,7 +603,7 @@ impl BayesianOptimizer {
         // point under the current goal (feasible best, or phase 1's
         // least-violating point — polishing near the boundary is how the
         // hunt crosses it).
-        let mut candidates: Vec<Configuration> = (0..self.options.candidate_pool)
+        let mut candidates: Vec<Configuration> = (0..CANDIDATE_POOL)
             .map(|_| self.space.sample(rng))
             .collect();
         let local_base = if phase1 {
@@ -669,7 +622,7 @@ impl BayesianOptimizer {
             // single fixed width makes the endgame a random walk whose step
             // never shrinks below 10% of the range.
             const SCALES: [f64; 3] = [1.0, 0.2, 0.04];
-            for i in 0..self.options.local_candidates {
+            for i in 0..LOCAL_CANDIDATES {
                 let scale = SCALES[i % SCALES.len()];
                 candidates.push(self.space.perturb_scaled(&best.configuration, rng, scale));
             }
@@ -693,7 +646,7 @@ impl BayesianOptimizer {
                 let score = if exploit {
                     mean
                 } else {
-                    self.options.acquisition.score(mean, std, incumbent)
+                    expected_improvement(mean, std, incumbent, EI_XI)
                 };
                 (c, score, probability)
             })
@@ -852,50 +805,117 @@ mod tests {
         assert_eq!(run(7), run(7));
     }
 
+    /// Asks and tells until `stop_after` points exist (or the budget is
+    /// spent): a caller that stops asking.
+    fn run_until<F>(
+        mut optimizer: BayesianOptimizer,
+        mut objective: F,
+        stop_after: usize,
+    ) -> OptimizationHistory
+    where
+        F: FnMut(&Configuration) -> Evaluation,
+    {
+        while optimizer.points.len() < stop_after {
+            let Some(configuration) = optimizer.ask().unwrap() else {
+                break;
+            };
+            let evaluation = objective(&configuration);
+            optimizer.tell(configuration, evaluation).unwrap();
+        }
+        optimizer.into_history()
+    }
+
     #[test]
-    fn run_with_stop_truncates_but_keeps_best_so_far() {
+    fn asking_twice_without_telling_returns_the_same_configuration() {
+        let mut optimizer = BayesianOptimizer::new(
+            quadratic_space(),
+            OptimizerOptions::default().budget(6).doe_samples(2).seed(3),
+        );
+        let objective = |c: &Configuration| Evaluation::new(-(c.real("x").unwrap()).abs());
+        // Once in DOE, once past it (a surrogate suggestion).
+        for _ in 0..2 {
+            let first = optimizer.ask().unwrap().unwrap();
+            let rng = optimizer.rng.clone();
+            let points = optimizer.points.clone();
+            assert_eq!(optimizer.ask().unwrap(), Some(first.clone()));
+            assert_eq!(optimizer.rng, rng, "a repeated ask drew from the RNG");
+            assert_eq!(
+                optimizer.points, points,
+                "a repeated ask changed the history"
+            );
+            let evaluation = objective(&first);
+            optimizer.tell(first, evaluation).unwrap();
+            while optimizer.points.len() < 3 {
+                let c = optimizer.ask().unwrap().unwrap();
+                let evaluation = objective(&c);
+                optimizer.tell(c, evaluation).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn telling_an_unasked_configuration_is_refused() {
+        let mut optimizer = BayesianOptimizer::new(
+            quadratic_space(),
+            OptimizerOptions::default().budget(4).doe_samples(2).seed(1),
+        );
+        let mut rng = StdRng::seed_from_u64(99);
+        let stranger = quadratic_space().sample(&mut rng);
+        // Nothing asked yet.
+        assert!(matches!(
+            optimizer.tell(stranger.clone(), Evaluation::new(0.0)),
+            Err(OptimizerError::Resume(_))
+        ));
+        // Something else asked.
+        let asked = optimizer.ask().unwrap().unwrap();
+        assert_ne!(asked, stranger);
+        assert!(matches!(
+            optimizer.tell(stranger, Evaluation::new(0.0)),
+            Err(OptimizerError::Resume(_))
+        ));
+        assert!(
+            optimizer.points.is_empty(),
+            "a refused tell recorded a point"
+        );
+        // The asked configuration is still owed, and still accepted.
+        let point = optimizer.tell(asked, Evaluation::new(1.0)).unwrap();
+        assert_eq!(point.iteration, 0);
+    }
+
+    #[test]
+    fn ask_returns_none_at_the_budget() {
+        let mut optimizer = BayesianOptimizer::new(
+            quadratic_space(),
+            OptimizerOptions::default().budget(3).doe_samples(2).seed(2),
+        );
+        for _ in 0..3 {
+            let c = optimizer.ask().unwrap().unwrap();
+            optimizer.tell(c, Evaluation::new(0.5)).unwrap();
+        }
+        assert_eq!(optimizer.ask().unwrap(), None);
+        assert_eq!(optimizer.ask().unwrap(), None);
+        assert_eq!(optimizer.into_history().points().len(), 3);
+    }
+
+    #[test]
+    fn stopping_early_truncates_but_keeps_best_so_far() {
         let space = quadratic_space();
         let optimizer =
             BayesianOptimizer::new(space, OptimizerOptions::default().budget(20).doe_samples(5));
         // Stop after 7 evaluations (mid-BO phase).
-        let history = optimizer
-            .run_with(
-                |c| Evaluation::new(-(c.real("x").unwrap()).abs()),
-                |point| {
-                    if point.iteration >= 6 {
-                        SearchControl::Stop
-                    } else {
-                        SearchControl::Continue
-                    }
-                },
-            )
-            .unwrap();
+        let history = run_until(
+            optimizer.clone(),
+            |c| Evaluation::new(-(c.real("x").unwrap()).abs()),
+            7,
+        );
         assert_eq!(history.points().len(), 7);
         assert_eq!(history.doe_samples(), 5);
         assert!(history.best().is_some(), "best-so-far survives the stop");
 
         // Stop during DOE: doe_samples reflects what actually ran.
-        let history = optimizer
-            .run_with(
-                |c| Evaluation::new(c.real("x").unwrap()),
-                |_| SearchControl::Stop,
-            )
-            .unwrap();
+        let history = run_until(optimizer, |c| Evaluation::new(c.real("x").unwrap()), 1);
         assert_eq!(history.points().len(), 1);
         assert_eq!(history.doe_samples(), 1);
-    }
-
-    #[test]
-    fn run_with_continue_is_bit_identical_to_run() {
-        let space = quadratic_space();
-        let optimizer =
-            BayesianOptimizer::new(space, OptimizerOptions::default().budget(12).seed(9));
-        let objective = |c: &Configuration| Evaluation::new(-(c.real("x").unwrap() - 2.0).abs());
-        let plain = optimizer.run(objective).unwrap();
-        let monitored = optimizer
-            .run_with(objective, |_| SearchControl::Continue)
-            .unwrap();
-        assert_eq!(plain, monitored, "the monitor must never touch the RNG");
     }
 
     #[test]
@@ -903,13 +923,12 @@ mod tests {
         // Interrupt a search mid-BO-phase, round-trip the truncated
         // history through JSON (the checkpoint wire), resume — the result
         // must match the uninterrupted run bit for bit.
-        let optimizer = BayesianOptimizer::new(
-            quadratic_space(),
-            OptimizerOptions::default()
-                .budget(14)
-                .doe_samples(4)
-                .seed(11),
-        );
+        let space = quadratic_space();
+        let options = OptimizerOptions::default()
+            .budget(14)
+            .doe_samples(4)
+            .seed(11);
+        let optimizer = BayesianOptimizer::new(space.clone(), options.clone());
         // Infeasible points go unscored, as a refused candidate does:
         // the checkpoint carries their absent objective.
         let objective = |c: &Configuration| {
@@ -917,7 +936,7 @@ mod tests {
             let scored = (x < 6.0).then(|| -(x - 3.0) * (x - 3.0));
             Evaluation::new(scored).feasible(x < 6.0)
         };
-        let uninterrupted = optimizer.run(objective).unwrap();
+        let uninterrupted = optimizer.clone().run(objective).unwrap();
         let absent = uninterrupted
             .objective_series()
             .iter()
@@ -929,29 +948,18 @@ mod tests {
         );
 
         for stop_after in [2usize, 4, 7, 13] {
-            let truncated = optimizer
-                .run_with(objective, |point| {
-                    if point.iteration + 1 >= stop_after {
-                        SearchControl::Stop
-                    } else {
-                        SearchControl::Continue
-                    }
-                })
-                .unwrap();
+            let truncated = run_until(optimizer.clone(), objective, stop_after);
             assert_eq!(truncated.points().len(), stop_after);
             let text = serde_json::to_string(&truncated.to_json()).unwrap();
             let reloaded =
                 OptimizationHistory::from_json(&serde_json::from_str(&text).unwrap()).unwrap();
             let mut new_evaluations = 0usize;
-            let resumed = optimizer
-                .resume_with(
-                    &reloaded,
-                    |c| {
-                        new_evaluations += 1;
-                        objective(c)
-                    },
-                    |_| SearchControl::Continue,
-                )
+            let resumed = BayesianOptimizer::resume(space.clone(), options.clone(), &reloaded)
+                .unwrap()
+                .run(|c| {
+                    new_evaluations += 1;
+                    objective(c)
+                })
                 .unwrap();
             assert_eq!(
                 resumed, uninterrupted,
@@ -967,60 +975,57 @@ mod tests {
 
     #[test]
     fn resume_from_empty_and_complete_histories() {
-        let optimizer = BayesianOptimizer::new(
-            quadratic_space(),
-            OptimizerOptions::default().budget(10).seed(5),
-        );
+        let space = quadratic_space();
+        let options = OptimizerOptions::default().budget(10).seed(5);
         let objective = |c: &Configuration| Evaluation::new(-(c.real("x").unwrap()).abs());
-        let full = optimizer.run(objective).unwrap();
+        let full = BayesianOptimizer::new(space.clone(), options.clone())
+            .run(objective)
+            .unwrap();
 
         // Empty history: resume is exactly a fresh run.
         let empty = OptimizationHistory {
             points: Vec::new(),
             doe_samples: 0,
         };
-        let from_scratch = optimizer
-            .resume_with(&empty, objective, |_| SearchControl::Continue)
+        let from_scratch = BayesianOptimizer::resume(space.clone(), options.clone(), &empty)
+            .unwrap()
+            .run(objective)
             .unwrap();
         assert_eq!(from_scratch, full);
 
         // Complete history: pure replay, the objective never runs.
-        let resumed = optimizer
-            .resume_with(
-                &full,
-                |_| panic!("complete history must not re-evaluate"),
-                |_| SearchControl::Continue,
-            )
+        let resumed = BayesianOptimizer::resume(space, options, &full)
+            .unwrap()
+            .run(|_| panic!("complete history must not re-evaluate"))
             .unwrap();
         assert_eq!(resumed, full);
     }
 
     #[test]
     fn resume_rejects_foreign_histories() {
-        let optimizer = BayesianOptimizer::new(
-            quadratic_space(),
-            OptimizerOptions::default().budget(8).doe_samples(3).seed(1),
-        );
+        let options = |budget, seed| {
+            OptimizerOptions::default()
+                .budget(budget)
+                .doe_samples(3)
+                .seed(seed)
+        };
+        let resume = |options, history: &OptimizationHistory| {
+            BayesianOptimizer::resume(quadratic_space(), options, history)
+        };
         let objective = |c: &Configuration| Evaluation::new(c.real("x").unwrap());
-        let history = optimizer.run(objective).unwrap();
+        let history = BayesianOptimizer::new(quadratic_space(), options(8, 1))
+            .run(objective)
+            .unwrap();
 
         // A different seed cannot replay this record.
-        let reseeded = BayesianOptimizer::new(
-            quadratic_space(),
-            OptimizerOptions::default().budget(8).doe_samples(3).seed(2),
-        );
         assert!(matches!(
-            reseeded.resume_with(&history, objective, |_| SearchControl::Continue),
+            resume(options(8, 2), &history),
             Err(OptimizerError::Resume(_))
         ));
 
         // More points than the budget allows.
-        let tiny = BayesianOptimizer::new(
-            quadratic_space(),
-            OptimizerOptions::default().budget(4).doe_samples(3).seed(1),
-        );
         assert!(matches!(
-            tiny.resume_with(&history, objective, |_| SearchControl::Continue),
+            resume(options(4, 1), &history),
             Err(OptimizerError::Resume(_))
         ));
 
@@ -1028,13 +1033,13 @@ mod tests {
         let mut tampered = history.clone();
         tampered.doe_samples = 1;
         assert!(matches!(
-            optimizer.resume_with(&tampered, objective, |_| SearchControl::Continue),
+            resume(options(8, 1), &tampered),
             Err(OptimizerError::Resume(_))
         ));
         let mut shuffled = history.clone();
         shuffled.points.swap(0, 1);
         assert!(matches!(
-            optimizer.resume_with(&shuffled, objective, |_| SearchControl::Continue),
+            resume(options(8, 1), &shuffled),
             Err(OptimizerError::Resume(_))
         ));
     }
@@ -1122,23 +1127,5 @@ mod tests {
         .run(|c| Evaluation::new(c.real("x").unwrap()).feasible(false))
         .unwrap();
         assert!(history.best_efficient(0.1, "cost").is_none());
-    }
-
-    #[test]
-    fn ucb_acquisition_also_works() {
-        let history = BayesianOptimizer::new(
-            quadratic_space(),
-            OptimizerOptions::default()
-                .budget(30)
-                .seed(4)
-                .acquisition(Acquisition::Ucb),
-        )
-        .run(|c| {
-            let x = c.real("x").unwrap();
-            Evaluation::new(-(x - 3.0) * (x - 3.0))
-        })
-        .unwrap();
-        let x = history.best().unwrap().configuration.real("x").unwrap();
-        assert!((x - 3.0).abs() < 2.5, "best x = {x}");
     }
 }

@@ -18,6 +18,15 @@
 //! - search starts with a **uniform random sampling initialization phase**
 //!   followed by Bayesian-optimization iterations.
 //!
+//! The loop is ask/tell: [`BayesianOptimizer::ask`] proposes the next
+//! configuration (a DOE sample, then a surrogate suggestion, then `None`
+//! at the budget), the caller evaluates it, and
+//! [`BayesianOptimizer::tell`] records the outcome. The optimizer owns the
+//! RNG and the history; the caller owns the evaluation and when to stop.
+//! [`BayesianOptimizer::resume`] replays a recorded history through the
+//! same two calls, and [`BayesianOptimizer::run`] is the loop for an
+//! objective that is a plain function.
+//!
 //! # Example
 //!
 //! ```
@@ -51,7 +60,6 @@ mod driver;
 
 pub use driver::{
     BayesianOptimizer, EvaluatedPoint, Evaluation, OptimizationHistory, OptimizerOptions,
-    SearchControl,
 };
 
 use std::error::Error;
@@ -64,10 +72,6 @@ pub enum OptimizerError {
     InvalidSpace(String),
     /// Invalid optimizer options.
     InvalidOptions(String),
-    /// A configuration referenced an unknown parameter.
-    UnknownParameter(String),
-    /// The evaluation budget was exhausted without a feasible point.
-    NoFeasiblePoint,
     /// A persisted history/configuration document failed to decode.
     Decode(String),
     /// A recorded history could not be resumed against this optimizer
@@ -81,8 +85,6 @@ impl fmt::Display for OptimizerError {
         match self {
             OptimizerError::InvalidSpace(msg) => write!(f, "invalid design space: {msg}"),
             OptimizerError::InvalidOptions(msg) => write!(f, "invalid options: {msg}"),
-            OptimizerError::UnknownParameter(name) => write!(f, "unknown parameter: {name}"),
-            OptimizerError::NoFeasiblePoint => write!(f, "no feasible point found within budget"),
             OptimizerError::Decode(msg) => write!(f, "history decode failed: {msg}"),
             OptimizerError::Resume(msg) => write!(f, "history resume failed: {msg}"),
         }
@@ -101,8 +103,8 @@ mod tests {
     #[test]
     fn error_display() {
         assert_eq!(
-            OptimizerError::NoFeasiblePoint.to_string(),
-            "no feasible point found within budget"
+            OptimizerError::Resume("budget drifted".into()).to_string(),
+            "history resume failed: budget drifted"
         );
     }
 

@@ -13,12 +13,14 @@ use homunculus::ml::mlp::MlpArchitecture;
 use homunculus::ml::quantize::FixedPoint;
 use homunculus::ml::tensor::Matrix;
 use homunculus::ml::tree::{DecisionTreeClassifier, ExportedNode, TreeConfig};
-use homunculus::optimizer::space::{DesignSpace, Parameter};
+use homunculus::optimizer::space::{Configuration, DesignSpace, Parameter};
+use homunculus::optimizer::{BayesianOptimizer, Evaluation, OptimizerOptions};
 use homunculus::runtime::{
     classify_rows, Compile, CompiledPipeline, Deployment, Scratch, TenantBatch,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
+use serde_json::ToJson;
 
 #[test]
 fn stdrng_stream_is_frozen() {
@@ -390,4 +392,52 @@ fn fitted_tree_and_forest_fingerprints() {
         checksum, 0x5341_30aa_537a_0c50,
         "fitted half-sample forest drifted"
     );
+}
+
+/// The search trajectory on a constrained two-parameter space: DOE
+/// samples, the phase-1 violation descent, EI under the feasibility
+/// classifier, and the every-fourth exploit step, each with its absent or
+/// scored objective. The objective draws nothing from the RNG, so a loop
+/// refactor that keeps the draw order keeps this fingerprint.
+#[test]
+fn bo_trajectory_fingerprint() {
+    let mut space = DesignSpace::new("trajectory");
+    space.add("x", Parameter::real(-5.0, 5.0)).unwrap();
+    space.add("n", Parameter::integer(1, 16)).unwrap();
+    // Feasible only in a corner: x + n / 4 <= -1. Infeasible points are
+    // unscored, as a refused candidate is, and carry their overshoot.
+    let objective = |c: &Configuration| {
+        let (x, n) = (c.real("x").unwrap(), c.integer("n").unwrap() as f64);
+        let overshoot = x + n / 4.0 + 1.0;
+        let feasible = overshoot <= 0.0;
+        Evaluation::new(feasible.then(|| -(x + 3.0).powi(2) + n))
+            .feasible(feasible)
+            .with_violation(overshoot)
+    };
+    let options = OptimizerOptions::default().budget(12).doe_samples(3);
+    let mut phase1_seeds = 0;
+    let mut exploit_seeds = 0;
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for seed in 0..4 {
+        let history = BayesianOptimizer::new(space.clone(), options.clone().seed(seed))
+            .run(objective)
+            .unwrap();
+        let points = history.points();
+        assert_eq!(points.len(), 12);
+        if points[..3].iter().all(|p| !p.evaluation.is_feasible) {
+            phase1_seeds += 1;
+        }
+        // Iteration 7 is an exploit step; it exploits the surrogate mean
+        // of feasible points when one precedes it.
+        if points[..7].iter().any(|p| p.evaluation.is_feasible) {
+            exploit_seeds += 1;
+        }
+        let text = serde_json::to_string(&history.to_json()).unwrap();
+        hash = text.bytes().fold(hash, |h, byte| {
+            (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    }
+    assert!(phase1_seeds > 0, "no seed starts in the phase-1 hunt");
+    assert!(exploit_seeds > 0, "no seed reaches a feasible exploit step");
+    assert_eq!(hash, 0xab14_2485_610f_fae0, "the BO trajectory drifted");
 }
