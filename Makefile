@@ -49,8 +49,11 @@ doc:
 # `deployment_lifecycle`, and of the `homunculus-runtime` `deploy::` unit
 # tests, which pin the individual wake edges (a blocked submit admitted
 # when the budget frees, shutdown releasing a blocked submit, parked
-# workers woken by resume). The ingress is a mutex and two condition
-# variables, so its failure mode is a wake-up that is never sent: a run
+# workers woken by resume) and the spin before parking (a spin whose
+# budget runs out, then parks and is woken by the next submit; shutdown
+# during a spin; at most one spinner under a four-worker trickle). The
+# ingress is a mutex, two condition variables and the spinner's epoch
+# counter, so its failure mode is a wake-up that is never sent: a run
 # that *hangs*, not one that fails, and only under an interleaving one
 # run may not meet. Hence STRESS_RUNS consecutive passes, each under
 # `timeout` so that a hung run fails the gate instead of holding it until

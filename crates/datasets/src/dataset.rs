@@ -151,30 +151,6 @@ impl Dataset {
         }
     }
 
-    /// Keeps only the named feature columns (used when the Tofino backend
-    /// drops low-importance SVM features to fit the MAT budget).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DatasetError::Invalid`] if a name is unknown.
-    pub fn select_features(&self, names: &[&str]) -> Result<Dataset> {
-        let mut indices = Vec::with_capacity(names.len());
-        for &name in names {
-            let idx = self
-                .feature_names
-                .iter()
-                .position(|n| n == name)
-                .ok_or_else(|| DatasetError::Invalid(format!("unknown feature '{name}'")))?;
-            indices.push(idx);
-        }
-        Ok(Dataset {
-            features: self.features.select_cols(&indices),
-            labels: self.labels.clone(),
-            n_classes: self.n_classes,
-            feature_names: names.iter().map(|s| s.to_string()).collect(),
-        })
-    }
-
     /// Stratified train/test split: each class is split with the same
     /// `test_fraction`, then both halves are shuffled.
     ///
@@ -489,15 +465,6 @@ mod tests {
         let c = Dataset::new(x, vec![0, 1], 2, vec!["a".into(), "z".into()]).unwrap();
         assert!((a.feature_overlap(&c) - 1.0 / 3.0).abs() < 1e-12);
         assert!(a.merge(&c).is_err());
-    }
-
-    #[test]
-    fn select_features_by_name() {
-        let ds = toy();
-        let only_b = ds.select_features(&["b"]).unwrap();
-        assert_eq!(only_b.n_features(), 1);
-        assert_eq!(only_b.features()[(0, 0)], 10.0);
-        assert!(ds.select_features(&["nope"]).is_err());
     }
 
     #[test]

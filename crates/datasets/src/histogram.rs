@@ -203,17 +203,6 @@ pub struct FlowmarkerConfig {
 }
 
 impl FlowmarkerConfig {
-    /// The original FlowLens marker: 94 PL bins (64 B) + 57 IPT bins
-    /// (512 s) = 151 bins, as cited in §5.1.2 of the paper.
-    pub fn flowlens_original() -> Self {
-        FlowmarkerConfig {
-            pl_bin_bytes: 64.0,
-            pl_bins: 94,
-            ipt_bin_seconds: 512.0,
-            ipt_bins: 57,
-        }
-    }
-
     /// The paper's reduced marker: 23 PL bins + 7 IPT bins = 30 bins,
     /// produced by fusing smaller bins into larger ones (§5.1.2).
     pub fn paper_reduced() -> Self {
@@ -308,13 +297,6 @@ impl Flowmarker {
         features
     }
 
-    /// The raw (unnormalized) concatenated counts.
-    pub fn raw_counts(&self) -> Vec<u64> {
-        let mut counts = self.pl.counts().to_vec();
-        counts.extend_from_slice(self.ipt.counts());
-        counts
-    }
-
     /// Resets the marker for reuse.
     pub fn clear(&mut self) {
         self.pl.clear();
@@ -396,7 +378,6 @@ mod tests {
 
     #[test]
     fn flowlens_shapes_match_paper() {
-        assert_eq!(FlowmarkerConfig::flowlens_original().total_bins(), 151);
         assert_eq!(FlowmarkerConfig::paper_reduced().total_bins(), 30);
         assert_eq!(FlowmarkerConfig::figure6().total_bins(), 28);
     }
@@ -419,8 +400,6 @@ mod tests {
     fn flowmarker_feature_vector_length() {
         let m = Flowmarker::new(FlowmarkerConfig::paper_reduced()).unwrap();
         assert_eq!(m.feature_vector().len(), 30);
-        let m = Flowmarker::new(FlowmarkerConfig::flowlens_original()).unwrap();
-        assert_eq!(m.feature_vector().len(), 151);
     }
 
     #[test]
@@ -431,7 +410,7 @@ mod tests {
         m.observe(&b.build());
         m.clear();
         assert_eq!(m.packet_count(), 0);
-        assert_eq!(m.raw_counts().iter().sum::<u64>(), 0);
+        assert_eq!(m.packet_length().total() + m.inter_packet_time().total(), 0);
     }
 
     #[test]

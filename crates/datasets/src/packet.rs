@@ -33,16 +33,6 @@ impl Protocol {
             Protocol::Other(n) => n,
         }
     }
-
-    /// Builds from an IP protocol number.
-    pub fn from_number(n: u8) -> Self {
-        match n {
-            6 => Protocol::Tcp,
-            17 => Protocol::Udp,
-            1 => Protocol::Icmp,
-            other => Protocol::Other(other),
-        }
-    }
 }
 
 impl fmt::Display for Protocol {
@@ -193,18 +183,6 @@ impl PacketBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn protocol_numbers_roundtrip() {
-        for p in [
-            Protocol::Tcp,
-            Protocol::Udp,
-            Protocol::Icmp,
-            Protocol::Other(89),
-        ] {
-            assert_eq!(Protocol::from_number(p.number()), p);
-        }
-    }
 
     #[test]
     fn protocol_display() {

@@ -35,19 +35,20 @@
 //! One `Mutex<Scheduler>` is the whole ingress, and `Scheduler` is the
 //! only code that changes it: each transition is one method that returns
 //! the `Wake` it owes, and `Shared::wake`, the one place either condvar is
-//! signalled, sends it once the lock is released. An idle worker sleeps on
-//! `work` until `dispatch` yields a chunk or the exit; a blocked
+//! signalled or the spin epoch bumped, sends it once the lock is released.
+//! An idle worker spins for a while (*The spin before parking* below), then
+//! sleeps on `work` until `dispatch` yields a chunk or the exit; a blocked
 //! [`submit`](Deployment::submit) sleeps on `room` until `admit` takes its
 //! ticket or refuses it `Closed`, and [`drain`](Deployment::drain) until no
 //! ticket is in flight.
 //!
-//! | transition (caller) | `work` | `room` |
-//! |---|---|---|
-//! | `admit` ([`submit`](Deployment::submit), [`try_submit`](Deployment::try_submit)) | `One` for a one-chunk ticket, `All` otherwise — only when running with `idle_workers > 0` | — |
-//! | `dispatch` (a worker) | — | when a row budget is set and `room_waiters > 0`: the budget frees at *dispatch*, not completion |
-//! | `complete` (a ticket's last chunk) | `All` when it empties a closed deployment with `idle_workers > 0` | when `room_waiters > 0` |
-//! | `resume` ([`resume`](Deployment::resume), [`drain`](Deployment::drain)) | `All` | — |
-//! | `close` ([`shutdown`](Deployment::shutdown)) | `All` | always |
+//! | transition (caller) | `work` | `room` | `spin` |
+//! |---|---|---|---|
+//! | `admit` ([`submit`](Deployment::submit), [`try_submit`](Deployment::try_submit)) | `One` for a one-chunk ticket, `All` otherwise — only when running with `idle_workers > 0`, and no `One` when a worker spins | — | when running with `spinning_workers > 0` |
+//! | `dispatch` (a worker) | — | when a row budget is set and `room_waiters > 0`: the budget frees at *dispatch*, not completion | — |
+//! | `complete` (a ticket's last chunk) | `All` when it empties a closed deployment with `idle_workers > 0` | when `room_waiters > 0` | when it empties a closed deployment with `spinning_workers > 0` |
+//! | `resume` ([`resume`](Deployment::resume), [`drain`](Deployment::drain)) | `All` | — | when `spinning_workers > 0` |
+//! | `close` ([`shutdown`](Deployment::shutdown)) | `All` | always | when `spinning_workers > 0` |
 //!
 //! **No wake-up can be lost:** every field a waiter's predicate reads is
 //! written only by a transition, under the mutex; a waiter re-checks its
@@ -55,9 +56,9 @@
 //! with going to sleep; a transition that can turn a predicate true
 //! returns the wake `Shared::wake` then sends. So a waiter either sees the
 //! new state, or was asleep when the transition ran and is woken. The
-//! `idle_workers` / `room_waiters` gauges, kept around each wait, only
-//! suppress wakes nobody would receive, and each wait loops over its
-//! predicate, so spurious wake-ups are harmless.
+//! `idle_workers` / `room_waiters` / `spinning_workers` gauges, kept
+//! around each wait, only suppress wakes nobody would receive, and each
+//! wait loops over its predicate, so spurious wake-ups are harmless.
 //!
 //! Lock order: `registry` → `sched`, and a ticket's own lock → `sched`
 //! (a completing chunk settles the deployment's counters before the ticket
@@ -67,10 +68,42 @@
 //! entries, so state a panicking holder leaves behind is still a valid
 //! scheduler, and a panic can cost a ticket but never wedge the pool.
 //!
-//! **Nothing polls, and there is no spin phase.** Waking on the event
-//! instead of a timer took hbench `deploy_trickle` p50 from 47 to 24 µs
-//! (2 vCPUs), for a futex wake per submit that finds a worker parked. A
-//! 50 µs spin before parking cut p50 to 3.8 µs but cost +29 % `setup_s`.
+//! # The spin before parking
+//!
+//! A futex wake costs a submit that finds its worker parked more than the
+//! ticket's kernel: on hbench `deploy_trickle` (16-row tickets, 2 vCPUs)
+//! 8–11 µs of wake against ~0.5 µs of classification. So a worker that goes
+//! idle first spins on one atomic, `Shared::spin_epoch`, and parks only
+//! when nothing came:
+//!
+//! - **How long:** twice the worker's own last idle stretch (from going
+//!   idle to its next chunk), at most 100 µs, and not at all after a
+//!   stretch longer than that (`spin_budget`). A fresh worker, or one
+//!   coming out of a quiet spell (set-up, shutdown), parks at once; work
+//!   that keeps arriving at short gaps keeps its worker spinning. One
+//!   spin per idle stretch: a worker that spun and found nothing parks.
+//! - **Who:** at most one worker per deployment (`Scheduler::start_spin`
+//!   grants it under the lock and counts it in `spinning_workers`). One
+//!   spinner takes a one-chunk ticket; two of them plus a submitter would
+//!   overbook two cores.
+//! - **How it is woken:** the spinner reads the epoch under the lock that
+//!   granted the spin, spins outside it until the epoch moves or the
+//!   budget ends, then re-takes the lock, gives the spin back and calls
+//!   `dispatch` again. Every transition after the grant sees
+//!   `spinning_workers > 0` and returns `spin` (the table's last column),
+//!   which `Shared::wake` turns into an epoch bump; a transition before the
+//!   grant is seen by the spinner's own `dispatch`. So the spin loses no
+//!   wake-up either, and a ticket the spinner takes costs no futex wake:
+//!   `admit` sends no `One` for it.
+//!
+//! The trade is CPU for latency: a deployment under trickle load keeps one
+//! core busy between tickets, and a quiet one parks after at most one
+//! budget. The spin is outside the classify path, so verdicts do not
+//! depend on it. A fixed 50 µs spin cost `deploy_trickle` +29 % `setup_s`
+//! because it spun whatever the recent history was; this budget follows
+//! the worker's own gaps, and took the p50 from 11.9 to 4.6 µs (2 vCPUs,
+//! medians of 10 alternating pairs, 10/10) with `setup_s` and `pkt_per_s`
+//! level.
 //!
 //! # Determinism contract
 //!
@@ -92,7 +125,7 @@ use homunculus_ml::preprocess::Normalizer;
 use homunculus_ml::quantize::FixedPoint;
 use homunculus_ml::tensor::Matrix;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -294,21 +327,38 @@ struct Scheduler {
     /// `room`: a signal is skipped when nobody would receive it.
     idle_workers: usize,
     room_waiters: usize,
+    /// Workers spinning on `Shared::spin_epoch` instead of asleep on
+    /// `work`: 0 or 1, since a worker spins only when nobody else does.
+    spinning_workers: usize,
     submitted_tickets: u64,
     completed_tickets: u64,
     cancelled_tickets: u64,
 }
 
-/// Which sleepers a [`Scheduler`] transition must wake (`Shared::wake`).
+/// Which waiters a [`Scheduler`] transition must wake (`Shared::wake`):
+/// sleepers on `work` and `room`, and, with `spin`, the spinning worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Wake {
     work: Notify,
     room: bool,
+    spin: bool,
 }
 
 impl Wake {
     fn new(work: Notify, room: bool) -> Self {
-        Wake { work, room }
+        Wake {
+            work,
+            room,
+            spin: false,
+        }
+    }
+
+    /// The same wake, also sent to the spinning worker when there is one.
+    fn spin(self, spinning: bool) -> Self {
+        Wake {
+            spin: spinning,
+            ..self
+        }
     }
 }
 
@@ -382,14 +432,19 @@ impl Scheduler {
         let lane = &mut self.lanes[lane];
         lane.queued_rows += rows;
         lane.queue.push_back(queued);
-        // One chunk occupies one worker; a ticket of several is worth
-        // every idle one.
-        let work = match (!self.paused && self.idle_workers > 0, one_chunk) {
+        if self.paused {
+            return Ok(Wake::new(Notify::None, false));
+        }
+        // One chunk occupies one worker, and the spinning one takes it
+        // without a futex wake; a ticket of several is worth every idle one.
+        let spinning = self.spinning_workers > 0;
+        let work = match (self.idle_workers > 0, one_chunk) {
             (false, _) => Notify::None,
+            (true, true) if spinning => Notify::None,
             (true, true) => Notify::One,
             (true, false) => Notify::All,
         };
-        Ok(Wake::new(work, false))
+        Ok(Wake::new(work, false).spin(spinning))
     }
 
     /// A ticket's last chunk finished: its depth frees for `room`, and the
@@ -398,20 +453,33 @@ impl Scheduler {
         self.completed_tickets += 1;
         self.cancelled_tickets += u64::from(cancelled);
         self.in_flight_tickets -= 1;
-        let exit = !self.open && self.in_flight_tickets == 0 && self.idle_workers > 0;
-        let work = if exit { Notify::All } else { Notify::None };
-        Wake::new(work, self.room_waiters > 0)
+        let exit = !self.open && self.in_flight_tickets == 0;
+        let work = if exit && self.idle_workers > 0 {
+            Notify::All
+        } else {
+            Notify::None
+        };
+        Wake::new(work, self.room_waiters > 0).spin(exit && self.spinning_workers > 0)
     }
 
     fn resume(&mut self) -> Wake {
         self.paused = false;
-        Wake::new(Notify::All, false)
+        Wake::new(Notify::All, false).spin(self.spinning_workers > 0)
     }
 
     /// Blocked submitters leave refused; idle workers re-check their exit.
     fn close(&mut self) -> Wake {
         self.open = false;
-        Wake::new(Notify::All, true)
+        Wake::new(Notify::All, true).spin(self.spinning_workers > 0)
+    }
+
+    /// An idle worker asks to spin for `budget` before it parks: granted,
+    /// and counted in `spinning_workers` until `Shared::spin` gives it
+    /// back, only when the budget is positive and no other worker spins.
+    fn start_spin(&mut self, budget: Duration) -> bool {
+        let granted = !budget.is_zero() && self.spinning_workers == 0;
+        self.spinning_workers += usize::from(granted);
+        granted
     }
 
     /// A new tenant's lane joins at the frontier; being empty, it wakes nobody.
@@ -717,7 +785,8 @@ struct Slot {
 
 /// Everything the resident workers share with the [`Deployment`] handle:
 /// fixed configuration, the tenant registry, and the ingress monitor —
-/// one mutex and its two condition variables (module docs).
+/// one mutex, its two condition variables, and the spinning worker's
+/// epoch (module docs).
 struct Shared {
     tag: u32,
     workers: usize,
@@ -730,6 +799,8 @@ struct Shared {
     work: Condvar,
     /// Blocked submitters and `drain` wait here for admission room.
     room: Condvar,
+    /// The spinning worker watches this; a wake with `spin` bumps it.
+    spin_epoch: AtomicU64,
     started: Instant,
 }
 
@@ -742,8 +813,11 @@ impl Shared {
     }
 
     /// Sends a transition's wake; called with the scheduler lock released.
-    /// The only place either condvar is signalled.
+    /// The only place either condvar is signalled or the epoch bumped.
     fn wake(&self, wake: Wake) {
+        if wake.spin {
+            self.spin_epoch.fetch_add(1, Ordering::Release);
+        }
         if wake.room {
             self.room.notify_all();
         }
@@ -781,13 +855,54 @@ impl Shared {
         sched.room_waiters -= 1;
         sched
     }
+
+    /// Spins outside the lock, after `Scheduler::start_spin` granted it,
+    /// until a transition bumps `spin_epoch` or `budget` runs out. Every
+    /// transition after the grant sees `spinning_workers > 0` and bumps
+    /// it. Returns the lock retaken, for the caller to dispatch again.
+    fn spin<'a>(
+        &'a self,
+        sched: MutexGuard<'a, Scheduler>,
+        budget: Duration,
+    ) -> MutexGuard<'a, Scheduler> {
+        let epoch = self.spin_epoch.load(Ordering::Acquire);
+        drop(sched);
+        let deadline = Instant::now() + budget;
+        while self.spin_epoch.load(Ordering::Acquire) == epoch && Instant::now() < deadline {
+            std::hint::spin_loop();
+        }
+        let mut sched = self.sched();
+        sched.spinning_workers -= 1;
+        sched
+    }
+}
+
+/// The longest an idle worker spins before it parks.
+const SPIN_MAX: Duration = Duration::from_micros(100);
+
+/// How long a worker that just went idle spins before it parks: twice its
+/// last idle stretch, at most `SPIN_MAX`, and not at all after a stretch
+/// longer than that. Work that arrived at short gaps is expected again
+/// soon; a long quiet spell (set-up, shutdown, a fresh worker's
+/// `Duration::MAX`) parks at once.
+fn spin_budget(last_idle: Duration) -> Duration {
+    if last_idle <= SPIN_MAX {
+        (last_idle * 2).min(SPIN_MAX)
+    } else {
+        Duration::ZERO
+    }
 }
 
 /// A resident worker: pop the next chunk under the lock, classify it
-/// outside, and sleep on `work` when nothing is queued.
+/// outside, and when nothing is queued spin for [`spin_budget`] (unless
+/// another worker spins), then sleep on `work`.
 fn worker_loop(shared: &Shared) {
     let mut scratch = Scratch::new();
     let mut verdicts: Vec<usize> = Vec::new();
+    // The last stretch from going idle to the next chunk, and the start of
+    // the current one.
+    let mut last_idle = Duration::MAX;
+    let mut idle_since: Option<Instant> = None;
     loop {
         let mut sched = shared.sched();
         let (chunk, wake) = loop {
@@ -795,6 +910,18 @@ fn worker_loop(shared: &Shared) {
                 Dispatch::Chunk(chunk, wake) => break (chunk, wake),
                 Dispatch::Exit => return,
                 Dispatch::Idle => {
+                    // One spin per idle stretch, at its start.
+                    let budget = match idle_since {
+                        Some(_) => Duration::ZERO,
+                        None => {
+                            idle_since = Some(Instant::now());
+                            spin_budget(last_idle)
+                        }
+                    };
+                    if sched.start_spin(budget) {
+                        sched = shared.spin(sched, budget);
+                        continue;
+                    }
                     sched.idle_workers += 1;
                     sched = shared
                         .work
@@ -805,6 +932,9 @@ fn worker_loop(shared: &Shared) {
             }
         };
         drop(sched);
+        if let Some(since) = idle_since.take() {
+            last_idle = since.elapsed();
+        }
         shared.wake(wake);
         if !process_chunk(shared, chunk, &mut scratch, &mut verdicts) {
             // A classify panic may have left the reusable buffers in an
@@ -1106,6 +1236,7 @@ impl DeploymentBuilder {
             sched: Mutex::new(Scheduler::new(&self)),
             work: Condvar::new(),
             room: Condvar::new(),
+            spin_epoch: AtomicU64::new(0),
             started: Instant::now(),
         });
         let handles = (0..workers)
@@ -1345,11 +1476,6 @@ impl Deployment {
             .iter()
             .position(|s| s.active && s.entry.name == name)
             .map(|index| TenantId::mint(index, self.shared.tag))
-    }
-
-    /// An active tenant's registered name.
-    pub fn tenant_name(&self, id: TenantId) -> Option<String> {
-        self.entry(id).ok().map(|e| e.name.clone())
     }
 
     /// An active tenant's expected feature width.
@@ -1744,7 +1870,6 @@ mod tests {
             Err(RuntimeError::Serve(_))
         ));
         assert_eq!(deployment.tenant_id("app"), Some(id));
-        assert_eq!(deployment.tenant_name(id).as_deref(), Some("app"));
         assert_eq!(deployment.n_features(id), Some(2));
         assert_eq!(deployment.tenant_count(), 2);
     }
@@ -1763,7 +1888,7 @@ mod tests {
             .submit(TenantBatch::new(foreign, packets(4, 2, 0)))
             .is_err());
         assert!(deployment.remove_tenant(foreign).is_err());
-        assert!(deployment.tenant_name(foreign).is_none());
+        assert!(deployment.n_features(foreign).is_none());
 
         deployment.remove_tenant(id).unwrap();
         assert!(deployment.remove_tenant(id).is_err(), "double remove");
@@ -2458,6 +2583,120 @@ mod tests {
         assert_eq!(rows, 20);
     }
 
+    /// Serves one-row tickets back to back, each polled to completion,
+    /// until the one worker has learned a short idle gap and is caught
+    /// spinning. Returns the scheduler lock that saw it: the worker cannot
+    /// leave its spin until the caller lets go.
+    fn caught_spinning(deployment: &Deployment, id: TenantId) -> MutexGuard<'_, Scheduler> {
+        let deadline = Instant::now() + SETTLE;
+        let pending = |what: &str| assert!(Instant::now() < deadline, "{what} within {SETTLE:?}");
+        loop {
+            pending("no spin");
+            let ticket = deployment
+                .submit(TenantBatch::new(id, packets(1, 1, 0)))
+                .unwrap();
+            while !ticket.is_done() {
+                pending("ticket not served");
+                std::hint::spin_loop();
+            }
+            // The worker goes idle next: it spins, or it parks.
+            loop {
+                let sched = deployment.shared.sched();
+                if sched.spinning_workers == 1 {
+                    return sched;
+                }
+                if sched.idle_workers == 1 {
+                    break;
+                }
+                drop(sched);
+                pending("worker not idle");
+            }
+        }
+    }
+
+    #[test]
+    fn a_spin_that_runs_out_parks_and_a_later_submit_is_served() {
+        let deployment = Deployment::builder().workers(1).build();
+        let id = deployment
+            .add_tenant("app", svm_pipeline(vec![1.0], 0.0), None)
+            .unwrap();
+        drop(caught_spinning(&deployment, id));
+        settle(
+            &deployment,
+            SETTLE,
+            "the spin runs out and parks",
+            |sched| sched.idle_workers == 1 && sched.spinning_workers == 0,
+        );
+        // Parked, no longer spinning: only `admit`'s `Notify::One` reaches it.
+        let ticket = deployment
+            .submit(TenantBatch::new(id, packets(3, 1, 1)))
+            .unwrap();
+        assert_eq!(
+            within("submit after a spin", move || ticket.wait()).len(),
+            3
+        );
+    }
+
+    #[test]
+    fn shutdown_during_a_spin_returns_at_once() {
+        let deployment = Arc::new(Deployment::builder().workers(1).build());
+        let id = deployment
+            .add_tenant("app", svm_pipeline(vec![1.0], 0.0), None)
+            .unwrap();
+        // Closed under the lock that saw the spin, so the close lands
+        // before the worker can leave it.
+        let mut sched = caught_spinning(&deployment, id);
+        let wake = sched.close();
+        drop(sched);
+        deployment.shared.wake(wake);
+        let took = within("shutdown during a spin", {
+            let deployment = Arc::clone(&deployment);
+            move || {
+                let t0 = Instant::now();
+                deployment.shutdown();
+                t0.elapsed()
+            }
+        });
+        assert!(took < Duration::from_millis(10), "shutdown took {took:?}");
+    }
+
+    #[test]
+    fn at_most_one_worker_spins_under_a_four_worker_trickle() {
+        // Four-chunk tickets wake every parked worker, so several workers
+        // go idle at about the same time. This samples the gauge; the
+        // one-spinner grant itself is pinned in the wake table.
+        let deployment = Arc::new(Deployment::builder().workers(4).chunk_rows(1).build());
+        let id = deployment
+            .add_tenant("app", svm_pipeline(vec![1.0], 0.0), None)
+            .unwrap();
+        let finished = Arc::new(AtomicBool::new(false));
+        let trickle = spawn({
+            let (deployment, finished) = (Arc::clone(&deployment), Arc::clone(&finished));
+            move || {
+                let rows = (0..500)
+                    .map(|seed| {
+                        let ticket = TenantBatch::new(id, packets(4, 1, seed));
+                        deployment.submit(ticket).unwrap().wait().len()
+                    })
+                    .sum::<usize>();
+                finished.store(true, Ordering::SeqCst);
+                rows
+            }
+        });
+        let deadline = Instant::now() + SETTLE;
+        let mut most = 0;
+        while !finished.load(Ordering::SeqCst) {
+            assert!(
+                Instant::now() < deadline,
+                "trickle not served within {SETTLE:?}"
+            );
+            most = most.max(deployment.shared.sched().spinning_workers);
+            std::thread::yield_now();
+        }
+        assert_eq!(trickle.get("the trickle"), 2000);
+        assert!(most <= 1, "{most} workers spun at once");
+    }
+
     /// `count` tickets of `rows` one-feature rows, carved `chunk` rows at
     /// a time, for a bare scheduler.
     fn tickets(count: usize, rows: usize, chunk: usize) -> VecDeque<Queued> {
@@ -2534,6 +2773,11 @@ mod tests {
         Edge::Woke(Wake::new(work, room))
     }
 
+    /// The same wake, sent to the spinning worker too.
+    fn spun(work: Notify, room: bool) -> Edge {
+        Edge::Woke(Wake::new(work, room).spin(true))
+    }
+
     /// `admit` of a `rows`-row ticket carved `chunk` rows at a time.
     fn admit(sched: &mut Scheduler, rows: usize, chunk: usize) -> Edge {
         let ticket = tickets(1, rows, chunk).pop_front().unwrap();
@@ -2565,18 +2809,25 @@ mod tests {
         use Notify::{All, One};
         let quiet = woke(Notify::None, false);
 
-        // admit: a worker per chunk, only when running with workers idle.
-        // (paused, idle workers, rows, chunk rows) → edge
-        for case @ (paused, idle, rows, chunk, edge) in [
-            (false, 1, 4, 4, woke(One, false)),
-            (false, 2, 8, 4, woke(All, false)),
-            (false, 0, 8, 4, quiet),
-            (true, 2, 8, 4, quiet),
-            (false, 2, 32, 8, woke(All, false)), // oversize, lanes empty
-            (false, 2, 0, 1, quiet),             // empty: complete already
+        // admit: a worker per chunk, only when running with workers idle;
+        // the spinning worker takes a one-chunk ticket without a `Notify`.
+        // (paused, idle workers, spinning, rows, chunk rows) → edge
+        for case @ (paused, idle, spinning, rows, chunk, edge) in [
+            (false, 1, 0, 4, 4, woke(One, false)),
+            (false, 2, 0, 8, 4, woke(All, false)),
+            (false, 0, 0, 8, 4, quiet),
+            (true, 2, 0, 8, 4, quiet),
+            (false, 2, 0, 32, 8, woke(All, false)), // oversize, lanes empty
+            (false, 2, 0, 0, 1, quiet),             // empty: complete already
+            (false, 1, 1, 4, 4, spun(Notify::None, false)),
+            (false, 0, 1, 4, 4, spun(Notify::None, false)),
+            (false, 2, 1, 8, 4, spun(All, false)),
+            (false, 0, 1, 8, 4, spun(Notify::None, false)),
+            (true, 1, 1, 4, 4, quiet),
+            (false, 1, 1, 0, 1, quiet),
         ] {
             let mut s = fresh(10);
-            (s.paused, s.idle_workers) = (paused, idle);
+            (s.paused, s.idle_workers, s.spinning_workers) = (paused, idle, spinning);
             assert_eq!(admit(&mut s, rows, chunk), edge, "{case:?}");
             assert_eq!(s.in_flight_tickets, usize::from(rows > 0), "{case:?}");
         }
@@ -2632,15 +2883,19 @@ mod tests {
         }
 
         // complete: depth frees for `room`; the last ticket of a closed
-        // deployment sends its idle workers to their exit.
-        // (closed, room waiters, idle workers, tickets still in flight)
-        for case @ (closed, waiters, idle, others, work, room) in [
-            (false, 1, 0, 0, Notify::None, true),
-            (false, 0, 1, 0, Notify::None, false),
-            (true, 0, 1, 0, All, false),
-            (true, 1, 2, 0, All, true),
-            (true, 0, 0, 0, Notify::None, false),
-            (true, 0, 1, 1, Notify::None, false),
+        // deployment sends its idle and spinning workers to their exit.
+        // (closed, room waiters, idle workers, spinning, tickets in flight)
+        for case @ (closed, waiters, idle, spinning, others, edge) in [
+            (false, 1, 0, 0, 0, woke(Notify::None, true)),
+            (false, 0, 1, 0, 0, quiet),
+            (true, 0, 1, 0, 0, woke(All, false)),
+            (true, 1, 2, 0, 0, woke(All, true)),
+            (true, 0, 0, 0, 0, quiet),
+            (true, 0, 1, 0, 1, quiet),
+            (false, 0, 1, 1, 0, quiet),
+            (true, 0, 0, 1, 0, spun(Notify::None, false)),
+            (true, 0, 1, 1, 0, spun(All, false)),
+            (true, 0, 1, 1, 1, quiet),
         ] {
             let mut s = fresh(10);
             for _ in 0..=others {
@@ -2650,13 +2905,52 @@ mod tests {
             if closed {
                 s.close();
             }
-            (s.room_waiters, s.idle_workers) = (waiters, idle);
-            assert_eq!(s.complete(false), Wake::new(work, room), "{case:?}");
+            (s.room_waiters, s.idle_workers, s.spinning_workers) = (waiters, idle, spinning);
+            assert_eq!(Edge::Woke(s.complete(false)), edge, "{case:?}");
         }
 
-        // resume and close wake everyone, listening or not.
-        assert_eq!(fresh(10).resume(), Wake::new(All, false));
-        assert_eq!(fresh(10).close(), Wake::new(All, true));
+        // start_spin: one spinner at a time, and none without a budget.
+        // (spinning already, budget in µs) → granted
+        for case @ (spinning, budget, granted) in [(0, 40, true), (1, 40, false), (0, 0, false)] {
+            let mut s = fresh(10);
+            s.spinning_workers = spinning;
+            assert_eq!(
+                s.start_spin(Duration::from_micros(budget)),
+                granted,
+                "{case:?}"
+            );
+            assert_eq!(
+                s.spinning_workers,
+                spinning + usize::from(granted),
+                "{case:?}"
+            );
+        }
+
+        // resume and close wake everyone, listening or not, and the
+        // spinning worker when there is one.
+        for spinning in [0, 1] {
+            let mut s = fresh(10);
+            s.spinning_workers = spinning;
+            let spin = spinning > 0;
+            assert_eq!(s.resume(), Wake::new(All, false).spin(spin));
+            assert_eq!(s.close(), Wake::new(All, true).spin(spin));
+        }
+    }
+
+    #[test]
+    fn the_spin_budget_is_twice_the_last_idle_gap_up_to_a_cap() {
+        let us = Duration::from_micros;
+        for (last_idle, budget) in [
+            (Duration::MAX, Duration::ZERO),
+            (Duration::ZERO, Duration::ZERO),
+            (us(20), us(40)),
+            (us(50), us(100)),
+            (us(80), us(100)),
+            (us(100), us(100)),
+            (us(101), Duration::ZERO),
+        ] {
+            assert_eq!(spin_budget(last_idle), budget, "{last_idle:?}");
+        }
     }
 
     #[test]
