@@ -50,8 +50,9 @@ doc:
 # tests, which pin the individual wake edges (a blocked submit admitted
 # when the budget frees, shutdown releasing a blocked submit, parked
 # workers woken by resume) and the spin before parking (a spin whose
-# budget runs out, then parks and is woken by the next submit; shutdown
-# during a spin; at most one spinner under a four-worker trickle). The
+# budget runs out, then parks and is woken by the next submit; a spin
+# ended by the epoch bump; shutdown during a spin; a four-worker trickle
+# with one spinner). The
 # ingress is a mutex, two condition variables and the spinner's epoch
 # counter, so its failure mode is a wake-up that is never sent: a run
 # that *hangs*, not one that fails, and only under an interleaving one

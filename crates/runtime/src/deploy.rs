@@ -44,11 +44,11 @@
 //!
 //! | transition (caller) | `work` | `room` | `spin` |
 //! |---|---|---|---|
-//! | `admit` ([`submit`](Deployment::submit), [`try_submit`](Deployment::try_submit)) | `One` for a one-chunk ticket, `All` otherwise — only when running with `idle_workers > 0`, and no `One` when a worker spins | — | when running with `spinning_workers > 0` |
+//! | `admit` ([`submit`](Deployment::submit), [`try_submit`](Deployment::try_submit)) | `One` for a one-chunk ticket, `All` otherwise — only when running with `idle_workers > 0`, and no `One` for the ticket that claims a free spinner | — | when running with a spinner |
 //! | `dispatch` (a worker) | — | when a row budget is set and `room_waiters > 0`: the budget frees at *dispatch*, not completion | — |
-//! | `complete` (a ticket's last chunk) | `All` when it empties a closed deployment with `idle_workers > 0` | when `room_waiters > 0` | when it empties a closed deployment with `spinning_workers > 0` |
-//! | `resume` ([`resume`](Deployment::resume), [`drain`](Deployment::drain)) | `All` | — | when `spinning_workers > 0` |
-//! | `close` ([`shutdown`](Deployment::shutdown)) | `All` | always | when `spinning_workers > 0` |
+//! | `complete` (a ticket's last chunk) | `All` when it empties a closed deployment with `idle_workers > 0` | when `room_waiters > 0` | when it empties a closed deployment with a spinner |
+//! | `resume` ([`resume`](Deployment::resume), [`drain`](Deployment::drain)) | `All` | — | with a spinner |
+//! | `close` ([`shutdown`](Deployment::shutdown)) | `All` | always | with a spinner |
 //!
 //! **No wake-up can be lost:** every field a waiter's predicate reads is
 //! written only by a transition, under the mutex; a waiter re-checks its
@@ -56,7 +56,7 @@
 //! with going to sleep; a transition that can turn a predicate true
 //! returns the wake `Shared::wake` then sends. So a waiter either sees the
 //! new state, or was asleep when the transition ran and is woken. The
-//! `idle_workers` / `room_waiters` / `spinning_workers` gauges, kept
+//! `idle_workers` / `room_waiters` gauges and the `spinner`, kept
 //! around each wait, only suppress wakes nobody would receive, and each
 //! wait loops over its predicate, so spurious wake-ups are harmless.
 //!
@@ -83,27 +83,35 @@
 //!   that keeps arriving at short gaps keeps its worker spinning. One
 //!   spin per idle stretch: a worker that spun and found nothing parks.
 //! - **Who:** at most one worker per deployment (`Scheduler::start_spin`
-//!   grants it under the lock and counts it in `spinning_workers`). One
-//!   spinner takes a one-chunk ticket; two of them plus a submitter would
-//!   overbook two cores.
+//!   grants it under the lock and records it in `Scheduler::spinner`).
+//!   One spinner takes a one-chunk ticket; two of them plus a submitter
+//!   would overbook two cores.
 //! - **How it is woken:** the spinner reads the epoch under the lock that
 //!   granted the spin, spins outside it until the epoch moves or the
 //!   budget ends, then re-takes the lock, gives the spin back and calls
-//!   `dispatch` again. Every transition after the grant sees
-//!   `spinning_workers > 0` and returns `spin` (the table's last column),
-//!   which `Shared::wake` turns into an epoch bump; a transition before the
-//!   grant is seen by the spinner's own `dispatch`. So the spin loses no
-//!   wake-up either, and a ticket the spinner takes costs no futex wake:
-//!   `admit` sends no `One` for it.
+//!   `dispatch` again. Every transition after the grant sees the spinner
+//!   and returns `spin` (the table's last column), which `Shared::wake`
+//!   turns into an epoch bump; a transition before the grant is seen by
+//!   the spinner's own `dispatch`. So the spin loses no wake-up either.
+//! - **Which ticket it takes:** the first ticket admitted during the spin
+//!   claims the spinner (`Spinner::Free` → `Claimed`), and `admit` sends
+//!   it no `One`: that ticket costs no futex wake. Every later ticket, up
+//!   to the spinner's return to the lock, is admitted as if nobody spun,
+//!   so it wakes a parked worker instead of queueing behind the spinner.
 //!
-//! The trade is CPU for latency: a deployment under trickle load keeps one
-//! core busy between tickets, and a quiet one parks after at most one
-//! budget. The spin is outside the classify path, so verdicts do not
-//! depend on it. A fixed 50 µs spin cost `deploy_trickle` +29 % `setup_s`
-//! because it spun whatever the recent history was; this budget follows
-//! the worker's own gaps, and took the p50 from 11.9 to 4.6 µs (2 vCPUs,
-//! medians of 10 alternating pairs, 10/10) with `setup_s` and `pkt_per_s`
-//! level.
+//! The trade is CPU for latency, paid only where idle gaps are short. On
+//! hbench (2 vCPUs, one worker) `deploy_trickle`'s worker ends 99.6–99.9 %
+//! of its idle stretches within 100 µs, and 98–99 % of its spins take a
+//! chunk: the p50 fell from 12.2 to 4.8 µs (medians of 10 alternating
+//! pairs, 10/10), but the spinner keeps one core busy (process CPU 27.5 →
+//! 41.5 s per 20 s run), and the tail rose (traced `gen.late_share` and
+//! `slo_miss_share` worse in 5 of 5 pairs). On `deploy_bulk` and
+//! `fleet_fabric` 17–28 % of idle stretches end within 100 µs, and the
+//! workers spin 2–82 ms per run in all. A quiet deployment parks after at
+//! most one budget. The spin is outside the classify path, so verdicts do
+//! not depend on it. A fixed 50 µs spin cost `deploy_trickle` +29 %
+//! `setup_s` because it spun whatever the recent history was; this budget
+//! follows the worker's own gaps, and left `setup_s` and `pkt_per_s` level.
 //!
 //! # Determinism contract
 //!
@@ -327,9 +335,9 @@ struct Scheduler {
     /// `room`: a signal is skipped when nobody would receive it.
     idle_workers: usize,
     room_waiters: usize,
-    /// Workers spinning on `Shared::spin_epoch` instead of asleep on
-    /// `work`: 0 or 1, since a worker spins only when nobody else does.
-    spinning_workers: usize,
+    /// The worker spinning on `Shared::spin_epoch` instead of asleep on
+    /// `work`, if any.
+    spinner: Spinner,
     submitted_tickets: u64,
     completed_tickets: u64,
     cancelled_tickets: u64,
@@ -360,6 +368,20 @@ impl Wake {
             ..self
         }
     }
+}
+
+/// The deployment's spinning worker: there is at most one, and the first
+/// ticket admitted during its spin claims it (module docs).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+enum Spinner {
+    /// No worker spins.
+    #[default]
+    None,
+    /// A worker spins, and no ticket has claimed it yet.
+    Free,
+    /// A worker spins, and a ticket admitted since counts on it: later
+    /// tickets wake parked workers as if nobody spun.
+    Claimed,
 }
 
 /// How many of the workers asleep on `work` a transition wakes.
@@ -435,16 +457,20 @@ impl Scheduler {
         if self.paused {
             return Ok(Wake::new(Notify::None, false));
         }
-        // One chunk occupies one worker, and the spinning one takes it
-        // without a futex wake; a ticket of several is worth every idle one.
-        let spinning = self.spinning_workers > 0;
+        // One chunk occupies one worker: the first ticket admitted during a
+        // spin claims the spinner, which takes it without a futex wake. A
+        // ticket of several chunks is worth every idle worker.
+        let claimed = self.spinner == Spinner::Free;
+        if claimed {
+            self.spinner = Spinner::Claimed;
+        }
         let work = match (self.idle_workers > 0, one_chunk) {
             (false, _) => Notify::None,
-            (true, true) if spinning => Notify::None,
+            (true, true) if claimed => Notify::None,
             (true, true) => Notify::One,
             (true, false) => Notify::All,
         };
-        Ok(Wake::new(work, false).spin(spinning))
+        Ok(Wake::new(work, false).spin(self.spinning()))
     }
 
     /// A ticket's last chunk finished: its depth frees for `room`, and the
@@ -459,27 +485,33 @@ impl Scheduler {
         } else {
             Notify::None
         };
-        Wake::new(work, self.room_waiters > 0).spin(exit && self.spinning_workers > 0)
+        Wake::new(work, self.room_waiters > 0).spin(exit && self.spinning())
     }
 
     fn resume(&mut self) -> Wake {
         self.paused = false;
-        Wake::new(Notify::All, false).spin(self.spinning_workers > 0)
+        Wake::new(Notify::All, false).spin(self.spinning())
     }
 
     /// Blocked submitters leave refused; idle workers re-check their exit.
     fn close(&mut self) -> Wake {
         self.open = false;
-        Wake::new(Notify::All, true).spin(self.spinning_workers > 0)
+        Wake::new(Notify::All, true).spin(self.spinning())
     }
 
     /// An idle worker asks to spin for `budget` before it parks: granted,
-    /// and counted in `spinning_workers` until `Shared::spin` gives it
-    /// back, only when the budget is positive and no other worker spins.
+    /// and held in `spinner` until `Shared::spin` gives it back, only when
+    /// the budget is positive and no other worker spins.
     fn start_spin(&mut self, budget: Duration) -> bool {
-        let granted = !budget.is_zero() && self.spinning_workers == 0;
-        self.spinning_workers += usize::from(granted);
+        let granted = !budget.is_zero() && !self.spinning();
+        if granted {
+            self.spinner = Spinner::Free;
+        }
         granted
+    }
+
+    fn spinning(&self) -> bool {
+        self.spinner != Spinner::None
     }
 
     /// A new tenant's lane joins at the frontier; being empty, it wakes nobody.
@@ -858,8 +890,8 @@ impl Shared {
 
     /// Spins outside the lock, after `Scheduler::start_spin` granted it,
     /// until a transition bumps `spin_epoch` or `budget` runs out. Every
-    /// transition after the grant sees `spinning_workers > 0` and bumps
-    /// it. Returns the lock retaken, for the caller to dispatch again.
+    /// transition after the grant sees the spinner and bumps it. Returns
+    /// the lock retaken, for the caller to dispatch again.
     fn spin<'a>(
         &'a self,
         sched: MutexGuard<'a, Scheduler>,
@@ -872,7 +904,7 @@ impl Shared {
             std::hint::spin_loop();
         }
         let mut sched = self.sched();
-        sched.spinning_workers -= 1;
+        sched.spinner = Spinner::None;
         sched
     }
 }
@@ -2602,7 +2634,7 @@ mod tests {
             // The worker goes idle next: it spins, or it parks.
             loop {
                 let sched = deployment.shared.sched();
-                if sched.spinning_workers == 1 {
+                if sched.spinning() {
                     return sched;
                 }
                 if sched.idle_workers == 1 {
@@ -2625,7 +2657,7 @@ mod tests {
             &deployment,
             SETTLE,
             "the spin runs out and parks",
-            |sched| sched.idle_workers == 1 && sched.spinning_workers == 0,
+            |sched| sched.idle_workers == 1 && !sched.spinning(),
         );
         // Parked, no longer spinning: only `admit`'s `Notify::One` reaches it.
         let ticket = deployment
@@ -2638,7 +2670,40 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_during_a_spin_returns_at_once() {
+    fn an_epoch_bump_ends_a_spin_long_before_its_budget() {
+        // The spin's only way out before its budget is the bump that
+        // `Shared::wake` sends for a wake with `spin`.
+        let deployment = Arc::new(Deployment::builder().workers(1).build());
+        settle(&deployment, SETTLE, "the fresh worker parks", |sched| {
+            sched.idle_workers == 1
+        });
+        let budget = Duration::from_secs(10);
+        let spinner = spawn({
+            let deployment = Arc::clone(&deployment);
+            move || {
+                let shared = &deployment.shared;
+                let mut sched = shared.sched();
+                assert!(sched.start_spin(budget));
+                let t0 = Instant::now();
+                let sched = shared.spin(sched, budget);
+                assert_eq!(sched.spinner, Spinner::None, "the spin is given back");
+                t0.elapsed()
+            }
+        });
+        // Granted under the lock the spinner read the epoch under, so the
+        // bump below lands after that read.
+        settle(&deployment, SETTLE, "the spin is granted", |sched| {
+            sched.spinning()
+        });
+        deployment
+            .shared
+            .wake(Wake::new(Notify::None, false).spin(true));
+        let took = spinner.get("the spin");
+        assert!(took < Duration::from_secs(1), "the spin took {took:?}");
+    }
+
+    #[test]
+    fn shutdown_during_a_spin_returns() {
         let deployment = Arc::new(Deployment::builder().workers(1).build());
         let id = deployment
             .add_tenant("app", svm_pipeline(vec![1.0], 0.0), None)
@@ -2657,14 +2722,16 @@ mod tests {
                 t0.elapsed()
             }
         });
-        assert!(took < Duration::from_millis(10), "shutdown took {took:?}");
+        // Far over any spin budget, far under a hang: the bump itself is
+        // pinned without a clock above.
+        assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
     }
 
     #[test]
-    fn at_most_one_worker_spins_under_a_four_worker_trickle() {
+    fn a_four_worker_trickle_is_served_while_one_worker_spins() {
         // Four-chunk tickets wake every parked worker, so several workers
-        // go idle at about the same time. This samples the gauge; the
-        // one-spinner grant itself is pinned in the wake table.
+        // go idle at about the same time and ask to spin; one is granted
+        // (`Spinner` admits no second, and the wake table pins the grant).
         let deployment = Arc::new(Deployment::builder().workers(4).chunk_rows(1).build());
         let id = deployment
             .add_tenant("app", svm_pipeline(vec![1.0], 0.0), None)
@@ -2683,18 +2750,7 @@ mod tests {
                 rows
             }
         });
-        let deadline = Instant::now() + SETTLE;
-        let mut most = 0;
-        while !finished.load(Ordering::SeqCst) {
-            assert!(
-                Instant::now() < deadline,
-                "trickle not served within {SETTLE:?}"
-            );
-            most = most.max(deployment.shared.sched().spinning_workers);
-            std::thread::yield_now();
-        }
         assert_eq!(trickle.get("the trickle"), 2000);
-        assert!(most <= 1, "{most} workers spun at once");
     }
 
     /// `count` tickets of `rows` one-feature rows, carved `chunk` rows at
@@ -2810,27 +2866,41 @@ mod tests {
         let quiet = woke(Notify::None, false);
 
         // admit: a worker per chunk, only when running with workers idle;
-        // the spinning worker takes a one-chunk ticket without a `Notify`.
-        // (paused, idle workers, spinning, rows, chunk rows) → edge
-        for case @ (paused, idle, spinning, rows, chunk, edge) in [
-            (false, 1, 0, 4, 4, woke(One, false)),
-            (false, 2, 0, 8, 4, woke(All, false)),
-            (false, 0, 0, 8, 4, quiet),
-            (true, 2, 0, 8, 4, quiet),
-            (false, 2, 0, 32, 8, woke(All, false)), // oversize, lanes empty
-            (false, 2, 0, 0, 1, quiet),             // empty: complete already
-            (false, 1, 1, 4, 4, spun(Notify::None, false)),
-            (false, 0, 1, 4, 4, spun(Notify::None, false)),
-            (false, 2, 1, 8, 4, spun(All, false)),
-            (false, 0, 1, 8, 4, spun(Notify::None, false)),
-            (true, 1, 1, 4, 4, quiet),
-            (false, 1, 1, 0, 1, quiet),
+        // the first ticket admitted during a spin claims the spinner, which
+        // takes a one-chunk ticket without a `Notify`, and later ones wake
+        // parked workers as if nobody spun.
+        // (paused, idle workers, spinner, rows, chunk rows) → edge, spinner
+        use Spinner::{Claimed, Free};
+        let nobody = Spinner::None;
+        for case @ (paused, idle, spinner, rows, chunk, edge, after) in [
+            (false, 1, nobody, 4, 4, woke(One, false), nobody),
+            (false, 2, nobody, 8, 4, woke(All, false), nobody),
+            (false, 0, nobody, 8, 4, quiet, nobody),
+            (true, 2, nobody, 8, 4, quiet, nobody),
+            (false, 2, nobody, 32, 8, woke(All, false), nobody), // oversize, lanes empty
+            (false, 2, nobody, 0, 1, quiet, nobody),             // empty: complete already
+            (false, 1, Free, 4, 4, spun(Notify::None, false), Claimed),
+            (false, 0, Free, 4, 4, spun(Notify::None, false), Claimed),
+            (false, 2, Free, 8, 4, spun(All, false), Claimed),
+            (false, 0, Free, 8, 4, spun(Notify::None, false), Claimed),
+            (false, 1, Claimed, 4, 4, spun(One, false), Claimed),
+            (false, 0, Claimed, 4, 4, spun(Notify::None, false), Claimed),
+            (false, 2, Claimed, 8, 4, spun(All, false), Claimed),
+            (true, 1, Free, 4, 4, quiet, Free),
+            (false, 1, Free, 0, 1, quiet, Free),
         ] {
             let mut s = fresh(10);
-            (s.paused, s.idle_workers, s.spinning_workers) = (paused, idle, spinning);
+            (s.paused, s.idle_workers, s.spinner) = (paused, idle, spinner);
             assert_eq!(admit(&mut s, rows, chunk), edge, "{case:?}");
+            assert_eq!(s.spinner, after, "{case:?}");
             assert_eq!(s.in_flight_tickets, usize::from(rows > 0), "{case:?}");
         }
+        // Two one-chunk tickets during one spin: the second wakes a parked
+        // worker instead of queueing behind the spinner.
+        let mut s = fresh(10);
+        (s.idle_workers, s.spinner) = (1, Free);
+        assert_eq!(admit(&mut s, 4, 4), spun(Notify::None, false));
+        assert_eq!(admit(&mut s, 4, 4), spun(One, false));
 
         // admit refused: (closed, tickets admitted first, their rows, rows)
         for (closed, before, before_rows, rows, refusal) in [
@@ -2886,16 +2956,16 @@ mod tests {
         // deployment sends its idle and spinning workers to their exit.
         // (closed, room waiters, idle workers, spinning, tickets in flight)
         for case @ (closed, waiters, idle, spinning, others, edge) in [
-            (false, 1, 0, 0, 0, woke(Notify::None, true)),
-            (false, 0, 1, 0, 0, quiet),
-            (true, 0, 1, 0, 0, woke(All, false)),
-            (true, 1, 2, 0, 0, woke(All, true)),
-            (true, 0, 0, 0, 0, quiet),
-            (true, 0, 1, 0, 1, quiet),
-            (false, 0, 1, 1, 0, quiet),
-            (true, 0, 0, 1, 0, spun(Notify::None, false)),
-            (true, 0, 1, 1, 0, spun(All, false)),
-            (true, 0, 1, 1, 1, quiet),
+            (false, 1, 0, false, 0, woke(Notify::None, true)),
+            (false, 0, 1, false, 0, quiet),
+            (true, 0, 1, false, 0, woke(All, false)),
+            (true, 1, 2, false, 0, woke(All, true)),
+            (true, 0, 0, false, 0, quiet),
+            (true, 0, 1, false, 1, quiet),
+            (false, 0, 1, true, 0, quiet),
+            (true, 0, 0, true, 0, spun(Notify::None, false)),
+            (true, 0, 1, true, 0, spun(All, false)),
+            (true, 0, 1, true, 1, quiet),
         ] {
             let mut s = fresh(10);
             for _ in 0..=others {
@@ -2905,33 +2975,34 @@ mod tests {
             if closed {
                 s.close();
             }
-            (s.room_waiters, s.idle_workers, s.spinning_workers) = (waiters, idle, spinning);
+            (s.room_waiters, s.idle_workers) = (waiters, idle);
+            if spinning {
+                s.spinner = Free;
+            }
             assert_eq!(Edge::Woke(s.complete(false)), edge, "{case:?}");
         }
 
         // start_spin: one spinner at a time, and none without a budget.
-        // (spinning already, budget in µs) → granted
-        for case @ (spinning, budget, granted) in [(0, 40, true), (1, 40, false), (0, 0, false)] {
+        // (spinner already, budget in µs) → granted, spinner
+        for case @ (spinner, budget, granted, after) in [
+            (nobody, 40, true, Free),
+            (Free, 40, false, Free),
+            (Claimed, 40, false, Claimed),
+            (nobody, 0, false, nobody),
+        ] {
             let mut s = fresh(10);
-            s.spinning_workers = spinning;
-            assert_eq!(
-                s.start_spin(Duration::from_micros(budget)),
-                granted,
-                "{case:?}"
-            );
-            assert_eq!(
-                s.spinning_workers,
-                spinning + usize::from(granted),
-                "{case:?}"
-            );
+            s.spinner = spinner;
+            let budget = Duration::from_micros(budget);
+            assert_eq!(s.start_spin(budget), granted, "{case:?}");
+            assert_eq!(s.spinner, after, "{case:?}");
         }
 
         // resume and close wake everyone, listening or not, and the
         // spinning worker when there is one.
-        for spinning in [0, 1] {
+        for spinner in [nobody, Free, Claimed] {
             let mut s = fresh(10);
-            s.spinning_workers = spinning;
-            let spin = spinning > 0;
+            s.spinner = spinner;
+            let spin = spinner != nobody;
             assert_eq!(s.resume(), Wake::new(All, false).spin(spin));
             assert_eq!(s.close(), Wake::new(All, true).spin(spin));
         }
