@@ -52,7 +52,9 @@ doc:
 # workers woken by resume) and the spin before parking (a spin whose
 # budget runs out, then parks and is woken by the next submit; a spin
 # ended by the epoch bump; shutdown during a spin; a four-worker trickle
-# with one spinner). The
+# with one spinner) and the blocked wait that classifies (served while the
+# only worker is held; a panic it classifies; the staged dispatch order
+# it keeps). The
 # ingress is a mutex, two condition variables and the spinner's epoch
 # counter, so its failure mode is a wake-up that is never sent: a run
 # that *hangs*, not one that fails, and only under an interleaving one

@@ -445,13 +445,15 @@ impl Mlp {
         self.layers.iter().map(Dense::param_count).sum()
     }
 
-    /// Forward pass returning per-layer activations (input excluded).
-    fn forward_cached(&self, x: &Matrix) -> Result<Vec<Matrix>> {
-        let mut activations = Vec::with_capacity(self.layers.len());
-        let mut current = x.clone();
+    /// Forward pass: hands each layer's output to `each` as it is computed
+    /// and returns the last one (the class probabilities). Only the layer
+    /// being computed is held, so a prediction over a large batch costs
+    /// two layers of memory, not the whole network's.
+    fn forward(&self, x: &Matrix, mut each: impl FnMut(&Matrix)) -> Result<Matrix> {
         let last = self.layers.len() - 1;
+        let mut current: Option<Matrix> = None;
         for (idx, layer) in self.layers.iter().enumerate() {
-            let mut z = current.matmul(&layer.weights)?;
+            let mut z = current.as_ref().unwrap_or(x).matmul(&layer.weights)?;
             z.add_row_vector(&layer.bias)?;
             if idx < last {
                 let act = self.arch.activation;
@@ -459,9 +461,17 @@ impl Mlp {
             } else {
                 softmax_rows(&mut z);
             }
-            activations.push(z.clone());
-            current = z;
+            each(&z);
+            current = Some(z);
         }
+        Ok(current.expect("at least one layer"))
+    }
+
+    /// Forward pass returning per-layer activations (input excluded), for
+    /// backpropagation.
+    fn forward_cached(&self, x: &Matrix) -> Result<Vec<Matrix>> {
+        let mut activations = Vec::with_capacity(self.layers.len());
+        self.forward(x, |z| activations.push(z.clone()))?;
         Ok(activations)
     }
 
@@ -471,7 +481,7 @@ impl Mlp {
     ///
     /// Returns [`MlError::ShapeMismatch`] if `x.cols() != input_dim`.
     pub fn predict_proba(&self, x: &Matrix) -> Result<Matrix> {
-        Ok(self.forward_cached(x)?.pop().expect("at least one layer"))
+        self.forward(x, |_| {})
     }
 
     /// Predicted class index for each row of `x`.

@@ -310,9 +310,12 @@ impl PackedFixed {
 // (its products are 0) rather than branched around. rustc compiles the
 // tile to SSE2 mullo/mulhi pairs on x86_64; a hand-written intrinsic
 // twin measured no faster (151 against 136 ns per row).
-// A row-in-lane form over a transposed block was sized at a further 17 ns
-// per row by a prototype (ROADMAP item 4b) but needs the block
-// column-major through quantize, activation and argmax.
+// A row-in-lane form over a transposed block needs the block
+// column-major through quantize, activation and argmax, and an in-tree
+// walk of that form read x0.82 on a 7-2 net and x1.00 on the served
+// 7-16-8-2 net, in-process against this one: the further 17 ns per row a
+// prototype once sized it at did not hold (ROADMAP item 4b, *Bulk
+// kernels*).
 // ---------------------------------------------------------------------
 
 fn dot_fast(f: u32, a: &[i16], b: &[i16]) -> i32 {

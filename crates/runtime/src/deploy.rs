@@ -15,9 +15,11 @@
 //!   lane holds whole tickets, and dispatch carves the next
 //!   [`chunk_rows`](DeploymentBuilder::chunk_rows) off the front one;
 //! - [`Deployment::submit`] queues a [`TenantBatch`] and hands back a
-//!   [`Ticket`] whose [`wait`](Ticket::wait) yields its [`Verdicts`];
-//!   admission bounds tickets and rows in flight, and an accepted ticket
-//!   can be [cancelled](Ticket::cancel);
+//!   [`Ticket`] whose [`wait`](Ticket::wait) yields its [`Verdicts`],
+//!   classifying queued chunks on the caller's core while it would block
+//!   (*A blocked wait classifies* below); admission bounds tickets and
+//!   rows in flight, and an accepted ticket can be
+//!   [cancelled](Ticket::cancel);
 //! - tenants are added and removed **at runtime**
 //!   ([`add_tenant`](Deployment::add_tenant) /
 //!   [`remove_tenant`](Deployment::remove_tenant)), and
@@ -45,7 +47,7 @@
 //! | transition (caller) | `work` | `room` | `spin` |
 //! |---|---|---|---|
 //! | `admit` ([`submit`](Deployment::submit), [`try_submit`](Deployment::try_submit)) | `One` for a one-chunk ticket, `All` otherwise — only when running with `idle_workers > 0`, and no `One` for the ticket that claims a free spinner | — | when running with a spinner |
-//! | `dispatch` (a worker) | — | when a row budget is set and `room_waiters > 0`: the budget frees at *dispatch*, not completion | — |
+//! | `dispatch` (a worker; via `help`, a waiting ticket holder with a free helper slot) | — | when a row budget is set and `room_waiters > 0`: the budget frees at *dispatch*, not completion | — |
 //! | `complete` (a ticket's last chunk) | `All` when it empties a closed deployment with `idle_workers > 0` | when `room_waiters > 0` | when it empties a closed deployment with a spinner |
 //! | `resume` ([`resume`](Deployment::resume), [`drain`](Deployment::drain)) | `All` | — | with a spinner |
 //! | `close` ([`shutdown`](Deployment::shutdown)) | `All` | always | with a spinner |
@@ -63,7 +65,8 @@
 //! Lock order: `registry` → `sched`, and a ticket's own lock → `sched`
 //! (a completing chunk settles the deployment's counters before the ticket
 //! lock releases); nothing is acquired while `sched` is held, and no lock
-//! is held across `classify_chunk`. The scheduler lock is taken
+//! is held across `classify_chunk` but a helping waiter's own slot, which
+//! is only ever taken with `try_lock`. The scheduler lock is taken
 //! poison-tolerantly: its critical sections only move counters and queue
 //! entries, so state a panicking holder leaves behind is still a valid
 //! scheduler, and a panic can cost a ticket but never wedge the pool.
@@ -113,6 +116,44 @@
 //! `setup_s` because it spun whatever the recent history was; this budget
 //! follows the worker's own gaps, and left `setup_s` and `pkt_per_s` level.
 //!
+//! # A blocked wait classifies
+//!
+//! A [`Ticket::wait`] that would sleep while chunks sit queued leaves a
+//! core idle that the data plane this twins would be classifying on. So,
+//! before it sleeps on its ticket's `done`, a waiter takes a **helper
+//! slot** and serves the queue the way a worker does: `Scheduler::help`
+//! (which is `dispatch`, returning the same chunk and the same wake), then
+//! `process_chunk`, until its own ticket is done or nothing is queued.
+//! Then it sleeps on `done` as before; it never sleeps anywhere else, so
+//! the helper adds no wake edge, and `drain` and a blocked `submit` do not
+//! help.
+//!
+//! - **Slots:** `available_parallelism() − workers`, worked out when the
+//!   deployment is built (`helper_slots`), not configured — the way the
+//!   fleet sizes its pool. A deployment whose workers already fill the
+//!   cores has none, and its `wait` takes no extra lock; nor does a `wait`
+//!   on a ticket that is done already (a caller that polled
+//!   [`Ticket::is_done`]). Each slot is a mutex holding one `Scratch` and
+//!   one verdict buffer, taken with `try_lock` and released by its guard,
+//!   so a helping wait allocates nothing and a waiter that finds every
+//!   slot taken just sleeps.
+//! - **The one-chunk overrun:** a helper checks its ticket between chunks,
+//!   so it can return up to one chunk after its ticket completed — one
+//!   [`chunk_rows`](DeploymentBuilder::chunk_rows), or one whole ticket
+//!   when batches are not split.
+//! - **What it leaves alone:** the pick sequence is the scheduler's, and a
+//!   chunk's verdicts land in their pre-assigned slots whoever classifies
+//!   them; a panic inside a helper lands on the chunk's own ticket, like a
+//!   worker's.
+//!
+//! On hbench `deploy_bulk` (2 vCPUs, one worker, so one slot; the
+//! generator blocks in `wait` on its oldest of 8 one-chunk tickets) this
+//! read 6.11 → 11.65 M pkt/s and a p50 of 664 → 333 µs (medians of 10
+//! alternating pairs, 10/10), and the process's CPU per 20 s run went
+//! from 23.8 to 42.5 s: the second core now classifies. `deploy_trickle`,
+//! whose generator polls [`Ticket::is_done`], helps only while it sets
+//! up, and `fleet_fabric`, whose pool fills the cores, has no slot.
+//!
 //! # Determinism contract
 //!
 //! Verdicts stay **bit-wise deterministic**: every chunk writes into
@@ -121,7 +162,8 @@
 //! (`tests/golden_determinism.rs` pins this). The scheduler's pick
 //! sequence is a pure function of lane state, so under a staged backlog
 //! (paused, then resumed) the dispatch log is identical for any worker
-//! count; under live submission the order of *admissions* is racy.
+//! count, with or without a helping waiter; under live submission the
+//! order of *admissions* is racy.
 
 use crate::histogram::LatencyHistogram;
 use crate::lut::LutCache;
@@ -134,7 +176,7 @@ use homunculus_ml::quantize::FixedPoint;
 use homunculus_ml::tensor::Matrix;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -650,6 +692,16 @@ impl Scheduler {
         let room = self.max_queued_rows > 0 && self.room_waiters > 0;
         Dispatch::Chunk(Chunk { job, start, rows }, Wake::new(Notify::None, room))
     }
+
+    /// A helping waiter's step: the chunk and wake `dispatch` would give a
+    /// worker, or `None` when nothing is queued — a helper neither idles
+    /// nor exits, it goes back to its own ticket.
+    fn help(&mut self) -> Option<(Chunk, Wake)> {
+        match self.dispatch() {
+            Dispatch::Chunk(chunk, wake) => Some((chunk, wake)),
+            Dispatch::Idle | Dispatch::Exit => None,
+        }
+    }
 }
 
 /// Completion state shared between a [`Ticket`] and the workers filling
@@ -671,19 +723,32 @@ struct TicketInner {
     /// Rows whose classification was skipped by [`Ticket::cancel`]; their
     /// verdict slots hold 0.
     cancelled_rows: usize,
-    /// Set when a worker panicked while classifying this ticket's rows;
-    /// [`Ticket::wait`] re-raises it instead of returning bogus verdicts.
+    /// Set when classifying one of this ticket's chunks panicked (on a
+    /// worker or a helping waiter); [`Ticket::wait`] re-raises it instead
+    /// of returning bogus verdicts.
     panicked: Option<String>,
 }
 
 /// A handle to one submitted batch. Obtain with
 /// [`Deployment::submit`]; redeem with [`Ticket::wait`].
-#[derive(Debug)]
 pub struct Ticket {
     state: Arc<TicketState>,
+    /// The deployment's queue, which a blocked [`wait`](Ticket::wait)
+    /// serves from.
+    shared: Arc<Shared>,
     tenant: TenantId,
     rows: usize,
     submitted: Instant,
+}
+
+impl std::fmt::Debug for Ticket {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Ticket")
+            .field("state", &self.state)
+            .field("tenant", &self.tenant)
+            .field("rows", &self.rows)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Ticket {
@@ -697,7 +762,8 @@ impl Ticket {
         self.rows
     }
 
-    /// Whether every verdict slot has been filled (never blocks).
+    /// Whether every verdict slot has been filled. Never waits for
+    /// completion (it takes the ticket's lock for as long as a read takes).
     pub fn is_done(&self) -> bool {
         self.state
             .inner
@@ -727,6 +793,16 @@ impl Ticket {
 
     /// Blocks until the batch completes and yields its verdicts.
     ///
+    /// While the ticket is not done and chunks are queued, the calling
+    /// thread classifies them itself if the deployment has a free helper
+    /// slot (one per core its workers leave idle; module docs, *A blocked
+    /// wait classifies*): it serves whatever the scheduler picks next, this
+    /// ticket's chunks or anyone's, and sleeps only once nothing is queued.
+    /// It checks its ticket between chunks, so it can return up to one
+    /// chunk ([`chunk_rows`](DeploymentBuilder::chunk_rows) rows, or one
+    /// whole queued batch when batches are not split) after the ticket
+    /// completed.
+    ///
     /// Always terminates: [`Deployment::drain`] / shutdown complete every
     /// accepted ticket, and a dropped deployment drains before its workers
     /// exit. Even a classification panic completes the ticket (and is
@@ -734,17 +810,26 @@ impl Ticket {
     ///
     /// # Panics
     ///
-    /// Re-raises a worker panic that occurred while classifying this
-    /// batch's rows — the resident pool's equivalent of the panic a
-    /// scoped-thread join would have propagated.
+    /// Re-raises a panic that occurred while classifying this batch's rows,
+    /// on a worker or a helping waiter — the resident pool's equivalent of
+    /// the panic a scoped-thread join would have propagated. A panic in
+    /// another ticket's chunk that this call classified lands on that
+    /// ticket, not here.
     pub fn wait(self) -> Verdicts {
         let mut inner = self.state.inner.lock().expect("ticket poisoned");
+        if inner.remaining_items > 0 {
+            // A ticket already done (a caller that polled `is_done`) takes
+            // no helper slot and no second lock.
+            drop(inner);
+            self.help();
+            inner = self.state.inner.lock().expect("ticket poisoned");
+        }
         while inner.remaining_items > 0 {
             inner = self.state.done.wait(inner).expect("ticket poisoned");
         }
         if let Some(message) = &inner.panicked {
             panic!(
-                "deployment worker panicked while classifying a batch for {}: {message}",
+                "classifying a batch for {} panicked: {message}",
                 self.tenant
             );
         }
@@ -753,6 +838,22 @@ impl Ticket {
             wait_ns: self.submitted.elapsed().as_nanos() as u64,
             cancelled_rows: inner.cancelled_rows,
             verdicts: std::mem::take(&mut inner.verdicts),
+        }
+    }
+
+    /// Serves queued chunks on the calling thread until this ticket is done
+    /// or nothing is queued, when a helper slot is free.
+    fn help(&self) {
+        let Some(mut slot) = self.shared.helper() else {
+            return;
+        };
+        let Helper { scratch, verdicts } = &mut *slot;
+        while !self.is_done() {
+            let Some((chunk, wake)) = self.shared.sched().help() else {
+                return;
+            };
+            self.shared.wake(wake);
+            process_chunk(&self.shared, chunk, scratch, verdicts);
         }
     }
 }
@@ -815,10 +916,24 @@ struct Slot {
     active: bool,
 }
 
-/// Everything the resident workers share with the [`Deployment`] handle:
-/// fixed configuration, the tenant registry, and the ingress monitor —
-/// one mutex, its two condition variables, and the spinning worker's
-/// epoch (module docs).
+/// One helper slot's reusable classify buffers (module docs, *A blocked
+/// wait classifies*).
+#[derive(Default)]
+struct Helper {
+    scratch: Scratch,
+    verdicts: Vec<usize>,
+}
+
+/// Helper slots for `workers` resident workers on `cores` cores: one per
+/// core the workers leave idle.
+fn helper_slots(workers: usize, cores: usize) -> usize {
+    cores.saturating_sub(workers)
+}
+
+/// Everything the resident workers share with the [`Deployment`] handle
+/// and its tickets: fixed configuration, the tenant registry, the ingress
+/// monitor — one mutex, its two condition variables, and the spinning
+/// worker's epoch (module docs) — and the helper slots.
 struct Shared {
     tag: u32,
     workers: usize,
@@ -833,6 +948,9 @@ struct Shared {
     room: Condvar,
     /// The spinning worker watches this; a wake with `spin` bumps it.
     spin_epoch: AtomicU64,
+    /// What a waiting ticket holder classifies with; empty when the
+    /// workers fill the cores.
+    helpers: Vec<Mutex<Helper>>,
     started: Instant,
 }
 
@@ -858,6 +976,18 @@ impl Shared {
             Notify::One => self.work.notify_one(),
             Notify::All => self.work.notify_all(),
         }
+    }
+
+    /// A free helper slot, held until the guard drops. A slot a panic
+    /// poisoned is still usable: `process_chunk` catches a classify panic
+    /// (and restarts the scratch), so only a bookkeeping panic after a
+    /// whole classify can poison one.
+    fn helper(&self) -> Option<MutexGuard<'_, Helper>> {
+        self.helpers.iter().find_map(|slot| match slot.try_lock() {
+            Ok(slot) => Some(slot),
+            Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        })
     }
 
     /// Runs one transition under the lock, then sends its wake.
@@ -968,11 +1098,7 @@ fn worker_loop(shared: &Shared) {
             last_idle = since.elapsed();
         }
         shared.wake(wake);
-        if !process_chunk(shared, chunk, &mut scratch, &mut verdicts) {
-            // A classify panic may have left the reusable buffers in an
-            // arbitrary (but memory-safe) state; start the next chunk clean.
-            scratch = Scratch::new();
-        }
+        process_chunk(shared, chunk, &mut scratch, &mut verdicts);
     }
 }
 
@@ -988,15 +1114,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 }
 
 /// Classifies one chunk with one call into the chunk walk and publishes
-/// its verdicts + stats. Returns `false` when that call panicked — the
-/// ticket still completes (carrying the panic for [`Ticket::wait`] to
-/// re-raise), so a model bug can never wedge `drain`/`shutdown`/`Drop`.
-fn process_chunk(
-    shared: &Shared,
-    chunk: Chunk,
-    scratch: &mut Scratch,
-    verdicts: &mut Vec<usize>,
-) -> bool {
+/// its verdicts + stats, on a worker or a helping waiter. When that call
+/// panics the ticket still completes (carrying the panic for
+/// [`Ticket::wait`] to re-raise), so a model bug can never wedge
+/// `drain`/`shutdown`/`Drop`, and `scratch` starts over: the panic may
+/// have left it in an arbitrary (but memory-safe) state.
+fn process_chunk(shared: &Shared, chunk: Chunk, scratch: &mut Scratch, verdicts: &mut Vec<usize>) {
     let Chunk { job, start, rows } = chunk;
     let Job {
         entry,
@@ -1012,9 +1135,10 @@ fn process_chunk(
     let panicked = if cancelled {
         None
     } else {
-        // No lock is held across classify, so a panic here poisons
-        // nothing; it is caught and re-raised at the ticket's wait()
-        // instead of killing the resident worker with bookkeeping
+        // No lock is held across classify but a helper's own slot, and
+        // the panic is caught inside it, so a panic here poisons nothing;
+        // it is re-raised at the ticket's wait() instead of killing the
+        // resident worker (or the helping waiter) with bookkeeping
         // half-done.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let t0 = Instant::now();
@@ -1031,6 +1155,9 @@ fn process_chunk(
             .err()
             .map(|payload| panic_message(payload.as_ref()).to_string())
     };
+    if panicked.is_some() {
+        *scratch = Scratch::new();
+    }
 
     if panicked.is_none() && !cancelled {
         let mut accum = entry.accum.lock().expect("tenant stats poisoned");
@@ -1052,7 +1179,6 @@ fn process_chunk(
         }
     }
 
-    let ok = panicked.is_none();
     let mut inner = ticket.inner.lock().expect("ticket poisoned");
     if let Some(message) = panicked {
         inner.panicked.get_or_insert(message);
@@ -1065,7 +1191,7 @@ fn process_chunk(
     }
     inner.remaining_items -= 1;
     if inner.remaining_items > 0 {
-        return ok;
+        return;
     }
     // The deployment's counters settle *before* the ticket lock
     // releases: anyone returning from `Ticket::wait` observes counters
@@ -1074,7 +1200,6 @@ fn process_chunk(
     drop(inner);
     ticket.done.notify_all();
     shared.wake(wake);
-    ok
 }
 
 /// A live per-tenant share view from [`Deployment::stats_snapshot`].
@@ -1119,7 +1244,7 @@ pub struct DeploymentStats {
     pub queued_rows: u64,
     /// Rows dispatched to workers since launch.
     pub served_rows: u64,
-    /// Resident worker threads.
+    /// Resident worker threads (waiters that help are not counted).
     pub workers: usize,
     /// Nanoseconds since the deployment launched.
     pub uptime_ns: u64,
@@ -1177,7 +1302,10 @@ impl Default for DeploymentBuilder {
 }
 
 impl DeploymentBuilder {
-    /// Resident worker threads; clamped to at least 1.
+    /// Resident worker threads; clamped to at least 1. These are the
+    /// threads the deployment owns; a blocked [`Ticket::wait`] may add up
+    /// to `cores − workers` more classifying threads, its callers' own
+    /// (module docs, *A blocked wait classifies*).
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
@@ -1255,8 +1383,16 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Launches the resident workers and returns the live deployment.
+    /// Launches the resident workers and returns the live deployment, with
+    /// a helper slot for every core the workers leave idle.
     pub fn build(self) -> Deployment {
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        self.build_with_helpers(helper_slots(self.workers.max(1), cores))
+    }
+
+    /// [`build`](DeploymentBuilder::build) with the helper slot count given,
+    /// so tests can cover counts the host's core count would not derive.
+    fn build_with_helpers(self, helpers: usize) -> Deployment {
         let workers = self.workers.max(1);
         let shared = Arc::new(Shared {
             tag: next_server_tag(),
@@ -1269,6 +1405,7 @@ impl DeploymentBuilder {
             work: Condvar::new(),
             room: Condvar::new(),
             spin_epoch: AtomicU64::new(0),
+            helpers: (0..helpers).map(|_| Mutex::default()).collect(),
             started: Instant::now(),
         });
         let handles = (0..workers)
@@ -1521,7 +1658,9 @@ impl Deployment {
         &self.shared.luts
     }
 
-    /// Resident worker threads.
+    /// Resident worker threads: the threads the deployment owns. Waiters
+    /// blocked in [`Ticket::wait`] may classify on up to `cores − workers`
+    /// more.
     pub fn workers(&self) -> usize {
         self.shared.workers
     }
@@ -1642,6 +1781,7 @@ impl Deployment {
         };
         let ticket = Ticket {
             state: Arc::clone(&queued.job.ticket),
+            shared: Arc::clone(&self.shared),
             tenant: batch.tenant,
             rows,
             submitted: Instant::now(),
@@ -2285,6 +2425,32 @@ mod tests {
 
     const SETTLE: Duration = Duration::from_secs(10);
 
+    /// Behind the registration checks, gives the two-feature tenant `id` a
+    /// normalizer one column short, so `Normalizer::apply` panics inside
+    /// whichever thread classifies its rows.
+    fn poison(deployment: &Deployment, id: TenantId) {
+        deployment.shared.registry.write().unwrap()[id.index()].entry = Arc::new(TenantEntry {
+            name: "poisoned".into(),
+            pipeline: svm_pipeline(vec![1.0, -0.5], 0.1),
+            normalizer: Some(Normalizer {
+                mean: vec![0.0],
+                std: vec![1.0],
+            }),
+            policy: SchedulePolicy::RoundRobin,
+            accum: Mutex::new(TenantAccum::default()),
+        });
+    }
+
+    /// Unpauses a deployment built paused without `resume`'s wake, once its
+    /// one worker has parked: the worker sleeps on, and only helping
+    /// waiters serve.
+    fn leave_to_waiters(deployment: &Deployment) {
+        settle(deployment, SETTLE, "the worker parks", |sched| {
+            sched.idle_workers == 1
+        });
+        deployment.shared.sched().paused = false;
+    }
+
     #[test]
     fn worker_panic_completes_the_ticket_and_spares_the_pool() {
         let deployment = Arc::new(Deployment::builder().workers(1).chunk_rows(4).build());
@@ -2302,19 +2468,7 @@ mod tests {
         let poisoned = deployment
             .add_tenant("poisoned", svm_pipeline(vec![1.0, -0.5], 0.1), None)
             .unwrap();
-        // Behind the registration checks: a normalizer one column short
-        // makes `Normalizer::apply` panic inside the worker.
-        deployment.shared.registry.write().unwrap()[poisoned.index()].entry =
-            Arc::new(TenantEntry {
-                name: "poisoned".into(),
-                pipeline: svm_pipeline(vec![1.0, -0.5], 0.1),
-                normalizer: Some(Normalizer {
-                    mean: vec![0.0],
-                    std: vec![1.0],
-                }),
-                policy: SchedulePolicy::RoundRobin,
-                accum: Mutex::new(TenantAccum::default()),
-            });
+        poison(&deployment, poisoned);
 
         let ticket = deployment
             .submit(TenantBatch::new(poisoned, packets(9, 2, 1)))
@@ -2571,8 +2725,10 @@ mod tests {
         let second = second.get("submit blocked on the row budget").unwrap();
         assert!(!first.is_done(), "room came from the dispatch");
         drop(stats);
+        // The second wait may serve its own chunk while the worker still
+        // completes the first, so the first is redeemed, not polled.
         assert_eq!(within("second ticket", move || second.wait()).len(), 8);
-        assert!(first.is_done());
+        assert_eq!(within("first ticket", move || first.wait()).len(), 8);
     }
 
     #[test]
@@ -2753,6 +2909,132 @@ mod tests {
         assert_eq!(trickle.get("the trickle"), 2000);
     }
 
+    #[test]
+    fn a_blocked_wait_classifies_while_the_only_worker_is_held() {
+        // `build` derives the helper slot from the host's cores: one worker
+        // on one core leaves none.
+        if std::thread::available_parallelism().map_or(1, usize::from) < 2 {
+            return;
+        }
+        let deployment = Deployment::builder().workers(1).build();
+        let held = deployment
+            .add_tenant("held", svm_pipeline(vec![1.0], 0.0), None)
+            .unwrap();
+        let free = deployment
+            .add_tenant("free", svm_pipeline(vec![1.0, -0.5], 0.1), None)
+            .unwrap();
+        // The only worker takes the first ticket and stops short of
+        // completing it (its tenant's stats lock is held).
+        let stats = hold_stats(&deployment, held);
+        let first = deployment
+            .submit(TenantBatch::new(held, packets(64, 1, 0)))
+            .unwrap();
+        settle(
+            &deployment,
+            SETTLE,
+            "the worker takes the first ticket",
+            |sched| sched.queued_rows == 0,
+        );
+        let features = packets(8, 2, 1);
+        let expected =
+            crate::pipeline::classify_rows(&svm_pipeline(vec![1.0, -0.5], 0.1), &features);
+        let second = deployment.submit(TenantBatch::new(free, features)).unwrap();
+        let verdicts = within("a wait behind a held worker", move || second.wait());
+        assert_eq!(verdicts.as_slice(), &expected[..]);
+        assert!(!first.is_done(), "the waiter served itself");
+        drop(stats);
+        assert_eq!(within("the held ticket", move || first.wait()).len(), 64);
+    }
+
+    #[test]
+    fn a_helper_that_classifies_a_panicking_chunk_leaves_the_panic_on_its_ticket() {
+        let deployment = Deployment::builder()
+            .workers(1)
+            .paused(true)
+            .build_with_helpers(1);
+        // Lane 0, so the helper's first pick.
+        let poisoned = deployment
+            .add_tenant("poisoned", svm_pipeline(vec![1.0, -0.5], 0.1), None)
+            .unwrap();
+        poison(&deployment, poisoned);
+        let healthy = deployment
+            .add_tenant("healthy", svm_pipeline(vec![1.0, -0.5], 0.1), None)
+            .unwrap();
+        let bad = deployment
+            .submit(TenantBatch::new(poisoned, packets(4, 2, 1)))
+            .unwrap();
+        let features = packets(4, 2, 2);
+        let expected =
+            crate::pipeline::classify_rows(&svm_pipeline(vec![1.0, -0.5], 0.1), &features);
+        let good = deployment
+            .submit(TenantBatch::new(healthy, features))
+            .unwrap();
+        leave_to_waiters(&deployment);
+        let verdicts = within("a wait that helps through a panic", move || good.wait());
+        assert_eq!(verdicts.as_slice(), &expected[..]);
+        assert!(bad.is_done(), "the helper completed the panicking chunk");
+        assert!(
+            deployment.shared.helpers[0].try_lock().is_ok(),
+            "the helper slot is free again"
+        );
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| bad.wait()))
+            .expect_err("the panic stays on the chunk's own ticket");
+        let message = panic_message(payload.as_ref());
+        assert!(message.contains(&poisoned.to_string()), "{message}");
+        assert!(message.contains("dimensionality mismatch"), "{message}");
+    }
+
+    #[test]
+    fn a_helping_waiter_keeps_the_staged_dispatch_order() {
+        // The same staged backlog, served by the worker after `resume`, or
+        // by a waiter alone: the pick sequence is the scheduler's either way.
+        let served = |helped: bool| {
+            let deployment = Deployment::builder()
+                .workers(1)
+                .paused(true)
+                .record_dispatch(true)
+                .queue_depth(16)
+                .chunk_rows(3)
+                .build_with_helpers(1);
+            let policies = [
+                SchedulePolicy::RoundRobin,
+                SchedulePolicy::weighted(2.0),
+                SchedulePolicy::weighted(0.5).with_min_share(0.3),
+            ];
+            let ids: Vec<_> = (policies.iter().enumerate())
+                .map(|(index, &policy)| {
+                    let pipeline = svm_pipeline(vec![1.0], 0.0);
+                    deployment
+                        .add_tenant_with(&format!("t{index}"), pipeline, None, policy)
+                        .unwrap()
+                })
+                .collect();
+            let tickets: Vec<_> = (0..9)
+                .map(|seed| {
+                    let batch = TenantBatch::new(ids[seed % 3], packets(4 + seed, 1, seed as u64));
+                    deployment.submit(batch).unwrap()
+                })
+                .collect();
+            if helped {
+                leave_to_waiters(&deployment);
+                within("waits that serve the backlog", move || {
+                    tickets.into_iter().map(Ticket::wait).count()
+                });
+                assert_eq!(
+                    deployment.shared.sched().idle_workers,
+                    1,
+                    "the waiter served all"
+                );
+            } else {
+                deployment.drain();
+            }
+            deployment.dispatch_log().expect("dispatch recording on")
+        };
+        let log = served(false);
+        assert_eq!(log.len(), (4..13).map(|rows: usize| rows.div_ceil(3)).sum());
+        assert_eq!(served(true), log);
+    }
+
     /// `count` tickets of `rows` one-feature rows, carved `chunk` rows at
     /// a time, for a bare scheduler.
     fn tickets(count: usize, rows: usize, chunk: usize) -> VecDeque<Queued> {
@@ -2929,6 +3211,9 @@ mod tests {
 
         // dispatch: rows leave the budget, so a waiting submitter is told.
         // (paused, closed, budget, room waiters, tickets queued, in flight)
+        // A waiting ticket holder's step (`help`) is a worker's: the same
+        // chunk with the same wake, and nothing where a worker would idle
+        // or exit.
         for case @ (paused, closed, budget, waiters, queued, flying, edge) in [
             (false, false, 10, 1, 1, 0, woke(Notify::None, true)),
             (false, false, 10, 0, 1, 0, quiet),
@@ -2938,18 +3223,24 @@ mod tests {
             (false, true, 10, 0, 0, 1, Edge::Idle),
             (false, true, 10, 0, 0, 0, Edge::Exit),
         ] {
-            let mut s = fresh(budget);
-            for _ in 0..queued + flying {
-                admit(&mut s, 4, 4);
-            }
-            for _ in 0..flying {
-                dispatch(&mut s);
-            }
-            if closed {
-                s.close();
-            }
-            (s.paused, s.room_waiters) = (paused, waiters);
-            assert_eq!(dispatch(&mut s), edge, "{case:?}");
+            let stage = || {
+                let mut s = fresh(budget);
+                for _ in 0..queued + flying {
+                    admit(&mut s, 4, 4);
+                }
+                for _ in 0..flying {
+                    dispatch(&mut s);
+                }
+                if closed {
+                    s.close();
+                }
+                (s.paused, s.room_waiters) = (paused, waiters);
+                s
+            };
+            assert_eq!(dispatch(&mut stage()), edge, "{case:?}");
+            let helped = stage().help().map(|(_, wake)| Edge::Woke(wake));
+            let owed = matches!(edge, Edge::Woke(_)).then_some(edge);
+            assert_eq!(helped, owed, "{case:?} helped");
         }
 
         // complete: depth frees for `room`; the last ticket of a closed
@@ -3021,6 +3312,14 @@ mod tests {
             (us(101), Duration::ZERO),
         ] {
             assert_eq!(spin_budget(last_idle), budget, "{last_idle:?}");
+        }
+    }
+
+    #[test]
+    fn helper_slots_are_the_cores_the_workers_leave_idle() {
+        // (workers, cores) → slots
+        for (workers, cores, slots) in [(1, 2, 1), (2, 2, 0), (4, 2, 0), (1, 1, 0), (3, 8, 5)] {
+            assert_eq!(helper_slots(workers, cores), slots, "{workers} on {cores}");
         }
     }
 

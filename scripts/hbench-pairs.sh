@@ -15,14 +15,17 @@
 # seeds, B on odd ones. `all` runs every workload BENCHMARK.json lists,
 # one after the other.
 #
-# Prints, per workload, one row per run, then per metric both medians and
-# quartiles, how many pairs B won, and a verdict: "unresolved" when A's own
-# quartile spread exceeds the metric's bound (unless every B run beats
-# every A run).
+# Prints, per workload, one row per run, with the run's process CPU
+# seconds (user + sys) beside its end-to-end metrics, then each side's
+# median CPU seconds, and per metric both medians and quartiles, how many
+# pairs B won, and a verdict: "unresolved" when A's own quartile spread
+# exceeds the metric's bound (unless every B run beats every A run). A
+# change that buys throughput with a core shows what that core costs in
+# the CPU column.
 set -eu
 
 if [ "$#" -lt 4 ]; then
-    sed -n '2,21p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,24p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 for tree in "$1" "$2"; do
@@ -36,7 +39,7 @@ done
 [ -f BENCHMARK.json ] || { echo "hbench-pairs: run from the repository root (no BENCHMARK.json here)" >&2; exit 2; }
 
 exec python3 - "$@" <<'PY'
-import json, subprocess, sys
+import json, resource, statistics, subprocess, sys
 
 tree_a, tree_b, workload, seeds = sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4:]
 bench = json.load(open("BENCHMARK.json"))
@@ -47,12 +50,19 @@ binary = "/crates/bench/src/bin/hbench/target/release/hbench"
 workloads = [w["name"] for w in bench["workloads"]] if workload == "all" else [workload]
 
 
+def cpu_s():
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def run(tree, workload, seed):
+    """One run's JSON result and the CPU seconds its process used."""
+    before = cpu_s()
     out = subprocess.run(
         [tree + binary, "--workload", workload, "--seed", seed, "--seconds", seconds, "--trace", "0"],
         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, check=True, text=True,
     ).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    return json.loads(out.strip().splitlines()[-1]), cpu_s() - before
 
 
 def quantile(sorted_values, q):
@@ -63,15 +73,17 @@ def quantile(sorted_values, q):
 
 
 def pairs(workload):
-    print(" ".join(["seed", "side", "order"] + names + ["correct", "failed"]))
+    print(" ".join(["seed", "side", "order"] + names + ["cpu_s", "correct", "failed"]))
     runs = {"A": [], "B": []}
+    cpu = {"A": [], "B": []}
     for seed in seeds:
         order = "AB" if int(seed) % 2 == 0 else "BA"
         for position, side in enumerate(order, 1):
-            result = run(tree_a if side == "A" else tree_b, workload, seed)
+            result, seconds_used = run(tree_a if side == "A" else tree_b, workload, seed)
             runs[side].append(result)
+            cpu[side].append(seconds_used)
             values = [format(result["metrics"][n]["value"], ".6g") for n in names]
-            print(" ".join([seed, side, str(position)] + values + [str(result["correct"]).lower(), str(result["failed"])]), flush=True)
+            print(" ".join([seed, side, str(position)] + values + [format(seconds_used, ".2f"), str(result["correct"]).lower(), str(result["failed"])]), flush=True)
 
     print()
     print(f"{workload}: {len(seeds)} pairs, A = {tree_a}, B = {tree_b}")
@@ -79,7 +91,8 @@ def pairs(workload):
         wrong = sum(not r["correct"] for r in runs[side])
         failed = sum(r["failed"] for r in runs[side])
         attempted = sum(r["attempted"] for r in runs[side])
-        print(f"  {side}: {wrong} incorrect runs, {failed} of {attempted} operations failed")
+        print(f"  {side}: {wrong} incorrect runs, {failed} of {attempted} operations failed,"
+              f" median process CPU {statistics.median(cpu[side]):.2f} s per run")
     print(f"{'metric':<20} {'A q1/median/q3':<34} {'B q1/median/q3':<34} {'B/A':>7} {'B wins':>7}  verdict")
     for m in metrics:
         name, higher, bound = m["name"], m["better"] == "higher", m["bound"]
