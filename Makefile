@@ -52,10 +52,13 @@ doc:
 # workers woken by resume) and the spin before parking (a spin whose
 # budget runs out, then parks and is woken by the next submit; a spin
 # ended by the epoch bump; shutdown during a spin; a four-worker trickle
-# with one spinner) and the blocked wait that classifies (served while the
+# with one spinner), the blocked wait that classifies (served while the
 # only worker is held; a panic it classifies; the staged dispatch order
-# it keeps). The
-# ingress is a mutex, two condition variables and the spinner's epoch
+# it keeps) and the idle submit that classifies
+# (`an_idle_submit_classifies_a_small_ticket_on_its_own_thread`,
+# `an_inline_submit_leaves_a_tenant_panic_on_its_ticket`, and the rule
+# itself in `an_idle_submit_is_served_inline_only_when_every_condition_holds`).
+# The ingress is a mutex, two condition variables and the spinner's epoch
 # counter, so its failure mode is a wake-up that is never sent: a run
 # that *hangs*, not one that fails, and only under an interleaving one
 # run may not meet. Hence STRESS_RUNS consecutive passes, each under
