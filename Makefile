@@ -49,22 +49,20 @@ doc:
 # `deployment_lifecycle`, and of the `homunculus-runtime` `deploy::` unit
 # tests, which pin the individual wake edges (a blocked submit admitted
 # when the budget frees, shutdown releasing a blocked submit, parked
-# workers woken by resume) and the spin before parking (a spin whose
-# budget runs out, then parks and is woken by the next submit; a spin
-# ended by the epoch bump; shutdown during a spin; a four-worker trickle
-# with one spinner), the blocked wait that classifies (served while the
-# only worker is held; a panic it classifies; the staged dispatch order
-# it keeps) and the idle submit that classifies
+# workers woken by resume or by a one-chunk submit, parked workers sent
+# to their exit; a four-worker trickle), the blocked wait that classifies
+# (served while the only worker is held; a panic it classifies; the
+# staged dispatch order it keeps) and the idle submit that classifies
 # (`an_idle_submit_classifies_a_small_ticket_on_its_own_thread`,
 # `an_inline_submit_leaves_a_tenant_panic_on_its_ticket`, and the rule
 # itself in `an_idle_submit_is_served_inline_only_when_every_condition_holds`).
-# The ingress is a mutex, two condition variables and the spinner's epoch
-# counter, so its failure mode is a wake-up that is never sent: a run
-# that *hangs*, not one that fails, and only under an interleaving one
-# run may not meet. Hence STRESS_RUNS consecutive passes, each under
-# `timeout` so that a hung run fails the gate instead of holding it until
-# the CI runner's own limit. The suites take well under a second per
-# iteration; the test binaries are built first, outside the limit.
+# The ingress is a mutex and two condition variables, so its failure mode
+# is a wake-up that is never sent: a run that *hangs*, not one that
+# fails, and only under an interleaving one run may not meet. Hence
+# STRESS_RUNS consecutive passes, each under `timeout` so that a hung run
+# fails the gate instead of holding it until the CI runner's own limit.
+# The suites take well under a second per iteration; the test binaries
+# are built first, outside the limit.
 STRESS_RUNS ?= 25
 STRESS_SUITES = --test ingress_stress --test serving_isolation --test deployment_lifecycle
 

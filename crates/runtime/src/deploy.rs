@@ -39,21 +39,20 @@
 //! One `Mutex<Scheduler>` is the whole ingress, and `Scheduler` is the
 //! only code that changes it: each transition is one method that returns
 //! the `Wake` it owes, and `Shared::wake`, the one place either condvar is
-//! signalled or the spin epoch bumped, sends it once the lock is released.
-//! An idle worker spins for a while (*The spin before parking* below), then
-//! sleeps on `work` until `dispatch` yields a chunk or the exit; a blocked
+//! signalled, sends it once the lock is released. An idle worker sleeps on
+//! `work` until `dispatch` yields a chunk or the exit; a blocked
 //! [`submit`](Deployment::submit) sleeps on `room` until `admit` takes its
 //! ticket or refuses it `Closed`, and [`drain`](Deployment::drain) until no
 //! ticket is in flight.
 //!
-//! | transition (caller) | `work` | `room` | `spin` |
-//! |---|---|---|---|
-//! | `admit` ([`submit`](Deployment::submit), [`try_submit`](Deployment::try_submit)) | `One` for a one-chunk ticket, `All` otherwise — only when running with `idle_workers > 0`, and no `One` for the ticket that claims a free spinner | — | when running with a spinner |
-//! | `admit`, served inline (an idle submit holding a free helper slot) | — | as `dispatch`, which it runs | — (a `Free` spinner is left unclaimed) |
-//! | `dispatch` (a worker; via `help`, a waiting ticket holder with a free helper slot) | — | when a row budget is set and `room_waiters > 0`: the budget frees at *dispatch*, not completion | — |
-//! | `complete` (a ticket's last chunk) | `All` when it empties a closed deployment with `idle_workers > 0` | when `room_waiters > 0` | when it empties a closed deployment with a spinner |
-//! | `resume` ([`resume`](Deployment::resume), [`drain`](Deployment::drain)) | `All` | — | with a spinner |
-//! | `close` ([`shutdown`](Deployment::shutdown)) | `All` | always | with a spinner |
+//! | transition (caller) | `work` | `room` |
+//! |---|---|---|
+//! | `admit` ([`submit`](Deployment::submit), [`try_submit`](Deployment::try_submit)) | `One` for a one-chunk ticket, `All` otherwise — only when running with `idle_workers > 0` | — |
+//! | `admit`, served inline (an idle submit holding a free helper slot) | — | as `dispatch`, which it runs |
+//! | `dispatch` (a worker; via `help`, a waiting ticket holder with a free helper slot) | — | when a row budget is set and `room_waiters > 0`: the budget frees at *dispatch*, not completion |
+//! | `complete` (a ticket's last chunk) | `All` when it empties a closed deployment with `idle_workers > 0` | when `room_waiters > 0` |
+//! | `resume` ([`resume`](Deployment::resume), [`drain`](Deployment::drain)) | `All` | — |
+//! | `close` ([`shutdown`](Deployment::shutdown)) | `All` | always |
 //!
 //! **No wake-up can be lost:** every field a waiter's predicate reads is
 //! written only by a transition, under the mutex; a waiter re-checks its
@@ -61,9 +60,9 @@
 //! with going to sleep; a transition that can turn a predicate true
 //! returns the wake `Shared::wake` then sends. So a waiter either sees the
 //! new state, or was asleep when the transition ran and is woken. The
-//! `idle_workers` / `room_waiters` gauges and the `spinner`, kept
-//! around each wait, only suppress wakes nobody would receive, and each
-//! wait loops over its predicate, so spurious wake-ups are harmless.
+//! `idle_workers` / `room_waiters` gauges, kept around each wait, only
+//! suppress wakes nobody would receive, and each wait loops over its
+//! predicate, so spurious wake-ups are harmless.
 //!
 //! Lock order: `registry` → `sched`, a helper slot → `sched`, and a
 //! ticket's own lock → `sched` (a completing chunk settles the
@@ -76,52 +75,15 @@
 //! a valid scheduler, and a panic can cost a ticket but never wedge the
 //! pool.
 //!
-//! # The spin before parking
-//!
-//! A futex wake costs a submit that finds its worker parked more than the
-//! ticket's kernel: on hbench `deploy_trickle` (16-row tickets, 2 vCPUs)
-//! 8–11 µs of wake against ~0.5 µs of classification. So a worker that goes
-//! idle first spins on one atomic, `Shared::spin_epoch`, and parks only
-//! when nothing came:
-//!
-//! - **How long:** twice the worker's own last idle stretch (from going
-//!   idle to its next chunk), at most 100 µs, and not at all after a
-//!   stretch longer than that (`spin_budget`). A fresh worker, or one
-//!   coming out of a quiet spell (set-up, shutdown), parks at once; work
-//!   that keeps arriving at short gaps keeps its worker spinning. One
-//!   spin per idle stretch: a worker that spun and found nothing parks.
-//! - **Who:** at most one worker per deployment (`Scheduler::start_spin`
-//!   grants it under the lock and records it in `Scheduler::spinner`).
-//!   One spinner takes a one-chunk ticket; two of them plus a submitter
-//!   would overbook two cores.
-//! - **How it is woken:** the spinner reads the epoch under the lock that
-//!   granted the spin, spins outside it until the epoch moves or the
-//!   budget ends, then re-takes the lock, gives the spin back and calls
-//!   `dispatch` again. Every transition after the grant sees the spinner
-//!   and returns `spin` (the table's last column), which `Shared::wake`
-//!   turns into an epoch bump; a transition before the grant is seen by
-//!   the spinner's own `dispatch`. So the spin loses no wake-up either.
-//! - **Which ticket it takes:** the first ticket admitted during the spin
-//!   claims the spinner (`Spinner::Free` → `Claimed`), and `admit` sends
-//!   it no `One`: that ticket costs no futex wake. Every later ticket, up
-//!   to the spinner's return to the lock, is admitted as if nobody spun,
-//!   so it wakes a parked worker instead of queueing behind the spinner.
-//!
-//! The trade is CPU for latency, paid only where idle gaps are short. On
-//! hbench (2 vCPUs, one worker) `deploy_trickle`'s worker ends 99.6–99.9 %
-//! of its idle stretches within 100 µs, and 98–99 % of its spins take a
-//! chunk: the p50 fell from 12.2 to 4.8 µs (medians of 10 alternating
-//! pairs, 10/10), but the spinner keeps one core busy (process CPU 27.5 →
-//! 41.5 s per 20 s run), and the tail rose (traced `gen.late_share` and
-//! `slo_miss_share` worse in 5 of 5 pairs). On `deploy_bulk` and
-//! `fleet_fabric` 17–28 % of idle stretches end within 100 µs, and the
-//! workers spin 2–82 ms per run in all. A quiet deployment parks after at
-//! most one budget. The spin is outside the classify path, so verdicts do
-//! not depend on it. A fixed 50 µs spin cost `deploy_trickle` +29 %
-//! `setup_s` because it spun whatever the recent history was; this budget
-//! follows the worker's own gaps, and left `setup_s` and `pkt_per_s` level.
-//! Since an idle submit classifies (below), trickle's tickets rarely reach
-//! the worker, and it spins milliseconds per run on every hbench workload.
+//! **Nothing polls, and an idle worker parks at once.** A ticket that
+//! reaches a parked worker pays a futex wake: 8–11 µs on hbench
+//! `deploy_trickle` (16-row tickets, 2 vCPUs) against ~0.5 µs of kernel.
+//! A busy-wait before parking would hide it at the cost of a busy core and
+//! a worse tail, and buys little: an idle submit classifies a lone small
+//! ticket itself (below), so trickle's tickets rarely reach a worker. The
+//! one hbench workload it still served is `fleet_fabric`, whose chained
+//! hops find a parked worker as its queue drains: without it, ~5 % less
+//! `pkt_per_s`.
 //!
 //! # A blocked wait classifies
 //!
@@ -165,10 +127,10 @@
 //!
 //! A lone small ticket handed to a worker is mostly hand-off: on hbench
 //! `deploy_trickle` (16-row tickets, 2 vCPUs) ~0.5 µs of kernel inside
-//! ~4.8 µs of admit → spin → ticket wake, and the spin that bought those
-//! 4.8 µs kept a core busy. The data plane this twins classifies a packet
-//! where it arrives. So [`submit`](Deployment::submit) and
-//! [`try_submit`](Deployment::try_submit) classify a ticket on the
+//! ~4.8 µs of admit → wake → ticket done, even with a busy-wait before
+//! parking that kept a core busy to hide the futex wake. The data plane
+//! this twins classifies a packet where it arrives. So [`submit`](Deployment::submit)
+//! and [`try_submit`](Deployment::try_submit) classify a ticket on the
 //! caller's thread, and return it done, when all of these hold:
 //!
 //! - the deployment runs (open, not paused) with no ticket in flight;
@@ -184,10 +146,9 @@
 //! (the slot flag and `now` are its arguments: the scheduler reads no
 //! clock) and carves the chunk through `dispatch` in the same critical
 //! section, so the pick, the dispatch log, the virtual time and the window
-//! accounting are a worker's. It sends no `work` or `spin` wake and leaves
-//! a `Free` spinner unclaimed. The submitter then runs `process_chunk`
-//! with the slot's buffers, so a panic lands on the ticket, as in a
-//! helper, and `submit` still returns `Ok`.
+//! accounting are a worker's. It sends no `work` wake. The submitter then
+//! runs `process_chunk` with the slot's buffers, so a panic lands on the
+//! ticket, as in a helper, and `submit` still returns `Ok`.
 //!
 //! The idle-gap condition keeps a caller that pipelines small tickets
 //! parallel. Without it every submit of a closed loop finds the pool idle
@@ -213,7 +174,7 @@
 //! 98.6 % of tickets are served inline: `latency_p50_us` read 4.96 → 2.53
 //! µs (medians of 10 alternating pairs, 10/10; 4.85 → 2.88 µs, 5/5, on
 //! held-out seeds), and the process's CPU per 20 s run fell from 41.3 to
-//! 21.5 s, because the worker parks instead of spinning. `deploy_bulk`
+//! 21.5 s, because the worker parks instead of busy-waiting. `deploy_bulk`
 //! (512-row tickets), `compile_search` (256-row probes) and `fleet_fabric`
 //! (its pool fills the cores, so it has no slot) never qualify, and read
 //! level.
@@ -239,7 +200,7 @@ use homunculus_ml::preprocess::Normalizer;
 use homunculus_ml::quantize::FixedPoint;
 use homunculus_ml::tensor::Matrix;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -449,9 +410,6 @@ struct Scheduler {
     /// `room`: a signal is skipped when nobody would receive it.
     idle_workers: usize,
     room_waiters: usize,
-    /// The worker spinning on `Shared::spin_epoch` instead of asleep on
-    /// `work`, if any.
-    spinner: Spinner,
     /// When `in_flight_tickets` last fell to 0 (`None` before the first
     /// ticket), and how long classifying the ticket that emptied it took: a
     /// submit serves a small ticket inline only once the deployment has
@@ -464,44 +422,17 @@ struct Scheduler {
 }
 
 /// Which waiters a [`Scheduler`] transition must wake (`Shared::wake`):
-/// sleepers on `work` and `room`, and, with `spin`, the spinning worker.
+/// sleepers on `work` and `room`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Wake {
     work: Notify,
     room: bool,
-    spin: bool,
 }
 
 impl Wake {
     fn new(work: Notify, room: bool) -> Self {
-        Wake {
-            work,
-            room,
-            spin: false,
-        }
+        Wake { work, room }
     }
-
-    /// The same wake, also sent to the spinning worker when there is one.
-    fn spin(self, spinning: bool) -> Self {
-        Wake {
-            spin: spinning,
-            ..self
-        }
-    }
-}
-
-/// The deployment's spinning worker: there is at most one, and the first
-/// ticket admitted during its spin claims it (module docs).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-enum Spinner {
-    /// No worker spins.
-    #[default]
-    None,
-    /// A worker spins, and no ticket has claimed it yet.
-    Free,
-    /// A worker spins, and a ticket admitted since counts on it: later
-    /// tickets wake parked workers as if nobody spun.
-    Claimed,
 }
 
 /// How many of the workers asleep on `work` a transition wakes.
@@ -554,8 +485,8 @@ impl Scheduler {
     /// with nothing in flight and has been idle since `now` at least as
     /// long as its last ticket took, and the ticket fits one block walk,
     /// the ticket is dispatched at once, and its chunk is handed back for
-    /// the submitter to classify: no worker is woken and a spinner is left
-    /// unclaimed (module docs, *An idle submit classifies*).
+    /// the submitter to classify, and no worker is woken (module docs, *An
+    /// idle submit classifies*).
     fn admit(&mut self, lane: usize, queued: Queued, slot: bool, now: Instant) -> Admission {
         let rows = queued.job.features.rows() as u64;
         if !self.open {
@@ -598,20 +529,14 @@ impl Scheduler {
             let (chunk, wake) = self.help().expect("an idle scheduler picks the one ticket");
             return Ok((wake, Some(chunk)));
         }
-        // One chunk occupies one worker: the first ticket admitted during a
-        // spin claims the spinner, which takes it without a futex wake. A
-        // ticket of several chunks is worth every idle worker.
-        let claimed = self.spinner == Spinner::Free;
-        if claimed {
-            self.spinner = Spinner::Claimed;
-        }
+        // One chunk occupies one worker; a ticket of several chunks is
+        // worth every idle worker.
         let work = match (self.idle_workers > 0, one_chunk) {
             (false, _) => Notify::None,
-            (true, true) if claimed => Notify::None,
             (true, true) => Notify::One,
             (true, false) => Notify::All,
         };
-        Ok((Wake::new(work, false).spin(self.spinning()), None))
+        Ok((Wake::new(work, false), None))
     }
 
     /// A ticket whose chunks took `service` to classify finished its last
@@ -632,33 +557,18 @@ impl Scheduler {
         } else {
             Notify::None
         };
-        Wake::new(work, self.room_waiters > 0).spin(exit && self.spinning())
+        Wake::new(work, self.room_waiters > 0)
     }
 
     fn resume(&mut self) -> Wake {
         self.paused = false;
-        Wake::new(Notify::All, false).spin(self.spinning())
+        Wake::new(Notify::All, false)
     }
 
     /// Blocked submitters leave refused; idle workers re-check their exit.
     fn close(&mut self) -> Wake {
         self.open = false;
-        Wake::new(Notify::All, true).spin(self.spinning())
-    }
-
-    /// An idle worker asks to spin for `budget` before it parks: granted,
-    /// and held in `spinner` until `Shared::spin` gives it back, only when
-    /// the budget is positive and no other worker spins.
-    fn start_spin(&mut self, budget: Duration) -> bool {
-        let granted = !budget.is_zero() && !self.spinning();
-        if granted {
-            self.spinner = Spinner::Free;
-        }
-        granted
-    }
-
-    fn spinning(&self) -> bool {
-        self.spinner != Spinner::None
+        Wake::new(Notify::All, true)
     }
 
     /// A new tenant's lane joins at the frontier; being empty, it wakes nobody.
@@ -1039,8 +949,8 @@ fn helper_slots(workers: usize, cores: usize) -> usize {
 
 /// Everything the resident workers share with the [`Deployment`] handle
 /// and its tickets: fixed configuration, the tenant registry, the ingress
-/// monitor — one mutex, its two condition variables, and the spinning
-/// worker's epoch (module docs) — and the helper slots.
+/// monitor — one mutex and its two condition variables (module docs) —
+/// and the helper slots.
 struct Shared {
     tag: u32,
     workers: usize,
@@ -1053,8 +963,6 @@ struct Shared {
     work: Condvar,
     /// Blocked submitters and `drain` wait here for admission room.
     room: Condvar,
-    /// The spinning worker watches this; a wake with `spin` bumps it.
-    spin_epoch: AtomicU64,
     /// What a waiting ticket holder classifies with; empty when the
     /// workers fill the cores.
     helpers: Vec<Mutex<Helper>>,
@@ -1070,11 +978,8 @@ impl Shared {
     }
 
     /// Sends a transition's wake; called with the scheduler lock released.
-    /// The only place either condvar is signalled or the epoch bumped.
+    /// The only place either condvar is signalled.
     fn wake(&self, wake: Wake) {
-        if wake.spin {
-            self.spin_epoch.fetch_add(1, Ordering::Release);
-        }
         if wake.room {
             self.room.notify_all();
         }
@@ -1124,54 +1029,13 @@ impl Shared {
         sched.room_waiters -= 1;
         sched
     }
-
-    /// Spins outside the lock, after `Scheduler::start_spin` granted it,
-    /// until a transition bumps `spin_epoch` or `budget` runs out. Every
-    /// transition after the grant sees the spinner and bumps it. Returns
-    /// the lock retaken, for the caller to dispatch again.
-    fn spin<'a>(
-        &'a self,
-        sched: MutexGuard<'a, Scheduler>,
-        budget: Duration,
-    ) -> MutexGuard<'a, Scheduler> {
-        let epoch = self.spin_epoch.load(Ordering::Acquire);
-        drop(sched);
-        let deadline = Instant::now() + budget;
-        while self.spin_epoch.load(Ordering::Acquire) == epoch && Instant::now() < deadline {
-            std::hint::spin_loop();
-        }
-        let mut sched = self.sched();
-        sched.spinner = Spinner::None;
-        sched
-    }
-}
-
-/// The longest an idle worker spins before it parks.
-const SPIN_MAX: Duration = Duration::from_micros(100);
-
-/// How long a worker that just went idle spins before it parks: twice its
-/// last idle stretch, at most `SPIN_MAX`, and not at all after a stretch
-/// longer than that. Work that arrived at short gaps is expected again
-/// soon; a long quiet spell (set-up, shutdown, a fresh worker's
-/// `Duration::MAX`) parks at once.
-fn spin_budget(last_idle: Duration) -> Duration {
-    if last_idle <= SPIN_MAX {
-        (last_idle * 2).min(SPIN_MAX)
-    } else {
-        Duration::ZERO
-    }
 }
 
 /// A resident worker: pop the next chunk under the lock, classify it
-/// outside, and when nothing is queued spin for [`spin_budget`] (unless
-/// another worker spins), then sleep on `work`.
+/// outside, and when nothing is queued sleep on `work`.
 fn worker_loop(shared: &Shared) {
     let mut scratch = Scratch::new();
     let mut verdicts: Vec<usize> = Vec::new();
-    // The last stretch from going idle to the next chunk, and the start of
-    // the current one.
-    let mut last_idle = Duration::MAX;
-    let mut idle_since: Option<Instant> = None;
     loop {
         let mut sched = shared.sched();
         let (chunk, wake) = loop {
@@ -1179,18 +1043,6 @@ fn worker_loop(shared: &Shared) {
                 Dispatch::Chunk(chunk, wake) => break (chunk, wake),
                 Dispatch::Exit => return,
                 Dispatch::Idle => {
-                    // One spin per idle stretch, at its start.
-                    let budget = match idle_since {
-                        Some(_) => Duration::ZERO,
-                        None => {
-                            idle_since = Some(Instant::now());
-                            spin_budget(last_idle)
-                        }
-                    };
-                    if sched.start_spin(budget) {
-                        sched = shared.spin(sched, budget);
-                        continue;
-                    }
                     sched.idle_workers += 1;
                     sched = shared
                         .work
@@ -1201,9 +1053,6 @@ fn worker_loop(shared: &Shared) {
             }
         };
         drop(sched);
-        if let Some(since) = idle_since.take() {
-            last_idle = since.elapsed();
-        }
         shared.wake(wake);
         process_chunk(shared, chunk, &mut scratch, &mut verdicts);
     }
@@ -1519,7 +1368,6 @@ impl DeploymentBuilder {
             sched: Mutex::new(Scheduler::new(&self)),
             work: Condvar::new(),
             room: Condvar::new(),
-            spin_epoch: AtomicU64::new(0),
             helpers: (0..helpers).map(|_| Mutex::default()).collect(),
             started: Instant::now(),
         });
@@ -2918,142 +2766,41 @@ mod tests {
         assert_eq!(rows, 20);
     }
 
-    /// Serves one-row tickets back to back, each polled to completion,
-    /// until the one worker has learned a short idle gap and is caught
-    /// spinning. Returns the scheduler lock that saw it: the worker cannot
-    /// leave its spin until the caller lets go.
-    fn caught_spinning(deployment: &Deployment, id: TenantId) -> MutexGuard<'_, Scheduler> {
-        let deadline = Instant::now() + SETTLE;
-        let pending = |what: &str| assert!(Instant::now() < deadline, "{what} within {SETTLE:?}");
-        loop {
-            pending("no spin");
-            let ticket = deployment
-                .submit(TenantBatch::new(id, packets(1, 1, 0)))
-                .unwrap();
-            while !ticket.is_done() {
-                pending("ticket not served");
-                std::hint::spin_loop();
-            }
-            // The worker goes idle next: it spins, or it parks.
-            loop {
-                let sched = deployment.shared.sched();
-                if sched.spinning() {
-                    return sched;
-                }
-                if sched.idle_workers == 1 {
-                    break;
-                }
-                drop(sched);
-                pending("worker not idle");
-            }
-        }
-    }
-
     #[test]
-    fn a_spin_that_runs_out_parks_and_a_later_submit_is_served() {
-        // No helper slot: an idle submit would serve the one-row tickets
-        // itself, and the worker would never go idle after a short gap.
+    fn a_one_chunk_ticket_wakes_the_parked_worker() {
+        // No helper slot, so neither the submit nor the wait can classify
+        // the ticket: only `admit`'s `Notify::One` reaches the worker.
         let deployment = Deployment::builder().workers(1).build_with_helpers(0);
         let id = deployment
             .add_tenant("app", svm_pipeline(vec![1.0], 0.0), None)
             .unwrap();
-        drop(caught_spinning(&deployment, id));
-        settle(
-            &deployment,
-            SETTLE,
-            "the spin runs out and parks",
-            |sched| sched.idle_workers == 1 && !sched.spinning(),
-        );
-        // Parked, no longer spinning: only `admit`'s `Notify::One` reaches it.
+        settle(&deployment, SETTLE, "the worker parks", |sched| {
+            sched.idle_workers == 1
+        });
         let ticket = deployment
             .submit(TenantBatch::new(id, packets(3, 1, 1)))
             .unwrap();
-        assert_eq!(
-            within("submit after a spin", move || ticket.wait()).len(),
-            3
-        );
+        assert_eq!(within("a one-chunk ticket", move || ticket.wait()).len(), 3);
     }
 
     #[test]
-    fn an_epoch_bump_ends_a_spin_long_before_its_budget() {
-        // The spin's only way out before its budget is the bump that
-        // `Shared::wake` sends for a wake with `spin`.
-        let deployment = Arc::new(Deployment::builder().workers(1).build());
-        settle(&deployment, SETTLE, "the fresh worker parks", |sched| {
-            sched.idle_workers == 1
-        });
-        let budget = Duration::from_secs(10);
-        let spinner = spawn({
-            let deployment = Arc::clone(&deployment);
-            move || {
-                let shared = &deployment.shared;
-                let mut sched = shared.sched();
-                assert!(sched.start_spin(budget));
-                let t0 = Instant::now();
-                let sched = shared.spin(sched, budget);
-                assert_eq!(sched.spinner, Spinner::None, "the spin is given back");
-                t0.elapsed()
-            }
-        });
-        // Granted under the lock the spinner read the epoch under, so the
-        // bump below lands after that read.
-        settle(&deployment, SETTLE, "the spin is granted", |sched| {
-            sched.spinning()
-        });
-        deployment
-            .shared
-            .wake(Wake::new(Notify::None, false).spin(true));
-        let took = spinner.get("the spin");
-        assert!(took < Duration::from_secs(1), "the spin took {took:?}");
-    }
-
-    #[test]
-    fn shutdown_during_a_spin_returns() {
-        // No helper slot, as for `a_spin_that_runs_out_*`.
-        let deployment = Arc::new(Deployment::builder().workers(1).build_with_helpers(0));
-        let id = deployment
-            .add_tenant("app", svm_pipeline(vec![1.0], 0.0), None)
-            .unwrap();
-        // Closed under the lock that saw the spin, so the close lands
-        // before the worker can leave it.
-        let mut sched = caught_spinning(&deployment, id);
-        let wake = sched.close();
-        drop(sched);
-        deployment.shared.wake(wake);
-        let took = within("shutdown during a spin", {
-            let deployment = Arc::clone(&deployment);
-            move || {
-                let t0 = Instant::now();
-                deployment.shutdown();
-                t0.elapsed()
-            }
-        });
-        // Far over any spin budget, far under a hang: the bump itself is
-        // pinned without a clock above.
-        assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
-    }
-
-    #[test]
-    fn a_four_worker_trickle_is_served_while_one_worker_spins() {
-        // Four-chunk tickets wake every parked worker, so several workers
-        // go idle at about the same time and ask to spin; one is granted
-        // (`Spinner` admits no second, and the wake table pins the grant).
+    fn a_four_worker_trickle_is_served() {
+        // Four-chunk tickets wake every parked worker (`admit`'s
+        // `Notify::All`), so the workers go idle and park at about the same
+        // time, ticket after ticket.
         let deployment = Arc::new(Deployment::builder().workers(4).chunk_rows(1).build());
         let id = deployment
             .add_tenant("app", svm_pipeline(vec![1.0], 0.0), None)
             .unwrap();
-        let finished = Arc::new(AtomicBool::new(false));
         let trickle = spawn({
-            let (deployment, finished) = (Arc::clone(&deployment), Arc::clone(&finished));
+            let deployment = Arc::clone(&deployment);
             move || {
-                let rows = (0..500)
+                (0..500)
                     .map(|seed| {
                         let ticket = TenantBatch::new(id, packets(4, 1, seed));
                         deployment.submit(ticket).unwrap().wait().len()
                     })
-                    .sum::<usize>();
-                finished.store(true, Ordering::SeqCst);
-                rows
+                    .sum::<usize>()
             }
         });
         assert_eq!(trickle.get("the trickle"), 2000);
@@ -3268,11 +3015,6 @@ mod tests {
         Edge::Woke(Wake::new(work, room))
     }
 
-    /// The same wake, sent to the spinning worker too.
-    fn spun(work: Notify, room: bool) -> Edge {
-        Edge::Woke(Wake::new(work, room).spin(true))
-    }
-
     /// `admit` of a `rows`-row ticket carved `chunk` rows at a time, from a
     /// submitter without a helper slot.
     fn admit(sched: &mut Scheduler, rows: usize, chunk: usize) -> Edge {
@@ -3320,65 +3062,39 @@ mod tests {
         use Notify::{All, One};
         let quiet = woke(Notify::None, false);
 
-        // admit: a worker per chunk, only when running with workers idle;
-        // the first ticket admitted during a spin claims the spinner, which
-        // takes a one-chunk ticket without a `Notify`, and later ones wake
-        // parked workers as if nobody spun.
-        // (paused, idle workers, spinner, rows, chunk rows) → edge, spinner
-        use Spinner::{Claimed, Free};
-        let nobody = Spinner::None;
-        for case @ (paused, idle, spinner, rows, chunk, edge, after) in [
-            (false, 1, nobody, 4, 4, woke(One, false), nobody),
-            (false, 2, nobody, 8, 4, woke(All, false), nobody),
-            (false, 0, nobody, 8, 4, quiet, nobody),
-            (true, 2, nobody, 8, 4, quiet, nobody),
-            (false, 2, nobody, 32, 8, woke(All, false), nobody), // oversize, lanes empty
-            (false, 2, nobody, 0, 1, quiet, nobody),             // empty: complete already
-            (false, 1, Free, 4, 4, spun(Notify::None, false), Claimed),
-            (false, 0, Free, 4, 4, spun(Notify::None, false), Claimed),
-            (false, 2, Free, 8, 4, spun(All, false), Claimed),
-            (false, 0, Free, 8, 4, spun(Notify::None, false), Claimed),
-            (false, 1, Claimed, 4, 4, spun(One, false), Claimed),
-            (false, 0, Claimed, 4, 4, spun(Notify::None, false), Claimed),
-            (false, 2, Claimed, 8, 4, spun(All, false), Claimed),
-            (true, 1, Free, 4, 4, quiet, Free),
-            (false, 1, Free, 0, 1, quiet, Free),
+        // admit: a worker per chunk, only when running with workers idle.
+        // (paused, idle workers, rows, chunk rows) → edge
+        for case @ (paused, idle, rows, chunk, edge) in [
+            (false, 1, 4, 4, woke(One, false)),
+            (false, 2, 8, 4, woke(All, false)),
+            (false, 0, 8, 4, quiet),
+            (true, 2, 8, 4, quiet),
+            (false, 2, 32, 8, woke(All, false)), // oversize, lanes empty
+            (false, 2, 0, 1, quiet),             // empty: complete already
         ] {
             let mut s = fresh(10);
-            (s.paused, s.idle_workers, s.spinner) = (paused, idle, spinner);
+            (s.paused, s.idle_workers) = (paused, idle);
             assert_eq!(admit(&mut s, rows, chunk), edge, "{case:?}");
-            assert_eq!(s.spinner, after, "{case:?}");
             assert_eq!(s.in_flight_tickets, usize::from(rows > 0), "{case:?}");
         }
-        // Two one-chunk tickets during one spin: the second wakes a parked
-        // worker instead of queueing behind the spinner.
-        let mut s = fresh(10);
-        (s.idle_workers, s.spinner) = (1, Free);
-        assert_eq!(admit(&mut s, 4, 4), spun(Notify::None, false));
-        assert_eq!(admit(&mut s, 4, 4), spun(One, false));
 
         // admit, served inline (a submitter with a free helper slot, on an
         // idle running deployment): the ticket is dispatched to its own
-        // submitter in the same step, so no worker is woken, a spinner is
-        // neither bumped nor claimed, and only the dispatch's room wake is
-        // owed. (idle workers, spinner, room waiters) → edge
-        for case @ (idle, spinner, waiters, edge) in [
-            (1, nobody, 0, Edge::Inline(Wake::new(Notify::None, false))),
-            (2, nobody, 0, Edge::Inline(Wake::new(Notify::None, false))),
-            (1, Free, 0, Edge::Inline(Wake::new(Notify::None, false))),
-            (0, Free, 0, Edge::Inline(Wake::new(Notify::None, false))),
-            (1, Claimed, 0, Edge::Inline(Wake::new(Notify::None, false))),
-            (1, nobody, 1, Edge::Inline(Wake::new(Notify::None, true))),
+        // submitter in the same step, so no worker is woken and only the
+        // dispatch's room wake is owed. (idle workers, room waiters) → edge
+        for case @ (idle, waiters, edge) in [
+            (1, 0, Edge::Inline(Wake::new(Notify::None, false))),
+            (2, 0, Edge::Inline(Wake::new(Notify::None, false))),
+            (1, 1, Edge::Inline(Wake::new(Notify::None, true))),
         ] {
             let mut s = fresh(10);
             s.dispatch_log = Some(Vec::new());
-            (s.idle_workers, s.spinner, s.room_waiters) = (idle, spinner, waiters);
+            (s.idle_workers, s.room_waiters) = (idle, waiters);
             assert_eq!(
                 admit_at(&mut s, 4, 4, true, Instant::now()),
                 edge,
                 "{case:?}"
             );
-            assert_eq!(s.spinner, spinner, "{case:?}: left as it was");
             let gauges = (s.in_flight_tickets, s.queued_rows, s.total_served_rows);
             assert_eq!(gauges, (1, 0, 4), "{case:?}: in flight, dispatched");
             assert_eq!(s.dispatch_log, Some(vec![(0, 4)]), "{case:?}");
@@ -3444,19 +3160,15 @@ mod tests {
         }
 
         // complete: depth frees for `room`; the last ticket of a closed
-        // deployment sends its idle and spinning workers to their exit.
-        // (closed, room waiters, idle workers, spinning, tickets in flight)
-        for case @ (closed, waiters, idle, spinning, others, edge) in [
-            (false, 1, 0, false, 0, woke(Notify::None, true)),
-            (false, 0, 1, false, 0, quiet),
-            (true, 0, 1, false, 0, woke(All, false)),
-            (true, 1, 2, false, 0, woke(All, true)),
-            (true, 0, 0, false, 0, quiet),
-            (true, 0, 1, false, 1, quiet),
-            (false, 0, 1, true, 0, quiet),
-            (true, 0, 0, true, 0, spun(Notify::None, false)),
-            (true, 0, 1, true, 0, spun(All, false)),
-            (true, 0, 1, true, 1, quiet),
+        // deployment sends its idle workers to their exit.
+        // (closed, room waiters, idle workers, tickets in flight)
+        for case @ (closed, waiters, idle, others, edge) in [
+            (false, 1, 0, 0, woke(Notify::None, true)),
+            (false, 0, 1, 0, quiet),
+            (true, 0, 1, 0, woke(All, false)),
+            (true, 1, 2, 0, woke(All, true)),
+            (true, 0, 0, 0, quiet),
+            (true, 0, 1, 1, quiet),
         ] {
             let mut s = fresh(10);
             for _ in 0..=others {
@@ -3467,53 +3179,14 @@ mod tests {
                 s.close();
             }
             (s.room_waiters, s.idle_workers) = (waiters, idle);
-            if spinning {
-                s.spinner = Free;
-            }
             let done = s.complete(false, Duration::ZERO, Instant::now());
             assert_eq!(Edge::Woke(done), edge, "{case:?}");
         }
 
-        // start_spin: one spinner at a time, and none without a budget.
-        // (spinner already, budget in µs) → granted, spinner
-        for case @ (spinner, budget, granted, after) in [
-            (nobody, 40, true, Free),
-            (Free, 40, false, Free),
-            (Claimed, 40, false, Claimed),
-            (nobody, 0, false, nobody),
-        ] {
-            let mut s = fresh(10);
-            s.spinner = spinner;
-            let budget = Duration::from_micros(budget);
-            assert_eq!(s.start_spin(budget), granted, "{case:?}");
-            assert_eq!(s.spinner, after, "{case:?}");
-        }
-
-        // resume and close wake everyone, listening or not, and the
-        // spinning worker when there is one.
-        for spinner in [nobody, Free, Claimed] {
-            let mut s = fresh(10);
-            s.spinner = spinner;
-            let spin = spinner != nobody;
-            assert_eq!(s.resume(), Wake::new(All, false).spin(spin));
-            assert_eq!(s.close(), Wake::new(All, true).spin(spin));
-        }
-    }
-
-    #[test]
-    fn the_spin_budget_is_twice_the_last_idle_gap_up_to_a_cap() {
-        let us = Duration::from_micros;
-        for (last_idle, budget) in [
-            (Duration::MAX, Duration::ZERO),
-            (Duration::ZERO, Duration::ZERO),
-            (us(20), us(40)),
-            (us(50), us(100)),
-            (us(80), us(100)),
-            (us(100), us(100)),
-            (us(101), Duration::ZERO),
-        ] {
-            assert_eq!(spin_budget(last_idle), budget, "{last_idle:?}");
-        }
+        // resume and close wake everyone, listening or not.
+        let mut s = fresh(10);
+        assert_eq!(s.resume(), Wake::new(All, false));
+        assert_eq!(s.close(), Wake::new(All, true));
     }
 
     #[test]
@@ -3605,11 +3278,9 @@ mod tests {
         {
             let sched = deployment.shared.sched();
             assert_eq!(sched.idle_workers, 1, "the worker stayed parked");
-            assert_eq!(sched.spinner, Spinner::None);
             assert_eq!(sched.in_flight_tickets, 0);
             assert_eq!(sched.dispatch_log, Some(vec![(0, BLOCK_ROWS)]));
         }
-        assert_eq!(deployment.shared.spin_epoch.load(Ordering::SeqCst), 0);
         assert!(
             deployment.shared.helpers[0].try_lock().is_ok(),
             "the helper slot is free again"
