@@ -2,12 +2,12 @@
 
 CARGO ?= cargo
 
-.PHONY: ci fmt fmt-check clippy build test doc stress bench-smoke bench-pairs paper-smoke paper examples examples-smoke lint-artifacts
+.PHONY: ci fmt fmt-check clippy build test doc stress exhaustive bench-smoke bench-pairs paper-smoke paper examples examples-smoke lint-artifacts
 
 # One lane per check: there is one build of the kernels (portable, no
 # cargo feature selects another), so the binary linted and tested here is
 # the binary hbench measures and a deployment serves.
-ci: fmt-check clippy build test doc stress lint-artifacts bench-smoke paper-smoke paper examples-smoke
+ci: fmt-check clippy build test doc stress exhaustive lint-artifacts bench-smoke paper-smoke paper examples-smoke
 
 fmt:
 	$(CARGO) fmt
@@ -81,6 +81,15 @@ stress:
 		fi; \
 	done
 	@echo "stress: $(STRESS_RUNS) consecutive runs passed"
+
+# The packed tier's branch-free quantize against `FixedPoint::quantize`
+# on every one of the 2^32 `f32` bit patterns, at Q3.12 and at an 8-bit
+# format, split over the host's cores (~30 s on 2 vCPUs in release). The
+# test is `#[ignore]`d so that `make test` stays quick; a proptest biased
+# to the same edges runs there instead.
+exhaustive:
+	$(CARGO) test -q --release -p homunculus-ml --lib -- --ignored \
+		quantize_into_packed_matches_scalar_on_every_f32
 
 # The benchmark's own suite, one smoke run of every workload included.
 # hbench is a workspace of its own, so nothing in `cargo test --workspace`

@@ -7,7 +7,10 @@
 //! placement (edge, aggregation, and core switches can serve different
 //! tenant sets — the multi-artifact analogue of the paper's multi-app
 //! switch). Switches are scheduling domains of one worker pool, not
-//! thread owners, and one `LutCache` serves the fabric.
+//! thread owners, and one `LutCache` serves the fabric. The pool leaves
+//! one core to the thread that calls [`Fleet::run`]: that thread blocks
+//! in `Ticket::wait` on its oldest hop, and a deployment's blocked wait
+//! classifies queued chunks on a core the workers leave idle.
 //!
 //! [`Fleet::run`] then replays flows hop by hop along their
 //! [`Topology::path`]s. Every hop classifies the flow's surviving
@@ -65,10 +68,13 @@ pub struct FleetBuilder {
 const QUEUE_DEPTH_PER_SWITCH: usize = 64;
 
 /// Threads the fleet's one pool runs: as many of the `workers × switches`
-/// requested threads as `cores` can run at once, never fewer than
-/// `workers`.
+/// requested threads as `cores − 1` can run at once, never fewer than
+/// `workers`. The core left over is [`Fleet::run`]'s caller's, whose
+/// blocked `Ticket::wait` classifies there.
 fn pool_width(workers: usize, switches: usize, cores: usize) -> usize {
-    (workers * switches).min(cores).max(workers)
+    (workers * switches)
+        .min(cores.saturating_sub(1))
+        .max(workers)
 }
 
 impl FleetBuilder {
@@ -125,11 +131,15 @@ impl FleetBuilder {
     ///
     /// The fleet runs one pool for the whole fabric, and its width is
     /// worked out rather than configured: `(workers × switches)` capped
-    /// at [`std::thread::available_parallelism`], and never fewer than
-    /// `workers`. Reading `workers` as the width of the whole pool would
-    /// leave a 2-core host classifying on one thread for `.workers(1)`:
-    /// on `hbench`'s `fleet_fabric` that measured 2.61 M against 3.48 M
-    /// pkt/s (−25 %) and a 38.6 ms against a 28.1 ms median run.
+    /// at one less than [`std::thread::available_parallelism`], and never
+    /// fewer than `workers`. The core the cap leaves is not idle: the
+    /// thread in [`Fleet::run`] waits on its tickets there, and a blocked
+    /// wait classifies queued chunks on a core the workers leave free. A
+    /// pool that filled every core left that wait nothing to do but sleep
+    /// while a third thread competed for two cores. On a 2-core host the
+    /// cap alone read ×1.02 `pkt_per_s` on `hbench`'s `fleet_fabric`
+    /// (7 of 10 alternating pairs, inside the runs' spread): it costs
+    /// nothing, and the caller's core is no longer idle while it waits.
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
@@ -705,10 +715,15 @@ mod tests {
 
     #[test]
     fn pool_width_is_the_request_capped_by_cores_never_below_workers() {
-        assert_eq!(pool_width(1, 20, 2), 2);
+        // One core is left to the caller's helping wait...
+        assert_eq!(pool_width(1, 20, 2), 1);
+        assert_eq!(pool_width(2, 320, 64), 63);
+        assert_eq!(pool_width(1, 3, 8), 3);
+        // ...unless the per-switch request alone needs it.
         assert_eq!(pool_width(4, 6, 2), 4);
+        assert_eq!(pool_width(2, 20, 2), 2);
         assert_eq!(pool_width(1, 1, 2), 1);
-        assert_eq!(pool_width(2, 320, 64), 64);
+        assert_eq!(pool_width(1, 20, 1), 1);
     }
 
     #[test]

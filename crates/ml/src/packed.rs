@@ -42,6 +42,38 @@
 //! read +15 ns per row on every family of the serving path (hbench
 //! `block_ns`, traced twice: tree 20 → 38, SVM 20 → 34, KMeans 50 → 61,
 //! DNN 117 → 160), so they stay in-place loops.
+//!
+//! # Quantizing without branches
+//!
+//! [`FixedPoint::quantize`] rounds `y = v · 2^frac` half away from zero
+//! in `f64` and clamps in `i64`; neither step vectorizes on baseline
+//! x86-64, and at ~3 ns per value it cost as much per served row as a
+//! small kernel. [`PackedFixed::quantize_into_packed`] reaches the same
+//! raw in `f32`/`i32` selects only, so rustc turns its loop into 4-wide
+//! SSE2:
+//!
+//! 1. `a = min(|y|, max_raw + 2)`. Anything at or past `max_raw + 2`
+//!    saturates either way, and `min_raw = −(max_raw + 1)`, so the
+//!    clamped magnitude still lands on the right edge after rounding.
+//!    For a packable format `max_raw < 2^15`, so `a < 2^22`.
+//! 2. `a + 2^23` lies in `[2^23, 2^24)`, where the `f32` step is exactly
+//!    1: the add rounds `a` to the nearest integer, ties to even, and
+//!    that integer is the sum's bits minus the bits of `2^23`.
+//! 3. `a − rne(a)` is exact (the two are within ½ of each other), so
+//!    `a − rne(a) ≥ 0.5` holds exactly on a tie that went to the even
+//!    neighbour below; adding 1 there turns ties-to-even into
+//!    ties-away-from-zero, the rounding `FixedPoint::quantize` does.
+//! 4. The sign of `y` is restored with a two's-complement flip (so
+//!    `−0.0` gives 0), NaN is mapped to 0 (as `FixedPoint::quantize`
+//!    does), and the result is clamped to `[min_raw, max_raw]`. `±∞`
+//!    and every `|y|` past the limit saturate there.
+//!
+//! Subnormal inputs need nothing special: `y` is then far below ½ and
+//! rounds to 0. An exhaustive check over all 2^32 `f32` bit patterns, at
+//! Q3.12 and at an 8-bit format, is an ignored test here
+//! (`quantize_into_packed_matches_scalar_on_every_f32`, run by
+//! `make exhaustive`); a proptest over random packable formats, biased to
+//! ties, range edges and non-finite inputs, runs with the tier-1 suite.
 
 use crate::quantize::FixedPoint;
 
@@ -174,11 +206,43 @@ impl PackedFixed {
 
     /// Quantizes floats straight into packed lanes (no intermediate `i32`
     /// buffer) — one packet's features, or a contiguous row-major block
-    /// of them for [`PackedFixed::packed_matvec_block`].
+    /// of them for [`PackedFixed::packed_matvec_block`]. Bit-identical to
+    /// [`FixedPoint::quantize`] on every `f32`, in one branch-free pass
+    /// (see *Quantizing without branches* above).
     pub fn quantize_into_packed(&self, values: &[f32], out: &mut Vec<i16>) {
+        let rounder = Rounder::new(self.format);
         out.resize(values.len(), 0);
         for (lane, &v) in out.iter_mut().zip(values) {
-            *lane = narrow(self.format.quantize(v));
+            *lane = rounder.lane(v);
+        }
+    }
+
+    /// [`PackedFixed::quantize_into_packed`] of the z-scores
+    /// `(v - mean) / std`, element by element, in the same pass: `mean`
+    /// and `std` are read at the index of each value, so a block of rows
+    /// is normalized against a normalizer tiled once per row. Each
+    /// z-score is computed exactly as `Normalizer::apply` computes it
+    /// (one `f32` subtraction, then one division), so the lanes are those
+    /// of `apply` followed by [`FixedPoint::quantize`], bit for bit (held
+    /// to that by the runtime's chunk-walk tests, for 1–16 features and
+    /// 1–32 rows).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mean` or `std` is shorter than `values`.
+    pub fn quantize_normalized_into_packed(
+        &self,
+        values: &[f32],
+        mean: &[f32],
+        std: &[f32],
+        out: &mut Vec<i16>,
+    ) {
+        let n = values.len();
+        let (mean, std) = (&mean[..n], &std[..n]);
+        let rounder = Rounder::new(self.format);
+        out.resize(n, 0);
+        for (((lane, &v), &m), &s) in out.iter_mut().zip(values).zip(mean).zip(std) {
+            *lane = rounder.lane((v - m) / s);
         }
     }
 
@@ -289,6 +353,50 @@ impl PackedFixed {
         } else {
             sq_exact(self.format, a, b)
         }
+    }
+}
+
+/// `2^23`: added to a float in `[0, 2^22)`, it leaves that float rounded
+/// to the nearest integer (ties to even) in the low mantissa bits.
+const MAGIC: f32 = 8_388_608.0;
+
+/// The constants of one branch-free quantize pass over a format.
+#[derive(Clone, Copy)]
+struct Rounder {
+    scale: f32,
+    /// `max_raw + 2`: every `|y|` at or beyond it saturates, and below
+    /// `2^22` the magic add is exact.
+    limit: f32,
+    min_raw: i32,
+    max_raw: i32,
+}
+
+impl Rounder {
+    fn new(format: FixedPoint) -> Self {
+        Rounder {
+            scale: format.scale(),
+            limit: (format.max_raw() + 2) as f32,
+            min_raw: format.min_raw(),
+            max_raw: format.max_raw(),
+        }
+    }
+
+    /// [`FixedPoint::quantize`] of `v`, narrowed to a lane, with no
+    /// data-dependent branch: every step is a select, so a loop of these
+    /// vectorizes.
+    #[inline(always)]
+    fn lane(self, v: f32) -> i16 {
+        let y = v * self.scale;
+        let a = y.abs();
+        // A NaN `a` compares false and takes the limit; it is zeroed below.
+        let a = if a < self.limit { a } else { self.limit };
+        let biased = a + MAGIC;
+        let nearest_even = biased.to_bits() as i32 - MAGIC.to_bits() as i32;
+        let away = i32::from(a - (biased - MAGIC) >= 0.5);
+        let sign = (y.to_bits() as i32) >> 31;
+        let k = ((nearest_even + away) ^ sign) - sign;
+        let k = if y.is_nan() { 0 } else { k };
+        narrow(k.clamp(self.min_raw, self.max_raw))
     }
 }
 
@@ -506,6 +614,112 @@ mod tests {
         assert_eq!(out.len(), values.len());
     }
 
+    /// `n` inputs from `seed`, most of them where a branch-free rounding
+    /// could part from [`FixedPoint::quantize`] on `format`: ties `k ± ½`
+    /// and their neighbours one ulp away, `±(max_raw + ½)`,
+    /// `±(max_raw + 1½)` and the raws around the clamp limit, NaNs with
+    /// any payload and sign, `±∞`, `±0.0` and subnormals; the rest are
+    /// arbitrary bit patterns.
+    fn edge_inputs(format: FixedPoint, seed: u64, n: usize) -> Vec<f32> {
+        let scale = format.scale();
+        let max = format.max_raw() as f32;
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        (0..n)
+            .map(|_| {
+                let h = next();
+                let sign = if h & 1 == 0 { 1.0f32 } else { -1.0 };
+                let sign_bit = (h as u32 & 1) << 31;
+                let k = ((h >> 8) % (u64::from(format.max_raw().unsigned_abs()) + 4)) as f32;
+                let tie = sign * (k + 0.5) / scale;
+                match (h >> 4) % 12 {
+                    0 | 1 => tie,
+                    2 => f32::from_bits(tie.to_bits() + 1),
+                    3 => f32::from_bits(tie.to_bits().saturating_sub(1)),
+                    4 => sign * (max + 0.5) / scale,
+                    5 => sign * (max + 1.5) / scale,
+                    6 => sign * (max + ((h >> 40) % 8) as f32 * 0.5) / scale,
+                    7 => f32::from_bits(
+                        0x7F80_0000 | sign_bit | ((h >> 32) as u32 & 0x7F_FFFF).max(1),
+                    ),
+                    8 => sign * f32::INFINITY,
+                    9 => sign * 0.0,
+                    10 => f32::from_bits(sign_bit | ((h >> 32) as u32 & 0x7F_FFFF)),
+                    _ => f32::from_bits((h >> 32) as u32),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn edge_inputs_cover_every_edge() {
+        let q = FixedPoint::taurus_default();
+        let inputs = edge_inputs(q, 7, 4096);
+        let raw = |v: f32| v * q.scale();
+        assert!(inputs.iter().any(|v| v.is_nan()));
+        assert!(inputs.contains(&f32::INFINITY));
+        assert!(inputs.contains(&f32::NEG_INFINITY));
+        assert!(inputs.iter().any(|&v| v == 0.0 && v.is_sign_negative()));
+        assert!(inputs.iter().any(|&v| v.is_subnormal()));
+        assert!(inputs
+            .iter()
+            .any(|&v| raw(v) == -(q.max_raw() as f32 + 1.5)));
+        assert!(inputs.iter().any(|&v| raw(v).fract().abs() == 0.5));
+    }
+
+    #[test]
+    #[ignore = "2^33 quantizations: run in release, by `make exhaustive`"]
+    fn quantize_into_packed_matches_scalar_on_every_f32() {
+        const CHUNK: u64 = 1 << 16;
+        let threads = std::thread::available_parallelism()
+            .map_or(1, usize::from)
+            .min(8) as u64;
+        for format in [FixedPoint::taurus_default(), FixedPoint::new(2, 5).unwrap()] {
+            let p = PackedFixed::new(format).unwrap();
+            let mismatches: Vec<(u32, i16, i32)> = std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..threads)
+                    .map(|t| {
+                        scope.spawn(move || {
+                            let (mut values, mut lanes, mut found) =
+                                (Vec::new(), Vec::new(), Vec::new());
+                            let mut chunk = t;
+                            while chunk * CHUNK < 1 << 32 {
+                                let first = chunk * CHUNK;
+                                values.clear();
+                                values.extend(
+                                    (first..first + CHUNK).map(|b| f32::from_bits(b as u32)),
+                                );
+                                p.quantize_into_packed(&values, &mut lanes);
+                                for (&v, &lane) in values.iter().zip(&lanes) {
+                                    let want = format.quantize(v);
+                                    if i32::from(lane) != want && found.len() < 8 {
+                                        found.push((v.to_bits(), lane, want));
+                                    }
+                                }
+                                chunk += threads;
+                            }
+                            found
+                        })
+                    })
+                    .collect();
+                workers
+                    .into_iter()
+                    .flat_map(|w| w.join().unwrap())
+                    .collect()
+            });
+            assert!(
+                mismatches.is_empty(),
+                "{format:?}: (bits, lane, quantize) {mismatches:x?}"
+            );
+        }
+    }
+
     #[test]
     fn packed_dot_matches_scalar_on_q312() {
         let p = q312();
@@ -666,6 +880,20 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn prop_quantize_into_packed_bit_equal_at_the_edges(
+            format in any_packable_format(),
+            seed in 0u64..1_000_000_000,
+        ) {
+            let p = PackedFixed::new(format).unwrap();
+            let values = edge_inputs(format, seed, 256);
+            let mut lanes = Vec::new();
+            p.quantize_into_packed(&values, &mut lanes);
+            for (&v, &lane) in values.iter().zip(&lanes) {
+                prop_assert_eq!(i32::from(lane), format.quantize(v), "{:?} at {:#x}", format, v.to_bits());
+            }
+        }
 
         #[test]
         fn prop_packed_dot_bit_equal(

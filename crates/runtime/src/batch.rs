@@ -8,12 +8,64 @@
 //! rows at once — a layout change, not a semantic one.
 //!
 //! A `Deployment` worker calls `classify_chunk` once per dispatched chunk
-//! with the tenant's normalizer; [`CompiledPipeline::classify_batch`] calls
-//! it once per `std::thread::scope` shard, each with a private [`Scratch`].
+//! with the tenant's `NormTiles`; [`CompiledPipeline::classify_batch`]
+//! calls it once per `std::thread::scope` shard, each with a private
+//! [`Scratch`], and normalizes nothing.
+//!
+//! # One ingress pass
+//!
+//! A block is read where it lies in the ticket's matrix and normalized as
+//! it is quantized: `(v - mean) / std`, then the fixed-point round, in one
+//! branch-free loop (`PackedFixed::quantize_normalized_into_packed` on the
+//! packed tier). The loop reads `mean` and `std` at each value's own
+//! index, from a tenant's normalizer tiled `BLOCK_ROWS` times, which is
+//! built once when the tenant is registered: a prototype that built the
+//! tiles on every call read hbench `deploy_trickle`'s p50 ×1.45 worse, as
+//! a 16-row ticket paid for 32 rows of tiles. Each z-score is the one
+//! `Normalizer::apply` computes, in the same `f32` operations, so the
+//! quantized block is bit-identical to normalizing a copy row by row and
+//! then quantizing it, as the per-row reference does
+//! (`Normalizer::apply`, then [`CompiledPipeline::classify`]).
 
-use crate::pipeline::{CompiledPipeline, Scratch, BLOCK_ROWS};
+use crate::pipeline::{BlockNorm, CompiledPipeline, Scratch, BLOCK_ROWS};
 use homunculus_ml::preprocess::Normalizer;
 use homunculus_ml::tensor::Matrix;
+
+/// A normalizer's `mean` and `std`, each repeated once per row of a full
+/// block, so that the `i`-th value of any block starting on a row
+/// boundary is normalized by the `i`-th entry of each.
+#[derive(Debug)]
+pub(crate) struct NormTiles {
+    mean: Vec<f32>,
+    std: Vec<f32>,
+}
+
+impl NormTiles {
+    pub(crate) fn new(normalizer: &Normalizer) -> Self {
+        NormTiles {
+            mean: normalizer.mean.repeat(BLOCK_ROWS),
+            std: normalizer.std.repeat(BLOCK_ROWS),
+        }
+    }
+
+    /// The statistics for a block of `rows` rows, `width` features wide.
+    ///
+    /// # Panics
+    ///
+    /// Panics with "dimensionality mismatch" unless the normalizer is
+    /// `width` features wide.
+    fn block(&self, rows: usize, width: usize) -> BlockNorm<'_> {
+        let full = BLOCK_ROWS * width;
+        assert!(
+            self.mean.len() == full && self.std.len() == full,
+            "dimensionality mismatch: a {width}-feature block against a normalizer of {} \
+             means and {} stds",
+            self.mean.len() / BLOCK_ROWS,
+            self.std.len() / BLOCK_ROWS
+        );
+        (&self.mean[..rows * width], &self.std[..rows * width])
+    }
+}
 
 impl CompiledPipeline {
     /// Classifies every row of `x` using up to `workers` threads.
@@ -51,15 +103,14 @@ impl CompiledPipeline {
     }
 
     /// Classifies rows `start..start + out.len()` of `x` into `out`, at
-    /// most `BLOCK_ROWS` at a time. With a `normalizer`, each block is
-    /// normalized in the scratch's staging block; with none, the matrix's
-    /// own rows go straight to the kernels. Panics if `x` or the
+    /// most `BLOCK_ROWS` at a time, each block read in place and, with
+    /// `tiles`, normalized in the quantize pass. Panics if `x` or the
     /// normalizer is not `self.n_features()` wide.
     pub(crate) fn classify_chunk(
         &self,
         x: &Matrix,
         start: usize,
-        normalizer: Option<&Normalizer>,
+        tiles: Option<&NormTiles>,
         out: &mut [usize],
         scratch: &mut Scratch,
     ) {
@@ -69,22 +120,8 @@ impl CompiledPipeline {
             let rows = (out.len() - offset).min(BLOCK_ROWS);
             let from = (start + offset) * nf;
             let block = &x.as_slice()[from..from + rows * nf];
-            let out = &mut out[offset..offset + rows];
-            match normalizer {
-                None => self.classify_block(block, out, scratch),
-                Some(normalizer) => {
-                    // Taken out so the block can be read while the rest
-                    // of the scratch is written.
-                    let mut staged = std::mem::take(&mut scratch.staged);
-                    staged.clear();
-                    staged.extend_from_slice(block);
-                    for r in 0..rows {
-                        normalizer.apply(&mut staged[r * nf..(r + 1) * nf]);
-                    }
-                    self.classify_block(&staged, out, scratch);
-                    scratch.staged = staged;
-                }
-            }
+            let norm = tiles.map(|t| t.block(rows, nf));
+            self.classify_block(block, norm, &mut out[offset..offset + rows], scratch);
             offset += rows;
         }
     }
@@ -94,7 +131,7 @@ impl CompiledPipeline {
 mod tests {
     use super::*;
     use crate::pipeline::{classify_rows, Compile, CompiledPipeline};
-    use homunculus_backends::model::{DnnIr, KMeansIr, ModelIr};
+    use homunculus_backends::model::{DnnIr, KMeansIr, ModelIr, SvmIr};
     use homunculus_ml::kmeans::{KMeans, KMeansConfig};
     use homunculus_ml::mlp::{Mlp, MlpArchitecture, TrainConfig};
     use homunculus_ml::quantize::FixedPoint;
@@ -133,6 +170,127 @@ mod tests {
         let scalar = CompiledPipeline::from_ir_scalar(&ir, FixedPoint::taurus_default()).unwrap();
         assert!(!scalar.is_packed());
         assert_eq!(scalar.classify_batch(&x, 4), classify_rows(&scalar, &x));
+    }
+
+    /// Values and statistics at every awkward magnitude: tiny, huge,
+    /// subnormal, zero of either sign, NaN and ±∞ (a std of those is one
+    /// `Normalizer::validate` refuses at decode, but registration does
+    /// not, so the walk must still agree with `apply` on it), and raws
+    /// that fall on a rounding tie.
+    const AWKWARD: [f32; 18] = [
+        0.25,
+        -1.5,
+        1e-12,
+        1e30,
+        -1e38,
+        1e-42,
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        -0.0,
+        0.0,
+        7.999,
+        -8.000_5,
+        0.5 / 4096.0,
+        3.0,
+        f32::MIN_POSITIVE,
+        1.0,
+        -1.5 / 4096.0,
+    ];
+
+    fn awkward(i: usize) -> f32 {
+        AWKWARD[i % AWKWARD.len()]
+    }
+
+    /// A `width`-feature binary SVM on both tiers: packed, then scalar.
+    fn svm_tiers(width: usize) -> [CompiledPipeline; 2] {
+        let ir = ModelIr::Svm(SvmIr {
+            n_features: width,
+            n_classes: 2,
+            planes: Some((
+                vec![(0..width).map(|c| 0.5 - c as f32 / 8.0).collect()],
+                vec![0.1],
+            )),
+        });
+        let q = FixedPoint::taurus_default();
+        [
+            CompiledPipeline::from_ir(&ir, q).unwrap(),
+            CompiledPipeline::from_ir_scalar(&ir, q).unwrap(),
+        ]
+    }
+
+    #[test]
+    fn tiled_normalize_matches_apply_bit_for_bit() {
+        for width in 1..=16 {
+            let normalizer = Normalizer {
+                mean: (0..width).map(|c| awkward(c * 5 + 2)).collect(),
+                std: (0..width).map(|c| awkward(c * 3 + width)).collect(),
+            };
+            let tiles = NormTiles::new(&normalizer);
+            let x = Matrix::from_fn(40, width, |r, c| awkward(r * 7 + c * 11 + width));
+            let mut applied = x.clone();
+            for r in 0..applied.rows() {
+                normalizer.apply(applied.row_mut(r));
+            }
+            for pipeline in svm_tiers(width) {
+                let mut scratch = Scratch::new();
+                // Every partial block, from a start that is no block
+                // boundary of the matrix.
+                for rows in 1..=BLOCK_ROWS {
+                    let start = 40 - rows - (rows % 3);
+                    let mut out = vec![0usize; rows];
+                    pipeline.classify_chunk(&x, start, Some(&tiles), &mut out, &mut scratch);
+                    let want = &applied.as_slice()[start * width..(start + rows) * width];
+                    let want: Vec<i32> = want
+                        .iter()
+                        .map(|&v| pipeline.format().quantize(v))
+                        .collect();
+                    let tier = if pipeline.is_packed() {
+                        "packed"
+                    } else {
+                        "scalar"
+                    };
+                    assert_eq!(
+                        scratch.quantized(&pipeline),
+                        want,
+                        "{tier}, width {width}, {rows} rows"
+                    );
+                    let verdicts: Vec<usize> = (start..start + rows)
+                        .map(|r| pipeline.classify(applied.row(r), &mut Scratch::new()))
+                        .collect();
+                    assert_eq!(out, verdicts, "{tier}, width {width}, {rows} rows");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_chunk_of_many_blocks_matches_the_per_row_reference() {
+        let (pipeline, x) = pipeline_and_data(97);
+        let normalizer = Normalizer {
+            mean: vec![0.1, -0.2, 0.05],
+            std: vec![0.5, 2.0, 0.25],
+        };
+        let mut applied = x.clone();
+        for r in 0..applied.rows() {
+            normalizer.apply(applied.row_mut(r));
+        }
+        let mut out = vec![0usize; 90];
+        let tiles = NormTiles::new(&normalizer);
+        pipeline.classify_chunk(&x, 5, Some(&tiles), &mut out, &mut Scratch::new());
+        assert_eq!(out, classify_rows(&pipeline, &applied)[5..95]);
+    }
+
+    #[test]
+    #[should_panic(expected = "dimensionality mismatch")]
+    fn a_normalizer_of_another_width_panics_in_the_walk() {
+        let [pipeline, _] = svm_tiers(2);
+        let tiles = NormTiles::new(&Normalizer {
+            mean: vec![0.0],
+            std: vec![1.0],
+        });
+        let x = Matrix::zeros(3, 2);
+        pipeline.classify_chunk(&x, 0, Some(&tiles), &mut [0; 3], &mut Scratch::new());
     }
 
     #[test]

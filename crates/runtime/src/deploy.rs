@@ -83,7 +83,8 @@
 //! ticket itself (below), so trickle's tickets rarely reach a worker. The
 //! one hbench workload it still served is `fleet_fabric`, whose chained
 //! hops find a parked worker as its queue drains: without it, ~5 % less
-//! `pkt_per_s`.
+//! `pkt_per_s`. The fleet now sizes its pool to leave its caller a core,
+//! so the caller's blocked wait classifies those hops instead.
 //!
 //! # A blocked wait classifies
 //!
@@ -121,7 +122,9 @@
 //! alternating pairs, 10/10), and the process's CPU per 20 s run went
 //! from 23.8 to 42.5 s: the second core now classifies. `deploy_trickle`,
 //! whose generator polls [`Ticket::is_done`], helps only while it sets
-//! up, and `fleet_fabric`, whose pool fills the cores, has no slot.
+//! up. `fleet_fabric`'s pool used to fill the cores and leave no slot;
+//! the fleet now runs one worker fewer than the cores (never fewer than
+//! requested), and its `Fleet::run` caller takes the slot.
 //!
 //! # An idle submit classifies
 //!
@@ -190,6 +193,7 @@
 //! count, with or without a helping waiter; under live submission the
 //! order of *admissions* is racy.
 
+use crate::batch::NormTiles;
 use crate::histogram::LatencyHistogram;
 use crate::lut::LutCache;
 use crate::pipeline::{Compile, CompiledPipeline, Scratch, BLOCK_ROWS};
@@ -289,7 +293,8 @@ impl SchedulePolicy {
 struct TenantEntry {
     name: String,
     pipeline: CompiledPipeline,
-    normalizer: Option<Normalizer>,
+    /// The tenant's normalizer, tiled for the chunk walk once, here.
+    normalizer: Option<NormTiles>,
     policy: SchedulePolicy,
     accum: Mutex<TenantAccum>,
 }
@@ -1517,7 +1522,7 @@ impl Deployment {
         let index = registry.len();
         let entry = Arc::new(TenantEntry {
             name: name.to_string(),
-            normalizer,
+            normalizer: normalizer.as_ref().map(NormTiles::new),
             policy,
             accum: Mutex::new(TenantAccum {
                 verdict_histogram: vec![0; pipeline.n_classes()],
@@ -2421,16 +2426,16 @@ mod tests {
     const SETTLE: Duration = Duration::from_secs(10);
 
     /// Behind the registration checks, gives the two-feature tenant `id` a
-    /// normalizer one column short, so `Normalizer::apply` panics inside
+    /// normalizer one column short, so the chunk walk panics inside
     /// whichever thread classifies its rows.
     fn poison(deployment: &Deployment, id: TenantId) {
         deployment.shared.registry.write().unwrap()[id.index()].entry = Arc::new(TenantEntry {
             name: "poisoned".into(),
             pipeline: svm_pipeline(vec![1.0, -0.5], 0.1),
-            normalizer: Some(Normalizer {
+            normalizer: Some(NormTiles::new(&Normalizer {
                 mean: vec![0.0],
                 std: vec![1.0],
-            }),
+            })),
             policy: SchedulePolicy::RoundRobin,
             accum: Mutex::new(TenantAccum::default()),
         });

@@ -43,8 +43,9 @@
 //!
 //! - Every *served* row — a [`Deployment`] ticket, hence every fleet hop —
 //!   reaches the block walk: a worker makes one `classify_chunk` call per
-//!   dispatched chunk (32-row blocks, the tenant's normalizer applied to
-//!   a staged copy) and times the chunk as a whole.
+//!   dispatched chunk (32-row blocks read in place, the tenant's
+//!   normalizer applied inside the quantize pass) and times the chunk as
+//!   a whole.
 //!   [`CompiledPipeline::classify_batch`] is the same call per shard.
 //! - A fleet is one [`Deployment`] whose tenants are the placed
 //!   `(switch, model)` pairs: a hop is a ticket on that switch's lane.

@@ -63,15 +63,23 @@ pub struct Scratch {
     /// Quantized row-major feature block, packed tier.
     px: Vec<i16>,
     scores: ScoreBufs,
-    /// A block of features with a tenant's normalizer applied, staged by
-    /// the chunk walk before it is quantized.
-    pub(crate) staged: Vec<f32>,
 }
 
 impl Scratch {
     /// Creates an empty scratch; buffers are sized on first use.
     pub fn new() -> Self {
         Scratch::default()
+    }
+
+    /// The feature block the last classify quantized on `pipeline`'s
+    /// tier, widened to `i32`.
+    #[cfg(test)]
+    pub(crate) fn quantized(&self, pipeline: &CompiledPipeline) -> Vec<i32> {
+        if pipeline.is_packed() {
+            self.px.iter().map(|&v| i32::from(v)).collect()
+        } else {
+            self.qx.clone()
+        }
     }
 }
 
@@ -102,6 +110,10 @@ fn grow(buf: &mut Vec<i32>, len: usize) {
 /// block quantize, small enough that a block of activations stays in L1.
 pub(crate) const BLOCK_ROWS: usize = 32;
 
+/// The `(mean, std)` a feature block is normalized against: one value of
+/// each per value of the block, i.e. a normalizer tiled once per row.
+pub(crate) type BlockNorm<'a> = (&'a [f32], &'a [f32]);
+
 /// What the family walk needs from a storage tier. Two impls: the scalar
 /// `i32` reference ([`FixedPoint`] over `Vec<i32>`) and the packed `i16`
 /// lanes ([`PackedFixed`] over `Vec<i16>`, the fast tier). Kernels are
@@ -124,8 +136,10 @@ trait Tier: Sized {
     fn row(store: &Self::Store, start: usize, len: usize) -> Self::Row<'_>;
     /// The value at `index`, widened to `i32`.
     fn get(row: Self::Row<'_>, index: usize) -> i32;
-    /// Quantizes a contiguous row-major block of features into `out`.
-    fn quantize(&self, values: &[f32], out: &mut Self::Store);
+    /// Quantizes a contiguous row-major block of features into `out`;
+    /// with `norm`, the z-scores `(v - mean) / std` of the block, each
+    /// value against the `mean` and `std` at its own index.
+    fn quantize(&self, values: &[f32], norm: Option<BlockNorm<'_>>, out: &mut Self::Store);
     /// A quantized feature block as the `i32` words a tree walk compares:
     /// the store itself on the scalar tier, a widened copy in `buf` on the
     /// packed one.
@@ -171,9 +185,16 @@ impl Tier for FixedPoint {
         row[index]
     }
 
-    fn quantize(&self, values: &[f32], out: &mut Vec<i32>) {
+    fn quantize(&self, values: &[f32], norm: Option<BlockNorm<'_>>, out: &mut Vec<i32>) {
         out.resize(values.len(), 0);
-        self.quantize_into(values, out);
+        match norm {
+            None => self.quantize_into(values, out),
+            Some((mean, std)) => {
+                for (((o, &v), &m), &s) in out.iter_mut().zip(values).zip(mean).zip(std) {
+                    *o = self.quantize((v - m) / s);
+                }
+            }
+        }
     }
 
     #[inline]
@@ -251,8 +272,11 @@ impl Tier for PackedFixed {
         i32::from(row[index])
     }
 
-    fn quantize(&self, values: &[f32], out: &mut Vec<i16>) {
-        self.quantize_into_packed(values, out);
+    fn quantize(&self, values: &[f32], norm: Option<BlockNorm<'_>>, out: &mut Vec<i16>) {
+        match norm {
+            None => self.quantize_into_packed(values, out),
+            Some((mean, std)) => self.quantize_normalized_into_packed(values, mean, std, out),
+        }
     }
 
     #[inline]
@@ -1087,24 +1111,31 @@ impl CompiledPipeline {
             features.len()
         );
         let mut verdict = 0;
-        self.classify_into(features, std::slice::from_mut(&mut verdict), scratch);
+        self.classify_into(features, None, std::slice::from_mut(&mut verdict), scratch);
         verdict
     }
 
     /// Classifies the row-major feature block `values`, one row per slot
     /// of `out`, streaming the whole block through the kernels at once
     /// (the structure-of-arrays batch path). This is [`classify`] over
-    /// more than one row — same walk, same verdicts.
+    /// more than one row — same walk, same verdicts. With `norm`, each
+    /// value is normalized as it is quantized (see [`BlockNorm`]).
     ///
     /// [`classify`]: CompiledPipeline::classify
-    pub(crate) fn classify_block(&self, values: &[f32], out: &mut [usize], scratch: &mut Scratch) {
+    pub(crate) fn classify_block(
+        &self,
+        values: &[f32],
+        norm: Option<BlockNorm<'_>>,
+        out: &mut [usize],
+        scratch: &mut Scratch,
+    ) {
         assert_eq!(
             values.len(),
             out.len() * self.n_features,
             "expected {} features per row",
             self.n_features
         );
-        self.classify_into(values, out, scratch);
+        self.classify_into(values, norm, out, scratch);
     }
 
     /// Picks the tier, once, for [`classify`](CompiledPipeline::classify)
@@ -1114,27 +1145,36 @@ impl CompiledPipeline {
     /// per-row caller's `rows == 1` is a constant in it: without that the
     /// row loops and offsets cost every family 6–9 ns per packet.
     #[inline(always)]
-    fn classify_into(&self, values: &[f32], out: &mut [usize], scratch: &mut Scratch) {
-        let Scratch { qx, px, scores, .. } = scratch;
+    fn classify_into(
+        &self,
+        values: &[f32],
+        norm: Option<BlockNorm<'_>>,
+        out: &mut [usize],
+        scratch: &mut Scratch,
+    ) {
+        let Scratch { qx, px, scores } = scratch;
         match &self.kernel {
             Lowered::Scalar(kernel) => {
-                self.classify_on(&self.format, kernel, values, out, qx, scores)
+                Tier::quantize(&self.format, values, norm, qx);
+                self.classify_on(&self.format, kernel, qx, out, scores)
             }
-            Lowered::Packed(p, kernel) => self.classify_on(p, kernel, values, out, px, scores),
+            Lowered::Packed(p, kernel) => {
+                Tier::quantize(p, values, norm, px);
+                self.classify_on(p, kernel, px, out, scores)
+            }
         }
     }
 
+    /// Classifies the quantized block `x`, one row per slot of `out`.
     #[inline(always)]
     fn classify_on<T: Tier>(
         &self,
         tier: &T,
         kernel: &Kernel<T>,
-        values: &[f32],
+        x: &T::Store,
         out: &mut [usize],
-        x: &mut T::Store,
         bufs: &mut ScoreBufs,
     ) {
-        tier.quantize(values, x);
         let (raw, k) = self.raw_scores(tier, kernel, x, out.len(), bufs);
         for (verdict, scores) in out.iter_mut().zip(raw.chunks_exact(k)) {
             *verdict = decide(kernel, scores);
@@ -1228,7 +1268,7 @@ impl CompiledPipeline {
     /// Panics if `features.len() != self.n_features()`.
     pub fn scores(&self, features: &[f32], scratch: &mut Scratch) -> Option<Vec<f32>> {
         assert_eq!(features.len(), self.n_features, "feature count mismatch");
-        let Scratch { qx, px, scores, .. } = scratch;
+        let Scratch { qx, px, scores } = scratch;
         match &self.kernel {
             Lowered::Scalar(kernel) => self.scores_on(&self.format, kernel, features, qx, scores),
             Lowered::Packed(p, kernel) => self.scores_on(p, kernel, features, px, scores),
@@ -1247,7 +1287,7 @@ impl CompiledPipeline {
         if matches!(kernel, Kernel::Tree(_) | Kernel::Forest(_)) {
             return None;
         }
-        tier.quantize(features, x);
+        tier.quantize(features, None, x);
         let (raw, _) = self.raw_scores(tier, kernel, x, 1, bufs);
         Some(match kernel {
             Kernel::Svm { binary: true, .. } => {
@@ -1982,7 +2022,7 @@ mod tests {
                         .chunks(block_rows * x.cols())
                         .zip(out.chunks_mut(block_rows))
                     {
-                        pipeline.classify_block(block, out, &mut bs);
+                        pipeline.classify_block(block, None, out, &mut bs);
                     }
                     assert_eq!(out, per_row, "{} x {block_rows}", ir.family());
                 }
