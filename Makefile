@@ -82,14 +82,19 @@ stress:
 	done
 	@echo "stress: $(STRESS_RUNS) consecutive runs passed"
 
-# The packed tier's branch-free quantize against `FixedPoint::quantize`
-# on every one of the 2^32 `f32` bit patterns, at Q3.12 and at an 8-bit
-# format, split over the host's cores (~30 s on 2 vCPUs in release). The
-# test is `#[ignore]`d so that `make test` stays quick; a proptest biased
-# to the same edges runs there instead.
+# Two checks of the packed tier over every input it can meet, each split
+# over the host's cores: the branch-free quantize against
+# `FixedPoint::quantize` on every one of the 2^32 `f32` bit patterns
+# (~30 s on 2 vCPUs in release), and the dense tile's 8-wide LUT epilogue
+# against `ActLut::apply` on every `i32`, for sigmoid and tanh (~30 s).
+# Both run at Q3.12 and at an 8-bit format. The tests are `#[ignore]`d so
+# that `make test` stays quick; tests biased to the same edges run there
+# instead.
 exhaustive:
 	$(CARGO) test -q --release -p homunculus-ml --lib -- --ignored \
 		quantize_into_packed_matches_scalar_on_every_f32
+	$(CARGO) test -q --release -p homunculus-runtime --lib -- --ignored \
+		lane_lut_matches_apply_on_every_i32
 
 # The benchmark's own suite, one smoke run of every workload included.
 # hbench is a workspace of its own, so nothing in `cargo test --workspace`

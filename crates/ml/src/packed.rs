@@ -80,13 +80,6 @@ use crate::quantize::FixedPoint;
 /// Number of lanes the chunked loops process per step.
 const LANES: usize = 8;
 
-/// Narrows a value the caller has proven lane-bounded.
-#[inline(always)]
-fn narrow(v: i32) -> i16 {
-    debug_assert!((PackedFixed::LANE_MIN..=PackedFixed::LANE_MAX).contains(&v));
-    v as i16
-}
-
 /// A [`FixedPoint`] format narrow enough to pack into `i16` lanes, with
 /// the precomputed per-element term bounds that decide fast-path
 /// eligibility.
@@ -125,10 +118,22 @@ pub struct PackedFixed {
 }
 
 impl PackedFixed {
+    /// Output columns of one dense tile: the accumulators
+    /// [`PackedFixed::packed_dense_block_lanes`] hands its epilogue.
+    pub const TILE: usize = LANES;
+
     /// Smallest value a packed lane holds.
     pub const LANE_MIN: i32 = i16::MIN as i32;
     /// Largest value a packed lane holds.
     pub const LANE_MAX: i32 = i16::MAX as i32;
+
+    /// Narrows a value the caller has proven lane-bounded; debug builds
+    /// assert the bound.
+    #[inline(always)]
+    pub fn narrow(v: i32) -> i16 {
+        debug_assert!((Self::LANE_MIN..=Self::LANE_MAX).contains(&v));
+        v as i16
+    }
 
     /// Wraps `format` if its raws fit an `i16` lane (≤ 16 total bits).
     pub fn new(format: FixedPoint) -> Option<Self> {
@@ -200,7 +205,7 @@ impl PackedFixed {
     pub fn pack_into(&self, v: &[i32], out: &mut Vec<i16>) {
         out.resize(v.len(), 0);
         for (lane, &t) in out.iter_mut().zip(v) {
-            *lane = narrow(t);
+            *lane = Self::narrow(t);
         }
     }
 
@@ -322,13 +327,7 @@ impl PackedFixed {
             }
             return;
         }
-        // Hoist the saturation guard out of the row loop: the bound only
-        // depends on the bias and the input length, both shared by every
-        // row in the block.
-        let fast = certified || {
-            let bias_bound = bias.iter().map(|&b| i64::from(b).abs()).max().unwrap_or(0);
-            bias_bound + (input as i64) * self.mat_term <= i64::from(i32::MAX)
-        };
+        let fast = self.fast_block(bias, input, certified);
         let f = self.format.frac_bits();
         for (xr, or) in xblock.chunks_exact(input).zip(out.chunks_exact_mut(output)) {
             if fast {
@@ -336,6 +335,80 @@ impl PackedFixed {
             } else {
                 matvec_exact(self.format, weights, bias, xr, or);
             }
+        }
+    }
+
+    /// A hidden dense layer with its activation fused into the tile: each
+    /// row's accumulators are formed eight outputs at a time as in
+    /// [`PackedFixed::packed_matvec_block`], and while they are still in
+    /// registers `epilogue` maps them to the eight `i16` lanes written to
+    /// `out` (row-major `rows x output`), the next layer's packed input.
+    /// The `i32` sums are never stored.
+    ///
+    /// Runs only on the fast path: returns `false`, writing nothing, when
+    /// the block's saturation guard fails (`certified` as for
+    /// [`PackedFixed::packed_dot`]), and the caller then runs
+    /// [`PackedFixed::packed_matvec_block`] and the activation itself.
+    /// The outputs are the epilogue of the very sums that kernel returns,
+    /// bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if shapes disagree or the output width is not a whole
+    /// number of [`PackedFixed::TILE`]-wide tiles.
+    #[allow(clippy::too_many_arguments)]
+    pub fn packed_dense_block_lanes(
+        &self,
+        weights: &[i16],
+        bias: &[i32],
+        xblock: &[i16],
+        rows: usize,
+        out: &mut [i16],
+        certified: bool,
+        epilogue: impl Fn(&[i32; LANES]) -> [i16; LANES],
+    ) -> bool {
+        let output = bias.len();
+        assert!(
+            output > 0 && output % LANES == 0,
+            "packed_dense_block_lanes needs whole tiles, got {output} outputs"
+        );
+        let input = weights.len() / output;
+        assert_eq!(weights.len(), input * output, "ragged weight matrix");
+        assert_eq!(
+            xblock.len(),
+            rows * input,
+            "packed_dense_block_lanes x shape"
+        );
+        assert_eq!(
+            out.len(),
+            rows * output,
+            "packed_dense_block_lanes out shape"
+        );
+        if !self.fast_block(bias, input, certified) {
+            return false;
+        }
+        let f = self.format.frac_bits();
+        for (r, or) in out.chunks_exact_mut(output).enumerate() {
+            let xr = &xblock[r * input..(r + 1) * input];
+            for (start, lanes) in (0..output).step_by(LANES).zip(or.chunks_exact_mut(LANES)) {
+                let mut acc = [0i32; LANES];
+                acc.copy_from_slice(&bias[start..start + LANES]);
+                matvec_tile(f, weights, output, start, xr, &mut acc);
+                lanes.copy_from_slice(&epilogue(&acc));
+            }
+        }
+        true
+    }
+
+    /// Whether a dense block over `input` lane-bounded inputs runs the
+    /// re-orderable fast loop: certified at lowering, or no partial sum
+    /// can leave `i32` by the worst-case guard. The bound depends only on
+    /// the bias and the input length, both shared by every row, so it is
+    /// decided once per block.
+    fn fast_block(&self, bias: &[i32], input: usize, certified: bool) -> bool {
+        certified || {
+            let bias_bound = bias.iter().map(|&b| i64::from(b).abs()).max().unwrap_or(0);
+            bias_bound + (input as i64) * self.mat_term <= i64::from(i32::MAX)
         }
     }
 
@@ -396,7 +469,7 @@ impl Rounder {
         let sign = (y.to_bits() as i32) >> 31;
         let k = ((nearest_even + away) ^ sign) - sign;
         let k = if y.is_nan() { 0 } else { k };
-        narrow(k.clamp(self.min_raw, self.max_raw))
+        PackedFixed::narrow(k.clamp(self.min_raw, self.max_raw))
     }
 }
 
@@ -424,6 +497,32 @@ impl Rounder {
 // 7-16-8-2 net, in-process against this one: the further 17 ns per row a
 // prototype once sized it at did not hold (ROADMAP item 4b, *Bulk
 // kernels*).
+//
+// The epilogue. `packed_dense_block_lanes` hands each whole tile's eight
+// accumulators, still in registers, to the caller's epilogue (a hidden
+// layer's activation) and stores the eight `i16` lanes it returns as the
+// next layer's packed input: the `i32` sums are never written, read back
+// for the activation, or read a third time to repack. The lanes are the
+// epilogue of the very sums `matvec_fast` would store, so nothing about
+// the bits changes; the fused tile runs only on the fast path and
+// declines the block otherwise. It takes whole tiles only: the runtime
+// pads every packed layer's outputs to a multiple of `LANES` with zero
+// weight columns and zero bias, and the next layer's matching inputs
+// with zero weight rows. That padding is exact on both paths: a padded
+// output's every product is `(x * 0) >> f = 0`, so it is 0 before its
+// activation, and a padded input meets only zero weights, so whatever
+// its activation made of it, each of its terms is 0 too. Adding a zero
+// term changes no accumulator, whether the sum is re-ordered or replays
+// the saturating loop (`saturating_add(0)` is the identity), so every
+// real output keeps its bits. The fused tile compiles to `pmaddwd`
+// products and a `psrad` by a register count, not to scalar `imul`: a
+// second tile with the shift a constant at Q3.12 (`psrad $0xc`) read
+// x1.020 `fleet_fabric` `pkt_per_s` against it (6/10 alternating pairs,
+// inside the parent's own spread), so there is one tile for every
+// format. Under an identity epilogue rustc even keeps the sums in 16-bit
+// lanes (`paddw`), which gives the same bits: `as i16` keeps a sum
+// modulo 2^16, and two's-complement addition commutes with that
+// truncation.
 // ---------------------------------------------------------------------
 
 fn dot_fast(f: u32, a: &[i16], b: &[i16]) -> i32 {
@@ -809,6 +908,40 @@ mod tests {
         let mut scalar = vec![0i32; 4];
         q.fixed_matvec(&a, &[q.max_raw(); 4], &mixed[..5], &mut scalar);
         assert_eq!(matvec_row(&p, &a, &[q.max_raw(); 4], &mixed[..5]), scalar);
+    }
+
+    #[test]
+    fn fused_tiles_are_the_epilogue_of_the_block_sums() {
+        // A 16-bit and an 8-bit format; an empty input leaves each tile
+        // its bias.
+        let epilogue = |acc: &[i32; LANES]| acc.map(|v| (v >> 3) as i16);
+        for q in [FixedPoint::taurus_default(), FixedPoint::new(2, 5).unwrap()] {
+            let p = PackedFixed::new(q).unwrap();
+            for (input, output) in [(0usize, 8usize), (1, 8), (7, 16), (16, 8), (9, 24)] {
+                let rows = 5usize;
+                let w = raws(q, 41, input * output);
+                let bias = raws(q, 42, output);
+                let block = p.pack(&raws(q, 43, rows * input));
+                let mut sums = vec![0i32; rows * output];
+                p.packed_matvec_block(&p.pack(&w), &bias, &block, rows, &mut sums, false);
+                let want: Vec<i16> = sums.iter().map(|&v| (v >> 3) as i16).collect();
+                let mut lanes = vec![0i16; rows * output];
+                let w = p.pack(&w);
+                assert!(p.packed_dense_block_lanes(
+                    &w, &bias, &block, rows, &mut lanes, false, epilogue
+                ));
+                assert_eq!(lanes, want, "{q:?} {input}x{output}");
+            }
+        }
+        // Past the saturation guard the fused tile declines and writes
+        // nothing: the caller replays the block exactly.
+        let q = FixedPoint::new(14, 1).unwrap();
+        let p = PackedFixed::new(q).unwrap();
+        let w = p.pack(&vec![q.min_raw(); 20 * 8]);
+        let block = p.pack(&[q.min_raw(); 20]);
+        let mut lanes = vec![7i16; 8];
+        assert!(!p.packed_dense_block_lanes(&w, &[0; 8], &block, 1, &mut lanes, false, epilogue));
+        assert_eq!(lanes, [7; 8]);
     }
 
     #[test]

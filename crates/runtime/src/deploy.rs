@@ -1458,8 +1458,11 @@ impl Deployment {
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::Serve`] for empty/duplicate names or a
-    /// normalizer whose dimensionality disagrees with the pipeline.
+    /// Returns [`RuntimeError::Serve`] for empty/duplicate names, a
+    /// normalizer whose dimensionality disagrees with the pipeline, or one
+    /// that [`Normalizer::validate`] refuses (a zero, subnormal or
+    /// non-finite std, or a non-finite mean); the message names the tenant
+    /// and the column.
     pub fn add_tenant(
         &self,
         name: &str,
@@ -1500,6 +1503,11 @@ impl Deployment {
                     pipeline.n_features()
                 )));
             }
+            // A degenerate std or a non-finite mean would turn a column
+            // into ±∞/NaN and quantize it to a saturated raw or 0.
+            normalizer
+                .validate()
+                .map_err(|e| RuntimeError::Serve(format!("tenant '{name}': {e}")))?;
         }
         let mut registry = self.shared.registry.write().expect("registry poisoned");
         if registry.iter().any(|s| s.active && s.entry.name == name) {
@@ -1979,6 +1987,42 @@ mod tests {
         assert_eq!(deployment.max_queued_rows(), 0);
         assert_eq!(deployment.fairness_window_rows(), 8192);
         deployment.shutdown();
+    }
+
+    #[test]
+    fn registration_refuses_a_degenerate_normalizer() {
+        let deployment = Deployment::builder().build();
+        let with = |mean: [f32; 2], std: [f32; 2]| Normalizer {
+            mean: mean.to_vec(),
+            std: std.to_vec(),
+        };
+        let refused = [
+            (with([0.0, 0.0], [1.0, 0.0]), 1),
+            (with([0.0, 0.0], [f32::MIN_POSITIVE / 4.0, 1.0]), 0),
+            (with([0.0, 0.0], [1.0, f32::NAN]), 1),
+            (with([0.0, 0.0], [f32::INFINITY, 1.0]), 0),
+            (with([0.0, 0.0], [1.0, f32::NEG_INFINITY]), 1),
+            (with([0.0, f32::NAN], [1.0, 1.0]), 1),
+        ];
+        for (normalizer, column) in refused {
+            let err = deployment
+                .add_tenant(
+                    "app",
+                    svm_pipeline(vec![1.0, 0.0], 0.0),
+                    Some(normalizer.clone()),
+                )
+                .expect_err("a degenerate normalizer is refused");
+            let message = err.to_string();
+            assert!(
+                message.contains("tenant 'app'") && message.contains(&format!("column {column}")),
+                "{normalizer:?}: {message}"
+            );
+        }
+        assert_eq!(deployment.stats_snapshot().tenants.len(), 0);
+        let fitted = with([0.1, -0.2], [0.5, 2.0]);
+        deployment
+            .add_tenant("app", svm_pipeline(vec![1.0, 0.0], 0.0), Some(fitted))
+            .expect("a fitted normalizer is accepted");
     }
 
     #[test]

@@ -33,13 +33,28 @@
 //! The two families that cost the most per row run as lanes with no
 //! data-dependent control flow, the shape of a Taurus map/reduce block.
 //! A dense layer keeps the accumulators of eight outputs in registers
-//! across the whole input loop (`PackedFixed::packed_matvec_block`). A
-//! tree or forest is lowered to an arena of fixed-size nodes whose leaves
-//! point at themselves, and classify advances eight cursors together for
-//! a fixed number of steps, picking each child by indexing with the
-//! comparison's result instead of branching on it: see `TreeKernel`. A
-//! forest's votes land in the score buffer, so its verdict is an argmax
-//! like a DNN's. [`CompiledPipeline::trace`] replays trees with a
+//! across the whole input loop, and a hidden layer applies its activation
+//! to them there and writes the next layer's `i16` lanes, one pass per
+//! tile (`PackedFixed::packed_dense_block_lanes`): the stage that forms a
+//! neuron's sum also applies its activation, as a Taurus block does.
+//! Sigmoid and tanh look up an `i16` copy of the table with an index
+//! computed 8-wide (`lut::LaneLut`); ReLU and Linear narrow in the tile
+//! only where the next layer's `lane_bounded_input` fact proves their
+//! outputs fit a lane. A layer off the fast path, or whose outputs may
+//! leave the lane, keeps the `i32` block, the activation over it, and
+//! the repack (or the wide per-row replay) in the next layer. Lowering
+//! pads every packed layer to whole eight-output tiles with zero weights
+//! and zero bias, which changes no real output's bits; facts, traces,
+//! scores and tolerances keep the trained shape, and the DNN arm of the
+//! walk drops the padded logits before the argmax.
+//!
+//! A tree or forest is lowered to an arena of fixed-size nodes whose
+//! leaves point at themselves, and classify advances eight cursors
+//! together for a fixed number of steps, picking each child by indexing
+//! with the comparison's result instead of branching on it: see
+//! `TreeKernel`. A forest walks each full group of eight trees on a
+//! register array. A forest's votes land in the score buffer, so its
+//! verdict is an argmax like a DNN's. [`CompiledPipeline::trace`] replays trees with a
 //! separate one-cursor walk that stops at the first leaf, so that the
 //! soundness tests compare two walks and not one walk with itself.
 
@@ -94,15 +109,17 @@ struct ScoreBufs {
     /// Pong buffer for layer outputs; the packed tier's features widened
     /// for a tree walk.
     b: Vec<i32>,
-    /// Packed copy of a block of intermediate DNN activations.
+    /// Ping and pong buffers for a block of hidden DNN activations as
+    /// packed lanes.
     pa: Vec<i16>,
+    pb: Vec<i16>,
 }
 
 /// Grows `buf` to at least `len` values (never shrinks: scratch is reused
 /// across pipelines of different shapes).
-fn grow(buf: &mut Vec<i32>, len: usize) {
+fn grow<V: Copy + Default>(buf: &mut Vec<V>, len: usize) {
     if buf.len() < len {
-        buf.resize(len, 0);
+        buf.resize(len, V::default());
     }
 }
 
@@ -129,6 +146,9 @@ trait Tier: Sized {
     /// `i32`: the packed lane. `None` on the scalar tier, where every lane
     /// fact is trivially true.
     const LANE: Option<Interval>;
+    /// The output columns a dense layer's tile computes together: lowering
+    /// pads every layer's output width to a multiple of it.
+    const TILE: usize;
 
     /// Moves quantized parameters onto the tier's storage.
     fn lower(&self, raw: Vec<i32>) -> Self::Store;
@@ -149,19 +169,18 @@ trait Tier: Sized {
     fn dot(&self, w: Self::Row<'_>, x: Self::Row<'_>, certified: bool) -> i32;
     /// Fixed-point squared Euclidean distance; `certified` as for `dot`.
     fn squared_distance(&self, c: Self::Row<'_>, x: Self::Row<'_>, certified: bool) -> i32;
-    /// The first dense layer over a quantized block of `rows` feature
-    /// rows, one output row each.
-    fn input_layer(&self, layer: &DenseKernel<Self>, x: &Self::Store, rows: usize, out: &mut [i32]);
-    /// A later dense layer over `rows` rows of `i32` activations (`pa` is
-    /// repack scratch for the packed tier).
-    fn hidden_layer(
+    /// Runs `rows` quantized feature rows of `x` through the dense stack
+    /// and returns the output layer's logits, row-major, one stored row
+    /// ([`DenseKernel::cols`]) each. `bufs.a` and `bufs.b` hold at least
+    /// `rows` times the widest layer.
+    fn dense_forward<'s>(
         &self,
-        layer: &DenseKernel<Self>,
-        x: &[i32],
+        layers: &[DenseKernel<Self>],
+        activation: &ActKernel,
+        x: &Self::Store,
         rows: usize,
-        out: &mut [i32],
-        pa: &mut Vec<i16>,
-    );
+        bufs: &'s mut ScoreBufs,
+    ) -> &'s mut [i32];
 }
 
 /// The scalar `i32` tier — the bit-exact reference the packed tier is
@@ -170,6 +189,7 @@ impl Tier for FixedPoint {
     type Store = Vec<i32>;
     type Row<'a> = &'a [i32];
     const LANE: Option<Interval> = None;
+    const TILE: usize = 1;
 
     fn lower(&self, raw: Vec<i32>) -> Vec<i32> {
         raw
@@ -212,19 +232,31 @@ impl Tier for FixedPoint {
         self.fixed_squared_distance(c, x)
     }
 
-    fn input_layer(&self, layer: &DenseKernel<Self>, x: &Vec<i32>, rows: usize, out: &mut [i32]) {
-        scalar_layer(self, layer, x, rows, out);
-    }
-
-    fn hidden_layer(
+    /// Whole activation blocks ping-pong between `bufs.a` and `bufs.b`:
+    /// a layer writes its `i32` sums, the activation runs over the block,
+    /// and the next layer reads it.
+    fn dense_forward<'s>(
         &self,
-        layer: &DenseKernel<Self>,
-        x: &[i32],
+        layers: &[DenseKernel<Self>],
+        activation: &ActKernel,
+        x: &Vec<i32>,
         rows: usize,
-        out: &mut [i32],
-        _pa: &mut Vec<i16>,
-    ) {
-        scalar_layer(self, layer, x, rows, out);
+        bufs: &'s mut ScoreBufs,
+    ) -> &'s mut [i32] {
+        let (first, rest) = layers
+            .split_first()
+            .expect("a lowered dnn has at least its output layer");
+        let (mut cur, mut next) = (bufs.a.as_mut_slice(), bufs.b.as_mut_slice());
+        scalar_layer(self, first, x, rows, cur);
+        let mut width = first.output;
+        for layer in rest {
+            let hidden = &mut cur[..rows * width];
+            activation.apply_all(hidden);
+            scalar_layer(self, layer, hidden, rows, next);
+            std::mem::swap(&mut cur, &mut next);
+            width = layer.output;
+        }
+        &mut cur[..rows * width]
     }
 }
 
@@ -257,6 +289,7 @@ impl Tier for PackedFixed {
         lo: PackedFixed::LANE_MIN,
         hi: PackedFixed::LANE_MAX,
     });
+    const TILE: usize = PackedFixed::TILE;
 
     fn lower(&self, raw: Vec<i32>) -> Vec<i16> {
         self.pack(&raw)
@@ -296,50 +329,132 @@ impl Tier for PackedFixed {
         self.packed_squared_distance(c, x, certified)
     }
 
-    fn input_layer(&self, layer: &DenseKernel<Self>, x: &Vec<i16>, rows: usize, out: &mut [i32]) {
-        self.packed_matvec_block(&layer.weights, &layer.bias, x, rows, out, layer.certified);
-    }
-
-    /// Repacks the whole activation block, steered by the layer's derived
-    /// interval facts: a `lane_bounded_input` proof skips the per-value
-    /// range scan, a `certified` proof skips the worst-case saturation
-    /// guard, and anything unproven falls back to the dynamic check /
-    /// per-row wide replay — either way the outputs match the scalar path
-    /// bit for bit.
-    fn hidden_layer(
+    /// One pass per dense tile wherever the layer's facts allow it: a
+    /// hidden layer on lane inputs whose successor's `lane_bounded_input`
+    /// fact holds applies its activation inside the tile and writes the
+    /// next layer's lanes, ping-ponging between `bufs.pa` and `bufs.pb`
+    /// (see *Lane kernels* in the module docs). Anything else keeps the
+    /// `i32` block: the layer's sums, the activation over them, and the
+    /// next layer repacks them (a `lane_bounded_input` proof skips the
+    /// range scan) or, where they leave the lane, replays each row wide.
+    /// Either way the outputs match the scalar tier bit for bit.
+    fn dense_forward<'s>(
         &self,
-        layer: &DenseKernel<Self>,
-        x: &[i32],
+        layers: &[DenseKernel<Self>],
+        activation: &ActKernel,
+        features: &Vec<i16>,
         rows: usize,
-        out: &mut [i32],
-        pa: &mut Vec<i16>,
-    ) {
-        let w = &layer.weights;
-        if layer.lane_bounded_input {
-            self.pack_into(x, pa);
-        } else if !self.pack_checked(x, pa) {
-            let (input, output) = (layer.input, layer.output);
-            for r in 0..rows {
-                self.packed_matvec_wide(
-                    w,
-                    &layer.bias,
-                    &x[r * input..(r + 1) * input],
-                    &mut out[r * output..(r + 1) * output],
-                );
+        bufs: &'s mut ScoreBufs,
+    ) -> &'s mut [i32] {
+        let ScoreBufs { a, b, pa, pb } = bufs;
+        let (mut wide, mut wide_next) = (a.as_mut_slice(), b.as_mut_slice());
+        let (mut lanes, mut lanes_next) = (pa, pb);
+        let mut held = Held::Features;
+        // The width of one row of the current layer's input.
+        let mut width = layers[0].input;
+        let last = layers.len() - 1;
+        for (li, layer) in layers.iter().enumerate() {
+            let (cols, hidden) = (layer.cols(), li < last);
+            let n = rows * cols;
+            let lane_input = match held {
+                Held::Features => Some(features.as_slice()),
+                Held::Lanes => Some(&lanes[..rows * width]),
+                Held::Wide => {
+                    let x = &wide[..rows * width];
+                    let fits = if layer.lane_bounded_input {
+                        self.pack_into(x, lanes);
+                        true
+                    } else {
+                        self.pack_checked(x, lanes)
+                    };
+                    fits.then_some(lanes.as_slice())
+                }
+            };
+            let out = &mut wide_next[..n];
+            match lane_input {
+                Some(x) => {
+                    if hidden && layers[li + 1].lane_bounded_input {
+                        grow(lanes_next, n);
+                        if fused_layer(self, layer, activation, x, rows, &mut lanes_next[..n]) {
+                            std::mem::swap(&mut lanes, &mut lanes_next);
+                            (held, width) = (Held::Lanes, cols);
+                            continue;
+                        }
+                    }
+                    let (w, b) = (&layer.weights, &layer.bias);
+                    self.packed_matvec_block(w, b, x, rows, out, layer.certified);
+                }
+                None => {
+                    let x = &wide[..rows * width];
+                    for (xr, or) in x.chunks_exact(width).zip(out.chunks_exact_mut(cols)) {
+                        self.packed_matvec_wide(&layer.weights, &layer.bias, xr, or);
+                    }
+                }
             }
-            return;
+            if hidden {
+                activation.apply_all(out);
+            }
+            std::mem::swap(&mut wide, &mut wide_next);
+            (held, width) = (Held::Wide, cols);
         }
-        self.packed_matvec_block(w, &layer.bias, pa, rows, out, layer.certified);
+        &mut wide[..rows * width]
     }
 }
 
-/// One lowered dense layer: quantized weights (row-major `input x output`,
-/// matching the float trainer's storage) and bias in the same Q format,
-/// plus the interval-analysis facts lowering derived for it.
+/// Where the packed DNN walk holds the current layer's input.
+#[derive(Clone, Copy)]
+enum Held {
+    /// The quantized feature block.
+    Features,
+    /// Activations as packed lanes.
+    Lanes,
+    /// Activations as `i32` words, which may leave the lane.
+    Wide,
+}
+
+/// Runs a hidden `layer` with `activation` applied inside each tile
+/// ([`PackedFixed::packed_dense_block_lanes`]), writing the next layer's
+/// lanes to `out`; `false`, with nothing written, when the block is off
+/// the fast path. The caller has proven that every activation fits a lane.
+fn fused_layer(
+    p: &PackedFixed,
+    layer: &DenseKernel<PackedFixed>,
+    activation: &ActKernel,
+    x: &[i16],
+    rows: usize,
+    out: &mut [i16],
+) -> bool {
+    let (w, b, certified) = (&layer.weights, &layer.bias, layer.certified);
+    match activation {
+        ActKernel::Relu => p.packed_dense_block_lanes(w, b, x, rows, out, certified, |acc| {
+            acc.map(|v| PackedFixed::narrow(fixed_relu(v)))
+        }),
+        ActKernel::Linear => p.packed_dense_block_lanes(w, b, x, rows, out, certified, |acc| {
+            acc.map(PackedFixed::narrow)
+        }),
+        ActKernel::Lut(lut) => {
+            let lut = lut.lanes().expect("a packable format's table has lanes");
+            p.packed_dense_block_lanes(w, b, x, rows, out, certified, |acc| lut.apply8(acc))
+        }
+    }
+}
+
+/// One lowered dense layer: quantized weights (row-major, matching the
+/// float trainer's storage) and bias in the same Q format, plus the
+/// interval-analysis facts lowering derived for it.
+///
+/// Stored in whole tiles of the tier ([`Tier::TILE`]): the packed tier
+/// pads the layer's `output` columns to [`DenseKernel::cols`] with zero
+/// weights and zero bias, and its rows to the previous layer's `cols`
+/// with zero weights; the scalar tier stores the trained shape.
 #[derive(Debug, Clone, PartialEq)]
 struct DenseKernel<T: Tier> {
+    /// Row-major: one row of `cols` per input the layer reads (the
+    /// features, or the previous layer's `cols` outputs).
     weights: T::Store,
+    /// One per column.
     bias: Vec<i32>,
+    /// The trained layer's shape.
     input: usize,
     output: usize,
     /// Proven at lowering: no `i32` accumulator can saturate for any
@@ -351,6 +466,18 @@ struct DenseKernel<T: Tier> {
     /// Replaces the old whole-stack `ActKernel::output_fits_lanes` hint
     /// with a per-layer derived fact.
     lane_bounded_input: bool,
+}
+
+impl<T: Tier> DenseKernel<T> {
+    /// Output columns as stored: whole tiles on the packed tier.
+    fn cols(&self) -> usize {
+        self.bias.len()
+    }
+
+    /// The weight from logical input `k` to logical output `j`.
+    fn weight(&self, k: usize, j: usize) -> i32 {
+        T::get(T::row(&self.weights, k * self.cols(), self.cols()), j)
+    }
 }
 
 /// Interval-analysis facts for one lowered kernel stage, derived during
@@ -533,16 +660,42 @@ impl TreeKernel {
         usize::from(self.nodes[cursor as usize].class)
     }
 
-    /// Adds one vote per member tree for the row `x` into `votes`.
-    #[inline(always)]
-    fn vote(&self, x: &[i32], votes: &mut [i32]) {
-        for (roots, &steps) in self.roots.chunks(LANES).zip(&self.steps) {
-            let mut cursors = [0u32; LANES];
-            let cursors = &mut cursors[..roots.len()];
-            cursors.copy_from_slice(roots);
-            self.descend(cursors, steps, x, 0);
-            for &cursor in cursors.iter() {
-                votes[self.class_at(cursor)] += 1;
+    /// Adds one vote per member tree into `votes`, one run of `classes`
+    /// counters per `n_features`-wide row of `x`.
+    ///
+    /// A full group walks a `[u32; LANES]`, so its lane loop has a constant
+    /// length, unrolls, and keeps the cursors in registers; walked on a
+    /// slice of variable length, each node visit loaded its cursor from
+    /// the stack and stored it back. Only the last, partial group takes
+    /// the slice. The unrolled walk is kept out of line, once per block:
+    /// inlined, it grew `classify_chunk`, which holds every family's walk,
+    /// by 3.5 KB, and the tree-only `deploy_trickle` read its p50 ×1.025
+    /// (1/10 pairs) with no tree code changed.
+    #[inline(never)]
+    fn vote(&self, x: &[i32], n_features: usize, votes: &mut [i32], classes: usize) {
+        for (x, votes) in x
+            .chunks_exact(n_features)
+            .zip(votes.chunks_exact_mut(classes))
+        {
+            let mut groups = self.roots.chunks_exact(LANES);
+            for (roots, &steps) in groups.by_ref().zip(&self.steps) {
+                let mut cursors = [0u32; LANES];
+                cursors.copy_from_slice(roots);
+                self.descend(&mut cursors, steps, x, 0);
+                for &cursor in &cursors {
+                    votes[self.class_at(cursor)] += 1;
+                }
+            }
+            let roots = groups.remainder();
+            if !roots.is_empty() {
+                let steps = self.steps[self.roots.len() / LANES];
+                let mut cursors = [0u32; LANES];
+                let cursors = &mut cursors[..roots.len()];
+                cursors.copy_from_slice(roots);
+                self.descend(cursors, steps, x, 0);
+                for &cursor in cursors.iter() {
+                    votes[self.class_at(cursor)] += 1;
+                }
             }
         }
     }
@@ -609,6 +762,13 @@ impl ActKernel {
             ActKernel::Relu => fixed_relu(raw),
             ActKernel::Linear => raw,
             ActKernel::Lut(lut) => lut.apply(raw),
+        }
+    }
+
+    /// [`ActKernel::apply`] over a block in place.
+    fn apply_all(&self, block: &mut [i32]) {
+        for v in block {
+            *v = self.apply(*v);
         }
     }
 
@@ -832,6 +992,9 @@ impl CompiledPipeline {
                 // Quantized features are format raws, so they always fit
                 // the lane the format packs into.
                 let mut lane_in = true;
+                // Rows of the next weight matrix: the features, then each
+                // layer's padded output.
+                let mut in_rows = dnn.arch.input_dim;
                 for (li, (layer, (input, output))) in params.iter().zip(dims).enumerate() {
                     if layer.weights.shape() != (input, output) || layer.bias.len() != output {
                         return Err(RuntimeError::InvalidModel(format!(
@@ -858,9 +1021,21 @@ impl CompiledPipeline {
                         pre: kb.out,
                         post: post.clone(),
                     });
+                    // Whole tiles: zero columns and zero bias past
+                    // `output`, zero rows past `input`. Every product
+                    // with a zero weight is 0, so the padding changes no
+                    // real output's bits on any path.
+                    let cols = output.next_multiple_of(T::TILE);
+                    let mut padded = vec![0i32; in_rows * cols];
+                    for (row, trained) in padded.chunks_exact_mut(cols).zip(qw.chunks_exact(output))
+                    {
+                        row[..output].copy_from_slice(trained);
+                    }
+                    let mut bias = qb;
+                    bias.resize(cols, 0);
                     layers.push(DenseKernel {
-                        weights: tier.lower(qw),
-                        bias: qb,
+                        weights: tier.lower(padded),
+                        bias,
                         input,
                         output,
                         certified: kb.certified,
@@ -868,8 +1043,9 @@ impl CompiledPipeline {
                     });
                     lane_in = lane_fits(&post);
                     x_iv = post;
+                    in_rows = cols;
                 }
-                let width = layers.iter().map(|l| l.output).max().unwrap_or(0);
+                let width = layers.iter().map(DenseKernel::cols).max().unwrap_or(0);
                 Ok(CompiledPipeline {
                     format,
                     n_features: dnn.arch.input_dim,
@@ -1199,8 +1375,18 @@ impl CompiledPipeline {
             Kernel::Dnn { layers, activation } => {
                 grow(&mut bufs.a, rows * self.width);
                 grow(&mut bufs.b, rows * self.width);
-                let logits = dense_forward(tier, layers, activation, x, rows, bufs);
-                (logits, self.n_classes)
+                let logits = tier.dense_forward(layers, activation, x, rows, bufs);
+                // The packed tier pads the output layer to whole tiles:
+                // keep each row's logical logits, packed to the front.
+                let (k, cols) = (self.n_classes, layers[layers.len() - 1].cols());
+                if cols != k {
+                    for r in 1..rows {
+                        for c in 0..k {
+                            logits[r * k + c] = logits[r * cols + c];
+                        }
+                    }
+                }
+                (&logits[..rows * k], k)
             }
             Kernel::Svm {
                 planes,
@@ -1247,10 +1433,7 @@ impl CompiledPipeline {
                 grow(&mut bufs.a, rows * k);
                 let out = &mut bufs.a[..rows * k];
                 out.fill(0);
-                let x = T::widened(x, &mut bufs.b);
-                for (row, votes) in x.chunks_exact(nf).zip(out.chunks_exact_mut(k)) {
-                    trees.vote(row, votes);
-                }
+                trees.vote(T::widened(x, &mut bufs.b), nf, out, k);
                 (out, k)
             }
         }
@@ -1561,14 +1744,13 @@ fn matvec_trace<T: Tier>(
     out: &mut [i32],
     saturated: &mut bool,
 ) {
-    let weights = T::row(&layer.weights, 0, layer.input * layer.output);
-    out.copy_from_slice(&layer.bias);
+    out.copy_from_slice(&layer.bias[..layer.output]);
     for (k, &xv) in x.iter().enumerate() {
         if xv == 0 {
             continue;
         }
         for (j, o) in out.iter_mut().enumerate() {
-            let w = T::get(weights, k * layer.output + j);
+            let w = layer.weight(k, j);
             let t = fixed_mul_detect(format, xv, w, saturated);
             *o = sat_add_detect(*o, t, saturated);
         }
@@ -1584,7 +1766,6 @@ fn dense_bound<T: Tier>(
     err_in: f32,
     bound_in: f32,
 ) -> (f32, f32) {
-    let weights = T::row(&layer.weights, 0, layer.input * layer.output);
     let eq = format.max_error();
     let step = 1.0 / format.scale();
     let mut worst_err = 0.0f32;
@@ -1593,9 +1774,7 @@ fn dense_bound<T: Tier>(
         let mut err = eq; // bias quantization
         let mut bound = format.dequantize(layer.bias[j]).abs() + eq;
         for k in 0..layer.input {
-            let w = format
-                .dequantize(T::get(weights, k * layer.output + j))
-                .abs();
+            let w = format.dequantize(layer.weight(k, j)).abs();
             err += bound_in * eq + (w + 2.0 * eq) * err_in + step;
             bound += w * bound_in;
         }
@@ -1603,37 +1782,6 @@ fn dense_bound<T: Tier>(
         worst_bound = worst_bound.max(bound + err);
     }
     (worst_err, worst_bound)
-}
-
-/// Runs `rows` quantized feature rows of `x` through the dense stack,
-/// ping-ponging whole activation blocks between the two `bufs` (each at
-/// least `rows` times the widest layer), and returns the final logits,
-/// row-major. One row is just a block of one.
-fn dense_forward<'s, T: Tier>(
-    tier: &T,
-    layers: &[DenseKernel<T>],
-    activation: &ActKernel,
-    x: &T::Store,
-    rows: usize,
-    bufs: &'s mut ScoreBufs,
-) -> &'s [i32] {
-    let (first, rest) = layers
-        .split_first()
-        .expect("a lowered dnn has at least its output layer");
-    let ScoreBufs { a, b, pa } = bufs;
-    let (mut cur, mut next) = (a.as_mut_slice(), b.as_mut_slice());
-    let mut width = first.output;
-    tier.input_layer(first, x, rows, &mut cur[..rows * width]);
-    for layer in rest {
-        let hidden = &mut cur[..rows * width];
-        for v in hidden.iter_mut() {
-            *v = activation.apply(*v);
-        }
-        tier.hidden_layer(layer, hidden, rows, &mut next[..rows * layer.output], pa);
-        std::mem::swap(&mut cur, &mut next);
-        width = layer.output;
-    }
-    &cur[..rows * width]
 }
 
 /// Index of the maximum raw value (first max wins, matching
@@ -1691,6 +1839,7 @@ mod tests {
     use homunculus_ml::mlp::{Mlp, MlpArchitecture, TrainConfig};
     use homunculus_ml::svm::{LinearSvm, SvmConfig};
     use homunculus_ml::tree::{DecisionTreeClassifier, TreeConfig};
+    use std::collections::HashSet;
 
     fn q() -> FixedPoint {
         FixedPoint::taurus_default()
@@ -1875,27 +2024,139 @@ mod tests {
             ModelIr::Forest(ForestIr::from_forest(&forest)),
         ];
         for ir in &irs {
-            let packed = CompiledPipeline::from_ir(ir, q()).unwrap();
-            let scalar = CompiledPipeline::from_ir_scalar(ir, q()).unwrap();
-            assert!(packed.is_packed(), "{}", ir.family());
-            assert!(!scalar.is_packed(), "{}", ir.family());
+            assert_tiers_agree(ir, q(), &x);
+        }
+    }
+
+    /// Holds `ir`'s packed pipeline in `format` to its scalar reference,
+    /// bit for bit, on the rows of `x`: `classify_batch` over prefixes of
+    /// 1, 31, 32, 33 and 70 rows (a partial, a full and a split block),
+    /// and `classify` and `scores` on every row.
+    fn assert_tiers_agree(ir: &ModelIr, format: FixedPoint, x: &Matrix) {
+        let packed = CompiledPipeline::from_ir(ir, format).unwrap();
+        let scalar = CompiledPipeline::from_ir_scalar(ir, format).unwrap();
+        assert!(packed.is_packed(), "{}", ir.family());
+        assert!(!scalar.is_packed(), "{}", ir.family());
+        let reference = classify_rows(&scalar, x);
+        for rows in [1, 31, 32, 33, 70].map(|n: usize| n.min(x.rows())) {
+            let prefix =
+                Matrix::from_vec(rows, x.cols(), x.as_slice()[..rows * x.cols()].to_vec()).unwrap();
             assert_eq!(
-                classify_rows(&packed, &x),
-                classify_rows(&scalar, &x),
+                packed.classify_batch(&prefix, 1),
+                reference[..rows],
+                "{} batch verdicts diverge over {rows} rows",
+                ir.family()
+            );
+        }
+        let mut sp = Scratch::new();
+        let mut ss = Scratch::new();
+        for (row, &want) in x.iter_rows().zip(&reference) {
+            assert_eq!(
+                packed.classify(row, &mut sp),
+                want,
                 "{} verdicts diverge",
                 ir.family()
             );
-            let mut sp = Scratch::new();
-            let mut ss = Scratch::new();
-            for row in x.iter_rows().take(10) {
-                assert_eq!(
-                    packed.scores(row, &mut sp),
-                    scalar.scores(row, &mut ss),
-                    "{} scores diverge",
-                    ir.family()
-                );
+            assert_eq!(
+                packed.scores(row, &mut sp),
+                scalar.scores(row, &mut ss),
+                "{} scores diverge",
+                ir.family()
+            );
+        }
+    }
+
+    /// Random dense nets for the tier proptest: 1–3 hidden layers, every
+    /// width 1..=20 with 7, 8, 9 and 16 (one tile, either side of it,
+    /// two) drawn often, all four activations, Q3.12 or the 8-bit Q2.5,
+    /// and 70 feature rows. Half the nets have their weights and biases
+    /// scaled ×24 (saturating the format), so ReLU outputs leave the lane
+    /// and deeper layers lose their no-saturation certificate.
+    struct AnyDnn;
+
+    impl proptest::Strategy for AnyDnn {
+        type Value = (ModelIr, FixedPoint, Matrix);
+
+        fn sample(&self, rng: &mut rand::rngs::StdRng) -> Self::Value {
+            use rand::Rng;
+            let width = |rng: &mut rand::rngs::StdRng| {
+                if rng.gen_bool(0.5) {
+                    [7, 8, 9, 16][rng.gen_range(0..4usize)]
+                } else {
+                    rng.gen_range(1..=20usize)
+                }
+            };
+            let input = width(rng);
+            let hidden = (0..rng.gen_range(1..=3)).map(|_| width(rng)).collect();
+            let output = width(rng).max(2);
+            let activation = [
+                Activation::Relu,
+                Activation::Linear,
+                Activation::Sigmoid,
+                Activation::Tanh,
+            ][rng.gen_range(0..4usize)];
+            let format = if rng.gen_bool(0.5) {
+                q()
+            } else {
+                FixedPoint::new(2, 5).unwrap()
+            };
+            let scale = if rng.gen_bool(0.5) { 24.0f32 } else { 1.0 };
+            let arch = MlpArchitecture::new(input, hidden, output).with_activation(activation);
+            let params = arch
+                .layer_dims()
+                .into_iter()
+                .map(|(i, o)| LayerParams {
+                    weights: Matrix::from_fn(i, o, |_, _| rng.gen_range(-scale..scale)),
+                    bias: (0..o).map(|_| rng.gen_range(-scale..scale)).collect(),
+                })
+                .collect();
+            let x = Matrix::from_fn(70, input, |_, _| rng.gen_range(-6.0f32..6.0));
+            let ir = ModelIr::Dnn(DnnIr {
+                arch,
+                params: Some(params),
+            });
+            (ir, format, x)
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn prop_random_dnns_packed_and_scalar_tiers_agree_bit_for_bit(case in AnyDnn) {
+            let (ir, format, x) = case;
+            assert_tiers_agree(&ir, format, &x);
+        }
+    }
+
+    #[test]
+    fn random_dnns_reach_every_dense_path() {
+        // The proptest above is only as strong as the paths its nets reach:
+        // the fused tile for every activation, the i32 fallback of a layer
+        // whose ReLU outputs may leave the lane, and uncertified layers.
+        use proptest::Strategy;
+        let mut rng =
+            proptest::rng_for_test("prop_random_dnns_packed_and_scalar_tiers_agree_bit_for_bit");
+        let (mut uncertified, mut off_lane, mut activations) = (0, 0, HashSet::new());
+        for _ in 0..96 {
+            let (ir, format, _) = AnyDnn.sample(&mut rng);
+            let packed = CompiledPipeline::from_ir(&ir, format).unwrap();
+            let facts = packed.kernel_facts();
+            uncertified += usize::from(facts.iter().any(|f| !f.certified));
+            off_lane += usize::from(facts.iter().any(|f| !f.lane_bounded_input));
+            if let ModelIr::Dnn(dnn) = &ir {
+                activations.insert(format!("{:?}", dnn.arch.activation));
             }
         }
+        assert!(
+            uncertified >= 5,
+            "{uncertified} nets with an uncertified layer"
+        );
+        assert!(
+            off_lane >= 5,
+            "{off_lane} nets with activations off the lane"
+        );
+        assert_eq!(activations.len(), 4, "{activations:?}");
     }
 
     #[test]
