@@ -55,10 +55,14 @@ doc:
 # staged dispatch order it keeps) and the idle submit that classifies
 # (`an_idle_submit_classifies_a_small_ticket_on_its_own_thread`,
 # `an_inline_submit_leaves_a_tenant_panic_on_its_ticket`, and the rule
-# itself in `an_idle_submit_is_served_inline_only_when_every_condition_holds`).
-# The ingress is a mutex and two condition variables, so its failure mode
-# is a wake-up that is never sent: a run that *hangs*, not one that
-# fails, and only under an interleaving one run may not meet. Hence
+# itself in `an_idle_submit_is_served_inline_only_when_every_condition_holds`)
+# and a ticket's `done`, signalled only to a wait asleep on it
+# (`a_sleeping_wait_is_woken_by_the_last_chunk`, by a worker and by a
+# helping waiter; `done_is_signalled_only_to_a_sleeping_wait`, which counts
+# the signals). The ingress is a mutex and two condition variables, and each
+# ticket has a third, so its failure mode is a wake-up that is never sent:
+# a run that *hangs*, not one that fails, and only under an interleaving
+# one run may not meet. Hence
 # STRESS_RUNS consecutive passes, each under `timeout` so that a hung run
 # fails the gate instead of holding it until the CI runner's own limit.
 # The suites take well under a second per iteration; the test binaries

@@ -702,13 +702,34 @@ impl TreeKernel {
 
     /// Writes the first tree's leaf class for each `n_features`-wide row of
     /// `x` into `out`, a group of rows at a time.
-    #[inline(always)]
+    ///
+    /// As in [`vote`](Self::vote), a full group of rows walks a
+    /// `[u32; LANES]` in registers, and only a partial last group takes
+    /// the slice. Out of line for the same reason: inlined, the unrolled
+    /// walk grew `classify_chunk` by 3.3 KB.
+    #[inline(never)]
     fn leaves(&self, x: &[i32], n_features: usize, out: &mut [i32]) {
-        for (group, out) in out.chunks_mut(LANES).enumerate() {
-            let mut cursors = [self.roots[0]; LANES];
+        let (root, steps) = (self.roots[0], self.steps[0]);
+        let rows = out.len();
+        let mut groups = out.chunks_exact_mut(LANES);
+        for (group, out) in groups.by_ref().enumerate() {
+            let mut cursors = [root; LANES];
+            self.descend(
+                &mut cursors,
+                steps,
+                &x[group * LANES * n_features..],
+                n_features,
+            );
+            for (leaf, &cursor) in out.iter_mut().zip(&cursors) {
+                *leaf = self.class_at(cursor) as i32;
+            }
+        }
+        let out = groups.into_remainder();
+        if !out.is_empty() {
+            let start = rows - out.len();
+            let mut cursors = [root; LANES];
             let cursors = &mut cursors[..out.len()];
-            let x = &x[group * LANES * n_features..];
-            self.descend(cursors, self.steps[0], x, n_features);
+            self.descend(cursors, steps, &x[start * n_features..], n_features);
             for (leaf, &cursor) in out.iter_mut().zip(cursors.iter()) {
                 *leaf = self.class_at(cursor) as i32;
             }

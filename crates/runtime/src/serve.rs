@@ -162,9 +162,10 @@ pub struct TenantStats {
     pub packets: usize,
     /// Verdict counts indexed by class.
     pub verdict_histogram: Vec<usize>,
-    /// Median service time per row in nanoseconds. A worker times each
-    /// dispatched chunk as a whole (normalize, quantize and classify) and
-    /// records one sample per chunk: that time divided by the chunk's rows.
+    /// Median service time per row in nanoseconds. Whoever classifies a
+    /// chunk (a worker, a helping waiter or an inline submit) times it as a
+    /// whole (normalize, quantize and classify) and records one sample per
+    /// chunk: that time divided by the chunk's rows.
     pub p50_ns: u64,
     /// 99th percentile of the same per-chunk samples, in nanoseconds.
     pub p99_ns: u64,
