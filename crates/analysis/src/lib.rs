@@ -39,7 +39,7 @@ use homunculus_ml::preprocess::Normalizer;
 use homunculus_ml::quantize::{FixedPoint, PackedFixed};
 use homunculus_ml::MlError;
 use homunculus_runtime::pipeline::KernelFact;
-use homunculus_runtime::{Compile, RuntimeError};
+use homunculus_runtime::{CompiledPipeline, RuntimeError};
 use serde_json::{json, ToJson, Value};
 use std::fmt;
 
@@ -809,7 +809,7 @@ pub fn analyze_model(input: &ModelInput<'_>) -> ModelAnalysis {
     // Interval walk: the runtime lowering *is* the analysis — every
     // kernel fact is derived there from the quantized parameters, so the
     // certificates here are exactly what fast-path selection consumes.
-    let (analyzed, certificates) = match input.ir.compile(input.format) {
+    let (analyzed, certificates) = match CompiledPipeline::from_ir(&input.ir, input.format) {
         Ok(pipeline) => (
             true,
             pipeline

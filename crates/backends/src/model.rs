@@ -541,10 +541,10 @@ impl ToJson for ForestIr {
 /// The model families the compiler can map to data planes.
 ///
 /// A trained `ModelIr` (one carrying parameters) can be lowered to an
-/// executable integer pipeline with `ModelIr::compile(format)` — provided
-/// by the `Compile` extension trait in `homunculus-runtime`, which owns
-/// the fixed-point execution engine (the trait lives there because the
-/// runtime depends on this crate, not the other way around).
+/// executable integer pipeline with `CompiledPipeline::from_ir(&ir, format)`
+/// in `homunculus-runtime`, which owns the fixed-point execution engine
+/// (the constructor lives there because the runtime depends on this crate,
+/// not the other way around).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ModelIr {
     /// Deep neural network.

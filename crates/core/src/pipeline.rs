@@ -18,7 +18,7 @@ use homunculus_datasets::dataset::Normalizer;
 use homunculus_ml::quantize::FixedPoint;
 use homunculus_optimizer::space::Configuration;
 use homunculus_optimizer::OptimizationHistory;
-use homunculus_runtime::{Compile, CompiledPipeline, Deployment, DeploymentBuilder, TenantId};
+use homunculus_runtime::{CompiledPipeline, Deployment, DeploymentBuilder, TenantId};
 use serde_json::{json, ToJson, Value};
 
 /// Compiler knobs: search/training budgets and reproducibility.
@@ -308,7 +308,7 @@ impl ModelReport {
             .map_err(|e| CoreError::Subsystem(format!("invalid fixed_point format: {e}")))?;
         // Re-lower: the compiled pipeline is derived state, rebuilt from
         // the decoded IR exactly as the codegen stage built it.
-        let compiled = ir.compile(format).ok();
+        let compiled = CompiledPipeline::from_ir(&ir, format).ok();
         Ok(ModelReport {
             name: text("name")?,
             algorithm,

@@ -129,7 +129,7 @@ use homunculus_optimizer::space::Configuration;
 use homunculus_optimizer::{
     BayesianOptimizer, Evaluation, OptimizationHistory, OptimizerError, OptimizerOptions,
 };
-use homunculus_runtime::Compile;
+use homunculus_runtime::CompiledPipeline;
 use serde_json::{json, Value};
 use std::io::Write;
 use std::path::Path;
@@ -1309,7 +1309,7 @@ impl Feasible<'_> {
                             word_bits: Some(target.as_target().word_bits()),
                         });
                     code = append_certificate_comments(code, &analysis.certificates);
-                    let compiled = model.ir.compile(format).ok();
+                    let compiled = CompiledPipeline::from_ir(&model.ir, format).ok();
                     Ok(ModelReport {
                         name: model.name,
                         algorithm: model.algorithm,

@@ -39,7 +39,7 @@ use homunculus_ml::preprocess::Normalizer;
 use homunculus_ml::quantize::FixedPoint;
 use homunculus_ml::tensor::Matrix;
 use homunculus_runtime::deploy::{Deployment, Ticket};
-use homunculus_runtime::pipeline::{Compile, CompiledPipeline};
+use homunculus_runtime::pipeline::CompiledPipeline;
 use homunculus_runtime::serve::{TenantBatch, TenantId};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::time::Instant;
@@ -213,8 +213,11 @@ impl FleetBuilder {
                 let entry = &self.entries[index];
                 let pipeline = match &lowered[index] {
                     Some(pipeline) => pipeline,
-                    None => lowered[index]
-                        .insert(entry.ir.compile_shared(entry.format, deployment.luts())?),
+                    None => lowered[index].insert(CompiledPipeline::from_ir_shared(
+                        &entry.ir,
+                        entry.format,
+                        deployment.luts(),
+                    )?),
                 };
                 let tenant = deployment.add_tenant(
                     &format!("{}/{}", switch.name, entry.name),

@@ -25,8 +25,9 @@
 //!   8191 elements): no saturation is possible anywhere, so plain
 //!   re-orderable lane sums produce the very bits the sequential
 //!   saturating loop would.
-//! - **Yes**: the kernel replays the scalar loop element-exactly over
-//!   widened lanes — still bit-identical, just not vectorized.
+//! - **Yes**: the kernel runs the scalar kernel itself on the lanes (the
+//!   [`FixedPoint`] kernels are generic over the stored word) — the same
+//!   sequential loop, hence the same bits, just not vectorized.
 //!
 //! The proptests at the bottom pin this equivalence across random
 //! formats (8-bit and narrower ones included: they share the `i16` lane),
@@ -267,31 +268,21 @@ impl PackedFixed {
         if certified || (a.len() as i64) * self.dot_term <= i64::from(i32::MAX) {
             dot_fast(self.format.frac_bits(), a, b)
         } else {
-            dot_exact(self.format, a, b)
+            self.format.fixed_dot(a, b)
         }
     }
 
     /// Dense-layer kernel (`out = bias + x * W`, weights row-major
     /// `input x output`) over packed weights but **unpacked** `i32`
     /// inputs — the fallback when an intermediate activation overflowed
-    /// the lane range. Element-order-exact replay of
-    /// [`FixedPoint::fixed_matvec`] with the weights widened on the fly.
+    /// the lane range. This is [`FixedPoint::fixed_matvec`] itself, on the
+    /// packed weights.
     ///
     /// # Panics
     ///
     /// Panics if shapes disagree.
     pub fn packed_matvec_wide(&self, weights: &[i16], bias: &[i32], x: &[i32], out: &mut [i32]) {
-        assert_eq!(
-            weights.len(),
-            x.len() * out.len(),
-            "packed_matvec_wide weight shape mismatch"
-        );
-        assert_eq!(
-            bias.len(),
-            out.len(),
-            "packed_matvec_wide bias length mismatch"
-        );
-        matvec_exact(self.format, weights, bias, x, out);
+        self.format.fixed_matvec(weights, bias, x, out);
     }
 
     /// Block dense-layer kernel: `rows` independent row vectors stored
@@ -333,7 +324,7 @@ impl PackedFixed {
             if fast {
                 matvec_fast(f, weights, bias, xr, or);
             } else {
-                matvec_exact(self.format, weights, bias, xr, or);
+                self.format.fixed_matvec(weights, bias, xr, or);
             }
         }
     }
@@ -424,7 +415,7 @@ impl PackedFixed {
         if certified || (a.len() as i64) * self.sq_term <= i64::from(i32::MAX) {
             sq_fast(self.format.frac_bits(), a, b)
         } else {
-            sq_exact(self.format, a, b)
+            self.format.fixed_squared_distance(a, b)
         }
     }
 }
@@ -477,8 +468,8 @@ impl Rounder {
 // Chunked-lane bodies. The `_fast` variants require the caller to have
 // proven no saturation can occur (see the guard math above) — products
 // fit i32 and plain lane sums are re-orderable, so rustc's
-// auto-vectorizer is free to turn them into SIMD. The `_exact` variants
-// replay the scalar kernels element-for-element.
+// auto-vectorizer is free to turn them into SIMD. Without that proof a
+// kernel calls the scalar `FixedPoint` kernel on the lanes instead.
 //
 // The dense layer is output-stationary: `matvec_fast` takes `LANES`
 // outputs at a time and keeps their accumulators in a local array across
@@ -541,14 +532,6 @@ fn dot_fast(f: u32, a: &[i16], b: &[i16]) -> i32 {
     acc
 }
 
-fn dot_exact(format: FixedPoint, a: &[i16], b: &[i16]) -> i32 {
-    let mut acc = 0i32;
-    for (&x, &y) in a.iter().zip(b) {
-        acc = acc.saturating_add(format.fixed_mul(i32::from(x), i32::from(y)));
-    }
-    acc
-}
-
 fn matvec_fast(f: u32, weights: &[i16], bias: &[i32], x: &[i16], out: &mut [i32]) {
     let output = out.len();
     let full = output - output % LANES;
@@ -581,29 +564,6 @@ fn matvec_tile(f: u32, weights: &[i16], output: usize, start: usize, x: &[i16], 
     }
 }
 
-/// The sequential saturating replay of [`FixedPoint::fixed_matvec`], over
-/// packed (`i16`) or wide (`i32`) inputs alike.
-fn matvec_exact<X: Copy + Into<i32>>(
-    format: FixedPoint,
-    weights: &[i16],
-    bias: &[i32],
-    x: &[X],
-    out: &mut [i32],
-) {
-    let output = out.len();
-    out.copy_from_slice(bias);
-    for (k, &xv) in x.iter().enumerate() {
-        let xv: i32 = xv.into();
-        if xv == 0 {
-            continue;
-        }
-        let row = &weights[k * output..(k + 1) * output];
-        for (o, &w) in out.iter_mut().zip(row) {
-            *o = o.saturating_add(format.fixed_mul(xv, i32::from(w)));
-        }
-    }
-}
-
 fn sq_fast(f: u32, a: &[i16], b: &[i16]) -> i32 {
     let mut lanes = [0i32; LANES];
     let mut ca = a.chunks_exact(LANES);
@@ -620,15 +580,6 @@ fn sq_fast(f: u32, a: &[i16], b: &[i16]) -> i32 {
     for (&x, &y) in ca.remainder().iter().zip(cb.remainder()) {
         let d = i64::from(i32::from(x) - i32::from(y));
         acc += ((d * d) >> f) as i32;
-    }
-    acc
-}
-
-fn sq_exact(format: FixedPoint, a: &[i16], b: &[i16]) -> i32 {
-    let mut acc = 0i32;
-    for (&x, &y) in a.iter().zip(b) {
-        let d = i32::from(x).saturating_sub(i32::from(y));
-        acc = acc.saturating_add(format.fixed_mul(d, d));
     }
     acc
 }

@@ -204,15 +204,20 @@ impl FixedPoint {
 
     /// Fixed-point dot product with a saturating i32 accumulator.
     ///
+    /// The kernels here are the reference every tier is held to. They are
+    /// generic over the stored word (`i32` raws, or the packed tier's
+    /// `i16` lanes), which each product widens before it multiplies, so
+    /// the packed tier's saturating path is this very loop.
+    ///
     /// # Panics
     ///
     /// Panics if the slices have different lengths.
     #[inline]
-    pub fn fixed_dot(&self, a: &[i32], b: &[i32]) -> i32 {
+    pub fn fixed_dot<T: Copy + Into<i32>>(&self, a: &[T], b: &[T]) -> i32 {
         assert_eq!(a.len(), b.len(), "fixed_dot length mismatch");
         let mut acc = 0i32;
         for (&x, &y) in a.iter().zip(b) {
-            acc = acc.saturating_add(self.fixed_mul(x, y));
+            acc = acc.saturating_add(self.fixed_mul(x.into(), y.into()));
         }
         acc
     }
@@ -225,11 +230,11 @@ impl FixedPoint {
     ///
     /// Panics if the slices have different lengths.
     #[inline]
-    pub fn fixed_squared_distance(&self, a: &[i32], b: &[i32]) -> i32 {
+    pub fn fixed_squared_distance<T: Copy + Into<i32>>(&self, a: &[T], b: &[T]) -> i32 {
         assert_eq!(a.len(), b.len(), "fixed_squared_distance length mismatch");
         let mut acc = 0i32;
         for (&x, &y) in a.iter().zip(b) {
-            let d = x.saturating_sub(y);
+            let d = x.into().saturating_sub(y.into());
             acc = acc.saturating_add(self.fixed_mul(d, d));
         }
         acc
@@ -247,7 +252,13 @@ impl FixedPoint {
     ///
     /// Panics if `weights.len() != x.len() * out.len()` or
     /// `bias.len() != out.len()`.
-    pub fn fixed_matvec(&self, weights: &[i32], bias: &[i32], x: &[i32], out: &mut [i32]) {
+    pub fn fixed_matvec<W: Copy + Into<i32>, X: Copy + Into<i32>>(
+        &self,
+        weights: &[W],
+        bias: &[i32],
+        x: &[X],
+        out: &mut [i32],
+    ) {
         let output = out.len();
         assert_eq!(
             weights.len(),
@@ -257,12 +268,13 @@ impl FixedPoint {
         assert_eq!(bias.len(), output, "fixed_matvec bias length mismatch");
         out.copy_from_slice(bias);
         for (k, &xv) in x.iter().enumerate() {
+            let xv: i32 = xv.into();
             if xv == 0 {
                 continue;
             }
             let row = &weights[k * output..(k + 1) * output];
             for (o, &w) in out.iter_mut().zip(row) {
-                *o = o.saturating_add(self.fixed_mul(xv, w));
+                *o = o.saturating_add(self.fixed_mul(xv, w.into()));
             }
         }
     }

@@ -130,7 +130,7 @@ impl CompiledPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{classify_rows, Compile, CompiledPipeline};
+    use crate::pipeline::{classify_rows, CompiledPipeline};
     use homunculus_backends::model::{DnnIr, KMeansIr, ModelIr, SvmIr};
     use homunculus_ml::kmeans::{KMeans, KMeansConfig};
     use homunculus_ml::mlp::{Mlp, MlpArchitecture, TrainConfig};
@@ -143,9 +143,11 @@ mod tests {
         let mut net = Mlp::new(&arch, 2).unwrap();
         net.train(&x, &y, &TrainConfig::default().epochs(10))
             .unwrap();
-        let pipeline = ModelIr::Dnn(DnnIr::from_mlp(&net))
-            .compile(FixedPoint::taurus_default())
-            .unwrap();
+        let pipeline = CompiledPipeline::from_ir(
+            &ModelIr::Dnn(DnnIr::from_mlp(&net)),
+            FixedPoint::taurus_default(),
+        )
+        .unwrap();
         (pipeline, x)
     }
 

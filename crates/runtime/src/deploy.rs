@@ -26,8 +26,8 @@
 //!   ([`add_tenant`](Deployment::add_tenant) /
 //!   [`remove_tenant`](Deployment::remove_tenant)), and
 //!   [`stats_snapshot`](Deployment::stats_snapshot) reads live counters;
-//! - each tenant carries a [`SchedulePolicy`]: round-robin, or a weighted
-//!   share with an optional **minimum-share floor** — the paper's
+//! - each tenant carries a [`SchedulePolicy`]: a weighted share (equal
+//!   weights by default, hence round robin) with an optional **minimum-share floor** — the paper's
 //!   per-model throughput guarantees — accounted over a **decaying
 //!   window** ([`fairness_window_rows`](DeploymentBuilder::fairness_window_rows)),
 //!   so a late joiner is owed at most one window of catch-up;
@@ -243,7 +243,7 @@
 use crate::batch::NormTiles;
 use crate::histogram::LatencyHistogram;
 use crate::lut::LutCache;
-use crate::pipeline::{Compile, CompiledPipeline, Scratch, BLOCK_ROWS};
+use crate::pipeline::{CompiledPipeline, Scratch, BLOCK_ROWS};
 use crate::serve::{next_server_tag, TenantBatch, TenantId, TenantStats};
 use crate::{Result, RuntimeError};
 use homunculus_backends::model::ModelIr;
@@ -256,12 +256,10 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, TryLockErr
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Per-tenant dispatch policy.
-///
-/// | Policy | Dispatch behaviour |
-/// |---|---|
-/// | `RoundRobin` | Equal share: identical to `Weighted { weight: 1.0, min_share: 0.0 }`. |
-/// | `Weighted` | Proportional share `weight / Σ weights` among backlogged tenants, with an optional floor. |
+/// Per-tenant dispatch policy: a proportional share
+/// `weight / Σ weights` among backlogged tenants, with an optional floor.
+/// [`SchedulePolicy::default`] (`weighted(1.0)`, no floor) is round robin
+/// at chunk granularity.
 ///
 /// The floor (`min_share`) implements the paper's per-model throughput
 /// guarantees: whenever a backlogged tenant's observed share of dispatched
@@ -270,56 +268,36 @@ use std::time::{Duration, Instant};
 /// weight-proportional pick. Floors are fractions of the aggregate, so the
 /// sum of floors across active tenants must stay ≤ 1.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SchedulePolicy {
-    /// Equal share at chunk granularity (the PR-3 behaviour).
-    RoundRobin,
-    /// Deficit-weighted share with an optional minimum-share floor.
-    Weighted {
-        /// Relative share of dispatched rows; must be positive and finite.
-        weight: f64,
-        /// Guaranteed fraction of aggregate dispatched rows in `[0, 1)`.
-        min_share: f64,
-    },
+pub struct SchedulePolicy {
+    /// Relative share of dispatched rows; must be positive and finite.
+    pub weight: f64,
+    /// Guaranteed fraction of aggregate dispatched rows in `[0, 1)`.
+    pub min_share: f64,
+}
+
+impl Default for SchedulePolicy {
+    fn default() -> Self {
+        SchedulePolicy::weighted(1.0)
+    }
 }
 
 impl SchedulePolicy {
     /// A weighted policy with no floor.
     pub fn weighted(weight: f64) -> Self {
-        SchedulePolicy::Weighted {
+        SchedulePolicy {
             weight,
             min_share: 0.0,
         }
     }
 
-    /// Sets the minimum-share floor (converts `RoundRobin` to a
-    /// unit-weight `Weighted`).
+    /// Sets the minimum-share floor.
     #[must_use]
     pub fn with_min_share(self, min_share: f64) -> Self {
-        SchedulePolicy::Weighted {
-            weight: self.weight(),
-            min_share,
-        }
-    }
-
-    /// The relative dispatch weight (1.0 for `RoundRobin`).
-    pub fn weight(self) -> f64 {
-        match self {
-            SchedulePolicy::RoundRobin => 1.0,
-            SchedulePolicy::Weighted { weight, .. } => weight,
-        }
-    }
-
-    /// The guaranteed aggregate-share floor (0.0 for `RoundRobin`).
-    pub fn min_share(self) -> f64 {
-        match self {
-            SchedulePolicy::RoundRobin => 0.0,
-            SchedulePolicy::Weighted { min_share, .. } => min_share,
-        }
+        SchedulePolicy { min_share, ..self }
     }
 
     fn validate(self) -> Result<()> {
-        let weight = self.weight();
-        let min_share = self.min_share();
+        let SchedulePolicy { weight, min_share } = self;
         if !(weight.is_finite() && weight > 0.0) {
             return Err(RuntimeError::Serve(format!(
                 "schedule weight must be positive and finite, got {weight}"
@@ -418,8 +396,8 @@ struct Lane {
 impl Lane {
     fn new(policy: SchedulePolicy, vt: f64) -> Self {
         Lane {
-            weight: policy.weight(),
-            min_share: policy.min_share(),
+            weight: policy.weight,
+            min_share: policy.min_share,
             vt,
             idle: true,
             ..Lane::default()
@@ -1263,37 +1241,12 @@ fn process_chunk(shared: &Shared, chunk: Chunk, scratch: &mut Scratch, verdicts:
     shared.wake(wake);
 }
 
-/// A live per-tenant share view from [`Deployment::stats_snapshot`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct TenantShare {
-    /// The tenant this share belongs to.
-    pub tenant: TenantId,
-    /// Relative dispatch weight from the tenant's [`SchedulePolicy`].
-    pub weight: f64,
-    /// Guaranteed aggregate-share floor.
-    pub min_share: f64,
-    /// Rows dispatched to workers for this tenant since launch.
-    pub served_rows: u64,
-    /// Rows still queued for this tenant.
-    pub queued_rows: u64,
-    /// `served_rows / Σ served_rows` (0.0 before the first dispatch).
-    pub observed_share: f64,
-    /// The tenant's share of dispatched rows within the current decaying
-    /// fairness window — what the floor pass actually compares against
-    /// `min_share` (equals `observed_share` when the window is disabled).
-    pub windowed_share: f64,
-    /// Whether the tenant still accepts submissions.
-    pub active: bool,
-}
-
 /// A point-in-time view of a running deployment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeploymentStats {
-    /// Per-tenant serving stats, indexed by [`TenantId::index`] (removed
-    /// tenants keep their history).
+    /// Per-tenant serving stats and scheduling shares, indexed by
+    /// [`TenantId::index`] (removed tenants keep their history).
     pub tenants: Vec<TenantStats>,
-    /// Per-tenant scheduling shares, aligned with `tenants`.
-    pub shares: Vec<TenantShare>,
     /// Tickets accepted since launch.
     pub submitted_tickets: u64,
     /// Tickets fully completed since launch.
@@ -1548,8 +1501,8 @@ impl Deployment {
         DeploymentBuilder::default()
     }
 
-    /// Registers an already-compiled pipeline under
-    /// [`SchedulePolicy::RoundRobin`]. Callable while the deployment serves
+    /// Registers an already-compiled pipeline under the default (round
+    /// robin) [`SchedulePolicy`]. Callable while the deployment serves
     /// traffic.
     ///
     /// # Errors
@@ -1565,7 +1518,7 @@ impl Deployment {
         pipeline: CompiledPipeline,
         normalizer: Option<Normalizer>,
     ) -> Result<TenantId> {
-        self.add_tenant_with(name, pipeline, normalizer, SchedulePolicy::RoundRobin)
+        self.add_tenant_with(name, pipeline, normalizer, SchedulePolicy::default())
     }
 
     /// [`add_tenant`](Deployment::add_tenant) with an explicit per-tenant
@@ -1614,13 +1567,13 @@ impl Deployment {
         let floor_budget: f64 = registry
             .iter()
             .filter(|s| s.active)
-            .map(|s| s.entry.policy.min_share())
+            .map(|s| s.entry.policy.min_share)
             .sum();
-        if floor_budget + policy.min_share() > 1.0 {
+        if floor_budget + policy.min_share > 1.0 {
             return Err(RuntimeError::Serve(format!(
                 "tenant '{name}': min_share {} would push the sum of active floors to {:.3} (> 1)",
-                policy.min_share(),
-                floor_budget + policy.min_share()
+                policy.min_share,
+                floor_budget + policy.min_share
             )));
         }
         let index = registry.len();
@@ -1646,12 +1599,13 @@ impl Deployment {
         Ok(TenantId::mint(index, self.shared.tag))
     }
 
-    /// Compiles a trained IR through the deployment's shared [`LutCache`]
-    /// and registers it under [`SchedulePolicy::RoundRobin`].
+    /// Lowers a trained IR with [`CompiledPipeline::from_ir_shared`]
+    /// through the deployment's shared [`LutCache`] and registers it under
+    /// the default (round robin) [`SchedulePolicy`].
     ///
     /// # Errors
     ///
-    /// Lowering errors from [`Compile::compile_shared`], plus the
+    /// Lowering errors from [`CompiledPipeline::from_ir_shared`], plus the
     /// [`add_tenant`](Deployment::add_tenant) cases.
     pub fn add_model(
         &self,
@@ -1660,7 +1614,7 @@ impl Deployment {
         format: FixedPoint,
         normalizer: Option<Normalizer>,
     ) -> Result<TenantId> {
-        self.add_model_with(name, ir, format, normalizer, SchedulePolicy::RoundRobin)
+        self.add_model_with(name, ir, format, normalizer, SchedulePolicy::default())
     }
 
     /// [`add_model`](Deployment::add_model) with an explicit policy.
@@ -1676,7 +1630,7 @@ impl Deployment {
         normalizer: Option<Normalizer>,
         policy: SchedulePolicy,
     ) -> Result<TenantId> {
-        let pipeline = ir.compile_shared(format, &self.shared.luts)?;
+        let pipeline = CompiledPipeline::from_ir_shared(ir, format, &self.shared.luts)?;
         self.add_tenant_with(name, pipeline, normalizer, policy)
     }
 
@@ -1958,13 +1912,22 @@ impl Deployment {
             total => part as f64 / total as f64,
         };
         // One pass under the scheduler lock, so shares, gauges and ticket
-        // counters are internally consistent.
+        // counters are internally consistent; the serving counters follow,
+        // one tenant lock at a time.
         let sched = self.shared.sched();
-        let shares = (registry.iter().zip(&sched.lanes).enumerate())
-            .map(|(index, (slot, lane))| TenantShare {
+        let tenants = (registry.iter().zip(&sched.lanes).enumerate())
+            .map(|(index, (slot, lane))| TenantStats {
                 tenant: id(index),
-                weight: slot.entry.policy.weight(),
-                min_share: slot.entry.policy.min_share(),
+                name: slot.entry.name.clone(),
+                packets: 0,
+                verdict_histogram: Vec::new(),
+                p50_ns: 0,
+                p99_ns: 0,
+                mean_ns: 0.0,
+                oracle_packets: 0,
+                oracle_agreements: 0,
+                weight: slot.entry.policy.weight,
+                min_share: slot.entry.policy.min_share,
                 served_rows: lane.served_rows,
                 queued_rows: lane.queued_rows,
                 observed_share: share(lane.served_rows, sched.total_served_rows),
@@ -1973,8 +1936,7 @@ impl Deployment {
             })
             .collect();
         let mut stats = DeploymentStats {
-            tenants: Vec::with_capacity(registry.len()),
-            shares,
+            tenants,
             submitted_tickets: sched.submitted_tickets,
             completed_tickets: sched.completed_tickets,
             cancelled_tickets: sched.cancelled_tickets,
@@ -1984,19 +1946,15 @@ impl Deployment {
             uptime_ns: self.shared.started.elapsed().as_nanos() as u64,
         };
         drop(sched);
-        for (index, slot) in registry.iter().enumerate() {
+        for (stats, slot) in stats.tenants.iter_mut().zip(registry.iter()) {
             let accum = slot.entry.accum.lock().expect("tenant stats poisoned");
-            stats.tenants.push(TenantStats {
-                tenant: id(index),
-                name: slot.entry.name.clone(),
-                packets: accum.packets,
-                verdict_histogram: accum.verdict_histogram.clone(),
-                p50_ns: accum.latency.quantile(0.50),
-                p99_ns: accum.latency.quantile(0.99),
-                mean_ns: accum.latency.mean_ns(),
-                oracle_packets: accum.oracle_packets,
-                oracle_agreements: accum.oracle_agreements,
-            });
+            stats.packets = accum.packets;
+            stats.verdict_histogram = accum.verdict_histogram.clone();
+            stats.p50_ns = accum.latency.quantile(0.50);
+            stats.p99_ns = accum.latency.quantile(0.99);
+            stats.mean_ns = accum.latency.mean_ns();
+            stats.oracle_packets = accum.oracle_packets;
+            stats.oracle_agreements = accum.oracle_agreements;
         }
         stats
     }
@@ -2029,12 +1987,14 @@ mod tests {
 
     /// A hand-built binary SVM: class 1 iff `w . x + b >= 0`.
     fn svm_pipeline(weights: Vec<f32>, bias: f32) -> CompiledPipeline {
-        ModelIr::Svm(SvmIr {
-            n_features: weights.len(),
-            n_classes: 2,
-            planes: Some((vec![weights], vec![bias])),
-        })
-        .compile(q())
+        CompiledPipeline::from_ir(
+            &ModelIr::Svm(SvmIr {
+                n_features: weights.len(),
+                n_classes: 2,
+                planes: Some((vec![weights], vec![bias])),
+            }),
+            q(),
+        )
         .unwrap()
     }
 
@@ -2046,7 +2006,7 @@ mod tests {
 
     #[test]
     fn policy_validation() {
-        assert!(SchedulePolicy::RoundRobin.validate().is_ok());
+        assert!(SchedulePolicy::default().validate().is_ok());
         assert!(SchedulePolicy::weighted(2.5).validate().is_ok());
         assert!(SchedulePolicy::weighted(0.0).validate().is_err());
         assert!(SchedulePolicy::weighted(-1.0).validate().is_err());
@@ -2059,9 +2019,14 @@ mod tests {
             .with_min_share(-0.1)
             .validate()
             .is_err());
-        let floored = SchedulePolicy::RoundRobin.with_min_share(0.3);
-        assert_eq!(floored.weight(), 1.0);
-        assert_eq!(floored.min_share(), 0.3);
+        let floored = SchedulePolicy::default().with_min_share(0.3);
+        assert_eq!(floored.weight, 1.0);
+        assert_eq!(floored.min_share, 0.3);
+    }
+
+    #[test]
+    fn the_default_policy_is_unit_weight_with_no_floor() {
+        assert_eq!(SchedulePolicy::default(), SchedulePolicy::weighted(1.0));
     }
 
     #[test]
@@ -2190,7 +2155,7 @@ mod tests {
         // History survives removal.
         let snapshot = deployment.stats_snapshot();
         assert_eq!(snapshot.tenants.len(), 1);
-        assert!(!snapshot.shares[0].active);
+        assert!(!snapshot.tenants[0].active);
     }
 
     #[test]
@@ -2315,8 +2280,8 @@ mod tests {
         assert_eq!(snapshot.queued_rows, 0);
         assert_eq!(snapshot.total_packets(), 9);
         assert!(snapshot.uptime_ns > 0);
-        assert!((snapshot.shares[0].observed_share - 1.0).abs() < 1e-12);
-        assert!((snapshot.shares[0].windowed_share - 1.0).abs() < 1e-12);
+        assert!((snapshot.tenants[0].observed_share - 1.0).abs() < 1e-12);
+        assert!((snapshot.tenants[0].windowed_share - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -2359,6 +2324,44 @@ mod tests {
         assert_eq!(log.len(), 8);
         let lanes: Vec<usize> = log.iter().map(|&(lane, _)| lane).collect();
         assert_eq!(lanes, vec![0, 1, 0, 1, 0, 1, 0, 1], "round-robin order");
+    }
+
+    #[test]
+    fn a_default_tenant_dispatches_as_a_unit_weight_one() {
+        // The same staged backlog beside a weight-2 tenant, once with the
+        // first tenant registered by `add_tenant` and once by
+        // `add_tenant_with(.., weighted(1.0))`: one policy, one pick order.
+        let staged = |explicit: bool| {
+            let deployment = Deployment::builder()
+                .workers(1)
+                .paused(true)
+                .record_dispatch(true)
+                .queue_depth(16)
+                .chunk_rows(2)
+                .build();
+            let pipeline = || svm_pipeline(vec![1.0], 0.0);
+            let a = if explicit {
+                deployment.add_tenant_with("a", pipeline(), None, SchedulePolicy::weighted(1.0))
+            } else {
+                deployment.add_tenant("a", pipeline(), None)
+            }
+            .unwrap();
+            let b = deployment
+                .add_tenant_with("b", pipeline(), None, SchedulePolicy::weighted(2.0))
+                .unwrap();
+            for round in 0..3 {
+                for tenant in [a, b] {
+                    deployment
+                        .submit(TenantBatch::new(tenant, packets(6, 1, round)))
+                        .unwrap();
+                }
+            }
+            deployment.drain();
+            deployment.dispatch_log().expect("dispatch recording on")
+        };
+        let log = staged(false);
+        assert_eq!(log.len(), 18);
+        assert_eq!(log, staged(true));
     }
 
     #[test]
@@ -2566,7 +2569,7 @@ mod tests {
                 mean: vec![0.0],
                 std: vec![1.0],
             })),
-            policy: SchedulePolicy::RoundRobin,
+            policy: SchedulePolicy::default(),
             accum: Mutex::new(TenantAccum::default()),
         });
     }
@@ -3033,7 +3036,7 @@ mod tests {
                 .chunk_rows(3)
                 .build_with_helpers(1);
             let policies = [
-                SchedulePolicy::RoundRobin,
+                SchedulePolicy::default(),
                 SchedulePolicy::weighted(2.0),
                 SchedulePolicy::weighted(0.5).with_min_share(0.3),
             ];
@@ -3078,7 +3081,7 @@ mod tests {
             name: "staged".into(),
             pipeline: svm_pipeline(vec![1.0], 0.0),
             normalizer: None,
-            policy: SchedulePolicy::RoundRobin,
+            policy: SchedulePolicy::default(),
             accum: Mutex::new(TenantAccum::default()),
         });
         let features = Arc::new(packets(rows, 1, 0));
@@ -3108,7 +3111,7 @@ mod tests {
     /// Appends a backlogged `(weight, min_share)` lane holding `items`
     /// one-row tickets, joining at virtual time `vt`.
     fn stage_lane(sched: &mut Scheduler, weight: f64, min_share: f64, items: usize, vt: f64) {
-        let mut lane = Lane::new(SchedulePolicy::Weighted { weight, min_share }, vt);
+        let mut lane = Lane::new(SchedulePolicy { weight, min_share }, vt);
         lane.idle = false;
         lane.queue = tickets(items, 1, 1);
         lane.queued_rows = items as u64;
@@ -3178,7 +3181,7 @@ mod tests {
     fn fresh(budget: u64) -> Scheduler {
         let mut sched =
             Scheduler::new(&Deployment::builder().queue_depth(2).max_queued_rows(budget));
-        sched.add_lane(SchedulePolicy::RoundRobin);
+        sched.add_lane(SchedulePolicy::default());
         sched
     }
 

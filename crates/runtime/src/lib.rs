@@ -18,8 +18,8 @@
 //!   sit in packed `i16` lanes whenever the format fits 16 bits (one lane
 //!   type and one portable build: no cargo feature selects other kernels)
 //!   and in `i32` otherwise; verdicts are the same bits on both tiers.
-//! - [`pipeline::Compile`] — the lowering entry point, an extension trait
-//!   giving `ModelIr::compile(format)`.
+//! - [`CompiledPipeline::from_ir`] — the lowering entry point
+//!   (`from_ir_shared` shares activation tables across many models).
 //! - [`batch`] — the chunk walk every served row takes, and the
 //!   `classify_batch` API that shards it across `std::thread::scope`
 //!   workers.
@@ -68,13 +68,13 @@
 //! use homunculus_backends::model::{DnnIr, ModelIr};
 //! use homunculus_ml::mlp::{Mlp, MlpArchitecture};
 //! use homunculus_ml::quantize::FixedPoint;
-//! use homunculus_runtime::pipeline::{Compile, Scratch};
+//! use homunculus_runtime::pipeline::{CompiledPipeline, Scratch};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let arch = MlpArchitecture::new(4, vec![8], 2);
 //! let net = Mlp::new(&arch, 7)?;
 //! let ir = ModelIr::Dnn(DnnIr::from_mlp(&net));
-//! let pipeline = ir.compile(FixedPoint::taurus_default())?;
+//! let pipeline = CompiledPipeline::from_ir(&ir, FixedPoint::taurus_default())?;
 //! let mut scratch = Scratch::new();
 //! let class = pipeline.classify(&[0.5, -0.25, 1.0, 0.0], &mut scratch);
 //! assert!(class < 2);
@@ -90,11 +90,11 @@ pub mod pipeline;
 pub mod serve;
 
 pub use deploy::{
-    Deployment, DeploymentBuilder, DeploymentStats, SchedulePolicy, TenantShare, Ticket, Verdicts,
+    Deployment, DeploymentBuilder, DeploymentStats, SchedulePolicy, Ticket, Verdicts,
 };
 pub use histogram::LatencyHistogram;
 pub use lut::LutCache;
-pub use pipeline::{classify_rows, Compile, CompiledPipeline, Scratch};
+pub use pipeline::{classify_rows, CompiledPipeline, Scratch};
 pub use serve::{TenantBatch, TenantId, TenantStats};
 
 use std::error::Error;

@@ -874,7 +874,7 @@ enum Lowered {
 
 /// A trained model lowered to an integer fixed-point execution engine.
 ///
-/// Construct one with [`Compile::compile`] on a trained
+/// Construct one with [`CompiledPipeline::from_ir`] on a trained
 /// [`ModelIr`]; classify packets with [`CompiledPipeline::classify`]
 /// (zero-allocation given a reusable [`Scratch`]) or in bulk with
 /// [`CompiledPipeline::classify_batch`].
@@ -892,45 +892,12 @@ pub struct CompiledPipeline {
     facts: Vec<KernelFact>,
 }
 
-/// Lowers a trained [`ModelIr`] into a [`CompiledPipeline`].
-///
-/// This is the `ModelIr::compile(format)` entry point; it lives here as an
-/// extension trait because the runtime depends on `homunculus-backends`
-/// (the IR's home), not the other way around.
-pub trait Compile {
-    /// Lowers the model to integer fixed-point inference in `format`.
-    ///
-    /// # Errors
-    ///
-    /// - [`RuntimeError::MissingParams`] when the IR is shape-only.
-    /// - [`RuntimeError::InvalidModel`] for inconsistent IRs.
-    fn compile(&self, format: FixedPoint) -> Result<CompiledPipeline>;
-
-    /// Like [`Compile::compile`], but activation lookup tables are taken
-    /// from (and installed into) `luts`, so many models compiled through
-    /// one cache share one table per `(format, activation)` pair —
-    /// the many-model-schedule path a [`crate::deploy::Deployment`]
-    /// uses.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Compile::compile`].
-    fn compile_shared(&self, format: FixedPoint, luts: &LutCache) -> Result<CompiledPipeline>;
-}
-
-impl Compile for ModelIr {
-    fn compile(&self, format: FixedPoint) -> Result<CompiledPipeline> {
-        CompiledPipeline::from_ir(self, format)
-    }
-
-    fn compile_shared(&self, format: FixedPoint, luts: &LutCache) -> Result<CompiledPipeline> {
-        CompiledPipeline::from_ir_shared(self, format, luts)
-    }
-}
-
 impl CompiledPipeline {
-    /// Lowers a trained IR with a private, single-use LUT cache (see
-    /// [`Compile::compile`]).
+    /// Lowers a trained IR to integer fixed-point inference in `format`,
+    /// with a private, single-use LUT cache. This is the lowering entry
+    /// point; it lives here, not on [`ModelIr`], because the runtime
+    /// depends on `homunculus-backends` (the IR's home), not the other
+    /// way around.
     ///
     /// # Errors
     ///
@@ -940,8 +907,10 @@ impl CompiledPipeline {
         CompiledPipeline::from_ir_shared(ir, format, &LutCache::new())
     }
 
-    /// Lowers a trained IR, sharing activation LUTs through `luts` (see
-    /// [`Compile::compile_shared`]).
+    /// Like [`CompiledPipeline::from_ir`], but activation lookup tables
+    /// are taken from (and installed into) `luts`, so many models lowered
+    /// through one cache share one table per `(format, activation)` pair —
+    /// the many-model-schedule path a [`crate::deploy::Deployment`] uses.
     ///
     /// # Errors
     ///
@@ -1883,7 +1852,7 @@ mod tests {
         net.train(&x, &y, &TrainConfig::default().epochs(60))
             .unwrap();
         let ir = ModelIr::Dnn(DnnIr::from_mlp(&net));
-        let pipeline = ir.compile(q()).unwrap();
+        let pipeline = CompiledPipeline::from_ir(&ir, q()).unwrap();
         assert_eq!(pipeline.family(), "dnn");
         assert_eq!(pipeline.n_features(), 4);
         let float = net.predict(&x).unwrap();
@@ -1902,7 +1871,7 @@ mod tests {
             let arch = MlpArchitecture::new(3, vec![6], 2).with_activation(activation);
             let net = Mlp::new(&arch, 11).unwrap();
             let ir = ModelIr::Dnn(DnnIr::from_mlp(&net));
-            let pipeline = ir.compile(q()).unwrap();
+            let pipeline = CompiledPipeline::from_ir(&ir, q()).unwrap();
             let tol = pipeline.score_tolerance(2.0).unwrap();
             let mut scratch = Scratch::new();
             for seed in 0..20 {
@@ -1928,7 +1897,8 @@ mod tests {
         let mut net = Mlp::new(&arch, 5).unwrap();
         net.train(&x, &y, &TrainConfig::default().epochs(40))
             .unwrap();
-        let pipeline = ModelIr::Dnn(DnnIr::from_mlp(&net)).compile(q()).unwrap();
+        let pipeline =
+            CompiledPipeline::from_ir(&ModelIr::Dnn(DnnIr::from_mlp(&net)), q()).unwrap();
         let tol = pipeline.score_tolerance(2.0).unwrap();
         assert!(tol > 0.0 && tol < 1.0, "tolerance {tol}");
         let mut scratch = Scratch::new();
@@ -1945,7 +1915,8 @@ mod tests {
     fn svm_pipeline_matches_float() {
         let (x, y) = separable(60);
         let svm = LinearSvm::fit(&x, &y, 2, &SvmConfig::default()).unwrap();
-        let pipeline = ModelIr::Svm(SvmIr::from_svm(&svm)).compile(q()).unwrap();
+        let pipeline =
+            CompiledPipeline::from_ir(&ModelIr::Svm(SvmIr::from_svm(&svm)), q()).unwrap();
         assert_eq!(pipeline.family(), "svm");
         let float = svm.predict(&x).unwrap();
         let fixed = classify_rows(&pipeline, &x);
@@ -1967,7 +1938,8 @@ mod tests {
         });
         let y: Vec<usize> = (0..90).map(|r| r % 3).collect();
         let svm = LinearSvm::fit(&x, &y, 3, &SvmConfig::default().epochs(60)).unwrap();
-        let pipeline = ModelIr::Svm(SvmIr::from_svm(&svm)).compile(q()).unwrap();
+        let pipeline =
+            CompiledPipeline::from_ir(&ModelIr::Svm(SvmIr::from_svm(&svm)), q()).unwrap();
         assert_eq!(pipeline.n_classes(), 3);
         let float = svm.predict(&x).unwrap();
         let fixed = classify_rows(&pipeline, &x);
@@ -1979,9 +1951,9 @@ mod tests {
     fn kmeans_pipeline_matches_float_assignments() {
         let x = Matrix::from_fn(60, 2, |r, _| (r % 3) as f32 * 4.0 + 0.1);
         let model = KMeans::fit(&x, &KMeansConfig::new(3)).unwrap();
-        let pipeline = ModelIr::KMeans(KMeansIr::from_kmeans(&model, 2))
-            .compile(q())
-            .unwrap();
+        let pipeline =
+            CompiledPipeline::from_ir(&ModelIr::KMeans(KMeansIr::from_kmeans(&model, 2)), q())
+                .unwrap();
         assert_eq!(pipeline.family(), "kmeans");
         assert_eq!(pipeline.n_classes(), 3);
         assert_eq!(classify_rows(&pipeline, &x), model.predict(&x));
@@ -1994,9 +1966,8 @@ mod tests {
         let x = Matrix::from_fn(40, 2, |r, c| (r * 2 + c) as f32 * 0.05);
         let y: Vec<usize> = (0..40).map(|r| usize::from(r >= 20)).collect();
         let tree = DecisionTreeClassifier::fit(&x, &y, 2, &TreeConfig::default()).unwrap();
-        let pipeline = ModelIr::Tree(TreeIr::from_tree(&tree))
-            .compile(q())
-            .unwrap();
+        let pipeline =
+            CompiledPipeline::from_ir(&ModelIr::Tree(TreeIr::from_tree(&tree)), q()).unwrap();
         assert_eq!(pipeline.family(), "decision_tree");
         assert!(pipeline.score_tolerance(2.0).is_none());
         assert_eq!(classify_rows(&pipeline, &x), tree.predict(&x));
@@ -2011,7 +1982,7 @@ mod tests {
         };
         let forest = RandomForestClassifier::fit(&x, &y, 2, &config).unwrap();
         let ir = ModelIr::Forest(ForestIr::from_forest(&forest));
-        let pipeline = ir.compile(q()).unwrap();
+        let pipeline = CompiledPipeline::from_ir(&ir, q()).unwrap();
         assert_eq!(pipeline.family(), "random_forest");
         assert_eq!(pipeline.n_classes(), 2);
         assert!(pipeline.score_tolerance(2.0).is_none());
@@ -2202,9 +2173,9 @@ mod tests {
         let (x, y) = separable(30);
         let svm = LinearSvm::fit(&x, &y, 2, &SvmConfig::default()).unwrap();
         let ir = ModelIr::Svm(SvmIr::from_svm(&svm));
-        let pipeline = ir.compile(wide).unwrap();
+        let pipeline = CompiledPipeline::from_ir(&ir, wide).unwrap();
         assert!(!pipeline.is_packed());
-        let narrow = ir.compile(q()).unwrap();
+        let narrow = CompiledPipeline::from_ir(&ir, q()).unwrap();
         assert!(narrow.is_packed());
         // Verdicts come from different formats so only check they run.
         assert_eq!(classify_rows(&pipeline, &x).len(), x.rows());
@@ -2234,7 +2205,7 @@ mod tests {
             arch,
             params: Some(params),
         });
-        let packed = ir.compile(fmt).unwrap();
+        let packed = CompiledPipeline::from_ir(&ir, fmt).unwrap();
         let scalar = CompiledPipeline::from_ir_scalar(&ir, fmt).unwrap();
         assert!(packed.is_packed() && !scalar.is_packed());
         // Lowering proved it: every input of the second layer fits a lane.
@@ -2324,7 +2295,10 @@ mod tests {
         ];
         for ir in cases {
             assert!(
-                matches!(ir.compile(q()), Err(RuntimeError::MissingParams(_))),
+                matches!(
+                    CompiledPipeline::from_ir(&ir, q()),
+                    Err(RuntimeError::MissingParams(_))
+                ),
                 "{} should be rejected",
                 ir.family()
             );
@@ -2335,7 +2309,7 @@ mod tests {
     fn degenerate_ir_rejected_as_invalid() {
         let ir = ModelIr::Svm(SvmIr::from_shape(0, 2));
         assert!(matches!(
-            ir.compile(q()),
+            CompiledPipeline::from_ir(&ir, q()),
             Err(RuntimeError::InvalidModel(_))
         ));
         // Tree with a dangling child index.
@@ -2352,7 +2326,7 @@ mod tests {
             }]),
         });
         assert!(matches!(
-            bad.compile(q()),
+            CompiledPipeline::from_ir(&bad, q()),
             Err(RuntimeError::InvalidModel(_))
         ));
     }
@@ -2365,9 +2339,8 @@ mod tests {
         let y: Vec<usize> = (0..50).map(|r| (r / 10).min(4)).collect();
         let tree =
             DecisionTreeClassifier::fit(&x, &y, 5, &TreeConfig::default().max_depth(1)).unwrap();
-        let pipeline = ModelIr::Tree(TreeIr::from_tree(&tree))
-            .compile(q())
-            .unwrap();
+        let pipeline =
+            CompiledPipeline::from_ir(&ModelIr::Tree(TreeIr::from_tree(&tree)), q()).unwrap();
         assert_eq!(pipeline.n_classes(), 5);
     }
 
@@ -2391,7 +2364,7 @@ mod tests {
             ]),
         });
         assert!(matches!(
-            cyclic.compile(q()),
+            CompiledPipeline::from_ir(&cyclic, q()),
             Err(RuntimeError::InvalidModel(_))
         ));
     }
@@ -2453,18 +2426,19 @@ mod tests {
         let nodes = vec![split(70_000, 0.5, 1, 2), leaf(0), leaf(1)];
         let too_wide = ModelIr::Tree(tree_ir(wide, nodes.clone()));
         assert!(matches!(
-            too_wide.compile(q()),
+            CompiledPipeline::from_ir(&too_wide, q()),
             Err(RuntimeError::InvalidModel(_))
         ));
         let too_many_classes = ModelIr::Tree(tree_ir(2, vec![leaf(1 << 16)]));
         assert!(matches!(
-            too_many_classes.compile(q()),
+            CompiledPipeline::from_ir(&too_many_classes, q()),
             Err(RuntimeError::InvalidModel(_))
         ));
         // The largest feature index that does fit is served.
         let mut nodes = nodes;
         nodes[0] = split(65_535, 0.5, 1, 2);
-        let pipeline = ModelIr::Tree(tree_ir(wide, nodes)).compile(q()).unwrap();
+        let pipeline =
+            CompiledPipeline::from_ir(&ModelIr::Tree(tree_ir(wide, nodes)), q()).unwrap();
         let mut row = vec![0.0f32; wide];
         assert_eq!(pipeline.classify(&row, &mut Scratch::new()), 0);
         row[65_535] = 1.0;
@@ -2510,7 +2484,7 @@ mod tests {
         let mut ir = DnnIr::from_mlp(&net);
         ir.params.as_mut().unwrap().pop(); // drop the output layer
         assert!(matches!(
-            ModelIr::Dnn(ir).compile(q()),
+            CompiledPipeline::from_ir(&ModelIr::Dnn(ir), q()),
             Err(RuntimeError::InvalidModel(_))
         ));
     }
@@ -2525,7 +2499,7 @@ mod tests {
             planes: Some((vec![vec![0.1; 3]; 2], vec![0.0; 2])),
         });
         assert!(matches!(
-            ir.compile(q()),
+            CompiledPipeline::from_ir(&ir, q()),
             Err(RuntimeError::InvalidModel(_))
         ));
     }
@@ -2539,7 +2513,7 @@ mod tests {
             n_classes: 2,
             planes: Some((vec![vec![0.0, 0.0]], vec![0.0])),
         });
-        let pipeline = ir.compile(q()).unwrap();
+        let pipeline = CompiledPipeline::from_ir(&ir, q()).unwrap();
         let mut scratch = Scratch::new();
         let class = pipeline.classify(&[0.5, -0.5], &mut scratch);
         let scores = pipeline.scores(&[0.5, -0.5], &mut scratch).unwrap();
@@ -2560,7 +2534,8 @@ mod tests {
         let mut net = Mlp::new(&arch, 9).unwrap();
         net.train(&x, &y, &TrainConfig::default().epochs(30))
             .unwrap();
-        let pipeline = ModelIr::Dnn(DnnIr::from_mlp(&net)).compile(q()).unwrap();
+        let pipeline =
+            CompiledPipeline::from_ir(&ModelIr::Dnn(DnnIr::from_mlp(&net)), q()).unwrap();
         let mut scratch = Scratch::new();
         let first: Vec<usize> = x
             .iter_rows()
@@ -2581,7 +2556,8 @@ mod tests {
         let mut net = Mlp::new(&arch, 1).unwrap();
         net.train(&x, &y, &TrainConfig::default().epochs(5))
             .unwrap();
-        let pipeline = ModelIr::Dnn(DnnIr::from_mlp(&net)).compile(q()).unwrap();
+        let pipeline =
+            CompiledPipeline::from_ir(&ModelIr::Dnn(DnnIr::from_mlp(&net)), q()).unwrap();
         pipeline.classify(&[1.0, 2.0], &mut Scratch::new());
     }
 }

@@ -151,7 +151,8 @@ impl TenantBatch {
     }
 }
 
-/// Per-tenant serving statistics, merged across all of a run's batches.
+/// Per-tenant serving statistics and scheduling shares, one record per
+/// tenant in a [`DeploymentStats`](crate::deploy::DeploymentStats).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantStats {
     /// The tenant these stats belong to.
@@ -175,6 +176,23 @@ pub struct TenantStats {
     pub oracle_packets: usize,
     /// Of those, packets where the served verdict agreed with the oracle.
     pub oracle_agreements: usize,
+    /// Relative dispatch weight from the tenant's
+    /// [`SchedulePolicy`](crate::deploy::SchedulePolicy).
+    pub weight: f64,
+    /// Guaranteed aggregate-share floor.
+    pub min_share: f64,
+    /// Rows dispatched for this tenant since launch.
+    pub served_rows: u64,
+    /// Rows still queued for this tenant.
+    pub queued_rows: u64,
+    /// `served_rows / Σ served_rows` (0.0 before the first dispatch).
+    pub observed_share: f64,
+    /// The tenant's share of dispatched rows within the current decaying
+    /// fairness window — what the floor pass actually compares against
+    /// `min_share` (equals `observed_share` when the window is disabled).
+    pub windowed_share: f64,
+    /// Whether the tenant still accepts submissions.
+    pub active: bool,
 }
 
 impl TenantStats {

@@ -17,7 +17,7 @@ use homunculus::ml::quantize::FixedPoint;
 use homunculus::ml::svm::{LinearSvm, SvmConfig};
 use homunculus::ml::tensor::{argmax, Matrix};
 use homunculus::ml::tree::{DecisionTreeClassifier, TreeConfig};
-use homunculus::runtime::{Compile, Scratch};
+use homunculus::runtime::{CompiledPipeline, Scratch};
 use proptest::prelude::*;
 
 fn q() -> FixedPoint {
@@ -65,7 +65,7 @@ proptest! {
         ][activation_pick];
         let arch = MlpArchitecture::new(4, vec![hidden], 3).with_activation(activation);
         let net = Mlp::new(&arch, seed).unwrap();
-        let pipeline = ModelIr::Dnn(DnnIr::from_mlp(&net)).compile(q()).unwrap();
+        let pipeline = CompiledPipeline::from_ir(&ModelIr::Dnn(DnnIr::from_mlp(&net)), q()).unwrap();
         let tol = pipeline.score_tolerance(2.0).unwrap();
         let mut scratch = Scratch::new();
         for row in 0..16 {
@@ -95,7 +95,7 @@ proptest! {
         });
         let y: Vec<usize> = (0..n).map(|r| r % n_classes).collect();
         let svm = LinearSvm::fit(&x, &y, n_classes, &SvmConfig::default().epochs(15).seed(seed)).unwrap();
-        let pipeline = ModelIr::Svm(SvmIr::from_svm(&svm)).compile(q()).unwrap();
+        let pipeline = CompiledPipeline::from_ir(&ModelIr::Svm(SvmIr::from_svm(&svm)), q()).unwrap();
         let tol = pipeline.score_tolerance(4.0).unwrap();
         let mut scratch = Scratch::new();
         for row in 0..16 {
@@ -120,7 +120,7 @@ proptest! {
             (r % k) as f32 * 1.5 - 3.0 + feature(seed, r, c, 0.3)
         });
         let model = KMeans::fit(&x, &KMeansConfig::new(k).seed(seed)).unwrap();
-        let pipeline = ModelIr::KMeans(KMeansIr::from_kmeans(&model, 2)).compile(q()).unwrap();
+        let pipeline = CompiledPipeline::from_ir(&ModelIr::KMeans(KMeansIr::from_kmeans(&model, 2)), q()).unwrap();
         let tol = pipeline.score_tolerance(4.0).unwrap();
         let mut scratch = Scratch::new();
         for row in 0..16 {
@@ -161,7 +161,7 @@ proptest! {
         )
         .unwrap();
         let ir = TreeIr::from_tree(&tree);
-        let pipeline = ModelIr::Tree(ir.clone()).compile(q()).unwrap();
+        let pipeline = CompiledPipeline::from_ir(&ModelIr::Tree(ir.clone()), q()).unwrap();
         let nodes = ir.nodes.as_ref().unwrap();
         // Disagreement is only legal when some visited split sits within
         // the quantization band of the feature value.
@@ -207,7 +207,7 @@ fn trained_ad_model_agreement_is_high() {
     let mut net = Mlp::new(&arch, 3).unwrap();
     net.train(&x, &y, &TrainConfig::default().epochs(40))
         .unwrap();
-    let pipeline = ModelIr::Dnn(DnnIr::from_mlp(&net)).compile(q()).unwrap();
+    let pipeline = CompiledPipeline::from_ir(&ModelIr::Dnn(DnnIr::from_mlp(&net)), q()).unwrap();
 
     let float = net.predict(&x).unwrap();
     let fixed = homunculus::runtime::classify_rows(&pipeline, &x);

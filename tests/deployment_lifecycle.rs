@@ -18,7 +18,7 @@ use homunculus::backends::model::{ModelIr, SvmIr};
 use homunculus::ml::quantize::FixedPoint;
 use homunculus::ml::tensor::Matrix;
 use homunculus::runtime::{
-    classify_rows, Compile, CompiledPipeline, Deployment, RuntimeError, SchedulePolicy, TenantBatch,
+    classify_rows, CompiledPipeline, Deployment, RuntimeError, SchedulePolicy, TenantBatch,
 };
 use proptest::prelude::*;
 
@@ -28,12 +28,14 @@ fn q() -> FixedPoint {
 
 /// A hand-built binary SVM: class 1 iff `w . x + b >= 0`.
 fn svm_pipeline(weights: Vec<f32>, bias: f32) -> CompiledPipeline {
-    ModelIr::Svm(SvmIr {
-        n_features: weights.len(),
-        n_classes: 2,
-        planes: Some((vec![weights], vec![bias])),
-    })
-    .compile(q())
+    CompiledPipeline::from_ir(
+        &ModelIr::Svm(SvmIr {
+            n_features: weights.len(),
+            n_classes: 2,
+            planes: Some((vec![weights], vec![bias])),
+        }),
+        q(),
+    )
     .unwrap()
 }
 
@@ -140,8 +142,8 @@ fn tenants_added_and_removed_at_runtime() {
     assert_eq!(fresh.wait().len(), 10);
 
     let snapshot = deployment.stats_snapshot();
-    assert!(!snapshot.shares[first.index()].active);
-    assert!(snapshot.shares[second.index()].active);
+    assert!(!snapshot.tenants[first.index()].active);
+    assert!(snapshot.tenants[second.index()].active);
     assert_eq!(snapshot.tenants[first.index()].packets, 20);
 }
 
@@ -196,7 +198,7 @@ fn removed_tenant_with_queued_ingress_rows_completes_accepted_tickets() {
     }
     let snapshot = deployment.stats_snapshot();
     assert_eq!(snapshot.tenants[doomed.index()].packets, 16 * 23);
-    assert!(!snapshot.shares[doomed.index()].active);
+    assert!(!snapshot.tenants[doomed.index()].active);
     assert_eq!(snapshot.queued_rows, 0);
     deployment.shutdown();
 }
@@ -229,7 +231,7 @@ fn staged_weighted_run(
                     &format!("tenant{t}"),
                     svm_pipeline(vec![1.0, 0.0], 0.0),
                     None,
-                    SchedulePolicy::Weighted { weight, min_share },
+                    SchedulePolicy { weight, min_share },
                 )
                 .unwrap()
         })

@@ -13,7 +13,7 @@ use homunculus::fleet::{Fleet, FlowSpec, HopPolicy, RoutingPolicy, Topology};
 use homunculus::ml::mlp::{Activation, Mlp, MlpArchitecture};
 use homunculus::ml::quantize::FixedPoint;
 use homunculus::ml::tensor::Matrix;
-use homunculus::runtime::{classify_rows, Compile, CompiledPipeline, Deployment, TenantBatch};
+use homunculus::runtime::{classify_rows, CompiledPipeline, Deployment, TenantBatch};
 use homunculus::sim::pktgen::{replay_path, LabeledSample, PathReport};
 
 /// Fleet-wide verdict checksum of the reference workload below. The
@@ -118,7 +118,7 @@ fn replay_reference(pipeline: &CompiledPipeline, flow: &FlowSpec, hops: usize) -
 fn gated_flow_matches_replay_path_reference() {
     let ir = model(8, 21);
     let format = FixedPoint::taurus_default();
-    let pipeline = ir.compile(format).expect("ir lowers");
+    let pipeline = CompiledPipeline::from_ir(&ir, format).expect("ir lowers");
 
     let fleet = Fleet::builder(Topology::leaf_spine(2, 1).expect("valid fabric"))
         .model("gate8", &ir, format, None)
@@ -201,7 +201,11 @@ fn fattree16_runs_on_one_executor() {
 
     let outcome = &report.flows[3];
     assert_eq!(outcome.path.len(), 5, "cross-pod paths have 5 hops");
-    let reference = replay_reference(&ir.compile(format).expect("ir lowers"), &flows[3], 5);
+    let reference = replay_reference(
+        &CompiledPipeline::from_ir(&ir, format).expect("ir lowers"),
+        &flows[3],
+        5,
+    );
     assert_eq!(outcome.delivered, reference.delivered);
     assert_eq!(outcome.gated, reference.gated_per_hop.iter().sum::<usize>());
     assert!(outcome.gated > 0 && outcome.delivered > 0);

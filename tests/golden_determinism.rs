@@ -15,9 +15,7 @@ use homunculus::ml::tensor::Matrix;
 use homunculus::ml::tree::{DecisionTreeClassifier, ExportedNode, TreeConfig};
 use homunculus::optimizer::space::{Configuration, DesignSpace, Parameter};
 use homunculus::optimizer::{BayesianOptimizer, Evaluation, OptimizerOptions};
-use homunculus::runtime::{
-    classify_rows, Compile, CompiledPipeline, Deployment, Scratch, TenantBatch,
-};
+use homunculus::runtime::{classify_rows, CompiledPipeline, Deployment, Scratch, TenantBatch};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use serde_json::ToJson;
@@ -118,9 +116,8 @@ fn compiled_pipeline_classification_fingerprint() {
     let ds = NslKddGenerator::new(42).generate(200);
     let norm = ds.fit_normalizer();
     let nds = ds.normalized(&norm).unwrap();
-    let pipeline = handcrafted_dnn_ir()
-        .compile(FixedPoint::taurus_default())
-        .unwrap();
+    let pipeline =
+        CompiledPipeline::from_ir(&handcrafted_dnn_ir(), FixedPoint::taurus_default()).unwrap();
 
     let mut scratch = Scratch::new();
     let verdicts: Vec<usize> = (0..32)
@@ -305,7 +302,7 @@ fn packed_and_scalar_tiers_pin_the_same_golden_checksums() {
     let nds = ds.normalized(&norm).unwrap();
     let format = FixedPoint::taurus_default();
 
-    let packed = handcrafted_dnn_ir().compile(format).unwrap();
+    let packed = CompiledPipeline::from_ir(&handcrafted_dnn_ir(), format).unwrap();
     assert!(
         packed.is_packed(),
         "Q3.12 must lower onto the packed i16 tier by default"

@@ -27,18 +27,20 @@ use homunculus::backends::model::{ModelIr, SvmIr};
 use homunculus::ml::quantize::FixedPoint;
 use homunculus::ml::tensor::Matrix;
 use homunculus::runtime::{
-    classify_rows, Compile, CompiledPipeline, Deployment, RuntimeError, SchedulePolicy, TenantBatch,
+    classify_rows, CompiledPipeline, Deployment, RuntimeError, SchedulePolicy, TenantBatch,
 };
 use proptest::prelude::*;
 
 /// A hand-built binary SVM: class 1 iff `w . x + b >= 0`.
 fn svm_pipeline(weights: Vec<f32>, bias: f32) -> CompiledPipeline {
-    ModelIr::Svm(SvmIr {
-        n_features: weights.len(),
-        n_classes: 2,
-        planes: Some((vec![weights], vec![bias])),
-    })
-    .compile(FixedPoint::taurus_default())
+    CompiledPipeline::from_ir(
+        &ModelIr::Svm(SvmIr {
+            n_features: weights.len(),
+            n_classes: 2,
+            planes: Some((vec![weights], vec![bias])),
+        }),
+        FixedPoint::taurus_default(),
+    )
     .unwrap()
 }
 
@@ -260,7 +262,7 @@ fn staged_windowed_run(
                     &format!("tenant{t}"),
                     svm_pipeline(vec![1.0, 0.0], 0.0),
                     None,
-                    SchedulePolicy::Weighted { weight, min_share },
+                    SchedulePolicy { weight, min_share },
                 )
                 .unwrap()
         })

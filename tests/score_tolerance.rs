@@ -14,7 +14,7 @@
 use homunculus::backends::model::{DnnIr, KMeansIr, ModelIr, SvmIr};
 use homunculus::ml::mlp::{Activation, Mlp, MlpArchitecture};
 use homunculus::ml::quantize::FixedPoint;
-use homunculus::runtime::{Compile, Scratch};
+use homunculus::runtime::{CompiledPipeline, Scratch};
 use proptest::prelude::*;
 
 fn q() -> FixedPoint {
@@ -56,7 +56,7 @@ proptest! {
         // Fresh (untrained) nets carry small random init weights — the
         // trained-scale regime the bound assumes.
         let net = Mlp::new(&arch, seed).unwrap();
-        let pipeline = ModelIr::Dnn(DnnIr::from_mlp(&net)).compile(q()).unwrap();
+        let pipeline = CompiledPipeline::from_ir(&ModelIr::Dnn(DnnIr::from_mlp(&net)), q()).unwrap();
         let tol = pipeline.score_tolerance(INPUT_BOUND).unwrap();
         prop_assert!(tol.is_finite() && tol > 0.0);
         let mut scratch = Scratch::new();
@@ -88,7 +88,7 @@ proptest! {
             n_classes,
             planes: Some((weights.clone(), biases.clone())),
         });
-        let pipeline = ir.compile(q()).unwrap();
+        let pipeline = CompiledPipeline::from_ir(&ir, q()).unwrap();
         let tol = pipeline.score_tolerance(INPUT_BOUND).unwrap();
         let mut scratch = Scratch::new();
         for row in 0..12 {
@@ -117,7 +117,7 @@ proptest! {
             n_classes: 2,
             planes: Some((vec![w.clone()], vec![b])),
         });
-        let pipeline = ir.compile(q()).unwrap();
+        let pipeline = CompiledPipeline::from_ir(&ir, q()).unwrap();
         let tol = pipeline.score_tolerance(INPUT_BOUND).unwrap();
         let mut scratch = Scratch::new();
         for row in 0..12 {
@@ -146,7 +146,7 @@ proptest! {
             n_features,
             centroids: Some(centroids.clone()),
         });
-        let pipeline = ir.compile(q()).unwrap();
+        let pipeline = CompiledPipeline::from_ir(&ir, q()).unwrap();
         let tol = pipeline.score_tolerance(INPUT_BOUND).unwrap();
         let mut scratch = Scratch::new();
         for row in 0..12 {
@@ -176,7 +176,7 @@ proptest! {
         let x = Matrix::from_fn(40, 2, |r, c| value(seed, r, c, INPUT_BOUND));
         let y: Vec<usize> = (0..40).map(|r| usize::from(value(seed, r, 0, 1.0) > 0.0)).collect();
         let tree = DecisionTreeClassifier::fit(&x, &y, 2, &TreeConfig::default().seed(seed)).unwrap();
-        let pipeline = ModelIr::Tree(TreeIr::from_tree(&tree)).compile(q()).unwrap();
+        let pipeline = CompiledPipeline::from_ir(&ModelIr::Tree(TreeIr::from_tree(&tree)), q()).unwrap();
         // Trees are verdict-shaped, not score-shaped: no bound to honor.
         prop_assert!(pipeline.score_tolerance(INPUT_BOUND).is_none());
         prop_assert!(pipeline.scores(&[0.0, 0.0], &mut Scratch::new()).is_none());

@@ -14,7 +14,7 @@ use homunculus::ml::mlp::{Activation, Mlp, MlpArchitecture};
 use homunculus::ml::quantize::FixedPoint;
 use homunculus::ml::tensor::Matrix;
 use homunculus::ml::tree::{DecisionTreeClassifier, TreeConfig};
-use homunculus::runtime::{classify_rows, Compile, CompiledPipeline, Deployment, TenantBatch};
+use homunculus::runtime::{classify_rows, CompiledPipeline, Deployment, TenantBatch};
 
 /// Deterministic pseudo-random value in `[-bound, bound]`.
 fn value(seed: u64, row: usize, col: usize, bound: f32) -> f32 {
@@ -194,7 +194,7 @@ fn eight_tenants_through_the_ring_ingress_match_isolated_runs() {
             deployment
                 .add_tenant(
                     &format!("tenant{index}"),
-                    ir.compile(format).unwrap(),
+                    CompiledPipeline::from_ir(&ir, format).unwrap(),
                     Some(normalizer_for(index)),
                 )
                 .unwrap()
