@@ -809,7 +809,7 @@ pub fn analyze_model(input: &ModelInput<'_>) -> ModelAnalysis {
     // Interval walk: the runtime lowering *is* the analysis — every
     // kernel fact is derived there from the quantized parameters, so the
     // certificates here are exactly what fast-path selection consumes.
-    let (analyzed, certificates) = match CompiledPipeline::from_ir(&input.ir, input.format) {
+    let (analyzed, certificates) = match CompiledPipeline::from_ir(input.ir, input.format) {
         Ok(pipeline) => (
             true,
             pipeline

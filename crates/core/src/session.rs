@@ -304,44 +304,6 @@ where
     }
 }
 
-/// A [`CompileObserver`] that records every event — handy in tests and
-/// for post-hoc timing reports.
-#[derive(Debug, Default)]
-pub struct CollectingObserver {
-    events: std::sync::Mutex<Vec<CompileEvent>>,
-}
-
-impl CollectingObserver {
-    /// An empty collector.
-    pub fn new() -> Self {
-        CollectingObserver::default()
-    }
-
-    /// A snapshot of the events recorded so far, in arrival order.
-    pub fn events(&self) -> Vec<CompileEvent> {
-        self.events.lock().expect("observer poisoned").clone()
-    }
-
-    /// Number of recorded events matching `predicate`.
-    pub fn count(&self, predicate: impl Fn(&CompileEvent) -> bool) -> usize {
-        self.events
-            .lock()
-            .expect("observer poisoned")
-            .iter()
-            .filter(|e| predicate(e))
-            .count()
-    }
-}
-
-impl CompileObserver for CollectingObserver {
-    fn on_event(&self, event: &CompileEvent) {
-        self.events
-            .lock()
-            .expect("observer poisoned")
-            .push(event.clone());
-    }
-}
-
 /// A [`CompileObserver`] that renders every event as one timestamped,
 /// human-readable line on an [`io::Write`](std::io::Write) sink —
 /// the service-mode answer to ad-hoc `println!` closures. Timestamps are
@@ -1695,6 +1657,31 @@ mod tests {
     use crate::alchemy::Metric;
     use homunculus_datasets::nslkdd::NslKddGenerator;
 
+    /// Records every event, in arrival order.
+    #[derive(Default)]
+    struct CollectingObserver(Mutex<Vec<CompileEvent>>);
+
+    impl CollectingObserver {
+        fn events(&self) -> Vec<CompileEvent> {
+            self.0.lock().unwrap().clone()
+        }
+
+        fn count(&self, predicate: impl Fn(&CompileEvent) -> bool) -> usize {
+            self.0
+                .lock()
+                .unwrap()
+                .iter()
+                .filter(|e| predicate(e))
+                .count()
+        }
+    }
+
+    impl CompileObserver for CollectingObserver {
+        fn on_event(&self, event: &CompileEvent) {
+            self.0.lock().unwrap().push(event.clone());
+        }
+    }
+
     fn tiny_options() -> CompilerOptions {
         CompilerOptions {
             bo_budget: 6,
@@ -1782,7 +1769,7 @@ mod tests {
     #[test]
     fn observer_sees_stage_brackets_and_iterations() {
         let platform = ad_platform(500);
-        let observer = Arc::new(CollectingObserver::new());
+        let observer = Arc::new(CollectingObserver::default());
         let start = std::time::Instant::now();
         let artifact = Compiler::new(tiny_options())
             .observe(observer.clone())
@@ -2092,7 +2079,7 @@ mod tests {
     fn deadline_degrades_to_partial_artifact() {
         let mut options = tiny_options();
         options.time_budget = Some(std::time::Duration::ZERO);
-        let observer = Arc::new(CollectingObserver::new());
+        let observer = Arc::new(CollectingObserver::default());
         let artifact = Compiler::new(options)
             .observe(observer.clone())
             .open(&ad_platform(500))

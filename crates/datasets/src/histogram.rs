@@ -11,8 +11,9 @@
 //!   *fusing* adjacent bins — a 5x memory saving that lets a switch track
 //!   5x more flows (§5.1.2).
 //!
-//! This module implements the generic [`Histogram`], the combined
-//! [`Flowmarker`], and bin fusion.
+//! This module implements the generic [`Histogram`] and the combined
+//! [`Flowmarker`]; the reduced marker is configured directly with the
+//! fused bin widths ([`FlowmarkerConfig::paper_reduced`]).
 //!
 //! # Example
 //!
@@ -32,7 +33,7 @@
 //!         .build();
 //!     marker.observe(&pkt);
 //! }
-//! assert_eq!(marker.packet_count(), 10);
+//! assert_eq!(marker.packet_length().total(), 10);
 //! assert_eq!(marker.feature_vector().len(), 30);
 //! # Ok(())
 //! # }
@@ -89,16 +90,6 @@ impl Histogram {
         })
     }
 
-    /// The width of each bin.
-    pub fn bin_width(&self) -> f64 {
-        self.bin_width
-    }
-
-    /// Number of bins.
-    pub fn bins(&self) -> usize {
-        self.counts.len()
-    }
-
     /// The per-bin counts.
     pub fn counts(&self) -> &[u64] {
         &self.counts
@@ -126,54 +117,6 @@ impl Histogram {
     /// Resets all counts to zero.
     pub fn clear(&mut self) {
         self.counts.iter_mut().for_each(|c| *c = 0);
-    }
-
-    /// Fuses groups of `factor` adjacent bins into single bins.
-    ///
-    /// The trailing partial group (if any) becomes one final bin, so counts
-    /// are conserved exactly. This is the FlowLens memory-reduction
-    /// operation the paper applies to shrink 151-bin markers to 30 bins.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DatasetError::Invalid`] when `factor == 0`.
-    pub fn fuse(&self, factor: usize) -> Result<Histogram> {
-        if factor == 0 {
-            return Err(DatasetError::Invalid(
-                "fusion factor must be positive".into(),
-            ));
-        }
-        let counts: Vec<u64> = self
-            .counts
-            .chunks(factor)
-            .map(|chunk| chunk.iter().sum())
-            .collect();
-        Ok(Histogram {
-            bin_width: self.bin_width * factor as f64,
-            counts,
-        })
-    }
-
-    /// Truncates to the first `bins` bins, folding the overflow into the
-    /// (new) last bin so totals are conserved.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DatasetError::Invalid`] when `bins == 0`.
-    pub fn truncate(&self, bins: usize) -> Result<Histogram> {
-        if bins == 0 {
-            return Err(DatasetError::Invalid("need at least one bin".into()));
-        }
-        if bins >= self.counts.len() {
-            return Ok(self.clone());
-        }
-        let mut counts: Vec<u64> = self.counts[..bins].to_vec();
-        let overflow: u64 = self.counts[bins..].iter().sum();
-        *counts.last_mut().expect("bins >= 1") += overflow;
-        Ok(Histogram {
-            bin_width: self.bin_width,
-            counts,
-        })
     }
 
     /// Counts normalized to frequencies (empty histogram yields zeros).
@@ -238,7 +181,6 @@ pub struct Flowmarker {
     pl: Histogram,
     ipt: Histogram,
     last_timestamp_ns: Option<u64>,
-    packet_count: u64,
 }
 
 impl Flowmarker {
@@ -253,7 +195,6 @@ impl Flowmarker {
             ipt: Histogram::new(config.ipt_bin_seconds, config.ipt_bins)?,
             config,
             last_timestamp_ns: None,
-            packet_count: 0,
         })
     }
 
@@ -272,11 +213,6 @@ impl Flowmarker {
         &self.ipt
     }
 
-    /// Number of packets observed.
-    pub fn packet_count(&self) -> u64 {
-        self.packet_count
-    }
-
     /// Ingests one packet: records its length, and (from the second packet
     /// on) the gap since the previous packet.
     pub fn observe(&mut self, packet: &Packet) {
@@ -286,7 +222,6 @@ impl Flowmarker {
             self.ipt.observe(gap_s);
         }
         self.last_timestamp_ns = Some(packet.timestamp_ns);
-        self.packet_count += 1;
     }
 
     /// The concatenated, normalized PL+IPT feature vector the BD models
@@ -302,7 +237,6 @@ impl Flowmarker {
         self.pl.clear();
         self.ipt.clear();
         self.last_timestamp_ns = None;
-        self.packet_count = 0;
     }
 }
 
@@ -340,33 +274,6 @@ mod tests {
     }
 
     #[test]
-    fn fuse_conserves_total_and_scales_width() {
-        let mut h = Histogram::new(64.0, 10).unwrap();
-        for v in [1.0, 100.0, 200.0, 300.0, 500.0, 639.0, 640.0] {
-            h.observe(v);
-        }
-        let fused = h.fuse(4).unwrap();
-        assert_eq!(fused.bins(), 3); // ceil(10/4)
-        assert_eq!(fused.total(), h.total());
-        assert_eq!(fused.bin_width(), 256.0);
-        assert!(h.fuse(0).is_err());
-    }
-
-    #[test]
-    fn truncate_folds_overflow() {
-        let mut h = Histogram::new(1.0, 6).unwrap();
-        for v in 0..6 {
-            h.observe(v as f64 + 0.5);
-        }
-        let t = h.truncate(3).unwrap();
-        assert_eq!(t.bins(), 3);
-        assert_eq!(t.total(), h.total());
-        assert_eq!(t.counts(), &[1, 1, 4]);
-        assert!(h.truncate(0).is_err());
-        assert_eq!(h.truncate(10).unwrap(), h);
-    }
-
-    #[test]
     fn normalized_sums_to_one_or_zero() {
         let mut h = Histogram::new(1.0, 4).unwrap();
         assert_eq!(h.normalized(), vec![0.0; 4]);
@@ -393,7 +300,6 @@ mod tests {
         m.observe(&b.build());
         assert_eq!(m.inter_packet_time().total(), 1);
         assert_eq!(m.packet_length().total(), 2);
-        assert_eq!(m.packet_count(), 2);
     }
 
     #[test]
@@ -409,48 +315,10 @@ mod tests {
         b.timestamp_ns(5).size_bytes(128);
         m.observe(&b.build());
         m.clear();
-        assert_eq!(m.packet_count(), 0);
         assert_eq!(m.packet_length().total() + m.inter_packet_time().total(), 0);
     }
 
-    #[test]
-    fn fusing_original_produces_reduced_scale() {
-        // 94 PL bins fused by 4 -> 24 bins (ours keeps 23 by construction;
-        // the partial tail group makes the difference).
-        let h = Histogram::new(64.0, 94).unwrap();
-        let fused = h.fuse(4).unwrap();
-        assert_eq!(fused.bins(), 24);
-        let h = Histogram::new(512.0, 57).unwrap();
-        let fused = h.fuse(8).unwrap();
-        assert_eq!(fused.bins(), 8);
-    }
-
     proptest! {
-        #[test]
-        fn prop_total_conserved_under_fuse(
-            values in proptest::collection::vec(0.0f64..10_000.0, 0..200),
-            factor in 1usize..10,
-        ) {
-            let mut h = Histogram::new(64.0, 20).unwrap();
-            for v in &values {
-                h.observe(*v);
-            }
-            let fused = h.fuse(factor).unwrap();
-            prop_assert_eq!(fused.total(), h.total());
-        }
-
-        #[test]
-        fn prop_total_conserved_under_truncate(
-            values in proptest::collection::vec(0.0f64..10_000.0, 0..200),
-            bins in 1usize..25,
-        ) {
-            let mut h = Histogram::new(64.0, 20).unwrap();
-            for v in &values {
-                h.observe(*v);
-            }
-            let t = h.truncate(bins).unwrap();
-            prop_assert_eq!(t.total(), h.total());
-        }
 
         #[test]
         fn prop_bin_of_in_range(value in -1e7f64..1e7, width in 0.1f64..1e4, bins in 1usize..100) {

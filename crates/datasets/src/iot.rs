@@ -53,17 +53,6 @@ impl DeviceClass {
             .position(|&c| c == self)
             .expect("member of ALL")
     }
-
-    /// Lowercase device name.
-    pub fn name(self) -> &'static str {
-        match self {
-            DeviceClass::Camera => "camera",
-            DeviceClass::Thermostat => "thermostat",
-            DeviceClass::Speaker => "speaker",
-            DeviceClass::Bulb => "bulb",
-            DeviceClass::Hub => "hub",
-        }
-    }
 }
 
 /// Difficulty knobs for the IoT generator.
@@ -237,7 +226,6 @@ mod tests {
     fn device_labels_stable() {
         assert_eq!(DeviceClass::Camera.label(), 0);
         assert_eq!(DeviceClass::Hub.label(), 4);
-        assert_eq!(DeviceClass::Bulb.name(), "bulb");
     }
 
     #[test]

@@ -44,16 +44,6 @@ pub enum P2pApp {
 }
 
 impl P2pApp {
-    /// All applications, botnets first.
-    pub const ALL: [P2pApp; 6] = [
-        P2pApp::Storm,
-        P2pApp::Waledac,
-        P2pApp::UTorrent,
-        P2pApp::Vuze,
-        P2pApp::EMule,
-        P2pApp::FrostWire,
-    ];
-
     /// Whether the application is a botnet.
     pub fn is_botnet(self) -> bool {
         matches!(self, P2pApp::Storm | P2pApp::Waledac)
@@ -62,18 +52,6 @@ impl P2pApp {
     /// Binary label: benign = 0, botnet = 1.
     pub fn label(self) -> usize {
         usize::from(self.is_botnet())
-    }
-
-    /// Lowercase application name.
-    pub fn name(self) -> &'static str {
-        match self {
-            P2pApp::Storm => "storm",
-            P2pApp::Waledac => "waledac",
-            P2pApp::UTorrent => "utorrent",
-            P2pApp::Vuze => "vuze",
-            P2pApp::EMule => "emule",
-            P2pApp::FrostWire => "frostwire",
-        }
     }
 }
 

@@ -61,21 +61,6 @@ pub struct TcpFlags {
     pub psh: bool,
 }
 
-impl TcpFlags {
-    /// All bits clear.
-    pub fn none() -> Self {
-        TcpFlags::default()
-    }
-
-    /// A SYN-only packet (connection attempt).
-    pub fn syn() -> Self {
-        TcpFlags {
-            syn: true,
-            ..TcpFlags::default()
-        }
-    }
-}
-
 /// A parsed packet as seen by the data plane.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Packet {
@@ -168,12 +153,6 @@ impl PacketBuilder {
         self
     }
 
-    /// Sets the TCP flags.
-    pub fn flags(&mut self, flags: TcpFlags) -> &mut Self {
-        self.packet.flags = flags;
-        self
-    }
-
     /// Finishes the build.
     pub fn build(&self) -> Packet {
         self.packet.clone()
@@ -200,14 +179,12 @@ mod tests {
             .src_port(1234)
             .dst_port(443)
             .protocol(Protocol::Udp)
-            .flags(TcpFlags::syn())
             .build();
         assert_eq!(pkt.timestamp_ns, 123);
         assert_eq!(pkt.size_bytes, 1500);
         assert_eq!(pkt.src_port, 1234);
         assert_eq!(pkt.dst_port, 443);
         assert_eq!(pkt.protocol, Protocol::Udp);
-        assert!(pkt.flags.syn);
     }
 
     #[test]

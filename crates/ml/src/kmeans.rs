@@ -40,12 +40,6 @@ impl KMeansConfig {
         self.seed = seed;
         self
     }
-
-    /// Sets the maximum number of Lloyd iterations.
-    pub fn max_iters(mut self, iters: usize) -> Self {
-        self.max_iters = iters;
-        self
-    }
 }
 
 /// A fitted KMeans model.
@@ -74,7 +68,6 @@ impl KMeansConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct KMeans {
     centroids: Vec<Vec<f32>>,
-    inertia: f32,
     iterations: usize,
 }
 
@@ -109,7 +102,7 @@ impl KMeans {
             iterations = iter + 1;
             // Assignment step.
             for (i, row) in x.iter_rows().enumerate() {
-                assignments[i] = nearest(&centroids, row).0;
+                assignments[i] = nearest(&centroids, row);
             }
             // Update step.
             let mut sums = vec![vec![0.0f32; x.cols()]; config.k];
@@ -143,13 +136,8 @@ impl KMeans {
             }
         }
 
-        let inertia = x
-            .iter_rows()
-            .map(|row| nearest(&centroids, row).1)
-            .sum::<f32>();
         Ok(KMeans {
             centroids,
-            inertia,
             iterations,
         })
     }
@@ -162,11 +150,6 @@ impl KMeans {
     /// The fitted centroids (one `Vec` per cluster).
     pub fn centroids(&self) -> &[Vec<f32>] {
         &self.centroids
-    }
-
-    /// Sum of squared distances of samples to their nearest centroid.
-    pub fn inertia(&self) -> f32 {
-        self.inertia
     }
 
     /// Number of Lloyd iterations actually run.
@@ -189,7 +172,7 @@ impl KMeans {
     ///
     /// Panics if `features.len()` differs from the training dimensionality.
     pub fn predict_row(&self, features: &[f32]) -> usize {
-        nearest(&self.centroids, features).0
+        nearest(&self.centroids, features)
     }
 }
 
@@ -233,8 +216,8 @@ fn plus_plus_init(x: &Matrix, k: usize, rng: &mut StdRng) -> Vec<Vec<f32>> {
     centroids
 }
 
-/// Index and squared distance of the nearest centroid.
-fn nearest(centroids: &[Vec<f32>], row: &[f32]) -> (usize, f32) {
+/// Index of the nearest centroid.
+fn nearest(centroids: &[Vec<f32>], row: &[f32]) -> usize {
     let mut best = 0;
     let mut best_d = f32::INFINITY;
     for (i, c) in centroids.iter().enumerate() {
@@ -244,7 +227,7 @@ fn nearest(centroids: &[Vec<f32>], row: &[f32]) -> (usize, f32) {
             best_d = d;
         }
     }
-    (best, best_d)
+    best
 }
 
 #[cfg(test)]
@@ -278,28 +261,6 @@ mod tests {
         let pred = model.predict(&x);
         let v = crate::metrics::v_measure(&labels, &pred).unwrap();
         assert!(v.v_measure > 0.95, "v-measure {}", v.v_measure);
-    }
-
-    #[test]
-    fn inertia_decreases_with_k() {
-        let (x, _) = blobs(3, 20);
-        let mut last = f32::INFINITY;
-        for k in 1..=4 {
-            let model = KMeans::fit(&x, &KMeansConfig::new(k).seed(0)).unwrap();
-            assert!(
-                model.inertia() <= last + 1e-3,
-                "inertia should not increase with k: k={k} {} > {last}",
-                model.inertia()
-            );
-            last = model.inertia();
-        }
-    }
-
-    #[test]
-    fn k_equal_n_gives_zero_inertia() {
-        let x = Matrix::from_rows(&[vec![0.0, 0.0], vec![1.0, 1.0], vec![2.0, 2.0]]).unwrap();
-        let model = KMeans::fit(&x, &KMeansConfig::new(3)).unwrap();
-        assert!(model.inertia() < 1e-6);
     }
 
     #[test]
@@ -342,11 +303,5 @@ mod tests {
             }
         }
 
-        #[test]
-        fn prop_inertia_nonnegative(seed in 0u64..30) {
-            let (x, _) = blobs(seed, 8);
-            let model = KMeans::fit(&x, &KMeansConfig::new(2).seed(seed)).unwrap();
-            prop_assert!(model.inertia() >= 0.0);
-        }
     }
 }

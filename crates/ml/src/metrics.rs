@@ -21,7 +21,7 @@ use crate::{MlError, Result};
 /// let cm = ConfusionMatrix::from_labels(2, &[0, 0, 1, 1], &[0, 1, 1, 1])?;
 /// assert_eq!(cm.count(0, 0), 1); // one true negative
 /// assert_eq!(cm.count(0, 1), 1); // one false positive
-/// assert!((cm.accuracy() - 0.75).abs() < 1e-6);
+/// assert!((cm.f1(1) - 0.8).abs() < 1e-6); // precision 2/3, recall 1
 /// # Ok(())
 /// # }
 /// ```
@@ -64,11 +64,6 @@ impl ConfusionMatrix {
         Ok(ConfusionMatrix { n_classes, counts })
     }
 
-    /// Number of classes.
-    pub fn n_classes(&self) -> usize {
-        self.n_classes
-    }
-
     /// Count of samples with true class `t` predicted as `p`.
     ///
     /// # Panics
@@ -80,21 +75,6 @@ impl ConfusionMatrix {
             "class out of range"
         );
         self.counts[t * self.n_classes + p]
-    }
-
-    /// Total number of samples.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Fraction of correctly classified samples (0 when empty).
-    pub fn accuracy(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let correct: u64 = (0..self.n_classes).map(|i| self.count(i, i)).sum();
-        correct as f64 / total as f64
     }
 
     /// Precision for `class`: TP / (TP + FP). Zero when undefined.
@@ -308,8 +288,6 @@ mod tests {
         assert_eq!(cm.count(1, 2), 1);
         assert_eq!(cm.count(1, 1), 1);
         assert_eq!(cm.count(2, 2), 1);
-        assert_eq!(cm.total(), 4);
-        assert!((cm.accuracy() - 0.75).abs() < 1e-9);
     }
 
     #[test]

@@ -40,9 +40,9 @@
 //! [`PackedFixed::quantize_into_packed`] size the output with
 //! `resize(n, 0)` and then fill it through `iter_mut().zip(..)`. Spelled
 //! as `out.clear(); out.extend(values.iter().map(..))` the same packers
-//! read +15 ns per row on every family of the serving path (hbench
-//! `block_ns`, traced twice: tree 20 → 38, SVM 20 → 34, KMeans 50 → 61,
-//! DNN 117 → 160), so they stay in-place loops.
+//! cost about 15 ns more per row on every family of the serving path
+//! (readings: CHANGES.md, *one packed lane, one build*), so they stay
+//! in-place loops.
 //!
 //! # Quantizing without branches
 //!
@@ -508,9 +508,8 @@ impl Rounder {
 // real output keeps its bits. The fused tile compiles to `pmaddwd`
 // products and a `psrad` by a register count, not to scalar `imul`: a
 // second tile with the shift a constant at Q3.12 (`psrad $0xc`) read
-// x1.020 `fleet_fabric` `pkt_per_s` against it (6/10 alternating pairs,
-// inside the parent's own spread), so there is one tile for every
-// format. Under an identity epilogue rustc even keeps the sums in 16-bit
+// level against it (CHANGES.md, *one pass per dense tile*), so there is
+// one tile for every format. Under an identity epilogue rustc even keeps the sums in 16-bit
 // lanes (`paddw`), which gives the same bits: `as i16` keeps a sum
 // modulo 2^16, and two's-complement addition commutes with that
 // truncation.

@@ -355,44 +355,6 @@ impl Matrix {
         out
     }
 
-    /// Element-wise in-place addition.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::ShapeMismatch`] when shapes differ.
-    pub fn add_assign(&mut self, rhs: &Matrix) -> Result<()> {
-        if self.shape() != rhs.shape() {
-            return Err(MlError::ShapeMismatch {
-                op: "add_assign",
-                left: self.shape(),
-                right: rhs.shape(),
-            });
-        }
-        for (a, b) in self.data.iter_mut().zip(&rhs.data) {
-            *a += b;
-        }
-        Ok(())
-    }
-
-    /// Element-wise in-place subtraction.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::ShapeMismatch`] when shapes differ.
-    pub fn sub_assign(&mut self, rhs: &Matrix) -> Result<()> {
-        if self.shape() != rhs.shape() {
-            return Err(MlError::ShapeMismatch {
-                op: "sub_assign",
-                left: self.shape(),
-                right: rhs.shape(),
-            });
-        }
-        for (a, b) in self.data.iter_mut().zip(&rhs.data) {
-            *a -= b;
-        }
-        Ok(())
-    }
-
     /// Multiplies every element by `s` in place.
     pub fn scale(&mut self, s: f32) {
         for v in &mut self.data {
@@ -512,28 +474,6 @@ impl Matrix {
             cols: self.cols,
             data,
         })
-    }
-
-    /// Concatenates two matrices horizontally (`self` left of `right`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::ShapeMismatch`] when row counts differ.
-    pub fn hstack(&self, right: &Matrix) -> Result<Matrix> {
-        if self.rows != right.rows {
-            return Err(MlError::ShapeMismatch {
-                op: "hstack",
-                left: self.shape(),
-                right: right.shape(),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, self.cols + right.cols);
-        for r in 0..self.rows {
-            let dst = &mut out.data[r * (self.cols + right.cols)..];
-            dst[..self.cols].copy_from_slice(self.row(r));
-            dst[self.cols..self.cols + right.cols].copy_from_slice(right.row(r));
-        }
-        Ok(out)
     }
 }
 
@@ -749,7 +689,6 @@ mod tests {
             a.vstack(&b).unwrap(),
             mat(&[vec![1.0, 2.0], vec![3.0, 4.0]])
         );
-        assert_eq!(a.hstack(&b).unwrap(), mat(&[vec![1.0, 2.0, 3.0, 4.0]]));
         let bad = Matrix::zeros(1, 3);
         assert!(a.vstack(&bad).is_err());
     }

@@ -132,13 +132,8 @@ impl Parameter {
         }
     }
 
-    /// A neighbor of `value` for local-perturbation candidate generation.
-    pub fn perturb(&self, value: &ParamValue, rng: &mut StdRng) -> ParamValue {
-        self.perturb_scaled(value, rng, 1.0)
-    }
-
-    /// Like [`Parameter::perturb`] but with the step width scaled by
-    /// `scale` (in `(0, 1]`). Small scales give fine-grained exploitation
+    /// A neighbor of `value` for local-perturbation candidate generation,
+    /// with the step width scaled by `scale` (in `(0, 1]`). Small scales give fine-grained exploitation
     /// moves around an incumbent; the driver mixes several scales per
     /// iteration.
     pub fn perturb_scaled(&self, value: &ParamValue, rng: &mut StdRng, scale: f64) -> ParamValue {
@@ -402,13 +397,8 @@ impl DesignSpace {
     }
 
     /// A local perturbation of `base` (each parameter nudged with
-    /// probability 1/2, at least one always changed).
-    pub fn perturb(&self, base: &Configuration, rng: &mut StdRng) -> Configuration {
-        self.perturb_scaled(base, rng, 1.0)
-    }
-
-    /// Like [`DesignSpace::perturb`] with every parameter's step width
-    /// scaled by `scale` (see [`Parameter::perturb_scaled`]).
+    /// probability 1/2, at least one always changed), every parameter's
+    /// step width scaled by `scale` (see [`Parameter::perturb_scaled`]).
     pub fn perturb_scaled(
         &self,
         base: &Configuration,
@@ -555,7 +545,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let base = s.sample(&mut rng);
         for _ in 0..200 {
-            let p = s.perturb(&base, &mut rng);
+            let p = s.perturb_scaled(&base, &mut rng, 1.0);
             assert!(s.contains(&p), "{p:?}");
         }
     }
@@ -617,7 +607,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut v = p.sample(&mut rng);
             for _ in 0..50 {
-                v = p.perturb(&v, &mut rng);
+                v = p.perturb_scaled(&v, &mut rng, 1.0);
                 prop_assert!(p.contains(&v));
             }
         }

@@ -19,9 +19,9 @@
 //! branch-free loop (`PackedFixed::quantize_normalized_into_packed` on the
 //! packed tier). The loop reads `mean` and `std` at each value's own
 //! index, from a tenant's normalizer tiled `BLOCK_ROWS` times, which is
-//! built once when the tenant is registered: a prototype that built the
-//! tiles on every call read hbench `deploy_trickle`'s p50 ×1.45 worse, as
-//! a 16-row ticket paid for 32 rows of tiles. Each z-score is the one
+//! built once when the tenant is registered: built on every call, the
+//! tiles would make a 16-row ticket pay for 32 rows of them (readings:
+//! CHANGES.md, *one branch-free ingress pass*). Each z-score is the one
 //! `Normalizer::apply` computes, in the same `f32` operations, so the
 //! quantized block is bit-identical to normalizing a copy row by row and
 //! then quantizing it, as the per-row reference does

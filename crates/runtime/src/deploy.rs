@@ -27,9 +27,9 @@
 //!   [`remove_tenant`](Deployment::remove_tenant)), and
 //!   [`stats_snapshot`](Deployment::stats_snapshot) reads live counters;
 //! - each tenant carries a [`SchedulePolicy`]: a weighted share (equal
-//!   weights by default, hence round robin) with an optional **minimum-share floor** — the paper's
-//!   per-model throughput guarantees — accounted over a **decaying
-//!   window** ([`fairness_window_rows`](DeploymentBuilder::fairness_window_rows)),
+//!   weights by default, hence round robin) with an optional
+//!   **minimum-share floor** — the paper's per-model throughput
+//!   guarantees — accounted over a **decaying window** ([`fairness_window_rows`](DeploymentBuilder::fairness_window_rows)),
 //!   so a late joiner is owed at most one window of catch-up;
 //! - [`drain`](Deployment::drain) and [`shutdown`](Deployment::shutdown)
 //!   complete every accepted ticket; shutdown refuses new ones.
@@ -79,15 +79,14 @@
 //! pool.
 //!
 //! **Nothing polls, and an idle worker parks at once.** A ticket that
-//! reaches a parked worker pays a futex wake: 8–11 µs on hbench
-//! `deploy_trickle` (16-row tickets, 2 vCPUs) against ~0.5 µs of kernel.
-//! A busy-wait before parking would hide it at the cost of a busy core and
-//! a worse tail, and buys little: an idle submit classifies a lone small
-//! ticket itself (below), so trickle's tickets rarely reach a worker. The
-//! one hbench workload it still served is `fleet_fabric`, whose chained
-//! hops find a parked worker as its queue drains: without it, ~5 % less
-//! `pkt_per_s`. The fleet now sizes its pool to leave its caller a core,
-//! so the caller's blocked wait classifies those hops instead.
+//! reaches a parked worker pays a futex wake, many times a small ticket's
+//! kernel. A busy-wait before parking would hide it at the cost of a busy
+//! core and a worse tail, and buys little: an idle submit classifies a
+//! lone small ticket itself (below), so small tickets rarely reach a
+//! worker, and the fleet sizes its pool to leave its caller a core, whose
+//! blocked wait classifies the chained hops that would otherwise find a
+//! parked worker (readings: CHANGES.md, *the spin before parking is
+//! deleted*).
 //!
 //! # A blocked wait classifies
 //!
@@ -119,23 +118,19 @@
 //!   them; a panic inside a helper lands on the chunk's own ticket, like a
 //!   worker's.
 //!
-//! On hbench `deploy_bulk` (2 vCPUs, one worker, so one slot; the
-//! generator blocks in `wait` on its oldest of 8 one-chunk tickets) this
-//! read 6.11 → 11.65 M pkt/s and a p50 of 664 → 333 µs (medians of 10
-//! alternating pairs, 10/10), and the process's CPU per 20 s run went
-//! from 23.8 to 42.5 s: the second core now classifies. `deploy_trickle`,
-//! whose generator polls [`Ticket::is_done`], helps only while it sets
-//! up. `fleet_fabric`'s pool used to fill the cores and leave no slot;
-//! the fleet now runs one worker fewer than the cores (never fewer than
-//! requested), and its `Fleet::run` caller takes the slot.
+//! With one worker on two cores, this is what puts the second core to
+//! work for a caller that blocks on its oldest ticket (readings:
+//! CHANGES.md, *a blocked `Ticket::wait` classifies*); a caller that polls
+//! [`Ticket::is_done`] never helps. The fleet runs one worker fewer than
+//! the cores (never fewer than requested), so its `Fleet::run` caller
+//! takes the slot.
 //!
 //! # An idle submit classifies
 //!
-//! A lone small ticket handed to a worker is mostly hand-off: on hbench
-//! `deploy_trickle` (16-row tickets, 2 vCPUs) ~0.5 µs of kernel inside
-//! ~4.8 µs of admit → wake → ticket done, even with a busy-wait before
-//! parking that kept a core busy to hide the futex wake. The data plane
-//! this twins classifies a packet where it arrives. So [`submit`](Deployment::submit)
+//! A lone small ticket handed to a worker is mostly hand-off: admit, wake
+//! and completion cost several times its kernel, even with a busy-wait
+//! before parking to hide the futex wake. The data plane this twins
+//! classifies a packet where it arrives. So [`submit`](Deployment::submit)
 //! and [`try_submit`](Deployment::try_submit) classify a ticket on the
 //! caller's thread, and return it done, when all of these hold:
 //!
@@ -175,17 +170,10 @@
 //!
 //! Each cell's six runs spread by 10–30 %, wider than any move in it.
 //!
-//! On hbench `deploy_trickle` (40 000 tickets/s of 16 rows, a third of
-//! capacity, so the gaps between tickets outlast their classify time)
-//! 98.6 % of tickets are served inline: `latency_p50_us` read 4.96 → 2.53
-//! µs (medians of 10 alternating pairs, 10/10; 4.85 → 2.88 µs, 5/5, on
-//! held-out seeds), and the process's CPU per 20 s run fell from 41.3 to
-//! 21.5 s, because the worker parks instead of busy-waiting. `deploy_bulk`
-//! (512-row tickets), `compile_search` (256-row probes) and `fleet_fabric`
-//! (its pool fills the cores, so it has no slot) never qualify, and read
-//! level. With the vectorized ingress pass and completions that signal
-//! only a sleeper (below), the same workload's p50 reads about 2.0 µs in
-//! this host's slow mode and 1.1–1.7 µs in its fast one.
+//! An open loop of small tickets at a fraction of capacity, whose gaps
+//! outlast a ticket's classify time, is then served almost entirely
+//! inline; a ticket of more than one block never qualifies (readings:
+//! CHANGES.md, *an idle submit classifies*).
 //!
 //! # Completion makes no system call
 //!
@@ -219,15 +207,9 @@
 //! | uncontended `Mutex` lock and unlock | 18–22 ns |
 //! | `Vec` allocation and free | 43–49 ns |
 //!
-//! On hbench `deploy_trickle` (2 vCPUs, 16-row tickets nearly all served
-//! inline, so nearly every completion signalled nobody), together with
-//! the single tree's walk of full row groups in registers,
-//! `latency_p50_us` read 2.41 → 1.99 µs (medians of 10 alternating 20 s
-//! pairs, 9/10; the parent's quartiles 2.36–2.51 µs) and 2.24 → 1.63 µs
-//! on held-out seeds (5/5), and 2.18 → 1.72 µs (10/10) on a third set of
-//! 10; the completion change alone read 2.28 → 2.02 µs (8/10) and 2.26 →
-//! 1.86 µs (4/5). The process's CPU per run held at 21.4–21.5 s. `deploy_bulk`, `fleet_fabric` and `compile_search` save at
-//! most one system call per 512-row ticket and read level.
+//! A ticket served inline is completed by its own submitter, so nobody
+//! sleeps on it and its completion makes no system call at all (readings:
+//! CHANGES.md, *a finished ticket makes no system call*).
 //!
 //! # Determinism contract
 //!

@@ -29,10 +29,9 @@ const SUBS: u64 = 1 << SUB_BITS;
 ///     hist.record(ns);
 /// }
 /// assert_eq!(hist.count(), 5);
-/// // The raw p50 is 140; the histogram answers within one bucket width.
-/// let p50 = hist.quantile(0.5);
-/// let (_, width) = LatencyHistogram::bucket_bounds(140);
-/// assert!(p50.abs_diff(140) <= width);
+/// // The raw p50 is 140; the histogram answers within one bucket width
+/// // (4 ns from 128 to 256: 32 buckets per power of two).
+/// assert!(hist.quantile(0.5).abs_diff(140) <= 4);
 /// ```
 #[derive(Debug, Clone)]
 pub struct LatencyHistogram {
@@ -73,11 +72,11 @@ impl LatencyHistogram {
         ((msb - u64::from(SUB_BITS) + 1) * SUBS + sub) as usize
     }
 
-    /// `(lower bound, width)` of the bucket containing `ns`. Every sample
-    /// in a bucket is within `width` of its representative value, which
-    /// bounds the quantile error.
-    pub fn bucket_bounds(ns: u64) -> (u64, u64) {
-        let index = Self::bucket_index(ns) as u64;
+    /// `(lower bound, width)` of bucket `index`. Every sample in a bucket
+    /// is within `width` of its representative value, which bounds the
+    /// quantile error.
+    fn bounds(index: usize) -> (u64, u64) {
+        let index = index as u64;
         if index < SUBS {
             return (index, 1);
         }
@@ -90,14 +89,8 @@ impl LatencyHistogram {
     /// Representative value reported for a bucket: its midpoint (the
     /// lower bound itself for exact, width-1 buckets).
     fn representative(index: usize) -> u64 {
-        let index = index as u64;
-        if index < SUBS {
-            return index;
-        }
-        let exponent = index / SUBS;
-        let sub = index % SUBS;
-        let width = 1u64 << (exponent - 1);
-        (SUBS + sub) * width + width / 2
+        let (lower, width) = Self::bounds(index);
+        lower + width / 2
     }
 
     /// Folds one sample in. O(1), no allocation.
@@ -181,7 +174,7 @@ mod tests {
             let index = LatencyHistogram::bucket_index(ns);
             assert!(index >= last || ns < 4096, "index regressed at {ns}");
             assert!(index < LatencyHistogram::BUCKETS);
-            let (lower, width) = LatencyHistogram::bucket_bounds(ns);
+            let (lower, width) = LatencyHistogram::bounds(index);
             assert!(ns >= lower && ns < lower + width, "bounds wrong at {ns}");
             let rep = LatencyHistogram::representative(index);
             assert!(rep >= lower && rep < lower + width, "rep outside at {ns}");
@@ -238,7 +231,7 @@ mod tests {
             for q in [0.5, 0.99] {
                 let raw = raw_percentile(&sorted, q);
                 let compact = hist.quantile(q);
-                let (_, width) = LatencyHistogram::bucket_bounds(raw);
+                let (_, width) = LatencyHistogram::bounds(LatencyHistogram::bucket_index(raw));
                 assert!(
                     compact.abs_diff(raw) <= width,
                     "distribution {d}, q{q}: histogram {compact} vs raw {raw} \

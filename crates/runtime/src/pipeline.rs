@@ -669,8 +669,8 @@ impl TreeKernel {
     /// the stack and stored it back. Only the last, partial group takes
     /// the slice. The unrolled walk is kept out of line, once per block:
     /// inlined, it grew `classify_chunk`, which holds every family's walk,
-    /// by 3.5 KB, and the tree-only `deploy_trickle` read its p50 ×1.025
-    /// (1/10 pairs) with no tree code changed.
+    /// by 3.5 KB and slowed the tree-only small-ticket path with no tree
+    /// code changed (readings: CHANGES.md, *one pass per dense tile*).
     #[inline(never)]
     fn vote(&self, x: &[i32], n_features: usize, votes: &mut [i32], classes: usize) {
         for (x, votes) in x

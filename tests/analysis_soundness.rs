@@ -237,7 +237,7 @@ fn trace_scores(pipeline: &CompiledPipeline, fmt: FixedPoint, raw: &[i32]) -> Op
 /// predictions, and hold every inference path — packed per-row, block,
 /// scalar tier — to the replay. Returns whether any row's replay clamped.
 fn check_soundness(ir: &ModelIr, fmt: FixedPoint, rows: &[Vec<f32>]) -> bool {
-    let pipeline = CompiledPipeline::from_ir(&ir, fmt).unwrap();
+    let pipeline = CompiledPipeline::from_ir(ir, fmt).unwrap();
     let scalar = CompiledPipeline::from_ir_scalar(ir, fmt).unwrap();
     let facts = pipeline.kernel_facts();
     let mut scratch = Scratch::new();
@@ -431,7 +431,7 @@ fn uncertified_kernels_match_the_trace_when_accumulators_clamp() {
         (0..N).map(|i| (i % 7) as f32 * 0.01 - 0.03).collect(),
     ];
     for ir in &models {
-        let pipeline = CompiledPipeline::from_ir(&ir, fmt).unwrap();
+        let pipeline = CompiledPipeline::from_ir(ir, fmt).unwrap();
         assert!(pipeline.is_packed(), "{}", ir.family());
         assert!(!pipeline.saturation_certified(), "{}", ir.family());
         assert!(

@@ -194,7 +194,7 @@ fn eight_tenants_through_the_ring_ingress_match_isolated_runs() {
             deployment
                 .add_tenant(
                     &format!("tenant{index}"),
-                    CompiledPipeline::from_ir(&ir, format).unwrap(),
+                    CompiledPipeline::from_ir(ir, format).unwrap(),
                     Some(normalizer_for(index)),
                 )
                 .unwrap()
