@@ -509,10 +509,10 @@ impl Rounder {
 // products and a `psrad` by a register count, not to scalar `imul`: a
 // second tile with the shift a constant at Q3.12 (`psrad $0xc`) read
 // level against it (CHANGES.md, *one pass per dense tile*), so there is
-// one tile for every format. Under an identity epilogue rustc even keeps the sums in 16-bit
-// lanes (`paddw`), which gives the same bits: `as i16` keeps a sum
-// modulo 2^16, and two's-complement addition commutes with that
-// truncation.
+// one tile for every format. Under an identity epilogue rustc even keeps
+// the sums in 16-bit lanes (`paddw`), which gives the same bits: `as i16`
+// keeps a sum modulo 2^16, and two's-complement addition commutes with
+// that truncation.
 // ---------------------------------------------------------------------
 
 fn dot_fast(f: u32, a: &[i16], b: &[i16]) -> i32 {

@@ -20,8 +20,8 @@
 //! packed tier). The loop reads `mean` and `std` at each value's own
 //! index, from a tenant's normalizer tiled `BLOCK_ROWS` times, which is
 //! built once when the tenant is registered: built on every call, the
-//! tiles would make a 16-row ticket pay for 32 rows of them (readings:
-//! CHANGES.md, *one branch-free ingress pass*). Each z-score is the one
+//! tiles would make a 16-row ticket pay for 32 rows of them (a prototype
+//! that did so: CHANGES.md, *say each thing once in the serving stack*). Each z-score is the one
 //! `Normalizer::apply` computes, in the same `f32` operations, so the
 //! quantized block is bit-identical to normalizing a copy row by row and
 //! then quantizing it, as the per-row reference does

@@ -29,7 +29,8 @@
 //! - each tenant carries a [`SchedulePolicy`]: a weighted share (equal
 //!   weights by default, hence round robin) with an optional
 //!   **minimum-share floor** — the paper's per-model throughput
-//!   guarantees — accounted over a **decaying window** ([`fairness_window_rows`](DeploymentBuilder::fairness_window_rows)),
+//!   guarantees — accounted over a **decaying window**
+//!   ([`fairness_window_rows`](DeploymentBuilder::fairness_window_rows)),
 //!   so a late joiner is owed at most one window of catch-up;
 //! - [`drain`](Deployment::drain) and [`shutdown`](Deployment::shutdown)
 //!   complete every accepted ticket; shutdown refuses new ones.
