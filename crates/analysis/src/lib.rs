@@ -28,10 +28,14 @@
 //! | `HA0006` | error | chain-stage input width incompatible with upstream `cols`/`cols + 1` |
 //! | `HA0007` | warning | kernel not certified saturation-free (guarded path will run) |
 //!
-//! Three consumers share this crate: the `homunculus-analyze` CLI (JSON
-//! and human output over saved artifacts), the opt-in compile-session
-//! gate (`Compiler::verify_artifacts` in `homunculus-core`), and the
-//! validation hook on `CompiledArtifact::load_json`/`load_bin`.
+//! This crate certifies typed models ([`ModelInput`]) and knows nothing
+//! of the artifact document: `homunculus-core` decodes. Its consumers
+//! are all in that crate: the compile session, which analyzes every final
+//! model once at its check stage (codegen stamps the certificates; the
+//! opt-in `Compiler::verify_artifacts` gate also emits the findings and
+//! refuses on errors), the validation hook on
+//! `CompiledArtifact::load_json`/`load_bin`, and the lenient decoder
+//! `CompiledArtifact::analyze_bytes` behind the `homunculus-analyze` CLI.
 
 use homunculus_backends::model::{ModelIr, TreeIr, TreeNodeIr};
 use homunculus_ml::bounds::{term_interval, Interval};
@@ -135,13 +139,23 @@ pub struct Diagnostic {
 }
 
 impl Diagnostic {
-    fn new(code: DiagCode, model: Option<&str>, message: String) -> Self {
+    /// A finding at its code's default severity.
+    pub fn new(code: DiagCode, model: Option<&str>, message: String) -> Self {
         Diagnostic {
             code,
             severity: code.severity(),
             model: model.map(str::to_string),
             message,
         }
+    }
+
+    /// The [`DiagCode::DegenerateNormalizer`] finding for one column.
+    pub fn degenerate_normalizer(model: &str, column: usize, std: f32) -> Self {
+        Diagnostic::new(
+            DiagCode::DegenerateNormalizer,
+            Some(model),
+            format!("normalizer std for column {column} is degenerate ({std})"),
+        )
     }
 }
 
@@ -287,6 +301,15 @@ pub struct ArtifactAnalysis {
 }
 
 impl ArtifactAnalysis {
+    /// The analysis of an artifact that does not decode: no models and
+    /// one artifact-level [`DiagCode::Undecodable`] finding.
+    pub fn undecodable(message: String) -> Self {
+        ArtifactAnalysis {
+            models: Vec::new(),
+            artifact_diagnostics: vec![Diagnostic::new(DiagCode::Undecodable, None, message)],
+        }
+    }
+
     /// Every finding: artifact-level first, then per model in order.
     pub fn diagnostics(&self) -> impl Iterator<Item = &Diagnostic> {
         self.artifact_diagnostics
@@ -302,7 +325,7 @@ impl ArtifactAnalysis {
     }
 
     /// Number of warning-severity findings.
-    pub fn warning_count(&self) -> usize {
+    fn warning_count(&self) -> usize {
         self.diagnostics()
             .filter(|d| d.severity == Severity::Warning)
             .count()
@@ -798,11 +821,7 @@ pub fn analyze_model(input: &ModelInput<'_>) -> ModelAnalysis {
     lint_dead_features(input, &mut diagnostics);
     if let Some(norm) = input.normalizer {
         if let Err(MlError::DegenerateNormalizer { column, std }) = norm.validate() {
-            diagnostics.push(Diagnostic::new(
-                DiagCode::DegenerateNormalizer,
-                Some(input.name),
-                format!("normalizer std for column {column} is degenerate ({std})"),
-            ));
+            diagnostics.push(Diagnostic::degenerate_normalizer(input.name, column, std));
         }
     }
 
@@ -880,134 +899,6 @@ pub fn analyze_models(inputs: &[ModelInput<'_>]) -> ArtifactAnalysis {
             }
         }
     }
-    analysis
-}
-
-/// Analyzes a raw artifact document (the `homunculus.artifact/v1` JSON /
-/// `HJB1` payload) **leniently**: per-report decode failures become
-/// diagnostics instead of aborting, so a defective artifact still gets a
-/// full lint report. This is the `homunculus-analyze` CLI's entry point —
-/// the strict load path (`CompiledArtifact::load_json`) would refuse the
-/// document before the linter could see it.
-pub fn analyze_artifact(document: &Value) -> ArtifactAnalysis {
-    let mut analysis = ArtifactAnalysis::default();
-    let format_tag = document["format"].as_str().unwrap_or("<missing>");
-    if format_tag != "homunculus.artifact/v1" {
-        analysis.artifact_diagnostics.push(Diagnostic::new(
-            DiagCode::Undecodable,
-            None,
-            format!("unsupported artifact format tag '{format_tag}'"),
-        ));
-        return analysis;
-    }
-    let Some(reports) = document["reports"].as_array() else {
-        analysis.artifact_diagnostics.push(Diagnostic::new(
-            DiagCode::Undecodable,
-            None,
-            "artifact carries no reports array".to_string(),
-        ));
-        return analysis;
-    };
-
-    // Decode each report leniently, then run the typed analysis over
-    // whatever decoded.
-    struct Decoded {
-        name: String,
-        ir: ModelIr,
-        format: FixedPoint,
-        normalizer: Option<Normalizer>,
-    }
-    let mut decoded: Vec<Decoded> = Vec::new();
-    for (i, report) in reports.iter().enumerate() {
-        let name = report["name"]
-            .as_str()
-            .map(str::to_string)
-            .unwrap_or_else(|| format!("report {i}"));
-        let ir = match ModelIr::from_json(&report["ir"]) {
-            Ok(ir) => ir,
-            Err(e) => {
-                analysis.artifact_diagnostics.push(Diagnostic::new(
-                    DiagCode::Undecodable,
-                    Some(&name),
-                    format!("model ir does not decode: {e}"),
-                ));
-                continue;
-            }
-        };
-        let fixed_point = &report["fixed_point"];
-        let bits = |field: &str| {
-            fixed_point[field]
-                .as_i64()
-                .and_then(|b| u32::try_from(b).ok())
-        };
-        let format = match (bits("int_bits"), bits("frac_bits")) {
-            (Some(int_bits), Some(frac_bits)) => match FixedPoint::new(int_bits, frac_bits) {
-                Ok(format) => format,
-                Err(e) => {
-                    analysis.artifact_diagnostics.push(Diagnostic::new(
-                        DiagCode::Undecodable,
-                        Some(&name),
-                        format!("invalid fixed-point format: {e}"),
-                    ));
-                    continue;
-                }
-            },
-            _ => {
-                analysis.artifact_diagnostics.push(Diagnostic::new(
-                    DiagCode::Undecodable,
-                    Some(&name),
-                    "report carries no fixed_point block in range".to_string(),
-                ));
-                continue;
-            }
-        };
-        // The normalizer decodes through the *validating* path; the
-        // degenerate-std rejection surfaces as the typed HA0002 here.
-        let normalizer = match &report["normalizer"] {
-            Value::Null => None,
-            doc => match Normalizer::from_json(doc) {
-                Ok(norm) => Some(norm),
-                Err(MlError::DegenerateNormalizer { column, std }) => {
-                    analysis.artifact_diagnostics.push(Diagnostic::new(
-                        DiagCode::DegenerateNormalizer,
-                        Some(&name),
-                        format!("normalizer std for column {column} is degenerate ({std})"),
-                    ));
-                    None
-                }
-                Err(e) => {
-                    analysis.artifact_diagnostics.push(Diagnostic::new(
-                        DiagCode::Undecodable,
-                        Some(&name),
-                        format!("normalizer does not decode: {e}"),
-                    ));
-                    None
-                }
-            },
-        };
-        decoded.push(Decoded {
-            name,
-            ir,
-            format,
-            normalizer,
-        });
-    }
-
-    let inputs: Vec<ModelInput<'_>> = decoded
-        .iter()
-        .map(|d| ModelInput {
-            name: &d.name,
-            ir: &d.ir,
-            format: d.format,
-            normalizer: d.normalizer.as_ref(),
-            word_bits: None,
-        })
-        .collect();
-    let typed = analyze_models(&inputs);
-    analysis.models = typed.models;
-    analysis
-        .artifact_diagnostics
-        .extend(typed.artifact_diagnostics);
     analysis
 }
 

@@ -43,15 +43,16 @@ use crate::resources::{Performance, ResourceEstimate, ResourceVector};
 use crate::spatial;
 use crate::target::{Target, TargetKind};
 use crate::Result;
+use homunculus_ml::quantize::FixedPoint;
 
 /// Loopback (bump-in-the-wire shell) floor from Table 5.
-pub const LOOPBACK_LUT_PCT: f64 = 5.36;
+const LOOPBACK_LUT_PCT: f64 = 5.36;
 /// Loopback FF floor from Table 5.
-pub const LOOPBACK_FF_PCT: f64 = 3.64;
+const LOOPBACK_FF_PCT: f64 = 3.64;
 /// Loopback BRAM floor from Table 5.
-pub const LOOPBACK_BRAM_PCT: f64 = 4.15;
+const LOOPBACK_BRAM_PCT: f64 = 4.15;
 /// Loopback board power from Table 5.
-pub const LOOPBACK_POWER_W: f64 = 15.131;
+const LOOPBACK_POWER_W: f64 = 15.131;
 
 /// Hand-set ΔLUT coefficients (see module docs).
 const LUT_PER_PARAM: f64 = 0.0016;
@@ -89,7 +90,7 @@ pub struct FpgaTarget {
 
 impl FpgaTarget {
     /// An Alveo U250 bump-in-the-wire at 100 Gbps.
-    pub fn u250() -> Self {
+    fn u250() -> Self {
         FpgaTarget {
             name: "fpga-alveo-u250".into(),
             line_rate_gpps: 0.148,
@@ -99,7 +100,7 @@ impl FpgaTarget {
 
     /// Predicted utilization/power deltas over the loopback floor for a
     /// model with `params` parameters and `layers` weight layers.
-    pub fn deltas(params: usize, layers: usize) -> (f64, f64) {
+    fn deltas(params: usize, layers: usize) -> (f64, f64) {
         let d_lut = LUT_PER_PARAM * params as f64 + LUT_PER_LAYER * layers as f64 + LUT_BASE;
         let d_ff = 0.25 + 0.35 * d_lut;
         (d_lut, d_ff)
@@ -170,13 +171,20 @@ impl Target for FpgaTarget {
         })
     }
 
-    fn generate_code(&self, model: &ModelIr, pipeline_name: &str) -> Result<String> {
+    fn generate_code(
+        &self,
+        model: &ModelIr,
+        pipeline_name: &str,
+        format: FixedPoint,
+    ) -> Result<String> {
         // The testbed compiles Spatial -> Verilog for the FPGA; we emit
         // the same Spatial source as the Taurus backend. Decision trees
         // go through the P4-SDNet flow instead.
         match model {
-            ModelIr::Tree(_) | ModelIr::Forest(_) => crate::p4::generate(model, pipeline_name),
-            _ => spatial::generate(model, pipeline_name),
+            ModelIr::Tree(_) | ModelIr::Forest(_) => {
+                crate::p4::generate(model, pipeline_name, format)
+            }
+            _ => spatial::generate(model, pipeline_name, format),
         }
     }
 

@@ -27,26 +27,27 @@ use crate::{BackendError, Result};
 use homunculus_ml::quantize::FixedPoint;
 use std::fmt::Write as _;
 
-/// Generates a complete P4_16 program for a model.
+/// Generates a complete P4_16 program for a model, its table entries
+/// quantized to `format`.
 ///
 /// # Errors
 ///
 /// - [`BackendError::MissingWeights`] when a family requires trained
 ///   parameters (SVM planes / KMeans centroids) and the IR has none.
-pub fn generate(model: &ModelIr, pipeline_name: &str) -> Result<String> {
+pub fn generate(model: &ModelIr, pipeline_name: &str, format: FixedPoint) -> Result<String> {
     model.validate()?;
     let body = match model {
         ModelIr::KMeans(km) => {
             let centroids = km.centroids.as_ref().ok_or_else(|| {
                 BackendError::MissingWeights(format!("kmeans '{pipeline_name}' is untrained"))
             })?;
-            kmeans_tables(km.n_features, centroids)
+            kmeans_tables(format, km.n_features, centroids)
         }
         ModelIr::Svm(svm) => {
             let (planes, biases) = svm.planes.as_ref().ok_or_else(|| {
                 BackendError::MissingWeights(format!("svm '{pipeline_name}' is untrained"))
             })?;
-            svm_tables(svm.n_features, planes, biases)
+            svm_tables(format, svm.n_features, planes, biases)
         }
         ModelIr::Tree(tree) => tree_tables(tree.n_features, tree.leaves),
         ModelIr::Forest(forest) => forest_tables(forest),
@@ -55,8 +56,16 @@ pub fn generate(model: &ModelIr, pipeline_name: &str) -> Result<String> {
     Ok(program(pipeline_name, model, &body))
 }
 
-fn quantized(v: f32) -> i32 {
-    FixedPoint::taurus_default().quantize(v)
+/// `values` quantized to `format`, as the `(Qm.n): [..]` tail of an
+/// entry comment.
+fn entries(format: FixedPoint, values: impl Iterator<Item = f32>) -> String {
+    let raws: Vec<String> = values.map(|v| format.quantize(v).to_string()).collect();
+    format!(
+        "(Q{}.{}): [{}]",
+        format.int_bits(),
+        format.frac_bits(),
+        raws.join(", ")
+    )
 }
 
 fn program(pipeline_name: &str, model: &ModelIr, ingress_body: &IngressBody) -> String {
@@ -143,7 +152,7 @@ struct IngressBody {
     apply: String,
 }
 
-fn kmeans_tables(n_features: usize, centroids: &[Vec<f32>]) -> IngressBody {
+fn kmeans_tables(format: FixedPoint, n_features: usize, centroids: &[Vec<f32>]) -> IngressBody {
     let k = centroids.len();
     let mut tables = String::new();
     let mut apply = String::new();
@@ -155,10 +164,9 @@ fn kmeans_tables(n_features: usize, centroids: &[Vec<f32>]) -> IngressBody {
         .map(|i| format!("            meta.feature{i}: range;\n"))
         .collect();
     for (c, centroid) in centroids.iter().enumerate() {
-        let entry: Vec<String> = centroid.iter().map(|&v| quantized(v).to_string()).collect();
         let _ = write!(
             tables,
-            "    // cluster {c} centroid (Q3.12): [{}]\n\
+            "    // cluster {c} centroid {}\n\
              \x20   action set_dist{c}(bit<32> dist) {{ meta.dist{c} = dist; }}\n\
              \x20   table cluster_{c} {{\n\
              \x20       key = {{\n{keys}\
@@ -167,7 +175,7 @@ fn kmeans_tables(n_features: usize, centroids: &[Vec<f32>]) -> IngressBody {
              \x20       default_action = NoAction();\n\
              \x20       size = 1024;\n\
              \x20   }}\n",
-            entry.join(", "),
+            entries(format, centroid.iter().copied()),
         );
         let _ = writeln!(apply, "        cluster_{c}.apply();");
     }
@@ -190,7 +198,12 @@ fn kmeans_tables(n_features: usize, centroids: &[Vec<f32>]) -> IngressBody {
     }
 }
 
-fn svm_tables(n_features: usize, planes: &[Vec<f32>], biases: &[f32]) -> IngressBody {
+fn svm_tables(
+    format: FixedPoint,
+    n_features: usize,
+    planes: &[Vec<f32>],
+    biases: &[f32],
+) -> IngressBody {
     let k = planes.len();
     let mut tables = String::new();
     let mut apply = String::new();
@@ -199,7 +212,6 @@ fn svm_tables(n_features: usize, planes: &[Vec<f32>], biases: &[f32]) -> Ingress
         let _ = writeln!(extra_meta, "    bit<32> score{c};");
     }
     for f in 0..n_features {
-        let weights: Vec<String> = planes.iter().map(|p| quantized(p[f]).to_string()).collect();
         let args: String = (0..k)
             .map(|c| format!("bit<32> w{c}"))
             .collect::<Vec<_>>()
@@ -209,7 +221,7 @@ fn svm_tables(n_features: usize, planes: &[Vec<f32>], biases: &[f32]) -> Ingress
             .collect();
         let _ = write!(
             tables,
-            "    // feature {f} weights per class (Q3.12): [{}]\n\
+            "    // feature {f} weights per class {}\n\
              \x20   action add_partial{f}({args}) {{\n{adds}\
              \x20   }}\n\
              \x20   table feature_{f} {{\n\
@@ -218,16 +230,15 @@ fn svm_tables(n_features: usize, planes: &[Vec<f32>], biases: &[f32]) -> Ingress
              \x20       default_action = NoAction();\n\
              \x20       size = 256;\n\
              \x20   }}\n",
-            weights.join(", "),
+            entries(format, planes.iter().map(|p| p[f])),
         );
         let _ = writeln!(apply, "        feature_{f}.apply();");
     }
     // Decision table: bias comment + sign/argmax.
-    let bias_comment: Vec<String> = biases.iter().map(|&b| quantized(b).to_string()).collect();
     let _ = writeln!(
         tables,
-        "    // decision biases (Q3.12): [{}]",
-        bias_comment.join(", ")
+        "    // decision biases {}",
+        entries(format, biases.iter().copied())
     );
     if k == 1 {
         let _ = writeln!(
@@ -407,6 +418,10 @@ mod tests {
     use crate::spatial::is_balanced;
     use homunculus_ml::mlp::MlpArchitecture;
 
+    fn q312() -> FixedPoint {
+        FixedPoint::new(3, 12).unwrap()
+    }
+
     fn kmeans(k: usize) -> ModelIr {
         ModelIr::KMeans(KMeansIr {
             k,
@@ -417,7 +432,7 @@ mod tests {
 
     #[test]
     fn kmeans_one_table_per_cluster() {
-        let code = generate(&kmeans(5), "tc").unwrap();
+        let code = generate(&kmeans(5), "tc", q312()).unwrap();
         for c in 0..5 {
             assert!(
                 code.contains(&format!("table cluster_{c}")),
@@ -437,7 +452,7 @@ mod tests {
             n_features: 2,
             centroids: Some(vec![vec![1.0, -0.5]]),
         });
-        let code = generate(&model, "x").unwrap();
+        let code = generate(&model, "x", q312()).unwrap();
         // Q3.12: 1.0 -> 4096, -0.5 -> -2048.
         assert!(code.contains("4096"), "quantized 1.0 missing");
         assert!(code.contains("-2048"), "quantized -0.5 missing");
@@ -450,7 +465,7 @@ mod tests {
             n_classes: 2,
             planes: Some((vec![vec![0.1, 0.2, 0.3, 0.4]], vec![0.0])),
         });
-        let code = generate(&model, "svm").unwrap();
+        let code = generate(&model, "svm", q312()).unwrap();
         for f in 0..4 {
             assert!(code.contains(&format!("table feature_{f}")));
         }
@@ -465,7 +480,7 @@ mod tests {
             n_classes: 3,
             planes: Some((vec![vec![0.1, 0.2]; 3], vec![0.0; 3])),
         });
-        let code = generate(&model, "svm3").unwrap();
+        let code = generate(&model, "svm3", q312()).unwrap();
         assert!(code.contains("meta.score2"));
         assert!(code.contains("if (meta.score2 > best)"));
     }
@@ -473,7 +488,7 @@ mod tests {
     #[test]
     fn tree_emits_feature_and_leaf_tables() {
         let model = ModelIr::Tree(TreeIr::from_shape(3, 3, 8));
-        let code = generate(&model, "tree").unwrap();
+        let code = generate(&model, "tree", q312()).unwrap();
         assert!(code.contains("table feature_2"));
         assert!(code.contains("table leaves"));
         assert!(code.contains("size = 8;"));
@@ -484,7 +499,7 @@ mod tests {
     fn forest_emits_per_tree_tables_and_vote() {
         use crate::model::ForestIr;
         let model = ModelIr::Forest(ForestIr::from_shape(3, 2, 2, 4));
-        let code = generate(&model, "forest").unwrap();
+        let code = generate(&model, "forest", q312()).unwrap();
         for t in 0..3 {
             assert!(code.contains(&format!("table t{t}_leaves")), "tree {t}");
             assert!(code.contains(&format!("table t{t}_feature_1")));
@@ -501,7 +516,7 @@ mod tests {
             vec![8],
             2,
         )));
-        let code = generate(&model, "bnn").unwrap();
+        let code = generate(&model, "bnn", q312()).unwrap();
         assert!(code.contains("table bnn_layer_0"));
         assert!(code.contains("table bnn_layer_1"));
         assert!(code.contains("XNOR"));
@@ -512,7 +527,7 @@ mod tests {
     fn untrained_kmeans_rejected() {
         let model = ModelIr::KMeans(KMeansIr::from_shape(3, 7));
         assert!(matches!(
-            generate(&model, "x"),
+            generate(&model, "x", q312()),
             Err(BackendError::MissingWeights(_))
         ));
     }
@@ -520,8 +535,8 @@ mod tests {
     #[test]
     fn deterministic() {
         assert_eq!(
-            generate(&kmeans(3), "a").unwrap(),
-            generate(&kmeans(3), "a").unwrap()
+            generate(&kmeans(3), "a", q312()).unwrap(),
+            generate(&kmeans(3), "a", q312()).unwrap()
         );
     }
 }

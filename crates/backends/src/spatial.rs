@@ -13,15 +13,18 @@
 //! - a final **multiclass selection** (arg-max reduction) produces the
 //!   classification result inserted back into the packet.
 //!
-//! Trained weights are quantized to the Taurus fixed-point format
-//! (`Q3.12`) and embedded as `LUT` initializers.
+//! Trained weights are quantized to the fixed-point format the caller
+//! passes (the format the compiler lowers the model with; Q3.12, the
+//! Taurus word, in a compile) and embedded as `LUT` initializers; the
+//! program's `FixPt` type and its header declare the same format.
 
 use crate::model::{DnnIr, ModelIr};
 use crate::{BackendError, Result};
 use homunculus_ml::quantize::FixedPoint;
 use std::fmt::Write as _;
 
-/// Generates a complete Spatial program for a trained model.
+/// Generates a complete Spatial program for a trained model, its
+/// parameters quantized to `format`.
 ///
 /// # Errors
 ///
@@ -29,21 +32,21 @@ use std::fmt::Write as _;
 ///   parameters (shape-only IRs are for estimation, not codegen).
 /// - [`BackendError::Unsupported`] for decision trees (those belong on
 ///   the MAT pipeline, not the grid).
-pub fn generate(model: &ModelIr, pipeline_name: &str) -> Result<String> {
+pub fn generate(model: &ModelIr, pipeline_name: &str, format: FixedPoint) -> Result<String> {
     model.validate()?;
     match model {
-        ModelIr::Dnn(dnn) => generate_dnn(dnn, pipeline_name),
+        ModelIr::Dnn(dnn) => generate_dnn(dnn, pipeline_name, format),
         ModelIr::Svm(svm) => {
             let (planes, biases) = svm.planes.as_ref().ok_or_else(|| {
                 BackendError::MissingWeights(format!("svm '{pipeline_name}' is untrained"))
             })?;
-            generate_linear(pipeline_name, "svm", svm.n_features, planes, biases)
+            generate_linear(pipeline_name, format, svm.n_features, planes, biases)
         }
         ModelIr::KMeans(km) => {
             let centroids = km.centroids.as_ref().ok_or_else(|| {
                 BackendError::MissingWeights(format!("kmeans '{pipeline_name}' is untrained"))
             })?;
-            generate_kmeans(pipeline_name, km.n_features, centroids)
+            generate_kmeans(pipeline_name, format, km.n_features, centroids)
         }
         ModelIr::Tree(_) => Err(BackendError::Unsupported {
             target: "spatial".into(),
@@ -70,40 +73,43 @@ fn camel(name: &str) -> String {
         .collect()
 }
 
-fn header(pipeline_name: &str, family: &str) -> String {
+/// The program header and the opening of the app object, down to its
+/// fixed-point type `T`.
+fn header(pipeline_name: &str, family: &str, format: FixedPoint) -> String {
+    let (int_bits, frac_bits) = (format.int_bits(), format.frac_bits());
     format!(
         "// ---------------------------------------------------------------\n\
          // Auto-generated by Homunculus — do not edit.\n\
          // pipeline: {pipeline_name}\n\
          // family:   {family}\n\
          // target:   Taurus MapReduce grid / FPGA (Spatial DSL)\n\
-         // format:   fixed-point Q3.12 (16-bit words)\n\
+         // format:   fixed-point Q{int_bits}.{frac_bits} ({}-bit words)\n\
          // ---------------------------------------------------------------\n\
-         import spatial.dsl._\n\n"
+         import spatial.dsl._\n\n\
+         @spatial object {} extends SpatialApp {{\n\
+         \x20 type T = FixPt[TRUE, _{int_bits}, _{frac_bits}]\n\n",
+        format.total_bits(),
+        camel(pipeline_name),
     )
 }
 
-/// Formats a weight sequence as quantize-rounded Spatial literals.
-fn literals(values: impl Iterator<Item = f32>) -> String {
-    let q = FixedPoint::taurus_default();
+/// Formats a weight sequence as Spatial literals rounded through `format`.
+fn literals(format: FixedPoint, values: impl Iterator<Item = f32>) -> String {
     values
-        .map(|v| format!("{:.6}.to[T]", q.dequantize(q.quantize(v))))
+        .map(|v| format!("{:.6}.to[T]", format.dequantize(format.quantize(v))))
         .collect::<Vec<_>>()
         .join(", ")
 }
 
-fn generate_dnn(dnn: &DnnIr, pipeline_name: &str) -> Result<String> {
+fn generate_dnn(dnn: &DnnIr, pipeline_name: &str, format: FixedPoint) -> Result<String> {
     let params = dnn.params.as_ref().ok_or_else(|| {
         BackendError::MissingWeights(format!("dnn '{pipeline_name}' is untrained"))
     })?;
-    let app = camel(pipeline_name);
     let dims = dnn.arch.layer_dims();
-    let mut code = header(pipeline_name, "dnn");
+    let mut code = header(pipeline_name, "dnn", format);
     let _ = write!(
         code,
-        "@spatial object {app} extends SpatialApp {{\n\
-         \x20 type T = FixPt[TRUE, _3, _12]\n\n\
-         \x20 def main(args: Array[String]): Unit = {{\n\
+        "\x20 def main(args: Array[String]): Unit = {{\n\
          \x20   // Streaming packet I/O: the switch parser deposits the\n\
          \x20   // extracted feature vector, the deparser consumes the class.\n\
          \x20   val featuresIn = StreamIn[T](In0)\n\
@@ -118,8 +124,8 @@ fn generate_dnn(dnn: &DnnIr, pipeline_name: &str) -> Result<String> {
     for (l, ((input, output), layer)) in dims.iter().zip(params).enumerate() {
         let act = dnn.arch.activation.name();
         let is_last = l == dims.len() - 1;
-        let w = literals(layer.weights.as_slice().iter().copied());
-        let b = literals(layer.bias.iter().copied());
+        let w = literals(format, layer.weights.as_slice().iter().copied());
+        let b = literals(format, layer.bias.iter().copied());
         let _ = write!(
             code,
             "\x20     // ----- layer {l}: {input} -> {output} ({}) -----\n\
@@ -172,24 +178,21 @@ fn apply_activation(name: &str, expr: &str) -> String {
     }
 }
 
-/// A single dense layer + argmax: shared by SVM codegen.
+/// The SVM program: a single dense layer + argmax.
 fn generate_linear(
     pipeline_name: &str,
-    family: &str,
+    format: FixedPoint,
     n_features: usize,
     planes: &[Vec<f32>],
     biases: &[f32],
 ) -> Result<String> {
-    let app = camel(pipeline_name);
     let k = planes.len();
-    let w = literals(planes.iter().flatten().copied());
-    let b = literals(biases.iter().copied());
-    let mut code = header(pipeline_name, family);
+    let w = literals(format, planes.iter().flatten().copied());
+    let b = literals(format, biases.iter().copied());
+    let mut code = header(pipeline_name, "svm", format);
     let _ = write!(
         code,
-        "@spatial object {app} extends SpatialApp {{\n\
-         \x20 type T = FixPt[TRUE, _3, _12]\n\n\
-         \x20 def main(args: Array[String]): Unit = {{\n\
+        "\x20 def main(args: Array[String]): Unit = {{\n\
          \x20   val featuresIn = StreamIn[T](In0)\n\
          \x20   val classOut = StreamOut[Int](Out0)\n\
          \x20   Accel(*) {{\n\
@@ -222,18 +225,16 @@ fn generate_linear(
 
 fn generate_kmeans(
     pipeline_name: &str,
+    format: FixedPoint,
     n_features: usize,
     centroids: &[Vec<f32>],
 ) -> Result<String> {
-    let app = camel(pipeline_name);
     let k = centroids.len();
-    let c = literals(centroids.iter().flatten().copied());
-    let mut code = header(pipeline_name, "kmeans");
+    let c = literals(format, centroids.iter().flatten().copied());
+    let mut code = header(pipeline_name, "kmeans", format);
     let _ = write!(
         code,
-        "@spatial object {app} extends SpatialApp {{\n\
-         \x20 type T = FixPt[TRUE, _3, _12]\n\n\
-         \x20 def main(args: Array[String]): Unit = {{\n\
+        "\x20 def main(args: Array[String]): Unit = {{\n\
          \x20   val featuresIn = StreamIn[T](In0)\n\
          \x20   val clusterOut = StreamOut[Int](Out0)\n\
          \x20   Accel(*) {{\n\
@@ -290,6 +291,10 @@ mod tests {
     use crate::model::{KMeansIr, SvmIr};
     use homunculus_ml::mlp::{Mlp, MlpArchitecture};
 
+    fn q312() -> FixedPoint {
+        FixedPoint::new(3, 12).unwrap()
+    }
+
     fn trained_dnn() -> ModelIr {
         let arch = MlpArchitecture::new(7, vec![16, 4], 2);
         let mlp = Mlp::new(&arch, 3).unwrap();
@@ -298,7 +303,7 @@ mod tests {
 
     #[test]
     fn dnn_codegen_structure() {
-        let code = generate(&trained_dnn(), "anomaly_detection").unwrap();
+        let code = generate(&trained_dnn(), "anomaly_detection", q312()).unwrap();
         assert!(code.contains("@spatial object AnomalyDetection"));
         assert!(code.contains("FixPt[TRUE, _3, _12]"));
         // One LUT pair per layer.
@@ -314,7 +319,7 @@ mod tests {
     #[test]
     fn dnn_weight_literal_count_matches_params() {
         let model = trained_dnn();
-        let code = generate(&model, "x").unwrap();
+        let code = generate(&model, "x", q312()).unwrap();
         let literals = code.matches(".to[T]").count();
         // Every parameter appears exactly once as a literal; plus the
         // handful of structural 0.to[T] constants (one per Reduce + relu).
@@ -330,7 +335,7 @@ mod tests {
         let arch = MlpArchitecture::new(7, vec![4], 2);
         let model = ModelIr::Dnn(DnnIr::from_architecture(&arch));
         assert!(matches!(
-            generate(&model, "x"),
+            generate(&model, "x", q312()),
             Err(BackendError::MissingWeights(_))
         ));
     }
@@ -343,7 +348,7 @@ mod tests {
             n_features: 7,
             centroids: Some(centroids),
         });
-        let code = generate(&model, "traffic-classification").unwrap();
+        let code = generate(&model, "traffic-classification", q312()).unwrap();
         assert!(code.contains("object TrafficClassification"));
         assert!(code.contains("LUT[T](5, 7)"));
         assert!(code.contains("argmin"));
@@ -357,7 +362,7 @@ mod tests {
             n_classes: 2,
             planes: Some((vec![vec![0.5, -0.2, 0.1, 0.9]], vec![0.1])),
         });
-        let code = generate(&model, "svm_app").unwrap();
+        let code = generate(&model, "svm_app", q312()).unwrap();
         assert!(code.contains("binary sign decision"));
         assert!(is_balanced(&code));
     }
@@ -366,7 +371,7 @@ mod tests {
     fn tree_unsupported_on_grid() {
         let model = ModelIr::Tree(crate::model::TreeIr::from_shape(3, 4, 8));
         assert!(matches!(
-            generate(&model, "x"),
+            generate(&model, "x", q312()),
             Err(BackendError::Unsupported { .. })
         ));
     }
@@ -375,8 +380,8 @@ mod tests {
     fn codegen_deterministic() {
         let model = trained_dnn();
         assert_eq!(
-            generate(&model, "a").unwrap(),
-            generate(&model, "a").unwrap()
+            generate(&model, "a", q312()).unwrap(),
+            generate(&model, "a", q312()).unwrap()
         );
     }
 

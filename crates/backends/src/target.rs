@@ -3,6 +3,7 @@
 use crate::model::ModelIr;
 use crate::resources::{Constraints, FeasibilityReport, ResourceEstimate};
 use crate::Result;
+use homunculus_ml::quantize::FixedPoint;
 
 /// Which hardware family a target belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -62,13 +63,21 @@ pub trait Target {
         Ok(constraints.check(&self.estimate(model)?))
     }
 
-    /// Generates platform code for a *trained* model.
+    /// Generates platform code for a *trained* model whose parameters
+    /// are quantized to `format`, the fixed-point format the compiler
+    /// lowers the model with: every embedded weight, centroid and bias,
+    /// and every declared fixed-point type, comes from it.
     ///
     /// # Errors
     ///
     /// Returns [`crate::BackendError::MissingWeights`] when the IR has no
     /// trained parameters, and unsupported/invalid errors as appropriate.
-    fn generate_code(&self, model: &ModelIr, pipeline_name: &str) -> Result<String>;
+    fn generate_code(
+        &self,
+        model: &ModelIr,
+        pipeline_name: &str,
+        format: FixedPoint,
+    ) -> Result<String>;
 
     /// The default resource budget of the physical device (used when the
     /// user's constraints do not override it).

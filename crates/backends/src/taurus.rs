@@ -36,12 +36,13 @@ use crate::resources::{Performance, ResourceEstimate, ResourceVector};
 use crate::spatial;
 use crate::target::{Target, TargetKind};
 use crate::{BackendError, Result};
+use homunculus_ml::quantize::FixedPoint;
 
 /// Vector MAC lanes per CU (dot-product unroll width).
 pub const VEC_WIDTH: usize = 8;
 
 /// Words per MU weight bank.
-pub const MU_BANK_WORDS: usize = 32;
+const MU_BANK_WORDS: usize = 32;
 
 /// One pipeline stage of a model lowered onto the grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,7 +103,7 @@ impl TaurusTarget {
     }
 
     /// Total MU capacity of the grid.
-    pub fn mu_capacity(&self) -> usize {
+    fn mu_capacity(&self) -> usize {
         self.rows * self.cols
     }
 
@@ -216,13 +217,20 @@ impl Target for TaurusTarget {
         })
     }
 
-    fn generate_code(&self, model: &ModelIr, pipeline_name: &str) -> Result<String> {
+    fn generate_code(
+        &self,
+        model: &ModelIr,
+        pipeline_name: &str,
+        format: FixedPoint,
+    ) -> Result<String> {
         // A Taurus switch is a PISA pipeline with a MapReduce block in the
         // middle: linear-algebra models lower to Spatial for the grid,
         // while decision trees map onto the surrounding MAT stages as P4.
         match model {
-            ModelIr::Tree(_) | ModelIr::Forest(_) => crate::p4::generate(model, pipeline_name),
-            _ => spatial::generate(model, pipeline_name),
+            ModelIr::Tree(_) | ModelIr::Forest(_) => {
+                crate::p4::generate(model, pipeline_name, format)
+            }
+            _ => spatial::generate(model, pipeline_name, format),
         }
     }
 

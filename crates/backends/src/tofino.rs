@@ -18,7 +18,8 @@
 //!
 //! [`TofinoTarget::tables`] is the one lowering: the table list in
 //! dependency order, whose length is the MAT bill.
-//! [`TofinoTarget::stage_walk`] packs it into stages and times the walk.
+//! `TofinoTarget::stage_walk` (private) packs it into stages and times the
+//! walk.
 //! The estimator calls both, and the P4 generator emits the tables in the
 //! same order under the same names.
 
@@ -27,12 +28,13 @@ use crate::p4;
 use crate::resources::{Performance, ResourceEstimate, ResourceVector};
 use crate::target::{Target, TargetKind};
 use crate::{BackendError, Result};
+use homunculus_ml::quantize::FixedPoint;
 
 /// MATs consumed per binarized DNN layer (N2Net's reported worst case).
 pub const MATS_PER_BNN_LAYER: usize = 12;
 
 /// Logical tables that fit in one pipeline stage.
-pub const TABLES_PER_STAGE: usize = 4;
+const TABLES_PER_STAGE: usize = 4;
 
 /// A Tofino-class PISA switch.
 ///
@@ -110,7 +112,7 @@ impl TofinoTarget {
     }
 
     /// MAT cost of a model: the length of [`TofinoTarget::tables`].
-    pub fn mat_cost(model: &ModelIr) -> usize {
+    fn mat_cost(model: &ModelIr) -> usize {
         Self::tables(model).len()
     }
 
@@ -118,7 +120,7 @@ impl TofinoTarget {
     /// [`TABLES_PER_STAGE`] to a stage, dependent tables serialize across
     /// stages (at least two), and a packet crosses every stage plus the
     /// parser and deparser. Returns `(stages, latency_ns)`.
-    pub fn stage_walk(&self, tables: usize) -> (usize, f64) {
+    fn stage_walk(&self, tables: usize) -> (usize, f64) {
         let stages = tables.div_ceil(TABLES_PER_STAGE).max(2);
         (stages, stages as f64 * self.stage_latency_ns + 50.0)
     }
@@ -176,8 +178,13 @@ impl Target for TofinoTarget {
         })
     }
 
-    fn generate_code(&self, model: &ModelIr, pipeline_name: &str) -> Result<String> {
-        p4::generate(model, pipeline_name)
+    fn generate_code(
+        &self,
+        model: &ModelIr,
+        pipeline_name: &str,
+        format: FixedPoint,
+    ) -> Result<String> {
+        p4::generate(model, pipeline_name, format)
     }
 
     fn device_budget(&self) -> ResourceVector {

@@ -8,14 +8,23 @@
 //! form — compile once, serve forever), and the one-shot [`generate`] /
 //! [`generate_with`] entry points, which are thin shims over a default
 //! session and produce bit-identical artifacts.
+//!
+//! This module is the one home of the artifact document's layout: the
+//! strict decoder ([`CompiledArtifact::from_json`]) and the lenient one
+//! behind the `homunculus-analyze` CLI ([`CompiledArtifact::analyze_bytes`])
+//! read a report's lowering fields — its IR, its `fixed_point` format and
+//! its normalizer — through the same helpers. `homunculus-analysis`
+//! certifies what they decode.
 
 use crate::alchemy::{Algorithm, Metric, Platform};
 use crate::session::Compiler;
 use crate::{CoreError, Result};
+use homunculus_analysis::{ArtifactAnalysis, DiagCode, Diagnostic, ModelInput, Severity};
 use homunculus_backends::model::ModelIr;
 use homunculus_backends::resources::{Performance, ResourceEstimate, ResourceVector};
 use homunculus_datasets::dataset::Normalizer;
 use homunculus_ml::quantize::FixedPoint;
+use homunculus_ml::MlError;
 use homunculus_optimizer::space::Configuration;
 use homunculus_optimizer::OptimizationHistory;
 use homunculus_runtime::{CompiledPipeline, Deployment, DeploymentBuilder, TenantId};
@@ -193,11 +202,12 @@ pub struct ModelReport {
     pub estimate: ResourceEstimate,
     /// The final trained model IR.
     pub ir: ModelIr,
-    /// The fixed-point format `compiled` was lowered with (Q3.12, the
-    /// Taurus word format, unless a future codegen stage chooses
-    /// otherwise). Recorded in the portable JSON form so a reloaded
-    /// artifact re-lowers with the *same* quantization — bit-identical
-    /// verdicts — even if the workspace default ever changes.
+    /// The fixed-point format the session chose for this model: `code`
+    /// embeds its parameters in it and `compiled` was lowered with it
+    /// (Q3.12, the Taurus word format, in every compile today). Recorded
+    /// in the portable JSON form so a reloaded artifact re-lowers with
+    /// the *same* quantization — bit-identical verdicts — even if the
+    /// workspace default ever changes.
     pub format: FixedPoint,
     /// The IR lowered to the integer fixed-point execution engine —
     /// what actually runs per packet. `None` only if lowering failed,
@@ -273,8 +283,8 @@ impl ModelReport {
         let objective = value["objective"]
             .as_f64()
             .ok_or_else(|| CoreError::Subsystem("report needs numeric objective".into()))?;
-        let ir = ModelIr::from_json(&value["ir"])?;
-        let normalizer = Normalizer::from_json(&value["normalizer"])?;
+        let ir = report_ir(value)?;
+        let normalizer = report_normalizer(value)?;
         let algorithm_histories = value["algorithm_histories"]
             .as_array()
             .ok_or_else(|| CoreError::Subsystem("report needs algorithm_histories".into()))?
@@ -292,20 +302,7 @@ impl ModelReport {
                 ))
             })
             .collect::<Result<Vec<_>>>()?;
-        // The lowering format travels with the report: re-lowering with
-        // anything else would quantize differently from the pipeline
-        // that produced the artifact's verdicts.
-        let fixed_point = &value["fixed_point"];
-        let bits = |field: &str| {
-            fixed_point[field]
-                .as_i64()
-                .and_then(|b| u32::try_from(b).ok())
-                .ok_or_else(|| {
-                    CoreError::Subsystem(format!("report needs fixed_point.{field} in range"))
-                })
-        };
-        let format = FixedPoint::new(bits("int_bits")?, bits("frac_bits")?)
-            .map_err(|e| CoreError::Subsystem(format!("invalid fixed_point format: {e}")))?;
+        let format = report_format(value)?;
         // Re-lower: the compiled pipeline is derived state, rebuilt from
         // the decoded IR exactly as the codegen stage built it.
         let compiled = CompiledPipeline::from_ir(&ir, format).ok();
@@ -329,6 +326,63 @@ impl ModelReport {
 
 /// Version tag written into every artifact document.
 const ARTIFACT_FORMAT: &str = "homunculus.artifact/v1";
+
+/// The report documents of an artifact document whose format tag this
+/// build reads.
+fn document_reports(document: &Value) -> Result<&[Value]> {
+    let format = document["format"].as_str().unwrap_or("<missing>");
+    if format != ARTIFACT_FORMAT {
+        return Err(CoreError::Subsystem(format!(
+            "unsupported artifact format '{format}' (expected '{ARTIFACT_FORMAT}')"
+        )));
+    }
+    document["reports"]
+        .as_array()
+        .map(Vec::as_slice)
+        .ok_or_else(|| CoreError::Subsystem("artifact needs a reports array".into()))
+}
+
+/// A report's trained model IR.
+fn report_ir(report: &Value) -> Result<ModelIr> {
+    Ok(ModelIr::from_json(&report["ir"])?)
+}
+
+/// The fixed-point format a report's model lowers with. It travels with
+/// the report: re-lowering with anything else would quantize differently
+/// from the pipeline that produced the artifact's verdicts.
+fn report_format(report: &Value) -> Result<FixedPoint> {
+    let fixed_point = &report["fixed_point"];
+    let bits = |field: &str| {
+        fixed_point[field]
+            .as_i64()
+            .and_then(|b| u32::try_from(b).ok())
+            .ok_or_else(|| {
+                CoreError::Subsystem(format!("report needs fixed_point.{field} in range"))
+            })
+    };
+    FixedPoint::new(bits("int_bits")?, bits("frac_bits")?)
+        .map_err(|e| CoreError::Subsystem(format!("invalid fixed_point format: {e}")))
+}
+
+/// A report's deployment normalizer, through the validating decoder: a
+/// degenerate column is [`MlError::DegenerateNormalizer`].
+fn report_normalizer(report: &Value) -> std::result::Result<Normalizer, MlError> {
+    Normalizer::from_json(&report["normalizer"])
+}
+
+/// Refuses an analysis holding any error-severity finding, with every
+/// such finding rendered into the [`CoreError::Analysis`] message.
+pub(crate) fn refuse_errors(analysis: &ArtifactAnalysis) -> Result<()> {
+    if !analysis.has_errors() {
+        return Ok(());
+    }
+    let rendered: Vec<String> = analysis
+        .diagnostics()
+        .filter(|d| d.severity == Severity::Error)
+        .map(|d| d.to_string())
+        .collect();
+    Err(CoreError::Analysis(rendered.join("; ")))
+}
 
 /// The full compile result: per-model reports + combined code/envelope.
 #[derive(Debug, Clone)]
@@ -431,15 +485,7 @@ impl CompiledArtifact {
     ///
     /// As [`from_json_str`](CompiledArtifact::from_json_str).
     pub fn from_json(value: &Value) -> Result<Self> {
-        let format = value["format"].as_str().unwrap_or("<missing>");
-        if format != ARTIFACT_FORMAT {
-            return Err(CoreError::Subsystem(format!(
-                "unsupported artifact format '{format}' (expected '{ARTIFACT_FORMAT}')"
-            )));
-        }
-        let reports = value["reports"]
-            .as_array()
-            .ok_or_else(|| CoreError::Subsystem("artifact needs a reports array".into()))?
+        let reports = document_reports(value)?
             .iter()
             .map(ModelReport::from_json)
             .collect::<Result<Vec<_>>>()?;
@@ -503,11 +549,11 @@ impl CompiledArtifact {
     /// certificates plus the full artifact lint set. The target word
     /// width is unknown at this point (artifacts do not record their
     /// platform), so format-overflow checks run in their advisory form.
-    pub fn analyze(&self) -> homunculus_analysis::ArtifactAnalysis {
-        let inputs: Vec<homunculus_analysis::ModelInput<'_>> = self
+    pub fn analyze(&self) -> ArtifactAnalysis {
+        let inputs: Vec<ModelInput<'_>> = self
             .reports
             .iter()
-            .map(|report| homunculus_analysis::ModelInput {
+            .map(|report| ModelInput {
                 name: &report.name,
                 ir: &report.ir,
                 format: report.format,
@@ -516,6 +562,80 @@ impl CompiledArtifact {
             })
             .collect();
         homunculus_analysis::analyze_models(&inputs)
+    }
+
+    /// Analyzes an artifact file's bytes **leniently** — JSON or `HJB1`
+    /// (sniffed by its magic) — the `homunculus-analyze` CLI's entry
+    /// point. It decodes only what [`analyze`](CompiledArtifact::analyze)
+    /// reads, each report's lowering fields, with the strict decoder's
+    /// own helpers, and turns what does not decode into a diagnostic
+    /// instead of refusing the document: a broken artifact still gets a
+    /// full lint report. A document that does not parse, or carries
+    /// another format tag, is one `HA0000`; a report whose IR or format
+    /// does not decode is an `HA0000` naming it, and the others are still
+    /// analyzed; a normalizer that does not decode is an `HA0000` (an
+    /// `HA0002` when a column is degenerate), and its model is analyzed
+    /// without one. Whatever the strict load path accepts, this reports
+    /// as [`analyze`](CompiledArtifact::analyze) does.
+    pub fn analyze_bytes(bytes: &[u8]) -> ArtifactAnalysis {
+        let parsed = if serde_json::sniff_binary(bytes) {
+            serde_json::from_slice_binary(bytes).map_err(|e| e.to_string())
+        } else {
+            std::str::from_utf8(bytes)
+                .map_err(|e| e.to_string())
+                .and_then(|text| serde_json::from_str(text).map_err(|e| e.to_string()))
+        };
+        let reports = match parsed.as_ref().map(document_reports) {
+            Ok(Ok(reports)) => reports,
+            Ok(Err(e)) => return ArtifactAnalysis::undecodable(e.to_string()),
+            Err(e) => {
+                return ArtifactAnalysis::undecodable(format!("artifact does not parse: {e}"))
+            }
+        };
+        let mut findings = Vec::new();
+        let mut decoded = Vec::with_capacity(reports.len());
+        for (i, report) in reports.iter().enumerate() {
+            let name = report["name"]
+                .as_str()
+                .map_or_else(|| format!("report {i}"), str::to_string);
+            let undecodable = |e: &dyn std::fmt::Display| {
+                Diagnostic::new(DiagCode::Undecodable, Some(&name), e.to_string())
+            };
+            let (ir, format) = match (report_ir(report), report_format(report)) {
+                (Ok(ir), Ok(format)) => (ir, format),
+                (Err(e), _) | (_, Err(e)) => {
+                    findings.push(undecodable(&e));
+                    continue;
+                }
+            };
+            let normalizer = match report_normalizer(report) {
+                Ok(normalizer) => Some(normalizer),
+                Err(_) if report["normalizer"] == Value::Null => None,
+                Err(MlError::DegenerateNormalizer { column, std }) => {
+                    findings.push(Diagnostic::degenerate_normalizer(&name, column, std));
+                    None
+                }
+                Err(e) => {
+                    findings.push(undecodable(&e));
+                    None
+                }
+            };
+            decoded.push((name, ir, format, normalizer));
+        }
+        let inputs: Vec<ModelInput<'_>> = decoded
+            .iter()
+            .map(|(name, ir, format, normalizer)| ModelInput {
+                name,
+                ir,
+                format: *format,
+                normalizer: normalizer.as_ref(),
+                word_bits: None,
+            })
+            .collect();
+        let mut analysis = homunculus_analysis::analyze_models(&inputs);
+        findings.append(&mut analysis.artifact_diagnostics);
+        analysis.artifact_diagnostics = findings;
+        analysis
     }
 
     /// The validation hook behind [`load_json`](CompiledArtifact::load_json)
@@ -528,16 +648,7 @@ impl CompiledArtifact {
     /// Returns [`CoreError::Analysis`] with every `HA`-coded error
     /// rendered into the message.
     pub fn verify(&self) -> Result<()> {
-        let analysis = self.analyze();
-        if analysis.has_errors() {
-            let rendered: Vec<String> = analysis
-                .diagnostics()
-                .filter(|d| d.severity == homunculus_analysis::Severity::Error)
-                .map(|d| d.to_string())
-                .collect();
-            return Err(CoreError::Analysis(rendered.join("; ")));
-        }
-        Ok(())
+        refuse_errors(&self.analyze())
     }
 
     /// Encodes the artifact in the compact binary wire format (the

@@ -16,7 +16,7 @@
 //! | [`Compiler::open`] | [`Session`] | schedule validation, resource-share scaling |
 //! | [`Session::search`] | [`Searched`] | per-app BO candidate searches (parallel across algorithms) |
 //! | [`Searched::train`] | [`Trained`] | winner selection + final retrain with restarts |
-//! | [`Trained::check`] | [`Feasible`] | resource/performance estimation of the final models |
+//! | [`Trained::check`] | [`Feasible`] | resource/performance estimation and static analysis of the final models |
 //! | [`Feasible::codegen`] | [`CompiledArtifact`] | backend code generation + integer lowering |
 //!
 //! Every stage emits [`CompileEvent`]s through an optional
@@ -117,10 +117,11 @@
 use crate::alchemy::Metric;
 use crate::alchemy::{Algorithm, ModelSpec, Platform};
 use crate::candidates::candidate_algorithms;
-use crate::pipeline::{CompiledArtifact, CompilerOptions, ModelReport};
+use crate::pipeline::{refuse_errors, CompiledArtifact, CompilerOptions, ModelReport};
 use crate::spaces::design_space_for;
 use crate::trainer::{retrain_winner, Candidate, Evaluator, Scored, TrainBudget, EFFICIENCY_SLACK};
 use crate::{CoreError, Result};
+use homunculus_analysis::{ModelAnalysis, ModelInput};
 use homunculus_backends::model::ModelIr;
 use homunculus_backends::resources::{Constraints, Performance, ResourceEstimate, ResourceVector};
 use homunculus_datasets::dataset::{Dataset, Normalizer};
@@ -552,13 +553,14 @@ impl Compiler {
         self
     }
 
-    /// Turns the static verification gate on (or off): during
-    /// [`Trained::check`] every final model — and the schedule as a whole
-    /// — is run through the `homunculus-analysis` interval walk and
-    /// linter against the codegen fixed-point format and the target's
-    /// native word width. Every finding is emitted as
-    /// [`CompileEvent::AnalyzerDiagnostic`]; error-severity findings fail
-    /// the stage with [`CoreError::Analysis`]. Off by default — a
+    /// Turns the static verification gate on (or off). [`Trained::check`]
+    /// runs every final model — and the schedule as a whole — through the
+    /// `homunculus-analysis` interval walk and linter against the codegen
+    /// fixed-point format and the target's native word width either way
+    /// (codegen stamps its certificates); with the gate on, every finding
+    /// is emitted as [`CompileEvent::AnalyzerDiagnostic`] and
+    /// error-severity findings fail the stage with
+    /// [`CoreError::Analysis`]. Off by default — a
     /// session-local toggle, deliberately not a [`CompilerOptions`] field
     /// (options round-trip through checkpoints; the gate is about *this*
     /// run's posture, and [`Compiler::resume`] keeps it).
@@ -1072,17 +1074,27 @@ impl<'p> Trained<'p> {
     /// [`CompileEvent::FeasibilityRejected`] rather than discarding a
     /// trained winner.
     ///
+    /// The stage then picks the fixed-point format codegen lowers with
+    /// (Q3.12, the Taurus word) and runs the `homunculus-analysis`
+    /// interval walk and linter once over the schedule, against that
+    /// format and the target's native word width. Codegen stamps each
+    /// model's certificates from this analysis. With
+    /// [`Compiler::verify_artifacts`] on, every finding is also emitted as
+    /// [`CompileEvent::AnalyzerDiagnostic`] and error-severity findings
+    /// fail the stage.
+    ///
     /// # Errors
     ///
     /// Returns [`CoreError::Subsystem`] when the target cannot estimate a
-    /// final IR at all.
+    /// final IR at all, and [`CoreError::Analysis`] when the verification
+    /// gate is on and refuses.
     pub fn check(self) -> Result<Feasible<'p>> {
         let ctx = self.ctx;
         let trained = self.models;
         let models = ctx.staged(CompileStage::Check, None, || {
             ctx.note_cancelled(CompileStage::Check);
             let target = ctx.platform.effective_target();
-            let mut models = Vec::with_capacity(trained.len());
+            let mut estimated = Vec::with_capacity(trained.len());
             for model in trained {
                 let name = model.name.clone();
                 let checked = ctx.staged(CompileStage::Check, Some(&name), || {
@@ -1096,56 +1108,44 @@ impl<'p> Trained<'p> {
                             constraint: violations.join("; "),
                         });
                     }
-                    Ok(CheckedModel {
-                        model,
-                        estimate,
-                        violations,
-                    })
+                    Ok((model, estimate, violations))
                 })?;
-                models.push(checked);
+                estimated.push(checked);
             }
+            let format = FixedPoint::taurus_default();
+            let word_bits = target.as_target().word_bits();
+            let inputs: Vec<ModelInput<'_>> = estimated
+                .iter()
+                .map(|(model, ..)| ModelInput {
+                    name: &model.name,
+                    ir: &model.ir,
+                    format,
+                    normalizer: Some(model.normalizer()),
+                    word_bits: Some(word_bits),
+                })
+                .collect();
+            let analysis = homunculus_analysis::analyze_models(&inputs);
             if ctx.verify {
-                verify_models(&ctx, &models, target.as_target().word_bits())?;
+                for diagnostic in analysis.diagnostics() {
+                    ctx.emit(CompileEvent::AnalyzerDiagnostic {
+                        model: diagnostic.model.clone(),
+                        diagnostic: diagnostic.clone(),
+                    });
+                }
+                refuse_errors(&analysis)?;
             }
-            Ok(models)
+            Ok(estimated
+                .into_iter()
+                .zip(analysis.models)
+                .map(|((model, estimate, violations), analysis)| CheckedModel {
+                    model,
+                    estimate,
+                    violations,
+                    analysis,
+                })
+                .collect())
         })?;
         Ok(Feasible { ctx, models })
-    }
-}
-
-/// The opt-in static verification gate (see
-/// [`Compiler::verify_artifacts`]): runs the `homunculus-analysis`
-/// interval walk and linter over every final model against the format
-/// codegen will lower with and the target's native word width, emits
-/// every finding as [`CompileEvent::AnalyzerDiagnostic`], and fails on
-/// error-severity findings.
-fn verify_models(ctx: &Ctx<'_>, models: &[CheckedModel], word_bits: u32) -> Result<()> {
-    let format = FixedPoint::taurus_default();
-    let inputs: Vec<homunculus_analysis::ModelInput<'_>> = models
-        .iter()
-        .map(|checked| homunculus_analysis::ModelInput {
-            name: &checked.model.name,
-            ir: &checked.model.ir,
-            format,
-            normalizer: Some(checked.model.normalizer()),
-            word_bits: Some(word_bits),
-        })
-        .collect();
-    let analysis = homunculus_analysis::analyze_models(&inputs);
-    let mut errors: Vec<String> = Vec::new();
-    for diagnostic in analysis.diagnostics() {
-        ctx.emit(CompileEvent::AnalyzerDiagnostic {
-            model: diagnostic.model.clone(),
-            diagnostic: diagnostic.clone(),
-        });
-        if diagnostic.severity == homunculus_analysis::Severity::Error {
-            errors.push(diagnostic.to_string());
-        }
-    }
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(CoreError::Analysis(errors.join("; ")))
     }
 }
 
@@ -1173,11 +1173,15 @@ fn append_certificate_comments(
     code
 }
 
-/// One model with its final resource estimate and feasibility verdict.
+/// One model with its final resource estimate, feasibility verdict and
+/// static analysis.
 pub struct CheckedModel {
     model: TrainedModel,
     estimate: ResourceEstimate,
     violations: Vec<String>,
+    /// The check stage's analysis: the format codegen lowers with and the
+    /// certificates it stamps.
+    analysis: ModelAnalysis,
 }
 
 impl CheckedModel {
@@ -1244,33 +1248,31 @@ impl Feasible<'_> {
             let target = ctx.platform.effective_target();
             let mut reports = Vec::with_capacity(checked.len());
             for CheckedModel {
-                model, estimate, ..
+                model,
+                estimate,
+                analysis,
+                ..
             } in checked
             {
                 let name = model.name.clone();
                 let report = ctx.staged(CompileStage::Codegen, Some(&name), || {
-                    // Lower the winner to the integer runtime — the
-                    // executable twin of the generated data-plane code. A
-                    // trained IR always lowers; failure would indicate an
-                    // IR bug, so it degrades to None rather than
-                    // invalidating an otherwise complete compile. The
-                    // format is recorded on the report so save/load and
-                    // the serving builders re-lower identically.
-                    let format = FixedPoint::taurus_default();
-                    let mut code = target.as_target().generate_code(&model.ir, &model.name)?;
+                    // Generate the program and lower the winner to the
+                    // integer runtime — its executable twin — in the
+                    // format the check stage analyzed. A trained IR always
+                    // lowers; failure would indicate an IR bug, so it
+                    // degrades to None rather than invalidating an
+                    // otherwise complete compile. The format is recorded
+                    // on the report so save/load and the serving builders
+                    // re-lower identically.
+                    let format = analysis.format;
+                    let code = target
+                        .as_target()
+                        .generate_code(&model.ir, &model.name, format)?;
                     // Stamp the analyzer's per-kernel no-saturation
                     // certificates into the generated program: operators
                     // reviewing data-plane code see the proven value
                     // bounds next to the kernels they bound.
-                    let analysis =
-                        homunculus_analysis::analyze_model(&homunculus_analysis::ModelInput {
-                            name: &name,
-                            ir: &model.ir,
-                            format,
-                            normalizer: Some(model.evaluator.normalizer()),
-                            word_bits: Some(target.as_target().word_bits()),
-                        });
-                    code = append_certificate_comments(code, &analysis.certificates);
+                    let code = append_certificate_comments(code, &analysis.certificates);
                     let compiled = CompiledPipeline::from_ir(&model.ir, format).ok();
                     Ok(ModelReport {
                         name: model.name,

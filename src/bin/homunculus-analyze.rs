@@ -1,8 +1,8 @@
 //! `homunculus-analyze` — the static verification gate as a CLI.
 //!
-//! Lints saved compile artifacts (`homunculus.artifact/v1`, JSON or the
-//! `HJB1` binary framing) and reports interval-analysis certificates plus
-//! `HA`-coded diagnostics:
+//! Lints saved compile artifacts (`CompiledArtifact` documents, JSON or
+//! the `HJB1` binary framing) and reports interval-analysis certificates
+//! plus `HA`-coded diagnostics:
 //!
 //! ```text
 //! homunculus-analyze [--json] <artifact>...
@@ -15,49 +15,29 @@
 //! Unlike `CompiledArtifact::load_json`, which refuses defective
 //! artifacts outright, this tool decodes *leniently* so a broken artifact
 //! still yields a complete lint report — that is what makes it usable as
-//! a CI gate over artifact corpora (`make lint-artifacts`).
+//! a CI gate over artifact corpora (`make lint-artifacts`). The decoding
+//! is `homunculus-core`'s (`CompiledArtifact::analyze_bytes`, which reads
+//! the document with the strict loader's own field decoders); the
+//! certificates and findings are `homunculus-analysis`'s.
 
-use homunculus::analysis::{self, ArtifactAnalysis, DiagCode, Diagnostic, Severity};
+use homunculus::analysis::ArtifactAnalysis;
+use homunculus::core::pipeline::CompiledArtifact;
 use serde_json::{json, ToJson, Value};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!("usage: homunculus-analyze [--json] <artifact>...");
-    eprintln!("  lints homunculus.artifact/v1 files (JSON or HJB1 binary)");
+    eprintln!("  lints compiled artifact files (JSON or HJB1 binary)");
     eprintln!("  exits 1 if any error-severity diagnostic fires");
     ExitCode::from(2)
 }
 
-/// Parses one artifact file into a JSON document, picking the decoder by
-/// sniffing the `HJB1` magic.
-fn parse_artifact(bytes: &[u8]) -> Result<Value, String> {
-    if serde_json::sniff_binary(bytes) {
-        serde_json::from_slice_binary(bytes).map_err(|e| e.to_string())
-    } else {
-        let text = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
-        serde_json::from_str(text).map_err(|e| e.to_string())
-    }
-}
-
-/// Analyzes one path; I/O and parse failures become `HA0000` so the
-/// report shape is uniform.
+/// Analyzes one path; an I/O failure becomes `HA0000`, as a parse failure
+/// does, so the report shape is uniform.
 fn analyze_path(path: &str) -> ArtifactAnalysis {
-    let undecodable = |message: String| ArtifactAnalysis {
-        models: Vec::new(),
-        artifact_diagnostics: vec![Diagnostic {
-            code: DiagCode::Undecodable,
-            severity: Severity::Error,
-            model: None,
-            message,
-        }],
-    };
-    let bytes = match std::fs::read(path) {
-        Ok(bytes) => bytes,
-        Err(e) => return undecodable(format!("cannot read: {e}")),
-    };
-    match parse_artifact(&bytes) {
-        Ok(document) => analysis::analyze_artifact(&document),
-        Err(e) => undecodable(format!("artifact does not parse: {e}")),
+    match std::fs::read(path) {
+        Ok(bytes) => CompiledArtifact::analyze_bytes(&bytes),
+        Err(e) => ArtifactAnalysis::undecodable(format!("cannot read: {e}")),
     }
 }
 

@@ -31,10 +31,12 @@
 //!   workers, ticket-based submission, weighted tenant QoS, and shared
 //!   activation LUTs.
 //! - [`analysis`] — the static verification layer: interval analysis over
-//!   compiled pipelines (per-kernel no-saturation certificates) and an
-//!   artifact linter with stable `HA`-prefixed diagnostic codes, exposed
-//!   as the `homunculus-analyze` CLI, an opt-in compile-session gate, and
-//!   a validation hook on artifact loads.
+//!   compiled pipelines (per-kernel no-saturation certificates) and a
+//!   model linter with stable `HA`-prefixed diagnostic codes. It certifies
+//!   typed models; [`core`] decodes artifacts, strictly for loads (with a
+//!   validation hook) and leniently for the `homunculus-analyze` CLI
+//!   (`CompiledArtifact::analyze_bytes`), and runs the analysis once per
+//!   compile (certificates in the generated code, an opt-in gate).
 //! - [`sim`] — kept for the benchmark and the fleet test only: closed-form
 //!   grid timing equal to the Taurus estimate, and the sequential
 //!   multi-hop replay the fleet is checked against.

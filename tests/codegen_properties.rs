@@ -8,6 +8,7 @@ use homunculus::backends::target::Target;
 use homunculus::backends::taurus::TaurusTarget;
 use homunculus::backends::tofino::TofinoTarget;
 use homunculus::ml::mlp::{Mlp, MlpArchitecture};
+use homunculus::ml::quantize::FixedPoint;
 use proptest::prelude::*;
 
 proptest! {
@@ -23,7 +24,7 @@ proptest! {
         let arch = MlpArchitecture::new(input, widths, classes);
         let net = Mlp::new(&arch, seed).unwrap();
         let model = ModelIr::Dnn(DnnIr::from_mlp(&net));
-        let code = TaurusTarget::default().generate_code(&model, "prop_test").unwrap();
+        let code = TaurusTarget::default().generate_code(&model, "prop_test", FixedPoint::taurus_default()).unwrap();
         prop_assert!(is_balanced(&code), "unbalanced delimiters");
         // One dot-product reduce per weight layer.
         prop_assert_eq!(code.matches("Reduce(Reg[T]").count(), arch.depth());
@@ -41,7 +42,7 @@ proptest! {
             .map(|c| (0..n_features).map(|f| ((c * 7 + f + seed as usize) % 13) as f32 * 0.3).collect())
             .collect();
         let model = ModelIr::KMeans(KMeansIr { k, n_features, centroids: Some(centroids) });
-        let code = TofinoTarget::default().generate_code(&model, "prop_kmeans").unwrap();
+        let code = TofinoTarget::default().generate_code(&model, "prop_kmeans", FixedPoint::taurus_default()).unwrap();
         prop_assert!(is_balanced(&code));
         prop_assert_eq!(code.matches("table cluster_").count(), k);
         // Every feature appears in every cluster table's key.
@@ -64,7 +65,7 @@ proptest! {
             n_classes,
             planes: Some((planes, biases)),
         });
-        let code = TofinoTarget::default().generate_code(&model, "prop_svm").unwrap();
+        let code = TofinoTarget::default().generate_code(&model, "prop_svm", FixedPoint::taurus_default()).unwrap();
         prop_assert!(is_balanced(&code));
         prop_assert_eq!(code.matches("table feature_").count(), n_features);
     }

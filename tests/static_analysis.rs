@@ -1,7 +1,8 @@
 //! The static verification layer, end to end: a seeded-defect corpus
 //! with exact `HA` codes, the `homunculus-analyze` CLI (human and JSON
-//! modes, exit codes), the artifact-load validation hook, and the
-//! degenerate-normalizer regression through both wire formats.
+//! modes, exit codes), the artifact-load validation hook, the
+//! degenerate-normalizer regression through both wire formats, and a
+//! sweep of hostile bytes through the lenient decoder.
 
 use std::process::Command;
 use std::sync::OnceLock;
@@ -408,6 +409,86 @@ fn corrupt_and_mutated_artifacts_fail_the_cli_with_exact_codes() {
     assert_eq!(code, 1);
     let doc = serde_json::from_str(&out).expect("CLI --json output parses");
     assert_eq!(doc["failed"].as_bool(), Some(true));
+}
+
+/// A deterministic sweep of hostile bytes through the one lenient decoder
+/// (`CompiledArtifact::analyze_bytes`), in both framings: truncations at
+/// evenly spaced offsets and single-byte flips at seeded offsets. The
+/// decoder returns on every mutant, and reports no error on any mutant
+/// the strict loader (decode plus `verify`) accepts. On the unmutated
+/// bytes it renders exactly what `CompiledArtifact::analyze` does.
+#[test]
+fn hostile_bytes_cannot_panic_the_lenient_decoder() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    const TRUNCATIONS: usize = 64;
+    const FLIPS: usize = 96;
+    let artifact = artifact();
+    let clean = artifact.analyze().render();
+    let json = artifact.to_json_string().unwrap().into_bytes();
+    let bin = artifact.to_bin_bytes();
+    // The strict loader, in whichever framing the bytes are in.
+    let strict_accepts = |bytes: &[u8]| {
+        CompiledArtifact::from_bin_bytes(bytes)
+            .ok()
+            .or_else(|| {
+                let text = std::str::from_utf8(bytes).ok()?;
+                CompiledArtifact::from_json_str(text).ok()
+            })
+            .is_some_and(|loaded| loaded.verify().is_ok())
+    };
+
+    // SplitMix64: the flips' offsets and masks, the same on every run.
+    let mut state = 0x5eed_u64;
+    let mut next = move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let mut accepted = 0usize;
+    for (framing, bytes) in [("json", json.as_slice()), ("bin", bin.as_slice())] {
+        assert_eq!(
+            CompiledArtifact::analyze_bytes(bytes).render(),
+            clean,
+            "{framing}: the lenient decoder disagrees with analyze() on clean bytes"
+        );
+        let mut mutants: Vec<(String, Vec<u8>)> = (0..TRUNCATIONS)
+            .map(|i| {
+                let len = bytes.len() * i / TRUNCATIONS;
+                (format!("truncated to {len}"), bytes[..len].to_vec())
+            })
+            .collect();
+        for _ in 0..FLIPS {
+            let draw = next();
+            let at = (draw % bytes.len() as u64) as usize;
+            let mask = ((draw >> 32) as u8).max(1);
+            let mut mutant = bytes.to_vec();
+            mutant[at] ^= mask;
+            mutants.push((format!("byte {at} ^= {mask:#04x}"), mutant));
+        }
+        for (what, mutant) in mutants {
+            let lint = catch_unwind(AssertUnwindSafe(|| {
+                CompiledArtifact::analyze_bytes(&mutant)
+            }))
+            .unwrap_or_else(|_| panic!("{framing}, {what}: the lenient decoder panicked"));
+            if strict_accepts(&mutant) {
+                accepted += 1;
+                assert!(
+                    !lint.has_errors(),
+                    "{framing}, {what}: the strict loader accepts what the lint refuses:\n{}",
+                    lint.render()
+                );
+            }
+        }
+    }
+    // The sweep reaches past the parser: some flips land in values the
+    // strict loader still accepts.
+    assert!(
+        accepted > 0,
+        "no mutant decoded; the sweep tests only the parser"
+    );
 }
 
 /// The opt-in compile-session gate: a clean compile passes with the gate
