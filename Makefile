@@ -86,17 +86,22 @@ stress:
 	done
 	@echo "stress: $(STRESS_RUNS) consecutive runs passed"
 
-# Two checks of the packed tier over every input it can meet, each split
-# over the host's cores: the branch-free quantize against
+# Three checks over every input they can meet, each split over the host's
+# cores. Two are of the packed tier: the branch-free quantize against
 # `FixedPoint::quantize` on every one of the 2^32 `f32` bit patterns
 # (~30 s on 2 vCPUs in release), and the dense tile's 8-wide LUT epilogue
 # against `ActLut::apply` on every `i32`, for sigmoid and tanh (~30 s).
-# Both run at Q3.12 and at an 8-bit format. The tests are `#[ignore]`d so
-# that `make test` stays quick; tests biased to the same edges run there
-# instead.
+# Both run at Q3.12 and at an 8-bit format. The third is of training's
+# exact `f32` arithmetic (`homunculus_ml`'s `exact` module): its multiply,
+# divide and square root against the native operations, bit for bit, on
+# every `f32` against the operands Adam uses and a spread of special
+# ones (~90 s). The tests are `#[ignore]`d so that `make test` stays
+# quick; tests biased to the same edges run there instead.
 exhaustive:
 	$(CARGO) test -q --release -p homunculus-ml --lib -- --ignored \
 		quantize_into_packed_matches_scalar_on_every_f32
+	$(CARGO) test -q --release -p homunculus-ml --lib -- --ignored \
+		exact_ops_match_native_on_every_f32
 	$(CARGO) test -q --release -p homunculus-runtime --lib -- --ignored \
 		lane_lut_matches_apply_on_every_i32
 

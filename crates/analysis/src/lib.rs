@@ -267,6 +267,10 @@ pub struct ModelAnalysis {
     pub certificates: Vec<KernelCertificate>,
     /// Findings scoped to this model.
     pub diagnostics: Vec<Diagnostic>,
+    /// The lowering the certificates were read from (`None` when the IR
+    /// did not lower), so that a compile which analyzes a model before
+    /// serving it lowers it once.
+    pub pipeline: Option<CompiledPipeline>,
 }
 
 impl ModelAnalysis {
@@ -828,16 +832,16 @@ pub fn analyze_model(input: &ModelInput<'_>) -> ModelAnalysis {
     // Interval walk: the runtime lowering *is* the analysis — every
     // kernel fact is derived there from the quantized parameters, so the
     // certificates here are exactly what fast-path selection consumes.
-    let (analyzed, certificates) = match CompiledPipeline::from_ir(input.ir, input.format) {
-        Ok(pipeline) => (
-            true,
-            pipeline
+    let (pipeline, certificates) = match CompiledPipeline::from_ir(input.ir, input.format) {
+        Ok(pipeline) => {
+            let certificates = pipeline
                 .kernel_facts()
                 .iter()
                 .map(KernelCertificate::from_fact)
-                .collect::<Vec<_>>(),
-        ),
-        Err(RuntimeError::MissingParams(_)) => (false, Vec::new()),
+                .collect::<Vec<_>>();
+            (Some(pipeline), certificates)
+        }
+        Err(RuntimeError::MissingParams(_)) => (None, Vec::new()),
         Err(e) => {
             // Inconsistent IRs were already diagnosed structurally above;
             // surface the lowering error too in case it caught something
@@ -849,7 +853,7 @@ pub fn analyze_model(input: &ModelInput<'_>) -> ModelAnalysis {
                     format!("ir fails to lower: {e}"),
                 ));
             }
-            (false, Vec::new())
+            (None, Vec::new())
         }
     };
     for cert in certificates.iter().filter(|c| !c.certified) {
@@ -867,9 +871,10 @@ pub fn analyze_model(input: &ModelInput<'_>) -> ModelAnalysis {
         name: input.name.to_string(),
         family: input.ir.family().to_string(),
         format: input.format,
-        analyzed,
+        analyzed: pipeline.is_some(),
         certificates,
         diagnostics,
+        pipeline,
     }
 }
 

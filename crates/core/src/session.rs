@@ -130,7 +130,6 @@ use homunculus_optimizer::space::Configuration;
 use homunculus_optimizer::{
     BayesianOptimizer, Evaluation, OptimizationHistory, OptimizerError, OptimizerOptions,
 };
-use homunculus_runtime::CompiledPipeline;
 use serde_json::{json, Value};
 use std::io::Write;
 use std::path::Path;
@@ -238,6 +237,14 @@ pub enum CompileEvent {
         feasible: bool,
         /// Relative constraint-violation magnitude (0.0 when feasible).
         violation: f64,
+        /// Wall-clock time the optimizer took to propose the candidate
+        /// (its `ask`: design of experiments, surrogate fits and
+        /// acquisition), in nanoseconds.
+        ask_ns: u64,
+        /// Wall-clock time the candidate's evaluation took (pricing its
+        /// shape, then training, scoring, lowering and checking it), in
+        /// nanoseconds.
+        evaluate_ns: u64,
     },
     /// A candidate (or a final model, during [`Trained::check`]) violated
     /// the platform constraints.
@@ -376,6 +383,8 @@ impl<W: Write + Send> CompileObserver for LogObserver<W> {
                 objective,
                 feasible,
                 violation,
+                ask_ns,
+                evaluate_ns,
             } => {
                 let verdict = if *feasible {
                     "feasible".to_string()
@@ -383,10 +392,11 @@ impl<W: Write + Send> CompileObserver for LogObserver<W> {
                     format!("infeasible, violation {violation:.3}")
                 };
                 let objective = objective.map_or("—".to_string(), |o| format!("{o:.4}"));
+                let (ask_ms, evaluate_ms) = (*ask_ns as f64 / 1e6, *evaluate_ns as f64 / 1e6);
                 writeln!(
                     sink,
                     "[{t:9.3}s]  search {model}/{}: iteration {iteration} objective \
-                     {objective} ({verdict})",
+                     {objective} ({verdict}; ask {ask_ms:.1} ms, evaluate {evaluate_ms:.1} ms)",
                     algorithm.name()
                 )
             }
@@ -1179,8 +1189,8 @@ pub struct CheckedModel {
     model: TrainedModel,
     estimate: ResourceEstimate,
     violations: Vec<String>,
-    /// The check stage's analysis: the format codegen lowers with and the
-    /// certificates it stamps.
+    /// The check stage's analysis: the format codegen generates in, the
+    /// certificates it stamps and the lowering the report serves.
     analysis: ModelAnalysis,
 }
 
@@ -1232,7 +1242,8 @@ impl Feasible<'_> {
     }
 
     /// Stage 4 — **codegen**: generates target code for every winner,
-    /// lowers it to the integer runtime, and assembles the
+    /// attaches the check stage's lowering of it to the integer runtime,
+    /// and assembles the
     /// [`CompiledArtifact`] (combined resources/performance under the
     /// schedule's composition rules). An artifact built after cancellation
     /// is marked [partial](CompiledArtifact::is_partial).
@@ -1256,14 +1267,14 @@ impl Feasible<'_> {
             {
                 let name = model.name.clone();
                 let report = ctx.staged(CompileStage::Codegen, Some(&name), || {
-                    // Generate the program and lower the winner to the
-                    // integer runtime — its executable twin — in the
-                    // format the check stage analyzed. A trained IR always
-                    // lowers; failure would indicate an IR bug, so it
-                    // degrades to None rather than invalidating an
-                    // otherwise complete compile. The format is recorded
-                    // on the report so save/load and the serving builders
-                    // re-lower identically.
+                    // Generate the program in the format the check stage
+                    // analyzed, and keep that stage's lowering of the
+                    // winner to the integer runtime — its executable twin.
+                    // A trained IR always lowers; failure would indicate an
+                    // IR bug, so it degrades to None rather than
+                    // invalidating an otherwise complete compile. The
+                    // format is recorded on the report so save/load and
+                    // the serving builders re-lower identically.
                     let format = analysis.format;
                     let code = target
                         .as_target()
@@ -1273,7 +1284,6 @@ impl Feasible<'_> {
                     // reviewing data-plane code see the proven value
                     // bounds next to the kernels they bound.
                     let code = append_certificate_comments(code, &analysis.certificates);
-                    let compiled = CompiledPipeline::from_ir(&model.ir, format).ok();
                     Ok(ModelReport {
                         name: model.name,
                         algorithm: model.algorithm,
@@ -1283,7 +1293,7 @@ impl Feasible<'_> {
                         estimate,
                         ir: model.ir,
                         format,
-                        compiled,
+                        compiled: analysis.pipeline,
                         normalizer: model.evaluator.normalizer().clone(),
                         code,
                         history: model.history,
@@ -1634,8 +1644,16 @@ fn search_algorithm(
         })?,
         None => BayesianOptimizer::new(space, optimizer_options),
     };
-    while let Some(configuration) = optimizer.ask()? {
+    let nanos = |since: Instant| u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    loop {
+        let asked = Instant::now();
+        let Some(configuration) = optimizer.ask()? else {
+            break;
+        };
+        let ask_ns = nanos(asked);
+        let evaluated = Instant::now();
         let evaluation = evaluate(&configuration);
+        let evaluate_ns = nanos(evaluated);
         let point = optimizer.tell(configuration, evaluation)?;
         ctx.emit(CompileEvent::CandidateEvaluated {
             model: spec.name.clone(),
@@ -1644,6 +1662,8 @@ fn search_algorithm(
             objective: point.evaluation.objective,
             feasible: point.evaluation.is_feasible,
             violation: point.evaluation.violation,
+            ask_ns,
+            evaluate_ns,
         });
         ctx.check_deadline();
         if ctx.cancel.is_cancelled() {
@@ -1798,6 +1818,31 @@ mod tests {
             staged_ns > 0 && staged_ns <= wall_ns,
             "{staged_ns} vs {wall_ns}"
         );
+        // Each evaluation is timed, and one algorithm's asks and
+        // evaluations run one after another inside the compile.
+        let mut per_search: std::collections::HashMap<(String, Algorithm), u64> =
+            Default::default();
+        for event in observer.events() {
+            if let CompileEvent::CandidateEvaluated {
+                model,
+                algorithm,
+                ask_ns,
+                evaluate_ns,
+                ..
+            } = event
+            {
+                assert!(evaluate_ns > 0, "{model}/{}", algorithm.name());
+                *per_search.entry((model, algorithm)).or_default() += ask_ns + evaluate_ns;
+            }
+        }
+        assert!(!per_search.is_empty());
+        for ((model, algorithm), ns) in per_search {
+            assert!(
+                ns <= wall_ns,
+                "{model}/{}: {ns} vs {wall_ns}",
+                algorithm.name()
+            );
+        }
         assert_eq!(
             observer.count(|e| matches!(
                 e,
@@ -2122,6 +2167,10 @@ mod tests {
         assert!(text.contains("search started"), "log:\n{text}");
         assert!(
             text.contains("anomaly_detection/dnn: iteration 0"),
+            "log:\n{text}"
+        );
+        assert!(
+            text.contains("ms, evaluate ") && text.contains("; ask "),
             "log:\n{text}"
         );
         assert!(text.contains("finished in"), "log:\n{text}");

@@ -16,6 +16,9 @@
 //!   as map/reduce templates).
 //! - [`mlp`] — multi-layer perceptrons trained with mini-batch
 //!   backpropagation (SGD with momentum or Adam) and softmax cross-entropy.
+//!   A net that collapses into subnormal weights trains on an exact path
+//!   that keeps the native bits without the FPU's slow subnormal assist
+//!   (the module docs).
 //! - [`svm`] — linear support-vector machines (hinge loss, one-vs-rest).
 //! - [`kmeans`] — KMeans clustering with kmeans++ initialization.
 //! - [`tree`] / [`forest`] — CART decision trees and random forests; the
@@ -58,6 +61,7 @@
 //! ```
 
 pub mod bounds;
+mod exact;
 pub mod forest;
 pub mod kmeans;
 pub mod metrics;

@@ -9,9 +9,56 @@
 //! switch this lowers to a nested map/reduce (dot products) over the CU grid,
 //! and the layer dimensions decide the CU/MU resource bill (see
 //! `homunculus-backends`).
+//!
+//! # Collapsed nets and subnormal arithmetic
+//!
+//! Some draws of the design space collapse in training: a deep ReLU
+//! stack at a high learning rate ends with most parameters subnormal
+//! (below 2^-126). A 7-25-13-6-3-2-2-2-2-2-5 net on IoT traffic
+//! (learning rate 0.0087, batch 16, 30 epochs: the shape of one DOE draw
+//! of the compile-time search) ends with 595 of its 690 parameters
+//! subnormal. On x86 such values are slow to multiply (scalar, a 2-vCPU
+//! Xeon):
+//!
+//! | `f32` operation | cost |
+//! |---|---|
+//! | multiply, divide or `sqrt` whose operand or result is subnormal | ~40 ns |
+//! | the same operation on normal values | ~1.4 ns |
+//! | add, compare, `f32`↔`f64` conversion, `0 × subnormal` | no extra cost |
+//!
+//! Flushing subnormals to zero would remove the cost and change the
+//! trained bits. Instead, the two places where collapsed nets spent their
+//! time take an exact path there: `Matrix::matmul`, the forward pass (see
+//! its docs), and the Adam update of the weights. The exact path computes
+//! in `f64`, where every `f32` is normal, and converts each result back,
+//! which rounds it to the nearest `f32` (into the subnormal range too)
+//! and costs nothing extra:
+//!
+//! - the `f64` product of two `f32`s is exact (24 + 24 ≤ 53 bits), so
+//!   one rounding gives the native product;
+//! - an `f64` quotient or square root is rounded twice, and double
+//!   rounding is harmless when the wide precision is at least twice the
+//!   narrow one plus two (53 ≥ 2·24 + 2).
+//!
+//! So each operation returns the native result bit for bit, and which
+//! path an element takes decides only its speed. An Adam step sorts a
+//! layer's elements only after a step that left more than an eighth of
+//! its weights as nonzeros below 2^-63 (counted as that step wrote them,
+//! so a healthy layer runs one loop without branches); then each element
+//! whose gradient, weight or moments hold such a value takes the exact
+//! path. With fewer, the branches of sorting cost more than the assists
+//! they save: a healthy ReLU net's dead units leave a few such weights.
+//! The same count tells the next forward pass when a layer's weights
+//! hold none, which spares `Matrix::matmul` its scan of them. The
+//! backward kernels stay native: exact paths there measured slower. The
+//! weights of a collapsed and of a healthy net are pinned
+//! by `golden_weights_of_a_collapsed_and_a_healthy_net`, whose hashes
+//! were taken before the exact path existed, and the operations
+//! themselves are compared with the native ones on every `f32` by an
+//! ignored test that `make exhaustive` runs.
 
 use crate::tensor::Matrix;
-use crate::{MlError, Result};
+use crate::{exact, MlError, Result};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -448,12 +495,27 @@ impl Mlp {
     /// Forward pass: hands each layer's output to `each` as it is computed
     /// and returns the last one (the class probabilities). Only the layer
     /// being computed is held, so a prediction over a large batch costs
-    /// two layers of memory, not the whole network's.
-    fn forward(&self, x: &Matrix, mut each: impl FnMut(&Matrix)) -> Result<Matrix> {
+    /// two layers of memory, not the whole network's. `tiny_free[i]`
+    /// says that layer `i`'s weights hold no nonzero below 2^-63, which
+    /// spares `Matrix::matmul` its scan of them; a missing entry is
+    /// scanned.
+    fn forward(
+        &self,
+        x: &Matrix,
+        tiny_free: &[bool],
+        mut each: impl FnMut(&Matrix),
+    ) -> Result<Matrix> {
         let last = self.layers.len() - 1;
         let mut current: Option<Matrix> = None;
         for (idx, layer) in self.layers.iter().enumerate() {
-            let mut z = current.as_ref().unwrap_or(x).matmul(&layer.weights)?;
+            let floor = match tiny_free.get(idx) {
+                Some(true) => exact::TINY,
+                _ => exact::normal_floor(layer.weights.as_slice()),
+            };
+            let mut z = current
+                .as_ref()
+                .unwrap_or(x)
+                .matmul_above(&layer.weights, floor)?;
             z.add_row_vector(&layer.bias)?;
             if idx < last {
                 let act = self.arch.activation;
@@ -469,9 +531,9 @@ impl Mlp {
 
     /// Forward pass returning per-layer activations (input excluded), for
     /// backpropagation.
-    fn forward_cached(&self, x: &Matrix) -> Result<Vec<Matrix>> {
+    fn forward_cached(&self, x: &Matrix, tiny_free: &[bool]) -> Result<Vec<Matrix>> {
         let mut activations = Vec::with_capacity(self.layers.len());
-        self.forward(x, |z| activations.push(z.clone()))?;
+        self.forward(x, tiny_free, |z| activations.push(z.clone()))?;
         Ok(activations)
     }
 
@@ -481,7 +543,7 @@ impl Mlp {
     ///
     /// Returns [`MlError::ShapeMismatch`] if `x.cols() != input_dim`.
     pub fn predict_proba(&self, x: &Matrix) -> Result<Matrix> {
-        self.forward(x, |_| {})
+        self.forward(x, &[], |_| {})
     }
 
     /// Predicted class index for each row of `x`.
@@ -630,7 +692,8 @@ impl Mlp {
         state: &mut [OptimState],
         step: usize,
     ) -> Result<f32> {
-        let activations = self.forward_cached(bx)?;
+        let tiny_free: Vec<bool> = state.iter().map(|s| s.tiny_free).collect();
+        let activations = self.forward_cached(bx, &tiny_free)?;
         let proba = activations.last().expect("at least one layer");
         let loss = cross_entropy(proba, by)?;
         let n = bx.rows() as f32;
@@ -688,6 +751,14 @@ struct OptimState {
     v_w: Matrix,
     m_b: Vec<f32>,
     v_b: Vec<f32>,
+    /// Whether more than an eighth of this layer's weights were left as
+    /// nonzeros below 2^-63 by the last Adam step, so that the next step
+    /// sorts its elements onto the exact path. With fewer, the branches of
+    /// sorting cost more than the assists they save.
+    sort: bool,
+    /// Whether the last Adam step left no weight of this layer a nonzero
+    /// below 2^-63, so that the forward pass need not scan them.
+    tiny_free: bool,
 }
 
 impl OptimState {
@@ -697,6 +768,8 @@ impl OptimState {
             v_w: Matrix::zeros(w_shape.0, w_shape.1),
             m_b: vec![0.0; b_len],
             v_b: vec![0.0; b_len],
+            sort: false,
+            tiny_free: false,
         }
     }
 
@@ -729,14 +802,22 @@ impl OptimState {
                 let eps = 1e-8;
                 let bc1 = 1.0 - beta1.powi(step as i32);
                 let bc2 = 1.0 - beta2.powi(step as i32);
-                for i in 0..weights.len() {
-                    let g = grad_w.as_slice()[i] + wd * weights.as_slice()[i];
-                    let m = beta1 * self.m_w.as_slice()[i] + (1.0 - beta1) * g;
-                    let v = beta2 * self.v_w.as_slice()[i] + (1.0 - beta2) * g * g;
-                    self.m_w.as_mut_slice()[i] = m;
-                    self.v_w.as_mut_slice()[i] = v;
-                    weights.as_mut_slice()[i] -= lr * (m / bc1) / ((v / bc2).sqrt() + eps);
-                }
+                let step = AdamStep {
+                    lr,
+                    wd,
+                    beta1,
+                    beta2,
+                    bc1,
+                    bc2,
+                    eps,
+                };
+                let tiny_weights = if self.sort {
+                    step.weights::<true>(weights, grad_w, &mut self.m_w, &mut self.v_w)
+                } else {
+                    step.weights::<false>(weights, grad_w, &mut self.m_w, &mut self.v_w)
+                };
+                self.sort = tiny_weights * 8 > weights.len();
+                self.tiny_free = tiny_weights == 0;
                 for i in 0..bias.len() {
                     let g = grad_b[i];
                     let m = beta1 * self.m_b[i] + (1.0 - beta1) * g;
@@ -748,6 +829,82 @@ impl OptimState {
             }
         }
         Ok(())
+    }
+}
+
+/// One Adam step's constants.
+struct AdamStep {
+    lr: f32,
+    wd: f32,
+    beta1: f32,
+    beta2: f32,
+    bc1: f32,
+    bc2: f32,
+    eps: f32,
+}
+
+impl AdamStep {
+    /// Updates a layer's weights and moments in place and returns how many
+    /// weights it left as nonzeros below 2^-63 (see [`crate::exact`]).
+    /// With `SORT`, an element whose gradient, weight or moments hold such
+    /// a value takes the exact twins of the operations (the same bits
+    /// without the FPU's subnormal assist), and every other element the
+    /// native ones; without it every element is native, in a loop without
+    /// branches.
+    fn weights<const SORT: bool>(
+        &self,
+        weights: &mut Matrix,
+        grad_w: &Matrix,
+        m_w: &mut Matrix,
+        v_w: &mut Matrix,
+    ) -> usize {
+        let (beta1, beta2) = (self.beta1, self.beta2);
+        // The exact path's constant factors, widened once.
+        let [wd_x, beta1_x, rest1_x, beta2_x, rest2_x, lr_x, bc1_x, bc2_x] = [
+            self.wd,
+            beta1,
+            1.0 - beta1,
+            beta2,
+            1.0 - beta2,
+            self.lr,
+            self.bc1,
+            self.bc2,
+        ]
+        .map(exact::Wide::new);
+        let mut tiny_weights = 0u32;
+        for (((w, &grad), m), v) in weights
+            .as_mut_slice()
+            .iter_mut()
+            .zip(grad_w.as_slice())
+            .zip(m_w.as_mut_slice())
+            .zip(v_w.as_mut_slice())
+        {
+            if SORT
+                && (exact::is_tiny(grad)
+                    | exact::is_tiny(*w)
+                    | exact::is_tiny(*m)
+                    | exact::is_tiny(*v))
+            {
+                #[cfg(test)]
+                exact::tally::adam(1);
+                let g = grad + wd_x.times(*w);
+                *m = beta1_x.times(*m) + rest1_x.times(g);
+                *v = beta2_x.times(*v) + exact::mul(rest2_x.times(g), g);
+                *w -= exact::div(
+                    lr_x.times(bc1_x.quotient_of(*m)),
+                    exact::sqrt(bc2_x.quotient_of(*v)) + self.eps,
+                );
+            } else {
+                let g = grad + self.wd * *w;
+                *m = beta1 * *m + (1.0 - beta1) * g;
+                *v = beta2 * *v + (1.0 - beta2) * g * g;
+                *w -= self.lr * (*m / self.bc1) / ((*v / self.bc2).sqrt() + self.eps);
+            }
+            // Only the weight is counted: counting all four halves the
+            // speed of the loop without branches.
+            tiny_weights += u32::from(exact::is_tiny(*w));
+        }
+        tiny_weights as usize
     }
 }
 
@@ -1016,6 +1173,90 @@ mod tests {
         let p = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0]]).unwrap();
         let ce = cross_entropy(&p, &[0, 1]).unwrap();
         assert!(ce.abs() < 1e-5);
+    }
+
+    /// FNV-1a over the bits of every weight and bias, layer by layer.
+    fn weight_fnv(net: &Mlp) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for layer in net.layers() {
+            for v in layer.weights.as_slice().iter().chain(&layer.bias) {
+                for byte in v.to_bits().to_le_bytes() {
+                    hash ^= u64::from(byte);
+                    hash = hash.wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        hash
+    }
+
+    /// Trains `hidden` on 2 000 normalized IoT rows (the traffic
+    /// classification data of the compile-time search) with Adam, 30
+    /// epochs; returns the net and its subnormal parameter count.
+    fn train_on_iot(
+        hidden: Vec<usize>,
+        activation: Activation,
+        lr: f32,
+        batch: usize,
+    ) -> (Mlp, usize) {
+        use homunculus_datasets::iot::IotTrafficGenerator;
+        let split = IotTrafficGenerator::new(1)
+            .generate(2_000)
+            .stratified_split(0.3, 1)
+            .unwrap();
+        let train = split
+            .train
+            .normalized(&split.train.fit_normalizer())
+            .unwrap();
+        let f = train.features();
+        let x = Matrix::from_vec(f.rows(), f.cols(), f.as_slice().to_vec()).unwrap();
+        let arch = MlpArchitecture::new(7, hidden, 5).with_activation(activation);
+        let mut net = Mlp::new(&arch, 2).unwrap();
+        let config = TrainConfig::default()
+            .epochs(30)
+            .learning_rate(lr)
+            .batch_size(batch)
+            .seed(2);
+        net.train(&x, train.labels(), &config).unwrap();
+        let subnormal = net
+            .layers()
+            .iter()
+            .flat_map(|l| l.weights.as_slice().iter().chain(&l.bias))
+            .filter(|v| v.is_subnormal())
+            .count();
+        (net, subnormal)
+    }
+
+    /// The weights of a net that collapses into subnormals, and of a
+    /// healthy one, pinned bit for bit (the hashes were taken before
+    /// training had an exact path, so they hold that it changes no bit).
+    /// The collapsed net must take the exact path and the healthy one
+    /// never: a silent fall back into the FPU's assist fails here.
+    #[test]
+    fn golden_weights_of_a_collapsed_and_a_healthy_net() {
+        exact::tally::take();
+        let (collapsed, subnormal) = train_on_iot(
+            vec![25, 13, 6, 3, 2, 2, 2, 2, 2],
+            Activation::Relu,
+            0.0087,
+            16,
+        );
+        let (axpys, adam) = exact::tally::take();
+        println!("exact axpys {axpys}, Adam elements {adam}");
+        assert_eq!(collapsed.param_count(), 690);
+        assert!(
+            subnormal * 2 > collapsed.param_count(),
+            "{subnormal} of 690 subnormal"
+        );
+        assert_eq!(weight_fnv(&collapsed), 0x5525_df47_4290_5ae3);
+        assert!(
+            axpys > 0 && adam > 0,
+            "exact axpys {axpys}, Adam elements {adam}"
+        );
+
+        let (healthy, subnormal) = train_on_iot(vec![16, 8], Activation::Sigmoid, 0.01, 32);
+        assert_eq!(subnormal, 0);
+        assert_eq!(weight_fnv(&healthy), 0x717e_db72_38a3_c46f);
+        assert_eq!(exact::tally::take(), (0, 0));
     }
 
     proptest! {

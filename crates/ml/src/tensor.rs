@@ -8,7 +8,7 @@
 //! reduce add), so keeping it explicit here doubles as documentation of the
 //! generated hardware code.
 
-use crate::{MlError, Result};
+use crate::{exact, MlError, Result};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -254,12 +254,42 @@ impl Matrix {
     /// exactly the map-multiply/reduce-add dataflow the Taurus backend
     /// lowers to Spatial templates. Zero `lhs` entries skip their whole
     /// axpy — ReLU activations make these common on the training hot
-    /// path.
+    /// path. The skip is semantics, not only speed: a skipped `0 × ∞`
+    /// is not a NaN.
+    ///
+    /// # Subnormal products
+    ///
+    /// An `f32` multiply whose operand or result is subnormal costs
+    /// ~40 ns on x86 (a microcode assist), against ~1.4 ns on normal
+    /// values; adds, compares and `f32`↔`f64` conversions cost nothing
+    /// extra, and neither does `0 × subnormal`. A net that collapses in
+    /// training (the `mlp` module docs) feeds this kernel weights and
+    /// activations that are mostly subnormal. So an axpy multiplies
+    /// natively only when all its products stay normal: `|l|` is at
+    /// least the floor that keeps `|l|` times the smallest nonzero
+    /// magnitude of its `rhs` row at or above 2^-126. One floor for the
+    /// whole `rhs` clears most axpys: 2^-63 when no nonzero of `rhs` lies
+    /// below 2^-63 (one branch-free scan), else one from its smallest
+    /// magnitude (a second); each `rhs` row's own floor is computed only
+    /// for an axpy the first does not clear. Any other axpy multiplies in
+    /// `f64`, where the product of two `f32`s is exact, and converts each
+    /// product back, which rounds it as the native multiply does without
+    /// the assist. Both give the same bits, so the floors decide only the
+    /// speed, never a result.
     ///
     /// # Errors
     ///
     /// Returns [`MlError::ShapeMismatch`] when `self.cols() != rhs.rows()`.
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
+        self.matmul_above(rhs, exact::normal_floor(&rhs.data))
+    }
+
+    /// [`Matrix::matmul`] with the floor of the whole `rhs` already known
+    /// (`exact::normal_floor`'s, or `exact::TINY` when no nonzero of
+    /// `rhs` lies below it), so that it is not scanned again. An axpy
+    /// whose factor the floor does not clear is judged on its own row's
+    /// floor, so the floor decides only the speed, never a result.
+    pub(crate) fn matmul_above(&self, rhs: &Matrix, floor: f32) -> Result<Matrix> {
         if self.cols != rhs.rows {
             return Err(MlError::ShapeMismatch {
                 op: "matmul",
@@ -269,13 +299,21 @@ impl Matrix {
         }
         let mut out = Matrix::zeros(self.rows, rhs.cols);
         let n = rhs.cols.max(1);
+        let floor = floor.to_bits();
+        let mut row_floors = Vec::new();
         for (lhs_row, out_row) in self
             .data
             .chunks_exact(self.cols.max(1))
             .zip(out.data.chunks_exact_mut(n))
         {
-            for (&l, rhs_row) in lhs_row.iter().zip(rhs.data.chunks_exact(n)) {
-                if l == 0.0 {
+            for (k, (&l, rhs_row)) in lhs_row.iter().zip(rhs.data.chunks_exact(n)).enumerate() {
+                // One integer compare on the magnitude's bits sends both a
+                // zero (whose skip is semantics) and a factor below the
+                // floor (which is positive) off the native path.
+                let magnitude = l.to_bits() & 0x7fff_ffff;
+                if magnitude < floor
+                    && (magnitude == 0 || exact_axpy(out_row, l, rhs, k, &mut row_floors))
+                {
                     continue;
                 }
                 for (o, &r) in out_row.iter_mut().zip(rhs_row) {
@@ -475,6 +513,36 @@ impl Matrix {
             data,
         })
     }
+}
+
+/// The slow side of [`Matrix::matmul`]'s axpy `out_row += l * rhs[k]`,
+/// for an `l` below the floor of the whole `rhs`: judges it against row
+/// `k`'s own floor (computing every row's on first use) and, when its
+/// products can leave the normal range, does the axpy exactly and returns
+/// `true`. Returns `false` when the native axpy is safe after all.
+#[cold]
+#[inline(never)]
+fn exact_axpy(
+    out_row: &mut [f32],
+    l: f32,
+    rhs: &Matrix,
+    k: usize,
+    row_floors: &mut Vec<f32>,
+) -> bool {
+    let n = rhs.cols.max(1);
+    if row_floors.is_empty() {
+        row_floors.extend(rhs.data.chunks_exact(n).map(exact::normal_floor));
+    }
+    if l.abs() >= row_floors[k] {
+        return false;
+    }
+    #[cfg(test)]
+    exact::tally::axpy();
+    let l = exact::Wide::new(l);
+    for (o, &r) in out_row.iter_mut().zip(rhs.row(k)) {
+        *o += l.times(r);
+    }
+    true
 }
 
 impl Index<(usize, usize)> for Matrix {
